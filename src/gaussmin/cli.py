@@ -243,15 +243,14 @@ def _measure_rows(m: GridMeasure) -> list[tuple]:
 
 def cmd_solve(cfg: dict, out: Path) -> int:
     kernel = build_kernel(cfg)
-    tol = float(cfg.get("tol", 1e-9))
     if isinstance(kernel, ExplicitGram):
-        trace = refine(kernel, (0.0, 1.0), 0, 0, tol=tol)
+        trace = refine(kernel, (0.0, 1.0), 0, 0)
     else:
         interval = cfg.get("interval")
         _require(interval is not None, "solve needs interval [a, b]")
         k_min, k_max = int(cfg.get("k_min", 2)), int(cfg.get("k_max", 8))
         trace = refine(kernel, (float(interval[0]), float(interval[1])), k_min, k_max,
-                       stop_tol=float(cfg.get("stop_tol", 1e-6)), tol=tol)
+                       stop_tol=float(cfg.get("stop_tol", 1e-6)))
     final = trace.final
     grid = final.measure.grid
     sigma = kernel.gram(grid)
@@ -327,7 +326,7 @@ def cmd_analytic(cfg: dict, out: Path) -> int:
 
 
 def _solution_for(kernel: Kernel, grid: Grid, cfg: dict) -> OptimalSolution:
-    return solve_simplex_qp(kernel.gram(grid), tol=float(cfg.get("tol", 1e-9)), grid=grid)
+    return solve_simplex_qp(kernel.gram(grid), grid=grid)
 
 
 def _u_values(cfg: dict) -> list[float]:

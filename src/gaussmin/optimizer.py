@@ -1,25 +1,29 @@
 """Minimize nu^T Sigma nu over the probability simplex, with certificates.
 
 The minimizing measure of the covariance double integral on a grid solves a
-convex QP over the simplex. Two routes:
+convex QP over the simplex. One Cholesky factor Sigma = L L^T drives a single
+path:
 
-* theta fast path: theta = Sigma^{-1} 1. When theta >= 0 the normalized theta
-  is optimal and sigma*^2 = 1 / sum(theta). This covers every full-support
-  kernel here (Ornstein-Uhlenbeck, power-exponential, modulated Brownian).
-* Frank-Wolfe with away steps, followed by an active-set polish that solves
-  the restricted theta system on the detected support.
+* theta step: theta = Sigma^{-1} 1. When theta >= 0 the KKT conditions hold
+  with every grid point active, so nu* = theta / sum(theta). This covers every
+  full-support kernel here (Ornstein-Uhlenbeck, power-exponential, modulated
+  Brownian).
+* NNLS otherwise: min over x >= 0 of x^T Sigma x / 2 - 1^T x is the
+  nonnegative least-squares problem |L^T x - L^{-1} 1| (Lawson & Hanson's
+  active-set method), and nu* = x / sum(x).
 
-Optimality is certified through the mean vector m = Sigma nu: feasibility
-requires min_j m_j >= sigma*^2 with equality on the support.
+Optimality is then certified through the mean vector m = Sigma nu:
+feasibility requires min_j m_j >= sigma*^2 with equality on the support.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+from scipy.optimize import nnls
 
 from .exceptions import NotPositiveSemidefiniteError, OptimizerError
 from .grids import MAX_LEVEL, DyadicGrid, Grid, PointGrid
@@ -27,9 +31,6 @@ from .kernels import ExplicitGram, Kernel
 from .measure import GridMeasure
 
 SUPPORT_TOL = 1e-9          # relative weight below which a point is off-support
-FW_BUDGET = 100_000         # iteration cap for the Frank-Wolfe fallback
-DEFAULT_SOLVE_TOL = 1e-9    # relative duality-gap target
-REFRESH_EVERY = 512         # recompute m, E from scratch to cancel drift
 
 
 # ---------------------------------------------------------------------------
@@ -50,17 +51,13 @@ class OptimalSolution:
     sigma_star_sq: float
     certificate: np.ndarray          # m_j = (Sigma nu)_j
     support: np.ndarray              # indices with weight > SUPPORT_TOL (relative)
-    theta: np.ndarray | None = None  # Sigma^{-1} 1 when the fast path ran
-    method: str = "theta"
-    iterations: int = 0
+    method: str = "theta"            # "theta" or "nnls"
+    iterations: int = 0              # always 0: neither route counts iterations
     gap: float = 0.0
 
     def __post_init__(self):
-        for name in ("certificate", "support", "theta"):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = np.asarray(arr)
+        for name in ("certificate", "support"):
+            arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -117,145 +114,11 @@ def _check_square_symmetric(sigma: np.ndarray) -> np.ndarray:
     return 0.5 * (sigma + sigma.T)
 
 
-def _psd_by_cholesky(sigma: np.ndarray) -> None:
-    n = sigma.shape[0]
-    jitter = 1e-10 * max(float(np.diag(sigma).max()), 1.0)
-    try:
-        np.linalg.cholesky(sigma + jitter * np.eye(n))
-    except np.linalg.LinAlgError:
-        raise NotPositiveSemidefiniteError(
-            "matrix is not positive semidefinite within tolerance") from None
-
-
-# ---------------------------------------------------------------------------
-# theta fast path
-# ---------------------------------------------------------------------------
-
-
-def solve_theta(sigma: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Fast path: theta = Sigma^{-1} 1; valid when theta is nonnegative.
-
-    Returns ``(weights, sigma_star_sq)`` with weights = theta / sum(theta) and
-    sigma_star_sq = 1 / sum(theta), or None when theta has a genuinely
-    negative component or the factorization fails (caller falls back to the
-    general solver). The negativity threshold is relative to max|theta| so the
-    outcome is invariant under rescaling Sigma.
-    """
-    sigma = _check_square_symmetric(sigma)
-    try:
-        factor = cho_factor(sigma, lower=True, check_finite=False)
-    except LinAlgError:
-        return None
-    theta = cho_solve(factor, np.ones(sigma.shape[0]), check_finite=False)
-    floor = -1e-12 * float(np.abs(theta).max())
-    if np.any(theta < floor):
-        return None
-    total = float(theta.sum())
-    if total <= 0:
-        return None
-    weights = np.clip(theta, 0.0, None)
-    weights /= weights.sum()
-    return weights, 1.0 / total
-
-
-# ---------------------------------------------------------------------------
-# Frank-Wolfe with away steps
-# ---------------------------------------------------------------------------
-
-
-def _frank_wolfe(sigma: np.ndarray, tol: float, budget: int) -> tuple[np.ndarray, int]:
-    """Minimize w^T Sigma w on the simplex; returns (weights, iterations)."""
-    n = sigma.shape[0]
-    start = int(np.argmin(np.diag(sigma)))  # best single vertex
-    w = np.zeros(n)
-    w[start] = 1.0
-    m = sigma[:, start].copy()
-    energy = float(sigma[start, start])
-    iters = 0
-    for iters in range(1, budget + 1):
-        if iters % REFRESH_EVERY == 0:
-            w /= w.sum()
-            m = sigma @ w
-            energy = float(w @ m)
-        s = int(np.argmin(m))
-        gap_fw = energy - m[s]
-        if gap_fw <= tol * max(energy, 1e-300):
-            break
-        onsup = w > 0
-        masked = np.where(onsup, m, -np.inf)
-        v = int(np.argmax(masked))
-        gap_away = m[v] - energy
-        if gap_fw >= gap_away:
-            # toward vertex s: w' = (1-g) w + g e_s
-            curv = sigma[s, s] - 2.0 * m[s] + energy
-            g = 1.0 if curv <= 0 else min(1.0, gap_fw / curv)
-            energy = (1 - g) ** 2 * energy + 2 * g * (1 - g) * m[s] + g * g * sigma[s, s]
-            m = (1 - g) * m + g * sigma[:, s]
-            w *= 1 - g
-            w[s] += g
-        else:
-            # away from vertex v: w' = (1+g) w - g e_v
-            if w[v] >= 1.0:
-                break  # single-vertex iterate cannot move away
-            g_max = w[v] / (1.0 - w[v])
-            curv = energy - 2.0 * m[v] + sigma[v, v]
-            g = g_max if curv <= 0 else min(g_max, gap_away / curv)
-            energy = (1 + g) ** 2 * energy - 2 * g * (1 + g) * m[v] + g * g * sigma[v, v]
-            m = (1 + g) * m - g * sigma[:, v]
-            w *= 1 + g
-            if g >= g_max:
-                w[v] = 0.0  # drop step removes the vertex exactly
-            else:
-                w[v] -= g
-        np.clip(w, 0.0, None, out=w)
-    return w / w.sum(), iters
-
-
-def _polish(sigma: np.ndarray, support: np.ndarray,
-            max_rounds: int = 60) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """Active-set refinement: exact restricted theta solve on the support.
-
-    Drops indices whose restricted theta is negative, adds off-support indices
-    whose mean value dips below sigma*^2. Returns (weights, m, sigma_sq) with
-    machine-precision equality on the support, or None when no consistent
-    active set is found.
-    """
-    n = sigma.shape[0]
-    active = sorted(set(int(i) for i in support))
-    for _ in range(max_rounds):
-        if not active:
-            return None
-        sub = sigma[np.ix_(active, active)]
-        try:
-            theta = cho_solve(cho_factor(sub, lower=True, check_finite=False),
-                              np.ones(len(active)), check_finite=False)
-        except LinAlgError:
-            theta, *_ = np.linalg.lstsq(sub, np.ones(len(active)), rcond=None)
-        if np.min(theta) < -1e-12 * max(np.abs(theta).max(), 1e-300):
-            del active[int(np.argmin(theta))]
-            continue
-        total = float(theta.sum())
-        if total <= 0:
-            return None
-        w = np.zeros(n)
-        w[active] = np.clip(theta, 0.0, None) / np.clip(theta, 0.0, None).sum()
-        m = sigma @ w
-        sigma_sq = 1.0 / total
-        slack = m - sigma_sq
-        worst = int(np.argmin(slack))
-        if slack[worst] < -1e-11 * sigma_sq and worst not in active:
-            active = sorted(active + [worst])
-            continue
-        return w, m, sigma_sq
-    return None
-
-
-def solve_simplex_qp(sigma: np.ndarray, tol: float = DEFAULT_SOLVE_TOL,
-                     grid: Grid | None = None, budget: int = FW_BUDGET) -> OptimalSolution:
+def solve_simplex_qp(sigma: np.ndarray, grid: Grid | None = None) -> OptimalSolution:
     """Solve min w^T Sigma w over the probability simplex with a certificate.
 
-    Attempts the theta fast path first; otherwise runs Frank-Wolfe with away
-    steps to a relative duality gap of ``tol``, then polishes the active set.
+    One Cholesky factor L of Sigma serves both routes: theta = Sigma^{-1} 1
+    when it is nonnegative, otherwise the NNLS problem |L^T x - L^{-1} 1|.
     ``grid`` labels the result's measure; index positions are used when absent.
     """
     sigma = _check_square_symmetric(sigma)
@@ -265,39 +128,32 @@ def solve_simplex_qp(sigma: np.ndarray, tol: float = DEFAULT_SOLVE_TOL,
     elif grid.points.size != n:
         raise OptimizerError(f"grid has {grid.points.size} points for a {n}x{n} matrix")
 
-    fast = solve_theta(sigma)
-    if fast is not None:
-        w, _ = fast
-        theta = None
+    try:
+        factor = cho_factor(sigma, lower=True, check_finite=False)
+    except LinAlgError:
+        jitter = 1e-10 * max(float(np.diag(sigma).max()), 1.0)
         try:
-            theta = cho_solve(cho_factor(sigma, lower=True, check_finite=False),
-                              np.ones(n), check_finite=False)
+            factor = cho_factor(sigma + jitter * np.eye(n), lower=True, check_finite=False)
         except LinAlgError:
-            pass
-        m = sigma @ w
-        sigma_sq = float(w @ m)
-        return _finish(grid, w, m, sigma_sq, theta, "theta", 0, tol)
-
-    _psd_by_cholesky(sigma)
-    w, iters = _frank_wolfe(sigma, tol, budget)
-    support = np.nonzero(w > SUPPORT_TOL * w.max())[0]
-    polished = _polish(sigma, support)
-    if polished is not None:
-        w, m, sigma_sq = polished
-        return _finish(grid, w, m, sigma_sq, None, "frank_wolfe", iters, tol)
+            raise NotPositiveSemidefiniteError(
+                "matrix is not positive semidefinite within tolerance") from None
+    ones = np.ones(n)
+    theta = cho_solve(factor, ones, check_finite=False)
+    if np.all(theta >= -1e-12 * float(np.abs(theta).max())):
+        # KKT conditions hold with the full active set
+        w = np.clip(theta, 0.0, None)
+        method = "theta"
+    else:
+        lower = np.tril(factor[0])  # cho_factor leaves the upper triangle unzeroed
+        try:
+            w, _ = nnls(lower.T, solve_triangular(lower, ones, lower=True, check_finite=False))
+        except RuntimeError as exc:
+            raise OptimizerError(f"NNLS did not converge on a {n}-point matrix: {exc}") from None
+        method = "nnls"
+    w = w / w.sum()
     m = sigma @ w
     sigma_sq = float(w @ m)
-    gap = sigma_sq - float(m.min())
-    if gap > tol * sigma_sq:
-        raise OptimizerError(
-            f"no certificate within budget: best sigma*^2 {sigma_sq:.12g}, "
-            f"duality gap {gap:.3e} after {iters} iterations")
-    return _finish(grid, w, m, sigma_sq, None, "frank_wolfe", iters, tol)
-
-
-def _finish(grid: Grid, w: np.ndarray, m: np.ndarray, sigma_sq: float,
-            theta: np.ndarray | None, method: str, iters: int, tol: float) -> OptimalSolution:
-    measure = GridMeasure(grid, w / w.sum())
+    measure = GridMeasure.from_raw(grid, w)
     support = np.nonzero(measure.weights > SUPPORT_TOL * measure.weights.max())[0]
     gap = max(sigma_sq - float(m.min()), 0.0)
     support_dev = float(np.abs(m[support] - sigma_sq).max())
@@ -306,8 +162,7 @@ def _finish(grid: Grid, w: np.ndarray, m: np.ndarray, sigma_sq: float,
             f"certificate violated: gap {gap:.3e}, support deviation {support_dev:.3e} "
             f"for sigma*^2 {sigma_sq:.12g}")
     return OptimalSolution(measure=measure, sigma_star_sq=sigma_sq, certificate=m,
-                           support=support, theta=theta, method=method,
-                           iterations=iters, gap=gap)
+                           support=support, method=method, gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +207,7 @@ def certify(sigma: np.ndarray, measure: GridMeasure, tol: float = 1e-8) -> Certi
 
 
 def refine(kernel: Kernel, interval: tuple[float, float], k_min: int, k_max: int,
-           stop_tol: float = 1e-6, tol: float = DEFAULT_SOLVE_TOL) -> RefinementTrace:
+           stop_tol: float = 1e-6) -> RefinementTrace:
     """Solve on dyadic grids of increasing level until sigma*^2_k stabilizes.
 
     Stops early when consecutive values differ by less than ``stop_tol``.
@@ -363,7 +218,7 @@ def refine(kernel: Kernel, interval: tuple[float, float], k_min: int, k_max: int
     a, b = interval
     if isinstance(kernel, ExplicitGram):
         t0 = time.perf_counter()
-        sol = solve_simplex_qp(kernel.matrix, tol, grid=kernel.grid())
+        sol = solve_simplex_qp(kernel.matrix, grid=kernel.grid())
         entry = RefinementEntry(0, sol.sigma_star_sq, sol.measure, time.perf_counter() - t0)
         return RefinementTrace(entries=(entry,), converged=True, final_gap=0.0)
     entries: list[RefinementEntry] = []
@@ -373,7 +228,7 @@ def refine(kernel: Kernel, interval: tuple[float, float], k_min: int, k_max: int
         grid = DyadicGrid(a, b, k)
         t0 = time.perf_counter()
         try:
-            sol = solve_simplex_qp(kernel.gram(grid), tol, grid=grid)
+            sol = solve_simplex_qp(kernel.gram(grid), grid=grid)
         except (OptimizerError, NotPositiveSemidefiniteError) as exc:
             raise OptimizerError(f"refinement failed at level k={k}: {exc}") from exc
         entries.append(RefinementEntry(k, sol.sigma_star_sq, sol.measure,

@@ -7,18 +7,19 @@ from gaussmin import (
     DyadicGrid,
     ExplicitGram,
     GridMeasure,
+    ModulatedBrownian,
     NotPositiveSemidefiniteError,
     OptimizerError,
     PointGrid,
     PowerExponential,
     RefinementEntry,
     RefinementTrace,
+    ShiftedRootScale,
     certify,
     discretize,
     ou_measure,
     refine,
     solve_simplex_qp,
-    solve_theta,
     tv_distance,
 )
 from conftest import random_psd
@@ -26,48 +27,39 @@ from oracles import mesh_search, support_enumeration
 
 
 # ---------------------------------------------------------------------------
-# theta fast path
+# theta step: KKT with the full active set
 # ---------------------------------------------------------------------------
 
 
 def test_theta_on_identity():
-    got = solve_theta(np.eye(2))
-    assert got is not None
-    weights, sigma_sq = got
-    assert np.allclose(weights, [0.5, 0.5], rtol=0, atol=1e-15)
-    assert sigma_sq == pytest.approx(0.5, rel=1e-15)
+    sol = solve_simplex_qp(np.eye(2))
+    assert sol.method == "theta"
+    assert np.allclose(sol.measure.weights, [0.5, 0.5], rtol=0, atol=1e-15)
+    assert sol.sigma_star_sq == pytest.approx(0.5, rel=1e-15)
 
 
 def test_theta_on_equicorrelated_pair():
-    got = solve_theta(np.array([[1.0, 0.5], [0.5, 1.0]]))
-    assert got is not None
-    weights, sigma_sq = got
-    assert np.allclose(weights, [0.5, 0.5], rtol=0, atol=1e-14)
-    assert sigma_sq == pytest.approx(0.75, rel=1e-14)
+    sol = solve_simplex_qp(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    assert sol.method == "theta"
+    assert np.allclose(sol.measure.weights, [0.5, 0.5], rtol=0, atol=1e-14)
+    assert sol.sigma_star_sq == pytest.approx(0.75, rel=1e-14)
 
 
 def test_theta_on_smooth_kernel_grid(ou):
-    sigma = ou.gram(DyadicGrid(0.0, 1.0, 6))
-    got = solve_theta(sigma)
-    assert got is not None
-    weights, sigma_sq = got
-    assert np.all(weights > 0)
-    assert 2 / 3 - 1e-12 <= sigma_sq <= 2 / 3 + 5e-3
-
-
-def test_theta_declines_on_singular_matrix():
-    assert solve_theta(np.array([[1.0, 1.0], [1.0, 1.0]])) is None
-
-
-def test_theta_declines_when_a_component_is_negative():
-    # theta proportional to (0.85 - 0.9, 1.0 - 0.9): one negative component
-    assert solve_theta(np.array([[1.0, 0.9], [0.9, 0.85]])) is None
+    sol = solve_simplex_qp(ou.gram(DyadicGrid(0.0, 1.0, 6)))
+    assert sol.method == "theta"
+    assert np.all(sol.measure.weights > 0)
+    assert 2 / 3 - 1e-12 <= sol.sigma_star_sq <= 2 / 3 + 5e-3
 
 
 def test_theta_negativity_threshold_is_scale_invariant():
+    # theta proportional to (0.85 - 0.9, 1.0 - 0.9): one negative component,
+    # detected relative to max|theta| at every scale, so NNLS runs
     sigma = np.array([[1.0, 0.9], [0.9, 0.85]])
     for c in (1e-8, 1.0, 1e8):
-        assert solve_theta(c * sigma) is None
+        sol = solve_simplex_qp(c * sigma)
+        assert sol.method == "nnls"
+        assert np.allclose(sol.measure.weights, [0.0, 1.0], rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +87,7 @@ def test_solver_interior_optimum_matches_hand_derivation():
 def test_solver_resolves_boundary_optimum_when_theta_declines():
     sigma = np.array([[1.0, 0.9], [0.9, 0.85]])
     sol = solve_simplex_qp(sigma)
-    assert sol.method == "frank_wolfe"
+    assert sol.method == "nnls"
     assert np.allclose(sol.measure.weights, [0.0, 1.0], rtol=0, atol=1e-12)
     assert sol.sigma_star_sq == pytest.approx(0.85, rel=1e-12)
     assert sol.certificate[0] == pytest.approx(0.9, rel=1e-12)  # strict slack off support
@@ -170,19 +162,29 @@ def test_solver_matches_lattice_mesh_search_on_small_grids(ou, pe_half):
 
 
 def test_solver_beats_theta_declining_instances_against_enumeration():
-    # random instances filtered so the fast path declines: exercises the
-    # Frank-Wolfe route plus active-set polish against the exact oracle
+    # random instances where theta has a negative component, so the NNLS
+    # route runs, against the exact oracle
     rng = np.random.default_rng(23)
     tested = 0
     while tested < 6:
         sigma = random_psd(rng, 8, ridge=0.01)
-        if solve_theta(sigma) is not None:
+        sol = solve_simplex_qp(sigma)
+        if sol.method != "nnls":
             continue
         tested += 1
-        sol = solve_simplex_qp(sigma)
         exact_val, _ = support_enumeration(sigma)
         assert sol.sigma_star_sq == pytest.approx(exact_val, abs=1e-10)
-        assert sol.method == "frank_wolfe"
+
+
+def test_nnls_certifies_partial_support_at_level_11():
+    # example2 (case B): the optimum leaves the left end of the grid empty
+    kern = ModulatedBrownian(ShiftedRootScale(1.0), 1.5, 4.0)
+    grid = DyadicGrid(1.5, 4.0, 11)
+    sigma = kern.gram(grid)
+    sol = solve_simplex_qp(sigma, grid=grid)
+    assert sol.method == "nnls"
+    assert sol.support.size < grid.n
+    assert certify(sigma, sol.measure, tol=1e-8).passed
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .kernels import (ExplicitGram, Kernel, ModulatedBrownian, OrnsteinUhlenbeck
                       PowerExponential, PowerScale, ScaleFunction, ShiftedRootScale,
                       TabulatedScale)
 from .measure import GridMeasure, MixedMeasure, discretize, normalize, tv_distance
-from .optimizer import OptimalSolution, RefinementTrace, certify, refine, solve_simplex_qp
+from .optimizer import certify, refine, solve_simplex_qp
 from .svgplot import Plot
 
 DEFAULT_SEED = 12345
@@ -325,10 +325,6 @@ def cmd_analytic(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def _solution_for(kernel: Kernel, grid: Grid, cfg: dict) -> OptimalSolution:
-    return solve_simplex_qp(kernel.gram(grid), grid=grid)
-
-
 def _u_values(cfg: dict) -> list[float]:
     if "u_list" in cfg:
         us = [float(u) for u in cfg["u_list"]]
@@ -346,7 +342,7 @@ def cmd_tail(cfg: dict, out: Path) -> int:
     us = _u_values(cfg)
     methods = cfg.get("methods", ["crude", "is"])
     _require(set(methods) <= {"crude", "is"} and methods, "methods must be crude and/or is")
-    solution = _solution_for(kernel, grid, cfg)
+    solution = solve_simplex_qp(kernel.gram(grid), grid=grid)
     s2 = solution.sigma_star_sq
     config = sampler_config(cfg)
     if cfg.get("dump_paths"):
@@ -401,7 +397,7 @@ def cmd_smallball(cfg: dict, out: Path) -> int:
     _require(eps_list is not None, "smallball needs 'eps_list'")
     mode = cfg.get("mode", "range")
     _require(mode in ("range", "zstar"), "mode must be 'range' or 'zstar'")
-    solution = _solution_for(kernel, grid, cfg) if mode == "zstar" else None
+    solution = solve_simplex_qp(kernel.gram(grid), grid=grid) if mode == "zstar" else None
     config = sampler_config(cfg)
     rows = []
     for eps in eps_list:
@@ -418,7 +414,7 @@ def cmd_argmin(cfg: dict, out: Path) -> int:
     kernel = build_kernel(cfg)
     grid = resolve_grid(cfg, kernel)
     us = [float(u) for u in cfg.get("argmin_u_list", [])] or _u_values(cfg)
-    solution = _solution_for(kernel, grid, cfg)
+    solution = solve_simplex_qp(kernel.gram(grid), grid=grid)
     config = sampler_config(cfg)
     summary = {}
     warnings: list[str] = []
@@ -474,7 +470,7 @@ def cmd_diagnose(cfg: dict, out: Path) -> int:
     grid = resolve_grid(local, kernel)
     us = _u_values(local)
     _require(len(us) >= 2, "diagnose needs at least two u values")
-    solution = _solution_for(kernel, grid, local)
+    solution = solve_simplex_qp(kernel.gram(grid), grid=grid)
     config = sampler_config(local)
     beta = cfg.get("beta")
     diag = correction_diagnostic(kernel, grid, solution, us, config,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gaussmin import optimizer
 from gaussmin import (
     DyadicGrid,
     ExplicitGram,
@@ -50,6 +51,33 @@ def test_theta_on_smooth_kernel_grid(ou):
     assert sol.method == "theta"
     assert np.all(sol.measure.weights > 0)
     assert 2 / 3 - 1e-12 <= sol.sigma_star_sq <= 2 / 3 + 5e-3
+
+
+def test_theta_declines_on_singular_matrix(monkeypatch):
+    # Sigma itself has no Cholesky factor, so theta comes from the one
+    # jittered retry; the flat objective still certifies at sigma*^2 = 1
+    calls = []
+    cho_factor = optimizer.cho_factor
+
+    def counting_cho_factor(*args, **kwargs):
+        calls.append(1)
+        return cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "cho_factor", counting_cho_factor)
+    sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
+    sol = solve_simplex_qp(sigma)
+    assert len(calls) == 2
+    assert sol.sigma_star_sq == pytest.approx(1.0, rel=1e-12)
+    assert certify(sigma, sol.measure).passed
+
+
+def test_theta_declines_when_a_component_is_negative():
+    # theta proportional to (0.85 - 0.9, 1.0 - 0.9): one negative component,
+    # so NNLS runs and puts exactly zero mass on that point
+    sol = solve_simplex_qp(np.array([[1.0, 0.9], [0.9, 0.85]]))
+    assert sol.method == "nnls"
+    assert sol.measure.weights[0] == 0.0
+    assert sol.support.tolist() == [1]
 
 
 def test_theta_negativity_threshold_is_scale_invariant():

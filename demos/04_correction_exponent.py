@@ -11,20 +11,19 @@ from gaussmin import (
     DyadicGrid,
     ModulatedBrownian,
     PowerScale,
+    Problem,
     SamplerConfig,
     correction_diagnostic,
-    solve_simplex_qp,
 )
 
-kernel = ModulatedBrownian(PowerScale(0.5), 1.0, 2.0)
 grid = DyadicGrid(1.0, 2.0, 5)
-solution = solve_simplex_qp(kernel.gram(grid), grid=grid)
+problem = Problem(ModulatedBrownian(PowerScale(0.5), 1.0, 2.0), grid)
 config = SamplerConfig(seed=11, n_paths=200_000)
 
 u_list = [2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0]
-diag = correction_diagnostic(kernel, grid, solution, u_list, config, beta=0.5)
+diag = correction_diagnostic(problem, u_list, config, beta=0.5)
 
-print(f"sigma*^2 = {solution.sigma_star_sq:.6f} on {grid.n} points, "
+print(f"sigma*^2 = {problem.solution.sigma_star_sq:.6f} on {grid.n} points, "
       f"n = {config.n_paths} paths per u\n")
 print(f"{'u':>4} {'log p':>10} {'D(u)':>9}")
 for u, log_p, d in diag.rows:

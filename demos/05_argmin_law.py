@@ -12,16 +12,16 @@ import numpy as np
 from gaussmin import (
     DyadicGrid,
     OrnsteinUhlenbeck,
+    Problem,
     SamplerConfig,
     argmin_conditional,
     mx_conditional,
-    solve_simplex_qp,
     tv_distance,
 )
 
-kernel = OrnsteinUhlenbeck()
 grid = DyadicGrid(0.0, 1.0, 4)
-solution = solve_simplex_qp(kernel.gram(grid), grid=grid)
+problem = Problem(OrnsteinUhlenbeck(), grid)
+solution = problem.solution
 config = SamplerConfig(seed=23, n_paths=500_000)
 
 print(f"optimal measure on {grid.n} points: endpoints "
@@ -30,16 +30,16 @@ print(f"optimal measure on {grid.n} points: endpoints "
 
 print("argmin law given min > u (weighted histogram):")
 for u in (0.0, 1.0, 2.0, 3.0):
-    hist, ess = argmin_conditional(kernel, grid, solution, u, config)
+    hist, ess = argmin_conditional(problem, u, config)
     tv = tv_distance(hist, solution.measure)
     print(f"  u={u:.0f}: tv to nu* = {tv:.4f}, effective sample size = {ess:,.0f}")
 
 print("\nthe same law through the Y <= x route (m_x):")
 for x in (2.0, 1.0, 0.5):
-    hist = mx_conditional(kernel, grid, solution, x, config)
+    hist = mx_conditional(problem, x, config)
     print(f"  x={x:.2f}: tv to nu* = {tv_distance(hist, solution.measure):.4f}")
 
-hist0, _ = argmin_conditional(kernel, grid, solution, 0.0, config)
+hist0, _ = argmin_conditional(problem, 0.0, config)
 print("\nunconditional argmin over surviving paths (u = 0), per grid point:")
 pts = grid.points
 w = hist0.weights

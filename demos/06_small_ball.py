@@ -10,25 +10,23 @@ import numpy as np
 from gaussmin import (
     DyadicGrid,
     OrnsteinUhlenbeck,
+    Problem,
     SamplerConfig,
     small_ball,
-    solve_simplex_qp,
 )
 
-kernel = OrnsteinUhlenbeck()
-grid = DyadicGrid(0.0, 1.0, 5)
+problem = Problem(OrnsteinUhlenbeck(), DyadicGrid(0.0, 1.0, 5))
 config = SamplerConfig(seed=17, n_paths=200_000)
 
 print("range mode, P(max |X| < eps) on the dyadic grid (k=5):")
 for eps in (1.4, 1.2, 1.0, 0.8, 0.6):
-    est = small_ball(kernel, grid, eps, config)
+    est = small_ball(problem, eps, config)
     print(f"  eps={eps:.1f}: p = {est.value:.5f} +- {est.stderr:.5f}  "
           f"(hits {est.meta['hits']:,})")
 
-solution = solve_simplex_qp(kernel.gram(grid), grid=grid)
 print("\nzstar mode, recentered by the optimizer (needs a certificate):")
 for eps in (1.4, 1.2, 1.0):
-    est = small_ball(kernel, grid, eps, config, mode="zstar", solution=solution)
+    est = small_ball(problem, eps, config, mode="zstar")
     print(f"  eps={eps:.1f}: p = {est.value:.5f} +- {est.stderr:.5f}")
 
 print("\nboth ladders are decreasing in eps; the zstar ladder sits higher")

@@ -22,16 +22,19 @@ from pathlib import Path
 import numpy as np
 
 from .closedform import ou_measure, ou_sigma_star_sq, sigma_star_from_mu, tbm_measure
-from .estimators import (ESS_WARN_THRESHOLD, argmin_conditional, correction_diagnostic,
-                         mx_conditional, small_ball, tail_crude, tail_is)
+from .estimators import (ESS_WARN_THRESHOLD, Problem, argmin_conditional,
+                         correction_diagnostic, mx_conditional, small_ball, tail_crude,
+                         tail_is)
 from .exceptions import ConfigError, EstimationError, GaussminError
-from .gauss_sim import SamplerConfig, factorize, sample
+# factorize and solve_simplex_qp are no longer called here; perfbench/tracer.py
+# wraps them at these names
+from .gauss_sim import SamplerConfig, factorize, sample  # noqa: F401
 from .grids import MAX_LEVEL, DyadicGrid, Grid
 from .kernels import (ExplicitGram, Kernel, ModulatedBrownian, OrnsteinUhlenbeck,
                       PowerExponential, PowerScale, ScaleFunction, ShiftedRootScale,
                       TabulatedScale)
 from .measure import GridMeasure, MixedMeasure, discretize, normalize, tv_distance
-from .optimizer import certify, refine, solve_simplex_qp
+from .optimizer import certify, refine, solve_simplex_qp  # noqa: F401
 from .svgplot import Plot
 
 DEFAULT_SEED = 12345
@@ -185,8 +188,6 @@ def sampler_config(cfg: dict, stream: int = 0) -> SamplerConfig:
     n = int(cfg.get("n_paths", DEFAULT_N_PATHS))
     return SamplerConfig(seed=int(cfg["seed"]), n_paths=n,
                          batch_size=int(cfg.get("batch_size", 16_384)),
-                         jitter_start=float(cfg.get("jitter_start", 1e-12)),
-                         jitter_max=float(cfg.get("jitter_max", 1e-6)),
                          stream=int(cfg.get("stream", stream)),
                          workers=int(cfg.get("threads", 1)))
 
@@ -252,9 +253,7 @@ def cmd_solve(cfg: dict, out: Path) -> int:
         trace = refine(kernel, (float(interval[0]), float(interval[1])), k_min, k_max,
                        stop_tol=float(cfg.get("stop_tol", 1e-6)))
     final = trace.final
-    grid = final.measure.grid
-    sigma = kernel.gram(grid)
-    report = certify(sigma, final.measure, tol=1e-6)
+    report = certify(final.problem.sigma, final.measure, tol=1e-6)
     write_csv(out / "weights.csv", cfg, ["point", "weight"], _measure_rows(final.measure))
     write_csv(out / "trace.csv", cfg, ["k", "n_points", "sigma_star_sq"],
               [(e.k, e.measure.grid.points.size, e.sigma_star_sq) for e in trace.entries])
@@ -312,7 +311,7 @@ def cmd_analytic(cfg: dict, out: Path) -> int:
         k = int(cfg.get("k", 8))
         a, b = measure.interval
         grid = DyadicGrid(a, b, k)
-        sol = solve_simplex_qp(kernel.gram(grid), grid=grid)
+        sol = Problem(kernel, grid).solution
         disc = discretize(probability, grid)
         payload["cross_check"] = {
             "k": k,
@@ -342,13 +341,12 @@ def cmd_tail(cfg: dict, out: Path) -> int:
     us = _u_values(cfg)
     methods = cfg.get("methods", ["crude", "is"])
     _require(set(methods) <= {"crude", "is"} and methods, "methods must be crude and/or is")
-    solution = solve_simplex_qp(kernel.gram(grid), grid=grid)
-    s2 = solution.sigma_star_sq
+    problem = Problem(kernel, grid)
+    s2 = problem.solution.sigma_star_sq
     config = sampler_config(cfg)
     if cfg.get("dump_paths"):
         n_dump = min(int(cfg["dump_paths"]), config.n_paths, PATH_DUMP_CAP)
-        batch = sample(factorize(kernel.gram(grid), config.jitter_start, config.jitter_max),
-                       grid, config, start=0, count=n_dump)
+        batch = sample(problem.factor, grid, config, start=0, count=n_dump)
         write_csv(out / "paths.csv", cfg,
                   [f"x{i}" for i in range(grid.points.size)],
                   [tuple(row) for row in batch.values])
@@ -356,12 +354,12 @@ def cmd_tail(cfg: dict, out: Path) -> int:
     estimates: dict[str, list] = {"crude": [], "is": []}
     for u in us:
         if "crude" in methods:
-            e = tail_crude(kernel, grid, u, config)
+            e = tail_crude(problem, u, config)
             estimates["crude"].append(e)
             rows["crude"].append((u, e.value, e.stderr, e.log_value,
                                   e.log_value + u * u / (2 * s2)))
         if "is" in methods:
-            e = tail_is(kernel, grid, solution, u, config)
+            e = tail_is(problem, u, config)
             estimates["is"].append(e)
             rows["is"].append((u, e.value, e.stderr, e.log_value,
                                e.log_value + u * u / (2 * s2)))
@@ -397,11 +395,11 @@ def cmd_smallball(cfg: dict, out: Path) -> int:
     _require(eps_list is not None, "smallball needs 'eps_list'")
     mode = cfg.get("mode", "range")
     _require(mode in ("range", "zstar"), "mode must be 'range' or 'zstar'")
-    solution = solve_simplex_qp(kernel.gram(grid), grid=grid) if mode == "zstar" else None
+    problem = Problem(kernel, grid)
     config = sampler_config(cfg)
     rows = []
     for eps in eps_list:
-        e = small_ball(kernel, grid, eps, config, mode=mode, solution=solution)
+        e = small_ball(problem, eps, config, mode=mode)
         rows.append((eps, e.value, e.stderr, e.log_value, e.meta["hits"]))
     write_csv(out / "smallball.csv", cfg, ["eps", "p_hat", "stderr", "log_p", "hits"], rows)
     plot = Plot(f"small-ball probability ({mode} mode)", "eps", "p_hat")
@@ -414,7 +412,8 @@ def cmd_argmin(cfg: dict, out: Path) -> int:
     kernel = build_kernel(cfg)
     grid = resolve_grid(cfg, kernel)
     us = [float(u) for u in cfg.get("argmin_u_list", [])] or _u_values(cfg)
-    solution = solve_simplex_qp(kernel.gram(grid), grid=grid)
+    problem = Problem(kernel, grid)
+    solution = problem.solution
     config = sampler_config(cfg)
     summary = {}
     warnings: list[str] = []
@@ -423,7 +422,7 @@ def cmd_argmin(cfg: dict, out: Path) -> int:
              label="optimal measure", mode="line")
     for u in us:
         try:
-            hist, ess = argmin_conditional(kernel, grid, solution, u, config)
+            hist, ess = argmin_conditional(problem, u, config)
         except EstimationError as exc:
             summary[f"u={u:g}"] = {"failed": str(exc)}
             warnings.append(f"u={u:g}: {exc}")
@@ -438,7 +437,7 @@ def cmd_argmin(cfg: dict, out: Path) -> int:
                             f"{ESS_WARN_THRESHOLD:g}; histogram is noise-dominated")
     for x in [float(x) for x in cfg.get("x_list", [])]:
         try:
-            hist = mx_conditional(kernel, grid, solution, x, config)
+            hist = mx_conditional(problem, x, config)
         except EstimationError as exc:
             summary[f"x={x:g}"] = {"failed": str(exc)}
             warnings.append(f"x={x:g}: {exc}")
@@ -470,10 +469,10 @@ def cmd_diagnose(cfg: dict, out: Path) -> int:
     grid = resolve_grid(local, kernel)
     us = _u_values(local)
     _require(len(us) >= 2, "diagnose needs at least two u values")
-    solution = solve_simplex_qp(kernel.gram(grid), grid=grid)
+    problem = Problem(kernel, grid)
     config = sampler_config(local)
     beta = cfg.get("beta")
-    diag = correction_diagnostic(kernel, grid, solution, us, config,
+    diag = correction_diagnostic(problem, us, config,
                                  beta=float(beta) if beta is not None else None)
     rows = [(u, est.value, est.stderr, lp, d)
             for (u, lp, d), est in zip(diag.rows, diag.estimates)]
@@ -485,7 +484,7 @@ def cmd_diagnose(cfg: dict, out: Path) -> int:
         "excluded_u": list(diag.excluded),
         "beta": diag.beta,
         "lower_bound_exponent": diag.lower_bound_exponent,
-        "sigma_star_sq": solution.sigma_star_sq,
+        "sigma_star_sq": problem.solution.sigma_star_sq,
         "rows": [{"u": u, "log_p": lp, "D": d} for u, lp, d in diag.rows],
     })
     plot = Plot("second-order tail correction -D(u)", "u", "-D(u)", logx=True, logy=True)

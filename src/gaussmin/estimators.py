@@ -7,10 +7,12 @@ energy and Y the integral of the path against the optimal measure,
 
 Paths are sampled under the ORIGINAL law; the tilt lives entirely in the
 weight, so the estimator is exact (not asymptotic) on the grid -- but it is
-only valid when the measure satisfies the optimality certificate, which the
-estimators verify before running. All estimators stream batches whose content
-is independent of batch size and worker count, so every number here is a
-deterministic function of (seed, stream, n, parameters).
+only valid when the measure satisfies the optimality certificate. Every
+estimator therefore takes a ``Problem``: one (kernel, grid) with its Gram
+matrix, sampling factor and the solver's certified optimum, built once and
+shared by all estimates on that grid. All estimators stream batches whose
+content is independent of batch size and worker count, so every number here
+is a deterministic function of (seed, stream, n, parameters).
 """
 
 from __future__ import annotations
@@ -18,20 +20,50 @@ from __future__ import annotations
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import optimizer
 from .exceptions import EstimationError
 from .gauss_sim import Factorization, PathBatch, SamplerConfig, factorize, functionals, sample
-from .grids import Grid, require_same_grid
+from .grids import Grid
 from .kernels import Kernel
 from .measure import GridMeasure
-from .optimizer import OptimalSolution, certify
+# certify is no longer called here; perfbench/tracer.py wraps it at this name
+from .optimizer import OptimalSolution, certify  # noqa: F401
 
 ESS_WARN_THRESHOLD = 100.0
-CERT_TOL = 1e-8
+
+
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """One (kernel, grid): its Gram matrix, sampling factor and certified optimum.
+
+    ``sigma`` is built once, here. ``factor`` (the jittered Cholesky factor the
+    sampler draws paths with) and ``solution`` (the simplex optimum, which the
+    solver refuses to return uncertified) are computed on first use and kept.
+    The factorization is also the PSD check of ``sigma``.
+    """
+
+    kernel: Kernel
+    grid: Grid
+    sigma: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        sigma = self.kernel.gram(self.grid)
+        sigma.setflags(write=False)
+        object.__setattr__(self, "sigma", sigma)
+
+    @cached_property
+    def factor(self) -> Factorization:
+        return factorize(self.sigma)
+
+    @cached_property
+    def solution(self) -> OptimalSolution:
+        return optimizer.solve_simplex_qp(self.sigma, grid=self.grid)
 
 
 @dataclass(frozen=True)
@@ -66,13 +98,14 @@ class Estimate:
 # ---------------------------------------------------------------------------
 
 
-def _map_ordered(factor: Factorization, grid: Grid, config: SamplerConfig,
+def _map_ordered(problem: Problem, config: SamplerConfig,
                  fn: Callable[[PathBatch], tuple]) -> Iterator[tuple]:
     """Apply fn to every batch, yielding results in path order.
 
     With several workers the batches are computed concurrently but reduced in
     submission order, so the folded result is identical for any worker count.
     """
+    factor, grid = problem.factor, problem.grid  # factorize here, not in a worker
     plan = [(s, min(config.batch_size, config.n_paths - s))
             for s in range(0, config.n_paths, config.batch_size)]
     if config.workers == 1:
@@ -95,22 +128,6 @@ def _map_ordered(factor: Factorization, grid: Grid, config: SamplerConfig,
                     lambda s=start, c=count: fn(sample(factor, grid, config, s, c))))
 
 
-def _prepare(kernel: Kernel, grid: Grid, config: SamplerConfig) -> tuple[Factorization, np.ndarray]:
-    sigma = kernel.gram(grid)
-    return factorize(sigma, config.jitter_start, config.jitter_max), sigma
-
-
-def _require_certified(sigma: np.ndarray, grid: Grid, solution: OptimalSolution) -> None:
-    require_same_grid(solution.measure.grid, grid)
-    report = certify(sigma, solution.measure, tol=CERT_TOL)
-    if not report.passed:
-        raise EstimationError(
-            "the measure fails the optimality certificate "
-            f"(min slack {report.min_slack:.3e}, support violation "
-            f"{report.max_support_violation:.3e}); the change-of-measure identity "
-            "requires the certified optimal measure")
-
-
 def _binomial_estimate(hits: int, config: SamplerConfig, meta: dict) -> Estimate:
     n = config.n_paths
     p = hits / n
@@ -125,26 +142,22 @@ def _binomial_estimate(hits: int, config: SamplerConfig, meta: dict) -> Estimate
 # ---------------------------------------------------------------------------
 
 
-def tail_crude(kernel: Kernel, grid: Grid, u: float, config: SamplerConfig) -> Estimate:
+def tail_crude(problem: Problem, u: float, config: SamplerConfig) -> Estimate:
     """Direct Monte Carlo estimate of P(min over grid > u)."""
-    factor, _ = _prepare(kernel, grid, config)
     hits = 0
-    for (h,) in _map_ordered(factor, grid, config,
+    for (h,) in _map_ordered(problem, config,
                              lambda b: (int(np.count_nonzero(b.values.min(axis=1) > u)),)):
         hits += h
     return _binomial_estimate(hits, config, {"method": "tail_crude", "u": float(u)})
 
 
-def tail_is(kernel: Kernel, grid: Grid, solution: OptimalSolution, u: float,
-            config: SamplerConfig) -> Estimate:
+def tail_is(problem: Problem, u: float, config: SamplerConfig) -> Estimate:
     """Change-of-measure estimate of P(min over grid > u).
 
     Unbiased at every u for the grid minimum; the variance collapses for
-    large u where the crude estimator sees no hits. Refuses to run when the
-    solution fails its optimality certificate.
+    large u where the crude estimator sees no hits.
     """
-    factor, sigma = _prepare(kernel, grid, config)
-    _require_certified(sigma, grid, solution)
+    solution = problem.solution
     s2 = solution.sigma_star_sq
     measure = solution.measure
 
@@ -160,7 +173,7 @@ def tail_is(kernel: Kernel, grid: Grid, solution: OptimalSolution, u: float,
             float(np.exp(logw - m).sum()))
 
     n_surv, sum_w, sum_w2, lse = 0, 0.0, 0.0, -math.inf
-    for ns, sw, sw2, batch_lse in _map_ordered(factor, grid, config, batch_stats):
+    for ns, sw, sw2, batch_lse in _map_ordered(problem, config, batch_stats):
         n_surv += ns
         sum_w += sw
         sum_w2 += sw2
@@ -188,17 +201,16 @@ def tail_is(kernel: Kernel, grid: Grid, solution: OptimalSolution, u: float,
 # ---------------------------------------------------------------------------
 
 
-def small_ball(kernel: Kernel, grid: Grid, eps: float, config: SamplerConfig,
-               mode: str = "range", solution: OptimalSolution | None = None) -> Estimate:
+def small_ball(problem: Problem, eps: float, config: SamplerConfig,
+               mode: str = "range") -> Estimate:
     """P(sup increment from the left endpoint < eps), or the Z* variant.
 
     mode "range": fraction of paths with max_i |X_i - X_0| < eps (1 on a
     singleton grid: there are no increments). mode "zstar": fraction with
-    min_i (X_i - Y) > -eps, which needs a certified optimal measure for Y.
+    min_i (X_i - Y) > -eps, Y taken against the problem's optimal measure.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    factor, sigma = _prepare(kernel, grid, config)
     if mode == "range":
         def count(batch: PathBatch) -> tuple:
             x = batch.values
@@ -207,17 +219,14 @@ def small_ball(kernel: Kernel, grid: Grid, eps: float, config: SamplerConfig,
             dev = np.abs(x[:, 1:] - x[:, :1]).max(axis=1)
             return (int(np.count_nonzero(dev < eps)),)
     elif mode == "zstar":
-        if solution is None:
-            raise EstimationError("zstar mode needs an optimal solution for Y")
-        _require_certified(sigma, grid, solution)
-        measure = solution.measure
+        measure = problem.solution.measure
 
         def count(batch: PathBatch) -> tuple:
             fn = functionals(batch, measure)
             return (int(np.count_nonzero(fn.min_value - fn.y > -eps)),)
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'range' or 'zstar'")
-    hits = sum(h for (h,) in _map_ordered(factor, grid, config, count))
+    hits = sum(h for (h,) in _map_ordered(problem, config, count))
     return _binomial_estimate(hits, config,
                               {"method": f"small_ball_{mode}", "eps": float(eps)})
 
@@ -285,8 +294,7 @@ def fit_correction_exponent(u_values: Sequence[float], log_p_values: Sequence[fl
     return float(slope), float(intercept), halfwidth, used
 
 
-def correction_diagnostic(kernel: Kernel, grid: Grid, solution: OptimalSolution,
-                          u_list: Sequence[float], config: SamplerConfig,
+def correction_diagnostic(problem: Problem, u_list: Sequence[float], config: SamplerConfig,
                           beta: float | None = None) -> CorrectionDiagnostic:
     """Estimate D(u) over a u sweep and fit its growth exponent.
 
@@ -297,11 +305,10 @@ def correction_diagnostic(kernel: Kernel, grid: Grid, solution: OptimalSolution,
     if len(us) < 2 or any(b <= a for a, b in zip(us, us[1:])) or us[0] <= 0:
         raise EstimationError("u_list must be at least 2 strictly increasing positive values")
     estimates = tuple(
-        tail_is(kernel, grid, solution, u,
-                replace(config, stream=config.stream + 1 + i))
+        tail_is(problem, u, replace(config, stream=config.stream + 1 + i))
         for i, u in enumerate(us))
     log_ps = [e.log_value for e in estimates]
-    s2 = solution.sigma_star_sq
+    s2 = problem.solution.sigma_star_sq
     exponent, intercept, halfwidth, used = fit_correction_exponent(us, log_ps, s2)
     rows = tuple((u, lp, lp + u * u / (2.0 * s2)) for u, lp in zip(us, log_ps))
     excluded = tuple(u for u, keep in zip(us, used) if not keep)
@@ -315,8 +322,8 @@ def correction_diagnostic(kernel: Kernel, grid: Grid, solution: OptimalSolution,
 # ---------------------------------------------------------------------------
 
 
-def argmin_conditional(kernel: Kernel, grid: Grid, solution: OptimalSolution,
-                       u: float, config: SamplerConfig) -> tuple[GridMeasure, float]:
+def argmin_conditional(problem: Problem, u: float,
+                       config: SamplerConfig) -> tuple[GridMeasure, float]:
     """Weighted argmin histogram approximating the argmin law given min > u.
 
     Each path contributes its leftmost argmin with weight
@@ -325,11 +332,9 @@ def argmin_conditional(kernel: Kernel, grid: Grid, solution: OptimalSolution,
     """
     if u < 0:
         raise EstimationError("u must be >= 0")
-    factor, sigma = _prepare(kernel, grid, config)
-    _require_certified(sigma, grid, solution)
-    s2 = solution.sigma_star_sq
-    measure = solution.measure
-    n_points = grid.points.size
+    s2 = problem.solution.sigma_star_sq
+    measure = problem.solution.measure
+    n_points = problem.grid.points.size
 
     def batch_stats(batch: PathBatch) -> tuple:
         fn = functionals(batch, measure)
@@ -340,28 +345,25 @@ def argmin_conditional(kernel: Kernel, grid: Grid, solution: OptimalSolution,
 
     hist = np.zeros(n_points)
     sum_w = sum_w2 = 0.0
-    for h, sw, sw2 in _map_ordered(factor, grid, config, batch_stats):
+    for h, sw, sw2 in _map_ordered(problem, config, batch_stats):
         hist += h
         sum_w += sw
         sum_w2 += sw2
     if sum_w <= 0:
         raise EstimationError(f"no paths with min > 0 survive at u={u}; no histogram")
     ess = sum_w * sum_w / sum_w2
-    return GridMeasure.from_raw(grid, hist), ess
+    return GridMeasure.from_raw(problem.grid, hist), ess
 
 
-def mx_conditional(kernel: Kernel, grid: Grid, solution: OptimalSolution,
-                   x: float, config: SamplerConfig) -> GridMeasure:
+def mx_conditional(problem: Problem, x: float, config: SamplerConfig) -> GridMeasure:
     """Argmin histogram over paths with Y <= x and min > 0.
 
     As x decreases to 0 this law converges to the optimal measure.
     """
     if x <= 0:
         raise EstimationError("x must be > 0")
-    factor, _ = _prepare(kernel, grid, config)
-    measure = solution.measure
-    require_same_grid(measure.grid, grid)
-    n_points = grid.points.size
+    measure = problem.solution.measure
+    n_points = problem.grid.points.size
 
     def batch_stats(batch: PathBatch) -> tuple:
         fn = functionals(batch, measure)
@@ -369,8 +371,8 @@ def mx_conditional(kernel: Kernel, grid: Grid, solution: OptimalSolution,
         return (np.bincount(fn.argmin_index[keep], minlength=n_points),)
 
     hist = np.zeros(n_points)
-    for (h,) in _map_ordered(factor, grid, config, batch_stats):
+    for (h,) in _map_ordered(problem, config, batch_stats):
         hist += h
     if hist.sum() <= 0:
         raise EstimationError(f"no paths satisfy Y <= {x} and min > 0; no histogram")
-    return GridMeasure.from_raw(grid, hist)
+    return GridMeasure.from_raw(problem.grid, hist)

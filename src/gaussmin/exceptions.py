@@ -25,10 +25,6 @@ class OptimizerError(GaussminError):
     """The simplex solver could not produce a usable solution."""
 
 
-class CertificateError(GaussminError):
-    """An optimality certificate check failed."""
-
-
 class ClosedFormError(GaussminError):
     """Hypotheses of an analytic construction are violated."""
 

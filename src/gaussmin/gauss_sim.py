@@ -34,8 +34,6 @@ class SamplerConfig:
     seed: int
     n_paths: int
     batch_size: int = DEFAULT_BATCH
-    jitter_start: float = DEFAULT_JITTER_START
-    jitter_max: float = DEFAULT_JITTER_MAX
     stream: int = 0
     workers: int = 1
 
@@ -46,8 +44,6 @@ class SamplerConfig:
             raise ValueError("n_paths must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.jitter_start > self.jitter_max:
-            raise ValueError("jitter_start must be <= jitter_max")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -94,12 +90,12 @@ class PathBatch:
         return self.values.shape[0]
 
 
-def factorize(sigma: np.ndarray, jitter_start: float = DEFAULT_JITTER_START,
-              jitter_max: float = DEFAULT_JITTER_MAX) -> Factorization:
+def factorize(sigma: np.ndarray) -> Factorization:
     """Cholesky factor of sigma + lambda I for the smallest workable jitter.
 
-    Tries lambda = 0 first, then jitter_start escalating by factors of 10 up
-    to jitter_max. Raises FactorizationError when even jitter_max fails.
+    Tries lambda = 0 first, then DEFAULT_JITTER_START escalating by factors of
+    10 up to DEFAULT_JITTER_MAX. Raises FactorizationError when even
+    DEFAULT_JITTER_MAX fails.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
@@ -115,10 +111,10 @@ def factorize(sigma: np.ndarray, jitter_start: float = DEFAULT_JITTER_START,
             lower = np.linalg.cholesky(sigma + lam * np.eye(n) if lam else sigma)
             return Factorization(lower=lower, jitter=lam)
         except np.linalg.LinAlgError:
-            lam = jitter_start if lam == 0.0 else lam * 10.0
-            if lam > jitter_max * (1 + 1e-12):
+            lam = DEFAULT_JITTER_START if lam == 0.0 else lam * 10.0
+            if lam > DEFAULT_JITTER_MAX * (1 + 1e-12):
                 raise FactorizationError(
-                    f"Cholesky failed up to jitter {jitter_max:g}: matrix is not "
+                    f"Cholesky failed up to jitter {DEFAULT_JITTER_MAX:g}: matrix is not "
                     "positive semidefinite") from None
 
 

@@ -157,27 +157,14 @@ class Kernel:
         return float(self.pairwise(s_arr, t_arr)[0, 0])
 
     def gram(self, grid) -> np.ndarray:
-        """Covariance matrix on an ordered point set, PSD-checked.
+        """Covariance matrix on an ordered point set.
 
-        The check attempts a Cholesky factorization of ``sigma + tol * I``
-        with ``tol = 1e-10 * max(diag)``; success certifies the minimum
-        eigenvalue is above ``-tol``.
+        Not PSD-checked here: the Cholesky factorization that always follows
+        (the sampler's ``factorize`` or the solver's) is the check.
         """
         pts = as_points(grid)
         self._check_domain(pts)
-        sigma = self.pairwise(pts, pts)
-        _check_psd(sigma)
-        return sigma
-
-
-def _check_psd(sigma: np.ndarray) -> None:
-    tol = PSD_RTOL * float(np.max(np.diag(sigma)))
-    try:
-        np.linalg.cholesky(sigma + tol * np.eye(sigma.shape[0]))
-    except np.linalg.LinAlgError:
-        raise NotPositiveSemidefiniteError(
-            f"gram matrix has an eigenvalue below -{tol:.3e}; invalid kernel/grid combination"
-        ) from None
+        return self.pairwise(pts, pts)
 
 
 @dataclass(frozen=True)

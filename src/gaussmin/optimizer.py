@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
@@ -29,6 +30,9 @@ from .exceptions import NotPositiveSemidefiniteError, OptimizerError
 from .grids import MAX_LEVEL, DyadicGrid, Grid, PointGrid
 from .kernels import ExplicitGram, Kernel
 from .measure import GridMeasure
+
+if TYPE_CHECKING:
+    from .estimators import Problem
 
 SUPPORT_TOL = 1e-9          # relative weight below which a point is off-support
 
@@ -64,10 +68,13 @@ class OptimalSolution:
 
 @dataclass(frozen=True)
 class RefinementEntry:
+    """One level of a refinement; ``problem`` keeps that level's Gram matrix."""
+
     k: int
     sigma_star_sq: float
     measure: GridMeasure
     wall_time: float
+    problem: "Problem | None" = None
 
 
 @dataclass(frozen=True)
@@ -213,26 +220,30 @@ def refine(kernel: Kernel, interval: tuple[float, float], k_min: int, k_max: int
     Stops early when consecutive values differ by less than ``stop_tol``.
     A fixed-grid kernel (ExplicitGram) cannot refine: single-entry trace.
     """
+    from .estimators import Problem  # estimators imports this module
+
     if not 0 <= k_min <= k_max <= MAX_LEVEL:
         raise OptimizerError(f"need 0 <= k_min <= k_max <= {MAX_LEVEL}")
     a, b = interval
-    if isinstance(kernel, ExplicitGram):
+
+    def entry(k: int, grid: Grid) -> RefinementEntry:
         t0 = time.perf_counter()
-        sol = solve_simplex_qp(kernel.matrix, grid=kernel.grid())
-        entry = RefinementEntry(0, sol.sigma_star_sq, sol.measure, time.perf_counter() - t0)
-        return RefinementTrace(entries=(entry,), converged=True, final_gap=0.0)
+        problem = Problem(kernel, grid)
+        sol = problem.solution
+        return RefinementEntry(k, sol.sigma_star_sq, sol.measure,
+                               time.perf_counter() - t0, problem)
+
+    if isinstance(kernel, ExplicitGram):
+        return RefinementTrace(entries=(entry(0, kernel.grid()),), converged=True,
+                               final_gap=0.0)
     entries: list[RefinementEntry] = []
     converged = False
     final_gap = float("inf")
     for k in range(k_min, k_max + 1):
-        grid = DyadicGrid(a, b, k)
-        t0 = time.perf_counter()
         try:
-            sol = solve_simplex_qp(kernel.gram(grid), grid=grid)
+            entries.append(entry(k, DyadicGrid(a, b, k)))
         except (OptimizerError, NotPositiveSemidefiniteError) as exc:
             raise OptimizerError(f"refinement failed at level k={k}: {exc}") from exc
-        entries.append(RefinementEntry(k, sol.sigma_star_sq, sol.measure,
-                                       time.perf_counter() - t0))
         if len(entries) >= 2:
             final_gap = entries[-2].sigma_star_sq - entries[-1].sigma_star_sq
             if final_gap < stop_tol:

@@ -1,4 +1,4 @@
-"""Shared fixtures: kernels, solved instances and a CLI runner."""
+"""Shared fixtures: kernels, problems (Gram, factor, certified solution) and a CLI runner."""
 
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ from gaussmin import (
     DyadicGrid,
     OrnsteinUhlenbeck,
     PowerExponential,
+    Problem,
     SamplerConfig,
-    solve_simplex_qp,
 )
 from gaussmin.cli import main as cli_main
 
@@ -39,13 +39,13 @@ def ou_grid_k5():
 
 
 @pytest.fixture(scope="session")
-def ou_solution_k2(ou, ou_grid_k2):
-    return solve_simplex_qp(ou.gram(ou_grid_k2), grid=ou_grid_k2)
+def ou_problem_k2(ou, ou_grid_k2):
+    return Problem(ou, ou_grid_k2)
 
 
 @pytest.fixture(scope="session")
-def ou_solution_k5(ou, ou_grid_k5):
-    return solve_simplex_qp(ou.gram(ou_grid_k5), grid=ou_grid_k5)
+def ou_problem_k5(ou, ou_grid_k5):
+    return Problem(ou, ou_grid_k5)
 
 
 def make_config(seed=4242, n_paths=100_000, **kw) -> SamplerConfig:

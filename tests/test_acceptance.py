@@ -19,13 +19,13 @@ from gaussmin import (
     OrnsteinUhlenbeck,
     PowerExponential,
     PowerScale,
+    Problem,
     SamplerConfig,
     ShiftedRootScale,
     correction_diagnostic,
     argmin_conditional,
     discretize,
     energy,
-    factorize,
     fit_correction_exponent,
     functionals,
     mean_function,
@@ -181,7 +181,7 @@ def test_criterion_04_unit_mean_identity_and_case_b():
 def test_criterion_05_orthant_oracle():
     t0 = time.perf_counter()
     kern = ExplicitGram(np.array([[1.0, 0.5], [0.5, 1.0]]), np.array([0.0, 1.0]))
-    est = tail_crude(kern, kern.grid(), 0.0, config(1_000_000))
+    est = tail_crude(Problem(kern, kern.grid()), 0.0, config(1_000_000))
     elapsed = time.perf_counter() - t0
 
     exact = orthant_closed(0.5)
@@ -199,15 +199,14 @@ def test_criterion_05_orthant_oracle():
 
 
 def test_criterion_06_change_of_measure_bridge():
-    grid = DyadicGrid(0.0, 1.0, 6)
-    sol = solve_simplex_qp(OU.gram(grid), grid=grid)
-    crude1 = tail_crude(OU, grid, 1.0, config(100_000))
-    is1 = tail_is(OU, grid, sol, 1.0, config(100_000, stream=1))
+    problem = Problem(OU, DyadicGrid(0.0, 1.0, 6))
+    crude1 = tail_crude(problem, 1.0, config(100_000))
+    is1 = tail_is(problem, 1.0, config(100_000, stream=1))
     combined = float(np.hypot(crude1.stderr, is1.stderr))
     bridge_dev = abs(crude1.value - is1.value) / combined
 
-    crude4 = tail_crude(OU, grid, 4.0, config(1_000_000))
-    is4 = tail_is(OU, grid, sol, 4.0, config(1_000_000))
+    crude4 = tail_crude(problem, 4.0, config(1_000_000))
+    is4 = tail_is(problem, 4.0, config(1_000_000))
 
     bridge_ok = bridge_dev <= 3.0
     zero_ok = crude4.meta["zero_hits"]
@@ -230,9 +229,8 @@ def test_criterion_07_correction_exponent():
 
     t0 = time.perf_counter()
     kern = ModulatedBrownian(PowerScale(0.5), 1.0, 2.0)
-    grid = DyadicGrid(1.0, 2.0, 6)
-    sol = solve_simplex_qp(kern.gram(grid), grid=grid)
-    diag = correction_diagnostic(kern, grid, sol, u_list, config(1_000_000), beta=0.5)
+    problem = Problem(kern, DyadicGrid(1.0, 2.0, 6))
+    diag = correction_diagnostic(problem, u_list, config(1_000_000), beta=0.5)
     elapsed = time.perf_counter() - t0
 
     d_ok = all(d < 0 for _, _, d in diag.rows) and not diag.excluded
@@ -250,12 +248,11 @@ def test_criterion_07_correction_exponent():
 def test_criterion_08_conditional_argmin_law():
     # (a) oracle equivalence at k=2, u=1: the weighted histogram against an
     # independent direct-conditioning run, per-bin
-    grid2 = DyadicGrid(0.0, 1.0, 2)
-    sol2 = solve_simplex_qp(OU.gram(grid2), grid=grid2)
+    problem2 = Problem(OU, DyadicGrid(0.0, 1.0, 2))
+    grid2, sol2, fac = problem2.grid, problem2.solution, problem2.factor
     cfg = config(1_000_000)
-    hist, _ = argmin_conditional(OU, grid2, sol2, 1.0, cfg)
+    hist, _ = argmin_conditional(problem2, 1.0, cfg)
 
-    fac = factorize(OU.gram(grid2))
     w_parts, i_parts = [], []
     for start in range(0, cfg.n_paths, 250_000):
         batch = sample(fac, grid2, cfg, start=start, count=250_000)
@@ -280,12 +277,11 @@ def test_criterion_08_conditional_argmin_law():
     a_ok = bool(np.all(per_bin <= 3.0))
 
     # (b) trend at k=5 over u = 1, 2, 3
-    grid5 = DyadicGrid(0.0, 1.0, 5)
-    sol5 = solve_simplex_qp(OU.gram(grid5), grid=grid5)
+    problem5 = Problem(OU, DyadicGrid(0.0, 1.0, 5))
     tvs, esses = [], []
     for u in (1.0, 2.0, 3.0):
-        h, ess = argmin_conditional(OU, grid5, sol5, u, cfg)
-        tvs.append(tv_distance(h, sol5.measure))
+        h, ess = argmin_conditional(problem5, u, cfg)
+        tvs.append(tv_distance(h, problem5.solution.measure))
         esses.append(ess)
     monotone_ok = tvs[0] >= tvs[1] >= tvs[2]
     ess_ok = esses[-1] >= 100
@@ -308,13 +304,12 @@ def test_criterion_08_conditional_argmin_law():
 
 
 def test_criterion_09_mx_limit_trend():
-    grid = DyadicGrid(0.0, 1.0, 4)
-    sol = solve_simplex_qp(OU.gram(grid), grid=grid)
+    problem = Problem(OU, DyadicGrid(0.0, 1.0, 4))
     cfg = config(10_000_000)
     tvs = []
     for x in (1.0, 0.5, 0.25):
-        hist = mx_conditional(OU, grid, sol, x, cfg)
-        tvs.append(tv_distance(hist, sol.measure))
+        hist = mx_conditional(problem, x, cfg)
+        tvs.append(tv_distance(hist, problem.solution.measure))
     ok = tvs[0] >= tvs[1] >= tvs[2]
     line = scorecard(9, ok, f"tv(x=1.0, 0.5, 0.25)=({tvs[0]:.4f}, {tvs[1]:.4f}, "
                      f"{tvs[2]:.4f}), nonincreasing={ok}")
@@ -322,22 +317,20 @@ def test_criterion_09_mx_limit_trend():
 
 
 def test_criterion_10_path_invariants_and_byte_identity(tmp_path):
-    grid = DyadicGrid(0.0, 1.0, 5)
-    sol = solve_simplex_qp(OU.gram(grid), grid=grid)
+    problem = Problem(OU, DyadicGrid(0.0, 1.0, 5))
     cfg = config(1_000_000)
 
     # every path: min_i X_i <= Y (Y is a convex combination of the X_i)
-    fac = factorize(OU.gram(grid))
     worst = -np.inf
     for start in range(0, cfg.n_paths, 250_000):
-        batch = sample(fac, grid, cfg, start=start, count=250_000)
-        fn = functionals(batch, sol.measure)
+        batch = sample(problem.factor, problem.grid, cfg, start=start, count=250_000)
+        fn = functionals(batch, problem.solution.measure)
         worst = max(worst, float((fn.min_value - fn.y).max()))
     zstar_ok = worst <= 1e-12
 
     # shared seed: the hit sets {min > u} are nested, so the estimates are
     # exactly nonincreasing in u
-    values = [tail_crude(OU, grid, u, cfg).value
+    values = [tail_crude(problem, u, cfg).value
               for u in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)]
     monotone_ok = all(a >= b for a, b in zip(values, values[1:]))
 

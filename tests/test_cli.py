@@ -2,11 +2,16 @@
 
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gaussmin import MAX_LEVEL
+import gaussmin.cli
+import gaussmin.estimators
+import gaussmin.optimizer
+from gaussmin import MAX_LEVEL, Kernel
 from gaussmin.cli import main as cli_main
 
 EXIT_OK, EXIT_NUMERICAL, EXIT_CONFIG = 0, 2, 3
@@ -237,6 +242,28 @@ def test_tail_preset_in_config_file(run_cli):
     headers, _, _ = read_csv(out / "tail_crude.csv")
     cfg = json.loads(headers[1].split("# config:")[1])
     assert cfg["k"] == 5  # the preset's tail override
+
+
+def test_tail_builds_gram_factor_and_solution_once(run_cli, monkeypatch):
+    # one Problem serves all ten estimates: one Gram matrix, one sampling
+    # factor, one solver factor and no re-certification
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Kernel, "gram", counted("gram", Kernel.gram))
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+    monkeypatch.setattr(gaussmin.optimizer, "cho_factor",
+                        counted("cho_factor", gaussmin.optimizer.cho_factor))
+    for mod in (gaussmin.optimizer, gaussmin.estimators, gaussmin.cli):
+        monkeypatch.setattr(mod, "certify", counted("certify", mod.certify))
+    code, _ = run_cli("tail", config={"preset": "ou", "n_paths": 2000})
+    assert code == EXIT_OK
+    assert calls == {"gram": 1, "cholesky": 1, "cho_factor": 1}
 
 
 def test_tail_dump_paths(run_cli):

@@ -10,17 +10,14 @@ from gaussmin import (
     Estimate,
     EstimationError,
     ExplicitGram,
-    GridMeasure,
-    OptimalSolution,
+    Problem,
     argmin_conditional,
     correction_diagnostic,
-    factorize,
     fit_correction_exponent,
     functionals,
     mx_conditional,
     sample,
     small_ball,
-    solve_simplex_qp,
     tail_crude,
     tail_is,
 )
@@ -29,17 +26,13 @@ from oracles import (binomial_bin_stderr, orthant_closed, planted_logp,
                      weighted_bin_stderr)
 
 
-def _iid_pair():
-    kern = ExplicitGram(np.eye(2), np.array([0.0, 1.0]))
-    grid = kern.grid()
-    sol = solve_simplex_qp(np.eye(2), grid=grid)
-    return kern, grid, sol
+def _explicit(sigma) -> Problem:
+    kern = ExplicitGram.from_matrix(np.asarray(sigma, dtype=float))
+    return Problem(kern, kern.grid())
 
 
-def _correlated_pair(rho=0.5):
-    sigma = np.array([[1.0, rho], [rho, 1.0]])
-    kern = ExplicitGram(sigma, np.array([0.0, 1.0]))
-    return kern, kern.grid()
+def _correlated_pair(rho=0.5) -> Problem:
+    return _explicit([[1.0, rho], [rho, 1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -48,29 +41,26 @@ def _correlated_pair(rho=0.5):
 
 
 def test_crude_tail_singleton():
-    kern = ExplicitGram(np.array([[1.0]]), np.array([0.0]))
-    est = tail_crude(kern, kern.grid(), 0.0, make_config())
+    est = tail_crude(_explicit([[1.0]]), 0.0, make_config())
     assert abs(est.value - 0.5) <= 4 * est.stderr
     assert est.n == 100_000
     assert est.meta["method"] == "tail_crude"
 
 
 def test_crude_tail_independent_pair():
-    kern, grid = _correlated_pair(0.0)
-    est = tail_crude(kern, grid, 0.0, make_config())
+    est = tail_crude(_correlated_pair(0.0), 0.0, make_config())
     assert abs(est.value - 0.25) <= 4 * est.stderr
 
 
 def test_crude_tail_correlated_pair_matches_orthant_formula():
-    kern, grid = _correlated_pair(0.5)
-    est = tail_crude(kern, grid, 0.0, make_config(n_paths=200_000))
+    est = tail_crude(_correlated_pair(0.5), 0.0, make_config(n_paths=200_000))
     assert abs(est.value - orthant_closed(0.5)) <= 4 * est.stderr
     assert orthant_closed(0.5) == pytest.approx(1 / 3, abs=1e-15)
 
 
-def test_crude_tail_decreases_in_u_with_a_shared_seed(ou, ou_grid_k5):
+def test_crude_tail_decreases_in_u_with_a_shared_seed(ou_problem_k5):
     cfg = make_config(n_paths=50_000)
-    values = [tail_crude(ou, ou_grid_k5, u, cfg).value for u in (0.0, 0.5, 1.0, 2.0)]
+    values = [tail_crude(ou_problem_k5, u, cfg).value for u in (0.0, 0.5, 1.0, 2.0)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -79,26 +69,25 @@ def test_crude_tail_decreases_in_u_with_a_shared_seed(ou, ou_grid_k5):
 # ---------------------------------------------------------------------------
 
 
-def test_is_tail_equals_crude_at_u_zero(ou, ou_grid_k5, ou_solution_k5):
+def test_is_tail_equals_crude_at_u_zero(ou_problem_k5):
     cfg = make_config(n_paths=50_000)
-    crude = tail_crude(ou, ou_grid_k5, 0.0, cfg)
-    weighted = tail_is(ou, ou_grid_k5, ou_solution_k5, 0.0, cfg)
+    crude = tail_crude(ou_problem_k5, 0.0, cfg)
+    weighted = tail_is(ou_problem_k5, 0.0, cfg)
     assert weighted.value == crude.value  # bit-identical survivor count
 
 
 def test_is_tail_agrees_with_crude_at_moderate_u(ou):
-    grid = DyadicGrid(0.0, 1.0, 6)
-    sol = solve_simplex_qp(ou.gram(grid), grid=grid)
-    crude = tail_crude(ou, grid, 1.0, make_config(n_paths=100_000))
-    weighted = tail_is(ou, grid, sol, 1.0, make_config(n_paths=100_000, stream=5))
+    problem = Problem(ou, DyadicGrid(0.0, 1.0, 6))
+    crude = tail_crude(problem, 1.0, make_config(n_paths=100_000))
+    weighted = tail_is(problem, 1.0, make_config(n_paths=100_000, stream=5))
     combined = np.hypot(crude.stderr, weighted.stderr)
     assert abs(crude.value - weighted.value) <= 3 * combined
 
 
-def test_is_tail_reaches_where_crude_sees_nothing(ou, ou_grid_k5, ou_solution_k5):
+def test_is_tail_reaches_where_crude_sees_nothing(ou_problem_k5):
     cfg = make_config(n_paths=50_000)
-    crude = tail_crude(ou, ou_grid_k5, 6.0, cfg)
-    weighted = tail_is(ou, ou_grid_k5, ou_solution_k5, 6.0, cfg)
+    crude = tail_crude(ou_problem_k5, 6.0, cfg)
+    weighted = tail_is(ou_problem_k5, 6.0, cfg)
     assert crude.meta["zero_hits"]
     assert weighted.value > 0
     assert np.isfinite(weighted.log_value)
@@ -107,25 +96,11 @@ def test_is_tail_reaches_where_crude_sees_nothing(ou, ou_grid_k5, ou_solution_k5
 
 def test_is_tail_log_only_regime():
     # deep tail: value underflows but the log estimate stays finite
-    kern = ExplicitGram(np.array([[1.0]]), np.array([0.0]))
-    grid = kern.grid()
-    sol = solve_simplex_qp(kern.matrix, grid=grid)
-    deep = tail_is(kern, grid, sol, 45.0, make_config(n_paths=20_000))
+    deep = tail_is(_explicit([[1.0]]), 45.0, make_config(n_paths=20_000))
     assert deep.value == 0.0
     assert deep.meta["log_only"]
     assert np.isfinite(deep.log_value)
     assert deep.log_value < -645
-
-
-def test_is_tail_requires_a_certified_measure(ou, ou_grid_k5):
-    sigma = ou.gram(ou_grid_k5)
-    w = np.full(ou_grid_k5.n, 1.0 / ou_grid_k5.n)
-    m = sigma @ w
-    fake = OptimalSolution(measure=GridMeasure(ou_grid_k5, w),
-                           sigma_star_sq=float(w @ m), certificate=m,
-                           support=np.arange(ou_grid_k5.n))
-    with pytest.raises(EstimationError, match="certificate"):
-        tail_is(ou, ou_grid_k5, fake, 1.0, make_config(n_paths=1000))
 
 
 # ---------------------------------------------------------------------------
@@ -133,32 +108,28 @@ def test_is_tail_requires_a_certified_measure(ou, ou_grid_k5):
 # ---------------------------------------------------------------------------
 
 
-def test_small_ball_trivial_cases(ou, ou_grid_k2):
-    assert small_ball(ou, ou_grid_k2, 1e6, make_config(n_paths=1000)).value == 1.0
-    kern = ExplicitGram(np.array([[1.0]]), np.array([0.0]))
-    assert small_ball(kern, kern.grid(), 1e-8, make_config(n_paths=1000)).value == 1.0
+def test_small_ball_trivial_cases(ou_problem_k2):
+    assert small_ball(ou_problem_k2, 1e6, make_config(n_paths=1000)).value == 1.0
+    assert small_ball(_explicit([[1.0]]), 1e-8, make_config(n_paths=1000)).value == 1.0
 
 
-def test_small_ball_decreases_with_eps_on_a_shared_seed(ou, ou_grid_k5):
+def test_small_ball_decreases_with_eps_on_a_shared_seed(ou_problem_k5):
     cfg = make_config(n_paths=50_000)
-    vals = [small_ball(ou, ou_grid_k5, eps, cfg).value for eps in (1.0, 0.8, 0.6)]
+    vals = [small_ball(ou_problem_k5, eps, cfg).value for eps in (1.0, 0.8, 0.6)]
     assert vals[0] > vals[1] > vals[2] > 0
 
 
-def test_small_ball_zstar_mode(ou, ou_grid_k5, ou_solution_k5):
-    est = small_ball(ou, ou_grid_k5, 0.5, make_config(n_paths=50_000),
-                     mode="zstar", solution=ou_solution_k5)
+def test_small_ball_zstar_mode(ou_problem_k5):
+    est = small_ball(ou_problem_k5, 0.5, make_config(n_paths=50_000), mode="zstar")
     assert 0 < est.value < 1
     assert est.meta["method"] == "small_ball_zstar"
 
 
-def test_small_ball_argument_validation(ou, ou_grid_k2):
+def test_small_ball_argument_validation(ou_problem_k2):
     with pytest.raises(ValueError):
-        small_ball(ou, ou_grid_k2, 0.0, make_config(n_paths=100))
+        small_ball(ou_problem_k2, 0.0, make_config(n_paths=100))
     with pytest.raises(ValueError):
-        small_ball(ou, ou_grid_k2, 0.5, make_config(n_paths=100), mode="volume")
-    with pytest.raises(EstimationError):
-        small_ball(ou, ou_grid_k2, 0.5, make_config(n_paths=100), mode="zstar")
+        small_ball(ou_problem_k2, 0.5, make_config(n_paths=100), mode="volume")
 
 
 # ---------------------------------------------------------------------------
@@ -209,27 +180,26 @@ def test_fit_input_validation():
 
 
 def test_correction_diagnostic_end_to_end(ou):
-    grid = DyadicGrid(0.0, 1.0, 4)
-    sol = solve_simplex_qp(ou.gram(grid), grid=grid)
+    problem = Problem(ou, DyadicGrid(0.0, 1.0, 4))
     cfg = make_config(n_paths=20_000)
-    diag = correction_diagnostic(ou, grid, sol, [1.0, 2.0, 3.0], cfg, beta=1.0)
+    diag = correction_diagnostic(problem, [1.0, 2.0, 3.0], cfg, beta=1.0)
     assert len(diag.rows) == 3
     assert all(d < 0 for _, _, d in diag.rows)
     assert 0 < diag.exponent < 1.2
     assert diag.lower_bound_exponent == pytest.approx(0.5)
     # each u runs on its own substream, reproducibly
-    again = tail_is(ou, grid, sol, 2.0, replace(cfg, stream=cfg.stream + 2))
+    again = tail_is(problem, 2.0, replace(cfg, stream=cfg.stream + 2))
     assert diag.estimates[1].value == again.value
 
 
-def test_correction_diagnostic_validates_u_list(ou, ou_grid_k2, ou_solution_k2):
+def test_correction_diagnostic_validates_u_list(ou_problem_k2):
     cfg = make_config(n_paths=100)
     with pytest.raises(EstimationError):
-        correction_diagnostic(ou, ou_grid_k2, ou_solution_k2, [2.0], cfg)
+        correction_diagnostic(ou_problem_k2, [2.0], cfg)
     with pytest.raises(EstimationError):
-        correction_diagnostic(ou, ou_grid_k2, ou_solution_k2, [2.0, 2.0], cfg)
+        correction_diagnostic(ou_problem_k2, [2.0, 2.0], cfg)
     with pytest.raises(EstimationError):
-        correction_diagnostic(ou, ou_grid_k2, ou_solution_k2, [0.0, 1.0], cfg)
+        correction_diagnostic(ou_problem_k2, [0.0, 1.0], cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +208,7 @@ def test_correction_diagnostic_validates_u_list(ou, ou_grid_k2, ou_solution_k2):
 
 
 def test_argmin_law_two_iid_points_is_uniform():
-    kern, grid, sol = _iid_pair()
-    hist, ess = argmin_conditional(kern, grid, sol, 0.0, make_config())
+    hist, ess = argmin_conditional(_explicit(np.eye(2)), 0.0, make_config())
     stderr = 2.0 / np.sqrt(ess)
     assert abs(hist.weights[0] - 0.5) <= 3 * stderr
     assert hist.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -248,69 +217,58 @@ def test_argmin_law_two_iid_points_is_uniform():
     assert 0.2 * 100_000 < ess < 0.3 * 100_000
 
 
-def test_argmin_law_matches_direct_conditioning(ou, ou_grid_k2, ou_solution_k2):
+def test_argmin_law_matches_direct_conditioning(ou_problem_k2):
     u = 1.0
     cfg = make_config(n_paths=100_000)
-    weighted, ess = argmin_conditional(ou, ou_grid_k2, ou_solution_k2, u, cfg)
+    grid, sol = ou_problem_k2.grid, ou_problem_k2.solution
+    weighted, ess = argmin_conditional(ou_problem_k2, u, cfg)
     assert ess >= 100
 
     # manual replication of the weighting, for per-bin standard errors
-    fac = factorize(ou.gram(ou_grid_k2))
-    batch = sample(fac, ou_grid_k2, cfg)
-    fn = functionals(batch, ou_solution_k2.measure)
+    batch = sample(ou_problem_k2.factor, grid, cfg)
+    fn = functionals(batch, sol.measure)
     keep = fn.min_value > 0
-    w = np.exp(-u * fn.y[keep] / ou_solution_k2.sigma_star_sq)
+    w = np.exp(-u * fn.y[keep] / sol.sigma_star_sq)
     idx = fn.argmin_index[keep]
-    manual = np.bincount(idx, weights=w, minlength=ou_grid_k2.n)
+    manual = np.bincount(idx, weights=w, minlength=grid.n)
     assert np.allclose(weighted.weights, manual / manual.sum(), atol=1e-12)
-    se_w = weighted_bin_stderr(w, idx, ou_grid_k2.n)
+    se_w = weighted_bin_stderr(w, idx, grid.n)
 
     # independent direct-conditioning sample on another stream
     direct_cfg = make_config(n_paths=400_000, stream=9)
-    batch2 = sample(fac, ou_grid_k2, direct_cfg)
-    fn2 = functionals(batch2, ou_solution_k2.measure)
+    batch2 = sample(ou_problem_k2.factor, grid, direct_cfg)
+    fn2 = functionals(batch2, sol.measure)
     hits = fn2.min_value > u
-    counts = np.bincount(fn2.argmin_index[hits], minlength=ou_grid_k2.n)
+    counts = np.bincount(fn2.argmin_index[hits], minlength=grid.n)
     direct = counts / counts.sum()
     se_d = binomial_bin_stderr(counts)
     gap = np.abs(weighted.weights - direct)
     assert np.all(gap <= 3 * np.hypot(se_w, se_d) + 1e-12)
 
 
-def test_argmin_law_requires_certificate_and_valid_u(ou, ou_grid_k2, ou_solution_k2):
-    sigma = ou.gram(ou_grid_k2)
-    w = np.full(ou_grid_k2.n, 1.0 / ou_grid_k2.n)
-    fake = OptimalSolution(measure=GridMeasure(ou_grid_k2, w),
-                           sigma_star_sq=float(w @ sigma @ w),
-                           certificate=sigma @ w, support=np.arange(ou_grid_k2.n))
+def test_argmin_law_rejects_negative_u(ou_problem_k2):
     with pytest.raises(EstimationError):
-        argmin_conditional(ou, ou_grid_k2, fake, 1.0, make_config(n_paths=1000))
-    with pytest.raises(EstimationError):
-        argmin_conditional(ou, ou_grid_k2, ou_solution_k2, -0.5,
-                           make_config(n_paths=1000))
+        argmin_conditional(ou_problem_k2, -0.5, make_config(n_paths=1000))
 
 
-def test_mx_law_with_huge_threshold_equals_unconditional_argmin(ou, ou_grid_k2,
-                                                                ou_solution_k2):
+def test_mx_law_with_huge_threshold_equals_unconditional_argmin(ou_problem_k2):
     cfg = make_config(n_paths=50_000)
-    via_u, _ = argmin_conditional(ou, ou_grid_k2, ou_solution_k2, 0.0, cfg)
-    via_x = mx_conditional(ou, ou_grid_k2, ou_solution_k2, 1e6, cfg)
+    via_u, _ = argmin_conditional(ou_problem_k2, 0.0, cfg)
+    via_x = mx_conditional(ou_problem_k2, 1e6, cfg)
     assert np.array_equal(via_u.weights, via_x.weights)
 
 
 def test_mx_law_two_iid_points():
-    kern, grid, sol = _iid_pair()
-    hist = mx_conditional(kern, grid, sol, 0.5, make_config())
+    hist = mx_conditional(_explicit(np.eye(2)), 0.5, make_config())
     assert abs(hist.weights[0] - 0.5) <= 0.05
 
 
-def test_mx_law_validation(ou, ou_grid_k2, ou_solution_k2):
+def test_mx_law_validation(ou_problem_k2):
     with pytest.raises(EstimationError):
-        mx_conditional(ou, ou_grid_k2, ou_solution_k2, 0.0, make_config(n_paths=100))
+        mx_conditional(ou_problem_k2, 0.0, make_config(n_paths=100))
     # min > 0 forces Y > 0, so an extreme threshold leaves no paths
     with pytest.raises(EstimationError):
-        mx_conditional(ou, ou_grid_k2, ou_solution_k2, 1e-12,
-                       make_config(n_paths=5000))
+        mx_conditional(ou_problem_k2, 1e-12, make_config(n_paths=5000))
 
 
 # ---------------------------------------------------------------------------
@@ -318,19 +276,19 @@ def test_mx_law_validation(ou, ou_grid_k2, ou_solution_k2):
 # ---------------------------------------------------------------------------
 
 
-def test_estimates_are_reproducible(ou, ou_grid_k5):
-    a = tail_crude(ou, ou_grid_k5, 0.7, make_config(n_paths=30_000))
-    b = tail_crude(ou, ou_grid_k5, 0.7, make_config(n_paths=30_000))
+def test_estimates_are_reproducible(ou_problem_k5):
+    a = tail_crude(ou_problem_k5, 0.7, make_config(n_paths=30_000))
+    b = tail_crude(ou_problem_k5, 0.7, make_config(n_paths=30_000))
     assert (a.value, a.stderr) == (b.value, b.stderr)
-    c = tail_crude(ou, ou_grid_k5, 0.7, make_config(n_paths=30_000, stream=3))
+    c = tail_crude(ou_problem_k5, 0.7, make_config(n_paths=30_000, stream=3))
     assert a.value != c.value
 
 
-def test_worker_count_never_changes_results(ou, ou_grid_k5, ou_solution_k5):
+def test_worker_count_never_changes_results(ou_problem_k5):
     serial = make_config(n_paths=50_000, batch_size=4096, workers=1)
     threaded = make_config(n_paths=50_000, batch_size=4096, workers=4)
-    a = tail_is(ou, ou_grid_k5, ou_solution_k5, 2.0, serial)
-    b = tail_is(ou, ou_grid_k5, ou_solution_k5, 2.0, threaded)
+    a = tail_is(ou_problem_k5, 2.0, serial)
+    b = tail_is(ou_problem_k5, 2.0, threaded)
     assert (a.value, a.stderr, a.log_value) == (b.value, b.stderr, b.log_value)
 
 

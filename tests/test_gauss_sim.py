@@ -168,21 +168,19 @@ def test_functionals_require_matching_grid():
         functionals(batch, w)
 
 
-def test_minimum_never_exceeds_the_weighted_average(ou, ou_grid_k5, ou_solution_k5):
+def test_minimum_never_exceeds_the_weighted_average(ou_problem_k5):
     # Y is a convex combination of the path values, so min X <= Y pathwise
-    fac = factorize(ou.gram(ou_grid_k5))
-    batch = sample(fac, ou_grid_k5, make_config(n_paths=100_000))
-    f = functionals(batch, ou_solution_k5.measure)
+    batch = sample(ou_problem_k5.factor, ou_problem_k5.grid, make_config(n_paths=100_000))
+    f = functionals(batch, ou_problem_k5.solution.measure)
     assert float((f.min_value - f.y).max()) <= 1e-12
 
 
-def test_residuals_are_uncorrelated_with_y_at_the_optimum(ou, ou_grid_k5, ou_solution_k5):
+def test_residuals_are_uncorrelated_with_y_at_the_optimum(ou_problem_k5):
     # at the optimum Cov(X_i, Y) = sigma*^2 = Var Y on the support, so the
     # residual X_i - Y has zero covariance with Y
-    fac = factorize(ou.gram(ou_grid_k5))
     n = 200_000
-    batch = sample(fac, ou_grid_k5, make_config(n_paths=n))
-    f = functionals(batch, ou_solution_k5.measure)
+    batch = sample(ou_problem_k5.factor, ou_problem_k5.grid, make_config(n_paths=n))
+    f = functionals(batch, ou_problem_k5.solution.measure)
     resid = batch.values - f.y[:, None]
     y = f.y - f.y.mean()
     prods = resid * y[:, None]
@@ -205,8 +203,6 @@ def test_sampler_config_validation():
         SamplerConfig(seed=1, n_paths=0)
     with pytest.raises(ValueError):
         SamplerConfig(seed=1, n_paths=10, batch_size=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(seed=1, n_paths=10, jitter_start=1e-3, jitter_max=1e-6)
     with pytest.raises(ValueError):
         SamplerConfig(seed=1, n_paths=10, workers=0)
 

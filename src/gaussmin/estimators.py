@@ -1,10 +1,14 @@
 """Monte Carlo estimators for the minimum's tail, small balls and argmin law.
 
 The change-of-measure identity drives everything: with sigma*^2 the optimal
-energy and Y the integral of the path against the optimal measure,
+energy, Y the integral of the path against the optimal measure and
+m = Sigma nu* its certificate (the mean of X under the tilt, times sigma*^2),
 
-    P(min X > u) = exp(-u^2 / (2 sigma*^2)) * E[exp(-u Y / sigma*^2) 1(min X > 0)].
+    P(min X > u) = exp(-u^2 / (2 sigma*^2))
+                   * E[exp(-u Y / sigma*^2) 1(min_j (X_j + u (m_j / sigma*^2 - 1)) > 0)].
 
+On the support of nu* m_j = sigma*^2, so with full support the indicator is
+1(min X > 0); off the support m_j > sigma*^2 and the shift must be kept.
 Paths are sampled under the ORIGINAL law; the tilt lives entirely in the
 weight, so the estimator is exact (not asymptotic) on the grid -- but it is
 only valid when the measure satisfies the optimality certificate. Every
@@ -128,6 +132,11 @@ def _map_ordered(problem: Problem, config: SamplerConfig,
                     lambda s=start, c=count: fn(sample(factor, grid, config, s, c))))
 
 
+def _tilt_shift(solution: OptimalSolution, u: float) -> np.ndarray:
+    """u (m_j / sigma*^2 - 1): zero on the support, positive off it."""
+    return u * (solution.certificate / solution.sigma_star_sq - 1.0)
+
+
 def _binomial_estimate(hits: int, config: SamplerConfig, meta: dict) -> Estimate:
     n = config.n_paths
     p = hits / n
@@ -160,11 +169,12 @@ def tail_is(problem: Problem, u: float, config: SamplerConfig) -> Estimate:
     solution = problem.solution
     s2 = solution.sigma_star_sq
     measure = solution.measure
+    shift = _tilt_shift(solution, u)
 
     def batch_stats(batch: PathBatch) -> tuple:
-        fn = functionals(batch, measure)
-        keep = fn.min_value > 0
-        logw = -u * fn.y[keep] / s2
+        y = functionals(batch, measure).y
+        keep = (batch.values + shift).min(axis=1) > 0
+        logw = -u * y[keep] / s2
         if logw.size == 0:
             return 0, 0.0, 0.0, -math.inf
         m = float(logw.max())
@@ -326,21 +336,23 @@ def argmin_conditional(problem: Problem, u: float,
                        config: SamplerConfig) -> tuple[GridMeasure, float]:
     """Weighted argmin histogram approximating the argmin law given min > u.
 
-    Each path contributes its leftmost argmin with weight
-    exp(-u Y / sigma*^2) 1(min > 0); as u grows the histogram converges to
-    the optimal measure. Returns (histogram, effective sample size).
+    Each path contributes the leftmost argmin of X + u m / sigma*^2 with the
+    weight of ``tail_is``; as u grows the histogram converges to the optimal
+    measure. Returns (histogram, effective sample size).
     """
     if u < 0:
         raise EstimationError("u must be >= 0")
     s2 = problem.solution.sigma_star_sq
     measure = problem.solution.measure
+    shift = _tilt_shift(problem.solution, u)
     n_points = problem.grid.points.size
 
     def batch_stats(batch: PathBatch) -> tuple:
-        fn = functionals(batch, measure)
-        keep = fn.min_value > 0
-        w = np.exp(-u * fn.y[keep] / s2)
-        hist = np.bincount(fn.argmin_index[keep], weights=w, minlength=n_points)
+        y = functionals(batch, measure).y
+        shifted = batch.values + shift
+        keep = shifted.min(axis=1) > 0
+        w = np.exp(-u * y[keep] / s2)
+        hist = np.bincount(shifted.argmin(axis=1)[keep], weights=w, minlength=n_points)
         return hist, float(w.sum()), float((w * w).sum())
 
     hist = np.zeros(n_points)

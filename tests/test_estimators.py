@@ -10,7 +10,9 @@ from gaussmin import (
     Estimate,
     EstimationError,
     ExplicitGram,
+    ModulatedBrownian,
     Problem,
+    ShiftedRootScale,
     argmin_conditional,
     correction_diagnostic,
     fit_correction_exponent,
@@ -82,6 +84,19 @@ def test_is_tail_agrees_with_crude_at_moderate_u(ou):
     weighted = tail_is(problem, 1.0, make_config(n_paths=100_000, stream=5))
     combined = np.hypot(crude.stderr, weighted.stderr)
     assert abs(crude.value - weighted.value) <= 3 * combined
+
+
+def test_is_tail_agrees_with_crude_without_full_support():
+    # example2 (case B): nu* leaves grid points uncharged, where m_j > sigma*^2,
+    # so survival is tested on X + u (m / sigma*^2 - 1), not on X
+    kern = ModulatedBrownian(ShiftedRootScale(1.0), 1.5, 4.0)
+    problem = Problem(kern, DyadicGrid(1.5, 4.0, 5))
+    assert problem.solution.support.size < problem.grid.n
+    for u in (1.0, 2.0):
+        crude = tail_crude(problem, u, make_config(n_paths=2_000_000, workers=2))
+        weighted = tail_is(problem, u, make_config(n_paths=2_000_000, stream=1, workers=2))
+        combined = np.hypot(crude.stderr, weighted.stderr)
+        assert abs(crude.value - weighted.value) <= 3 * combined, u
 
 
 def test_is_tail_reaches_where_crude_sees_nothing(ou_problem_k5):

@@ -26,8 +26,7 @@ from .estimators import (ESS_WARN_THRESHOLD, Problem, argmin_conditional,
                          correction_diagnostic, mx_conditional, small_ball, tail_crude,
                          tail_is)
 from .exceptions import ConfigError, EstimationError, GaussminError
-# factorize and solve_simplex_qp are no longer called here; perfbench/tracer.py
-# wraps them at these names
+# factorize and solve_simplex_qp stay importable here for perfbench/tracer.py
 from .gauss_sim import SamplerConfig, factorize, sample  # noqa: F401
 from .grids import MAX_LEVEL, DyadicGrid, Grid
 from .kernels import (ExplicitGram, Kernel, ModulatedBrownian, OrnsteinUhlenbeck,

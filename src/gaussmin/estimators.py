@@ -2,21 +2,20 @@
 
 The change-of-measure identity drives everything: with sigma*^2 the optimal
 energy, Y the integral of the path against the optimal measure and
-m = Sigma nu* its certificate (the mean of X under the tilt, times sigma*^2),
+m = Sigma nu* its certificate (under the tilt X has mean u m / sigma*^2),
 
     P(min X > u) = exp(-u^2 / (2 sigma*^2))
                    * E[exp(-u Y / sigma*^2) 1(min_j (X_j + u (m_j / sigma*^2 - 1)) > 0)].
 
-On the support of nu* m_j = sigma*^2, so with full support the indicator is
-1(min X > 0); off the support m_j > sigma*^2 and the shift must be kept.
-Paths are sampled under the ORIGINAL law; the tilt lives entirely in the
-weight, so the estimator is exact (not asymptotic) on the grid -- but it is
-only valid when the measure satisfies the optimality certificate. Every
-estimator therefore takes a ``Problem``: one (kernel, grid) with its Gram
-matrix, sampling factor and the solver's certified optimum, built once and
-shared by all estimates on that grid. All estimators stream batches whose
-content is independent of batch size and worker count, so every number here
-is a deterministic function of (seed, stream, n, parameters).
+The shift is 0 on the support of nu*, where m_j = sigma*^2, and positive off
+it; with full support the indicator is 1(min X > 0). Paths are sampled under
+the ORIGINAL law; the tilt lives entirely in the weight, so the estimator is
+exact (not asymptotic) on the grid -- but only for the certified optimum.
+Every estimator therefore takes a ``Problem``: one (kernel, grid) with its
+Gram matrix, sampling factor and certified solution, built once and shared by
+all estimates on that grid. All estimators stream batches whose content is
+independent of batch size and worker count, so every number here is a
+deterministic function of (seed, stream, n, parameters).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .gauss_sim import Factorization, PathBatch, SamplerConfig, factorize, funct
 from .grids import Grid
 from .kernels import Kernel
 from .measure import GridMeasure
-# certify is no longer called here; perfbench/tracer.py wraps it at this name
+# certify stays importable here for perfbench/tracer.py
 from .optimizer import OptimalSolution, certify  # noqa: F401
 
 ESS_WARN_THRESHOLD = 100.0
@@ -44,12 +43,9 @@ ESS_WARN_THRESHOLD = 100.0
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """One (kernel, grid): its Gram matrix, sampling factor and certified optimum.
-
-    ``sigma`` is built once, here. ``factor`` (the jittered Cholesky factor the
-    sampler draws paths with) and ``solution`` (the simplex optimum, which the
-    solver refuses to return uncertified) are computed on first use and kept.
-    The factorization is also the PSD check of ``sigma``.
+    """One (kernel, grid): its Gram matrix ``sigma``, built once, with the
+    sampler's jittered Cholesky ``factor`` (also the PSD check of ``sigma``)
+    and the solver's certified ``solution``, each computed on first use and kept.
     """
 
     kernel: Kernel
@@ -112,29 +108,29 @@ def _map_ordered(problem: Problem, config: SamplerConfig,
     factor, grid = problem.factor, problem.grid  # factorize here, not in a worker
     plan = [(s, min(config.batch_size, config.n_paths - s))
             for s in range(0, config.n_paths, config.batch_size)]
+
+    def run(start: int, count: int) -> tuple:
+        return fn(sample(factor, grid, config, start, count))
+
     if config.workers == 1:
         for start, count in plan:
-            yield fn(sample(factor, grid, config, start, count))
+            yield run(start, count)
         return
+    ahead = config.workers + 2
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        pending: deque = deque()
-        it = iter(plan)
-        for start, count in plan[:config.workers + 2]:
-            pending.append(pool.submit(
-                lambda s=start, c=count: fn(sample(factor, grid, config, s, c))))
-            next(it)
+        pending = deque(pool.submit(run, *p) for p in plan[:ahead])
+        for p in plan[ahead:]:
+            yield pending.popleft().result()
+            pending.append(pool.submit(run, *p))
         while pending:
             yield pending.popleft().result()
-            nxt = next(it, None)
-            if nxt is not None:
-                start, count = nxt
-                pending.append(pool.submit(
-                    lambda s=start, c=count: fn(sample(factor, grid, config, s, c))))
 
 
-def _tilt_shift(solution: OptimalSolution, u: float) -> np.ndarray:
-    """u (m_j / sigma*^2 - 1): zero on the support, positive off it."""
-    return u * (solution.certificate / solution.sigma_star_sq - 1.0)
+def _tilt_shift(solution: OptimalSolution, u: float) -> np.ndarray | None:
+    """u (m_j / sigma*^2 - 1), exactly 0 on the support; None if that is every point."""
+    shift = u * (solution.certificate / solution.sigma_star_sq - 1.0)
+    shift[solution.support] = 0.0
+    return shift if shift.any() else None
 
 
 def _binomial_estimate(hits: int, config: SamplerConfig, meta: dict) -> Estimate:
@@ -172,9 +168,9 @@ def tail_is(problem: Problem, u: float, config: SamplerConfig) -> Estimate:
     shift = _tilt_shift(solution, u)
 
     def batch_stats(batch: PathBatch) -> tuple:
-        y = functionals(batch, measure).y
-        keep = (batch.values + shift).min(axis=1) > 0
-        logw = -u * y[keep] / s2
+        fn = functionals(batch, measure, shift)
+        keep = fn.min_value > 0
+        logw = -u * fn.y[keep] / s2
         if logw.size == 0:
             return 0, 0.0, 0.0, -math.inf
         m = float(logw.max())
@@ -336,23 +332,23 @@ def argmin_conditional(problem: Problem, u: float,
                        config: SamplerConfig) -> tuple[GridMeasure, float]:
     """Weighted argmin histogram approximating the argmin law given min > u.
 
-    Each path contributes the leftmost argmin of X + u m / sigma*^2 with the
-    weight of ``tail_is``; as u grows the histogram converges to the optimal
-    measure. Returns (histogram, effective sample size).
+    Each path contributes the leftmost argmin of the tilted path X + u m /
+    sigma*^2 with the weight of ``tail_is``; as u grows the histogram
+    converges to the optimal measure. Returns (histogram, effective sample size).
     """
     if u < 0:
         raise EstimationError("u must be >= 0")
-    s2 = problem.solution.sigma_star_sq
-    measure = problem.solution.measure
-    shift = _tilt_shift(problem.solution, u)
+    solution = problem.solution
+    s2 = solution.sigma_star_sq
+    measure = solution.measure
+    shift = _tilt_shift(solution, u)
     n_points = problem.grid.points.size
 
     def batch_stats(batch: PathBatch) -> tuple:
-        y = functionals(batch, measure).y
-        shifted = batch.values + shift
-        keep = shifted.min(axis=1) > 0
-        w = np.exp(-u * y[keep] / s2)
-        hist = np.bincount(shifted.argmin(axis=1)[keep], weights=w, minlength=n_points)
+        fn = functionals(batch, measure, shift)
+        keep = fn.min_value > 0
+        w = np.exp(-u * fn.y[keep] / s2)
+        hist = np.bincount(fn.argmin_index[keep], weights=w, minlength=n_points)
         return hist, float(w.sum()), float((w * w).sum())
 
     hist = np.zeros(n_points)

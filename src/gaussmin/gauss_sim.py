@@ -93,9 +93,8 @@ class PathBatch:
 def factorize(sigma: np.ndarray) -> Factorization:
     """Cholesky factor of sigma + lambda I for the smallest workable jitter.
 
-    Tries lambda = 0 first, then DEFAULT_JITTER_START escalating by factors of
-    10 up to DEFAULT_JITTER_MAX. Raises FactorizationError when even
-    DEFAULT_JITTER_MAX fails.
+    Tries lambda = 0, then DEFAULT_JITTER_START up by factors of 10; raises
+    FactorizationError when even DEFAULT_JITTER_MAX fails.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
@@ -178,11 +177,17 @@ class PathFunctionals:
             object.__setattr__(self, name, arr)
 
 
-def functionals(batch: PathBatch, weights: GridMeasure) -> PathFunctionals:
-    """Y, min and leftmost argmin for every path in the batch."""
+def functionals(batch: PathBatch, weights: GridMeasure,
+                shift: np.ndarray | None = None) -> PathFunctionals:
+    """Y, min and leftmost argmin for every path in the batch.
+
+    With ``shift`` (one value per point) the min and argmin are those of
+    X + shift, the change-of-measure survival test; Y is always w . X.
+    """
     if not np.array_equal(weights.grid.points, batch.grid.points):
         raise GridMismatchError("weights are not on the batch's grid")
     x = batch.values
+    low = x if shift is None else x + shift
     return PathFunctionals(y=x @ weights.weights,
-                           min_value=x.min(axis=1),
-                           argmin_index=x.argmin(axis=1))
+                           min_value=low.min(axis=1),
+                           argmin_index=low.argmin(axis=1))

@@ -157,11 +157,7 @@ class Kernel:
         return float(self.pairwise(s_arr, t_arr)[0, 0])
 
     def gram(self, grid) -> np.ndarray:
-        """Covariance matrix on an ordered point set.
-
-        Not PSD-checked here: the Cholesky factorization that always follows
-        (the sampler's ``factorize`` or the solver's) is the check.
-        """
+        """Covariance matrix on an ordered point set; its factorization is the PSD check."""
         pts = as_points(grid)
         self._check_domain(pts)
         return self.pairwise(pts, pts)

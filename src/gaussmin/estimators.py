@@ -105,7 +105,7 @@ def _map_ordered(problem: Problem, config: SamplerConfig,
     With several workers the batches are computed concurrently but reduced in
     submission order, so the folded result is identical for any worker count.
     """
-    factor, grid = problem.factor, problem.grid  # factorize here, not in a worker
+    factor, grid = problem.factor, problem.grid  # cached here, before workers read it
     plan = [(s, min(config.batch_size, config.n_paths - s))
             for s in range(0, config.n_paths, config.batch_size)]
 

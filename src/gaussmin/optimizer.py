@@ -74,7 +74,7 @@ class RefinementEntry:
     sigma_star_sq: float
     measure: GridMeasure
     wall_time: float
-    problem: "Problem | None" = None
+    problem: Problem | None = None
 
 
 @dataclass(frozen=True)
@@ -224,6 +224,7 @@ def refine(kernel: Kernel, interval: tuple[float, float], k_min: int, k_max: int
 
     if not 0 <= k_min <= k_max <= MAX_LEVEL:
         raise OptimizerError(f"need 0 <= k_min <= k_max <= {MAX_LEVEL}")
+    a, b = interval
 
     def entry(k: int, grid: Grid) -> RefinementEntry:
         t0 = time.perf_counter()
@@ -236,10 +237,11 @@ def refine(kernel: Kernel, interval: tuple[float, float], k_min: int, k_max: int
         return RefinementTrace(entries=(entry(0, kernel.grid()),), converged=True,
                                final_gap=0.0)
     entries: list[RefinementEntry] = []
-    converged, final_gap = False, float("inf")
+    converged = False
+    final_gap = float("inf")
     for k in range(k_min, k_max + 1):
         try:
-            entries.append(entry(k, DyadicGrid(*interval, k)))
+            entries.append(entry(k, DyadicGrid(a, b, k)))
         except (OptimizerError, NotPositiveSemidefiniteError) as exc:
             raise OptimizerError(f"refinement failed at level k={k}: {exc}") from exc
         if len(entries) >= 2:

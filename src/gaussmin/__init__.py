@@ -8,6 +8,9 @@ top of the optimal measure it provides exact path sampling and change-of-
 measure Monte Carlo estimators for the tail of the minimum, its sub-Gaussian
 correction exponent, small-ball probabilities, and the conditional law of the
 argmin location.
+
+``__all__`` is the public API; helpers and intermediate result types are
+imported from their submodules.
 """
 
 from .exceptions import (
@@ -21,7 +24,7 @@ from .exceptions import (
     NotPositiveSemidefiniteError,
     OptimizerError,
 )
-from .grids import MAX_LEVEL, DyadicGrid, PointGrid, as_points, require_same_grid, same_grid
+from .grids import MAX_LEVEL, DyadicGrid, PointGrid
 from .kernels import (
     ExplicitGram,
     Kernel,
@@ -32,54 +35,26 @@ from .kernels import (
     ScaleFunction,
     ShiftedRootScale,
     TabulatedScale,
-    constant_scale,
 )
 from .measure import (
-    DensityPart,
     GridMeasure,
     MixedMeasure,
-    NegGGForm,
-    PowerForm,
-    TabulatedForm,
-    UniformForm,
-    density_floor,
     discretize,
     energy,
     mean_function,
     normalize,
     tv_distance,
-    wasserstein1,
 )
-from .optimizer import (
-    CertificateReport,
-    OptimalSolution,
-    RefinementEntry,
-    RefinementTrace,
-    certify,
-    refine,
-    solve_simplex_qp,
-)
+from .optimizer import OptimalSolution, certify, refine, solve_simplex_qp
 from .closedform import (
-    TbmResult,
     ou_measure,
     ou_sigma_star_sq,
     power_law_measure,
     sigma_star_from_mu,
     tbm_measure,
 )
-from .gauss_sim import (
-    Factorization,
-    PathBatch,
-    PathFunctionals,
-    SamplerConfig,
-    factorize,
-    functionals,
-    iter_batches,
-    sample,
-    standard_normals,
-)
+from .gauss_sim import SamplerConfig, functionals, sample
 from .estimators import (
-    CorrectionDiagnostic,
     Estimate,
     Problem,
     argmin_conditional,
@@ -94,17 +69,13 @@ from .estimators import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CertificateReport",
     "ClosedFormError",
     "ConfigError",
-    "CorrectionDiagnostic",
-    "DensityPart",
     "DomainError",
     "DyadicGrid",
     "Estimate",
     "EstimationError",
     "ExplicitGram",
-    "Factorization",
     "FactorizationError",
     "GaussminError",
     "GridMeasure",
@@ -113,39 +84,25 @@ __all__ = [
     "MAX_LEVEL",
     "MixedMeasure",
     "ModulatedBrownian",
-    "NegGGForm",
     "NotPositiveSemidefiniteError",
     "OptimalSolution",
     "OptimizerError",
     "OrnsteinUhlenbeck",
-    "PathBatch",
-    "PathFunctionals",
     "PointGrid",
     "PowerExponential",
-    "PowerForm",
     "PowerScale",
     "Problem",
-    "RefinementEntry",
-    "RefinementTrace",
     "SamplerConfig",
     "ScaleFunction",
     "ShiftedRootScale",
-    "TabulatedForm",
     "TabulatedScale",
-    "TbmResult",
-    "UniformForm",
     "argmin_conditional",
-    "as_points",
     "certify",
-    "constant_scale",
     "correction_diagnostic",
-    "density_floor",
     "discretize",
     "energy",
-    "factorize",
     "fit_correction_exponent",
     "functionals",
-    "iter_batches",
     "mean_function",
     "mx_conditional",
     "normalize",
@@ -153,16 +110,12 @@ __all__ = [
     "ou_sigma_star_sq",
     "power_law_measure",
     "refine",
-    "require_same_grid",
-    "same_grid",
     "sample",
     "sigma_star_from_mu",
     "small_ball",
     "solve_simplex_qp",
-    "standard_normals",
     "tail_crude",
     "tail_is",
     "tbm_measure",
     "tv_distance",
-    "wasserstein1",
 ]

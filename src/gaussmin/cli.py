@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -252,7 +251,7 @@ def cmd_solve(cfg: dict, out: Path) -> int:
         trace = refine(kernel, (float(interval[0]), float(interval[1])), k_min, k_max,
                        stop_tol=float(cfg.get("stop_tol", 1e-6)))
     final = trace.final
-    report = certify(final.problem.sigma, final.measure, tol=1e-6)
+    report = certify(trace.problem.sigma, final.measure, tol=1e-6)
     write_csv(out / "weights.csv", cfg, ["point", "weight"], _measure_rows(final.measure))
     write_csv(out / "trace.csv", cfg, ["k", "n_points", "sigma_star_sq"],
               [(e.k, e.measure.grid.points.size, e.sigma_star_sq) for e in trace.entries])

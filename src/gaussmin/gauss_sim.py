@@ -11,7 +11,6 @@ factor L of the Gram matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 from numpy.random import Philox
@@ -85,10 +84,6 @@ class PathBatch:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def n_paths(self) -> int:
-        return self.values.shape[0]
-
 
 def factorize(sigma: np.ndarray) -> Factorization:
     """Cholesky factor of sigma + lambda I for the smallest workable jitter.
@@ -150,16 +145,6 @@ def sample(factor: Factorization, grid: Grid, config: SamplerConfig,
     values = xi @ factor.lower.T
     return PathBatch(grid=grid, values=values, seed=config.seed,
                      stream=config.stream, start_index=start)
-
-
-def iter_batches(factor: Factorization, grid: Grid,
-                 config: SamplerConfig) -> Iterator[PathBatch]:
-    """Cover paths [0, n_paths) in batches of at most batch_size."""
-    done = 0
-    while done < config.n_paths:
-        count = min(config.batch_size, config.n_paths - done)
-        yield sample(factor, grid, config, start=done, count=count)
-        done += count
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import GridMismatchError
-
 MAX_LEVEL = 12  # 4097 points; dense factorizations stay cheap below this
 
 
@@ -43,9 +41,6 @@ class DyadicGrid:
     @property
     def interval(self) -> tuple[float, float]:
         return (self.a, self.b)
-
-    def refine(self) -> "DyadicGrid":
-        return DyadicGrid(self.a, self.b, self.k + 1)
 
 
 @dataclass(frozen=True)
@@ -86,11 +81,3 @@ def as_points(grid) -> np.ndarray:
         raise ValueError("grid points must be strictly increasing")
     return pts
 
-
-def same_grid(p: Grid, q: Grid) -> bool:
-    return p.points.shape == q.points.shape and np.array_equal(p.points, q.points)
-
-
-def require_same_grid(p: Grid, q: Grid) -> None:
-    if not same_grid(p, q):
-        raise GridMismatchError("operation requires both measures on the same grid")

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .exceptions import DomainError, NotPositiveSemidefiniteError
 from .grids import as_points
@@ -100,9 +99,11 @@ class TabulatedScale(ScaleFunction):
     g_values: np.ndarray
     dg_values: np.ndarray
     d2g_values: np.ndarray
-    _g_interp: PchipInterpolator = field(init=False, repr=False, compare=False)
+    _g_interp: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        from scipy.interpolate import PchipInterpolator  # only tabulated scales need it
+
         x = np.asarray(self.x, dtype=float).copy()
         gv = np.asarray(self.g_values, dtype=float).copy()
         dgv = np.asarray(self.dg_values, dtype=float).copy()
@@ -128,33 +129,19 @@ class TabulatedScale(ScaleFunction):
         return np.interp(np.asarray(t, dtype=float), self.x, self.d2g_values)
 
 
-def constant_scale(level: float, a: float, b: float) -> TabulatedScale:
-    """Tabulated g identically equal to ``level`` on [a, b]."""
-    x = np.linspace(a, b, 5)
-    return TabulatedScale(x, np.full(5, float(level)), np.zeros(5), np.zeros(5))
-
-
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
 
 
 class Kernel:
-    """Common interface: scalar/vectorized evaluation and Gram matrices."""
+    """Common interface: pairwise covariances and Gram matrices."""
 
     def _check_domain(self, pts: np.ndarray) -> None:
         """Raise DomainError if any point lies outside the kernel's domain."""
 
     def pairwise(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def evaluate(self, s: float, t: float) -> float:
-        """Covariance R(s, t); symmetric, R(t, t) > 0."""
-        s_arr = np.asarray([s], dtype=float)
-        t_arr = np.asarray([t], dtype=float)
-        self._check_domain(s_arr)
-        self._check_domain(t_arr)
-        return float(self.pairwise(s_arr, t_arr)[0, 0])
 
     def gram(self, grid) -> np.ndarray:
         """Covariance matrix on an ordered point set; its factorization is the PSD check."""
@@ -245,11 +232,6 @@ class ExplicitGram(Kernel):
         pts.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "ExplicitGram":
-        m = np.asarray(matrix, dtype=float)
-        return cls(m, np.arange(m.shape[0], dtype=float))
 
     def _index_of(self, pts: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.points, pts)

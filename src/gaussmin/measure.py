@@ -17,11 +17,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exceptions import DomainError, GridMismatchError
-from .grids import Grid, as_points, require_same_grid
+from .grids import Grid
 from .kernels import Kernel, ScaleFunction
 
 DEFAULT_QUAD_POINTS = 4096  # 2**12 composite midpoint panels
-FLOOR_MESH = 4096
 WEIGHT_SUM_TOL = 1e-12
 
 
@@ -65,29 +64,6 @@ class NegGGForm(DensityForm):
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         return -np.asarray(self.scale.g(x)) * np.asarray(self.scale.d2g(x))
-
-
-@dataclass(frozen=True)
-class TabulatedForm(DensityForm):
-    """Linear interpolation of tabulated nonnegative values."""
-
-    x: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float).copy()
-        v = np.asarray(self.values, dtype=float).copy()
-        if x.ndim != 1 or x.shape != v.shape or x.size < 2:
-            raise ValueError("need matching 1-D arrays with at least two nodes")
-        if not np.all(np.diff(x) > 0):
-            raise ValueError("nodes must be strictly increasing")
-        x.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "values", v)
-
-    def eval(self, t):
-        return np.interp(np.asarray(t, dtype=float), self.x, self.values)
 
 
 @dataclass(frozen=True)
@@ -198,30 +174,11 @@ class MixedMeasure:
                 form = {"type": "power", "coef": d.form.coef, "exponent": d.form.exponent}
             elif isinstance(d.form, UniformForm):
                 form = {"type": "uniform", "level": d.form.level}
-            elif isinstance(d.form, TabulatedForm):
-                form = {"type": "tabulated", "x": d.form.x.tolist(), "values": d.form.values.tolist()}
             else:  # NegGGForm: serialize as a table of values
                 xs = np.linspace(d.lo, d.hi, 257)
                 form = {"type": "tabulated", "x": xs.tolist(), "values": d.form.eval(xs).tolist()}
             out["density"] = {"lo": d.lo, "hi": d.hi, "scale": d.scale, "form": form}
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MixedMeasure":
-        density = None
-        if data.get("density"):
-            d = data["density"]
-            f = d["form"]
-            if f["type"] == "power":
-                form: DensityForm = PowerForm(f["coef"], f["exponent"])
-            elif f["type"] == "uniform":
-                form = UniformForm(f["level"])
-            elif f["type"] == "tabulated":
-                form = TabulatedForm(np.asarray(f["x"]), np.asarray(f["values"]))
-            else:
-                raise ValueError(f"unknown density form {f['type']!r}")
-            density = DensityPart(d["lo"], d["hi"], form, d.get("scale", 1.0))
-        return cls.from_atoms(tuple(data["interval"]), [tuple(a) for a in data["atoms"]], density)
 
 
 def _density_mass(density: DensityPart | None, n: int = DEFAULT_QUAD_POINTS) -> float:
@@ -348,32 +305,7 @@ def discretize(m: MixedMeasure, grid: Grid,
 
 def tv_distance(p: GridMeasure, q: GridMeasure) -> float:
     """Total variation distance between measures on the same grid."""
-    require_same_grid(p.grid, q.grid)
+    if not np.array_equal(p.grid.points, q.grid.points):
+        raise GridMismatchError("tv_distance requires both measures on the same grid")
     return 0.5 * float(np.abs(p.weights - q.weights).sum())
 
-
-def wasserstein1(p: GridMeasure, q: GridMeasure) -> float:
-    """W1 distance via the CDF formula on the merged point set."""
-    pa, pb = p.grid.interval
-    qa, qb = q.grid.interval
-    if abs(pa - qa) > 1e-12 or abs(pb - qb) > 1e-12:
-        raise GridMismatchError("wasserstein1 requires grids on the same interval")
-    xs = np.union1d(p.grid.points, q.grid.points)
-    fp = np.cumsum(p.weights)[np.searchsorted(p.grid.points, xs, side="right") - 1]
-    fq = np.cumsum(q.weights)[np.searchsorted(q.grid.points, xs, side="right") - 1]
-    return float(np.sum(np.abs(fp - fq)[:-1] * np.diff(xs)))
-
-
-def density_floor(m: MixedMeasure) -> float:
-    """Infimum of the density over the whole interval (0 if not fully covered).
-
-    A strictly positive floor is the applicability flag for the two-thirds
-    correction regime of the tail.
-    """
-    a, b = m.interval
-    if m.density is None:
-        return 0.0
-    if m.density.lo > a + 1e-12 or m.density.hi < b - 1e-12:
-        return 0.0
-    xs, _ = _midpoints(a, b, FLOOR_MESH)
-    return float(np.min(m.density.eval(xs)))

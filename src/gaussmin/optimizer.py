@@ -18,13 +18,11 @@ feasibility requires min_j m_j >= sigma*^2 with equality on the support.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
-from scipy.optimize import nnls
 
 from .exceptions import NotPositiveSemidefiniteError, OptimizerError
 from .grids import MAX_LEVEL, DyadicGrid, Grid, PointGrid
@@ -68,22 +66,24 @@ class OptimalSolution:
 
 @dataclass(frozen=True)
 class RefinementEntry:
-    """One level of a refinement; ``problem`` keeps that level's Gram matrix."""
+    """One level of a refinement."""
 
     k: int
     sigma_star_sq: float
     measure: GridMeasure
-    wall_time: float
-    problem: Problem | None = None
 
 
 @dataclass(frozen=True)
 class RefinementTrace:
-    """Solutions over increasing dyadic levels; sigma*^2_k is nonincreasing."""
+    """Solutions over increasing dyadic levels; sigma*^2_k is nonincreasing.
+
+    ``problem`` is the final level's; the lower levels' Gram matrices are not kept.
+    """
 
     entries: tuple[RefinementEntry, ...]
     converged: bool
     final_gap: float
+    problem: Problem
 
     def __post_init__(self):
         vals = self.sigma_values
@@ -151,6 +151,8 @@ def solve_simplex_qp(sigma: np.ndarray, grid: Grid | None = None) -> OptimalSolu
         w = np.clip(theta, 0.0, None)
         method = "theta"
     else:
+        from scipy.optimize import nnls  # only partial-support problems reach NNLS
+
         lower = np.tril(factor[0])  # cho_factor leaves the upper triangle unzeroed
         try:
             w, _ = nnls(lower.T, solve_triangular(lower, ones, lower=True, check_finite=False))
@@ -226,27 +228,28 @@ def refine(kernel: Kernel, interval: tuple[float, float], k_min: int, k_max: int
         raise OptimizerError(f"need 0 <= k_min <= k_max <= {MAX_LEVEL}")
     a, b = interval
 
-    def entry(k: int, grid: Grid) -> RefinementEntry:
-        t0 = time.perf_counter()
+    def solve(k: int, grid: Grid) -> tuple[RefinementEntry, Problem]:
         problem = Problem(kernel, grid)
         sol = problem.solution
-        return RefinementEntry(k, sol.sigma_star_sq, sol.measure,
-                               time.perf_counter() - t0, problem)
+        return RefinementEntry(k, sol.sigma_star_sq, sol.measure), problem
 
     if isinstance(kernel, ExplicitGram):
-        return RefinementTrace(entries=(entry(0, kernel.grid()),), converged=True,
-                               final_gap=0.0)
+        entry, problem = solve(0, kernel.grid())
+        return RefinementTrace(entries=(entry,), converged=True, final_gap=0.0,
+                               problem=problem)
     entries: list[RefinementEntry] = []
     converged = False
     final_gap = float("inf")
     for k in range(k_min, k_max + 1):
         try:
-            entries.append(entry(k, DyadicGrid(a, b, k)))
+            entry, problem = solve(k, DyadicGrid(a, b, k))
         except (OptimizerError, NotPositiveSemidefiniteError) as exc:
             raise OptimizerError(f"refinement failed at level k={k}: {exc}") from exc
+        entries.append(entry)
         if len(entries) >= 2:
             final_gap = entries[-2].sigma_star_sq - entries[-1].sigma_star_sq
             if final_gap < stop_tol:
                 converged = True
                 break
-    return RefinementTrace(entries=tuple(entries), converged=converged, final_gap=final_gap)
+    return RefinementTrace(entries=tuple(entries), converged=converged, final_gap=final_gap,
+                           problem=problem)

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaussmin
 from gaussmin import (
     DyadicGrid,
     OrnsteinUhlenbeck,
@@ -50,6 +54,15 @@ def ou_problem_k5(ou, ou_grid_k5):
 
 def make_config(seed=4242, n_paths=100_000, **kw) -> SamplerConfig:
     return SamplerConfig(seed=seed, n_paths=n_paths, **kw)
+
+
+def run_python(args: list[str], timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports the same gaussmin as this test session."""
+    src = str(Path(gaussmin.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout)
 
 
 def random_psd(rng: np.random.Generator, n: int, ridge: float = 0.05) -> np.ndarray:

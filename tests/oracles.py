@@ -14,6 +14,8 @@ import math
 import numpy as np
 from scipy import integrate
 
+from gaussmin import GridMismatchError
+
 
 # ---------------------------------------------------------------------------
 # bivariate orthant probability
@@ -236,3 +238,20 @@ def planted_logp(u_values, sigma_sq: float, gamma: float = 2.0 / 3.0,
     """Synthetic log-tail values with an exact planted correction exponent."""
     u = np.asarray(u_values, dtype=float)
     return -u * u / (2.0 * sigma_sq) - scale * u ** gamma + intercept
+
+
+# ---------------------------------------------------------------------------
+# Wasserstein-1 distance between grid measures
+# ---------------------------------------------------------------------------
+
+
+def wasserstein1(p, q) -> float:
+    """W1 distance of two grid measures via the CDF formula on the merged point set."""
+    pa, pb = p.grid.interval
+    qa, qb = q.grid.interval
+    if abs(pa - qa) > 1e-12 or abs(pb - qb) > 1e-12:
+        raise GridMismatchError("wasserstein1 requires grids on the same interval")
+    xs = np.union1d(p.grid.points, q.grid.points)
+    fp = np.cumsum(p.weights)[np.searchsorted(p.grid.points, xs, side="right") - 1]
+    fq = np.cumsum(q.weights)[np.searchsorted(q.grid.points, xs, side="right") - 1]
+    return float(np.sum(np.abs(fp - fq)[:-1] * np.diff(xs)))

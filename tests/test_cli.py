@@ -13,6 +13,7 @@ import gaussmin.estimators
 import gaussmin.optimizer
 from gaussmin import MAX_LEVEL, Kernel
 from gaussmin.cli import main as cli_main
+from conftest import run_python
 
 EXIT_OK, EXIT_NUMERICAL, EXIT_CONFIG = 0, 2, 3
 
@@ -414,3 +415,17 @@ def test_seed_flag_changes_results(run_cli, tmp_path):
     _, _, rows_a = read_csv(out_a / "tail_crude.csv")
     _, _, rows_b = read_csv(out_b / "tail_crude.csv")
     assert rows_a[0][1] != rows_b[0][1]
+
+
+# ---------------------------------------------------------------------------
+# startup
+# ---------------------------------------------------------------------------
+
+
+def test_cli_import_leaves_out_scipy_optimize_and_interpolate():
+    # NNLS and the PCHIP interpolant are imported only where they are used
+    res = run_python(["-c", "import sys, gaussmin.cli; print(' '.join(sorted("
+                            "m for m in ('scipy.optimize', 'scipy.interpolate') "
+                            "if m in sys.modules)))"])
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == ""

@@ -12,7 +12,6 @@ from gaussmin import (
     PowerScale,
     ShiftedRootScale,
     TabulatedScale,
-    constant_scale,
     energy,
     mean_function,
     normalize,
@@ -118,11 +117,12 @@ def test_power_family_parameter_validation():
 def test_constant_scale_collapses_to_left_atom():
     # g = 1 gives the plain Brownian minimum kernel min(s,t); the optimum is
     # the single atom (1/a) delta_a and sigma*^2 = a
-    res = tbm_measure(constant_scale(1.0, 2.0, 5.0), 2.0, 5.0)
+    flat = TabulatedScale(np.linspace(2.0, 5.0, 5), np.ones(5), np.zeros(5), np.zeros(5))
+    res = tbm_measure(flat, 2.0, 5.0)
     assert res.case == "A"
     assert res.measure.density is None
     assert dict(res.measure.atoms) == pytest.approx({2.0: 0.5}, rel=1e-14)
-    kern = ModulatedBrownian(constant_scale(1.0, 2.0, 5.0), 2.0, 5.0)
+    kern = ModulatedBrownian(flat, 2.0, 5.0)
     assert sigma_star_from_mu(kern, res.measure) == pytest.approx(2.0, rel=1e-9)
 
 

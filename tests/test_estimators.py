@@ -29,7 +29,8 @@ from oracles import (binomial_bin_stderr, orthant_closed, planted_logp,
 
 
 def _explicit(sigma) -> Problem:
-    kern = ExplicitGram.from_matrix(np.asarray(sigma, dtype=float))
+    sigma = np.asarray(sigma, dtype=float)
+    kern = ExplicitGram(sigma, np.arange(sigma.shape[0], dtype=float))
     return Problem(kern, kern.grid())
 
 

@@ -9,15 +9,11 @@ from gaussmin import (
     FactorizationError,
     GridMismatchError,
     GridMeasure,
-    PathBatch,
     SamplerConfig,
-    factorize,
     functionals,
-    iter_batches,
     sample,
-    solve_simplex_qp,
-    standard_normals,
 )
+from gaussmin.gauss_sim import PathBatch, factorize, standard_normals
 from conftest import make_config
 from oracles import ks_critical
 
@@ -98,7 +94,10 @@ def test_sample_batch_size_does_not_change_paths(ou):
     fac = factorize(ou.gram(grid))
     cfg = make_config(n_paths=5000, batch_size=777)
     full = sample(fac, grid, cfg)
-    stacked = np.vstack([b.values for b in iter_batches(fac, grid, cfg)])
+    starts = range(0, cfg.n_paths, cfg.batch_size)
+    stacked = np.vstack([
+        sample(fac, grid, cfg, start=s, count=min(cfg.batch_size, cfg.n_paths - s)).values
+        for s in starts])
     assert np.array_equal(stacked, full.values)
 
 

@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from gaussmin import (
-    MAX_LEVEL,
-    DyadicGrid,
-    GridMismatchError,
-    PointGrid,
-    as_points,
-    require_same_grid,
-    same_grid,
-)
+from gaussmin import MAX_LEVEL, DyadicGrid, PointGrid
+from gaussmin.grids import as_points
 
 
 def test_dyadic_grid_has_power_of_two_plus_one_points():
@@ -31,8 +24,7 @@ def test_dyadic_grid_points_are_equally_spaced_with_exact_endpoints():
 
 def test_dyadic_grid_nesting():
     coarse = DyadicGrid(0.0, 1.0, 3)
-    fine = coarse.refine()
-    assert fine.k == 4
+    fine = DyadicGrid(0.0, 1.0, 4)
     assert np.all(np.isin(coarse.points, fine.points))
 
 
@@ -70,13 +62,3 @@ def test_as_points_accepts_grids_and_arrays():
     with pytest.raises(ValueError):
         as_points([2.0, 1.0])
 
-
-def test_same_grid_and_mismatch_error():
-    p = DyadicGrid(0.0, 1.0, 2)
-    q = PointGrid(p.points.copy())
-    assert same_grid(p, q)
-    require_same_grid(p, q)
-    r = DyadicGrid(0.0, 1.0, 3)
-    assert not same_grid(p, r)
-    with pytest.raises(GridMismatchError):
-        require_same_grid(p, r)

@@ -7,7 +7,6 @@ import pytest
 
 from gaussmin import (
     DomainError,
-    DyadicGrid,
     ExplicitGram,
     ModulatedBrownian,
     NotPositiveSemidefiniteError,
@@ -16,10 +15,13 @@ from gaussmin import (
     PowerScale,
     ShiftedRootScale,
     TabulatedScale,
-    constant_scale,
-    factorize,
 )
-from gaussmin import OrnsteinUhlenbeck
+from gaussmin.gauss_sim import factorize
+
+
+def entry(kern, s, t):
+    """The covariance R(s, t) as the single entry of a pairwise matrix."""
+    return float(kern.pairwise(np.array([s]), np.array([t]))[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -28,19 +30,19 @@ from gaussmin import OrnsteinUhlenbeck
 
 
 def test_ou_evaluate_on_diagonal_and_at_unit_lag(ou):
-    assert ou.evaluate(0.5, 0.5) == 1.0
-    assert ou.evaluate(0.0, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
+    assert entry(ou, 0.5, 0.5) == 1.0
+    assert entry(ou, 0.0, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
 
 
 def test_modulated_brownian_evaluate_matches_min_over_product():
     kern = ModulatedBrownian(PowerScale(0.5), 1.0, 4.0)
-    assert kern.evaluate(1.0, 4.0) == pytest.approx(0.5, abs=1e-15)
+    assert entry(kern, 1.0, 4.0) == pytest.approx(0.5, abs=1e-15)
     # min(s,t)/(g(s)g(t)) reconstruction at random points
     rng = np.random.default_rng(1)
     g = PowerScale(0.5)
     for _ in range(25):
         s, t = rng.uniform(1.0, 4.0, size=2)
-        got = kern.evaluate(s, t) * float(g.g(s)) * float(g.g(t))
+        got = entry(kern, s, t) * float(g.g(s)) * float(g.g(t))
         assert got == pytest.approx(min(s, t), rel=1e-12)
 
 
@@ -51,7 +53,7 @@ def test_evaluate_is_exactly_symmetric(ou):
         lo, hi = (1.0, 4.0) if isinstance(kern, ModulatedBrownian) else (-3.0, 3.0)
         for _ in range(20):
             s, t = rng.uniform(lo, hi, size=2)
-            assert kern.evaluate(s, t) == kern.evaluate(t, s)
+            assert entry(kern, s, t) == entry(kern, t, s)
 
 
 def test_stationary_kernels_depend_only_on_the_lag(ou):
@@ -59,8 +61,8 @@ def test_stationary_kernels_depend_only_on_the_lag(ou):
     for kern in (ou, PowerExponential(0.5), PowerExponential(1.0)):
         for _ in range(20):
             s, t, shift = rng.uniform(-2.0, 2.0, size=3)
-            assert kern.evaluate(s, t) == pytest.approx(
-                kern.evaluate(s + shift, t + shift), rel=1e-12)
+            assert entry(kern, s, t) == pytest.approx(
+                entry(kern, s + shift, t + shift), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +107,7 @@ def test_gram_matrices_factorize_on_random_grids(ou):
 def test_modulated_brownian_rejects_points_outside_support():
     kern = ModulatedBrownian(PowerScale(0.5), 1.0, 4.0)
     with pytest.raises(DomainError):
-        kern.evaluate(0.5, 2.0)
+        kern.gram(np.array([0.5, 2.0]))
     with pytest.raises(DomainError):
         kern.gram(np.array([1.0, 4.5]))
 
@@ -141,18 +143,15 @@ def test_explicit_gram_validation():
 
 def test_explicit_gram_evaluates_on_grid_and_rejects_off_grid():
     kern = ExplicitGram(np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.0, 1.0]))
-    assert kern.evaluate(0.0, 1.0) == 0.5
-    assert kern.evaluate(0.0, 0.0) == 2.0
+    assert entry(kern, 0.0, 1.0) == 0.5
+    assert entry(kern, 0.0, 0.0) == 2.0
     with pytest.raises(DomainError):
-        kern.evaluate(0.5, 1.0)
+        kern.pairwise(np.array([0.5]), np.array([1.0]))
+    with pytest.raises(DomainError):
+        kern.gram(np.array([0.0, 0.5]))
     grid = kern.grid()
     assert isinstance(grid, PointGrid)
     assert np.array_equal(grid.points, [0.0, 1.0])
-
-
-def test_explicit_gram_from_matrix_uses_index_points():
-    kern = ExplicitGram.from_matrix(np.eye(3))
-    assert np.array_equal(kern.grid().points, [0.0, 1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +191,7 @@ def test_tabulated_scale_interpolates_and_validates():
 
 
 def test_constant_scale_is_flat():
-    g = constant_scale(2.0, 1.0, 3.0)
+    g = TabulatedScale(np.linspace(1.0, 3.0, 5), np.full(5, 2.0), np.zeros(5), np.zeros(5))
     pts = np.linspace(1.0, 3.0, 11)
     assert np.allclose(g.g(pts), 2.0, rtol=0, atol=1e-15)
     assert np.allclose(g.dg(pts), 0.0, rtol=0, atol=1e-15)

@@ -6,19 +6,15 @@ import numpy as np
 import pytest
 
 from gaussmin import (
-    DensityPart,
     DyadicGrid,
     ExplicitGram,
     GridMeasure,
     GridMismatchError,
     MixedMeasure,
     PointGrid,
-    PowerForm,
     PowerScale,
     ModulatedBrownian,
-    UniformForm,
-    constant_scale,
-    density_floor,
+    TabulatedScale,
     discretize,
     energy,
     mean_function,
@@ -26,10 +22,11 @@ from gaussmin import (
     ou_measure,
     power_law_measure,
     solve_simplex_qp,
+    tbm_measure,
     tv_distance,
-    wasserstein1,
 )
-from oracles import mu_alpha_mass_quad, ou_energy_quad
+from gaussmin.measure import DensityPart, UniformForm
+from oracles import mu_alpha_mass_quad, ou_energy_quad, wasserstein1
 
 MU_HALF_MASS = 1.0 + math.log(4.0) / 4.0  # exact mass of the alpha=1/2 family on [1,4]
 
@@ -90,7 +87,8 @@ def test_energy_of_single_atom_is_diagonal_variance(ou):
     m = MixedMeasure.from_atoms((0.0, 1.0), [(0.3, 1.0)])
     assert energy(ou, m) == pytest.approx(1.0, rel=1e-15)
     # unit scale: R(2,2) = min(2,2)/(1*1) = 2
-    kern = ModulatedBrownian(constant_scale(1.0, 2.0, 5.0), 2.0, 5.0)
+    flat = TabulatedScale(np.linspace(2.0, 5.0, 5), np.ones(5), np.zeros(5), np.zeros(5))
+    kern = ModulatedBrownian(flat, 2.0, 5.0)
     m2 = MixedMeasure.from_atoms((2.0, 5.0), [(2.0, 1.0)])
     assert energy(kern, m2) == pytest.approx(2.0, rel=1e-12)
 
@@ -232,31 +230,6 @@ def test_distances_satisfy_metric_axioms_on_random_triples():
             assert dist(p, r) <= dist(p, q) + dist(q, r) + 1e-12
 
 
-# ---------------------------------------------------------------------------
-# density floor
-# ---------------------------------------------------------------------------
-
-
-def test_density_floor_of_boundary_uniform_mix():
-    assert density_floor(ou_measure(0.0, 1.0)) == pytest.approx(1 / 3, rel=1e-12)
-
-
-def test_density_floor_of_normalized_power_family():
-    nu = normalize(power_law_measure(0.5, 1.0, 4.0))
-    # density x**-1 / 4 has its minimum 1/16 at the right endpoint; the
-    # midpoint mesh stops half a cell short, an O(1/mesh) overshoot
-    expected = 0.0625 / MU_HALF_MASS
-    assert density_floor(nu) == pytest.approx(expected, rel=1e-4)
-    assert density_floor(nu) >= expected
-
-
-def test_density_floor_zero_without_full_cover():
-    atoms_only = MixedMeasure.from_atoms((0.0, 1.0), [(0.0, 0.5), (1.0, 0.5)])
-    assert density_floor(atoms_only) == 0.0
-    partial = MixedMeasure.from_atoms(
-        (0.0, 1.0), [(0.0, 0.5)], DensityPart(0.5, 1.0, UniformForm(1.0)))
-    assert density_floor(partial) == 0.0
-
 
 # ---------------------------------------------------------------------------
 # grid measures and serialization
@@ -282,12 +255,29 @@ def test_grid_measure_from_raw_renormalizes():
         GridMeasure.from_raw(grid, np.zeros(3))
 
 
-def test_mixed_measure_round_trips_through_dict():
-    for m in (ou_measure(0.0, 2.0), power_law_measure(0.3, 1.0, 2.0)):
-        back = MixedMeasure.from_dict(m.to_dict())
-        assert back.interval == m.interval
-        assert back.atoms == pytest.approx(m.atoms)
-        assert back.total_mass == pytest.approx(m.total_mass, rel=1e-9)
-        xs = np.linspace(m.interval[0] + 0.01, m.interval[1] - 0.01, 7)
-        if m.density is not None:
-            assert np.allclose(back.density.eval(xs), m.density.eval(xs), rtol=1e-9)
+def test_mixed_measure_to_dict():
+    # uniform form: equal endpoint atoms 1/(2 + b - a) and the same density level
+    d = ou_measure(0.0, 2.0).to_dict()
+    assert d["interval"] == [0.0, 2.0]
+    assert d["atoms"] == [[0.0, 0.25], [2.0, 0.25]]
+    assert d["density"] == {"lo": 0.0, "hi": 2.0, "scale": 1.0,
+                            "form": {"type": "uniform", "level": 0.25}}
+
+    # power form: alpha(1 - alpha) x^(2 alpha - 2)
+    d = power_law_measure(0.3, 1.0, 2.0).to_dict()
+    assert d["interval"] == [1.0, 2.0]
+    np.testing.assert_allclose(d["atoms"], [[1.0, 0.7], [2.0, 0.3 * 2.0 ** -0.4]], rtol=1e-15)
+    form = d["density"].pop("form")
+    assert d["density"] == {"lo": 1.0, "hi": 2.0, "scale": 1.0}
+    assert form == {"type": "power", "coef": pytest.approx(0.21, rel=1e-15),
+                    "exponent": pytest.approx(-1.4, rel=1e-15)}
+
+    # NegGGForm: -g g'' = 1/(4x) for g = sqrt(x), written as a 257-node table
+    d = tbm_measure(PowerScale(0.5), 1.0, 4.0).measure.to_dict()
+    assert d["interval"] == [1.0, 4.0]
+    np.testing.assert_allclose(d["atoms"], [[1.0, 0.5], [4.0, 0.5]], rtol=1e-15)
+    form = d["density"].pop("form")
+    assert d["density"] == {"lo": 1.0, "hi": 4.0, "scale": 1.0}
+    assert form["type"] == "tabulated"
+    assert form["x"] == np.linspace(1.0, 4.0, 257).tolist()
+    assert np.allclose(form["values"], 0.25 / np.linspace(1.0, 4.0, 257), rtol=1e-14, atol=0)

@@ -1,8 +1,12 @@
 """Simplex QP solver, certificates and dyadic refinement."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import gaussmin.estimators
 from gaussmin import optimizer
 from gaussmin import (
     DyadicGrid,
@@ -12,9 +16,6 @@ from gaussmin import (
     NotPositiveSemidefiniteError,
     OptimizerError,
     PointGrid,
-    PowerExponential,
-    RefinementEntry,
-    RefinementTrace,
     ShiftedRootScale,
     certify,
     discretize,
@@ -23,6 +24,7 @@ from gaussmin import (
     solve_simplex_qp,
     tv_distance,
 )
+from gaussmin.optimizer import RefinementEntry, RefinementTrace
 from conftest import random_psd
 from oracles import mesh_search, support_enumeration
 
@@ -146,7 +148,7 @@ def test_solver_rejects_non_psd_and_asymmetric_input():
 
 def test_solver_grid_size_must_match():
     with pytest.raises(OptimizerError):
-        solve_simplex_qp(np.eye(3), grid=DyadicGrid(0.0, 1.0, 1).refine())
+        solve_simplex_qp(np.eye(3), grid=DyadicGrid(0.0, 1.0, 2))
 
 
 def test_solution_invariants_across_instances(ou, pe_half):
@@ -325,6 +327,25 @@ def test_refine_strictly_decreasing_for_rough_kernel(pe_half):
     assert np.all(np.diff(vals) < 0)
 
 
+def test_refine_keeps_only_the_final_level_problem(ou, monkeypatch):
+    # refine looks Problem up in gaussmin.estimators at call time
+    real_problem = gaussmin.estimators.Problem
+    built = []
+
+    def tracked_problem(kernel, grid):
+        problem = real_problem(kernel, grid)
+        built.append(weakref.ref(problem))
+        return problem
+
+    monkeypatch.setattr(gaussmin.estimators, "Problem", tracked_problem)
+    trace = refine(ou, (0.0, 1.0), 2, 6, stop_tol=1e-14)
+    gc.collect()
+    assert len(built) == len(trace.entries) == 5
+    assert built[-1]() is trace.problem
+    assert trace.problem.grid.points.size == 2**6 + 1
+    assert [ref() for ref in built[:-1]] == [None] * 4
+
+
 def test_refine_validates_level_range(ou):
     with pytest.raises(OptimizerError):
         refine(ou, (0.0, 1.0), 5, 3)
@@ -335,9 +356,9 @@ def test_refine_validates_level_range(ou):
 def test_refinement_trace_rejects_increasing_values():
     grid = DyadicGrid(0.0, 1.0, 1)
     gm = GridMeasure(grid, np.full(3, 1 / 3))
-    entries = (RefinementEntry(1, 0.5, gm, 0.0), RefinementEntry(2, 0.6, gm, 0.0))
+    entries = (RefinementEntry(1, 0.5, gm), RefinementEntry(2, 0.6, gm))
     with pytest.raises(OptimizerError):
-        RefinementTrace(entries=entries, converged=True, final_gap=-0.1)
+        RefinementTrace(entries=entries, converged=True, final_gap=-0.1, problem=None)
 
 
 def test_solution_agrees_with_discretized_closed_form(ou):

@@ -1,11 +1,12 @@
 """Grid solver with optimality certificates and dyadic refinement.
 
 On a grid the problem becomes min nu' Sigma nu over the probability simplex.
-The solver factors Sigma = L L' once and computes theta = Sigma^{-1} 1, which
-is optimal when all its components are nonnegative. Otherwise it solves the
-nonnegative least-squares problem |L' x - L^{-1} 1| over x >= 0 and takes
-nu = x / sum(x). Optimality is then certified through the mean function
-m = Sigma nu: m_j >= sigma*^2 everywhere with equality on the support.
+The solver factors Sigma = L L' once (the sampler's jittered Cholesky, which a
+Problem shares) and computes theta = Sigma^{-1} 1, which is optimal when all
+its components are nonnegative. Otherwise it solves the nonnegative
+least-squares problem |L' x - L^{-1} 1| over x >= 0 and takes nu = x / sum(x).
+Before returning, it certifies optimality with ``certify`` through the mean
+function m = Sigma nu: m_j >= sigma*^2 everywhere with equality on the support.
 """
 
 import numpy as np

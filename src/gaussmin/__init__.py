@@ -18,7 +18,6 @@ from .exceptions import (
     ConfigError,
     DomainError,
     EstimationError,
-    FactorizationError,
     GaussminError,
     GridMismatchError,
     NotPositiveSemidefiniteError,
@@ -76,7 +75,6 @@ __all__ = [
     "Estimate",
     "EstimationError",
     "ExplicitGram",
-    "FactorizationError",
     "GaussminError",
     "GridMeasure",
     "GridMismatchError",

@@ -12,7 +12,7 @@ it; with full support the indicator is 1(min X > 0). Paths are sampled under
 the ORIGINAL law; the tilt lives entirely in the weight, so the estimator is
 exact (not asymptotic) on the grid -- but only for the certified optimum.
 Every estimator therefore takes a ``Problem``: one (kernel, grid) with its
-Gram matrix, sampling factor and certified solution, built once and shared by
+Gram matrix, Cholesky factor and certified solution, built once and shared by
 all estimates on that grid. All estimators stream batches whose content is
 independent of batch size and worker count, so every number here is a
 deterministic function of (seed, stream, n, parameters).
@@ -43,9 +43,10 @@ ESS_WARN_THRESHOLD = 100.0
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """One (kernel, grid): its Gram matrix ``sigma``, built once, with the
-    sampler's jittered Cholesky ``factor`` (also the PSD check of ``sigma``)
-    and the solver's certified ``solution``, each computed on first use and kept.
+    """One (kernel, grid): its Gram matrix ``sigma``, built once, with its one
+    jittered Cholesky ``factor`` (also the PSD check of ``sigma``), which the
+    sampler and the solver share, and the solver's certified ``solution``, each
+    computed on first use and kept.
     """
 
     kernel: Kernel
@@ -63,7 +64,7 @@ class Problem:
 
     @cached_property
     def solution(self) -> OptimalSolution:
-        return optimizer.solve_simplex_qp(self.sigma, grid=self.grid)
+        return optimizer.solve_simplex_qp(self.sigma, grid=self.grid, factor=self.factor)
 
 
 @dataclass(frozen=True)

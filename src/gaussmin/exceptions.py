@@ -10,11 +10,7 @@ class DomainError(GaussminError):
 
 
 class NotPositiveSemidefiniteError(GaussminError):
-    """A matrix fails the PSD tolerance check."""
-
-
-class FactorizationError(GaussminError):
-    """Cholesky factorization failed even at the maximum allowed jitter."""
+    """A matrix fails the PSD check (its Cholesky factor fails at the largest jitter)."""
 
 
 class GridMismatchError(GaussminError):

@@ -5,7 +5,8 @@ advanced directly to the counter block of a given path index, so path j is
 the same array no matter the batch size, the order of generation, or how many
 workers produced it. Standard normals come from the inverse CDF applied to
 open-interval uniforms; paths are X = xi L^T for the (jittered) Cholesky
-factor L of the Gram matrix.
+factor L of the Gram matrix from ``factorize``, the one factor a ``Problem``
+keeps and shares with the simplex solver.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from .exceptions import FactorizationError, GridMismatchError
+from .exceptions import GridMismatchError, NotPositiveSemidefiniteError
 from .grids import Grid
 from .measure import GridMeasure
 
@@ -88,15 +89,18 @@ class PathBatch:
 def factorize(sigma: np.ndarray) -> Factorization:
     """Cholesky factor of sigma + lambda I for the smallest workable jitter.
 
-    Tries lambda = 0, then DEFAULT_JITTER_START up by factors of 10; raises
-    FactorizationError when even DEFAULT_JITTER_MAX fails.
+    This is the PSD check of a Gram matrix: tries lambda = 0, then
+    DEFAULT_JITTER_START * s up by factors of 10, s = max(max |sigma_ij|, 1),
+    and raises NotPositiveSemidefiniteError when even DEFAULT_JITTER_MAX * s
+    fails. The ladder scales with sigma so that a rank-deficient sigma of large
+    entries still factors.
     """
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise FactorizationError(f"need a square matrix, got shape {sigma.shape}")
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] < 1:
+        raise NotPositiveSemidefiniteError(f"need a square matrix, got shape {sigma.shape}")
     scale = max(float(np.abs(sigma).max()), 1.0)
     if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
-        raise FactorizationError("matrix is not symmetric")
+        raise NotPositiveSemidefiniteError("matrix is not symmetric")
     sigma = 0.5 * (sigma + sigma.T)
     n = sigma.shape[0]
     lam = 0.0
@@ -105,11 +109,11 @@ def factorize(sigma: np.ndarray) -> Factorization:
             lower = np.linalg.cholesky(sigma + lam * np.eye(n) if lam else sigma)
             return Factorization(lower=lower, jitter=lam)
         except np.linalg.LinAlgError:
-            lam = DEFAULT_JITTER_START if lam == 0.0 else lam * 10.0
-            if lam > DEFAULT_JITTER_MAX * (1 + 1e-12):
-                raise FactorizationError(
-                    f"Cholesky failed up to jitter {DEFAULT_JITTER_MAX:g}: matrix is not "
-                    "positive semidefinite") from None
+            lam = DEFAULT_JITTER_START * scale if lam == 0.0 else lam * 10.0
+            if lam > DEFAULT_JITTER_MAX * scale * (1 + 1e-12):
+                raise NotPositiveSemidefiniteError(
+                    f"Cholesky failed up to jitter {DEFAULT_JITTER_MAX * scale:g}: matrix is "
+                    "not positive semidefinite") from None
 
 
 def _blocks_per_path(n_points: int) -> int:

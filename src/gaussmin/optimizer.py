@@ -1,19 +1,21 @@
 """Minimize nu^T Sigma nu over the probability simplex, with certificates.
 
 The minimizing measure of the covariance double integral on a grid solves a
-convex QP over the simplex. One Cholesky factor Sigma = L L^T drives a single
-path:
+convex QP over the simplex. The sampler's Cholesky factor Sigma = L L^T (from
+``factorize``, whose jitter ladder is also the PSD check; a ``Problem`` shares
+its own) drives a single path, with z = L^{-1} 1:
 
-* theta step: theta = Sigma^{-1} 1. When theta >= 0 the KKT conditions hold
-  with every grid point active, so nu* = theta / sum(theta). This covers every
-  full-support kernel here (Ornstein-Uhlenbeck, power-exponential, modulated
-  Brownian).
+* theta step: theta = Sigma^{-1} 1 = L^{-T} z. When theta >= 0 the KKT
+  conditions hold with every grid point active, so nu* = theta / sum(theta).
+  This covers every full-support kernel here (Ornstein-Uhlenbeck,
+  power-exponential, modulated Brownian).
 * NNLS otherwise: min over x >= 0 of x^T Sigma x / 2 - 1^T x is the
-  nonnegative least-squares problem |L^T x - L^{-1} 1| (Lawson & Hanson's
+  nonnegative least-squares problem |L^T x - z| (Lawson & Hanson's
   active-set method), and nu* = x / sum(x).
 
-Optimality is then certified through the mean vector m = Sigma nu:
-feasibility requires min_j m_j >= sigma*^2 with equality on the support.
+The returned measure is then certified by ``certify`` through its mean vector
+m = Sigma nu: feasibility requires min_j m_j >= sigma*^2 with equality on the
+support, and sigma*^2 is exactly nu^T Sigma nu of the returned weights.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+# cho_factor stays importable here for perfbench/tracer.py
+from scipy.linalg import cho_factor, solve_triangular  # noqa: F401
 
 from .exceptions import NotPositiveSemidefiniteError, OptimizerError
+from .gauss_sim import Factorization, factorize
 from .grids import MAX_LEVEL, DyadicGrid, Grid, PointGrid
 from .kernels import ExplicitGram, Kernel
 from .measure import GridMeasure
@@ -41,27 +45,49 @@ SUPPORT_TOL = 1e-9          # relative weight below which a point is off-support
 
 
 @dataclass(frozen=True)
+class CertificateReport:
+    """Optimality check of a candidate measure against a Gram matrix."""
+
+    m: np.ndarray
+    sigma_sq: float
+    min_slack: float               # min_j m_j - sigma_sq (>= 0 at optimum)
+    max_support_violation: float   # max |m_j - sigma_sq| over the support
+    passed: bool
+
+    def __post_init__(self):
+        arr = np.asarray(self.m)
+        arr.setflags(write=False)
+        object.__setattr__(self, "m", arr)
+
+
+@dataclass(frozen=True)
 class OptimalSolution:
-    """Optimal grid measure with its certificate.
+    """Optimal grid measure with the ``CertificateReport`` that passed it.
 
     Invariants: min_j m_j >= sigma_star_sq * (1 - 1e-8); |m_j - sigma_star_sq|
     <= 1e-8 * sigma_star_sq for j in support; sigma_star_sq = nu^T Sigma nu
-    within 1e-12 relative.
+    of ``measure.weights``, exactly.
     """
 
     measure: GridMeasure
-    sigma_star_sq: float
-    certificate: np.ndarray          # m_j = (Sigma nu)_j
-    support: np.ndarray              # indices with weight > SUPPORT_TOL (relative)
+    report: CertificateReport
     method: str = "theta"            # "theta" or "nnls"
     iterations: int = 0              # always 0: neither route counts iterations
-    gap: float = 0.0
 
-    def __post_init__(self):
-        for name in ("certificate", "support"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    @property
+    def sigma_star_sq(self) -> float:
+        return self.report.sigma_sq
+
+    @property
+    def certificate(self) -> np.ndarray:
+        """m_j = (Sigma nu)_j."""
+        return self.report.m
+
+    @property
+    def support(self) -> np.ndarray:
+        """Indices with weight > SUPPORT_TOL relative to the largest."""
+        w = self.measure.weights
+        return np.nonzero(w > SUPPORT_TOL * w.max())[0]
 
 
 @dataclass(frozen=True)
@@ -100,11 +126,17 @@ class RefinementTrace:
 
 
 # ---------------------------------------------------------------------------
-# input checks
+# certification
 # ---------------------------------------------------------------------------
 
 
-def _check_square_symmetric(sigma: np.ndarray) -> np.ndarray:
+def certify(sigma: np.ndarray, measure: GridMeasure, tol: float = 1e-8) -> CertificateReport:
+    """Report first-order optimality of ``measure`` for ``sigma``.
+
+    Always returns a report; ``passed`` is the verdict at relative tolerance
+    ``tol``. ``sigma`` is screened first (square, symmetric, nonnegative
+    diagonal, Cauchy-Schwarz), since it may come from outside a ``Problem``.
+    """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] < 1:
         raise NotPositiveSemidefiniteError(f"need a square matrix, got shape {sigma.shape}")
@@ -118,90 +150,7 @@ def _check_square_symmetric(sigma: np.ndarray) -> np.ndarray:
     bound = np.sqrt(np.outer(np.maximum(d, 0), np.maximum(d, 0)))
     if np.any(np.abs(sigma) > bound + 1e-8 * scale):
         raise NotPositiveSemidefiniteError("off-diagonal entry violates Cauchy-Schwarz")
-    return 0.5 * (sigma + sigma.T)
-
-
-def solve_simplex_qp(sigma: np.ndarray, grid: Grid | None = None) -> OptimalSolution:
-    """Solve min w^T Sigma w over the probability simplex with a certificate.
-
-    One Cholesky factor L of Sigma serves both routes: theta = Sigma^{-1} 1
-    when it is nonnegative, otherwise the NNLS problem |L^T x - L^{-1} 1|.
-    ``grid`` labels the result's measure; index positions are used when absent.
-    """
-    sigma = _check_square_symmetric(sigma)
-    n = sigma.shape[0]
-    if grid is None:
-        grid = PointGrid(np.arange(n, dtype=float))
-    elif grid.points.size != n:
-        raise OptimizerError(f"grid has {grid.points.size} points for a {n}x{n} matrix")
-
-    try:
-        factor = cho_factor(sigma, lower=True, check_finite=False)
-    except LinAlgError:
-        jitter = 1e-10 * max(float(np.diag(sigma).max()), 1.0)
-        try:
-            factor = cho_factor(sigma + jitter * np.eye(n), lower=True, check_finite=False)
-        except LinAlgError:
-            raise NotPositiveSemidefiniteError(
-                "matrix is not positive semidefinite within tolerance") from None
-    ones = np.ones(n)
-    theta = cho_solve(factor, ones, check_finite=False)
-    if np.all(theta >= -1e-12 * float(np.abs(theta).max())):
-        # KKT conditions hold with the full active set
-        w = np.clip(theta, 0.0, None)
-        method = "theta"
-    else:
-        from scipy.optimize import nnls  # only partial-support problems reach NNLS
-
-        lower = np.tril(factor[0])  # cho_factor leaves the upper triangle unzeroed
-        try:
-            w, _ = nnls(lower.T, solve_triangular(lower, ones, lower=True, check_finite=False))
-        except RuntimeError as exc:
-            raise OptimizerError(f"NNLS did not converge on a {n}-point matrix: {exc}") from None
-        method = "nnls"
-    w = w / w.sum()
-    m = sigma @ w
-    sigma_sq = float(w @ m)
-    measure = GridMeasure.from_raw(grid, w)
-    support = np.nonzero(measure.weights > SUPPORT_TOL * measure.weights.max())[0]
-    gap = max(sigma_sq - float(m.min()), 0.0)
-    support_dev = float(np.abs(m[support] - sigma_sq).max())
-    if gap > 1e-8 * sigma_sq or support_dev > 1e-8 * sigma_sq:
-        raise OptimizerError(
-            f"certificate violated: gap {gap:.3e}, support deviation {support_dev:.3e} "
-            f"for sigma*^2 {sigma_sq:.12g}")
-    return OptimalSolution(measure=measure, sigma_star_sq=sigma_sq, certificate=m,
-                           support=support, method=method, gap=gap)
-
-
-# ---------------------------------------------------------------------------
-# certification and refinement
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    """Optimality check of a candidate measure against a Gram matrix."""
-
-    m: np.ndarray
-    sigma_sq: float
-    min_slack: float               # min_j m_j - sigma_sq (>= 0 at optimum)
-    max_support_violation: float   # max |m_j - sigma_sq| over the support
-    passed: bool
-
-    def __post_init__(self):
-        arr = np.asarray(self.m)
-        arr.setflags(write=False)
-        object.__setattr__(self, "m", arr)
-
-
-def certify(sigma: np.ndarray, measure: GridMeasure, tol: float = 1e-8) -> CertificateReport:
-    """Report first-order optimality of ``measure`` for ``sigma``.
-
-    Always returns a report; ``passed`` is the verdict at relative tolerance
-    ``tol``.
-    """
-    sigma = _check_square_symmetric(sigma)
+    sigma = 0.5 * (sigma + sigma.T)
     w = measure.weights
     if w.size != sigma.shape[0]:
         raise OptimizerError(f"measure has {w.size} weights for a {sigma.shape[0]}-point Gram")
@@ -213,6 +162,52 @@ def certify(sigma: np.ndarray, measure: GridMeasure, tol: float = 1e-8) -> Certi
     passed = bool(min_slack >= -tol * sigma_sq and max_violation <= tol * sigma_sq)
     return CertificateReport(m=m, sigma_sq=sigma_sq, min_slack=min_slack,
                              max_support_violation=max_violation, passed=passed)
+
+
+# ---------------------------------------------------------------------------
+# solver and refinement
+# ---------------------------------------------------------------------------
+
+
+def solve_simplex_qp(sigma: np.ndarray, grid: Grid | None = None, *,
+                     factor: Factorization | None = None) -> OptimalSolution:
+    """Solve min w^T Sigma w over the probability simplex with a certificate.
+
+    ``factor`` is ``factorize(sigma)``, computed here when absent (a
+    ``Problem`` passes its own). Its L serves both routes: theta = Sigma^{-1} 1
+    when it is nonnegative, otherwise the NNLS problem |L^T x - L^{-1} 1|.
+    ``grid`` labels the result's measure; index positions are used when absent.
+    """
+    if factor is None:
+        factor = factorize(sigma)
+    n = factor.n
+    if grid is None:
+        grid = PointGrid(np.arange(n, dtype=float))
+    elif grid.points.size != n:
+        raise OptimizerError(f"grid has {grid.points.size} points for a {n}x{n} matrix")
+
+    lower = factor.lower
+    z = solve_triangular(lower, np.ones(n), lower=True, check_finite=False)
+    theta = solve_triangular(lower, z, lower=True, trans="T", check_finite=False)
+    if np.all(theta >= -1e-12 * float(np.abs(theta).max())):
+        # KKT conditions hold with the full active set
+        w = theta
+        method = "theta"
+    else:
+        from scipy.optimize import nnls  # only partial-support problems reach NNLS
+
+        try:
+            w, _ = nnls(lower.T, z)
+        except RuntimeError as exc:
+            raise OptimizerError(f"NNLS did not converge on a {n}-point matrix: {exc}") from None
+        method = "nnls"
+    measure = GridMeasure.from_raw(grid, w)
+    report = certify(sigma, measure)
+    if not report.passed:
+        raise OptimizerError(
+            f"certificate violated: min slack {report.min_slack:.3e}, support deviation "
+            f"{report.max_support_violation:.3e} for sigma*^2 {report.sigma_sq:.12g}")
+    return OptimalSolution(measure=measure, report=report, method=method)
 
 
 def refine(kernel: Kernel, interval: tuple[float, float], k_min: int, k_max: int,

@@ -153,6 +153,19 @@ def test_solve_creates_nested_out_dir(run_cli, tmp_path):
     assert (out / "solution.json").exists()
 
 
+def test_solve_single_level_writes_strict_json(run_cli):
+    # k_min == k_max leaves no gap between levels; the file must still be
+    # RFC 8259 JSON, which has no Infinity or NaN
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    code, out = run_cli("solve", config={"preset": "ou", "k_min": 4, "k_max": 4})
+    assert code == EXIT_OK
+    doc = json.loads((out / "solution.json").read_text(), parse_constant=reject)
+    assert doc["final_gap"] is None
+    assert doc["k_final"] == 4
+
+
 # ---------------------------------------------------------------------------
 # analytic
 # ---------------------------------------------------------------------------
@@ -246,8 +259,8 @@ def test_tail_preset_in_config_file(run_cli):
 
 
 def test_tail_builds_gram_factor_and_solution_once(run_cli, monkeypatch):
-    # one Problem serves all ten estimates: one Gram matrix, one sampling
-    # factor, one solver factor and no re-certification
+    # one Problem serves all ten estimates: one Gram matrix, one Cholesky
+    # factor shared by the sampler and the solver, and one certificate
     calls = Counter()
 
     def counted(name, fn):
@@ -259,12 +272,12 @@ def test_tail_builds_gram_factor_and_solution_once(run_cli, monkeypatch):
     monkeypatch.setattr(Kernel, "gram", counted("gram", Kernel.gram))
     monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
     monkeypatch.setattr(gaussmin.optimizer, "cho_factor",
-                        counted("cho_factor", gaussmin.optimizer.cho_factor))
+                        counted("cholesky", gaussmin.optimizer.cho_factor))
     for mod in (gaussmin.optimizer, gaussmin.estimators, gaussmin.cli):
         monkeypatch.setattr(mod, "certify", counted("certify", mod.certify))
     code, _ = run_cli("tail", config={"preset": "ou", "n_paths": 2000})
     assert code == EXIT_OK
-    assert calls == {"gram": 1, "cholesky": 1, "cho_factor": 1}
+    assert calls == {"gram": 1, "cholesky": 1, "certify": 1}
 
 
 def test_tail_dump_paths(run_cli):
@@ -420,6 +433,15 @@ def test_seed_flag_changes_results(run_cli, tmp_path):
 # ---------------------------------------------------------------------------
 # startup
 # ---------------------------------------------------------------------------
+
+
+def test_perfbench_tracer_finds_every_name_it_patches():
+    # perfbench/tracer.py wraps gaussmin's functions at their lookup names;
+    # install raises AttributeError if one of those names is gone
+    tracer_dir = Path(__file__).resolve().parents[1] / "perfbench"
+    res = run_python(["-c", f"import sys; sys.path.insert(0, {str(tracer_dir)!r}); "
+                            "from tracer import Tracer, install; install(Tracer())"])
+    assert res.returncode == 0, res.stderr
 
 
 def test_cli_import_leaves_out_scipy_optimize_and_interpolate():

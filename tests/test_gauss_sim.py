@@ -6,9 +6,9 @@ from scipy.special import ndtr
 
 from gaussmin import (
     DyadicGrid,
-    FactorizationError,
     GridMismatchError,
     GridMeasure,
+    NotPositiveSemidefiniteError,
     SamplerConfig,
     functionals,
     sample,
@@ -43,11 +43,11 @@ def test_factorize_singular_matrix_with_small_jitter():
 
 
 def test_factorize_rejects_indefinite_and_malformed_input():
-    with pytest.raises(FactorizationError):
+    with pytest.raises(NotPositiveSemidefiniteError):
         factorize(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(FactorizationError):
+    with pytest.raises(NotPositiveSemidefiniteError):
         factorize(np.array([[1.0, 0.2], [0.3, 1.0]]))
-    with pytest.raises(FactorizationError):
+    with pytest.raises(NotPositiveSemidefiniteError):
         factorize(np.ones((2, 3)))
 
 

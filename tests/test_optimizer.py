@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import gaussmin.estimators
-from gaussmin import optimizer
 from gaussmin import (
     DyadicGrid,
     ExplicitGram,
@@ -24,6 +23,7 @@ from gaussmin import (
     solve_simplex_qp,
     tv_distance,
 )
+from gaussmin.gauss_sim import factorize
 from gaussmin.optimizer import RefinementEntry, RefinementTrace
 from conftest import random_psd
 from oracles import mesh_search, support_enumeration
@@ -55,22 +55,15 @@ def test_theta_on_smooth_kernel_grid(ou):
     assert 2 / 3 - 1e-12 <= sol.sigma_star_sq <= 2 / 3 + 5e-3
 
 
-def test_theta_declines_on_singular_matrix(monkeypatch):
-    # Sigma itself has no Cholesky factor, so theta comes from the one
-    # jittered retry; the flat objective still certifies at sigma*^2 = 1
-    calls = []
-    cho_factor = optimizer.cho_factor
-
-    def counting_cho_factor(*args, **kwargs):
-        calls.append(1)
-        return cho_factor(*args, **kwargs)
-
-    monkeypatch.setattr(optimizer, "cho_factor", counting_cho_factor)
-    sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
-    sol = solve_simplex_qp(sigma)
-    assert len(calls) == 2
-    assert sol.sigma_star_sq == pytest.approx(1.0, rel=1e-12)
-    assert certify(sigma, sol.measure).passed
+def test_theta_declines_on_singular_matrix():
+    # c [[1, 1], [1, 1]] has no Cholesky factor, so theta comes from
+    # factorize's jittered one; the flat objective still certifies at sigma*^2 = c
+    for c in (1e-8, 1.0, 1e8, 1e12):
+        sigma = c * np.array([[1.0, 1.0], [1.0, 1.0]])
+        sol = solve_simplex_qp(sigma)
+        assert factorize(sigma).jitter > 0
+        assert sol.sigma_star_sq == pytest.approx(c, rel=1e-12)
+        assert certify(sigma, sol.measure).passed
 
 
 def test_theta_declines_when_a_component_is_negative():
@@ -204,6 +197,20 @@ def test_solver_beats_theta_declining_instances_against_enumeration():
         tested += 1
         exact_val, _ = support_enumeration(sigma)
         assert sol.sigma_star_sq == pytest.approx(exact_val, abs=1e-10)
+
+
+def test_sigma_star_sq_and_certificate_belong_to_the_returned_measure(ou):
+    # OU takes the theta route, example2 (partial support) the NNLS route
+    cases = [(ou, DyadicGrid(0.0, 1.0, 6), "theta"),
+             (ModulatedBrownian(ShiftedRootScale(1.0), 1.5, 4.0),
+              DyadicGrid(1.5, 4.0, 8), "nnls")]
+    for kern, grid, method in cases:
+        sigma = kern.gram(grid)
+        sol = solve_simplex_qp(sigma, grid=grid)
+        assert sol.method == method
+        w = sol.measure.weights
+        assert sol.sigma_star_sq == float(w @ (sigma @ w))
+        assert np.array_equal(sol.certificate, sigma @ w)
 
 
 def test_nnls_certifies_partial_support_at_level_11():

@@ -29,17 +29,18 @@ print(f"optimal measure on {grid.n} points: endpoints "
       f"interior about {solution.measure.weights[1]:.4f}\n")
 
 print("argmin law given min > u (weighted histogram):")
-for u in (0.0, 1.0, 2.0, 3.0):
-    hist, ess = argmin_conditional(problem, u, config)
+us = [0.0, 1.0, 2.0, 3.0]
+laws = argmin_conditional(problem, us, config)   # one pass for every u
+for u, (hist, ess) in zip(us, laws):
     tv = tv_distance(hist, solution.measure)
     print(f"  u={u:.0f}: tv to nu* = {tv:.4f}, effective sample size = {ess:,.0f}")
 
 print("\nthe same law through the Y <= x route (m_x):")
-for x in (2.0, 1.0, 0.5):
-    hist = mx_conditional(problem, x, config)
+xs = [2.0, 1.0, 0.5]
+for x, hist in zip(xs, mx_conditional(problem, xs, config)):
     print(f"  x={x:.2f}: tv to nu* = {tv_distance(hist, solution.measure):.4f}")
 
-hist0, _ = argmin_conditional(problem, 0.0, config)
+hist0, _ = laws[0]
 print("\nunconditional argmin over surviving paths (u = 0), per grid point:")
 pts = grid.points
 w = hist0.weights

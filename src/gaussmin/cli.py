@@ -183,11 +183,39 @@ def resolve_grid(cfg: dict, kernel: Kernel, k_key: str = "k") -> Grid:
 
 
 def sampler_config(cfg: dict, stream: int = 0) -> SamplerConfig:
-    n = int(cfg.get("n_paths", DEFAULT_N_PATHS))
-    return SamplerConfig(seed=int(cfg["seed"]), n_paths=n,
-                         batch_size=int(cfg.get("batch_size", DEFAULT_BATCH)),
-                         stream=int(cfg.get("stream", stream)),
-                         workers=int(cfg.get("threads", 1)))
+    try:
+        return SamplerConfig(seed=int(cfg["seed"]),
+                             n_paths=int(cfg.get("n_paths", DEFAULT_N_PATHS)),
+                             batch_size=int(cfg.get("batch_size", DEFAULT_BATCH)),
+                             stream=int(cfg.get("stream", stream)),
+                             workers=int(cfg.get("threads", 1)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sampling settings (seed, n_paths, batch_size, stream, "
+                          f"threads): {exc}") from None
+
+
+PARAM_DOMAINS = {"finite": lambda v: True, ">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0}
+
+
+def _param_list(values, key: str, domain: str = "finite") -> list[float]:
+    """A sweep's parameter list, checked before any pass over the paths.
+
+    Entries must be finite numbers in ``domain`` (a PARAM_DOMAINS key), and
+    their ``:g`` labels distinct: the labels name output files and JSON keys,
+    so two values sharing one would overwrite each other's results.
+    """
+    _require(isinstance(values, list), f"'{key}' must be a list of numbers")
+    labels: dict[str, float] = {}
+    for v in values:
+        _require(isinstance(v, (int, float)) and not isinstance(v, bool),
+                 f"'{key}' entry {v!r} is not a number")
+        _require(math.isfinite(v), f"'{key}' entry {v!r} is not finite")
+        _require(PARAM_DOMAINS[domain](v), f"'{key}' entries must be {domain}; got {v!r}")
+        label = f"{v:g}"
+        _require(label not in labels,
+                 f"'{key}' entries {labels.get(label)!r} and {v!r} share the label {label!r}")
+        labels[label] = float(v)
+    return list(labels.values())
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +348,11 @@ def cmd_analytic(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def _u_values(cfg: dict) -> list[float]:
+def _u_values(cfg: dict, domain: str = "finite") -> list[float]:
     if "u_list" in cfg:
-        us = [float(u) for u in cfg["u_list"]]
+        us = _param_list(cfg["u_list"], "u_list", domain)
     elif "u" in cfg:
-        us = [float(cfg["u"])]
+        us = _param_list([cfg["u"]], "u", domain)
     else:
         raise ConfigError("config needs 'u' or 'u_list'")
     _require(len(us) >= 1, "empty u list")
@@ -337,28 +365,19 @@ def cmd_tail(cfg: dict, out: Path) -> int:
     us = _u_values(cfg)
     methods = cfg.get("methods", ["crude", "is"])
     _require(set(methods) <= {"crude", "is"} and methods, "methods must be crude and/or is")
+    config = sampler_config(cfg)
     problem = Problem(kernel, grid)
     s2 = problem.solution.sigma_star_sq
-    config = sampler_config(cfg)
     if cfg.get("dump_paths"):
         n_dump = min(int(cfg["dump_paths"]), config.n_paths, PATH_DUMP_CAP)
         batch = sample(problem.factor, grid, config, start=0, count=n_dump)
         write_csv(out / "paths.csv", cfg,
                   [f"x{i}" for i in range(grid.points.size)],
                   [tuple(row) for row in batch.values])
-    rows: dict[str, list] = {"crude": [], "is": []}
-    estimates: dict[str, list] = {"crude": [], "is": []}
-    for u in us:
-        if "crude" in methods:
-            e = tail_crude(problem, u, config)
-            estimates["crude"].append(e)
-            rows["crude"].append((u, e.value, e.stderr, e.log_value,
-                                  e.log_value + u * u / (2 * s2)))
-        if "is" in methods:
-            e = tail_is(problem, u, config)
-            estimates["is"].append(e)
-            rows["is"].append((u, e.value, e.stderr, e.log_value,
-                               e.log_value + u * u / (2 * s2)))
+    estimators = {"crude": tail_crude, "is": tail_is}
+    estimates = {m: fn(problem, us, config) for m, fn in estimators.items() if m in methods}
+    rows = {m: [(u, e.value, e.stderr, e.log_value, e.log_value + u * u / (2 * s2))
+                for u, e in zip(us, estimates[m])] for m in estimates}
     for method in methods:
         write_csv(out / f"tail_{method}.csv", cfg,
                   ["u", "p_hat", "stderr", "log_p", "D_u"], rows[method])
@@ -387,16 +406,14 @@ def cmd_tail(cfg: dict, out: Path) -> int:
 def cmd_smallball(cfg: dict, out: Path) -> int:
     kernel = build_kernel(cfg)
     grid = resolve_grid(cfg, kernel)
-    eps_list = [float(e) for e in cfg.get("eps_list", [])] or None
-    _require(eps_list is not None, "smallball needs 'eps_list'")
+    eps_list = _param_list(cfg.get("eps_list", []), "eps_list", "> 0")
+    _require(bool(eps_list), "smallball needs 'eps_list'")
     mode = cfg.get("mode", "range")
     _require(mode in ("range", "zstar"), "mode must be 'range' or 'zstar'")
-    problem = Problem(kernel, grid)
     config = sampler_config(cfg)
-    rows = []
-    for eps in eps_list:
-        e = small_ball(problem, eps, config, mode=mode)
-        rows.append((eps, e.value, e.stderr, e.log_value, e.meta["hits"]))
+    problem = Problem(kernel, grid)
+    rows = [(eps, e.value, e.stderr, e.log_value, e.meta["hits"])
+            for eps, e in zip(eps_list, small_ball(problem, eps_list, config, mode=mode))]
     write_csv(out / "smallball.csv", cfg, ["eps", "p_hat", "stderr", "log_p", "hits"], rows)
     plot = Plot(f"small-ball probability ({mode} mode)", "eps", "p_hat")
     plot.add([r[0] for r in rows], [r[1] for r in rows], mode="both")
@@ -407,22 +424,23 @@ def cmd_smallball(cfg: dict, out: Path) -> int:
 def cmd_argmin(cfg: dict, out: Path) -> int:
     kernel = build_kernel(cfg)
     grid = resolve_grid(cfg, kernel)
-    us = [float(u) for u in cfg.get("argmin_u_list", [])] or _u_values(cfg)
+    us = (_param_list(cfg.get("argmin_u_list", []), "argmin_u_list", ">= 0")
+          or _u_values(cfg, ">= 0"))
+    xs = _param_list(cfg.get("x_list", []), "x_list", "> 0")
+    config = sampler_config(cfg)
     problem = Problem(kernel, grid)
     solution = problem.solution
-    config = sampler_config(cfg)
     summary = {}
     warnings: list[str] = []
     plot = Plot("conditional argmin law vs optimal measure", "t", "weight")
     plot.add(grid.points.tolist(), solution.measure.weights.tolist(),
              label="optimal measure", mode="line")
-    for u in us:
-        try:
-            hist, ess = argmin_conditional(problem, u, config)
-        except EstimationError as exc:
-            summary[f"u={u:g}"] = {"failed": str(exc)}
-            warnings.append(f"u={u:g}: {exc}")
+    for u, result in zip(us, argmin_conditional(problem, us, config)):
+        if isinstance(result, EstimationError):
+            summary[f"u={u:g}"] = {"failed": str(result)}
+            warnings.append(f"u={u:g}: {result}")
             continue
+        hist, ess = result
         write_csv(out / f"argmin_u{u:g}.csv", cfg, ["point", "weight"],
                   _measure_rows(hist))
         summary[f"u={u:g}"] = {"ess": ess,
@@ -431,12 +449,10 @@ def cmd_argmin(cfg: dict, out: Path) -> int:
         if ess < ESS_WARN_THRESHOLD:
             warnings.append(f"u={u:g}: effective sample size {ess:.1f} < "
                             f"{ESS_WARN_THRESHOLD:g}; histogram is noise-dominated")
-    for x in [float(x) for x in cfg.get("x_list", [])]:
-        try:
-            hist = mx_conditional(problem, x, config)
-        except EstimationError as exc:
-            summary[f"x={x:g}"] = {"failed": str(exc)}
-            warnings.append(f"x={x:g}: {exc}")
+    for x, hist in zip(xs, mx_conditional(problem, xs, config) if xs else []):
+        if isinstance(hist, EstimationError):
+            summary[f"x={x:g}"] = {"failed": str(hist)}
+            warnings.append(f"x={x:g}: {hist}")
             continue
         write_csv(out / f"mx_x{x:g}.csv", cfg, ["point", "weight"], _measure_rows(hist))
         summary[f"x={x:g}"] = {"tv_to_optimal": tv_distance(hist, solution.measure)}

@@ -13,9 +13,18 @@ the ORIGINAL law; the tilt lives entirely in the weight, so the estimator is
 exact (not asymptotic) on the grid -- but only for the certified optimum.
 Every estimator therefore takes a ``Problem``: one (kernel, grid) with its
 Gram matrix, Cholesky factor and certified solution, built once and shared by
-all estimates on that grid. All estimators stream batches whose content is
-independent of batch size and worker count, so every number here is a
-deterministic function of (seed, stream, n, parameters).
+all estimates on that grid.
+
+Each sweep estimator takes its whole parameter list (u, x or eps) and makes
+one pass over the paths: a batch is drawn once, its Y, min and argmin are
+computed once, and every parameter's statistics are reduced from them, one
+parameter at a time, in the same float operations as a one-element list.
+Only a u whose tilt shifts the survival test recomputes the shifted min (and
+argmin). ``correction_diagnostic`` is the exception: it keeps one stream, so
+one pass, per u, so that the points of its fit are independent. All
+estimators stream batches whose content is independent of batch size and
+worker count and fold the per-batch results in path order, so every number
+here is a deterministic function of (seed, stream, n, parameter).
 """
 
 from __future__ import annotations
@@ -148,30 +157,36 @@ def _binomial_estimate(hits: int, config: SamplerConfig, meta: dict) -> Estimate
 # ---------------------------------------------------------------------------
 
 
-def tail_crude(problem: Problem, u: float, config: SamplerConfig) -> Estimate:
-    """Direct Monte Carlo estimate of P(min over grid > u)."""
-    hits = 0
-    for (h,) in _map_ordered(problem, config,
-                             lambda b: (int(np.count_nonzero(b.values.min(axis=1) > u)),)):
-        hits += h
-    return _binomial_estimate(hits, config, {"method": "tail_crude", "u": float(u)})
+def tail_crude(problem: Problem, us: Sequence[float], config: SamplerConfig) -> list[Estimate]:
+    """Direct Monte Carlo estimates of P(min over grid > u), one per u, from one pass."""
+    us = [float(u) for u in us]
+
+    def batch_hits(batch: PathBatch) -> tuple:
+        mins = batch.values.min(axis=1)
+        return tuple(int(np.count_nonzero(mins > u)) for u in us)
+
+    hits = [0] * len(us)
+    for batch in _map_ordered(problem, config, batch_hits):
+        hits = [total + h for total, h in zip(hits, batch)]
+    return [_binomial_estimate(h, config, {"method": "tail_crude", "u": u})
+            for h, u in zip(hits, us)]
 
 
-def tail_is(problem: Problem, u: float, config: SamplerConfig) -> Estimate:
-    """Change-of-measure estimate of P(min over grid > u).
+def tail_is(problem: Problem, us: Sequence[float], config: SamplerConfig) -> list[Estimate]:
+    """Change-of-measure estimates of P(min over grid > u), one per u, from one pass.
 
     Unbiased at every u for the grid minimum; the variance collapses for
     large u where the crude estimator sees no hits.
     """
+    us = [float(u) for u in us]
     solution = problem.solution
     s2 = solution.sigma_star_sq
     measure = solution.measure
-    shift = _tilt_shift(solution, u)
+    shifts = [_tilt_shift(solution, u) for u in us]
 
-    def batch_stats(batch: PathBatch) -> tuple:
-        fn = functionals(batch, measure, shift)
-        keep = fn.min_value > 0
-        logw = -u * fn.y[keep] / s2
+    def u_stats(u: float, y: np.ndarray, low_min: np.ndarray) -> tuple:
+        keep = low_min > 0
+        logw = -u * y[keep] / s2
         if logw.size == 0:
             return 0, 0.0, 0.0, -math.inf
         m = float(logw.max())
@@ -179,12 +194,26 @@ def tail_is(problem: Problem, u: float, config: SamplerConfig) -> Estimate:
         return int(logw.size), float(w.sum()), float((w * w).sum()), m + math.log(
             float(np.exp(logw - m).sum()))
 
-    n_surv, sum_w, sum_w2, lse = 0, 0.0, 0.0, -math.inf
-    for ns, sw, sw2, batch_lse in _map_ordered(problem, config, batch_stats):
-        n_surv += ns
-        sum_w += sw
-        sum_w2 += sw2
-        lse = float(np.logaddexp(lse, batch_lse))
+    def batch_stats(batch: PathBatch) -> tuple:
+        fn = functionals(batch, measure)
+        return tuple(u_stats(u, fn.y, fn.min_value if shift is None
+                             else (batch.values + shift).min(axis=1))
+                     for u, shift in zip(us, shifts))
+
+    n_surv, sum_w, sum_w2, lse = ([0] * len(us), [0.0] * len(us), [0.0] * len(us),
+                                  [-math.inf] * len(us))
+    for batch in _map_ordered(problem, config, batch_stats):
+        for i, (ns, sw, sw2, batch_lse) in enumerate(batch):
+            n_surv[i] += ns
+            sum_w[i] += sw
+            sum_w2[i] += sw2
+            lse[i] = float(np.logaddexp(lse[i], batch_lse))
+    return [_is_estimate(u, n_surv[i], sum_w[i], sum_w2[i], lse[i], s2, config)
+            for i, u in enumerate(us)]
+
+
+def _is_estimate(u: float, n_surv: int, sum_w: float, sum_w2: float, lse: float,
+                 s2: float, config: SamplerConfig) -> Estimate:
     n = config.n_paths
     log_prefactor = -u * u / (2.0 * s2)
     log_p = lse - math.log(n) + log_prefactor
@@ -196,7 +225,7 @@ def tail_is(problem: Problem, u: float, config: SamplerConfig) -> Estimate:
     stderr = math.exp(log_prefactor) * math.sqrt(var_w / n) if log_p > -645 else 0.0
     rel_stderr = math.sqrt(var_w / n) / mean_w if mean_w > 0 else math.inf
     ess = (sum_w * sum_w / sum_w2) if sum_w2 > 0 else 0.0
-    meta = {"method": "tail_is", "u": float(u), "sigma_star_sq": s2,
+    meta = {"method": "tail_is", "u": u, "sigma_star_sq": s2,
             "n_surviving": n_surv, "ess": ess, "rel_stderr": rel_stderr,
             "log_only": value == 0.0 and lse > -math.inf}
     return Estimate(value=value, stderr=stderr, n=n, seed=config.seed,
@@ -208,34 +237,39 @@ def tail_is(problem: Problem, u: float, config: SamplerConfig) -> Estimate:
 # ---------------------------------------------------------------------------
 
 
-def small_ball(problem: Problem, eps: float, config: SamplerConfig,
-               mode: str = "range") -> Estimate:
-    """P(sup increment from the left endpoint < eps), or the Z* variant.
+def small_ball(problem: Problem, eps_list: Sequence[float], config: SamplerConfig,
+               mode: str = "range") -> list[Estimate]:
+    """P(sup increment from the left endpoint < eps), or the Z* variant, one
+    estimate per eps from one pass.
 
     mode "range": fraction of paths with max_i |X_i - X_0| < eps (1 on a
     singleton grid: there are no increments). mode "zstar": fraction with
     min_i (X_i - Y) > -eps, Y taken against the problem's optimal measure.
     """
-    if eps <= 0:
+    eps_list = [float(eps) for eps in eps_list]
+    if any(not eps > 0 for eps in eps_list):
         raise ValueError("eps must be > 0")
     if mode == "range":
         def count(batch: PathBatch) -> tuple:
             x = batch.values
             if x.shape[1] == 1:
-                return (x.shape[0],)
+                return (x.shape[0],) * len(eps_list)
             dev = np.abs(x[:, 1:] - x[:, :1]).max(axis=1)
-            return (int(np.count_nonzero(dev < eps)),)
+            return tuple(int(np.count_nonzero(dev < eps)) for eps in eps_list)
     elif mode == "zstar":
         measure = problem.solution.measure
 
         def count(batch: PathBatch) -> tuple:
             fn = functionals(batch, measure)
-            return (int(np.count_nonzero(fn.min_value - fn.y > -eps)),)
+            gap = fn.min_value - fn.y
+            return tuple(int(np.count_nonzero(gap > -eps)) for eps in eps_list)
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'range' or 'zstar'")
-    hits = sum(h for (h,) in _map_ordered(problem, config, count))
-    return _binomial_estimate(hits, config,
-                              {"method": f"small_ball_{mode}", "eps": float(eps)})
+    hits = [0] * len(eps_list)
+    for batch in _map_ordered(problem, config, count):
+        hits = [total + h for total, h in zip(hits, batch)]
+    return [_binomial_estimate(h, config, {"method": f"small_ball_{mode}", "eps": eps})
+            for h, eps in zip(hits, eps_list)]
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +339,15 @@ def correction_diagnostic(problem: Problem, u_list: Sequence[float], config: Sam
                           beta: float | None = None) -> CorrectionDiagnostic:
     """Estimate D(u) over a u sweep and fit its growth exponent.
 
-    Each u gets a fresh substream (stream offsets 1, 2, ...) so the fit's
-    points are independent; everything remains reproducible from the seed.
+    Each u gets a fresh substream (stream offsets 1, 2, ...) and so its own
+    pass over the paths, on purpose: the fit's points are independent.
+    Everything remains reproducible from the seed.
     """
     us = [float(u) for u in u_list]
     if len(us) < 2 or any(b <= a for a, b in zip(us, us[1:])) or us[0] <= 0:
         raise EstimationError("u_list must be at least 2 strictly increasing positive values")
     estimates = tuple(
-        tail_is(problem, u, replace(config, stream=config.stream + 1 + i))
+        tail_is(problem, [u], replace(config, stream=config.stream + 1 + i))[0]
         for i, u in enumerate(us))
     log_ps = [e.log_value for e in estimates]
     s2 = problem.solution.sigma_star_sq
@@ -329,59 +364,80 @@ def correction_diagnostic(problem: Problem, u_list: Sequence[float], config: Sam
 # ---------------------------------------------------------------------------
 
 
-def argmin_conditional(problem: Problem, u: float,
-                       config: SamplerConfig) -> tuple[GridMeasure, float]:
-    """Weighted argmin histogram approximating the argmin law given min > u.
+def argmin_conditional(problem: Problem, us: Sequence[float], config: SamplerConfig
+                       ) -> list[tuple[GridMeasure, float] | EstimationError]:
+    """Weighted argmin histograms approximating the argmin law given min > u,
+    one per u from one pass.
 
     Each path contributes the leftmost argmin of the tilted path X + u m /
     sigma*^2 with the weight of ``tail_is``; as u grows the histogram
-    converges to the optimal measure. Returns (histogram, effective sample size).
+    converges to the optimal measure. Each entry is (histogram, effective
+    sample size), or the EstimationError of a u at which no path survives.
     """
-    if u < 0:
+    us = [float(u) for u in us]
+    if any(not u >= 0 for u in us):
         raise EstimationError("u must be >= 0")
     solution = problem.solution
     s2 = solution.sigma_star_sq
     measure = solution.measure
-    shift = _tilt_shift(solution, u)
+    shifts = [_tilt_shift(solution, u) for u in us]
     n_points = problem.grid.points.size
 
-    def batch_stats(batch: PathBatch) -> tuple:
-        fn = functionals(batch, measure, shift)
-        keep = fn.min_value > 0
-        w = np.exp(-u * fn.y[keep] / s2)
-        hist = np.bincount(fn.argmin_index[keep], weights=w, minlength=n_points)
+    def u_stats(u: float, y: np.ndarray, low_min: np.ndarray, low_argmin: np.ndarray) -> tuple:
+        keep = low_min > 0
+        w = np.exp(-u * y[keep] / s2)
+        hist = np.bincount(low_argmin[keep], weights=w, minlength=n_points)
         return hist, float(w.sum()), float((w * w).sum())
 
-    hist = np.zeros(n_points)
-    sum_w = sum_w2 = 0.0
-    for h, sw, sw2 in _map_ordered(problem, config, batch_stats):
-        hist += h
-        sum_w += sw
-        sum_w2 += sw2
-    if sum_w <= 0:
-        raise EstimationError(f"no paths with min > 0 survive at u={u}; no histogram")
-    ess = sum_w * sum_w / sum_w2
-    return GridMeasure.from_raw(problem.grid, hist), ess
+    def shifted_stats(u: float, y: np.ndarray, low: np.ndarray) -> tuple:
+        return u_stats(u, y, low.min(axis=1), low.argmin(axis=1))
+
+    def batch_stats(batch: PathBatch) -> tuple:
+        fn = functionals(batch, measure)
+        return tuple(u_stats(u, fn.y, fn.min_value, fn.argmin_index) if shift is None
+                     else shifted_stats(u, fn.y, batch.values + shift)
+                     for u, shift in zip(us, shifts))
+
+    hists = [np.zeros(n_points) for _ in us]
+    sum_w, sum_w2 = [0.0] * len(us), [0.0] * len(us)
+    for batch in _map_ordered(problem, config, batch_stats):
+        for i, (h, sw, sw2) in enumerate(batch):
+            hists[i] += h
+            sum_w[i] += sw
+            sum_w2[i] += sw2
+    results: list[tuple[GridMeasure, float] | EstimationError] = []
+    for u, hist, sw, sw2 in zip(us, hists, sum_w, sum_w2):
+        if sw <= 0:
+            results.append(EstimationError(
+                f"no paths with min > 0 survive at u={u}; no histogram"))
+        else:
+            results.append((GridMeasure.from_raw(problem.grid, hist), sw * sw / sw2))
+    return results
 
 
-def mx_conditional(problem: Problem, x: float, config: SamplerConfig) -> GridMeasure:
-    """Argmin histogram over paths with Y <= x and min > 0.
+def mx_conditional(problem: Problem, xs: Sequence[float], config: SamplerConfig
+                   ) -> list[GridMeasure | EstimationError]:
+    """Argmin histograms over paths with Y <= x and min > 0, one per x from one pass.
 
-    As x decreases to 0 this law converges to the optimal measure.
+    As x decreases to 0 this law converges to the optimal measure. An entry
+    is the EstimationError of an x that no path satisfies.
     """
-    if x <= 0:
+    xs = [float(x) for x in xs]
+    if any(not x > 0 for x in xs):
         raise EstimationError("x must be > 0")
     measure = problem.solution.measure
     n_points = problem.grid.points.size
 
     def batch_stats(batch: PathBatch) -> tuple:
         fn = functionals(batch, measure)
-        keep = (fn.min_value > 0) & (fn.y <= x)
-        return (np.bincount(fn.argmin_index[keep], minlength=n_points),)
+        survive = fn.min_value > 0
+        return tuple(np.bincount(fn.argmin_index[survive & (fn.y <= x)], minlength=n_points)
+                     for x in xs)
 
-    hist = np.zeros(n_points)
-    for (h,) in _map_ordered(problem, config, batch_stats):
-        hist += h
-    if hist.sum() <= 0:
-        raise EstimationError(f"no paths satisfy Y <= {x} and min > 0; no histogram")
-    return GridMeasure.from_raw(problem.grid, hist)
+    hists = [np.zeros(n_points) for _ in xs]
+    for batch in _map_ordered(problem, config, batch_stats):
+        for hist, h in zip(hists, batch):
+            hist += h
+    return [GridMeasure.from_raw(problem.grid, hist) if hist.sum() > 0
+            else EstimationError(f"no paths satisfy Y <= {x} and min > 0; no histogram")
+            for x, hist in zip(xs, hists)]

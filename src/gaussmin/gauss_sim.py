@@ -166,17 +166,11 @@ class PathFunctionals:
             object.__setattr__(self, name, arr)
 
 
-def functionals(batch: PathBatch, weights: GridMeasure,
-                shift: np.ndarray | None = None) -> PathFunctionals:
-    """Y, min and leftmost argmin for every path in the batch.
-
-    With ``shift`` (one value per point) the min and argmin are those of
-    X + shift, the change-of-measure survival test; Y is always w . X.
-    """
+def functionals(batch: PathBatch, weights: GridMeasure) -> PathFunctionals:
+    """Y, min and leftmost argmin for every path in the batch."""
     if not np.array_equal(weights.grid.points, batch.grid.points):
         raise GridMismatchError("weights are not on the batch's grid")
     x = batch.values
-    low = x if shift is None else x + shift
     return PathFunctionals(y=x @ weights.weights,
-                           min_value=low.min(axis=1),
-                           argmin_index=low.argmin(axis=1))
+                           min_value=x.min(axis=1),
+                           argmin_index=x.argmin(axis=1))

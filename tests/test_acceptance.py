@@ -181,7 +181,7 @@ def test_criterion_04_unit_mean_identity_and_case_b():
 def test_criterion_05_orthant_oracle():
     t0 = time.perf_counter()
     kern = ExplicitGram(np.array([[1.0, 0.5], [0.5, 1.0]]), np.array([0.0, 1.0]))
-    est = tail_crude(Problem(kern, kern.grid()), 0.0, config(1_000_000))
+    [est] = tail_crude(Problem(kern, kern.grid()), [0.0], config(1_000_000))
     elapsed = time.perf_counter() - t0
 
     exact = orthant_closed(0.5)
@@ -200,13 +200,13 @@ def test_criterion_05_orthant_oracle():
 
 def test_criterion_06_change_of_measure_bridge():
     problem = Problem(OU, DyadicGrid(0.0, 1.0, 6))
-    crude1 = tail_crude(problem, 1.0, config(100_000))
-    is1 = tail_is(problem, 1.0, config(100_000, stream=1))
+    [crude1] = tail_crude(problem, [1.0], config(100_000))
+    [is1] = tail_is(problem, [1.0], config(100_000, stream=1))
     combined = float(np.hypot(crude1.stderr, is1.stderr))
     bridge_dev = abs(crude1.value - is1.value) / combined
 
-    crude4 = tail_crude(problem, 4.0, config(1_000_000))
-    is4 = tail_is(problem, 4.0, config(1_000_000))
+    [crude4] = tail_crude(problem, [4.0], config(1_000_000))
+    [is4] = tail_is(problem, [4.0], config(1_000_000))
 
     bridge_ok = bridge_dev <= 3.0
     zero_ok = crude4.meta["zero_hits"]
@@ -251,7 +251,7 @@ def test_criterion_08_conditional_argmin_law():
     problem2 = Problem(OU, DyadicGrid(0.0, 1.0, 2))
     grid2, sol2, fac = problem2.grid, problem2.solution, problem2.factor
     cfg = config(1_000_000)
-    hist, _ = argmin_conditional(problem2, 1.0, cfg)
+    [(hist, _)] = argmin_conditional(problem2, [1.0], cfg)
 
     w_parts, i_parts = [], []
     for start in range(0, cfg.n_paths, 250_000):
@@ -279,8 +279,7 @@ def test_criterion_08_conditional_argmin_law():
     # (b) trend at k=5 over u = 1, 2, 3
     problem5 = Problem(OU, DyadicGrid(0.0, 1.0, 5))
     tvs, esses = [], []
-    for u in (1.0, 2.0, 3.0):
-        h, ess = argmin_conditional(problem5, u, cfg)
+    for h, ess in argmin_conditional(problem5, [1.0, 2.0, 3.0], cfg):
         tvs.append(tv_distance(h, problem5.solution.measure))
         esses.append(ess)
     monotone_ok = tvs[0] >= tvs[1] >= tvs[2]
@@ -306,10 +305,8 @@ def test_criterion_08_conditional_argmin_law():
 def test_criterion_09_mx_limit_trend():
     problem = Problem(OU, DyadicGrid(0.0, 1.0, 4))
     cfg = config(10_000_000)
-    tvs = []
-    for x in (1.0, 0.5, 0.25):
-        hist = mx_conditional(problem, x, cfg)
-        tvs.append(tv_distance(hist, problem.solution.measure))
+    tvs = [tv_distance(hist, problem.solution.measure)
+           for hist in mx_conditional(problem, [1.0, 0.5, 0.25], cfg)]
     ok = tvs[0] >= tvs[1] >= tvs[2]
     line = scorecard(9, ok, f"tv(x=1.0, 0.5, 0.25)=({tvs[0]:.4f}, {tvs[1]:.4f}, "
                      f"{tvs[2]:.4f}), nonincreasing={ok}")
@@ -330,8 +327,7 @@ def test_criterion_10_path_invariants_and_byte_identity(tmp_path):
 
     # shared seed: the hit sets {min > u} are nested, so the estimates are
     # exactly nonincreasing in u
-    values = [tail_crude(problem, u, cfg).value
-              for u in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)]
+    values = [e.value for e in tail_crude(problem, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0], cfg)]
     monotone_ok = all(a >= b for a, b in zip(values, values[1:]))
 
     # byte-identical outputs for 1 vs 8 worker threads

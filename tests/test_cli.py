@@ -111,6 +111,54 @@ def test_smallball_requires_eps_list(run_cli):
     assert code == EXIT_CONFIG
 
 
+# every sweep parameter and sampling setting is checked before any pass over
+# the paths, so a bad one exits 3 and writes nothing
+
+OU_K3 = {"kernel": {"type": "ou"}, "interval": [0.0, 1.0], "k": 3, "n_paths": 1000}
+
+
+@pytest.mark.parametrize("setting, extra", [({"n_paths": 0}, []), ({"batch_size": 0}, []),
+                                            ({}, ["--threads", "0"])],
+                         ids=["n_paths", "batch_size", "threads"])
+def test_bad_sampling_setting_exits_3(run_cli, setting, extra):
+    code, out = run_cli("tail", config=dict(OU_K3, u_list=[1.0], **setting), extra=extra)
+    assert code == EXIT_CONFIG
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, key", [("tail", "u_list"), ("argmin", "x_list")])
+def test_non_numeric_sweep_parameter_exits_3(run_cli, command, key):
+    code, out = run_cli(command, config={**OU_K3, "u_list": [1.0], key: ["a"]})
+    assert code == EXIT_CONFIG
+    assert list(out.iterdir()) == []
+
+
+def test_negative_eps_exits_3(run_cli):
+    code, out = run_cli("smallball", config=dict(OU_K3, eps_list=[0.5, -0.1]))
+    assert code == EXIT_CONFIG
+    assert list(out.iterdir()) == []
+
+
+def test_non_finite_u_exits_3(run_cli):
+    # Python's json reads NaN, so the value reaches the config
+    code, out = run_cli("tail", config=dict(OU_K3, u_list=[math.nan, 1.0]))
+    assert code == EXIT_CONFIG
+    assert list(out.iterdir()) == []
+
+
+def test_argmin_u_labels_must_stay_distinct(run_cli):
+    # both values would be labelled u=1: one argmin_u1.csv, one "u=1" key
+    code, out = run_cli("argmin", config=dict(OU_K3, argmin_u_list=[1.0, 1.0000001]))
+    assert code == EXIT_CONFIG
+    assert list(out.iterdir()) == []
+
+
+def test_negative_argmin_u_exits_3(run_cli):
+    code, out = run_cli("argmin", config=dict(OU_K3, argmin_u_list=[1.0, -0.5]))
+    assert code == EXIT_CONFIG
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -278,6 +326,30 @@ def test_tail_builds_gram_factor_and_solution_once(run_cli, monkeypatch):
     code, _ = run_cli("tail", config={"preset": "ou", "n_paths": 2000})
     assert code == EXIT_OK
     assert calls == {"gram": 1, "cholesky": 1, "certify": 1}
+
+
+@pytest.mark.parametrize("command, config, passes", [
+    ("tail", {}, 2),                      # crude over every u, then IS over every u
+    # argmin over every u, then m_x over every x (x = 0.25 needs far more paths)
+    ("argmin", {"x_list": [1.0, 0.5]}, 2),
+    ("argmin", {"x_list": []}, 1),        # no x: no m_x pass
+    ("smallball", {}, 1),
+])
+def test_sweep_draws_each_path_once_per_estimator(run_cli, monkeypatch, command, config,
+                                                  passes):
+    # each estimator folds its whole parameter list from one pass over the paths
+    rows = Counter()
+    sample = gaussmin.estimators.sample
+
+    def counted(*args, **kwargs):
+        batch = sample(*args, **kwargs)
+        rows["drawn"] += batch.values.shape[0]
+        return batch
+
+    monkeypatch.setattr(gaussmin.estimators, "sample", counted)
+    code, _ = run_cli(command, config={"preset": "ou", "n_paths": 3000, **config})
+    assert code == EXIT_OK
+    assert rows["drawn"] == passes * 3000
 
 
 def test_tail_dump_paths(run_cli):

@@ -44,26 +44,26 @@ def _correlated_pair(rho=0.5) -> Problem:
 
 
 def test_crude_tail_singleton():
-    est = tail_crude(_explicit([[1.0]]), 0.0, make_config())
+    [est] = tail_crude(_explicit([[1.0]]), [0.0], make_config())
     assert abs(est.value - 0.5) <= 4 * est.stderr
     assert est.n == 100_000
     assert est.meta["method"] == "tail_crude"
 
 
 def test_crude_tail_independent_pair():
-    est = tail_crude(_correlated_pair(0.0), 0.0, make_config())
+    [est] = tail_crude(_correlated_pair(0.0), [0.0], make_config())
     assert abs(est.value - 0.25) <= 4 * est.stderr
 
 
 def test_crude_tail_correlated_pair_matches_orthant_formula():
-    est = tail_crude(_correlated_pair(0.5), 0.0, make_config(n_paths=200_000))
+    [est] = tail_crude(_correlated_pair(0.5), [0.0], make_config(n_paths=200_000))
     assert abs(est.value - orthant_closed(0.5)) <= 4 * est.stderr
     assert orthant_closed(0.5) == pytest.approx(1 / 3, abs=1e-15)
 
 
 def test_crude_tail_decreases_in_u_with_a_shared_seed(ou_problem_k5):
     cfg = make_config(n_paths=50_000)
-    values = [tail_crude(ou_problem_k5, u, cfg).value for u in (0.0, 0.5, 1.0, 2.0)]
+    values = [e.value for e in tail_crude(ou_problem_k5, [0.0, 0.5, 1.0, 2.0], cfg)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -74,15 +74,15 @@ def test_crude_tail_decreases_in_u_with_a_shared_seed(ou_problem_k5):
 
 def test_is_tail_equals_crude_at_u_zero(ou_problem_k5):
     cfg = make_config(n_paths=50_000)
-    crude = tail_crude(ou_problem_k5, 0.0, cfg)
-    weighted = tail_is(ou_problem_k5, 0.0, cfg)
+    [crude] = tail_crude(ou_problem_k5, [0.0], cfg)
+    [weighted] = tail_is(ou_problem_k5, [0.0], cfg)
     assert weighted.value == crude.value  # bit-identical survivor count
 
 
 def test_is_tail_agrees_with_crude_at_moderate_u(ou):
     problem = Problem(ou, DyadicGrid(0.0, 1.0, 6))
-    crude = tail_crude(problem, 1.0, make_config(n_paths=100_000))
-    weighted = tail_is(problem, 1.0, make_config(n_paths=100_000, stream=5))
+    [crude] = tail_crude(problem, [1.0], make_config(n_paths=100_000))
+    [weighted] = tail_is(problem, [1.0], make_config(n_paths=100_000, stream=5))
     combined = np.hypot(crude.stderr, weighted.stderr)
     assert abs(crude.value - weighted.value) <= 3 * combined
 
@@ -93,17 +93,18 @@ def test_is_tail_agrees_with_crude_without_full_support():
     kern = ModulatedBrownian(ShiftedRootScale(1.0), 1.5, 4.0)
     problem = Problem(kern, DyadicGrid(1.5, 4.0, 5))
     assert problem.solution.support.size < problem.grid.n
-    for u in (1.0, 2.0):
-        crude = tail_crude(problem, u, make_config(n_paths=2_000_000, workers=2))
-        weighted = tail_is(problem, u, make_config(n_paths=2_000_000, stream=1, workers=2))
+    us = [1.0, 2.0]
+    crudes = tail_crude(problem, us, make_config(n_paths=2_000_000, workers=2))
+    weighteds = tail_is(problem, us, make_config(n_paths=2_000_000, stream=1, workers=2))
+    for u, crude, weighted in zip(us, crudes, weighteds):
         combined = np.hypot(crude.stderr, weighted.stderr)
         assert abs(crude.value - weighted.value) <= 3 * combined, u
 
 
 def test_is_tail_reaches_where_crude_sees_nothing(ou_problem_k5):
     cfg = make_config(n_paths=50_000)
-    crude = tail_crude(ou_problem_k5, 6.0, cfg)
-    weighted = tail_is(ou_problem_k5, 6.0, cfg)
+    [crude] = tail_crude(ou_problem_k5, [6.0], cfg)
+    [weighted] = tail_is(ou_problem_k5, [6.0], cfg)
     assert crude.meta["zero_hits"]
     assert weighted.value > 0
     assert np.isfinite(weighted.log_value)
@@ -112,7 +113,7 @@ def test_is_tail_reaches_where_crude_sees_nothing(ou_problem_k5):
 
 def test_is_tail_log_only_regime():
     # deep tail: value underflows but the log estimate stays finite
-    deep = tail_is(_explicit([[1.0]]), 45.0, make_config(n_paths=20_000))
+    [deep] = tail_is(_explicit([[1.0]]), [45.0], make_config(n_paths=20_000))
     assert deep.value == 0.0
     assert deep.meta["log_only"]
     assert np.isfinite(deep.log_value)
@@ -125,27 +126,27 @@ def test_is_tail_log_only_regime():
 
 
 def test_small_ball_trivial_cases(ou_problem_k2):
-    assert small_ball(ou_problem_k2, 1e6, make_config(n_paths=1000)).value == 1.0
-    assert small_ball(_explicit([[1.0]]), 1e-8, make_config(n_paths=1000)).value == 1.0
+    assert small_ball(ou_problem_k2, [1e6], make_config(n_paths=1000))[0].value == 1.0
+    assert small_ball(_explicit([[1.0]]), [1e-8], make_config(n_paths=1000))[0].value == 1.0
 
 
 def test_small_ball_decreases_with_eps_on_a_shared_seed(ou_problem_k5):
     cfg = make_config(n_paths=50_000)
-    vals = [small_ball(ou_problem_k5, eps, cfg).value for eps in (1.0, 0.8, 0.6)]
+    vals = [e.value for e in small_ball(ou_problem_k5, [1.0, 0.8, 0.6], cfg)]
     assert vals[0] > vals[1] > vals[2] > 0
 
 
 def test_small_ball_zstar_mode(ou_problem_k5):
-    est = small_ball(ou_problem_k5, 0.5, make_config(n_paths=50_000), mode="zstar")
+    [est] = small_ball(ou_problem_k5, [0.5], make_config(n_paths=50_000), mode="zstar")
     assert 0 < est.value < 1
     assert est.meta["method"] == "small_ball_zstar"
 
 
 def test_small_ball_argument_validation(ou_problem_k2):
     with pytest.raises(ValueError):
-        small_ball(ou_problem_k2, 0.0, make_config(n_paths=100))
+        small_ball(ou_problem_k2, [0.5, 0.0], make_config(n_paths=100))
     with pytest.raises(ValueError):
-        small_ball(ou_problem_k2, 0.5, make_config(n_paths=100), mode="volume")
+        small_ball(ou_problem_k2, [0.5], make_config(n_paths=100), mode="volume")
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +205,7 @@ def test_correction_diagnostic_end_to_end(ou):
     assert 0 < diag.exponent < 1.2
     assert diag.lower_bound_exponent == pytest.approx(0.5)
     # each u runs on its own substream, reproducibly
-    again = tail_is(problem, 2.0, replace(cfg, stream=cfg.stream + 2))
+    [again] = tail_is(problem, [2.0], replace(cfg, stream=cfg.stream + 2))
     assert diag.estimates[1].value == again.value
 
 
@@ -224,7 +225,7 @@ def test_correction_diagnostic_validates_u_list(ou_problem_k2):
 
 
 def test_argmin_law_two_iid_points_is_uniform():
-    hist, ess = argmin_conditional(_explicit(np.eye(2)), 0.0, make_config())
+    [(hist, ess)] = argmin_conditional(_explicit(np.eye(2)), [0.0], make_config())
     stderr = 2.0 / np.sqrt(ess)
     assert abs(hist.weights[0] - 0.5) <= 3 * stderr
     assert hist.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -237,7 +238,7 @@ def test_argmin_law_matches_direct_conditioning(ou_problem_k2):
     u = 1.0
     cfg = make_config(n_paths=100_000)
     grid, sol = ou_problem_k2.grid, ou_problem_k2.solution
-    weighted, ess = argmin_conditional(ou_problem_k2, u, cfg)
+    [(weighted, ess)] = argmin_conditional(ou_problem_k2, [u], cfg)
     assert ess >= 100
 
     # manual replication of the weighting, for per-bin standard errors
@@ -264,27 +265,99 @@ def test_argmin_law_matches_direct_conditioning(ou_problem_k2):
 
 def test_argmin_law_rejects_negative_u(ou_problem_k2):
     with pytest.raises(EstimationError):
-        argmin_conditional(ou_problem_k2, -0.5, make_config(n_paths=1000))
+        argmin_conditional(ou_problem_k2, [1.0, -0.5], make_config(n_paths=1000))
 
 
 def test_mx_law_with_huge_threshold_equals_unconditional_argmin(ou_problem_k2):
     cfg = make_config(n_paths=50_000)
-    via_u, _ = argmin_conditional(ou_problem_k2, 0.0, cfg)
-    via_x = mx_conditional(ou_problem_k2, 1e6, cfg)
+    [(via_u, _)] = argmin_conditional(ou_problem_k2, [0.0], cfg)
+    [via_x] = mx_conditional(ou_problem_k2, [1e6], cfg)
     assert np.array_equal(via_u.weights, via_x.weights)
 
 
 def test_mx_law_two_iid_points():
-    hist = mx_conditional(_explicit(np.eye(2)), 0.5, make_config())
+    [hist] = mx_conditional(_explicit(np.eye(2)), [0.5], make_config())
     assert abs(hist.weights[0] - 0.5) <= 0.05
 
 
 def test_mx_law_validation(ou_problem_k2):
     with pytest.raises(EstimationError):
-        mx_conditional(ou_problem_k2, 0.0, make_config(n_paths=100))
-    # min > 0 forces Y > 0, so an extreme threshold leaves no paths
-    with pytest.raises(EstimationError):
-        mx_conditional(ou_problem_k2, 1e-12, make_config(n_paths=5000))
+        mx_conditional(ou_problem_k2, [1.0, 0.0], make_config(n_paths=100))
+    # min > 0 forces Y > 0, so an extreme threshold leaves no paths; that
+    # fails only its own entry
+    empty, ok = mx_conditional(ou_problem_k2, [1e-12, 1.0], make_config(n_paths=5000))
+    assert isinstance(empty, EstimationError)
+    assert str(empty) == "no paths satisfy Y <= 1e-12 and min > 0; no histogram"
+    assert ok.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one pass for a whole parameter list
+# ---------------------------------------------------------------------------
+#
+# A list call folds every parameter's statistics from one pass over the paths;
+# each parameter must come out exactly as from its own one-element call: OU is
+# full support (the unshifted min and argmin are shared), example2 is not (each
+# u > 0 recomputes its shifted min and argmin), and 5000 paths in batches of
+# 768 leave a short last batch.
+
+SWEEP_US = [0.0, 0.5, 1.0, 2.0]
+
+
+@pytest.fixture(scope="module")
+def example2_problem_k5():
+    kern = ModulatedBrownian(ShiftedRootScale(1.0), 1.5, 4.0)
+    return Problem(kern, DyadicGrid(1.5, 4.0, 5))
+
+
+@pytest.fixture(params=[("ou", 1), ("ou", 2), ("example2", 1), ("example2", 2)],
+                ids=lambda p: f"{p[0]}-workers{p[1]}")
+def sweep_case(request, ou_problem_k5, example2_problem_k5):
+    name, workers = request.param
+    problem = ou_problem_k5 if name == "ou" else example2_problem_k5
+    return problem, make_config(n_paths=5000, batch_size=768, workers=workers)
+
+
+def test_sweep_problems_cover_full_and_partial_support(ou_problem_k5, example2_problem_k5):
+    assert ou_problem_k5.solution.support.size == ou_problem_k5.grid.n
+    assert example2_problem_k5.solution.support.size < example2_problem_k5.grid.n
+
+
+@pytest.mark.parametrize("estimator", [tail_crude, tail_is])
+def test_tail_list_equals_one_element_calls(sweep_case, estimator):
+    problem, cfg = sweep_case
+    fused = estimator(problem, SWEEP_US, cfg)
+    assert fused == [estimator(problem, [u], cfg)[0] for u in SWEEP_US]
+
+
+@pytest.mark.parametrize("mode", ["range", "zstar"])
+def test_small_ball_list_equals_one_element_calls(sweep_case, mode):
+    problem, cfg = sweep_case
+    eps_list = [2.0, 1.0, 0.5, 0.25]
+    fused = small_ball(problem, eps_list, cfg, mode=mode)
+    assert fused == [small_ball(problem, [eps], cfg, mode=mode)[0] for eps in eps_list]
+
+
+def test_argmin_list_equals_one_element_calls(sweep_case):
+    problem, cfg = sweep_case
+    fused = argmin_conditional(problem, SWEEP_US, cfg)
+    for u, (hist, ess) in zip(SWEEP_US, fused):
+        [(alone, alone_ess)] = argmin_conditional(problem, [u], cfg)
+        assert np.array_equal(hist.weights, alone.weights), u
+        assert ess == alone_ess, u
+
+
+def test_mx_list_equals_one_element_calls(sweep_case):
+    problem, cfg = sweep_case
+    xs = [2.0, 1.0, 0.5, 1e-12]
+    fused = mx_conditional(problem, xs, cfg)
+    for x, hist in zip(xs[:-1], fused):
+        [alone] = mx_conditional(problem, [x], cfg)
+        assert np.array_equal(hist.weights, alone.weights), x
+    # an x no path satisfies fails alone, with the message of its own call
+    [alone] = mx_conditional(problem, xs[-1:], cfg)
+    assert isinstance(fused[-1], EstimationError)
+    assert str(fused[-1]) == str(alone)
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +366,18 @@ def test_mx_law_validation(ou_problem_k2):
 
 
 def test_estimates_are_reproducible(ou_problem_k5):
-    a = tail_crude(ou_problem_k5, 0.7, make_config(n_paths=30_000))
-    b = tail_crude(ou_problem_k5, 0.7, make_config(n_paths=30_000))
+    [a] = tail_crude(ou_problem_k5, [0.7], make_config(n_paths=30_000))
+    [b] = tail_crude(ou_problem_k5, [0.7], make_config(n_paths=30_000))
     assert (a.value, a.stderr) == (b.value, b.stderr)
-    c = tail_crude(ou_problem_k5, 0.7, make_config(n_paths=30_000, stream=3))
+    [c] = tail_crude(ou_problem_k5, [0.7], make_config(n_paths=30_000, stream=3))
     assert a.value != c.value
 
 
 def test_worker_count_never_changes_results(ou_problem_k5):
     serial = make_config(n_paths=50_000, batch_size=4096, workers=1)
     threaded = make_config(n_paths=50_000, batch_size=4096, workers=4)
-    a = tail_is(ou_problem_k5, 2.0, serial)
-    b = tail_is(ou_problem_k5, 2.0, threaded)
+    [a] = tail_is(ou_problem_k5, [2.0], serial)
+    [b] = tail_is(ou_problem_k5, [2.0], threaded)
     assert (a.value, a.stderr, a.log_value) == (b.value, b.stderr, b.log_value)
 
 

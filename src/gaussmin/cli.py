@@ -54,6 +54,19 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _number(cfg: dict, key: str, default, integer: bool = False,
+            low: float = -math.inf, high: float = math.inf) -> int | float:
+    """A scalar config value: a JSON integer when ``integer``, else a finite
+    number, in [low, high]; anything else is a ConfigError, not a traceback."""
+    v = cfg.get(key, default)
+    ok = (isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
+          and (integer or math.isfinite(v)) and low <= v <= high)
+    bounds = "" if (low, high) == (-math.inf, math.inf) else f" in [{low:g}, {high:g}]"
+    _require(ok, f"'{key}' must be {'an integer' if integer else 'a finite number'}"
+                 f"{bounds}; got {v!r}")
+    return int(v) if integer else float(v)
+
+
 PRESETS: dict[str, dict] = {
     "ou": {
         "kernel": {"type": "ou"},
@@ -176,9 +189,7 @@ def resolve_grid(cfg: dict, kernel: Kernel, k_key: str = "k") -> Grid:
     interval = cfg.get("interval")
     _require(isinstance(interval, (list, tuple)) and len(interval) == 2,
              "config needs interval [a, b]")
-    k = cfg.get(k_key, 5)
-    _require(isinstance(k, int) and 0 <= k <= MAX_LEVEL,
-             f"'{k_key}' must be an integer in [0, {MAX_LEVEL}]")
+    k = _number(cfg, k_key, 5, integer=True, low=0, high=MAX_LEVEL)
     return DyadicGrid(float(interval[0]), float(interval[1]), k)
 
 
@@ -275,9 +286,10 @@ def cmd_solve(cfg: dict, out: Path) -> int:
     else:
         interval = cfg.get("interval")
         _require(interval is not None, "solve needs interval [a, b]")
-        k_min, k_max = int(cfg.get("k_min", 2)), int(cfg.get("k_max", 8))
+        k_min = _number(cfg, "k_min", 2, integer=True, low=0, high=MAX_LEVEL)
+        k_max = _number(cfg, "k_max", 8, integer=True, low=k_min, high=MAX_LEVEL)
         trace = refine(kernel, (float(interval[0]), float(interval[1])), k_min, k_max,
-                       stop_tol=float(cfg.get("stop_tol", 1e-6)))
+                       stop_tol=_number(cfg, "stop_tol", 1e-6))
     final = trace.final
     report = trace.problem.solution.report
     write_csv(out / "weights.csv", cfg, ["point", "weight"], _measure_rows(final.measure))
@@ -332,7 +344,7 @@ def cmd_analytic(cfg: dict, out: Path) -> int:
     payload = {"measure": measure.to_dict(), **info}
     probability = normalize(measure)
     if cfg.get("cross_check", True):
-        k = int(cfg.get("k", 8))
+        k = _number(cfg, "k", 8, integer=True, low=0, high=MAX_LEVEL)
         a, b = measure.interval
         grid = DyadicGrid(a, b, k)
         sol = Problem(kernel, grid).solution
@@ -366,11 +378,12 @@ def cmd_tail(cfg: dict, out: Path) -> int:
     methods = cfg.get("methods", ["crude", "is"])
     _require(set(methods) <= {"crude", "is"} and methods, "methods must be crude and/or is")
     config = sampler_config(cfg)
+    n_dump = min(_number(cfg, "dump_paths", 0, integer=True, low=0), config.n_paths,
+                 PATH_DUMP_CAP)
     problem = Problem(kernel, grid)
     s2 = problem.solution.sigma_star_sq
-    if cfg.get("dump_paths"):
-        n_dump = min(int(cfg["dump_paths"]), config.n_paths, PATH_DUMP_CAP)
-        batch = sample(problem.factor, grid, config, start=0, count=n_dump)
+    if n_dump:
+        batch = sample(problem.path_map, grid, config, start=0, count=n_dump)
         write_csv(out / "paths.csv", cfg,
                   [f"x{i}" for i in range(grid.points.size)],
                   [tuple(row) for row in batch.values])
@@ -479,13 +492,13 @@ def cmd_diagnose(cfg: dict, out: Path) -> int:
         local["u_list"] = cfg["diagnose_u_list"]
     kernel = build_kernel(local)
     grid = resolve_grid(local, kernel)
-    us = _u_values(local)
-    _require(len(us) >= 2, "diagnose needs at least two u values")
+    us = _u_values(local, "> 0")
+    _require(len(us) >= 2 and all(b > a for a, b in zip(us, us[1:])),
+             "diagnose needs at least two strictly increasing u values")
+    beta = None if cfg.get("beta") is None else _number(cfg, "beta", None, low=0)
     problem = Problem(kernel, grid)
     config = sampler_config(local)
-    beta = cfg.get("beta")
-    diag = correction_diagnostic(problem, us, config,
-                                 beta=float(beta) if beta is not None else None)
+    diag = correction_diagnostic(problem, us, config, beta=beta)
     rows = [(u, est.value, est.stderr, lp, d)
             for (u, lp, d), est in zip(diag.rows, diag.estimates)]
     write_csv(out / "diagnose.csv", cfg, ["u", "p_hat", "stderr", "log_p", "D_u"], rows)

@@ -40,7 +40,8 @@ import numpy as np
 
 from . import optimizer
 from .exceptions import EstimationError
-from .gauss_sim import Factorization, PathBatch, SamplerConfig, factorize, functionals, sample
+from .gauss_sim import (Factorization, MarkovPaths, PathBatch, SamplerConfig, factorize,
+                        functionals, path_map, sample)
 from .grids import Grid
 from .kernels import Kernel
 from .measure import GridMeasure
@@ -53,9 +54,10 @@ ESS_WARN_THRESHOLD = 100.0
 @dataclass(frozen=True, eq=False)
 class Problem:
     """One (kernel, grid): its Gram matrix ``sigma``, built once, with its one
-    jittered Cholesky ``factor`` (also the PSD check of ``sigma``), which the
-    sampler and the solver share, and the solver's certified ``solution``, each
-    computed on first use and kept.
+    jittered Cholesky ``factor`` (also the PSD check of ``sigma``), the
+    sampler's ``path_map`` (the O(n) Markov cumsum where ``gauss_sim.path_map``
+    allows it, else ``factor``) and the solver's certified ``solution`` on
+    ``factor``, each computed on first use and kept.
     """
 
     kernel: Kernel
@@ -70,6 +72,10 @@ class Problem:
     @cached_property
     def factor(self) -> Factorization:
         return factorize(self.sigma)
+
+    @cached_property
+    def path_map(self) -> Factorization | MarkovPaths:
+        return path_map(self.factor, self.kernel.markov_form(self.grid))
 
     @cached_property
     def solution(self) -> OptimalSolution:
@@ -115,12 +121,12 @@ def _map_ordered(problem: Problem, config: SamplerConfig,
     With several workers the batches are computed concurrently but reduced in
     submission order, so the folded result is identical for any worker count.
     """
-    factor, grid = problem.factor, problem.grid  # cached here, before workers read it
+    paths, grid = problem.path_map, problem.grid  # cached here, before workers read it
     plan = [(s, min(config.batch_size, config.n_paths - s))
             for s in range(0, config.n_paths, config.batch_size)]
 
     def run(start: int, count: int) -> tuple:
-        return fn(sample(factor, grid, config, start, count))
+        return fn(sample(paths, grid, config, start, count))
 
     if config.workers == 1:
         for start, count in plan:

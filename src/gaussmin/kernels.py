@@ -11,6 +11,11 @@ Four families are supported:
 * ``ExplicitGram`` -- an arbitrary symmetric PSD matrix tied to an explicit
   point set; escape hatch for matrices that do not come from a kernel formula.
 
+Every family except ``PowerExponential(alpha < 1)`` and ``ExplicitGram`` is a
+Gauss-Markov kernel: ``R(s, t) = q(s) q(t) r(min(s, t))`` with r increasing,
+so a path is q times a time-changed Brownian motion W(r(t)).
+``Kernel.markov_form`` returns (r, q) on a point set, or None.
+
 Kernels are immutable and all operations are pure, so instances can be shared
 freely across concurrent workers.
 """
@@ -149,6 +154,23 @@ class Kernel:
         self._check_domain(pts)
         return self.pairwise(pts, pts)
 
+    def markov_form(self, grid) -> tuple[np.ndarray, np.ndarray] | None:
+        """(r, q) on the points with R(s, t) = q(s) q(t) r(min(s, t)), or None
+        for a kernel without this Gauss-Markov form."""
+        pts = as_points(grid)
+        self._check_domain(pts)
+        return self._markov(pts)
+
+    def _markov(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        return None
+
+
+def _ou_markov(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # exp(-|s - t|) = e^-s e^-t e^(2 min(s, t)); an r that overflows is
+    # refused by the sampler's path map, which then keeps the dense factor
+    with np.errstate(over="ignore"):
+        return np.exp(2.0 * pts), np.exp(-pts)
+
 
 @dataclass(frozen=True)
 class OrnsteinUhlenbeck(Kernel):
@@ -158,6 +180,9 @@ class OrnsteinUhlenbeck(Kernel):
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
         return np.exp(-np.abs(s[:, None] - t[None, :]))
+
+    def _markov(self, pts):
+        return _ou_markov(pts)
 
 
 @dataclass(frozen=True)
@@ -174,6 +199,9 @@ class PowerExponential(Kernel):
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
         return np.exp(-np.abs(s[:, None] - t[None, :]) ** self.alpha)
+
+    def _markov(self, pts):
+        return _ou_markov(pts) if self.alpha == 1.0 else None
 
 
 @dataclass(frozen=True)
@@ -202,6 +230,12 @@ class ModulatedBrownian(Kernel):
         if np.any(gs <= 0) or np.any(gt <= 0):
             raise DomainError("scale function must be positive on the support")
         return np.minimum(s[:, None], t[None, :]) / (gs[:, None] * gt[None, :])
+
+    def _markov(self, pts):
+        g = np.asarray(self.scale.g(pts), dtype=float)
+        if np.any(g <= 0):
+            raise DomainError("scale function must be positive on the support")
+        return pts.copy(), 1.0 / g
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Everything here is deliberately implemented apart from the package code paths
 it is used to check: quadratures go through scipy.integrate, simplex optima
 through exhaustive support enumeration and lattice mesh search, orthant
-probabilities through the closed form cross-checked by double integration.
+probabilities through the closed form cross-checked by double integration, the
+standard-normal table through its plain out-of-place expression.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import itertools
 import math
 
 import numpy as np
+from numpy.random import Philox
 from scipy import integrate
+from scipy.special import ndtri
 
 from gaussmin import GridMismatchError
 
@@ -199,6 +202,26 @@ def mu_alpha_mean_quad(alpha: float, a: float, b: float, t: float) -> float:
         lambda x: r(x) * alpha * (1.0 - alpha) * x ** (2.0 * alpha - 2.0),
         a, b, points=[t], limit=200)
     return val + dens
+
+
+# ---------------------------------------------------------------------------
+# the standard-normal table, out of place
+# ---------------------------------------------------------------------------
+
+
+def reference_normals(seed: int, stream: int, start: int, count: int,
+                      n_points: int) -> np.ndarray:
+    """The (count, n_points) block of the normal table, one temporary per step.
+
+    Path j reads Philox counter blocks [j*bpp, (j+1)*bpp), bpp =
+    ceil(n_points/4), of the (seed, stream) keystream; each 64-bit word keeps
+    its top 52 bits as the uniform (k + 1/2) 2^-52, mapped through ndtri.
+    """
+    bpp = -(-n_points // 4)
+    bg = Philox(key=np.array([seed, stream], dtype=np.uint64))
+    bg.advance(start * bpp)
+    raw = bg.random_raw(count * bpp * 4).reshape(count, bpp * 4)[:, :n_points]
+    return ndtri(((raw >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,29 @@ def test_negative_argmin_u_exits_3(run_cli):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("u_list", [[0.0, 1.0], [2.0, 1.0]], ids=["zero", "decreasing"])
+def test_diagnose_bad_u_list_exits_3(run_cli, u_list):
+    # the fit needs u > 0, strictly increasing; checked before any pass
+    code, out = run_cli("diagnose", config={"preset": "ou", "n_paths": 1000,
+                                            "u_list": u_list})
+    assert code == EXIT_CONFIG
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("tail", "dump_paths", "abc"),
+    ("diagnose", "beta", "x"),
+    ("solve", "k_min", "2"),
+    ("solve", "k_max", 1),       # below k_min = 2
+    ("solve", "stop_tol", "tiny"),
+    ("analytic", "k", 2.5),
+], ids=["dump_paths", "beta", "k_min", "k_max", "stop_tol", "analytic_k"])
+def test_bad_scalar_setting_exits_3(run_cli, command, key, value):
+    code, out = run_cli(command, config={"preset": "ou", "n_paths": 1000, key: value})
+    assert code == EXIT_CONFIG
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Counter-based Gaussian path sampling and per-path functionals."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -8,14 +11,23 @@ from gaussmin import (
     DyadicGrid,
     GridMismatchError,
     GridMeasure,
+    ModulatedBrownian,
     NotPositiveSemidefiniteError,
+    OrnsteinUhlenbeck,
+    PowerExponential,
+    PowerScale,
+    Problem,
     SamplerConfig,
+    ShiftedRootScale,
     functionals,
     sample,
+    tail_is,
 )
-from gaussmin.gauss_sim import PathBatch, factorize, standard_normals
+from gaussmin.estimators import argmin_conditional
+from gaussmin.gauss_sim import (DEFAULT_BATCH, MARKOV_MIN_POINTS, MarkovPaths, PathBatch,
+                                factorize, path_map, standard_normals)
 from conftest import make_config
-from oracles import ks_critical
+from oracles import ks_critical, reference_normals
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +94,13 @@ def test_normal_table_marginals_pass_ks(ou):
         cdf = ndtr(s)
         d = max(np.abs(cdf - ranks).max(), np.abs(cdf - ranks + 1.0 / n).max())
         assert d < crit, f"coordinate {j}: D={d:.4f} >= {crit:.4f}"
+
+
+@pytest.mark.parametrize("n_points", [8, 9, 10, 11, 1025])  # every n mod 4
+def test_normal_table_matches_the_out_of_place_oracle(n_points):
+    for start in (0, 13):
+        assert np.array_equal(standard_normals(31, 2, start, 50, n_points),
+                              reference_normals(31, 2, start, 50, n_points))
 
 
 # ---------------------------------------------------------------------------
@@ -213,3 +232,95 @@ def test_path_batch_validation():
     with pytest.raises(ValueError):
         PathBatch(grid=grid, values=np.full((1, 3), np.nan), seed=0, stream=0,
                   start_index=0)
+
+
+# ---------------------------------------------------------------------------
+# the path map: dense xi L^T below MARKOV_MIN_POINTS, the O(n) cumsum above
+# ---------------------------------------------------------------------------
+
+MARKOV_KERNELS = {
+    "ou": (OrnsteinUhlenbeck(), 0.0, 1.0),
+    "example1": (ModulatedBrownian(PowerScale(0.5), 1.0, 4.0), 1.0, 4.0),
+    "example2": (ModulatedBrownian(ShiftedRootScale(1.0), 1.5, 4.0), 1.5, 4.0),
+}
+
+
+def _problem(name: str, k: int) -> Problem:
+    kern, a, b = MARKOV_KERNELS[name]
+    return Problem(kern, DyadicGrid(a, b, k))
+
+
+@pytest.mark.parametrize("k", [8, 10])
+@pytest.mark.parametrize("name", sorted(MARKOV_KERNELS))
+def test_markov_route_matches_the_dense_product(name, k):
+    problem = _problem(name, k)
+    assert isinstance(problem.path_map, MarkovPaths)
+    x = sample(problem.path_map, problem.grid, make_config(n_paths=500), start=40).values
+    dense = reference_normals(4242, 0, 40, 500, problem.grid.n) @ problem.factor.lower.T
+    assert np.abs(x - dense).max() <= 1e-11 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("k", [5, 6])
+@pytest.mark.parametrize("name", sorted(MARKOV_KERNELS))
+def test_dense_route_below_the_crossover_is_unchanged(name, k):
+    problem = _problem(name, k)
+    assert problem.path_map is problem.factor
+    x = sample(problem.path_map, problem.grid, make_config(n_paths=500), start=40).values
+    dense = reference_normals(4242, 0, 40, 500, problem.grid.n) @ problem.factor.lower.T
+    assert np.array_equal(x, dense)
+
+
+def test_path_map_dispatch_rule():
+    problem = _problem("ou", 8)
+    factor = problem.factor
+    r, q = problem.kernel.markov_form(problem.grid)
+    assert isinstance(path_map(factor, (r, q)), MarkovPaths)
+    assert path_map(factor, None) is factor
+    jittered = replace(factor, jitter=1e-12)
+    assert path_map(jittered, (r, q)) is jittered
+    assert path_map(factor, (np.where(r > 2.0, np.inf, r), q)) is factor
+    flat = r.copy()
+    flat[5] = flat[4]
+    assert path_map(factor, (flat, q)) is factor
+    small = _problem("ou", 6)
+    assert small.grid.n < MARKOV_MIN_POINTS
+    assert path_map(small.factor, small.kernel.markov_form(small.grid)) is small.factor
+    no_form = Problem(PowerExponential(0.5), DyadicGrid(0.0, 1.0, 8))
+    overflow = Problem(OrnsteinUhlenbeck(), DyadicGrid(0.0, 400.0, 8))  # r = e^800 = inf
+    for p in (no_form, overflow):
+        assert p.path_map is p.factor
+
+
+def test_markov_route_is_bit_identical_across_batches_and_workers():
+    problem = _problem("example2", 8)  # partial support: the shifted min and argmin run
+    assert isinstance(problem.path_map, MarkovPaths)
+    cfg = make_config(n_paths=6000, batch_size=777)
+    full = sample(problem.path_map, problem.grid, cfg).values
+    stacked = np.vstack([
+        sample(problem.path_map, problem.grid, cfg, start=s,
+               count=min(cfg.batch_size, cfg.n_paths - s)).values
+        for s in range(0, cfg.n_paths, cfg.batch_size)])
+    assert np.array_equal(stacked, full)
+    results = []
+    for workers in (1, 2):
+        cfg = make_config(n_paths=6000, batch_size=777, workers=workers)
+        tails = [(e.value, e.stderr, e.log_value) for e in tail_is(problem, [0.0, 1.0, 2.0], cfg)]
+        hists = [(h.weights.tolist(), ess) for h, ess in argmin_conditional(problem, [1.0], cfg)]
+        results.append((tails, hists))
+    assert results[1] == results[0]
+
+
+def test_one_fine_batch_allocates_about_one_keystream_buffer():
+    # the normals, the paths and the cumsum share the keystream buffer, and
+    # functionals does not compute the unread argmin
+    problem = _problem("ou", 10)
+    paths, measure = problem.path_map, problem.solution.measure
+    buffer = DEFAULT_BATCH * 1028 * 8   # 1025 points use 257 Philox blocks of 4
+    tracemalloc.start()
+    try:
+        batch = sample(paths, problem.grid, make_config(n_paths=DEFAULT_BATCH))
+        functionals(batch, measure)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * buffer, f"peak {peak / buffer:.2f} x the buffer"

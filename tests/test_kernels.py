@@ -10,6 +10,7 @@ from gaussmin import (
     ExplicitGram,
     ModulatedBrownian,
     NotPositiveSemidefiniteError,
+    OrnsteinUhlenbeck,
     PointGrid,
     PowerExponential,
     PowerScale,
@@ -110,6 +111,45 @@ def test_modulated_brownian_rejects_points_outside_support():
         kern.gram(np.array([0.5, 2.0]))
     with pytest.raises(DomainError):
         kern.gram(np.array([1.0, 4.5]))
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Markov form R(s, t) = q(s) q(t) r(min(s, t))
+# ---------------------------------------------------------------------------
+
+
+def _tabulated_root_scale():
+    x = np.linspace(0.5, 3.0, 9)
+    return TabulatedScale(x, np.sqrt(x), 0.5 / np.sqrt(x), -0.25 * x**-1.5)
+
+
+@pytest.mark.parametrize("kern, lo, hi", [
+    (OrnsteinUhlenbeck(), -2.0, 2.0),
+    (PowerExponential(1.0), 0.0, 1.0),
+    (ModulatedBrownian(PowerScale(0.5), 1.0, 4.0), 1.0, 4.0),
+    (ModulatedBrownian(ShiftedRootScale(1.0), 1.5, 4.0), 1.5, 4.0),
+    (ModulatedBrownian(_tabulated_root_scale(), 0.5, 3.0), 0.5, 3.0),
+], ids=["ou", "power_exponential_1", "power_scale", "shifted_root", "tabulated"])
+def test_markov_form_rebuilds_the_gram_matrix(kern, lo, hi):
+    rng = np.random.default_rng(11)
+    for pts in (np.linspace(lo, hi, 257), np.unique(rng.uniform(lo, hi, size=40))):
+        r, q = kern.markov_form(pts)
+        assert np.all(np.diff(r) > 0)
+        rebuilt = q[:, None] * q[None, :] * r[np.minimum.outer(np.arange(pts.size),
+                                                              np.arange(pts.size))]
+        gram = kern.gram(pts)
+        assert np.abs(rebuilt - gram).max() <= 1e-13 * np.abs(gram).max()
+
+
+def test_kernels_without_a_markov_form():
+    m = np.array([[2.0, 0.5], [0.5, 1.0]])
+    assert ExplicitGram(m, np.array([0.0, 1.0])).markov_form(np.array([0.0, 1.0])) is None
+    assert PowerExponential(0.5).markov_form(np.linspace(0.0, 1.0, 5)) is None
+
+
+def test_markov_form_checks_the_domain():
+    with pytest.raises(DomainError):
+        ModulatedBrownian(PowerScale(0.5), 1.0, 4.0).markov_form(np.array([0.5, 2.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,11 @@ from .estimators import (ESS_WARN_THRESHOLD, Problem, argmin_conditional,
 from .exceptions import ConfigError, EstimationError, GaussminError
 # factorize, certify and solve_simplex_qp stay importable here for perfbench/tracer.py
 from .gauss_sim import DEFAULT_BATCH, SamplerConfig, factorize, sample  # noqa: F401
-from .grids import MAX_LEVEL, DyadicGrid, Grid
+from .grids import MAX_LEVEL, DyadicGrid
 from .kernels import (ExplicitGram, Kernel, ModulatedBrownian, OrnsteinUhlenbeck,
                       PowerExponential, PowerScale, ScaleFunction, ShiftedRootScale,
                       TabulatedScale)
-from .measure import GridMeasure, MixedMeasure, discretize, normalize, tv_distance
+from .measure import GridMeasure, discretize, normalize, tv_distance
 from .optimizer import certify, refine, solve_simplex_qp  # noqa: F401
 from .svgplot import Plot
 
@@ -78,7 +78,6 @@ PRESETS: dict[str, dict] = {
         "x_list": [1.0, 0.5, 0.25],
         "overrides": {
             "diagnose": {"k": 6, "u_list": [2.0, 2.5, 3.0, 3.5, 4.0]},
-            "tail": {"k": 5},
         },
     },
     "example1": {
@@ -125,7 +124,7 @@ def resolve_config(command: str, file_config: dict | None, preset: str | None,
     """Preset defaults, then file config, then CLI flag overrides."""
     cfg: dict = {}
     file_config = dict(file_config or {})
-    preset = file_config.pop("preset", preset) if "preset" in file_config else preset
+    preset = file_config.pop("preset", preset)
     if preset is not None:
         _require(preset in PRESETS, f"unknown preset {preset!r}; "
                  f"choose from {sorted(PRESETS)}")
@@ -159,46 +158,57 @@ def build_scale(gcfg: dict) -> ScaleFunction:
     raise ConfigError("scale 'g' must contain 'power', 'shifted_root' or 'tabulated'")
 
 
+def _interval(cfg: dict) -> tuple[float, float]:
+    """The config's interval [a, b]: two finite numbers with a < b."""
+    iv = cfg.get("interval")
+    ok = (isinstance(iv, (list, tuple)) and len(iv) == 2
+          and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                  and math.isfinite(v) for v in iv)
+          and iv[0] < iv[1])
+    _require(ok, f"'interval' must be [a, b] with finite numbers a < b; got {iv!r}")
+    return float(iv[0]), float(iv[1])
+
+
 def build_kernel(cfg: dict) -> Kernel:
+    """The config's kernel; a parameter its constructor rejects is a ConfigError."""
     kcfg = cfg.get("kernel")
     _require(isinstance(kcfg, dict) and "type" in kcfg, "config needs kernel.type")
     ktype = kcfg["type"]
-    if ktype == "ou":
-        return OrnsteinUhlenbeck()
-    if ktype == "power_exponential":
-        _require("alpha" in kcfg, "power_exponential needs 'alpha'")
-        return PowerExponential(float(kcfg["alpha"]))
-    if ktype == "modulated_bm":
-        interval = cfg.get("interval")
-        _require(isinstance(interval, (list, tuple)) and len(interval) == 2,
-                 "modulated_bm needs interval [a, b]")
-        return ModulatedBrownian(build_scale(kcfg.get("g", {})),
-                                 float(interval[0]), float(interval[1]))
-    if ktype == "explicit":
-        _require("matrix" in kcfg, "explicit kernel needs 'matrix'")
-        matrix = np.asarray(kcfg["matrix"], dtype=float)
-        points = (np.asarray(kcfg["points"], dtype=float) if "points" in kcfg
-                  else np.arange(matrix.shape[0], dtype=float))
-        return ExplicitGram(matrix, points)
+    try:
+        if ktype == "ou":
+            return OrnsteinUhlenbeck()
+        if ktype == "power_exponential":
+            _require("alpha" in kcfg, "power_exponential needs 'alpha'")
+            return PowerExponential(float(kcfg["alpha"]))
+        if ktype == "modulated_bm":
+            return ModulatedBrownian(build_scale(kcfg.get("g", {})), *_interval(cfg))
+        if ktype == "explicit":
+            _require("matrix" in kcfg, "explicit kernel needs 'matrix'")
+            matrix = np.asarray(kcfg["matrix"], dtype=float)
+            points = (np.asarray(kcfg["points"], dtype=float) if "points" in kcfg
+                      else np.arange(matrix.shape[0], dtype=float))
+            return ExplicitGram(matrix, points)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {ktype!r} kernel parameters: {exc}") from None
     raise ConfigError(f"unknown kernel type {ktype!r}")
 
 
-def resolve_grid(cfg: dict, kernel: Kernel, k_key: str = "k") -> Grid:
+def build_problem(cfg: dict, k_default: int = 5) -> Problem:
+    """The config's kernel on its grid: an explicit Gram's own points, else the
+    level-``k`` dyadic grid of the interval."""
+    kernel = build_kernel(cfg)
     if isinstance(kernel, ExplicitGram):
-        return kernel.grid()
-    interval = cfg.get("interval")
-    _require(isinstance(interval, (list, tuple)) and len(interval) == 2,
-             "config needs interval [a, b]")
-    k = _number(cfg, k_key, 5, integer=True, low=0, high=MAX_LEVEL)
-    return DyadicGrid(float(interval[0]), float(interval[1]), k)
+        return Problem(kernel, kernel.grid())
+    k = _number(cfg, "k", k_default, integer=True, low=0, high=MAX_LEVEL)
+    return Problem(kernel, DyadicGrid(*_interval(cfg), k))
 
 
-def sampler_config(cfg: dict, stream: int = 0) -> SamplerConfig:
+def sampler_config(cfg: dict) -> SamplerConfig:
     try:
         return SamplerConfig(seed=int(cfg["seed"]),
                              n_paths=int(cfg.get("n_paths", DEFAULT_N_PATHS)),
                              batch_size=int(cfg.get("batch_size", DEFAULT_BATCH)),
-                             stream=int(cfg.get("stream", stream)),
+                             stream=int(cfg.get("stream", 0)),
                              workers=int(cfg.get("threads", 1)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad sampling settings (seed, n_paths, batch_size, stream, "
@@ -279,23 +289,21 @@ def _measure_rows(m: GridMeasure) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_solve(cfg: dict, out: Path) -> int:
+def cmd_solve(cfg: dict, out: Path) -> tuple[int, dict]:
     kernel = build_kernel(cfg)
     if isinstance(kernel, ExplicitGram):
         trace = refine(kernel, (0.0, 1.0), 0, 0)
     else:
-        interval = cfg.get("interval")
-        _require(interval is not None, "solve needs interval [a, b]")
         k_min = _number(cfg, "k_min", 2, integer=True, low=0, high=MAX_LEVEL)
         k_max = _number(cfg, "k_max", 8, integer=True, low=k_min, high=MAX_LEVEL)
-        trace = refine(kernel, (float(interval[0]), float(interval[1])), k_min, k_max,
+        trace = refine(kernel, _interval(cfg), k_min, k_max,
                        stop_tol=_number(cfg, "stop_tol", 1e-6))
     final = trace.final
     report = trace.problem.solution.report
     write_csv(out / "weights.csv", cfg, ["point", "weight"], _measure_rows(final.measure))
     write_csv(out / "trace.csv", cfg, ["k", "n_points", "sigma_star_sq"],
               [(e.k, e.measure.grid.points.size, e.sigma_star_sq) for e in trace.entries])
-    write_json(out / "solution.json", cfg, {
+    result = {
         "sigma_star_sq": final.sigma_star_sq,
         "weights_csv_path": "weights.csv",
         "certificate": {"min_slack": report.min_slack,
@@ -305,59 +313,43 @@ def cmd_solve(cfg: dict, out: Path) -> int:
         "converged": trace.converged,
         # a single level has no gap; inf is not valid JSON
         "final_gap": trace.final_gap if math.isfinite(trace.final_gap) else None,
-    })
+    }
+    write_json(out / "solution.json", cfg, result)
     plot = Plot("refinement of sigma*^2 over dyadic levels", "level k", "sigma*^2_k")
     plot.add([e.k for e in trace.entries], [e.sigma_star_sq for e in trace.entries],
              mode="both")
     plot.write(out / "refinement.svg")
-    return EXIT_OK
+    return EXIT_OK, result
 
 
-def _analytic_measure(cfg: dict) -> tuple[MixedMeasure, Kernel, dict]:
-    kcfg = cfg.get("kernel", {})
-    ktype = kcfg.get("type")
-    _require(ktype in ("ou", "modulated_bm"),
-             "analytic supports kernel types 'ou' and 'modulated_bm'")
-    interval = cfg.get("interval")
-    _require(isinstance(interval, (list, tuple)) and len(interval) == 2,
-             "analytic needs interval [a, b]")
-    a, b = float(interval[0]), float(interval[1])
-    if ktype == "ou":
+def cmd_analytic(cfg: dict, out: Path) -> tuple[int, dict]:
+    kernel = build_kernel(cfg)
+    a, b = _interval(cfg)
+    if isinstance(kernel, OrnsteinUhlenbeck):
         measure = ou_measure(a, b)
-        return measure, OrnsteinUhlenbeck(), {
-            "case": None, "a0": None,
-            "total_mass": measure.total_mass,
-            "sigma_star_sq": ou_sigma_star_sq(a, b),
-        }
-    kernel = ModulatedBrownian(build_scale(kcfg.get("g", {})), a, b)
-    result = tbm_measure(kernel.scale, a, b)
-    sigma_sq = sigma_star_from_mu(kernel, result.measure)
-    return result.measure, kernel, {
-        "case": result.case, "a0": result.a0,
-        "total_mass": result.measure.total_mass,
-        "sigma_star_sq": sigma_sq,
-    }
-
-
-def cmd_analytic(cfg: dict, out: Path) -> int:
-    measure, kernel, info = _analytic_measure(cfg)
-    payload = {"measure": measure.to_dict(), **info}
+        result = {"case": None, "a0": None, "sigma_star_sq": ou_sigma_star_sq(a, b)}
+    elif isinstance(kernel, ModulatedBrownian):
+        closed = tbm_measure(kernel.scale, a, b)
+        measure = closed.measure
+        result = {"case": closed.case, "a0": closed.a0,
+                  "sigma_star_sq": sigma_star_from_mu(kernel, measure)}
+    else:
+        raise ConfigError("analytic supports kernel types 'ou' and 'modulated_bm'")
+    result.update(measure=measure.to_dict(), total_mass=measure.total_mass)
     probability = normalize(measure)
     if cfg.get("cross_check", True):
-        k = _number(cfg, "k", 8, integer=True, low=0, high=MAX_LEVEL)
-        a, b = measure.interval
-        grid = DyadicGrid(a, b, k)
-        sol = Problem(kernel, grid).solution
-        disc = discretize(probability, grid)
-        payload["cross_check"] = {
-            "k": k,
+        problem = build_problem(cfg, k_default=8)
+        sol = problem.solution
+        disc = discretize(probability, problem.grid)
+        result["cross_check"] = {
+            "k": problem.grid.k,
             "solver_sigma_star_sq": sol.sigma_star_sq,
-            "sigma_diff": abs(sol.sigma_star_sq - info["sigma_star_sq"]),
+            "sigma_diff": abs(sol.sigma_star_sq - result["sigma_star_sq"]),
             "tv_distance": tv_distance(sol.measure, disc),
         }
         write_csv(out / "measure.csv", cfg, ["point", "weight"], _measure_rows(disc))
-    write_json(out / "analytic.json", cfg, payload)
-    return EXIT_OK
+    write_json(out / "analytic.json", cfg, result)
+    return EXIT_OK, result
 
 
 def _u_values(cfg: dict, domain: str = "finite") -> list[float]:
@@ -371,16 +363,15 @@ def _u_values(cfg: dict, domain: str = "finite") -> list[float]:
     return us
 
 
-def cmd_tail(cfg: dict, out: Path) -> int:
-    kernel = build_kernel(cfg)
-    grid = resolve_grid(cfg, kernel)
+def cmd_tail(cfg: dict, out: Path) -> tuple[int, list[tuple] | None]:
     us = _u_values(cfg)
     methods = cfg.get("methods", ["crude", "is"])
     _require(set(methods) <= {"crude", "is"} and methods, "methods must be crude and/or is")
     config = sampler_config(cfg)
     n_dump = min(_number(cfg, "dump_paths", 0, integer=True, low=0), config.n_paths,
                  PATH_DUMP_CAP)
-    problem = Problem(kernel, grid)
+    problem = build_problem(cfg)
+    grid = problem.grid
     s2 = problem.solution.sigma_star_sq
     if n_dump:
         batch = sample(problem.path_map, grid, config, start=0, count=n_dump)
@@ -395,6 +386,7 @@ def cmd_tail(cfg: dict, out: Path) -> int:
         write_csv(out / f"tail_{method}.csv", cfg,
                   ["u", "p_hat", "stderr", "log_p", "D_u"], rows[method])
     plot = Plot("tail of the grid minimum", "u", "log P(min > u)")
+    summary = None
     if set(methods) == {"crude", "is"}:
         summary = []
         for u, ec, ei in zip(us, estimates["crude"], estimates["is"]):
@@ -412,37 +404,33 @@ def cmd_tail(cfg: dict, out: Path) -> int:
     if "crude" in methods and all(e.meta["hits"] == 0 for e in estimates["crude"]):
         print("tail_crude recorded zero hits at every u; use the change-of-measure "
               "estimator for this range", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+        return EXIT_NUMERICAL, summary
+    return EXIT_OK, summary
 
 
-def cmd_smallball(cfg: dict, out: Path) -> int:
-    kernel = build_kernel(cfg)
-    grid = resolve_grid(cfg, kernel)
+def cmd_smallball(cfg: dict, out: Path) -> tuple[int, None]:
     eps_list = _param_list(cfg.get("eps_list", []), "eps_list", "> 0")
     _require(bool(eps_list), "smallball needs 'eps_list'")
     mode = cfg.get("mode", "range")
     _require(mode in ("range", "zstar"), "mode must be 'range' or 'zstar'")
     config = sampler_config(cfg)
-    problem = Problem(kernel, grid)
+    problem = build_problem(cfg)
     rows = [(eps, e.value, e.stderr, e.log_value, e.meta["hits"])
             for eps, e in zip(eps_list, small_ball(problem, eps_list, config, mode=mode))]
     write_csv(out / "smallball.csv", cfg, ["eps", "p_hat", "stderr", "log_p", "hits"], rows)
     plot = Plot(f"small-ball probability ({mode} mode)", "eps", "p_hat")
     plot.add([r[0] for r in rows], [r[1] for r in rows], mode="both")
     plot.write(out / "smallball.svg")
-    return EXIT_OK
+    return EXIT_OK, None
 
 
-def cmd_argmin(cfg: dict, out: Path) -> int:
-    kernel = build_kernel(cfg)
-    grid = resolve_grid(cfg, kernel)
+def cmd_argmin(cfg: dict, out: Path) -> tuple[int, dict]:
     us = (_param_list(cfg.get("argmin_u_list", []), "argmin_u_list", ">= 0")
           or _u_values(cfg, ">= 0"))
     xs = _param_list(cfg.get("x_list", []), "x_list", "> 0")
     config = sampler_config(cfg)
-    problem = Problem(kernel, grid)
-    solution = problem.solution
+    problem = build_problem(cfg)
+    grid, solution = problem.grid, problem.solution
     summary = {}
     warnings: list[str] = []
     plot = Plot("conditional argmin law vs optimal measure", "t", "weight")
@@ -469,40 +457,31 @@ def cmd_argmin(cfg: dict, out: Path) -> int:
             continue
         write_csv(out / f"mx_x{x:g}.csv", cfg, ["point", "weight"], _measure_rows(hist))
         summary[f"x={x:g}"] = {"tv_to_optimal": tv_distance(hist, solution.measure)}
-    write_json(out / "argmin.json", cfg, {
-        "sigma_star_sq": solution.sigma_star_sq,
-        "results": summary,
-        "ess_threshold": ESS_WARN_THRESHOLD,
-    })
+    result = {"sigma_star_sq": solution.sigma_star_sq, "results": summary,
+              "ess_threshold": ESS_WARN_THRESHOLD}
+    write_json(out / "argmin.json", cfg, result)
     plot.write(out / "argmin.svg")
-    if warnings:
-        for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    return (EXIT_NUMERICAL if warnings else EXIT_OK), result
 
 
-def cmd_diagnose(cfg: dict, out: Path) -> int:
+def cmd_diagnose(cfg: dict, out: Path) -> tuple[int, dict]:
     local = dict(cfg)
-    if "diagnose_interval" in cfg:
-        local["interval"] = cfg["diagnose_interval"]
-    if "diagnose_k" in cfg:
-        local["k"] = cfg["diagnose_k"]
-    if "diagnose_u_list" in cfg:
-        local["u_list"] = cfg["diagnose_u_list"]
-    kernel = build_kernel(local)
-    grid = resolve_grid(local, kernel)
+    for key in ("interval", "k", "u_list"):
+        if f"diagnose_{key}" in cfg:
+            local[key] = cfg[f"diagnose_{key}"]
     us = _u_values(local, "> 0")
     _require(len(us) >= 2 and all(b > a for a, b in zip(us, us[1:])),
              "diagnose needs at least two strictly increasing u values")
     beta = None if cfg.get("beta") is None else _number(cfg, "beta", None, low=0)
-    problem = Problem(kernel, grid)
     config = sampler_config(local)
+    problem = build_problem(local)
     diag = correction_diagnostic(problem, us, config, beta=beta)
     rows = [(u, est.value, est.stderr, lp, d)
             for (u, lp, d), est in zip(diag.rows, diag.estimates)]
     write_csv(out / "diagnose.csv", cfg, ["u", "p_hat", "stderr", "log_p", "D_u"], rows)
-    write_json(out / "diagnose.json", cfg, {
+    result = {
         "exponent": diag.exponent,
         "intercept": diag.intercept,
         "exponent_halfwidth": diag.exponent_halfwidth,
@@ -511,7 +490,8 @@ def cmd_diagnose(cfg: dict, out: Path) -> int:
         "lower_bound_exponent": diag.lower_bound_exponent,
         "sigma_star_sq": problem.solution.sigma_star_sq,
         "rows": [{"u": u, "log_p": lp, "D": d} for u, lp, d in diag.rows],
-    })
+    }
+    write_json(out / "diagnose.json", cfg, result)
     plot = Plot("second-order tail correction -D(u)", "u", "-D(u)", logx=True, logy=True)
     used = [(u, -d) for u, _, d in diag.rows if d < 0]
     plot.add([p[0] for p in used], [p[1] for p in used], label="measured", mode="dots")
@@ -519,13 +499,13 @@ def cmd_diagnose(cfg: dict, out: Path) -> int:
     plot.add([p[0] for p in used], fit_y,
              label=f"fit slope {diag.exponent:.3f}", mode="line")
     plot.write(out / "diagnose.svg")
-    return EXIT_OK
+    return EXIT_OK, result
 
 
 STAGES = ("solve", "analytic", "tail", "diagnose", "argmin")
 
 
-def cmd_report(cfg: dict, out: Path) -> int:
+def cmd_report(cfg: dict, out: Path) -> tuple[int, None]:
     studies = cfg.get("studies", [])
     _require(isinstance(studies, list), "'studies' must be a list")
     lines = ["# reproduction report", "",
@@ -558,7 +538,7 @@ def cmd_report(cfg: dict, out: Path) -> int:
             stage_dir = sdir / stage
             stage_dir.mkdir(parents=True, exist_ok=True)
             try:
-                code = COMMANDS[stage](stage_cfg, stage_dir)
+                code, result = COMMANDS[stage](stage_cfg, stage_dir)
             except GaussminError as exc:
                 lines.append(f"- {stage}: FAILED ({type(exc).__name__}: {exc})")
                 any_failed = True
@@ -566,72 +546,57 @@ def cmd_report(cfg: dict, out: Path) -> int:
             status = "ok" if code == EXIT_OK else f"completed with exit {code}"
             any_failed = any_failed or code != EXIT_OK
             lines.append(f"- {stage}: {status}")
-            lines.extend(_stage_summary(stage, stage_dir, name))
+            lines.extend(_stage_summary(stage, result, name))
         lines.append("")
     report_path = out / "report.md"
     report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"report written to {report_path}")
-    return EXIT_NUMERICAL if any_failed else EXIT_OK
+    return (EXIT_NUMERICAL if any_failed else EXIT_OK), None
 
 
-def _stage_summary(stage: str, stage_dir: Path, study: str) -> list[str]:
-    lines: list[str] = []
-    try:
-        if stage == "solve":
-            doc = json.loads((stage_dir / "solution.json").read_text())
-            lines.append(f"  - sigma*^2 = {doc['sigma_star_sq']:.8f} at k={doc['k_final']} "
-                         f"(certificate pass: {doc['certificate']['passed']})")
-            lines.append(f"  - ![refinement](./{study}/solve/refinement.svg)")
-        elif stage == "analytic":
-            doc = json.loads((stage_dir / "analytic.json").read_text())
-            lines.append(f"  - case {doc['case']}, a0 = {doc['a0']}, "
-                         f"sigma*^2 = {doc['sigma_star_sq']:.8f}, "
-                         f"total mass {doc['total_mass']:.8f}")
-            if "cross_check" in doc:
-                cc = doc["cross_check"]
-                lines.append(f"  - solver cross-check at k={cc['k']}: "
-                             f"tv = {cc['tv_distance']:.4f}, "
-                             f"sigma diff = {cc['sigma_diff']:.2e}")
-        elif stage == "tail":
-            path = stage_dir / "tail_summary.csv"
-            if path.exists():
-                rows = _read_csv_rows(path)
-                lines.append("  - | u | crude | is | agreement (sigmas) |")
-                lines.append("  - |---|-------|----|--------------------|")
-                for r in rows:
-                    lines.append(f"  - | {r[0]} | {float(r[1]):.3e} | {float(r[3]):.3e} | "
-                                 f"{float(r[5]):.2f} |")
-                lines.append(f"  - ![tail](./{study}/tail/tail.svg)")
-        elif stage == "diagnose":
-            doc = json.loads((stage_dir / "diagnose.json").read_text())
-            hw = doc["exponent_halfwidth"]
-            lines.append(f"  - fitted correction exponent {doc['exponent']:.3f} "
-                         f"(half-width {hw:.3f}); excluded u: {doc['excluded_u']}")
-            if doc.get("lower_bound_exponent") is not None:
-                lines.append(f"  - lower-bound exponent 1/(beta+1) = "
-                             f"{doc['lower_bound_exponent']:.3f}")
-            lines.append(f"  - ![diagnose](./{study}/diagnose/diagnose.svg)")
-        elif stage == "argmin":
-            doc = json.loads((stage_dir / "argmin.json").read_text())
-            for key, val in doc["results"].items():
-                if "failed" in val:
-                    lines.append(f"  - {key}: FAILED ({val['failed']})")
-                    continue
-                ess = f", ess = {val['ess']:.0f}" if "ess" in val else ""
-                lines.append(f"  - {key}: tv to optimal = {val['tv_to_optimal']:.4f}{ess}")
-            lines.append(f"  - ![argmin](./{study}/argmin/argmin.svg)")
-    except FileNotFoundError:
-        lines.append("  - (outputs missing)")
-    return lines
-
-
-def _read_csv_rows(path: Path) -> list[list[str]]:
-    rows = []
-    for line in path.read_text().splitlines():
-        if line.startswith("#") or not line.strip():
+def _stage_summary(stage: str, result, study: str) -> list[str]:
+    """Report lines for one stage, from the result its command returned."""
+    if stage == "solve":
+        return [f"  - sigma*^2 = {result['sigma_star_sq']:.8f} at k={result['k_final']} "
+                f"(certificate pass: {result['certificate']['passed']})",
+                f"  - ![refinement](./{study}/solve/refinement.svg)"]
+    if stage == "analytic":
+        lines = [f"  - case {result['case']}, a0 = {result['a0']}, "
+                 f"sigma*^2 = {result['sigma_star_sq']:.8f}, "
+                 f"total mass {result['total_mass']:.8f}"]
+        if "cross_check" in result:
+            cc = result["cross_check"]
+            lines.append(f"  - solver cross-check at k={cc['k']}: "
+                         f"tv = {cc['tv_distance']:.4f}, "
+                         f"sigma diff = {cc['sigma_diff']:.2e}")
+        return lines
+    if stage == "tail":
+        if result is None:  # one method only: no crude/IS comparison
+            return []
+        return ["  - | u | crude | is | agreement (sigmas) |",
+                "  - |---|-------|----|--------------------|",
+                *(f"  - | {u!r} | {p_crude:.3e} | {p_is:.3e} | {agreement:.2f} |"
+                  for u, p_crude, _, p_is, _, agreement in result),
+                f"  - ![tail](./{study}/tail/tail.svg)"]
+    if stage == "diagnose":
+        lines = [f"  - fitted correction exponent {result['exponent']:.3f} "
+                 f"(half-width {result['exponent_halfwidth']:.3f}); "
+                 f"excluded u: {result['excluded_u']}"]
+        if result["lower_bound_exponent"] is not None:
+            lines.append(f"  - lower-bound exponent 1/(beta+1) = "
+                         f"{result['lower_bound_exponent']:.3f}")
+        lines.append(f"  - ![diagnose](./{study}/diagnose/diagnose.svg)")
+        return lines
+    # argmin: the keys in the order argmin.json stores them
+    lines = []
+    for key, val in sorted(result["results"].items()):
+        if "failed" in val:
+            lines.append(f"  - {key}: FAILED ({val['failed']})")
             continue
-        rows.append(line.split(","))
-    return rows[1:]
+        ess = f", ess = {val['ess']:.0f}" if "ess" in val else ""
+        lines.append(f"  - {key}: tv to optimal = {val['tv_to_optimal']:.4f}{ess}")
+    lines.append(f"  - ![argmin](./{study}/argmin/argmin.svg)")
+    return lines
 
 
 COMMANDS = {
@@ -701,7 +666,8 @@ def main(argv: list[str] | None = None) -> int:
                              args.seed, args.threads)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, out)
+        code, _ = COMMANDS[args.command](cfg, out)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

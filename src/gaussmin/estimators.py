@@ -24,13 +24,15 @@ argmin). ``correction_diagnostic`` is the exception: it keeps one stream, so
 one pass, per u, so that the points of its fit are independent. All
 estimators stream batches whose content is independent of batch size and
 worker count and fold the per-batch results in path order, so every number
-here is a deterministic function of (seed, stream, n, parameter).
+here is a deterministic function of (seed, stream, n, batch size, parameter)
+that no worker count changes. Counts (crude, small-ball, Y <= x) are integer
+sums and so also independent of the batch size; the weighted estimators fold
+per-batch float sums, which a different batch size can move in the last bit.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -122,24 +124,17 @@ def _map_ordered(problem: Problem, config: SamplerConfig,
     submission order, so the folded result is identical for any worker count.
     """
     paths, grid = problem.path_map, problem.grid  # cached here, before workers read it
-    plan = [(s, min(config.batch_size, config.n_paths - s))
-            for s in range(0, config.n_paths, config.batch_size)]
+    starts = range(0, config.n_paths, config.batch_size)
 
-    def run(start: int, count: int) -> tuple:
+    def run(start: int) -> tuple:
+        count = min(config.batch_size, config.n_paths - start)
         return fn(sample(paths, grid, config, start, count))
 
     if config.workers == 1:
-        for start, count in plan:
-            yield run(start, count)
+        yield from map(run, starts)
         return
-    ahead = config.workers + 2
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        pending = deque(pool.submit(run, *p) for p in plan[:ahead])
-        for p in plan[ahead:]:
-            yield pending.popleft().result()
-            pending.append(pool.submit(run, *p))
-        while pending:
-            yield pending.popleft().result()
+        yield from pool.map(run, starts)
 
 
 def _tilt_shift(solution: OptimalSolution, u: float) -> np.ndarray | None:

@@ -182,6 +182,19 @@ def test_bad_scalar_setting_exits_3(run_cli, command, key, value):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("kernel, interval", [
+    ({"type": "power_exponential", "alpha": 1.5}, [0.0, 1.0]),
+    ({"type": "modulated_bm", "g": {"power": "x"}}, [1.0, 4.0]),
+    ({"type": "ou"}, [1.0, 0.0]),
+    ({"type": "ou"}, [0.0, "1"]),
+], ids=["alpha", "scale_power", "reversed_interval", "non_numeric_interval"])
+def test_bad_kernel_or_interval_exits_3(run_cli, kernel, interval):
+    code, out = run_cli("tail", config=dict(OU_K3, kernel=kernel, interval=interval,
+                                            u_list=[1.0]))
+    assert code == EXIT_CONFIG
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -478,16 +491,62 @@ def test_report_with_no_studies(run_cli):
     assert text.startswith("# reproduction report")
 
 
+def report_sections(text: str) -> dict[str, list[str]]:
+    """report.md's non-empty lines under each '## study:' heading."""
+    return {name: [line for line in lines if line]
+            for name, *lines in (chunk.splitlines()
+                                 for chunk in text.split("\n## study: ")[1:])}
+
+
 def test_report_full_preset(run_cli, tmp_path):
     code, out = run_cli("report", extra=["--preset", "full_repro"],
                         out=tmp_path / "rep1")
     assert code == EXIT_OK
     text = (out / "report.md").read_text()
     assert "FAILED" not in text
-    for study in ("ou", "example1", "example2"):
-        assert f"## study: {study}" in text
-        assert (out / study / "solve" / "solution.json").exists()
+    sections = report_sections(text)
+    assert list(sections) == ["ou", "example1", "example2"]
+    # every number in the report is the one in that stage's output file
+    for study, lines in sections.items():
+        sdir = out / study
+        sol = json.loads((sdir / "solve" / "solution.json").read_text())
+        assert sol["certificate"]["passed"] is True
+        assert (f"  - sigma*^2 = {sol['sigma_star_sq']:.8f} at k={sol['k_final']} "
+                f"(certificate pass: True)") in lines
+        ana = json.loads((sdir / "analytic" / "analytic.json").read_text())
+        cc = ana["cross_check"]
+        assert (f"  - case {ana['case']}, a0 = {ana['a0']}, "
+                f"sigma*^2 = {ana['sigma_star_sq']:.8f}, "
+                f"total mass {ana['total_mass']:.8f}") in lines
+        assert (f"  - solver cross-check at k={cc['k']}: tv = {cc['tv_distance']:.4f}, "
+                f"sigma diff = {cc['sigma_diff']:.2e}") in lines
+        _, _, rows = read_csv(sdir / "tail" / "tail_summary.csv")
+        assert [line for line in lines if line.startswith("  - | ") and "crude" not in line] \
+            == [f"  - | {r[0]!r} | {r[1]:.3e} | {r[3]:.3e} | {r[5]:.2f} |" for r in rows]
+        if (sdir / "diagnose" / "diagnose.json").exists():
+            diag = json.loads((sdir / "diagnose" / "diagnose.json").read_text())
+            assert (f"  - fitted correction exponent {diag['exponent']:.3f} "
+                    f"(half-width {diag['exponent_halfwidth']:.3f}); "
+                    f"excluded u: {diag['excluded_u']}") in lines
+        else:
+            assert "- diagnose: skipped (no diagnose_u_list)" in lines
+        results = json.loads((sdir / "argmin" / "argmin.json").read_text())["results"]
+        assert [line for line in lines if "tv to optimal" in line] == [
+            f"  - {key}: tv to optimal = {val['tv_to_optimal']:.4f}"
+            + (f", ess = {val['ess']:.0f}" if "ess" in val else "")
+            for key, val in results.items()]
     assert (out / "ou" / "diagnose" / "diagnose.json").exists()
+
+
+def test_report_single_tail_method_prints_no_table(run_cli):
+    code, out = run_cli("report", config={"studies": [{
+        "name": "is_only", "preset": "ou", "k": 3, "k_max": 4, "n_paths": 2000,
+        "methods": ["is"], "argmin_u_list": [1.0], "x_list": []}]})
+    assert code == EXIT_OK
+    lines = report_sections((out / "report.md").read_text())["is_only"]
+    tail = lines.index("- tail: ok")
+    assert lines[tail + 1] == "- diagnose: skipped (no diagnose_u_list)"
+    assert not (out / "is_only" / "tail" / "tail_summary.csv").exists()
 
 
 # ---------------------------------------------------------------------------

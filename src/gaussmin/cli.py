@@ -6,6 +6,11 @@ whole reproduction is one command. Every output embeds the fully resolved
 config, outputs carry no timestamps, and all sampling is counter-addressed,
 so reruns with the same config are byte-identical at any thread count.
 
+Every command takes a dict of ``Problem``s, one per (kernel, grid), that
+``build_problem`` fills: ``main`` passes an empty one and ``report`` one per
+study, so a study's stages share each Gram matrix, factor and certified
+solution. A ``Problem`` is deterministic, so sharing moves no byte.
+
 Exit codes: 0 success, 2 numerical or statistical failure, 3 config/usage
 failure.
 """
@@ -27,7 +32,7 @@ from .estimators import (ESS_WARN_THRESHOLD, Problem, argmin_conditional,
 from .exceptions import ConfigError, EstimationError, GaussminError
 # factorize, certify and solve_simplex_qp stay importable here for perfbench/tracer.py
 from .gauss_sim import DEFAULT_BATCH, SamplerConfig, factorize, sample  # noqa: F401
-from .grids import MAX_LEVEL, DyadicGrid
+from .grids import MAX_LEVEL, DyadicGrid, Grid
 from .kernels import (ExplicitGram, Kernel, ModulatedBrownian, OrnsteinUhlenbeck,
                       PowerExponential, PowerScale, ScaleFunction, ShiftedRootScale,
                       TabulatedScale)
@@ -193,14 +198,27 @@ def build_kernel(cfg: dict) -> Kernel:
     raise ConfigError(f"unknown kernel type {ktype!r}")
 
 
-def build_problem(cfg: dict, k_default: int = 5) -> Problem:
+def _problem_key(cfg: dict, grid: Grid) -> str:
+    """The canonical JSON of the config values that fix a Problem: the kernel
+    and, for a dyadic grid, its interval and level (a repr truncates arrays)."""
+    dyadic = [grid.a, grid.b, grid.k] if isinstance(grid, DyadicGrid) else []
+    return json.dumps([cfg["kernel"], *dyadic], sort_keys=True)
+
+
+def build_problem(cfg: dict, problems: dict, k_default: int = 5) -> Problem:
     """The config's kernel on its grid: an explicit Gram's own points, else the
-    level-``k`` dyadic grid of the interval."""
+    level-``k`` dyadic grid of the interval. Built once per ``_problem_key`` in
+    ``problems``, so commands given the same dict share it."""
     kernel = build_kernel(cfg)
     if isinstance(kernel, ExplicitGram):
-        return Problem(kernel, kernel.grid())
-    k = _number(cfg, "k", k_default, integer=True, low=0, high=MAX_LEVEL)
-    return Problem(kernel, DyadicGrid(*_interval(cfg), k))
+        grid = kernel.grid()
+    else:
+        k = _number(cfg, "k", k_default, integer=True, low=0, high=MAX_LEVEL)
+        grid = DyadicGrid(*_interval(cfg), k)
+    key = _problem_key(cfg, grid)
+    if key not in problems:
+        problems[key] = Problem(kernel, grid)
+    return problems[key]
 
 
 def sampler_config(cfg: dict) -> SamplerConfig:
@@ -289,7 +307,7 @@ def _measure_rows(m: GridMeasure) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_solve(cfg: dict, out: Path) -> tuple[int, dict]:
+def cmd_solve(cfg: dict, out: Path, problems: dict) -> tuple[int, dict]:
     kernel = build_kernel(cfg)
     if isinstance(kernel, ExplicitGram):
         trace = refine(kernel, (0.0, 1.0), 0, 0)
@@ -299,6 +317,7 @@ def cmd_solve(cfg: dict, out: Path) -> tuple[int, dict]:
         trace = refine(kernel, _interval(cfg), k_min, k_max,
                        stop_tol=_number(cfg, "stop_tol", 1e-6))
     final = trace.final
+    problems.setdefault(_problem_key(cfg, trace.problem.grid), trace.problem)
     report = trace.problem.solution.report
     write_csv(out / "weights.csv", cfg, ["point", "weight"], _measure_rows(final.measure))
     write_csv(out / "trace.csv", cfg, ["k", "n_points", "sigma_star_sq"],
@@ -322,23 +341,27 @@ def cmd_solve(cfg: dict, out: Path) -> tuple[int, dict]:
     return EXIT_OK, result
 
 
-def cmd_analytic(cfg: dict, out: Path) -> tuple[int, dict]:
+class NoClosedFormError(ConfigError):
+    """``cmd_analytic``, the one owner of this decision, has no closed form."""
+
+
+def cmd_analytic(cfg: dict, out: Path, problems: dict) -> tuple[int, dict]:
     kernel = build_kernel(cfg)
-    a, b = _interval(cfg)
     if isinstance(kernel, OrnsteinUhlenbeck):
+        a, b = _interval(cfg)
         measure = ou_measure(a, b)
         result = {"case": None, "a0": None, "sigma_star_sq": ou_sigma_star_sq(a, b)}
     elif isinstance(kernel, ModulatedBrownian):
-        closed = tbm_measure(kernel.scale, a, b)
+        closed = tbm_measure(kernel.scale, kernel.a, kernel.b)
         measure = closed.measure
         result = {"case": closed.case, "a0": closed.a0,
                   "sigma_star_sq": sigma_star_from_mu(kernel, measure)}
     else:
-        raise ConfigError("analytic supports kernel types 'ou' and 'modulated_bm'")
+        raise NoClosedFormError("analytic supports kernel types 'ou' and 'modulated_bm'")
     result.update(measure=measure.to_dict(), total_mass=measure.total_mass)
     probability = normalize(measure)
     if cfg.get("cross_check", True):
-        problem = build_problem(cfg, k_default=8)
+        problem = build_problem(cfg, problems, k_default=8)
         sol = problem.solution
         disc = discretize(probability, problem.grid)
         result["cross_check"] = {
@@ -363,14 +386,14 @@ def _u_values(cfg: dict, domain: str = "finite") -> list[float]:
     return us
 
 
-def cmd_tail(cfg: dict, out: Path) -> tuple[int, list[tuple] | None]:
+def cmd_tail(cfg: dict, out: Path, problems: dict) -> tuple[int, list[tuple] | None]:
     us = _u_values(cfg)
     methods = cfg.get("methods", ["crude", "is"])
     _require(set(methods) <= {"crude", "is"} and methods, "methods must be crude and/or is")
     config = sampler_config(cfg)
     n_dump = min(_number(cfg, "dump_paths", 0, integer=True, low=0), config.n_paths,
                  PATH_DUMP_CAP)
-    problem = build_problem(cfg)
+    problem = build_problem(cfg, problems)
     grid = problem.grid
     s2 = problem.solution.sigma_star_sq
     if n_dump:
@@ -408,13 +431,13 @@ def cmd_tail(cfg: dict, out: Path) -> tuple[int, list[tuple] | None]:
     return EXIT_OK, summary
 
 
-def cmd_smallball(cfg: dict, out: Path) -> tuple[int, None]:
+def cmd_smallball(cfg: dict, out: Path, problems: dict) -> tuple[int, None]:
     eps_list = _param_list(cfg.get("eps_list", []), "eps_list", "> 0")
     _require(bool(eps_list), "smallball needs 'eps_list'")
     mode = cfg.get("mode", "range")
     _require(mode in ("range", "zstar"), "mode must be 'range' or 'zstar'")
     config = sampler_config(cfg)
-    problem = build_problem(cfg)
+    problem = build_problem(cfg, problems)
     rows = [(eps, e.value, e.stderr, e.log_value, e.meta["hits"])
             for eps, e in zip(eps_list, small_ball(problem, eps_list, config, mode=mode))]
     write_csv(out / "smallball.csv", cfg, ["eps", "p_hat", "stderr", "log_p", "hits"], rows)
@@ -424,12 +447,12 @@ def cmd_smallball(cfg: dict, out: Path) -> tuple[int, None]:
     return EXIT_OK, None
 
 
-def cmd_argmin(cfg: dict, out: Path) -> tuple[int, dict]:
+def cmd_argmin(cfg: dict, out: Path, problems: dict) -> tuple[int, dict]:
     us = (_param_list(cfg.get("argmin_u_list", []), "argmin_u_list", ">= 0")
           or _u_values(cfg, ">= 0"))
     xs = _param_list(cfg.get("x_list", []), "x_list", "> 0")
     config = sampler_config(cfg)
-    problem = build_problem(cfg)
+    problem = build_problem(cfg, problems)
     grid, solution = problem.grid, problem.solution
     summary = {}
     warnings: list[str] = []
@@ -466,7 +489,7 @@ def cmd_argmin(cfg: dict, out: Path) -> tuple[int, dict]:
     return (EXIT_NUMERICAL if warnings else EXIT_OK), result
 
 
-def cmd_diagnose(cfg: dict, out: Path) -> tuple[int, dict]:
+def cmd_diagnose(cfg: dict, out: Path, problems: dict) -> tuple[int, dict]:
     local = dict(cfg)
     for key in ("interval", "k", "u_list"):
         if f"diagnose_{key}" in cfg:
@@ -476,7 +499,7 @@ def cmd_diagnose(cfg: dict, out: Path) -> tuple[int, dict]:
              "diagnose needs at least two strictly increasing u values")
     beta = None if cfg.get("beta") is None else _number(cfg, "beta", None, low=0)
     config = sampler_config(local)
-    problem = build_problem(local)
+    problem = build_problem(local, problems)
     diag = correction_diagnostic(problem, us, config, beta=beta)
     rows = [(u, est.value, est.stderr, lp, d)
             for (u, lp, d), est in zip(diag.rows, diag.estimates)]
@@ -505,7 +528,7 @@ def cmd_diagnose(cfg: dict, out: Path) -> tuple[int, dict]:
 STAGES = ("solve", "analytic", "tail", "diagnose", "argmin")
 
 
-def cmd_report(cfg: dict, out: Path) -> tuple[int, None]:
+def cmd_report(cfg: dict, out: Path, _problems: dict) -> tuple[int, None]:
     studies = cfg.get("studies", [])
     _require(isinstance(studies, list), "'studies' must be a list")
     lines = ["# reproduction report", "",
@@ -523,22 +546,24 @@ def cmd_report(cfg: dict, out: Path) -> tuple[int, None]:
         lines.append(f"## study: {name}")
         lines.append("")
         sdir = out / name
+        shared: dict = {}  # this study's Problems, freed when it ends
         for stage in STAGES:
             stage_cfg = dict(scfg_base)
             stage_cfg["command"] = stage
             if stage == "diagnose" and "diagnose_u_list" not in stage_cfg:
                 lines.append(f"- {stage}: skipped (no diagnose_u_list)")
                 continue
-            if stage == "analytic" and stage_cfg.get("kernel", {}).get("type") not in (
-                    "ou", "modulated_bm"):
-                lines.append(f"- {stage}: skipped (no closed form for this kernel)")
-                continue
             if stage == "diagnose":
                 stage_cfg["u_list"] = stage_cfg["diagnose_u_list"]
             stage_dir = sdir / stage
             stage_dir.mkdir(parents=True, exist_ok=True)
             try:
-                code, result = COMMANDS[stage](stage_cfg, stage_dir)
+                code, result = COMMANDS[stage](stage_cfg, stage_dir, shared)
+            except NoClosedFormError:
+                if not any(stage_dir.iterdir()):  # made above, not by an earlier run
+                    stage_dir.rmdir()
+                lines.append(f"- {stage}: skipped (no closed form for this kernel)")
+                continue
             except GaussminError as exc:
                 lines.append(f"- {stage}: FAILED ({type(exc).__name__}: {exc})")
                 any_failed = True
@@ -666,7 +691,7 @@ def main(argv: list[str] | None = None) -> int:
                              args.seed, args.threads)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        code, _ = COMMANDS[args.command](cfg, out)
+        code, _ = COMMANDS[args.command](cfg, out, {})
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

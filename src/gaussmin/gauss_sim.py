@@ -16,6 +16,12 @@ takes that route exactly when the kernel has a Markov form, every dr is
 finite and > 0, the factor needed no jitter and n >= MARKOV_MIN_POINTS (below
 that the matrix product is faster); otherwise it keeps the dense factor. The
 two routes agree to rounding (about 1e-12 relative at 1025 points).
+
+Finiteness is checked once per Gram matrix, not per batch: ``factorize``
+refuses a sigma or factor with a NaN or inf entry, and ``path_map`` a Markov
+form with one. The normals satisfy |xi| <= 8.3, since the uniforms lie in
+[2^-53, 1 - 2^-53], so every path value is finite, |X_i| <= 8.3
+sqrt(n (sigma_ii + jitter)).
 """
 
 from __future__ import annotations
@@ -127,7 +133,8 @@ def path_map(factor: Factorization,
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Sampled paths (rows) on a grid, with the metadata that regenerates them."""
+    """Sampled paths (rows) on a grid, with the metadata that regenerates them.
+    The values are not scanned: ``factorize`` checks finiteness (module doc)."""
 
     grid: Grid
     values: np.ndarray        # shape (n_paths, n_points)
@@ -140,8 +147,6 @@ class PathBatch:
         if vals.ndim != 2 or vals.shape[1] != self.grid.points.size:
             raise GridMismatchError(
                 f"paths have {vals.shape} values for a {self.grid.points.size}-point grid")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("sampled paths contain non-finite values")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -149,15 +154,18 @@ class PathBatch:
 def factorize(sigma: np.ndarray) -> Factorization:
     """Cholesky factor of sigma + lambda I for the smallest workable jitter.
 
-    This is the PSD check of a Gram matrix: tries lambda = 0, then
-    DEFAULT_JITTER_START * s up by factors of 10, s = max(max |sigma_ij|, 1),
-    and raises NotPositiveSemidefiniteError when even DEFAULT_JITTER_MAX * s
-    fails. The ladder scales with sigma so that a rank-deficient sigma of large
-    entries still factors.
+    This is the PSD check of a Gram matrix, and the one finiteness check of
+    the paths sampled from it: tries lambda = 0, then DEFAULT_JITTER_START * s
+    up by factors of 10, s = max(max |sigma_ij|, 1), and raises
+    NotPositiveSemidefiniteError when even DEFAULT_JITTER_MAX * s fails, or
+    when sigma or its factor has a NaN or inf entry. The ladder scales with
+    sigma so that a rank-deficient sigma of large entries still factors.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] < 1:
         raise NotPositiveSemidefiniteError(f"need a square matrix, got shape {sigma.shape}")
+    if not np.all(np.isfinite(sigma)):
+        raise NotPositiveSemidefiniteError("matrix has a NaN or inf entry")
     scale = max(float(np.abs(sigma).max()), 1.0)
     if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
         raise NotPositiveSemidefiniteError("matrix is not symmetric")
@@ -167,13 +175,16 @@ def factorize(sigma: np.ndarray) -> Factorization:
     while True:
         try:
             lower = np.linalg.cholesky(sigma + lam * np.eye(n) if lam else sigma)
-            return Factorization(lower=lower, jitter=lam)
         except np.linalg.LinAlgError:
             lam = DEFAULT_JITTER_START * scale if lam == 0.0 else lam * 10.0
             if lam > DEFAULT_JITTER_MAX * scale * (1 + 1e-12):
                 raise NotPositiveSemidefiniteError(
                     f"Cholesky failed up to jitter {DEFAULT_JITTER_MAX * scale:g}: matrix is "
                     "not positive semidefinite") from None
+            continue
+        if not np.all(np.isfinite(lower)):
+            raise NotPositiveSemidefiniteError("Cholesky factor has a NaN or inf entry")
+        return Factorization(lower=lower, jitter=lam)
 
 
 def _blocks_per_path(n_points: int) -> int:
@@ -224,8 +235,10 @@ def sample(factor: Factorization | MarkovPaths, grid: Grid, config: SamplerConfi
 @dataclass(frozen=True)
 class PathFunctionals:
     """Per-path summaries: Y = sum_i w_i X_i, the grid minimum and the leftmost
-    argmin. The argmin is computed on first access: on a strided batch it
-    copies the whole batch, and the tail and Z* estimators never read it."""
+    argmin. The argmin is computed on first access, as the first point equal
+    to the minimum: its one temporary is a bool array 1/8 the batch's size,
+    where ``values.argmin`` would copy a strided batch whole. The tail and Z*
+    estimators never read it."""
 
     values: np.ndarray = field(repr=False)
     y: np.ndarray
@@ -239,7 +252,7 @@ class PathFunctionals:
 
     @cached_property
     def argmin_index(self) -> np.ndarray:
-        arr = self.values.argmin(axis=1)
+        arr = (self.values == self.min_value[:, None]).argmax(axis=1)
         arr.setflags(write=False)
         return arr
 

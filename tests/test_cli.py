@@ -97,6 +97,21 @@ def test_analytic_rejects_explicit_kernel(run_cli):
     assert code == EXIT_CONFIG
 
 
+INF_GRAM = {"kernel": {"type": "modulated_bm",
+                       "g": {"tabulated": {"x": [1, 2], "g": [1e-200, 1e-200],
+                                           "dg": [0, 0], "d2g": [0, 0]}}},
+            "interval": [1, 2], "u_list": [1.0], "n_paths": 1000}
+
+
+@pytest.mark.parametrize("command", ["solve", "tail"])
+def test_non_finite_gram_matrix_exits_2(run_cli, capsys, command):
+    # g = 1e-200 makes every entry min(s, t) / (g(s) g(t)) inf: factorize
+    # refuses it as a numerical failure, before the solver or the sampler runs
+    code, _ = run_cli(command, config=INF_GRAM)
+    assert code == EXIT_NUMERICAL
+    assert "matrix has a NaN or inf entry" in capsys.readouterr().err
+
+
 def test_diagnose_requires_two_u_values(run_cli):
     code, _ = run_cli("diagnose", config={"kernel": {"type": "ou"},
                                           "interval": [0.0, 1.0], "k": 3,
@@ -362,6 +377,93 @@ def test_tail_builds_gram_factor_and_solution_once(run_cli, monkeypatch):
     code, _ = run_cli("tail", config={"preset": "ou", "n_paths": 2000})
     assert code == EXIT_OK
     assert calls == {"gram": 1, "cholesky": 1, "certify": 1}
+
+
+SMALL_STUDY = {"name": "ou", "preset": "ou", "k": 3, "k_min": 2, "k_max": 4,
+               "n_paths": 2000, "u_list": [0.0, 1.0], "argmin_u_list": [1.0],
+               "x_list": [1.0], "diagnose_u_list": [1.0, 2.0], "diagnose_k": 4}
+
+
+def test_report_study_builds_each_grid_once(run_cli, monkeypatch):
+    # Gram matrices built, by grid size: refine builds levels 2, 3 and 4 (5, 9
+    # and 17 points); analytic, tail and argmin share one k=3 Problem, and
+    # diagnose reuses refine's final k=4 level. Refine's lower levels are not
+    # kept, so k=3 is built twice.
+    grams, choleskys = Counter(), Counter()
+    gram, cholesky = Kernel.gram, np.linalg.cholesky
+
+    def counted_gram(self, grid):
+        grams[grid.n] += 1
+        return gram(self, grid)
+
+    def counted_cholesky(a):
+        choleskys[a.shape[0]] += 1
+        return cholesky(a)
+
+    monkeypatch.setattr(Kernel, "gram", counted_gram)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    code, out = run_cli("report", config={"studies": [SMALL_STUDY]})
+    assert code == EXIT_OK
+    _, _, trace = read_csv(out / "ou" / "solve" / "trace.csv")
+    assert [row[0] for row in trace] == [2, 3, 4]
+    assert grams == choleskys == {5: 1, 9: 2, 17: 1}
+
+
+def embedded_config(stage_dir: Path) -> dict:
+    """The resolved config a stage's output embeds."""
+    for path in sorted(stage_dir.iterdir()):
+        if path.suffix == ".json":
+            return json.loads(path.read_text())["config"]
+        if path.suffix == ".csv":
+            return json.loads(read_csv(path)[0][1].split("# config:")[1])
+    raise AssertionError(f"no config in {stage_dir}")
+
+
+def test_report_stage_is_byte_identical_to_its_standalone_run(run_cli, tmp_path):
+    # sharing a study's Problems cannot move a byte: rerunning every stage on
+    # the config its output embeds, with its own Problems, writes the same files
+    code, out = run_cli("report", config={"studies": [SMALL_STUDY]}, out=tmp_path / "rep")
+    assert code == EXIT_OK
+    stages = sorted(p.name for p in (out / "ou").iterdir())
+    assert stages == sorted(gaussmin.cli.STAGES)
+    for stage in stages:
+        code, alone = run_cli(stage, config=embedded_config(out / "ou" / stage),
+                              out=tmp_path / f"alone_{stage}")
+        assert code == EXIT_OK
+        assert tree_bytes(alone) == tree_bytes(out / "ou" / stage), stage
+
+
+@pytest.mark.parametrize("kernel, interval", [
+    ({"type": "ou"}, [0.0, 1.0]),
+    ({"type": "power_exponential", "alpha": 0.5}, [0.0, 1.0]),
+    ({"type": "modulated_bm", "g": {"power": 0.5}}, [1.0, 2.0]),
+    ({"type": "explicit", "matrix": [[1.0, 0.5], [0.5, 1.0]]}, None),
+])
+def test_report_skips_analytic_exactly_when_analytic_exits_3(run_cli, tmp_path, kernel,
+                                                             interval):
+    study = {"kernel": kernel, "k": 2, "k_min": 2, "k_max": 2, "n_paths": 500,
+             "u_list": [0.0], "argmin_u_list": [0.0], "x_list": []}
+    if interval is not None:
+        study["interval"] = interval
+    code, _ = run_cli("analytic", config=study, out=tmp_path / "analytic")
+    _, out = run_cli("report", config={"studies": [{"name": "s", **study}]},
+                     out=tmp_path / "report")
+    lines = report_sections((out / "report.md").read_text())["s"]
+    skipped = "- analytic: skipped (no closed form for this kernel)" in lines
+    assert skipped == (code == EXIT_CONFIG)
+    assert (out / "s" / "analytic").exists() == (not skipped)
+    assert code in (EXIT_OK, EXIT_CONFIG)
+
+
+@pytest.mark.parametrize("kernel", ["ou", {"type": "frobnicate"}])
+def test_report_study_with_a_bad_kernel_fails_its_stages(run_cli, kernel):
+    code, out = run_cli("report", config={"studies": [
+        {"name": "s", "kernel": kernel, "interval": [0.0, 1.0], "u_list": [0.0]}]})
+    assert code == EXIT_NUMERICAL
+    lines = report_sections((out / "report.md").read_text())["s"]
+    assert [line.split(" (")[0] for line in lines] == [
+        "- solve: FAILED", "- analytic: FAILED", "- tail: FAILED",
+        "- diagnose: skipped", "- argmin: FAILED"]
 
 
 @pytest.mark.parametrize("command, config, passes", [

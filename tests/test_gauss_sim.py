@@ -63,6 +63,13 @@ def test_factorize_rejects_indefinite_and_malformed_input():
         factorize(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("sigma", [[[np.nan]], [[1.0, np.nan], [np.nan, 1.0]], [[np.inf]]])
+def test_factorize_rejects_a_non_finite_matrix(sigma):
+    # the one finiteness check of the sampled paths: no batch is scanned
+    with pytest.raises(NotPositiveSemidefiniteError, match="NaN or inf"):
+        factorize(np.array(sigma))
+
+
 # ---------------------------------------------------------------------------
 # the deterministic normal table
 # ---------------------------------------------------------------------------
@@ -229,9 +236,6 @@ def test_path_batch_validation():
     grid = DyadicGrid(0.0, 1.0, 1)
     with pytest.raises(GridMismatchError):
         PathBatch(grid=grid, values=np.zeros((4, 2)), seed=0, stream=0, start_index=0)
-    with pytest.raises(ValueError):
-        PathBatch(grid=grid, values=np.full((1, 3), np.nan), seed=0, stream=0,
-                  start_index=0)
 
 
 # ---------------------------------------------------------------------------
@@ -324,3 +328,20 @@ def test_one_fine_batch_allocates_about_one_keystream_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * buffer, f"peak {peak / buffer:.2f} x the buffer"
+
+
+def test_argmin_of_a_strided_batch_matches_argmin_without_a_copy():
+    problem = _problem("example1", 7)  # 129 points: the Markov route's strided batch
+    assert isinstance(problem.path_map, MarkovPaths)
+    batch = sample(problem.path_map, problem.grid, make_config(n_paths=DEFAULT_BATCH))
+    assert not batch.values.flags.c_contiguous
+    fn = functionals(batch, problem.solution.measure)
+    buffer = DEFAULT_BATCH * 132 * 8    # 129 points use 33 Philox blocks of 4
+    tracemalloc.start()
+    try:
+        index = fn.argmin_index
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(index, batch.values.argmin(axis=1))
+    assert peak <= 0.25 * buffer, f"peak {peak / buffer:.2f} x the buffer"

@@ -389,7 +389,9 @@ def _u_values(cfg: dict, domain: str = "finite") -> list[float]:
 def cmd_tail(cfg: dict, out: Path, problems: dict) -> tuple[int, list[tuple] | None]:
     us = _u_values(cfg)
     methods = cfg.get("methods", ["crude", "is"])
-    _require(set(methods) <= {"crude", "is"} and methods, "methods must be crude and/or is")
+    _require(isinstance(methods, list) and methods
+             and all(isinstance(m, str) and m in ("crude", "is") for m in methods),
+             f"'methods' must be a non-empty list of 'crude' and/or 'is'; got {methods!r}")
     config = sampler_config(cfg)
     n_dump = min(_number(cfg, "dump_paths", 0, integer=True, low=0), config.n_paths,
                  PATH_DUMP_CAP)
@@ -401,8 +403,12 @@ def cmd_tail(cfg: dict, out: Path, problems: dict) -> tuple[int, list[tuple] | N
         write_csv(out / "paths.csv", cfg,
                   [f"x{i}" for i in range(grid.points.size)],
                   [tuple(row) for row in batch.values])
-    estimators = {"crude": tail_crude, "is": tail_is}
-    estimates = {m: fn(problem, us, config) for m, fn in estimators.items() if m in methods}
+    # tail_is counts the crude hits in its own pass, so a run with IS makes one pass
+    if "is" in methods:
+        estimates = {"is": tail_is(problem, us, config)}
+        estimates["crude"] = [e.meta["crude"] for e in estimates["is"]]
+    else:
+        estimates = {"crude": tail_crude(problem, us, config)}
     rows = {m: [(u, e.value, e.stderr, e.log_value, e.log_value + u * u / (2 * s2))
                 for u, e in zip(us, estimates[m])] for m in estimates}
     for method in methods:

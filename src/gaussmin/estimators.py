@@ -20,12 +20,13 @@ one pass over the paths: a batch is drawn once, its Y, min and argmin are
 computed once, and every parameter's statistics are reduced from them, one
 parameter at a time, in the same float operations as a one-element list.
 Only a u whose tilt shifts the survival test recomputes the shifted min (and
-argmin). ``correction_diagnostic`` is the exception: it keeps one stream, so
-one pass, per u, so that the points of its fit are independent. All
-estimators stream batches whose content is independent of batch size and
-worker count and fold the per-batch results in path order, so every number
-here is a deterministic function of (seed, stream, n, batch size, parameter)
-that no worker count changes. Counts (crude, small-ball, Y <= x) are integer
+argmin). ``tail_is`` also counts the crude hits in its pass, so the CLI's
+``tail`` makes one pass for both methods. ``correction_diagnostic`` is the
+exception: it keeps one stream, so one pass, per u, so that the points of its
+fit are independent. All estimators stream batches whose content is
+independent of batch size and worker count and fold the per-batch results in
+path order, so every number here is a deterministic function of (seed,
+stream, n, batch size, parameter) that no worker count changes. Counts (crude, small-ball, Y <= x) are integer
 sums and so also independent of the batch size; the weighted estimators fold
 per-batch float sums, which a different batch size can move in the last bit.
 """
@@ -177,7 +178,11 @@ def tail_is(problem: Problem, us: Sequence[float], config: SamplerConfig) -> lis
     """Change-of-measure estimates of P(min over grid > u), one per u, from one pass.
 
     Unbiased at every u for the grid minimum; the variance collapses for
-    large u where the crude estimator sees no hits.
+    large u where the crude estimator sees no hits. Both estimators sample
+    under the original law, so the same pass also counts the crude hits
+    min X > u (the unshifted test, also where the tilt shifts the survival
+    test): each estimate's ``meta["crude"]`` is the Estimate that
+    ``tail_crude`` returns for that u on the same config.
     """
     us = [float(u) for u in us]
     solution = problem.solution
@@ -197,24 +202,27 @@ def tail_is(problem: Problem, us: Sequence[float], config: SamplerConfig) -> lis
 
     def batch_stats(batch: PathBatch) -> tuple:
         fn = functionals(batch, measure)
-        return tuple(u_stats(u, fn.y, fn.min_value if shift is None
-                             else (batch.values + shift).min(axis=1))
+        return tuple((int(np.count_nonzero(fn.min_value > u)),
+                      *u_stats(u, fn.y, fn.min_value if shift is None
+                               else (batch.values + shift).min(axis=1)))
                      for u, shift in zip(us, shifts))
 
-    n_surv, sum_w, sum_w2, lse = ([0] * len(us), [0.0] * len(us), [0.0] * len(us),
-                                  [-math.inf] * len(us))
+    hits, n_surv, sum_w, sum_w2, lse = ([0] * len(us), [0] * len(us), [0.0] * len(us),
+                                        [0.0] * len(us), [-math.inf] * len(us))
     for batch in _map_ordered(problem, config, batch_stats):
-        for i, (ns, sw, sw2, batch_lse) in enumerate(batch):
+        for i, (h, ns, sw, sw2, batch_lse) in enumerate(batch):
+            hits[i] += h
             n_surv[i] += ns
             sum_w[i] += sw
             sum_w2[i] += sw2
             lse[i] = float(np.logaddexp(lse[i], batch_lse))
-    return [_is_estimate(u, n_surv[i], sum_w[i], sum_w2[i], lse[i], s2, config)
+    return [_is_estimate(u, n_surv[i], sum_w[i], sum_w2[i], lse[i], s2, config,
+                         _binomial_estimate(hits[i], config, {"method": "tail_crude", "u": u}))
             for i, u in enumerate(us)]
 
 
 def _is_estimate(u: float, n_surv: int, sum_w: float, sum_w2: float, lse: float,
-                 s2: float, config: SamplerConfig) -> Estimate:
+                 s2: float, config: SamplerConfig, crude: Estimate) -> Estimate:
     n = config.n_paths
     log_prefactor = -u * u / (2.0 * s2)
     log_p = lse - math.log(n) + log_prefactor
@@ -228,7 +236,7 @@ def _is_estimate(u: float, n_surv: int, sum_w: float, sum_w2: float, lse: float,
     ess = (sum_w * sum_w / sum_w2) if sum_w2 > 0 else 0.0
     meta = {"method": "tail_is", "u": u, "sigma_star_sq": s2,
             "n_surviving": n_surv, "ess": ess, "rel_stderr": rel_stderr,
-            "log_only": value == 0.0 and lse > -math.inf}
+            "log_only": value == 0.0 and lse > -math.inf, "crude": crude}
     return Estimate(value=value, stderr=stderr, n=n, seed=config.seed,
                     log_value=log_p if lse > -math.inf else -math.inf, meta=meta)
 

@@ -1,7 +1,9 @@
 """Command-line interface: configs, outputs, exit codes, reproducibility."""
 
+import importlib.util
 import json
 import math
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -338,6 +340,14 @@ def test_tail_crude_only_zero_hits_exits_2(run_cli):
     assert not (out / "tail_summary.csv").exists()
 
 
+@pytest.mark.parametrize("methods", [[["is"]], {"is": 1}, [], ["cmc"], "is", ["is", 1]],
+                         ids=["nested-list", "dict", "empty", "unknown", "string", "non-string"])
+def test_tail_methods_must_be_a_list_of_crude_and_is(run_cli, methods):
+    code, out = run_cli("tail", config={"preset": "ou", "n_paths": 1000, "methods": methods})
+    assert code == EXIT_CONFIG
+    assert not (out / "tail_is.csv").exists()
+
+
 def test_tail_log_values_parse_back(run_cli):
     code, out = run_cli("tail", config={
         "kernel": {"type": "ou"}, "interval": [0.0, 1.0], "k": 3,
@@ -467,11 +477,13 @@ def test_report_study_with_a_bad_kernel_fails_its_stages(run_cli, kernel):
 
 
 @pytest.mark.parametrize("command, config, passes", [
-    ("tail", {}, 2),                      # crude over every u, then IS over every u
+    ("tail", {}, 1),                      # IS over every u, counting the crude hits too
     # argmin over every u, then m_x over every x (x = 0.25 needs far more paths)
     ("argmin", {"x_list": [1.0, 0.5]}, 2),
     ("argmin", {"x_list": []}, 1),        # no x: no m_x pass
     ("smallball", {}, 1),
+    ("tail", {"methods": ["crude"]}, 1),  # crude alone needs no IS pass
+    ("tail", {"methods": ["is"]}, 1),
 ])
 def test_sweep_draws_each_path_once_per_estimator(run_cli, monkeypatch, command, config,
                                                   passes):
@@ -698,6 +710,35 @@ def test_perfbench_tracer_finds_every_name_it_patches():
     res = run_python(["-c", f"import sys; sys.path.insert(0, {str(tracer_dir)!r}); "
                             "from tracer import Tracer, install; install(Tracer())"])
     assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize("command, config", [
+    ("tail", {"preset": "ou", "n_paths": 3000}),
+    ("tail", {"preset": "ou", "n_paths": 3000, "methods": ["crude"]}),
+    ("tail", {"preset": "ou", "n_paths": 3000, "methods": ["is"]}),
+    ("report", {"studies": [SMALL_STUDY]}),
+], ids=["tail", "tail-crude", "tail-is", "report"])
+def test_traced_run_gives_finite_layer_metrics(tmp_path, command, config):
+    # every path must be drawn inside a span the tracer opens for an estimator
+    # name: a sample outside them leaves the estimator wall time 0, and
+    # gauss_sim.parallelism NaN, which the benchmark's JSON result line cannot carry
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    cfg_path, spans_path = tmp_path / "config.json", tmp_path / "spans.json"
+    cfg_path.write_text(json.dumps(config))
+    t0 = time.perf_counter()
+    res = run_python([str(perfbench / "child.py"), str(tmp_path / "record.json"),
+                      "--trace", str(spans_path), "--", command, "--config", str(cfg_path),
+                      "--out", str(tmp_path / "out"), "--threads", "2"])
+    wall_s = time.perf_counter() - t0
+    assert res.returncode == EXIT_OK, res.stderr
+    spec = importlib.util.spec_from_file_location("perfbench_layers", perfbench / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    metrics = layers.layer_metrics(json.loads(spans_path.read_text())["spans"], wall_s)
+    json.dumps(metrics, allow_nan=False)
+    if command == "tail":
+        assert metrics["estimators.paths_drawn"][0] == 3000
+        assert metrics["estimators.path_reuse"][0] == 1.0
 
 
 def test_cli_import_leaves_out_scipy_optimize_and_interpolate():

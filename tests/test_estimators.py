@@ -330,6 +330,21 @@ def test_tail_list_equals_one_element_calls(sweep_case, estimator):
     assert fused == [estimator(problem, [u], cfg)[0] for u in SWEEP_US]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("batch_size", [16384, 777])
+@pytest.mark.parametrize("name", ["ou", "example2"])
+def test_is_pass_counts_the_crude_hits(ou_problem_k5, example2_problem_k5, name, batch_size,
+                                       workers):
+    # the crude hits counted in tail_is's pass use the unshifted test min X > u,
+    # also where the tilt shifts IS's survival test (example2, partial support)
+    problem = ou_problem_k5 if name == "ou" else example2_problem_k5
+    cfg = make_config(n_paths=40_000, batch_size=batch_size, workers=workers)
+    weighted = tail_is(problem, SWEEP_US, cfg)
+    crude = tail_crude(problem, SWEEP_US, cfg)
+    assert [e.meta["crude"] for e in weighted] == crude
+    assert weighted[0].value == crude[0].value  # the u=0 identity
+
+
 @pytest.mark.parametrize("mode", ["range", "zstar"])
 def test_small_ball_list_equals_one_element_calls(sweep_case, mode):
     problem, cfg = sweep_case

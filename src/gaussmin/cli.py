@@ -392,6 +392,9 @@ def cmd_tail(cfg: dict, out: Path, problems: dict) -> tuple[int, list[tuple] | N
     _require(isinstance(methods, list) and methods
              and all(isinstance(m, str) and m in ("crude", "is") for m in methods),
              f"'methods' must be a non-empty list of 'crude' and/or 'is'; got {methods!r}")
+    if len(set(methods)) < len(methods):  # a repeated method runs, and is written, once
+        methods = list(dict.fromkeys(methods))
+        cfg = dict(cfg, methods=methods)
     config = sampler_config(cfg)
     n_dump = min(_number(cfg, "dump_paths", 0, integer=True, low=0), config.n_paths,
                  PATH_DUMP_CAP)

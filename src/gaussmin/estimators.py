@@ -16,19 +16,24 @@ Gram matrix, Cholesky factor and certified solution, built once and shared by
 all estimates on that grid.
 
 Each sweep estimator takes its whole parameter list (u, x or eps) and makes
-one pass over the paths: a batch is drawn once, its Y, min and argmin are
-computed once, and every parameter's statistics are reduced from them, one
-parameter at a time, in the same float operations as a one-element list.
-Only a u whose tilt shifts the survival test recomputes the shifted min (and
-argmin). ``tail_is`` also counts the crude hits in its pass, so the CLI's
-``tail`` makes one pass for both methods. ``correction_diagnostic`` is the
-exception: it keeps one stream, so one pass, per u, so that the points of its
-fit are independent. All estimators stream batches whose content is
-independent of batch size and worker count and fold the per-batch results in
-path order, so every number here is a deterministic function of (seed,
-stream, n, batch size, parameter) that no worker count changes. Counts (crude, small-ball, Y <= x) are integer
-sums and so also independent of the batch size; the weighted estimators fold
-per-batch float sums, which a different batch size can move in the last bit.
+one pass over the paths. Its ``per_path`` step maps paths to per-path
+columns: Y, the min and argmin, computed once, and the shifted min (and
+argmin) of each u whose tilt shifts the survival test. Its ``fold`` reduces a
+batch's columns to every parameter's statistics, one parameter at a time, in
+the same float operations as a one-element list. ``tail_is`` also counts the
+crude hits in its pass, so the CLI's ``tail`` makes one pass for both methods.
+``correction_diagnostic`` is the exception: it keeps one stream, so one pass,
+per u, so that the points of its fit are independent.
+
+The batch is the unit of folding only: its paths are drawn and mapped tile by
+tile (``gauss_sim.tiles``), and the columns are joined in path order before
+the fold, so a pass over a fine grid holds one tile of paths, and the tile
+size changes no output. Batches fold in path order whatever the worker count,
+so every number here is a deterministic function of (seed, stream, n, batch
+size, parameter) that no worker count changes. Counts (crude, small-ball,
+Y <= x) are integer sums and so also independent of the batch size; the
+weighted estimators fold per-batch float sums, which a different batch size
+can move in the last bit.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ import numpy as np
 from . import optimizer
 from .exceptions import EstimationError
 from .gauss_sim import (Factorization, MarkovPaths, PathBatch, SamplerConfig, factorize,
-                        functionals, path_map, sample)
+                        functionals, path_map, sample, tiles)
 from .grids import Grid
 from .kernels import Kernel
 from .measure import GridMeasure
@@ -118,10 +123,13 @@ class Estimate:
 
 
 def _map_ordered(problem: Problem, config: SamplerConfig,
-                 fn: Callable[[PathBatch], tuple]) -> Iterator[tuple]:
-    """Apply fn to every batch, yielding results in path order.
+                 per_path: Callable[[PathBatch], Sequence[np.ndarray]],
+                 fold: Callable[..., tuple]) -> Iterator[tuple]:
+    """Fold every batch, yielding the results in path order.
 
-    With several workers the batches are computed concurrently but reduced in
+    A batch is drawn tile by tile; ``per_path`` maps each tile to per-path
+    columns, and ``fold`` reduces the batch's columns, joined in path order.
+    With several workers the batches are computed concurrently but yielded in
     submission order, so the folded result is identical for any worker count.
     """
     paths, grid = problem.path_map, problem.grid  # cached here, before workers read it
@@ -129,7 +137,11 @@ def _map_ordered(problem: Problem, config: SamplerConfig,
 
     def run(start: int) -> tuple:
         count = min(config.batch_size, config.n_paths - start)
-        return fn(sample(paths, grid, config, start, count))
+        columns = [per_path(sample(paths, grid, config, tile_start, tile_rows))
+                   for tile_start, tile_rows in tiles(paths, start, count)]
+        if len(columns) == 1:
+            return fold(*columns[0])
+        return fold(*map(np.concatenate, zip(*columns)))
 
     if config.workers == 1:
         yield from map(run, starts)
@@ -163,12 +175,14 @@ def tail_crude(problem: Problem, us: Sequence[float], config: SamplerConfig) -> 
     """Direct Monte Carlo estimates of P(min over grid > u), one per u, from one pass."""
     us = [float(u) for u in us]
 
-    def batch_hits(batch: PathBatch) -> tuple:
-        mins = batch.values.min(axis=1)
+    def per_path(batch: PathBatch) -> tuple:
+        return (batch.values.min(axis=1),)
+
+    def fold(mins: np.ndarray) -> tuple:
         return tuple(int(np.count_nonzero(mins > u)) for u in us)
 
     hits = [0] * len(us)
-    for batch in _map_ordered(problem, config, batch_hits):
+    for batch in _map_ordered(problem, config, per_path, fold):
         hits = [total + h for total, h in zip(hits, batch)]
     return [_binomial_estimate(h, config, {"method": "tail_crude", "u": u})
             for h, u in zip(hits, us)]
@@ -200,16 +214,20 @@ def tail_is(problem: Problem, us: Sequence[float], config: SamplerConfig) -> lis
         return int(logw.size), float(w.sum()), float((w * w).sum()), m + math.log(
             float(np.exp(logw - m).sum()))
 
-    def batch_stats(batch: PathBatch) -> tuple:
+    def per_path(batch: PathBatch) -> tuple:
+        # Y, min X and, per u, the min of the path the survival test reads
         fn = functionals(batch, measure)
-        return tuple((int(np.count_nonzero(fn.min_value > u)),
-                      *u_stats(u, fn.y, fn.min_value if shift is None
-                               else (batch.values + shift).min(axis=1)))
-                     for u, shift in zip(us, shifts))
+        return (fn.y, fn.min_value, *(fn.min_value if shift is None
+                                      else (batch.values + shift).min(axis=1)
+                                      for shift in shifts))
+
+    def fold(y: np.ndarray, low: np.ndarray, *u_lows: np.ndarray) -> tuple:
+        return tuple((int(np.count_nonzero(low > u)), *u_stats(u, y, u_low))
+                     for u, u_low in zip(us, u_lows))
 
     hits, n_surv, sum_w, sum_w2, lse = ([0] * len(us), [0] * len(us), [0.0] * len(us),
                                         [0.0] * len(us), [-math.inf] * len(us))
-    for batch in _map_ordered(problem, config, batch_stats):
+    for batch in _map_ordered(problem, config, per_path, fold):
         for i, (h, ns, sw, sw2, batch_lse) in enumerate(batch):
             hits[i] += h
             n_surv[i] += ns
@@ -259,23 +277,25 @@ def small_ball(problem: Problem, eps_list: Sequence[float], config: SamplerConfi
     if any(not eps > 0 for eps in eps_list):
         raise ValueError("eps must be > 0")
     if mode == "range":
-        def count(batch: PathBatch) -> tuple:
-            x = batch.values
-            if x.shape[1] == 1:
-                return (x.shape[0],) * len(eps_list)
-            dev = np.abs(x[:, 1:] - x[:, :1]).max(axis=1)
+        def per_path(batch: PathBatch) -> tuple:
+            x = batch.values  # a singleton grid has no increments: deviation 0
+            return (np.abs(x[:, 1:] - x[:, :1]).max(axis=1, initial=0.0),)
+
+        def fold(dev: np.ndarray) -> tuple:
             return tuple(int(np.count_nonzero(dev < eps)) for eps in eps_list)
     elif mode == "zstar":
         measure = problem.solution.measure
 
-        def count(batch: PathBatch) -> tuple:
+        def per_path(batch: PathBatch) -> tuple:
             fn = functionals(batch, measure)
-            gap = fn.min_value - fn.y
+            return (fn.min_value - fn.y,)
+
+        def fold(gap: np.ndarray) -> tuple:
             return tuple(int(np.count_nonzero(gap > -eps)) for eps in eps_list)
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'range' or 'zstar'")
     hits = [0] * len(eps_list)
-    for batch in _map_ordered(problem, config, count):
+    for batch in _map_ordered(problem, config, per_path, fold):
         hits = [total + h for total, h in zip(hits, batch)]
     return [_binomial_estimate(h, config, {"method": f"small_ball_{mode}", "eps": eps})
             for h, eps in zip(hits, eps_list)]
@@ -398,18 +418,24 @@ def argmin_conditional(problem: Problem, us: Sequence[float], config: SamplerCon
         hist = np.bincount(low_argmin[keep], weights=w, minlength=n_points)
         return hist, float(w.sum()), float((w * w).sum())
 
-    def shifted_stats(u: float, y: np.ndarray, low: np.ndarray) -> tuple:
-        return u_stats(u, y, low.min(axis=1), low.argmin(axis=1))
-
-    def batch_stats(batch: PathBatch) -> tuple:
+    def per_path(batch: PathBatch) -> list:
+        # Y, then per u the min and argmin of the tilted path
         fn = functionals(batch, measure)
-        return tuple(u_stats(u, fn.y, fn.min_value, fn.argmin_index) if shift is None
-                     else shifted_stats(u, fn.y, batch.values + shift)
-                     for u, shift in zip(us, shifts))
+        columns = [fn.y]
+        for shift in shifts:
+            if shift is None:
+                columns += [fn.min_value, fn.argmin_index]
+            else:
+                low = batch.values + shift
+                columns += [low.min(axis=1), low.argmin(axis=1)]
+        return columns
+
+    def fold(y: np.ndarray, *lows: np.ndarray) -> tuple:
+        return tuple(u_stats(u, y, lows[2 * i], lows[2 * i + 1]) for i, u in enumerate(us))
 
     hists = [np.zeros(n_points) for _ in us]
     sum_w, sum_w2 = [0.0] * len(us), [0.0] * len(us)
-    for batch in _map_ordered(problem, config, batch_stats):
+    for batch in _map_ordered(problem, config, per_path, fold):
         for i, (h, sw, sw2) in enumerate(batch):
             hists[i] += h
             sum_w[i] += sw
@@ -437,14 +463,16 @@ def mx_conditional(problem: Problem, xs: Sequence[float], config: SamplerConfig
     measure = problem.solution.measure
     n_points = problem.grid.points.size
 
-    def batch_stats(batch: PathBatch) -> tuple:
+    def per_path(batch: PathBatch) -> tuple:
         fn = functionals(batch, measure)
-        survive = fn.min_value > 0
-        return tuple(np.bincount(fn.argmin_index[survive & (fn.y <= x)], minlength=n_points)
-                     for x in xs)
+        return fn.y, fn.min_value, fn.argmin_index
+
+    def fold(y: np.ndarray, low: np.ndarray, argmin: np.ndarray) -> tuple:
+        survive = low > 0
+        return tuple(np.bincount(argmin[survive & (y <= x)], minlength=n_points) for x in xs)
 
     hists = [np.zeros(n_points) for _ in xs]
-    for batch in _map_ordered(problem, config, batch_stats):
+    for batch in _map_ordered(problem, config, per_path, fold):
         for hist, h in zip(hists, batch):
             hist += h
     return [GridMeasure.from_raw(problem.grid, hist) if hist.sum() > 0

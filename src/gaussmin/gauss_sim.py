@@ -22,6 +22,11 @@ refuses a sigma or factor with a NaN or inf entry, and ``path_map`` a Markov
 form with one. The normals satisfy |xi| <= 8.3, since the uniforms lie in
 [2^-53, 1 - 2^-53], so every path value is finite, |X_i| <= 8.3
 sqrt(n (sigma_ii + jitter)).
+
+The estimators draw a batch as consecutive ``tiles``, so that a pass over a
+fine grid holds one tile of paths, not a whole batch. Philox addressing makes
+the tiles the batch's own paths, and the tile size changes no output (see
+``tiles`` for what keeps Y = X w bitwise).
 """
 
 from __future__ import annotations
@@ -47,6 +52,10 @@ DEFAULT_BATCH = 16_384
 # size. At 129 points the two tie on time, and the cumsum needs no second
 # batch-sized array.
 MARKOV_MIN_POINTS = 129
+# Keystream values (8 B each) per tile, 16 MiB: the smallest power of two
+# that keeps a default batch of up to 65 points (16384 x 68 values) whole, with
+# the allocations it always had. A 1025-point batch is cut into 9 tiles.
+TILE_VALUES = 2**21
 
 
 @dataclass(frozen=True)
@@ -199,7 +208,7 @@ def standard_normals(seed: int, stream: int, start: int, count: int,
     (seed, stream) keystream, bpp = ceil(n_points/4); uniforms keep 52 bits
     and live strictly inside (0, 1) so the inverse CDF is always finite.
     Every step runs in the keystream buffer, so the result is a strided view
-    of one (count, 4*bpp) float64 array and the only batch-sized allocation.
+    of one (count, 4*bpp) float64 array, the only allocation of its size.
     """
     bpp = _blocks_per_path(n_points)
     bg = Philox(key=np.array([seed, stream], dtype=np.uint64))
@@ -213,6 +222,28 @@ def standard_normals(seed: int, stream: int, start: int, count: int,
     uniforms *= 2.0**-52
     xi = uniforms.reshape(count, bpp * BLOCK)[:, :n_points]
     return ndtri(xi, out=xi)
+
+
+def tiles(paths: Factorization | MarkovPaths, start: int, count: int) -> list[tuple[int, int]]:
+    """(start, count) of the consecutive tiles that cover paths [start, start + count).
+
+    A batch whose keystream holds at most TILE_VALUES values is one tile;
+    a larger one is cut into tiles of the largest multiple of 4 rows that
+    fits, at least 4. Y = X w is an OpenBLAS dgemv, which rounds the rows of a
+    block's M mod 4 remainder differently and a one-row product as a dot, so
+    the tiles start at multiples of 4 and a last tile of one row joins the one
+    before it: Y is then bitwise the whole batch's (with a one-thread BLAS;
+    a threaded one splits the rows at points of its own). The dense map's
+    dgemm rounds by shape, so a ``Factorization`` batch stays whole.
+    """
+    width = BLOCK * _blocks_per_path(paths.n)
+    if isinstance(paths, Factorization) or count * width <= TILE_VALUES:
+        return [(start, count)]
+    rows = max(4, TILE_VALUES // width // 4 * 4)
+    bounds = list(range(start, start + count, rows))
+    if len(bounds) > 1 and start + count - bounds[-1] == 1:
+        bounds.pop()
+    return [(a, b - a) for a, b in zip(bounds, bounds[1:] + [start + count])]
 
 
 def sample(factor: Factorization | MarkovPaths, grid: Grid, config: SamplerConfig,

@@ -21,6 +21,9 @@ from .grids import Grid
 from .kernels import Kernel, ScaleFunction
 
 DEFAULT_QUAD_POINTS = 4096  # 2**12 composite midpoint panels
+# Kernel entries per quadrature block (1 MiB): a kernel's pairwise makes a few
+# block-sized temporaries, so the energy and mean-function sums stay small.
+QUAD_BLOCK = 2**17
 WEIGHT_SUM_TOL = 1e-12
 
 
@@ -250,7 +253,7 @@ def energy(kernel: Kernel, m: MixedMeasure | GridMeasure,
         if locs.size:
             total += 2.0 * float(masses @ kernel.pairwise(locs, xs) @ fw)
         # density-density in row blocks to bound memory
-        block = max(1, 2**21 // quadrature_points)
+        block = max(1, QUAD_BLOCK // quadrature_points)
         acc = 0.0
         for i in range(0, quadrature_points, block):
             rows = kernel.pairwise(xs[i:i + block], xs)
@@ -270,7 +273,10 @@ def mean_function(kernel: Kernel, m: MixedMeasure | GridMeasure, eval_points,
         out += kernel.pairwise(ts, m.atom_locations) @ m.atom_masses
     if m.density is not None:
         xs, h = _midpoints(m.density.lo, m.density.hi, quadrature_points)
-        out += kernel.pairwise(ts, xs) @ (m.density.eval(xs) * h)
+        fw = m.density.eval(xs) * h
+        block = max(1, QUAD_BLOCK // quadrature_points)  # rows of ts, to bound memory
+        for i in range(0, ts.size, block):
+            out[i:i + block] += kernel.pairwise(ts[i:i + block], xs) @ fw
     return out
 
 

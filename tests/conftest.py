@@ -56,11 +56,13 @@ def make_config(seed=4242, n_paths=100_000, **kw) -> SamplerConfig:
     return SamplerConfig(seed=seed, n_paths=n_paths, **kw)
 
 
-def run_python(args: list[str], timeout: float = 120) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports the same gaussmin as this test session."""
+def run_python(args: list[str], timeout: float = 120,
+               env: dict | None = None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports the same gaussmin as this test
+    session, with ``env`` added to this process's environment."""
     src = str(Path(gaussmin.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env = dict(os.environ, **(env or {}), PYTHONPATH=src + (os.pathsep + path if path else ""))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=timeout)
 

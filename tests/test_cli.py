@@ -348,6 +348,17 @@ def test_tail_methods_must_be_a_list_of_crude_and_is(run_cli, methods):
     assert not (out / "tail_is.csv").exists()
 
 
+@pytest.mark.parametrize("methods, once", [(["is", "is"], ["is"]),
+                                           (["is", "crude", "is"], ["is", "crude"])])
+def test_tail_runs_a_repeated_method_once(run_cli, tmp_path, methods, once):
+    # the first occurrence counts: one CSV, one plot line and the config that names it once
+    cfg = {"preset": "ou", "k": 3, "n_paths": 2000}
+    code_a, out_a = run_cli("tail", config=dict(cfg, methods=methods), out=tmp_path / "a")
+    code_b, out_b = run_cli("tail", config=dict(cfg, methods=once), out=tmp_path / "b")
+    assert code_a == code_b == EXIT_OK
+    assert tree_bytes(out_a) == tree_bytes(out_b)
+
+
 def test_tail_log_values_parse_back(run_cli):
     code, out = run_cli("tail", config={
         "kernel": {"type": "ou"}, "interval": [0.0, 1.0], "k": 3,

@@ -1,7 +1,9 @@
 """Counter-based Gaussian path sampling and per-path functionals."""
 
+import json
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +25,12 @@ from gaussmin import (
     sample,
     tail_is,
 )
-from gaussmin.estimators import argmin_conditional
+from gaussmin import gauss_sim
+from gaussmin.estimators import (argmin_conditional, mx_conditional, small_ball,
+                                 tail_crude)
 from gaussmin.gauss_sim import (DEFAULT_BATCH, MARKOV_MIN_POINTS, MarkovPaths, PathBatch,
-                                factorize, path_map, standard_normals)
-from conftest import make_config
+                                factorize, path_map, standard_normals, tiles)
+from conftest import make_config, run_python
 from oracles import ks_critical, reference_normals
 
 
@@ -345,3 +349,109 @@ def test_argmin_of_a_strided_batch_matches_argmin_without_a_copy():
         tracemalloc.stop()
     assert np.array_equal(index, batch.values.argmin(axis=1))
     assert peak <= 0.25 * buffer, f"peak {peak / buffer:.2f} x the buffer"
+
+
+# ---------------------------------------------------------------------------
+# tiles: the estimators draw and reduce a batch tile by tile
+# ---------------------------------------------------------------------------
+
+
+def test_tiles_cover_a_batch_in_multiples_of_four_rows(monkeypatch):
+    fine = _problem("ou", 10).path_map   # 1025 points: 1028 keystream values per path
+    assert tiles(fine, 40, DEFAULT_BATCH) != [(40, DEFAULT_BATCH)]
+    monkeypatch.setattr(gauss_sim, "TILE_VALUES", 10 * 1028)   # 10 rows fit, so 8
+    assert tiles(fine, 40, 24) == [(40, 8), (48, 8), (56, 8)]
+    assert tiles(fine, 40, 27) == [(40, 8), (48, 8), (56, 8), (64, 3)]
+    # a one-row last tile would be a dot product, not dgemv: it joins the one before
+    assert tiles(fine, 40, 25) == [(40, 8), (48, 8), (56, 9)]
+    assert tiles(fine, 40, 10) == [(40, 10)]   # the whole batch fits
+    assert tiles(fine, 40, 1) == [(40, 1)]
+    monkeypatch.setattr(gauss_sim, "TILE_VALUES", 1)
+    assert tiles(fine, 0, 9) == [(0, 4), (4, 5)]   # at least 4 rows
+    # the dense product rounds by shape, so its batches stay whole
+    dense = Problem(PowerExponential(0.5), DyadicGrid(0.0, 1.0, 10)).factor
+    assert tiles(dense, 0, DEFAULT_BATCH) == [(0, DEFAULT_BATCH)]
+
+
+def test_narrow_batches_stay_whole():
+    # a default batch of up to 65 points keeps its one allocation on either route
+    def markov(n):
+        return MarkovPaths(step=np.ones(n), scale=np.ones(n))
+
+    for n in (33, 65):
+        assert tiles(markov(n), 0, DEFAULT_BATCH) == [(0, DEFAULT_BATCH)]
+    assert len(tiles(markov(129), 0, DEFAULT_BATCH)) == 2
+
+
+def test_a_fine_pass_holds_one_tile_not_the_batch():
+    problem = _problem("ou", 10)
+    paths, _ = problem.path_map, problem.solution   # built before tracing
+    assert isinstance(paths, MarkovPaths)
+    buffer = DEFAULT_BATCH * 1028 * 8   # the whole batch's keystream, 135 MB
+    tracemalloc.start()
+    try:
+        tail_is(problem, [0.0, 1.0], make_config(n_paths=DEFAULT_BATCH))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tile = 8 * gauss_sim.TILE_VALUES
+    assert peak <= 1.25 * tile, f"peak {peak / tile:.2f} x one tile"
+    assert peak < 0.25 * buffer, f"peak {peak / buffer:.2f} x the batch's buffer"
+
+
+def _sweep_outputs(problem: Problem, cfg: SamplerConfig) -> list:
+    """Every sweep estimator's output on ``problem``, exactly (floats by repr)."""
+    us = [0.0, 0.5, 1.0, 2.0]
+    out = [repr(e) for e in tail_is(problem, us, cfg)]   # with meta["crude"]
+    out += [repr(e) for e in tail_crude(problem, us, cfg)]
+    out += [repr(e) for mode in ("range", "zstar")
+            for e in small_ball(problem, [2.0, 1.0, 0.5], cfg, mode=mode)]
+    out += [repr(r) if isinstance(r, Exception) else repr((r[0].weights.tolist(), r[1]))
+            for r in argmin_conditional(problem, [1.0, 2.0], cfg)]
+    out += [repr(r) if isinstance(r, Exception) else repr(r.weights.tolist())
+            for r in mx_conditional(problem, [2.0, 0.5], cfg)]
+    return out
+
+
+def tile_size_changes(name: str, k: int, runs: list[tuple[int, int]]) -> list[str]:
+    """The (batch size, workers, tiling) runs whose outputs differ from the
+    whole-batch run: tiles of 4 rows, of 100 rows and of the default size
+    (where that splits a batch)."""
+    problem = _problem(name, k)
+    width = 4 * -(-problem.grid.n // 4)
+    default = gauss_sim.TILE_VALUES
+    changes = []
+    try:
+        for batch_size, workers in runs:
+            tilings = {"whole": 2**62, "4 rows": 4 * width, "100 rows": 100 * width}
+            if len(tiles(problem.path_map, 0, batch_size)) > 1:
+                tilings["default"] = default
+            cfg = make_config(n_paths=20_001, batch_size=batch_size, workers=workers)
+            outputs = {}
+            for label, tile_values in tilings.items():
+                gauss_sim.TILE_VALUES = tile_values
+                outputs[label] = _sweep_outputs(problem, cfg)
+            changes += [f"batch {batch_size}, workers {workers}, {label}"
+                        for label, out in outputs.items() if out != outputs["whole"]]
+    finally:
+        gauss_sim.TILE_VALUES = default
+    return changes
+
+
+@pytest.mark.parametrize("name, k, runs", [
+    ("example2", 8, [(777, 1), (16384, 2)]),   # partial support: shifted min and argmin
+    ("ou", 7, [(777, 2), (16384, 1)]),
+    ("example1", 10, [(16384, 2)]),
+])
+def test_tile_size_changes_no_output(name, k, runs):
+    # Y = X w is a dgemv, which a threaded BLAS splits at row counts of its
+    # own choosing for a tile and for a whole batch; with one BLAS thread the
+    # tiles reproduce the whole batch's Y bitwise, and so every output.
+    # 20001 paths leave short last batches, and 777 = 4 * 194 + 1 rows.
+    tests = str(Path(__file__).resolve().parent)
+    res = run_python(["-c", f"import sys; sys.path.insert(0, {tests!r}); import json, "
+                            f"test_gauss_sim as t; print(json.dumps(t.tile_size_changes("
+                            f"{name!r}, {k}, {runs!r})))"],
+                     timeout=600, env={"OPENBLAS_NUM_THREADS": "1"})
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == []

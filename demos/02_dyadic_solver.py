@@ -1,13 +1,16 @@
 """Grid solver with optimality certificates and dyadic refinement.
 
 On a grid the problem becomes min nu' Sigma nu over the probability simplex.
-The solver factors Sigma = L L' once (the sampler's jittered Cholesky, which a
-Problem shares) and computes theta = Sigma^{-1} 1, which is optimal when all
-its components are nonnegative. Otherwise it solves the nonnegative
-least-squares problem |L' x - L^{-1} 1| over x >= 0 and takes nu = x / sum(x).
-Before returning, it certifies optimality with ``certify`` through the mean
-function m = Sigma nu: m_j >= sigma*^2 everywhere with equality on the support.
-"""
+The solver computes theta = Sigma^{-1} 1, which is optimal when all its
+components are nonnegative; otherwise it runs Lawson & Hanson's active-set
+NNLS for min x' Sigma x / 2 - 1' x over x >= 0 and takes nu = x / sum(x).
+On a Gram matrix it factors Sigma = L L' once (the sampler's jittered
+Cholesky, which a Problem shares). On a Gauss-Markov kernel's (r, q), which a
+Problem from 129 points passes instead, Sigma^{-1} is tridiagonal, so theta and
+every active-set step cost O(n) and no n x n matrix is built: refine below
+reaches 257 points that way. Before returning, it certifies optimality with
+``certify`` through the mean function m = Sigma nu: m_j >= sigma*^2
+everywhere with equality on the support."""
 
 import numpy as np
 

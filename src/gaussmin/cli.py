@@ -8,8 +8,8 @@ so reruns with the same config are byte-identical at any thread count.
 
 Every command takes a dict of ``Problem``s, one per (kernel, grid), that
 ``build_problem`` fills: ``main`` passes an empty one and ``report`` one per
-study, so a study's stages share each Gram matrix, factor and certified
-solution. A ``Problem`` is deterministic, so sharing moves no byte.
+study, so a study's stages share each path map and certified solution.
+A ``Problem`` is deterministic, so sharing moves no byte.
 
 Exit codes: 0 success, 2 numerical or statistical failure, 3 config/usage
 failure.
@@ -316,9 +316,10 @@ def cmd_solve(cfg: dict, out: Path, problems: dict) -> tuple[int, dict]:
         k_max = _number(cfg, "k_max", 8, integer=True, low=k_min, high=MAX_LEVEL)
         trace = refine(kernel, _interval(cfg), k_min, k_max,
                        stop_tol=_number(cfg, "stop_tol", 1e-6))
-    final = trace.final
-    problems.setdefault(_problem_key(cfg, trace.problem.grid), trace.problem)
-    report = trace.problem.solution.report
+    final, problem = trace.final, trace.problem
+    problems.setdefault(_problem_key(cfg, problem.grid), problem)
+    solution = problem.solution
+    report = solution.report
     write_csv(out / "weights.csv", cfg, ["point", "weight"], _measure_rows(final.measure))
     write_csv(out / "trace.csv", cfg, ["k", "n_points", "sigma_star_sq"],
               [(e.k, e.measure.grid.points.size, e.sigma_star_sq) for e in trace.entries])
@@ -332,6 +333,11 @@ def cmd_solve(cfg: dict, out: Path, problems: dict) -> tuple[int, dict]:
         "converged": trace.converged,
         # a single level has no gap; inf is not valid JSON
         "final_gap": trace.final_gap if math.isfinite(trace.final_gap) else None,
+        "method": solution.method,
+        "support_size": int(solution.support.size),
+        "route": problem.route,
+        # the Markov route factors nothing
+        "jitter": problem.factor.jitter if problem.markov is None else None,
     }
     write_json(out / "solution.json", cfg, result)
     plot = Plot("refinement of sigma*^2 over dyadic levels", "level k", "sigma*^2_k")

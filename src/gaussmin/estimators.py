@@ -12,8 +12,8 @@ it; with full support the indicator is 1(min X > 0). Paths are sampled under
 the ORIGINAL law; the tilt lives entirely in the weight, so the estimator is
 exact (not asymptotic) on the grid -- but only for the certified optimum.
 Every estimator therefore takes a ``Problem``: one (kernel, grid) with its
-Gram matrix, Cholesky factor and certified solution, built once and shared by
-all estimates on that grid.
+path map and certified solution, built once and shared by all estimates on
+that grid (on a Gauss-Markov kernel from 129 points, without a Gram matrix).
 
 Each sweep estimator takes its whole parameter list (u, x or eps) and makes
 one pass over the paths. Its ``per_path`` step maps paths to per-path
@@ -48,8 +48,9 @@ import numpy as np
 
 from . import optimizer
 from .exceptions import EstimationError
-from .gauss_sim import (Factorization, MarkovPaths, PathBatch, SamplerConfig, factorize,
-                        functionals, path_map, sample, tiles)
+from .gauss_sim import (MARKOV_MIN_POINTS, Factorization, MarkovPaths, PathBatch,
+                        SamplerConfig, factorize, functionals, markov_form_valid, sample,
+                        tiles)
 from .grids import Grid
 from .kernels import Kernel
 from .measure import GridMeasure
@@ -61,21 +62,39 @@ ESS_WARN_THRESHOLD = 100.0
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """One (kernel, grid): its Gram matrix ``sigma``, built once, with its one
-    jittered Cholesky ``factor`` (also the PSD check of ``sigma``), the
-    sampler's ``path_map`` (the O(n) Markov cumsum where ``gauss_sim.path_map``
-    allows it, else ``factor``) and the solver's certified ``solution`` on
-    ``factor``, each computed on first use and kept.
+    """One (kernel, grid), with what the sampler and the solver need of it,
+    each computed on first use and kept.
+
+    A Markov Problem (``markov`` is the kernel's Markov form (r, q): it passes
+    ``gauss_sim.markov_form_valid``, on at least MARKOV_MIN_POINTS points)
+    samples by the O(n) cumsum and solves on (r, q); nothing on it builds a
+    Gram matrix or a factor. Any other Problem is dense: its ``sigma`` has one
+    jittered Cholesky ``factor`` (also the PSD check of ``sigma``), which is
+    both its ``path_map`` and the solver's factor. ``sigma`` and ``factor`` are
+    lazy on either route, so they are built only where something reads them.
     """
 
     kernel: Kernel
     grid: Grid
-    sigma: np.ndarray = field(init=False, repr=False)
+    markov: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
 
     def __post_init__(self):
+        form = self.kernel.markov_form(self.grid)   # also checks the grid's domain
+        if (form is None or self.grid.points.size < MARKOV_MIN_POINTS
+                or not markov_form_valid(*form)):
+            form = None
+        object.__setattr__(self, "markov", form)
+
+    @property
+    def route(self) -> str:
+        """The sampler's and the solver's route: "markov" or "dense"."""
+        return "dense" if self.markov is None else "markov"
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
         sigma = self.kernel.gram(self.grid)
         sigma.setflags(write=False)
-        object.__setattr__(self, "sigma", sigma)
+        return sigma
 
     @cached_property
     def factor(self) -> Factorization:
@@ -83,11 +102,13 @@ class Problem:
 
     @cached_property
     def path_map(self) -> Factorization | MarkovPaths:
-        return path_map(self.factor, self.kernel.markov_form(self.grid))
+        return self.factor if self.markov is None else MarkovPaths.of(*self.markov)
 
     @cached_property
     def solution(self) -> OptimalSolution:
-        return optimizer.solve_simplex_qp(self.sigma, grid=self.grid, factor=self.factor)
+        if self.markov is None:
+            return optimizer.solve_simplex_qp(self.sigma, grid=self.grid, factor=self.factor)
+        return optimizer.solve_simplex_qp(self.markov, grid=self.grid)
 
 
 @dataclass(frozen=True)

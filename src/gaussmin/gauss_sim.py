@@ -8,20 +8,22 @@ open-interval uniforms, computed in place in the keystream buffer.
 
 A path map turns the normals xi into paths X. The dense map is X = xi L^T for
 the (jittered) Cholesky factor L of the Gram matrix from ``factorize``, the
-one factor a ``Problem`` keeps and shares with the simplex solver; it costs
-O(n^2) per path. A Gauss-Markov kernel, R(s, t) = q(s) q(t) r(min(s, t)),
+one factor a dense ``Problem`` keeps and shares with the simplex solver; it
+costs O(n^2) per path. A Gauss-Markov kernel, R(s, t) = q(s) q(t) r(min(s, t)),
 has L_ij = q_i sqrt(r_j - r_(j-1)) for j <= i, so the same X is
-q * cumsum(xi * sqrt(dr)), O(n) per path and written over xi. ``path_map``
-takes that route exactly when the kernel has a Markov form, every dr is
-finite and > 0, the factor needed no jitter and n >= MARKOV_MIN_POINTS (below
-that the matrix product is faster); otherwise it keeps the dense factor. The
-two routes agree to rounding (about 1e-12 relative at 1025 points).
+q * cumsum(xi * sqrt(dr)), O(n) per path and written over xi (``MarkovPaths``).
+A ``Problem`` takes that route, for its paths and its solver alike, exactly
+when the kernel has a Markov form that ``markov_form_valid`` accepts (every
+dr finite and > 0, every 1/q and variance q^2 r finite) and
+n >= MARKOV_MIN_POINTS (below that the matrix product is faster); it then
+builds no Gram matrix and no factor, so nothing is jittered. The two maps
+agree to rounding (about 1e-12 relative at 1025 points).
 
-Finiteness is checked once per Gram matrix, not per batch: ``factorize``
-refuses a sigma or factor with a NaN or inf entry, and ``path_map`` a Markov
-form with one. The normals satisfy |xi| <= 8.3, since the uniforms lie in
-[2^-53, 1 - 2^-53], so every path value is finite, |X_i| <= 8.3
-sqrt(n (sigma_ii + jitter)).
+Finiteness is checked once per ``Problem``, not per batch: ``factorize``
+refuses a sigma or factor with a NaN or inf entry, and ``markov_form_valid``
+a Markov form with an infinite variance. The normals satisfy |xi| <= 8.3,
+since the uniforms lie in [2^-53, 1 - 2^-53], so every path value is finite,
+|X_i| <= 8.3 sqrt(n (sigma_ii + jitter)).
 
 The estimators draw a batch as consecutive ``tiles``, so that a pass over a
 fine grid holds one tile of paths, not a whole batch. Philox addressing makes
@@ -108,6 +110,11 @@ class MarkovPaths:
     step: np.ndarray    # sqrt(r_j - r_(j-1))
     scale: np.ndarray   # q
 
+    @classmethod
+    def of(cls, r: np.ndarray, q: np.ndarray) -> MarkovPaths:
+        """The map of a Markov form that ``markov_form_valid`` accepts."""
+        return cls(step=np.sqrt(np.diff(r, prepend=0.0)), scale=q)
+
     def __post_init__(self):
         for name in ("step", "scale"):
             arr = np.asarray(getattr(self, name), dtype=float)
@@ -126,18 +133,17 @@ class MarkovPaths:
         return xi
 
 
-def path_map(factor: Factorization,
-             markov_form: tuple[np.ndarray, np.ndarray] | None) -> Factorization | MarkovPaths:
-    """The O(n) Markov map when ``markov_form`` = (r, q) describes the same
-    unjittered covariance on at least MARKOV_MIN_POINTS points, else ``factor``."""
-    if markov_form is None or factor.jitter != 0.0 or factor.n < MARKOV_MIN_POINTS:
-        return factor
-    r, q = markov_form
-    with np.errstate(invalid="ignore"):  # inf - inf is refused below
+def markov_form_valid(r: np.ndarray, q: np.ndarray) -> bool:
+    """Whether (r, q) is the Markov form of a finite positive definite
+    covariance: every dr = r_j - r_(j-1) (r_(-1) = 0) finite and > 0, so that
+    min(r_i, r_j) is Brownian motion's covariance at increasing times, every
+    1/q finite (the precision has D^-1 = diag(1/q)), and every variance
+    q_j^2 r_j finite (it bounds the covariances). This is the whole PSD and
+    finiteness check of the Markov route."""
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):  # refused below
         dr = np.diff(r, prepend=0.0)
-    if not (np.all(np.isfinite(dr)) and np.all(dr > 0) and np.all(np.isfinite(q))):
-        return factor
-    return MarkovPaths(step=np.sqrt(dr), scale=q)
+        return bool(np.all(np.isfinite(dr)) and np.all(dr > 0)
+                    and np.all(np.isfinite(1.0 / q)) and np.all(np.isfinite(q * q * r)))
 
 
 @dataclass(frozen=True)

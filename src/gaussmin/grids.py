@@ -11,7 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-MAX_LEVEL = 12  # 4097 points; dense factorizations stay cheap below this
+# 4097 points. A Gauss-Markov Problem solves here with no n x n matrix (example2,
+# partial support: 0.4 s), but a dense one (PowerExponential(alpha < 1), a
+# fine ExplicitGram) holds sigma, its factor and factorize's copies: at 13
+# levels each 8193^2 matrix is 537 MB. One bound for every kernel keeps it.
+MAX_LEVEL = 12
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,33 @@
 """Minimize nu^T Sigma nu over the probability simplex, with certificates.
 
 The minimizing measure of the covariance double integral on a grid solves a
-convex QP over the simplex. The sampler's Cholesky factor Sigma = L L^T (from
-``factorize``, whose jitter ladder is also the PSD check; a ``Problem`` shares
-its own) drives a single path, with z = L^{-1} 1:
+convex QP over the simplex. Sigma is given in one of two forms, and each has
+its own route through the same two steps:
 
-* theta step: theta = Sigma^{-1} 1 = L^{-T} z. When theta >= 0 the KKT
-  conditions hold with every grid point active, so nu* = theta / sum(theta).
-  This covers every full-support kernel here (Ornstein-Uhlenbeck,
-  power-exponential, modulated Brownian).
-* NNLS otherwise: min over x >= 0 of x^T Sigma x / 2 - 1^T x is the
-  nonnegative least-squares problem |L^T x - z| (Lawson & Hanson's
-  active-set method), and nu* = x / sum(x).
+* theta step: theta = Sigma^{-1} 1. When theta >= 0 the KKT conditions hold
+  with every grid point active, so nu* = theta / sum(theta). This covers every
+  full-support kernel here (Ornstein-Uhlenbeck, power-exponential, modulated
+  Brownian).
+* NNLS otherwise: min over x >= 0 of x^T Sigma x / 2 - 1^T x, by Lawson &
+  Hanson's active-set method, and nu* = x / sum(x).
+
+Dense route: Sigma is an n x n matrix, and the sampler's Cholesky factor
+Sigma = L L^T (from ``factorize``, whose jitter ladder is also the PSD check;
+a ``Problem`` shares its own) gives z = L^{-1} 1, theta = L^{-T} z and the
+NNLS problem |L^T x - z| (scipy's ``nnls``).
+
+Markov route: Sigma_ij = q_i q_j r_min(i,j), given as its Markov form (r, q)
+(``Kernel.markov_form``), with no matrix. Sigma = D C D with D = diag(q) and
+C_ij = min(r_i, r_j), the covariance of Brownian motion at times r, whose
+inverse is tridiagonal. So theta = D^-1 C^-1 D^-1 1 costs O(n), and so does
+Sigma_PP^-1 1 on any point subset P, because (r_P, q_P) is again a Markov
+form: each active-set step of the NNLS is O(n). ``markov_form_valid`` (finite
+r increments > 0, finite 1/q and variances q^2 r) is the PSD check of this route.
 
 The returned measure is then certified by ``certify`` through its mean vector
-m = Sigma nu: feasibility requires min_j m_j >= sigma*^2 with equality on the
-support, and sigma*^2 is exactly nu^T Sigma nu of the returned weights.
+m = Sigma nu (two cumulative sums on the Markov route): feasibility requires
+min_j m_j >= sigma*^2 with equality on the support, and sigma*^2 is exactly
+nu^T m of the returned weights.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ import numpy as np
 from scipy.linalg import cho_factor, solve_triangular  # noqa: F401
 
 from .exceptions import NotPositiveSemidefiniteError, OptimizerError
-from .gauss_sim import Factorization, factorize
+from .gauss_sim import Factorization, factorize, markov_form_valid
 from .grids import MAX_LEVEL, DyadicGrid, Grid, PointGrid
 from .kernels import ExplicitGram, Kernel
 from .measure import GridMeasure
@@ -37,6 +49,7 @@ if TYPE_CHECKING:
     from .estimators import Problem
 
 SUPPORT_TOL = 1e-9          # relative weight below which a point is off-support
+NNLS_TOL = 1e-12            # Markov NNLS: a point joins while 1 - (Sigma x)_j exceeds this
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +116,7 @@ class RefinementEntry:
 class RefinementTrace:
     """Solutions over increasing dyadic levels; sigma*^2_k is nonincreasing.
 
-    ``problem`` is the final level's; the lower levels' Gram matrices are not kept.
+    ``problem`` is the final level's; the lower levels' Problems are not kept.
     """
 
     entries: tuple[RefinementEntry, ...]
@@ -130,13 +143,37 @@ class RefinementTrace:
 # ---------------------------------------------------------------------------
 
 
-def certify(sigma: np.ndarray, measure: GridMeasure, tol: float = 1e-8) -> CertificateReport:
+def certify(sigma: np.ndarray | tuple[np.ndarray, np.ndarray], measure: GridMeasure,
+            tol: float = 1e-8) -> CertificateReport:
     """Report first-order optimality of ``measure`` for ``sigma``.
 
-    Always returns a report; ``passed`` is the verdict at relative tolerance
-    ``tol``. ``sigma`` is screened first (square, symmetric, nonnegative
-    diagonal, Cauchy-Schwarz), since it may come from outside a ``Problem``.
+    ``sigma`` is a Gram matrix or a Markov form (r, q) (module doc). Always
+    returns a report; ``passed`` is the verdict at relative tolerance ``tol``.
+    ``sigma`` is screened first, since it may come from outside a ``Problem``:
+    a matrix must be square, symmetric, with a nonnegative diagonal and
+    Cauchy-Schwarz, a Markov form pass ``markov_form_valid``.
     """
+    if isinstance(sigma, tuple):
+        r, q = _markov_form(sigma)
+        n = r.size
+    else:
+        sigma = _screened_gram(sigma)
+        n = sigma.shape[0]
+    w = measure.weights
+    if w.size != n:
+        raise OptimizerError(f"measure has {w.size} weights for a {n}-point Gram")
+    m = _markov_matvec(r, q, w) if isinstance(sigma, tuple) else sigma @ w
+    sigma_sq = float(w @ m)
+    support = w > SUPPORT_TOL * w.max()
+    min_slack = float(m.min() - sigma_sq)
+    max_violation = float(np.abs(m[support] - sigma_sq).max())
+    passed = bool(min_slack >= -tol * sigma_sq and max_violation <= tol * sigma_sq)
+    return CertificateReport(m=m, sigma_sq=sigma_sq, min_slack=min_slack,
+                             max_support_violation=max_violation, passed=passed)
+
+
+def _screened_gram(sigma: np.ndarray) -> np.ndarray:
+    """``sigma`` made exactly symmetric, once it passes certify's screen."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] < 1:
         raise NotPositiveSemidefiniteError(f"need a square matrix, got shape {sigma.shape}")
@@ -150,18 +187,86 @@ def certify(sigma: np.ndarray, measure: GridMeasure, tol: float = 1e-8) -> Certi
     bound = np.sqrt(np.outer(np.maximum(d, 0), np.maximum(d, 0)))
     if np.any(np.abs(sigma) > bound + 1e-8 * scale):
         raise NotPositiveSemidefiniteError("off-diagonal entry violates Cauchy-Schwarz")
-    sigma = 0.5 * (sigma + sigma.T)
-    w = measure.weights
-    if w.size != sigma.shape[0]:
-        raise OptimizerError(f"measure has {w.size} weights for a {sigma.shape[0]}-point Gram")
-    m = sigma @ w
-    sigma_sq = float(w @ m)
-    support = w > SUPPORT_TOL * w.max()
-    min_slack = float(m.min() - sigma_sq)
-    max_violation = float(np.abs(m[support] - sigma_sq).max())
-    passed = bool(min_slack >= -tol * sigma_sq and max_violation <= tol * sigma_sq)
-    return CertificateReport(m=m, sigma_sq=sigma_sq, min_slack=min_slack,
-                             max_support_violation=max_violation, passed=passed)
+    return 0.5 * (sigma + sigma.T)
+
+
+# ---------------------------------------------------------------------------
+# the Markov route: Sigma = D C D with C^-1 tridiagonal, never formed
+# ---------------------------------------------------------------------------
+
+
+def _markov_form(form: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(r, q) as float arrays, after the route's PSD check."""
+    r, q = (np.asarray(a, dtype=float) for a in form)
+    if r.ndim != 1 or r.shape != q.shape or r.size < 1:
+        raise NotPositiveSemidefiniteError(
+            f"a Markov form needs r and q of one length, got {r.shape} and {q.shape}")
+    if not markov_form_valid(r, q):
+        raise NotPositiveSemidefiniteError(
+            "Markov form needs finite increments r_j - r_(j-1) > 0 (r_(-1) = 0), "
+            "finite 1/q and finite variances q^2 r")
+    return r, q
+
+
+def _markov_matvec(r: np.ndarray, q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sigma w = q (C u) with u = q w, where
+    (C u)_i = sum_(j <= i) r_j u_j + r_i sum_(j > i) u_j."""
+    u = q * w
+    cu = np.cumsum(r * u)
+    cu[:-1] += r[:-1] * np.cumsum(u[:0:-1])[::-1]
+    return q * cu
+
+
+def _markov_theta(r: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Sigma^-1 1 = D^-1 C^-1 v with v = 1/q: (C^-1 v)_i = g_i - g_(i+1), where
+    g_i = (v_i - v_(i-1)) / (r_i - r_(i-1)) (v_(-1) = r_(-1) = 0, g_n = 0)."""
+    v = 1.0 / q
+    g = np.diff(v, prepend=0.0) / np.diff(r, prepend=0.0)
+    g[:-1] -= g[1:]
+    return v * g
+
+
+def _markov_nnls(r: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Lawson & Hanson's active set for min x^T Sigma x / 2 - 1^T x, x >= 0.
+
+    Each step adds the point of largest dual 1 - (Sigma x)_j to the passive
+    set P, solves Sigma_PP s = 1 on the restricted Markov form, and moves x
+    toward s, dropping the points that reach 0 first, until s > 0 on P.
+    A point whose own s_j is not positive when it joins is skipped until x
+    next changes (Lawson & Hanson's guard against cycling).
+    """
+    n = r.size
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    skipped = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        dual = 1.0 - _markov_matvec(r, q, x)
+        dual[passive | skipped] = -np.inf
+        j = int(dual.argmax())
+        if dual[j] <= NNLS_TOL:
+            return x
+        passive[j] = True
+        idx = np.flatnonzero(passive)
+        s = _markov_theta(r[idx], q[idx])
+        if s[np.searchsorted(idx, j)] <= 0:
+            passive[j] = False
+            skipped[j] = True
+            continue
+        skipped[:] = False
+        while s.min() <= 0:
+            xp = x[idx]
+            neg = np.flatnonzero(s <= 0)
+            ratio = xp[neg] / (xp[neg] - s[neg])
+            first = int(ratio.argmin())
+            xp += ratio[first] * (s - xp)
+            xp[neg[first]] = 0.0
+            keep = xp > 0
+            x[idx] = np.where(keep, xp, 0.0)
+            passive[idx[~keep]] = False
+            idx = idx[keep]
+            s = _markov_theta(r[idx], q[idx])
+        x[idx] = s
+    raise OptimizerError(f"Markov NNLS did not converge on {n} points")
 
 
 # ---------------------------------------------------------------------------
@@ -169,30 +274,43 @@ def certify(sigma: np.ndarray, measure: GridMeasure, tol: float = 1e-8) -> Certi
 # ---------------------------------------------------------------------------
 
 
-def solve_simplex_qp(sigma: np.ndarray, grid: Grid | None = None, *,
+def solve_simplex_qp(sigma: np.ndarray | tuple[np.ndarray, np.ndarray],
+                     grid: Grid | None = None, *,
                      factor: Factorization | None = None) -> OptimalSolution:
     """Solve min w^T Sigma w over the probability simplex with a certificate.
 
-    ``factor`` is ``factorize(sigma)``, computed here when absent (a
-    ``Problem`` passes its own). Its L serves both routes: theta = Sigma^{-1} 1
-    when it is nonnegative, otherwise the NNLS problem |L^T x - L^{-1} 1|.
-    ``grid`` labels the result's measure; index positions are used when absent.
+    ``sigma`` is a Gram matrix or a Markov form (r, q) (module doc). A matrix
+    takes the dense route: ``factor`` is ``factorize(sigma)``, computed here
+    when absent (a ``Problem`` passes its own), and its L serves both steps.
+    A Markov form takes the O(n) route and no factor. ``grid`` labels the
+    result's measure; index positions are used when absent.
     """
-    if factor is None:
-        factor = factorize(sigma)
-    n = factor.n
+    markov = isinstance(sigma, tuple)
+    if markov:
+        r, q = _markov_form(sigma)
+        n = r.size
+    else:
+        if factor is None:
+            factor = factorize(sigma)
+        n = factor.n
     if grid is None:
         grid = PointGrid(np.arange(n, dtype=float))
     elif grid.points.size != n:
         raise OptimizerError(f"grid has {grid.points.size} points for a {n}x{n} matrix")
 
-    lower = factor.lower
-    z = solve_triangular(lower, np.ones(n), lower=True, check_finite=False)
-    theta = solve_triangular(lower, z, lower=True, trans="T", check_finite=False)
+    if markov:
+        theta = _markov_theta(r, q)
+    else:
+        lower = factor.lower
+        z = solve_triangular(lower, np.ones(n), lower=True, check_finite=False)
+        theta = solve_triangular(lower, z, lower=True, trans="T", check_finite=False)
     if np.all(theta >= -1e-12 * float(np.abs(theta).max())):
         # KKT conditions hold with the full active set
         w = theta
         method = "theta"
+    elif markov:
+        w = _markov_nnls(r, q)
+        method = "nnls"
     else:
         from scipy.optimize import nnls  # only partial-support problems reach NNLS
 

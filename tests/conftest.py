@@ -14,12 +14,28 @@ import pytest
 import gaussmin
 from gaussmin import (
     DyadicGrid,
+    ModulatedBrownian,
     OrnsteinUhlenbeck,
     PowerExponential,
+    PowerScale,
     Problem,
     SamplerConfig,
+    ShiftedRootScale,
 )
 from gaussmin.cli import main as cli_main
+
+# the three Gauss-Markov presets' kernels and intervals
+MARKOV_KERNELS = {
+    "ou": (OrnsteinUhlenbeck(), 0.0, 1.0),
+    "example1": (ModulatedBrownian(PowerScale(0.5), 1.0, 4.0), 1.0, 4.0),
+    "example2": (ModulatedBrownian(ShiftedRootScale(1.0), 1.5, 4.0), 1.5, 4.0),
+}
+
+
+def markov_problem(name: str, k: int) -> Problem:
+    """The Problem of MARKOV_KERNELS[name] on its level-k dyadic grid."""
+    kern, a, b = MARKOV_KERNELS[name]
+    return Problem(kern, DyadicGrid(a, b, k))
 
 
 @pytest.fixture(scope="session")

@@ -267,6 +267,19 @@ def test_solve_single_level_writes_strict_json(run_cli):
     assert doc["k_final"] == 4
 
 
+@pytest.mark.parametrize("preset, k, route, method, support_size, jitter", [
+    ("ou", 4, "dense", "theta", 17, 0.0),
+    ("example2", 7, "markov", "nnls", 103, None),   # the Markov route factors nothing
+])
+def test_solution_json_says_how_it_was_solved(run_cli, preset, k, route, method,
+                                              support_size, jitter):
+    code, out = run_cli("solve", config={"preset": preset, "k_min": k, "k_max": k})
+    assert code == EXIT_OK
+    doc = json.loads((out / "solution.json").read_text())
+    assert (doc["route"], doc["method"], doc["support_size"], doc["jitter"]) == (
+        route, method, support_size, jitter)
+
+
 # ---------------------------------------------------------------------------
 # analytic
 # ---------------------------------------------------------------------------
@@ -727,12 +740,16 @@ def test_perfbench_tracer_finds_every_name_it_patches():
     ("tail", {"preset": "ou", "n_paths": 3000}),
     ("tail", {"preset": "ou", "n_paths": 3000, "methods": ["crude"]}),
     ("tail", {"preset": "ou", "n_paths": 3000, "methods": ["is"]}),
+    ("tail", {"preset": "example1", "k": 7, "n_paths": 3000, "methods": ["is"]}),
     ("report", {"studies": [SMALL_STUDY]}),
-], ids=["tail", "tail-crude", "tail-is", "report"])
+], ids=["tail", "tail-crude", "tail-is", "tail-is-markov", "report"])
 def test_traced_run_gives_finite_layer_metrics(tmp_path, command, config):
     # every path must be drawn inside a span the tracer opens for an estimator
     # name: a sample outside them leaves the estimator wall time 0, and
-    # gauss_sim.parallelism NaN, which the benchmark's JSON result line cannot carry
+    # gauss_sim.parallelism NaN, which the benchmark's JSON result line cannot
+    # carry. Likewise every solve, on either route, must run inside the traced
+    # solve_simplex_qp, or optimizer.solve.reuse is NaN (129 points: the Markov
+    # route, which solves on the kernel's (r, q))
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     cfg_path, spans_path = tmp_path / "config.json", tmp_path / "spans.json"
     cfg_path.write_text(json.dumps(config))
@@ -747,6 +764,7 @@ def test_traced_run_gives_finite_layer_metrics(tmp_path, command, config):
     spec.loader.exec_module(layers)
     metrics = layers.layer_metrics(json.loads(spans_path.read_text())["spans"], wall_s)
     json.dumps(metrics, allow_nan=False)
+    assert metrics["optimizer.solve.calls"][0] >= 1
     if command == "tail":
         assert metrics["estimators.paths_drawn"][0] == 3000
         assert metrics["estimators.path_reuse"][0] == 1.0

@@ -2,7 +2,6 @@
 
 import json
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +12,11 @@ from gaussmin import (
     DyadicGrid,
     GridMismatchError,
     GridMeasure,
-    ModulatedBrownian,
     NotPositiveSemidefiniteError,
     OrnsteinUhlenbeck,
     PowerExponential,
-    PowerScale,
     Problem,
     SamplerConfig,
-    ShiftedRootScale,
     functionals,
     sample,
     tail_is,
@@ -29,8 +25,8 @@ from gaussmin import gauss_sim
 from gaussmin.estimators import (argmin_conditional, mx_conditional, small_ball,
                                  tail_crude)
 from gaussmin.gauss_sim import (DEFAULT_BATCH, MARKOV_MIN_POINTS, MarkovPaths, PathBatch,
-                                factorize, path_map, standard_normals, tiles)
-from conftest import make_config, run_python
+                                factorize, markov_form_valid, standard_normals, tiles)
+from conftest import MARKOV_KERNELS, make_config, markov_problem, run_python
 from oracles import ks_critical, reference_normals
 
 
@@ -246,22 +242,10 @@ def test_path_batch_validation():
 # the path map: dense xi L^T below MARKOV_MIN_POINTS, the O(n) cumsum above
 # ---------------------------------------------------------------------------
 
-MARKOV_KERNELS = {
-    "ou": (OrnsteinUhlenbeck(), 0.0, 1.0),
-    "example1": (ModulatedBrownian(PowerScale(0.5), 1.0, 4.0), 1.0, 4.0),
-    "example2": (ModulatedBrownian(ShiftedRootScale(1.0), 1.5, 4.0), 1.5, 4.0),
-}
-
-
-def _problem(name: str, k: int) -> Problem:
-    kern, a, b = MARKOV_KERNELS[name]
-    return Problem(kern, DyadicGrid(a, b, k))
-
-
 @pytest.mark.parametrize("k", [8, 10])
 @pytest.mark.parametrize("name", sorted(MARKOV_KERNELS))
 def test_markov_route_matches_the_dense_product(name, k):
-    problem = _problem(name, k)
+    problem = markov_problem(name, k)
     assert isinstance(problem.path_map, MarkovPaths)
     x = sample(problem.path_map, problem.grid, make_config(n_paths=500), start=40).values
     dense = reference_normals(4242, 0, 40, 500, problem.grid.n) @ problem.factor.lower.T
@@ -271,7 +255,7 @@ def test_markov_route_matches_the_dense_product(name, k):
 @pytest.mark.parametrize("k", [5, 6])
 @pytest.mark.parametrize("name", sorted(MARKOV_KERNELS))
 def test_dense_route_below_the_crossover_is_unchanged(name, k):
-    problem = _problem(name, k)
+    problem = markov_problem(name, k)
     assert problem.path_map is problem.factor
     x = sample(problem.path_map, problem.grid, make_config(n_paths=500), start=40).values
     dense = reference_normals(4242, 0, 40, 500, problem.grid.n) @ problem.factor.lower.T
@@ -279,28 +263,31 @@ def test_dense_route_below_the_crossover_is_unchanged(name, k):
 
 
 def test_path_map_dispatch_rule():
-    problem = _problem("ou", 8)
-    factor = problem.factor
+    # a Problem is Markov when its kernel's (r, q) passes markov_form_valid on
+    # at least MARKOV_MIN_POINTS points; it then samples by the cumsum, and a
+    # dense Problem samples by its factor
+    problem = markov_problem("ou", 8)
+    assert problem.route == "markov"
+    assert isinstance(problem.path_map, MarkovPaths)
     r, q = problem.kernel.markov_form(problem.grid)
-    assert isinstance(path_map(factor, (r, q)), MarkovPaths)
-    assert path_map(factor, None) is factor
-    jittered = replace(factor, jitter=1e-12)
-    assert path_map(jittered, (r, q)) is jittered
-    assert path_map(factor, (np.where(r > 2.0, np.inf, r), q)) is factor
+    assert markov_form_valid(r, q)
+    assert not markov_form_valid(np.where(r > 2.0, np.inf, r), q)
     flat = r.copy()
     flat[5] = flat[4]
-    assert path_map(factor, (flat, q)) is factor
-    small = _problem("ou", 6)
+    assert not markov_form_valid(flat, q)
+    assert not markov_form_valid(r, np.where(q < 0.5, 0.0, q))
+    assert not markov_form_valid(r, np.where(q < 0.5, np.nan, q))
+    small = markov_problem("ou", 6)
     assert small.grid.n < MARKOV_MIN_POINTS
-    assert path_map(small.factor, small.kernel.markov_form(small.grid)) is small.factor
     no_form = Problem(PowerExponential(0.5), DyadicGrid(0.0, 1.0, 8))
     overflow = Problem(OrnsteinUhlenbeck(), DyadicGrid(0.0, 400.0, 8))  # r = e^800 = inf
-    for p in (no_form, overflow):
+    for p in (small, no_form, overflow):
+        assert p.route == "dense"
         assert p.path_map is p.factor
 
 
 def test_markov_route_is_bit_identical_across_batches_and_workers():
-    problem = _problem("example2", 8)  # partial support: the shifted min and argmin run
+    problem = markov_problem("example2", 8)  # partial support: the shifted min and argmin run
     assert isinstance(problem.path_map, MarkovPaths)
     cfg = make_config(n_paths=6000, batch_size=777)
     full = sample(problem.path_map, problem.grid, cfg).values
@@ -321,7 +308,7 @@ def test_markov_route_is_bit_identical_across_batches_and_workers():
 def test_one_fine_batch_allocates_about_one_keystream_buffer():
     # the normals, the paths and the cumsum share the keystream buffer, and
     # functionals does not compute the unread argmin
-    problem = _problem("ou", 10)
+    problem = markov_problem("ou", 10)
     paths, measure = problem.path_map, problem.solution.measure
     buffer = DEFAULT_BATCH * 1028 * 8   # 1025 points use 257 Philox blocks of 4
     tracemalloc.start()
@@ -335,7 +322,7 @@ def test_one_fine_batch_allocates_about_one_keystream_buffer():
 
 
 def test_argmin_of_a_strided_batch_matches_argmin_without_a_copy():
-    problem = _problem("example1", 7)  # 129 points: the Markov route's strided batch
+    problem = markov_problem("example1", 7)  # 129 points: the Markov route's strided batch
     assert isinstance(problem.path_map, MarkovPaths)
     batch = sample(problem.path_map, problem.grid, make_config(n_paths=DEFAULT_BATCH))
     assert not batch.values.flags.c_contiguous
@@ -357,7 +344,7 @@ def test_argmin_of_a_strided_batch_matches_argmin_without_a_copy():
 
 
 def test_tiles_cover_a_batch_in_multiples_of_four_rows(monkeypatch):
-    fine = _problem("ou", 10).path_map   # 1025 points: 1028 keystream values per path
+    fine = markov_problem("ou", 10).path_map   # 1025 points: 1028 keystream values per path
     assert tiles(fine, 40, DEFAULT_BATCH) != [(40, DEFAULT_BATCH)]
     monkeypatch.setattr(gauss_sim, "TILE_VALUES", 10 * 1028)   # 10 rows fit, so 8
     assert tiles(fine, 40, 24) == [(40, 8), (48, 8), (56, 8)]
@@ -384,7 +371,7 @@ def test_narrow_batches_stay_whole():
 
 
 def test_a_fine_pass_holds_one_tile_not_the_batch():
-    problem = _problem("ou", 10)
+    problem = markov_problem("ou", 10)
     paths, _ = problem.path_map, problem.solution   # built before tracing
     assert isinstance(paths, MarkovPaths)
     buffer = DEFAULT_BATCH * 1028 * 8   # the whole batch's keystream, 135 MB
@@ -417,7 +404,7 @@ def tile_size_changes(name: str, k: int, runs: list[tuple[int, int]]) -> list[st
     """The (batch size, workers, tiling) runs whose outputs differ from the
     whole-batch run: tiles of 4 rows, of 100 rows and of the default size
     (where that splits a batch)."""
-    problem = _problem(name, k)
+    problem = markov_problem(name, k)
     width = 4 * -(-problem.grid.n // 4)
     default = gauss_sim.TILE_VALUES
     changes = []

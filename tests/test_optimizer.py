@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import gaussmin.estimators
+import gaussmin.gauss_sim
+import gaussmin.optimizer
 from gaussmin import (
     DyadicGrid,
     ExplicitGram,
@@ -14,18 +16,24 @@ from gaussmin import (
     ModulatedBrownian,
     NotPositiveSemidefiniteError,
     OptimizerError,
+    OrnsteinUhlenbeck,
     PointGrid,
+    Problem,
     ShiftedRootScale,
+    argmin_conditional,
     certify,
     discretize,
     ou_measure,
     refine,
+    small_ball,
     solve_simplex_qp,
+    tail_is,
     tv_distance,
 )
 from gaussmin.gauss_sim import factorize
+from gaussmin.kernels import Kernel
 from gaussmin.optimizer import RefinementEntry, RefinementTrace
-from conftest import random_psd
+from conftest import MARKOV_KERNELS, make_config, markov_problem, random_psd
 from oracles import mesh_search, support_enumeration
 
 
@@ -373,3 +381,93 @@ def test_solution_agrees_with_discretized_closed_form(ou):
     sol = solve_simplex_qp(ou.gram(grid), grid=grid)
     reference = discretize(ou_measure(0.0, 1.0), grid)
     assert tv_distance(sol.measure, reference) <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# the Markov route: O(n) theta, active set and certificate, no Gram matrix
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [7, 8, 9, 10])
+@pytest.mark.parametrize("name", sorted(MARKOV_KERNELS))
+def test_markov_solve_matches_the_dense_solve(name, k):
+    problem = markov_problem(name, k)
+    assert problem.route == "markov"
+    markov = problem.solution
+    sigma = problem.kernel.gram(problem.grid)
+    dense = solve_simplex_qp(sigma, grid=problem.grid)
+    assert markov.method == dense.method == ("nnls" if name == "example2" else "theta")
+    assert markov.sigma_star_sq == pytest.approx(dense.sigma_star_sq, rel=1e-13, abs=0)
+    assert np.array_equal(markov.support, dense.support)
+    report = certify(sigma, markov.measure)
+    assert report.passed
+    assert np.abs(markov.certificate - report.m).max() <= 1e-12 * np.abs(report.m).max()
+
+
+def test_markov_route_certifies_example2_at_level_12():
+    problem = markov_problem("example2", 12)
+    sol = problem.solution
+    assert problem.route == "markov" and sol.method == "nnls"
+    assert 0 < sol.support.size < problem.grid.n
+    assert sol.report.passed
+    assert "sigma" not in vars(problem) and "factor" not in vars(problem)
+
+
+def test_a_markov_problem_builds_no_gram_matrix_and_no_factor(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Markov route built a dense matrix or factor")
+
+    monkeypatch.setattr(Kernel, "gram", refuse)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    for module in (gaussmin.estimators, gaussmin.gauss_sim, gaussmin.optimizer):
+        monkeypatch.setattr(module, "factorize", refuse)
+    problem = markov_problem("example2", 10)   # partial support: the shifted tilt runs
+    cfg = make_config(n_paths=2000)
+    assert tail_is(problem, [0.0, 1.0], cfg)[1].value > 0
+    assert not isinstance(argmin_conditional(problem, [1.0], cfg)[0], Exception)
+    for mode in ("range", "zstar"):
+        assert small_ball(problem, [1.0], cfg, mode=mode)[0].value > 0
+
+
+def test_markov_form_is_checked_by_the_solver_and_the_certificate():
+    grid = DyadicGrid(0.0, 1.0, 7)
+    r, q = OrnsteinUhlenbeck().markov_form(grid)
+    flat = r.copy()
+    flat[3] = flat[2]
+    measure = GridMeasure(grid, np.full(grid.n, 1.0 / grid.n))
+    for form in ((flat, q), (r, np.where(q < 0.5, 0.0, q)), (r, q[1:])):
+        with pytest.raises(NotPositiveSemidefiniteError):
+            solve_simplex_qp(form, grid=grid)
+        with pytest.raises(NotPositiveSemidefiniteError):
+            certify(form, measure)
+
+
+@pytest.mark.parametrize("k", [8, 10, 12])
+def test_markov_weights_match_the_exact_ou_grid_optimum(k):
+    # OU on an even grid of step h: Sigma^-1 1 is 1/(1 + e^-h) at the two ends
+    # and (1 - e^-h)/(1 + e^-h) inside. The O(n) theta keeps the rounding
+    # error of the smallest weights within 1e-15 * 4^k (the dense Cholesky
+    # route reaches 3e-9 at k=10 and 1e-7 at k=12)
+    grid = DyadicGrid(0.0, 1.0, k)
+    problem = Problem(OrnsteinUhlenbeck(), grid)
+    assert problem.route == "markov"
+    theta = np.full(grid.n, -np.expm1(-(2.0**-k)))
+    theta[[0, -1]] = 1.0
+    exact = theta / theta.sum()
+    error = np.abs(problem.solution.measure.weights / exact - 1.0).max()
+    assert error <= 1e-15 * 4.0**k
+
+
+def test_markov_nnls_matches_the_dense_nnls_on_random_markov_forms():
+    # q of both signs puts about half the points off the support, so the
+    # active set drops points as well as adding them
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(130, 300))
+        r = np.cumsum(rng.uniform(0.01, 1.0, n))
+        q = rng.uniform(0.2, 2.0, n) * np.where(rng.random(n) < 0.2, -1.0, 1.0)
+        sigma = q[:, None] * q[None, :] * np.minimum(r[:, None], r[None, :])
+        markov, dense = solve_simplex_qp((r, q)), solve_simplex_qp(sigma)
+        assert markov.method == dense.method == "nnls"
+        assert np.array_equal(markov.support, dense.support)
+        assert markov.sigma_star_sq == pytest.approx(dense.sigma_star_sq, rel=1e-11)
+        assert certify(sigma, markov.measure).passed

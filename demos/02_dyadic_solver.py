@@ -4,8 +4,9 @@ On a grid the problem becomes min nu' Sigma nu over the probability simplex.
 The solver computes theta = Sigma^{-1} 1, which is optimal when all its
 components are nonnegative; otherwise it runs Lawson & Hanson's active-set
 NNLS for min x' Sigma x / 2 - 1' x over x >= 0 and takes nu = x / sum(x).
-On a Gram matrix it factors Sigma = L L' once (the sampler's jittered
-Cholesky, which a Problem shares). On a Gauss-Markov kernel's (r, q), which a
+On a Gram matrix theta comes from the sampler's jittered Cholesky factor
+Sigma = L L' (which a Problem shares), and each active-set step grows a factor
+of the active points by one row. On a Gauss-Markov kernel's (r, q), which a
 Problem from 129 points passes instead, Sigma^{-1} is tridiagonal, so theta and
 every active-set step cost O(n) and no n x n matrix is built: refine below
 reaches 257 points that way. Before returning, it certifies optimality with

@@ -1,8 +1,8 @@
 """Minimize nu^T Sigma nu over the probability simplex, with certificates.
 
 The minimizing measure of the covariance double integral on a grid solves a
-convex QP over the simplex. Sigma is given in one of two forms, and each has
-its own route through the same two steps:
+convex QP over the simplex. Sigma comes in one of two forms, each a route that
+feeds Sigma x and Sigma_PP^-1 1 on point sets P to the same two steps:
 
 * theta step: theta = Sigma^{-1} 1. When theta >= 0 the KKT conditions hold
   with every grid point active, so nu* = theta / sum(theta). This covers every
@@ -12,9 +12,9 @@ its own route through the same two steps:
   Hanson's active-set method, and nu* = x / sum(x).
 
 Dense route: Sigma is an n x n matrix, and the sampler's Cholesky factor
-Sigma = L L^T (from ``factorize``, whose jitter ladder is also the PSD check;
-a ``Problem`` shares its own) gives z = L^{-1} 1, theta = L^{-T} z and the
-NNLS problem |L^T x - z| (scipy's ``nnls``).
+L L^T = Sigma + lambda I (``factorize``, whose jitter ladder is also the PSD
+check; a ``Problem`` shares its own) gives theta = L^-T L^-1 1, and the NNLS
+solves the same jittered problem.
 
 Markov route: Sigma_ij = q_i q_j r_min(i,j), given as its Markov form (r, q)
 (``Kernel.markov_form``), with no matrix. Sigma = D C D with D = diag(q) and
@@ -32,12 +32,15 @@ nu^T m of the returned weights.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 # cho_factor stays importable here for perfbench/tracer.py
 from scipy.linalg import cho_factor, solve_triangular  # noqa: F401
+from scipy.linalg.blas import dtpsv
 
 from .exceptions import NotPositiveSemidefiniteError, OptimizerError
 from .gauss_sim import Factorization, factorize, markov_form_valid
@@ -49,7 +52,7 @@ if TYPE_CHECKING:
     from .estimators import Problem
 
 SUPPORT_TOL = 1e-9          # relative weight below which a point is off-support
-NNLS_TOL = 1e-12            # Markov NNLS: a point joins while 1 - (Sigma x)_j exceeds this
+NNLS_TOL = 1e-12            # NNLS: a point joins while 1 - (Sigma x)_j exceeds this
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +88,7 @@ class OptimalSolution:
     measure: GridMeasure
     report: CertificateReport
     method: str = "theta"            # "theta" or "nnls"
-    iterations: int = 0              # always 0: neither route counts iterations
+    iterations: int = 0              # active-set steps; 0 on the theta step
 
     @property
     def sigma_star_sq(self) -> float:
@@ -217,40 +220,38 @@ def _markov_matvec(r: np.ndarray, q: np.ndarray, w: np.ndarray) -> np.ndarray:
     return q * cu
 
 
-def _markov_theta(r: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Sigma^-1 1 = D^-1 C^-1 v with v = 1/q: (C^-1 v)_i = g_i - g_(i+1), where
-    g_i = (v_i - v_(i-1)) / (r_i - r_(i-1)) (v_(-1) = r_(-1) = 0, g_n = 0)."""
-    v = 1.0 / q
-    g = np.diff(v, prepend=0.0) / np.diff(r, prepend=0.0)
+def _markov_theta(r: np.ndarray, q: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Sigma_PP^-1 1 = D^-1 C^-1 v on the sorted points P = idx, v = 1/q_P: (C^-1 v)_i =
+    g_i - g_(i+1), g_i = (v_i - v_(i-1)) / (r_i - r_(i-1)) (v_(-1) = r_(-1) = 0, g_n = 0)."""
+    v = 1.0 / q[idx]
+    g = np.diff(v, prepend=0.0) / np.diff(r[idx], prepend=0.0)
     g[:-1] -= g[1:]
     return v * g
 
 
-def _markov_nnls(r: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _active_set(matvec: Callable, theta_on: Callable, n: int,
+                route: str) -> tuple[np.ndarray, int]:
     """Lawson & Hanson's active set for min x^T Sigma x / 2 - 1^T x, x >= 0.
 
-    Each step adds the point of largest dual 1 - (Sigma x)_j to the passive
-    set P, solves Sigma_PP s = 1 on the restricted Markov form, and moves x
-    toward s, dropping the points that reach 0 first, until s > 0 on P.
-    A point whose own s_j is not positive when it joins is skipped until x
-    next changes (Lawson & Hanson's guard against cycling).
+    ``matvec(x)`` is Sigma x, and ``theta_on(idx)`` solves Sigma_PP s = 1 on the
+    sorted points P = idx. Each step adds the point of largest dual 1 - (Sigma x)_j
+    to P, solves for s, and moves x toward s, dropping the points that reach 0
+    first, until s > 0 on P. A point whose own s_j is not positive when it joins
+    is skipped until x next changes (Lawson & Hanson's guard against cycling).
     """
-    n = r.size
     x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    skipped = np.zeros(n, dtype=bool)
-    for _ in range(3 * n):
-        dual = 1.0 - _markov_matvec(r, q, x)
+    passive, skipped = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    for step in range(3 * n):
+        dual = 1.0 - matvec(x)
         dual[passive | skipped] = -np.inf
         j = int(dual.argmax())
         if dual[j] <= NNLS_TOL:
-            return x
+            return x, step
         passive[j] = True
         idx = np.flatnonzero(passive)
-        s = _markov_theta(r[idx], q[idx])
+        s = theta_on(idx)
         if s[np.searchsorted(idx, j)] <= 0:
-            passive[j] = False
-            skipped[j] = True
+            passive[j], skipped[j] = False, True
             continue
         skipped[:] = False
         while s.min() <= 0:
@@ -264,9 +265,39 @@ def _markov_nnls(r: np.ndarray, q: np.ndarray) -> np.ndarray:
             x[idx] = np.where(keep, xp, 0.0)
             passive[idx[~keep]] = False
             idx = idx[keep]
-            s = _markov_theta(r[idx], q[idx])
+            s = theta_on(idx)
         x[idx] = s
-    raise OptimizerError(f"Markov NNLS did not converge on {n} points")
+    raise OptimizerError(f"NNLS did not converge in {3 * n} steps on the {route} route")
+
+
+def _dense_theta_on(sigma: np.ndarray, factor: Factorization) -> Callable:
+    """s with (Sigma_PP + lambda I) s = 1, lambda = factor.jitter. All points use the
+    factor; a subset uses packed rows L (row i at i (i+1) / 2) of its points in join
+    order and z = L^-1 1. A joining point appends a row in O(|P|^2); a leaving one
+    cuts the rows from its own on. A point of pivot d^2 <= 0 stays out at s = 0."""
+    n, lam, lower = factor.n, factor.jitter, factor.lower
+    packed, z, order, size = np.empty(n * (n + 1) // 2), np.empty(n), np.empty(n, int), 0
+
+    def theta_on(idx: np.ndarray) -> np.ndarray:
+        nonlocal size
+        if idx.size == n:
+            z_all = solve_triangular(lower, np.ones(n), lower=True, check_finite=False)
+            return solve_triangular(lower, z_all, lower=True, trans="T", check_finite=False)
+        size = int(np.argmin(np.append(np.isin(order[:size], idx), False)))  # first one out
+        for j in np.setdiff1d(idx, order[:size]):
+            start = size * (size + 1) // 2
+            row = dtpsv(size, packed, sigma[j, order[:size]], trans=1) if size else z[:0]
+            d2 = sigma[j, j] + lam - row @ row
+            if d2 > 0:
+                packed[start:start + size + 1] = np.append(row, np.sqrt(d2))
+                z[size] = (1.0 - row @ z[:size]) / packed[start + size]
+                order[size] = j
+                size += 1
+        s = np.zeros(n)
+        s[order[:size]] = dtpsv(size, packed, z[:size])
+        return s[idx]
+
+    return theta_on
 
 
 # ---------------------------------------------------------------------------
@@ -281,51 +312,35 @@ def solve_simplex_qp(sigma: np.ndarray | tuple[np.ndarray, np.ndarray],
 
     ``sigma`` is a Gram matrix or a Markov form (r, q) (module doc). A matrix
     takes the dense route: ``factor`` is ``factorize(sigma)``, computed here
-    when absent (a ``Problem`` passes its own), and its L serves both steps.
-    A Markov form takes the O(n) route and no factor. ``grid`` labels the
+    when absent (a ``Problem`` passes its own), and its L gives theta. A
+    Markov form takes the O(n) route and no factor. ``grid`` labels the
     result's measure; index positions are used when absent.
     """
-    markov = isinstance(sigma, tuple)
-    if markov:
+    if isinstance(sigma, tuple):
         r, q = _markov_form(sigma)
-        n = r.size
+        n, route = r.size, "markov"
+        matvec, theta_on = partial(_markov_matvec, r, q), partial(_markov_theta, r, q)
     else:
-        if factor is None:
-            factor = factorize(sigma)
-        n = factor.n
+        sigma, factor = np.asarray(sigma, dtype=float), factor or factorize(sigma)
+        n, route, matvec, theta_on = factor.n, "dense", sigma.dot, _dense_theta_on(sigma, factor)
     if grid is None:
         grid = PointGrid(np.arange(n, dtype=float))
     elif grid.points.size != n:
         raise OptimizerError(f"grid has {grid.points.size} points for a {n}x{n} matrix")
 
-    if markov:
-        theta = _markov_theta(r, q)
-    else:
-        lower = factor.lower
-        z = solve_triangular(lower, np.ones(n), lower=True, check_finite=False)
-        theta = solve_triangular(lower, z, lower=True, trans="T", check_finite=False)
+    theta = theta_on(np.arange(n))
     if np.all(theta >= -1e-12 * float(np.abs(theta).max())):
         # KKT conditions hold with the full active set
-        w = theta
-        method = "theta"
-    elif markov:
-        w = _markov_nnls(r, q)
-        method = "nnls"
+        w, steps, method = theta, 0, "theta"
     else:
-        from scipy.optimize import nnls  # only partial-support problems reach NNLS
-
-        try:
-            w, _ = nnls(lower.T, z)
-        except RuntimeError as exc:
-            raise OptimizerError(f"NNLS did not converge on a {n}-point matrix: {exc}") from None
-        method = "nnls"
+        (w, steps), method = _active_set(matvec, theta_on, n, route), "nnls"
     measure = GridMeasure.from_raw(grid, w)
     report = certify(sigma, measure)
     if not report.passed:
         raise OptimizerError(
             f"certificate violated: min slack {report.min_slack:.3e}, support deviation "
             f"{report.max_support_violation:.3e} for sigma*^2 {report.sigma_sq:.12g}")
-    return OptimalSolution(measure=measure, report=report, method=method)
+    return OptimalSolution(measure=measure, report=report, method=method, iterations=steps)
 
 
 def refine(kernel: Kernel, interval: tuple[float, float], k_min: int, k_max: int,

@@ -777,3 +777,18 @@ def test_cli_import_leaves_out_scipy_optimize_and_interpolate():
                             "if m in sys.modules)))"])
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == ""
+
+
+def test_dense_nnls_leaves_out_scipy_optimize(tmp_path):
+    # example2 up to k=6 (65 points) solves on the dense route with a partial
+    # support, so the active set runs there without scipy.optimize
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"k_max": 6}))
+    argv = ["solve", "--preset", "example2", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    res = run_python(["-c", "import sys, gaussmin.cli; "
+                            f"code = gaussmin.cli.main({argv!r}); "
+                            "print(code, 'scipy.optimize' in sys.modules)"])
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == [str(gaussmin.cli.EXIT_OK), "False"]
+    doc = json.loads((tmp_path / "out" / "solution.json").read_text())
+    assert (doc["k_final"], doc["route"], doc["method"]) == (6, "dense", "nnls")

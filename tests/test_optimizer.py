@@ -83,6 +83,51 @@ def test_theta_declines_when_a_component_is_negative():
     assert sol.support.tolist() == [1]
 
 
+def test_active_set_counts_its_steps():
+    # the boundary case as a matrix and as its Markov form (r, q): point 0
+    # joins, point 1 joins and drives point 0 out, and the third step finds
+    # no positive dual; the theta step takes no steps
+    sigma = np.array([[1.0, 0.9], [0.9, 0.85]])
+    form = (np.array([1.0, 0.85 / 0.81]), np.array([1.0, 0.9]))
+    for sol in (solve_simplex_qp(sigma), solve_simplex_qp(form)):
+        assert (sol.method, sol.iterations) == ("nnls", 2)
+        assert sol.sigma_star_sq == pytest.approx(0.85, rel=1e-14)
+    assert solve_simplex_qp(np.eye(2)).iterations == 0
+
+
+@pytest.mark.parametrize("sigma", [
+    [[1.0, 1.0, 0.9], [1.0, 1.0, 0.9], [0.9, 0.9, 0.85]],
+    [[1.0, 0.9, 0.9], [0.9, 0.85, 0.85], [0.9, 0.85, 0.85]],
+])
+def test_jittered_nnls_on_singular_grams(sigma):
+    # a repeated point makes Sigma singular: the NNLS solves the jittered
+    # problem Sigma + lambda I of the sampler's factor, off a partial support
+    sigma = np.array(sigma)
+    assert factorize(sigma).jitter == 1e-12
+    sol = solve_simplex_qp(sigma)
+    assert sol.method == "nnls"
+    assert sol.measure.weights[0] == 0.0
+    assert sol.sigma_star_sq == pytest.approx(support_enumeration(sigma)[0], rel=1e-12)
+    assert certify(sigma, sol.measure).passed
+
+
+def test_dense_theta_on_leaves_out_a_zero_pivot():
+    # with no jitter, point 1 repeats point 0, so it has a zero pivot after
+    # point 0, whether it joins alone or again after point 2 left the factor
+    # ordered 2, 0: it stays out at s = 0, where the active set skips or drops it
+    sigma = np.array([[1.0, 1.0, 0.5, 0.5], [1.0, 1.0, 0.5, 0.5],
+                      [0.5, 0.5, 1.0, 0.2], [0.5, 0.5, 0.2, 1.0]])
+    theta_on = gaussmin.optimizer._dense_theta_on(
+        sigma, gaussmin.gauss_sim.Factorization(lower=np.eye(4), jitter=0.0))
+    assert theta_on(np.array([0])).tolist() == [1.0]
+    assert theta_on(np.array([0, 1])).tolist() == [1.0, 0.0]
+    assert theta_on(np.array([2])).tolist() == [1.0]
+    assert theta_on(np.array([0, 2])) == pytest.approx([1 / 1.5, 1 / 1.5], rel=1e-15)
+    assert theta_on(np.array([0, 1, 3])) == pytest.approx([1 / 1.5, 0.0, 1 / 1.5],
+                                                           rel=1e-15)
+    assert theta_on(np.array([1, 3])) == pytest.approx([1 / 1.5, 1 / 1.5], rel=1e-15)
+
+
 def test_theta_negativity_threshold_is_scale_invariant():
     # theta proportional to (0.85 - 0.9, 1.0 - 0.9): one negative component,
     # detected relative to max|theta| at every scale, so NNLS runs
@@ -401,6 +446,17 @@ def test_markov_solve_matches_the_dense_solve(name, k):
     report = certify(sigma, markov.measure)
     assert report.passed
     assert np.abs(markov.certificate - report.m).max() <= 1e-12 * np.abs(report.m).max()
+
+
+def test_markov_active_set_counts_its_steps_on_example2():
+    # example2 at k=8: each of the 206 support points joins once, and one
+    # more point joins and is dropped on the third step; the dense route
+    # takes the same steps
+    problem = markov_problem("example2", 8)
+    markov = problem.solution
+    dense = solve_simplex_qp(problem.kernel.gram(problem.grid), grid=problem.grid)
+    assert markov.support.size == 206
+    assert markov.iterations == dense.iterations == 207
 
 
 def test_markov_route_certifies_example2_at_level_12():

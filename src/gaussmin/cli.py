@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .closedform import ou_measure, ou_sigma_star_sq, sigma_star_from_mu, tbm_measure
-from .estimators import (ESS_WARN_THRESHOLD, Problem, argmin_conditional,
+from .estimators import (ESS_WARN_THRESHOLD, JACKKNIFE_GROUPS, Problem, argmin_conditional,
                          correction_diagnostic, mx_conditional, small_ball, tail_crude,
                          tail_is)
 from .exceptions import ConfigError, EstimationError, GaussminError
@@ -298,6 +298,10 @@ def write_json(path: Path, cfg: dict, payload: dict) -> None:
         fh.write("\n")
 
 
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 def _measure_rows(m: GridMeasure) -> list[tuple]:
     return list(zip(m.grid.points.tolist(), m.weights.tolist()))
 
@@ -332,7 +336,7 @@ def cmd_solve(cfg: dict, out: Path, problems: dict) -> tuple[int, dict]:
         "k_final": final.k,
         "converged": trace.converged,
         # a single level has no gap; inf is not valid JSON
-        "final_gap": trace.final_gap if math.isfinite(trace.final_gap) else None,
+        "final_gap": _finite_or_none(trace.final_gap),
         "method": solution.method,
         "support_size": int(solution.support.size),
         "route": problem.route,
@@ -519,19 +523,24 @@ def cmd_diagnose(cfg: dict, out: Path, problems: dict) -> tuple[int, dict]:
     rows = [(u, est.value, est.stderr, lp, d)
             for (u, lp, d), est in zip(diag.rows, diag.estimates)]
     write_csv(out / "diagnose.csv", cfg, ["u", "p_hat", "stderr", "log_p", "D_u"], rows)
+    # a u with no surviving path has log_p = D = -inf, and a failed jackknife
+    # refit an infinite half-width; neither is valid JSON
     result = {
         "exponent": diag.exponent,
         "intercept": diag.intercept,
-        "exponent_halfwidth": diag.exponent_halfwidth,
+        "exponent_halfwidth": _finite_or_none(diag.exponent_halfwidth),
+        "halfwidth_method": "jackknife",
+        "groups": JACKKNIFE_GROUPS,
         "excluded_u": list(diag.excluded),
         "beta": diag.beta,
         "lower_bound_exponent": diag.lower_bound_exponent,
         "sigma_star_sq": problem.solution.sigma_star_sq,
-        "rows": [{"u": u, "log_p": lp, "D": d} for u, lp, d in diag.rows],
+        "rows": [{"u": u, "log_p": _finite_or_none(lp), "D": _finite_or_none(d)}
+                 for u, lp, d in diag.rows],
     }
     write_json(out / "diagnose.json", cfg, result)
     plot = Plot("second-order tail correction -D(u)", "u", "-D(u)", logx=True, logy=True)
-    used = [(u, -d) for u, _, d in diag.rows if d < 0]
+    used = [(u, -d) for u, _, d in diag.rows if u not in diag.excluded]
     plot.add([p[0] for p in used], [p[1] for p in used], label="measured", mode="dots")
     fit_y = [math.exp(diag.intercept) * u ** diag.exponent for u, _ in used]
     plot.add([p[0] for p in used], fit_y,
@@ -619,8 +628,10 @@ def _stage_summary(stage: str, result, study: str) -> list[str]:
                   for u, p_crude, _, p_is, _, agreement in result),
                 f"  - ![tail](./{study}/tail/tail.svg)"]
     if stage == "diagnose":
+        halfwidth = result["exponent_halfwidth"]
+        halfwidth = "n/a" if halfwidth is None else f"{halfwidth:.3f}"
         lines = [f"  - fitted correction exponent {result['exponent']:.3f} "
-                 f"(half-width {result['exponent_halfwidth']:.3f}); "
+                 f"(jackknife half-width {halfwidth}); "
                  f"excluded u: {result['excluded_u']}"]
         if result["lower_bound_exponent"] is not None:
             lines.append(f"  - lower-bound exponent 1/(beta+1) = "

@@ -22,8 +22,9 @@ argmin) of each u whose tilt shifts the survival test. Its ``fold`` reduces a
 batch's columns to every parameter's statistics, one parameter at a time, in
 the same float operations as a one-element list. ``tail_is`` also counts the
 crude hits in its pass, so the CLI's ``tail`` makes one pass for both methods.
-``correction_diagnostic`` is the exception: it keeps one stream, so one pass,
-per u, so that the points of its fit are independent.
+``correction_diagnostic`` runs ``tail_is``'s pass for its whole u list, and
+its fold also reduces each u's statistics per group of consecutive path
+indices, for a jackknife error bar on its fit.
 
 The batch is the unit of folding only: its paths are drawn and mapped tile by
 tile (``gauss_sim.tiles``), and the columns are joined in path order before
@@ -31,9 +32,9 @@ the fold, so a pass over a fine grid holds one tile of paths, and the tile
 size changes no output. Batches fold in path order whatever the worker count,
 so every number here is a deterministic function of (seed, stream, n, batch
 size, parameter) that no worker count changes. Counts (crude, small-ball,
-Y <= x) are integer sums and so also independent of the batch size; the
-weighted estimators fold per-batch float sums, which a different batch size
-can move in the last bit.
+Y <= x, the diagnostic's survivors per group) are integer sums and so also
+independent of the batch size; the weighted estimators fold per-batch float
+sums, which a different batch size can move in the last bit.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from functools import cached_property, reduce
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,6 +59,7 @@ from .measure import GridMeasure
 from .optimizer import OptimalSolution, certify  # noqa: F401
 
 ESS_WARN_THRESHOLD = 100.0
+JACKKNIFE_GROUPS = 10   # correction_diagnostic's groups of consecutive paths
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,20 +222,31 @@ def tail_is(problem: Problem, us: Sequence[float], config: SamplerConfig) -> lis
     ``tail_crude`` returns for that u on the same config.
     """
     us = [float(u) for u in us]
+    per_path, fold = _is_sweep(problem, us)
+    return _is_estimates(problem, us, config, _map_ordered(problem, config, per_path, fold))
+
+
+def _is_stats(u: float, s2: float, y: np.ndarray, low_min: np.ndarray) -> tuple:
+    """(survivors, sum w, sum w^2, log sum w) over the paths whose tested min is > 0."""
+    keep = low_min > 0
+    logw = -u * y[keep] / s2
+    if logw.size == 0:
+        return 0, 0.0, 0.0, -math.inf
+    m = float(logw.max())
+    w = np.exp(logw)
+    return int(logw.size), float(w.sum()), float((w * w).sum()), m + math.log(
+        float(np.exp(logw - m).sum()))
+
+
+def _is_sweep(problem: Problem, us: list[float]) -> tuple[Callable, Callable]:
+    """``tail_is``'s ``per_path`` and ``fold`` for ``us`` on ``problem``.
+
+    A batch's fold is, per u, the crude hits and ``_is_stats``.
+    """
     solution = problem.solution
     s2 = solution.sigma_star_sq
     measure = solution.measure
     shifts = [_tilt_shift(solution, u) for u in us]
-
-    def u_stats(u: float, y: np.ndarray, low_min: np.ndarray) -> tuple:
-        keep = low_min > 0
-        logw = -u * y[keep] / s2
-        if logw.size == 0:
-            return 0, 0.0, 0.0, -math.inf
-        m = float(logw.max())
-        w = np.exp(logw)
-        return int(logw.size), float(w.sum()), float((w * w).sum()), m + math.log(
-            float(np.exp(logw - m).sum()))
 
     def per_path(batch: PathBatch) -> tuple:
         # Y, min X and, per u, the min of the path the survival test reads
@@ -243,12 +256,19 @@ def tail_is(problem: Problem, us: Sequence[float], config: SamplerConfig) -> lis
                                       for shift in shifts))
 
     def fold(y: np.ndarray, low: np.ndarray, *u_lows: np.ndarray) -> tuple:
-        return tuple((int(np.count_nonzero(low > u)), *u_stats(u, y, u_low))
+        return tuple((int(np.count_nonzero(low > u)), *_is_stats(u, s2, y, u_low))
                      for u, u_low in zip(us, u_lows))
 
+    return per_path, fold
+
+
+def _is_estimates(problem: Problem, us: list[float], config: SamplerConfig,
+                  folds: Iterable[tuple]) -> list[Estimate]:
+    """Sum ``_is_sweep``'s batch folds, in path order, into one Estimate per u."""
+    s2 = problem.solution.sigma_star_sq
     hits, n_surv, sum_w, sum_w2, lse = ([0] * len(us), [0] * len(us), [0.0] * len(us),
                                         [0.0] * len(us), [-math.inf] * len(us))
-    for batch in _map_ordered(problem, config, per_path, fold):
+    for batch in folds:
         for i, (h, ns, sw, sw2, batch_lse) in enumerate(batch):
             hits[i] += h
             n_surv[i] += ns
@@ -332,10 +352,15 @@ class CorrectionDiagnostic:
     """Second-order tail behavior: D(u) = log p(u) + u^2/(2 sigma*^2).
 
     The exponent is the least-squares slope of log(-D) against log u; rows
-    with D >= 0 are excluded from the fit and flagged. ``beta`` is the
-    roughness parameter of the kernel when known; 1/(beta+1) is then the
-    proved lower-bound exponent, reported for comparison (the Markov
-    full-density prediction for the slope itself is 2/3).
+    whose D is not finite and negative are excluded from the fit and flagged.
+    All u are estimated on the same paths, and ``exponent_halfwidth`` is
+    1.96 x the jackknife standard error of the slope over JACKKNIFE_GROUPS
+    groups of consecutive paths (inf when a fit without some group has fewer
+    than two usable points). ``group_stats[i][g]`` is u[i]'s (survivors,
+    sum w, sum w^2, log sum w) over group g. ``beta`` is the roughness
+    parameter of the kernel when known; 1/(beta+1) is then the proved
+    lower-bound exponent, reported for comparison (the Markov full-density
+    prediction for the slope itself is 2/3).
     """
 
     rows: tuple[tuple[float, float, float], ...]   # (u, log_p, D)
@@ -343,6 +368,7 @@ class CorrectionDiagnostic:
     intercept: float
     exponent_halfwidth: float
     estimates: tuple[Estimate, ...]
+    group_stats: tuple[tuple[tuple[int, float, float, float], ...], ...]
     excluded: tuple[float, ...] = ()
     beta: float | None = None
 
@@ -353,11 +379,12 @@ class CorrectionDiagnostic:
 
 def fit_correction_exponent(u_values: Sequence[float], log_p_values: Sequence[float],
                             sigma_sq: float) -> tuple[float, float, float, np.ndarray]:
-    """Fit log(-D) = exponent * log u + intercept over points with D < 0.
+    """Fit log(-D) = exponent * log u + intercept over points with finite D < 0.
 
     Returns (exponent, intercept, halfwidth, used_mask); the half-width is
     1.96 x the standard regression error of the slope (0 when only two
-    points are used).
+    points are used). A u where no path survives has log_p = D = -inf and
+    is not used.
     """
     u = np.asarray(u_values, dtype=float)
     log_p = np.asarray(log_p_values, dtype=float)
@@ -366,10 +393,10 @@ def fit_correction_exponent(u_values: Sequence[float], log_p_values: Sequence[fl
     if np.any(u <= 0) or np.any(np.diff(u) <= 0):
         raise EstimationError("u values must be positive and strictly increasing")
     d = log_p + u * u / (2.0 * sigma_sq)
-    used = d < 0
+    used = np.isfinite(d) & (d < 0)
     if int(used.sum()) < 2:
         raise EstimationError(
-            f"only {int(used.sum())} of {u.size} points have D(u) < 0; cannot fit "
+            f"only {int(used.sum())} of {u.size} points have a finite D(u) < 0; cannot fit "
             "(check sigma*^2 or increase the sample size)")
     x = np.log(u[used])
     y = np.log(-d[used])
@@ -385,28 +412,91 @@ def fit_correction_exponent(u_values: Sequence[float], log_p_values: Sequence[fl
     return float(slope), float(intercept), halfwidth, used
 
 
+def _group_stats(u: float, s2: float, y: np.ndarray, low_min: np.ndarray,
+                 group: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``_is_stats`` per path group: arrays of each group's survivors, sum w,
+    sum w^2 and log sum w."""
+    keep = low_min > 0
+    logw = -u * y[keep] / s2
+    g = group[keep]
+    top = np.full(JACKKNIFE_GROUPS, -math.inf)
+    np.maximum.at(top, g, logw)
+    w = np.exp(logw)
+    with np.errstate(divide="ignore"):   # a group with no survivor: log 0 = -inf
+        lse = top + np.log(np.bincount(g, np.exp(logw - top[g]), JACKKNIFE_GROUPS))
+    return (np.bincount(g, minlength=JACKKNIFE_GROUPS), np.bincount(g, w, JACKKNIFE_GROUPS),
+            np.bincount(g, w * w, JACKKNIFE_GROUPS), lse)
+
+
+def _add_group_stats(a: tuple, b: tuple) -> tuple:
+    return a[0] + b[0], a[1] + b[1], a[2] + b[2], np.logaddexp(a[3], b[3])
+
+
+def _jackknife_halfwidth(us: list[float], lse: np.ndarray, s2: float, n: int) -> float:
+    """1.96 x the jackknife standard error of the fitted exponent, from each
+    u's log sum w per path group (``lse``, one row per u); inf when a fit
+    without some group fails."""
+    n_groups = JACKKNIFE_GROUPS
+    first = [-(-g * n // n_groups) for g in range(n_groups + 1)]   # first path of group g
+    prefactor = -np.square(us) / (2.0 * s2)
+    slopes = []
+    for g in range(n_groups):
+        rest = n - (first[g + 1] - first[g])
+        # with no path left, every log sum w is -inf, and so every log p
+        log_p = (np.logaddexp.reduce(np.delete(lse, g, axis=1), axis=1)
+                 - math.log(max(rest, 1)) + prefactor)
+        try:
+            slopes.append(fit_correction_exponent(us, log_p, s2)[0])
+        except EstimationError:
+            return math.inf
+    spread = np.asarray(slopes) - np.mean(slopes)
+    return 1.96 * math.sqrt((n_groups - 1) / n_groups * float(spread @ spread))
+
+
 def correction_diagnostic(problem: Problem, u_list: Sequence[float], config: SamplerConfig,
                           beta: float | None = None) -> CorrectionDiagnostic:
     """Estimate D(u) over a u sweep and fit its growth exponent.
 
-    Each u gets a fresh substream (stream offsets 1, 2, ...) and so its own
-    pass over the paths, on purpose: the fit's points are independent.
-    Everything remains reproducible from the seed.
+    One pass on stream ``config.stream + 1`` estimates every u: the
+    estimates are exactly ``tail_is``'s on that stream. Errors of log p(u)
+    on shared paths are positively correlated and largely cancel in the
+    slope, so the half-width is not the regression's (which assumes
+    independent points) but a jackknife over JACKKNIFE_GROUPS groups of
+    consecutive paths: path j is in group j * JACKKNIFE_GROUPS // n_paths.
+    The groups depend on the path index only, so no batch size, tile size
+    or worker count moves a survivor count.
     """
     us = [float(u) for u in u_list]
     if len(us) < 2 or any(b <= a for a, b in zip(us, us[1:])) or us[0] <= 0:
         raise EstimationError("u_list must be at least 2 strictly increasing positive values")
-    estimates = tuple(
-        tail_is(problem, [u], replace(config, stream=config.stream + 1 + i))[0]
-        for i, u in enumerate(us))
-    log_ps = [e.log_value for e in estimates]
+    config = replace(config, stream=config.stream + 1)
+    n = config.n_paths
     s2 = problem.solution.sigma_star_sq
-    exponent, intercept, halfwidth, used = fit_correction_exponent(us, log_ps, s2)
+    is_per_path, is_fold = _is_sweep(problem, us)
+
+    def per_path(batch: PathBatch) -> tuple:
+        columns = is_per_path(batch)
+        first = batch.start_index
+        return (*columns, np.arange(first, first + columns[0].size) * JACKKNIFE_GROUPS // n)
+
+    def fold(*columns: np.ndarray) -> tuple:
+        *columns, group = columns
+        y, _, *u_lows = columns
+        return is_fold(*columns), [_group_stats(u, s2, y, u_low, group)
+                                   for u, u_low in zip(us, u_lows)]
+
+    folds = list(_map_ordered(problem, config, per_path, fold))
+    estimates = tuple(_is_estimates(problem, us, config, (f for f, _ in folds)))
+    groups = [reduce(_add_group_stats, per_u) for per_u in zip(*(g for _, g in folds))]
+    log_ps = [e.log_value for e in estimates]
+    exponent, intercept, _, used = fit_correction_exponent(us, log_ps, s2)
+    halfwidth = _jackknife_halfwidth(us, np.array([g[3] for g in groups]), s2, n)
     rows = tuple((u, lp, lp + u * u / (2.0 * s2)) for u, lp in zip(us, log_ps))
     excluded = tuple(u for u, keep in zip(us, used) if not keep)
+    group_stats = tuple(tuple(zip(*(column.tolist() for column in g))) for g in groups)
     return CorrectionDiagnostic(rows=rows, exponent=exponent, intercept=intercept,
                                 exponent_halfwidth=halfwidth, estimates=estimates,
-                                excluded=excluded, beta=beta)
+                                group_stats=group_stats, excluded=excluded, beta=beta)
 
 
 # ---------------------------------------------------------------------------

@@ -611,10 +611,42 @@ def test_diagnose_outputs(run_cli):
                 "beta", "lower_bound_exponent", "sigma_star_sq", "rows"):
         assert key in doc, key
     assert doc["lower_bound_exponent"] == pytest.approx(0.5)
+    assert (doc["halfwidth_method"], doc["groups"]) == ("jackknife", 10)
     assert len(doc["rows"]) == 3
     _, columns, rows = read_csv(out / "diagnose.csv")
     assert columns == ["u", "p_hat", "stderr", "log_p", "D_u"]
     assert (out / "diagnose.svg").exists()
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("preset, cfg, seed, excluded", [
+    # one path of three survives: every u fits, no fit without its group does
+    ("ou", {"n_paths": 3, "u_list": [2.0, 3.0, 4.0]}, 1, []),
+    # partial support: no path survives the tests of the two smallest u
+    ("example2", {"n_paths": 10, "u_list": [0.5, 1.0, 2.0, 4.0]}, 2, [0.5, 1.0]),
+])
+def test_diagnose_writes_strict_json_when_paths_are_few(run_cli, preset, cfg, seed, excluded):
+    code, out = run_cli("diagnose", config=cfg, extra=["--preset", preset, "--seed", str(seed)])
+    assert code == EXIT_OK
+    doc = json.loads((out / "diagnose.json").read_text(), parse_constant=_no_constant)
+    assert math.isfinite(doc["exponent"])
+    assert doc["exponent_halfwidth"] is None
+    assert doc["excluded_u"] == excluded
+    for row in doc["rows"]:
+        assert (row["D"] is None) == (row["u"] in excluded)
+
+
+def test_diagnose_thread_count_is_byte_invisible(run_cli, tmp_path):
+    cfg = {"preset": "ou", "n_paths": 20_001, "batch_size": 777}
+    code_a, out_a = run_cli("diagnose", config=cfg, out=tmp_path / "t1",
+                            extra=["--threads", "1"])
+    code_b, out_b = run_cli("diagnose", config=cfg, out=tmp_path / "t2",
+                            extra=["--threads", "2"])
+    assert code_a == code_b == EXIT_OK
+    assert tree_bytes(out_a) == tree_bytes(out_b)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +696,7 @@ def test_report_full_preset(run_cli, tmp_path):
         if (sdir / "diagnose" / "diagnose.json").exists():
             diag = json.loads((sdir / "diagnose" / "diagnose.json").read_text())
             assert (f"  - fitted correction exponent {diag['exponent']:.3f} "
-                    f"(half-width {diag['exponent_halfwidth']:.3f}); "
+                    f"(jackknife half-width {diag['exponent_halfwidth']:.3f}); "
                     f"excluded u: {diag['excluded_u']}") in lines
         else:
             assert "- diagnose: skipped (no diagnose_u_list)" in lines
@@ -674,6 +706,13 @@ def test_report_full_preset(run_cli, tmp_path):
             + (f", ess = {val['ess']:.0f}" if "ess" in val else "")
             for key, val in results.items()]
     assert (out / "ou" / "diagnose" / "diagnose.json").exists()
+
+
+def test_report_says_when_the_jackknife_has_no_halfwidth():
+    result = {"exponent": 0.5, "exponent_halfwidth": None, "excluded_u": [],
+              "lower_bound_exponent": None}
+    assert gaussmin.cli._stage_summary("diagnose", result, "s")[0] == (
+        "  - fitted correction exponent 0.500 (jackknife half-width n/a); excluded u: []")
 
 
 def test_report_single_tail_method_prints_no_table(run_cli):

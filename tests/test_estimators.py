@@ -23,7 +23,8 @@ from gaussmin import (
     tail_crude,
     tail_is,
 )
-from conftest import make_config
+from gaussmin.estimators import JACKKNIFE_GROUPS
+from conftest import make_config, markov_problem
 from oracles import (binomial_bin_stderr, orthant_closed, planted_logp,
                      weighted_bin_stderr)
 
@@ -199,14 +200,58 @@ def test_fit_input_validation():
 def test_correction_diagnostic_end_to_end(ou):
     problem = Problem(ou, DyadicGrid(0.0, 1.0, 4))
     cfg = make_config(n_paths=20_000)
-    diag = correction_diagnostic(problem, [1.0, 2.0, 3.0], cfg, beta=1.0)
+    us = [1.0, 2.0, 3.0]
+    diag = correction_diagnostic(problem, us, cfg, beta=1.0)
     assert len(diag.rows) == 3
     assert all(d < 0 for _, _, d in diag.rows)
     assert 0 < diag.exponent < 1.2
+    assert 0 < diag.exponent_halfwidth < 0.2
     assert diag.lower_bound_exponent == pytest.approx(0.5)
-    # each u runs on its own substream, reproducibly
-    [again] = tail_is(problem, [2.0], replace(cfg, stream=cfg.stream + 2))
-    assert diag.estimates[1].value == again.value
+    # one pass for every u, on the first substream: each estimate is tail_is's
+    # there, field for field (meta, with its crude Estimate, included)
+    again = tail_is(problem, us, replace(cfg, stream=cfg.stream + 1))
+    for est, ref in zip(diag.estimates, again, strict=True):
+        for name in ("value", "stderr", "n", "seed", "log_value", "meta"):
+            assert getattr(est, name) == getattr(ref, name), name
+    # the groups split the paths: their sums are the estimate's totals
+    for est, groups in zip(diag.estimates, diag.group_stats):
+        assert len(groups) == JACKKNIFE_GROUPS
+        assert sum(g[0] for g in groups) == est.meta["n_surviving"]
+        assert np.logaddexp.reduce([g[3] for g in groups]) == pytest.approx(
+            est.log_value + np.log(cfg.n_paths) + est.meta["u"] ** 2
+            / (2 * problem.solution.sigma_star_sq), rel=1e-12)
+
+
+def test_correction_diagnostic_jackknife_covers_the_seed_spread(ou):
+    # the diagnose preset's sweep: the exponent's sd over 20 seeds agrees with
+    # the mean jackknife standard error (half-width / 1.96)
+    problem = Problem(ou, DyadicGrid(0.0, 1.0, 6))
+    us = [2.0, 2.5, 3.0, 3.5, 4.0]
+    diags = [correction_diagnostic(problem, us, make_config(seed=seed, n_paths=50_000))
+             for seed in range(1, 21)]
+    sd = float(np.std([d.exponent for d in diags], ddof=1))
+    se = float(np.mean([d.exponent_halfwidth for d in diags])) / 1.96
+    assert 0.67 * se <= sd <= 1.5 * se, f"sd {sd:.4f} over seeds, jackknife se {se:.4f}"
+
+
+def test_correction_diagnostic_batch_size_moves_no_group_count():
+    # 257 points: a batch of 16384 paths is drawn in tiles, and 777 paths
+    # leave batches that straddle the group boundaries
+    problem = markov_problem("example1", 8)
+    us = [2.0, 2.5, 3.0, 3.5, 4.0]
+    a, b = (correction_diagnostic(problem, us, make_config(n_paths=20_001, batch_size=size))
+            for size in (16384, 777))
+    assert [[g[0] for g in u] for u in a.group_stats] == \
+        [[g[0] for g in u] for u in b.group_stats]
+    assert a.excluded == b.excluded
+
+    def numbers(diag) -> list[float]:
+        return ([diag.exponent, diag.intercept, diag.exponent_halfwidth]
+                + [x for row in diag.rows for x in row]
+                + [x for est in diag.estimates for x in (est.value, est.stderr, est.log_value)]
+                + [x for u in diag.group_stats for g in u for x in g[1:]])
+
+    np.testing.assert_allclose(numbers(a), numbers(b), rtol=1e-12, atol=0)
 
 
 def test_correction_diagnostic_validates_u_list(ou_problem_k2):

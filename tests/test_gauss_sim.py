@@ -22,8 +22,8 @@ from gaussmin import (
     tail_is,
 )
 from gaussmin import gauss_sim
-from gaussmin.estimators import (argmin_conditional, mx_conditional, small_ball,
-                                 tail_crude)
+from gaussmin.estimators import (argmin_conditional, correction_diagnostic, mx_conditional,
+                                 small_ball, tail_crude)
 from gaussmin.gauss_sim import (DEFAULT_BATCH, MARKOV_MIN_POINTS, MarkovPaths, PathBatch,
                                 factorize, markov_form_valid, standard_normals, tiles)
 from conftest import MARKOV_KERNELS, make_config, markov_problem, run_python
@@ -397,6 +397,7 @@ def _sweep_outputs(problem: Problem, cfg: SamplerConfig) -> list:
             for r in argmin_conditional(problem, [1.0, 2.0], cfg)]
     out += [repr(r) if isinstance(r, Exception) else repr(r.weights.tolist())
             for r in mx_conditional(problem, [2.0, 0.5], cfg)]
+    out.append(repr(correction_diagnostic(problem, [0.5, 1.0, 2.0], cfg)))
     return out
 
 

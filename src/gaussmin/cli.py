@@ -66,7 +66,7 @@ def _number(cfg: dict, key: str, default, integer: bool = False,
     v = cfg.get(key, default)
     ok = (isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
           and (integer or math.isfinite(v)) and low <= v <= high)
-    bounds = "" if (low, high) == (-math.inf, math.inf) else f" in [{low:g}, {high:g}]"
+    bounds = "" if (low, high) == (-math.inf, math.inf) else f" in [{low}, {high}]"
     _require(ok, f"'{key}' must be {'an integer' if integer else 'a finite number'}"
                  f"{bounds}; got {v!r}")
     return int(v) if integer else float(v)
@@ -222,15 +222,14 @@ def build_problem(cfg: dict, problems: dict, k_default: int = 5) -> Problem:
 
 
 def sampler_config(cfg: dict) -> SamplerConfig:
-    try:
-        return SamplerConfig(seed=int(cfg["seed"]),
-                             n_paths=int(cfg.get("n_paths", DEFAULT_N_PATHS)),
-                             batch_size=int(cfg.get("batch_size", DEFAULT_BATCH)),
-                             stream=int(cfg.get("stream", 0)),
-                             workers=int(cfg.get("threads", 1)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sampling settings (seed, n_paths, batch_size, stream, "
-                          f"threads): {exc}") from None
+    """The five sampling settings, each a JSON integer in range. ``stream``
+    stops at 2^64 - 2, because ``diagnose`` draws on ``stream + 1``."""
+    return SamplerConfig(
+        seed=_number(cfg, "seed", DEFAULT_SEED, integer=True, low=0, high=2**64 - 1),
+        n_paths=_number(cfg, "n_paths", DEFAULT_N_PATHS, integer=True, low=1),
+        batch_size=_number(cfg, "batch_size", DEFAULT_BATCH, integer=True, low=1),
+        stream=_number(cfg, "stream", 0, integer=True, low=0, high=2**64 - 2),
+        workers=_number(cfg, "threads", 1, integer=True, low=1))
 
 
 PARAM_DOMAINS = {"finite": lambda v: True, ">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0}

@@ -20,21 +20,24 @@ one pass over the paths. Its ``per_path`` step maps paths to per-path
 columns: Y, the min and argmin, computed once, and the shifted min (and
 argmin) of each u whose tilt shifts the survival test. Its ``fold`` reduces a
 batch's columns to every parameter's statistics, one parameter at a time, in
-the same float operations as a one-element list. ``tail_is`` also counts the
-crude hits in its pass, so the CLI's ``tail`` makes one pass for both methods.
-``correction_diagnostic`` runs ``tail_is``'s pass for its whole u list, and
-its fold also reduces each u's statistics per group of consecutive path
-indices, for a jackknife error bar on its fit.
+the same float operations as a one-element list. ``_sweep`` is the one place
+that totals the folds, in path order: tuples position by position, counts,
+floats and histograms by ``+``, and log sums of weights (``_LogSum``) by
+``np.logaddexp``; the estimator only finishes the total. ``tail_is`` also
+counts the crude hits in its pass, so the CLI's ``tail`` makes one pass for
+both methods. ``correction_diagnostic`` runs ``tail_is``'s pass for its whole
+u list, and its fold also reduces each u's statistics per group of
+consecutive path indices, for a jackknife error bar on its fit.
 
 The batch is the unit of folding only: its paths are drawn and mapped tile by
 tile (``gauss_sim.tiles``), and the columns are joined in path order before
 the fold, so a pass over a fine grid holds one tile of paths, and the tile
-size changes no output. Batches fold in path order whatever the worker count,
-so every number here is a deterministic function of (seed, stream, n, batch
-size, parameter) that no worker count changes. Counts (crude, small-ball,
-Y <= x, the diagnostic's survivors per group) are integer sums and so also
-independent of the batch size; the weighted estimators fold per-batch float
-sums, which a different batch size can move in the last bit.
+size changes no output. ``_sweep`` adds the folds in path order whatever
+the worker count, so every number here is a deterministic function of (seed,
+stream, n, batch size, parameter) that no worker count changes. Counts
+(crude, small-ball, Y <= x, the diagnostic's survivors per group) are integer
+sums and so also independent of the batch size; the weighted estimators add
+per-batch float sums, which a different batch size can move in the last bit.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -145,15 +148,33 @@ class Estimate:
 # ---------------------------------------------------------------------------
 
 
-def _map_ordered(problem: Problem, config: SamplerConfig,
-                 per_path: Callable[[PathBatch], Sequence[np.ndarray]],
-                 fold: Callable[..., tuple]) -> Iterator[tuple]:
-    """Fold every batch, yielding the results in path order.
+@dataclass(frozen=True)
+class _LogSum:
+    """A log sum of weights (a float, or an array of them), as in a fold:
+    ``+`` adds the sums, by ``np.logaddexp``."""
+
+    log: float | np.ndarray
+
+    def __add__(self, other: _LogSum) -> _LogSum:
+        return _LogSum(np.logaddexp(self.log, other.log))
+
+
+def _add(a, b):
+    """a + b, position by position for tuples."""
+    return tuple(map(_add, a, b)) if isinstance(a, tuple) else a + b
+
+
+def _sweep(problem: Problem, config: SamplerConfig,
+           per_path: Callable[[PathBatch], Sequence[np.ndarray]],
+           fold: Callable[..., tuple]) -> tuple:
+    """The total of every batch's fold, added in path order.
 
     A batch is drawn tile by tile; ``per_path`` maps each tile to per-path
     columns, and ``fold`` reduces the batch's columns, joined in path order.
-    With several workers the batches are computed concurrently but yielded in
-    submission order, so the folded result is identical for any worker count.
+    This is the one place that totals folds: tuples add position by position,
+    anything else by its ``+`` (a ``_LogSum`` by ``np.logaddexp``). With
+    several workers the batches are computed concurrently but added in
+    submission order, so the total is identical for any worker count.
     """
     paths, grid = problem.path_map, problem.grid  # cached here, before workers read it
     starts = range(0, config.n_paths, config.batch_size)
@@ -167,10 +188,9 @@ def _map_ordered(problem: Problem, config: SamplerConfig,
         return fold(*map(np.concatenate, zip(*columns)))
 
     if config.workers == 1:
-        yield from map(run, starts)
-        return
+        return reduce(_add, map(run, starts))
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        yield from pool.map(run, starts)
+        return reduce(_add, pool.map(run, starts))
 
 
 def _tilt_shift(solution: OptimalSolution, u: float) -> np.ndarray | None:
@@ -204,9 +224,7 @@ def tail_crude(problem: Problem, us: Sequence[float], config: SamplerConfig) -> 
     def fold(mins: np.ndarray) -> tuple:
         return tuple(int(np.count_nonzero(mins > u)) for u in us)
 
-    hits = [0] * len(us)
-    for batch in _map_ordered(problem, config, per_path, fold):
-        hits = [total + h for total, h in zip(hits, batch)]
+    hits = _sweep(problem, config, per_path, fold)
     return [_binomial_estimate(h, config, {"method": "tail_crude", "u": u})
             for h, u in zip(hits, us)]
 
@@ -222,20 +240,21 @@ def tail_is(problem: Problem, us: Sequence[float], config: SamplerConfig) -> lis
     ``tail_crude`` returns for that u on the same config.
     """
     us = [float(u) for u in us]
-    per_path, fold = _is_sweep(problem, us)
-    return _is_estimates(problem, us, config, _map_ordered(problem, config, per_path, fold))
+    total = _sweep(problem, config, *_is_sweep(problem, us))
+    return [_is_estimate(u, u_total, problem, config) for u, u_total in zip(us, total)]
 
 
 def _is_stats(u: float, s2: float, y: np.ndarray, low_min: np.ndarray) -> tuple:
-    """(survivors, sum w, sum w^2, log sum w) over the paths whose tested min is > 0."""
+    """(survivors, sum w, sum w^2, log sum w as a ``_LogSum``) over the paths
+    whose tested min is > 0."""
     keep = low_min > 0
     logw = -u * y[keep] / s2
     if logw.size == 0:
-        return 0, 0.0, 0.0, -math.inf
+        return 0, 0.0, 0.0, _LogSum(-math.inf)
     m = float(logw.max())
     w = np.exp(logw)
-    return int(logw.size), float(w.sum()), float((w * w).sum()), m + math.log(
-        float(np.exp(logw - m).sum()))
+    return int(logw.size), float(w.sum()), float((w * w).sum()), _LogSum(m + math.log(
+        float(np.exp(logw - m).sum())))
 
 
 def _is_sweep(problem: Problem, us: list[float]) -> tuple[Callable, Callable]:
@@ -262,26 +281,11 @@ def _is_sweep(problem: Problem, us: list[float]) -> tuple[Callable, Callable]:
     return per_path, fold
 
 
-def _is_estimates(problem: Problem, us: list[float], config: SamplerConfig,
-                  folds: Iterable[tuple]) -> list[Estimate]:
-    """Sum ``_is_sweep``'s batch folds, in path order, into one Estimate per u."""
+def _is_estimate(u: float, total: tuple, problem: Problem, config: SamplerConfig) -> Estimate:
+    """u's Estimate from its part of the total of ``_is_sweep``'s folds."""
+    hits, n_surv, sum_w, sum_w2, lse = total
+    lse = float(lse.log)
     s2 = problem.solution.sigma_star_sq
-    hits, n_surv, sum_w, sum_w2, lse = ([0] * len(us), [0] * len(us), [0.0] * len(us),
-                                        [0.0] * len(us), [-math.inf] * len(us))
-    for batch in folds:
-        for i, (h, ns, sw, sw2, batch_lse) in enumerate(batch):
-            hits[i] += h
-            n_surv[i] += ns
-            sum_w[i] += sw
-            sum_w2[i] += sw2
-            lse[i] = float(np.logaddexp(lse[i], batch_lse))
-    return [_is_estimate(u, n_surv[i], sum_w[i], sum_w2[i], lse[i], s2, config,
-                         _binomial_estimate(hits[i], config, {"method": "tail_crude", "u": u}))
-            for i, u in enumerate(us)]
-
-
-def _is_estimate(u: float, n_surv: int, sum_w: float, sum_w2: float, lse: float,
-                 s2: float, config: SamplerConfig, crude: Estimate) -> Estimate:
     n = config.n_paths
     log_prefactor = -u * u / (2.0 * s2)
     log_p = lse - math.log(n) + log_prefactor
@@ -295,7 +299,8 @@ def _is_estimate(u: float, n_surv: int, sum_w: float, sum_w2: float, lse: float,
     ess = (sum_w * sum_w / sum_w2) if sum_w2 > 0 else 0.0
     meta = {"method": "tail_is", "u": u, "sigma_star_sq": s2,
             "n_surviving": n_surv, "ess": ess, "rel_stderr": rel_stderr,
-            "log_only": value == 0.0 and lse > -math.inf, "crude": crude}
+            "log_only": value == 0.0 and lse > -math.inf,
+            "crude": _binomial_estimate(hits, config, {"method": "tail_crude", "u": u})}
     return Estimate(value=value, stderr=stderr, n=n, seed=config.seed,
                     log_value=log_p if lse > -math.inf else -math.inf, meta=meta)
 
@@ -335,9 +340,7 @@ def small_ball(problem: Problem, eps_list: Sequence[float], config: SamplerConfi
             return tuple(int(np.count_nonzero(gap > -eps)) for eps in eps_list)
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'range' or 'zstar'")
-    hits = [0] * len(eps_list)
-    for batch in _map_ordered(problem, config, per_path, fold):
-        hits = [total + h for total, h in zip(hits, batch)]
+    hits = _sweep(problem, config, per_path, fold)
     return [_binomial_estimate(h, config, {"method": f"small_ball_{mode}", "eps": eps})
             for h, eps in zip(hits, eps_list)]
 
@@ -415,7 +418,7 @@ def fit_correction_exponent(u_values: Sequence[float], log_p_values: Sequence[fl
 def _group_stats(u: float, s2: float, y: np.ndarray, low_min: np.ndarray,
                  group: np.ndarray) -> tuple[np.ndarray, ...]:
     """``_is_stats`` per path group: arrays of each group's survivors, sum w,
-    sum w^2 and log sum w."""
+    sum w^2 and log sum w (a ``_LogSum``)."""
     keep = low_min > 0
     logw = -u * y[keep] / s2
     g = group[keep]
@@ -425,11 +428,7 @@ def _group_stats(u: float, s2: float, y: np.ndarray, low_min: np.ndarray,
     with np.errstate(divide="ignore"):   # a group with no survivor: log 0 = -inf
         lse = top + np.log(np.bincount(g, np.exp(logw - top[g]), JACKKNIFE_GROUPS))
     return (np.bincount(g, minlength=JACKKNIFE_GROUPS), np.bincount(g, w, JACKKNIFE_GROUPS),
-            np.bincount(g, w * w, JACKKNIFE_GROUPS), lse)
-
-
-def _add_group_stats(a: tuple, b: tuple) -> tuple:
-    return a[0] + b[0], a[1] + b[1], a[2] + b[2], np.logaddexp(a[3], b[3])
+            np.bincount(g, w * w, JACKKNIFE_GROUPS), _LogSum(lse))
 
 
 def _jackknife_halfwidth(us: list[float], lse: np.ndarray, s2: float, n: int) -> float:
@@ -482,12 +481,12 @@ def correction_diagnostic(problem: Problem, u_list: Sequence[float], config: Sam
     def fold(*columns: np.ndarray) -> tuple:
         *columns, group = columns
         y, _, *u_lows = columns
-        return is_fold(*columns), [_group_stats(u, s2, y, u_low, group)
-                                   for u, u_low in zip(us, u_lows)]
+        return is_fold(*columns), tuple(_group_stats(u, s2, y, u_low, group)
+                                        for u, u_low in zip(us, u_lows))
 
-    folds = list(_map_ordered(problem, config, per_path, fold))
-    estimates = tuple(_is_estimates(problem, us, config, (f for f, _ in folds)))
-    groups = [reduce(_add_group_stats, per_u) for per_u in zip(*(g for _, g in folds))]
+    total, groups = _sweep(problem, config, per_path, fold)
+    estimates = tuple(_is_estimate(u, u_total, problem, config) for u, u_total in zip(us, total))
+    groups = [(*g[:3], g[3].log) for g in groups]
     log_ps = [e.log_value for e in estimates]
     exponent, intercept, _, used = fit_correction_exponent(us, log_ps, s2)
     halfwidth = _jackknife_halfwidth(us, np.array([g[3] for g in groups]), s2, n)
@@ -544,15 +543,8 @@ def argmin_conditional(problem: Problem, us: Sequence[float], config: SamplerCon
     def fold(y: np.ndarray, *lows: np.ndarray) -> tuple:
         return tuple(u_stats(u, y, lows[2 * i], lows[2 * i + 1]) for i, u in enumerate(us))
 
-    hists = [np.zeros(n_points) for _ in us]
-    sum_w, sum_w2 = [0.0] * len(us), [0.0] * len(us)
-    for batch in _map_ordered(problem, config, per_path, fold):
-        for i, (h, sw, sw2) in enumerate(batch):
-            hists[i] += h
-            sum_w[i] += sw
-            sum_w2[i] += sw2
     results: list[tuple[GridMeasure, float] | EstimationError] = []
-    for u, hist, sw, sw2 in zip(us, hists, sum_w, sum_w2):
+    for u, (hist, sw, sw2) in zip(us, _sweep(problem, config, per_path, fold)):
         if sw <= 0:
             results.append(EstimationError(
                 f"no paths with min > 0 survive at u={u}; no histogram"))
@@ -582,10 +574,7 @@ def mx_conditional(problem: Problem, xs: Sequence[float], config: SamplerConfig
         survive = low > 0
         return tuple(np.bincount(argmin[survive & (y <= x)], minlength=n_points) for x in xs)
 
-    hists = [np.zeros(n_points) for _ in xs]
-    for batch in _map_ordered(problem, config, per_path, fold):
-        for hist, h in zip(hists, batch):
-            hist += h
+    hists = _sweep(problem, config, per_path, fold)
     return [GridMeasure.from_raw(problem.grid, hist) if hist.sum() > 0
             else EstimationError(f"no paths satisfy Y <= {x} and min > 0; no histogram")
             for x, hist in zip(xs, hists)]

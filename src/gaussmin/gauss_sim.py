@@ -166,6 +166,21 @@ class PathBatch:
         object.__setattr__(self, "values", vals)
 
 
+def screen_gram(sigma: np.ndarray) -> tuple[np.ndarray, float]:
+    """``sigma`` made exactly symmetric, and its scale s = max(max |sigma_ij|, 1),
+    once it is square, finite and symmetric to 1e-10 s; else
+    NotPositiveSemidefiniteError."""
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] < 1:
+        raise NotPositiveSemidefiniteError(f"need a square matrix, got shape {sigma.shape}")
+    if not np.all(np.isfinite(sigma)):
+        raise NotPositiveSemidefiniteError("matrix has a NaN or inf entry")
+    scale = max(float(np.abs(sigma).max()), 1.0)
+    if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
+        raise NotPositiveSemidefiniteError("matrix is not symmetric")
+    return 0.5 * (sigma + sigma.T), scale
+
+
 def factorize(sigma: np.ndarray) -> Factorization:
     """Cholesky factor of sigma + lambda I for the smallest workable jitter.
 
@@ -176,15 +191,7 @@ def factorize(sigma: np.ndarray) -> Factorization:
     when sigma or its factor has a NaN or inf entry. The ladder scales with
     sigma so that a rank-deficient sigma of large entries still factors.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] < 1:
-        raise NotPositiveSemidefiniteError(f"need a square matrix, got shape {sigma.shape}")
-    if not np.all(np.isfinite(sigma)):
-        raise NotPositiveSemidefiniteError("matrix has a NaN or inf entry")
-    scale = max(float(np.abs(sigma).max()), 1.0)
-    if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
-        raise NotPositiveSemidefiniteError("matrix is not symmetric")
-    sigma = 0.5 * (sigma + sigma.T)
+    sigma, scale = screen_gram(sigma)
     n = sigma.shape[0]
     lam = 0.0
     while True:

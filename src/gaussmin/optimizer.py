@@ -43,7 +43,7 @@ from scipy.linalg import cho_factor, solve_triangular  # noqa: F401
 from scipy.linalg.blas import dtpsv
 
 from .exceptions import NotPositiveSemidefiniteError, OptimizerError
-from .gauss_sim import Factorization, factorize, markov_form_valid
+from .gauss_sim import Factorization, factorize, markov_form_valid, screen_gram
 from .grids import MAX_LEVEL, DyadicGrid, Grid, PointGrid
 from .kernels import ExplicitGram, Kernel
 from .measure import GridMeasure
@@ -153,8 +153,8 @@ def certify(sigma: np.ndarray | tuple[np.ndarray, np.ndarray], measure: GridMeas
     ``sigma`` is a Gram matrix or a Markov form (r, q) (module doc). Always
     returns a report; ``passed`` is the verdict at relative tolerance ``tol``.
     ``sigma`` is screened first, since it may come from outside a ``Problem``:
-    a matrix must be square, symmetric, with a nonnegative diagonal and
-    Cauchy-Schwarz, a Markov form pass ``markov_form_valid``.
+    a matrix must be square, finite, symmetric, with a nonnegative diagonal
+    and Cauchy-Schwarz, a Markov form pass ``markov_form_valid``.
     """
     if isinstance(sigma, tuple):
         r, q = _markov_form(sigma)
@@ -177,12 +177,7 @@ def certify(sigma: np.ndarray | tuple[np.ndarray, np.ndarray], measure: GridMeas
 
 def _screened_gram(sigma: np.ndarray) -> np.ndarray:
     """``sigma`` made exactly symmetric, once it passes certify's screen."""
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] < 1:
-        raise NotPositiveSemidefiniteError(f"need a square matrix, got shape {sigma.shape}")
-    scale = max(float(np.abs(sigma).max()), 1.0)
-    if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
-        raise NotPositiveSemidefiniteError("matrix is not symmetric")
+    sigma, scale = screen_gram(sigma)
     d = np.diag(sigma)
     if np.any(d < -1e-12 * scale):
         raise NotPositiveSemidefiniteError("negative diagonal entry")
@@ -190,7 +185,7 @@ def _screened_gram(sigma: np.ndarray) -> np.ndarray:
     bound = np.sqrt(np.outer(np.maximum(d, 0), np.maximum(d, 0)))
     if np.any(np.abs(sigma) > bound + 1e-8 * scale):
         raise NotPositiveSemidefiniteError("off-diagonal entry violates Cauchy-Schwarz")
-    return 0.5 * (sigma + sigma.T)
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +278,9 @@ def _dense_theta_on(sigma: np.ndarray, factor: Factorization) -> Callable:
         if idx.size == n:
             z_all = solve_triangular(lower, np.ones(n), lower=True, check_finite=False)
             return solve_triangular(lower, z_all, lower=True, trans="T", check_finite=False)
-        size = int(np.argmin(np.append(np.isin(order[:size], idx), False)))  # first one out
-        for j in np.setdiff1d(idx, order[:size]):
+        kept = np.isin(order[:size], idx, assume_unique=True)
+        size = int(np.argmin(np.append(kept, False)))  # first one out
+        for j in np.setdiff1d(idx, order[:size], assume_unique=True):
             start = size * (size + 1) // 2
             row = dtpsv(size, packed, sigma[j, order[:size]], trans=1) if size else z[:0]
             d2 = sigma[j, j] + lam - row @ row

@@ -134,9 +134,12 @@ def test_smallball_requires_eps_list(run_cli):
 OU_K3 = {"kernel": {"type": "ou"}, "interval": [0.0, 1.0], "k": 3, "n_paths": 1000}
 
 
-@pytest.mark.parametrize("setting, extra", [({"n_paths": 0}, []), ({"batch_size": 0}, []),
-                                            ({}, ["--threads", "0"])],
-                         ids=["n_paths", "batch_size", "threads"])
+@pytest.mark.parametrize("setting, extra", [
+    ({"n_paths": 0}, []), ({"batch_size": 0}, []), ({}, ["--threads", "0"]),
+    ({"n_paths": 1000.9}, []), ({"batch_size": True}, []), ({"seed": 7.5}, []),
+    ({"stream": -1}, []), ({"stream": 2**64 - 1}, [])],
+    ids=["n_paths", "batch_size", "threads", "n_paths_float", "batch_size_bool", "seed_float",
+         "stream_negative", "stream_past_diagnose"])
 def test_bad_sampling_setting_exits_3(run_cli, setting, extra):
     code, out = run_cli("tail", config=dict(OU_K3, u_list=[1.0], **setting), extra=extra)
     assert code == EXIT_CONFIG

@@ -254,6 +254,25 @@ def test_correction_diagnostic_batch_size_moves_no_group_count():
     np.testing.assert_allclose(numbers(a), numbers(b), rtol=1e-12, atol=0)
 
 
+def test_log_sums_add_across_batches_with_no_survivor(ou_problem_k5):
+    # one path per batch: about 85% of the batches have no surviving path, so
+    # most log sums of weights that are added start at -inf
+    us = [1.0, 2.0, 3.0]
+    one, whole = (make_config(n_paths=2000, batch_size=size) for size in (1, 2000))
+    for a, b in zip(tail_is(ou_problem_k5, us, one), tail_is(ou_problem_k5, us, whole)):
+        assert 0 < a.meta["n_surviving"] == b.meta["n_surviving"] < 2000 // 2
+        assert a.meta["crude"].meta["hits"] == b.meta["crude"].meta["hits"]
+        assert a.log_value == pytest.approx(b.log_value, rel=1e-13, abs=0)
+    a, b = (correction_diagnostic(ou_problem_k5, us, cfg) for cfg in (one, whole))
+    assert [[g[0] for g in u] for u in a.group_stats] == \
+        [[g[0] for g in u] for u in b.group_stats]
+
+    def logs(diag) -> list[float]:
+        return [e.log_value for e in diag.estimates] + [g[3] for u in diag.group_stats for g in u]
+
+    np.testing.assert_allclose(logs(a), logs(b), rtol=1e-13, atol=0)
+
+
 def test_correction_diagnostic_validates_u_list(ou_problem_k2):
     cfg = make_config(n_paths=100)
     with pytest.raises(EstimationError):

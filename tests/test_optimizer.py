@@ -184,12 +184,14 @@ def test_solver_on_rank_deficient_flat_objective():
 
 
 def test_solver_rejects_non_psd_and_asymmetric_input():
-    with pytest.raises(NotPositiveSemidefiniteError):
-        solve_simplex_qp(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(NotPositiveSemidefiniteError):
-        solve_simplex_qp(np.array([[1.0, 0.2], [0.3, 1.0]]))
-    with pytest.raises(NotPositiveSemidefiniteError):
-        solve_simplex_qp(np.array([[1.0, 0.0, 0.0]]))
+    # certify screens a matrix as the solver does: shape, NaN and inf, symmetry
+    measure = GridMeasure(PointGrid(np.arange(2.0)), np.array([0.5, 0.5]))
+    for sigma in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.2], [0.3, 1.0]], [[1.0, 0.0, 0.0]],
+                  [[1.0, np.nan], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]):
+        with pytest.raises(NotPositiveSemidefiniteError):
+            solve_simplex_qp(np.array(sigma))
+        with pytest.raises(NotPositiveSemidefiniteError):
+            certify(np.array(sigma), measure)
 
 
 def test_solver_grid_size_must_match():

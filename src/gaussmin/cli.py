@@ -11,6 +11,16 @@ Every command takes a dict of ``Problem``s, one per (kernel, grid), that
 study, so a study's stages share each path map and certified solution.
 A ``Problem`` is deterministic, so sharing moves no byte.
 
+The sampling commands ``tail`` and ``argmin`` are two steps: a plan
+(``plan_tail``, ``plan_argmin``: the config checks, the ``Problem``, the
+sampling plan and the sweeps the command needs) and a write step (files,
+plot, warnings and exit code, from the sweeps' results). Alone, a command
+plans, makes one pass and writes. ``report`` plans a study's ``tail`` and
+``argmin`` stages before running either, makes one pass per distinct
+(``Problem``, sampling plan), then writes each stage at its place. A sweep's
+result does not depend on the sweeps that share its pass, so this too moves
+no byte.
+
 Exit codes: 0 success, 2 numerical or statistical failure, 3 config/usage
 failure.
 """
@@ -21,14 +31,16 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .closedform import ou_measure, ou_sigma_star_sq, sigma_star_from_mu, tbm_measure
-from .estimators import (ESS_WARN_THRESHOLD, JACKKNIFE_GROUPS, Problem, argmin_conditional,
-                         correction_diagnostic, mx_conditional, small_ball, tail_crude,
-                         tail_is)
+from .estimators import (ESS_WARN_THRESHOLD, JACKKNIFE_GROUPS, Problem, Sweep, argmin_sweep,
+                         correction_diagnostic, mx_sweep, run_sweeps, small_ball, tail_crude,
+                         tail_crude_sweep, tail_is, tail_is_sweep)
 from .exceptions import ConfigError, EstimationError, GaussminError
 # factorize, certify and solve_simplex_qp stay importable here for perfbench/tracer.py
 from .gauss_sim import DEFAULT_BATCH, SamplerConfig, factorize, sample  # noqa: F401
@@ -395,7 +407,25 @@ def _u_values(cfg: dict, domain: str = "finite") -> list[float]:
     return us
 
 
-def cmd_tail(cfg: dict, out: Path, problems: dict) -> tuple[int, list[tuple] | None]:
+@dataclass(frozen=True)
+class Plan:
+    """A sampling stage, checked and ready to run: its Problem, its sampling
+    plan, the sweeps it reads, and ``write(out, results)``, which turns their
+    results (one per sweep) into its files, warnings and exit code. ``alone``
+    runs the sweeps in the stage's own pass."""
+
+    problem: Problem
+    config: SamplerConfig
+    sweeps: tuple[Sweep, ...]
+    write: Callable[[Path, list], tuple[int, object]]
+    alone: Callable[[], list]
+
+
+def _run_alone(plan: Plan) -> tuple[Plan, list]:
+    return plan, plan.alone()
+
+
+def plan_tail(cfg: dict, problems: dict) -> Plan:
     us = _u_values(cfg)
     methods = cfg.get("methods", ["crude", "is"])
     _require(isinstance(methods, list) and methods
@@ -410,43 +440,58 @@ def cmd_tail(cfg: dict, out: Path, problems: dict) -> tuple[int, list[tuple] | N
     problem = build_problem(cfg, problems)
     grid = problem.grid
     s2 = problem.solution.sigma_star_sq
-    if n_dump:
-        batch = sample(problem.path_map, grid, config, start=0, count=n_dump)
-        write_csv(out / "paths.csv", cfg,
-                  [f"x{i}" for i in range(grid.points.size)],
-                  [tuple(row) for row in batch.values])
     # tail_is counts the crude hits in its own pass, so a run with IS makes one pass
-    if "is" in methods:
-        estimates = {"is": tail_is(problem, us, config)}
-        estimates["crude"] = [e.meta["crude"] for e in estimates["is"]]
-    else:
-        estimates = {"crude": tail_crude(problem, us, config)}
-    rows = {m: [(u, e.value, e.stderr, e.log_value, e.log_value + u * u / (2 * s2))
-                for u, e in zip(us, estimates[m])] for m in estimates}
-    for method in methods:
-        write_csv(out / f"tail_{method}.csv", cfg,
-                  ["u", "p_hat", "stderr", "log_p", "D_u"], rows[method])
-    plot = Plot("tail of the grid minimum", "u", "log P(min > u)")
-    summary = None
-    if set(methods) == {"crude", "is"}:
-        summary = []
-        for u, ec, ei in zip(us, estimates["crude"], estimates["is"]):
-            comb = math.hypot(ec.stderr, ei.stderr)
-            agreement = abs(ec.value - ei.value) / comb if comb > 0 else 0.0
-            summary.append((u, ec.value, ec.stderr, ei.value, ei.stderr, agreement))
-        write_csv(out / "tail_summary.csv", cfg,
-                  ["u", "p_crude", "stderr_crude", "p_is", "stderr_is",
-                   "agreement_sigmas"], summary)
-    for method in methods:
-        pts = [(u, r[3]) for u, r in zip(us, rows[method]) if math.isfinite(r[3])]
-        if pts:
-            plot.add([p[0] for p in pts], [p[1] for p in pts], label=method, mode="both")
-    plot.write(out / "tail.svg")
-    if "crude" in methods and all(e.meta["hits"] == 0 for e in estimates["crude"]):
-        print("tail_crude recorded zero hits at every u; use the change-of-measure "
-              "estimator for this range", file=sys.stderr)
-        return EXIT_NUMERICAL, summary
-    return EXIT_OK, summary
+    estimator, sweep = (tail_is, tail_is_sweep) if "is" in methods else (tail_crude,
+                                                                          tail_crude_sweep)
+
+    def write(out: Path, results: list) -> tuple[int, list[tuple] | None]:
+        [estimates] = results
+        if n_dump:
+            batch = sample(problem.path_map, grid, config, start=0, count=n_dump)
+            write_csv(out / "paths.csv", cfg,
+                      [f"x{i}" for i in range(grid.points.size)],
+                      [tuple(row) for row in batch.values])
+        if "is" in methods:
+            estimates = {"is": estimates, "crude": [e.meta["crude"] for e in estimates]}
+        else:
+            estimates = {"crude": estimates}
+        rows = {m: [(u, e.value, e.stderr, e.log_value, e.log_value + u * u / (2 * s2))
+                    for u, e in zip(us, estimates[m])] for m in estimates}
+        for method in methods:
+            write_csv(out / f"tail_{method}.csv", cfg,
+                      ["u", "p_hat", "stderr", "log_p", "D_u"], rows[method])
+        plot = Plot("tail of the grid minimum", "u", "log P(min > u)")
+        summary = None
+        if set(methods) == {"crude", "is"}:
+            summary = []
+            for u, ec, ei in zip(us, estimates["crude"], estimates["is"]):
+                comb = math.hypot(ec.stderr, ei.stderr)
+                agreement = abs(ec.value - ei.value) / comb if comb > 0 else 0.0
+                summary.append((u, ec.value, ec.stderr, ei.value, ei.stderr, agreement))
+            write_csv(out / "tail_summary.csv", cfg,
+                      ["u", "p_crude", "stderr_crude", "p_is", "stderr_is",
+                       "agreement_sigmas"], summary)
+        for method in methods:
+            pts = [(u, r[3]) for u, r in zip(us, rows[method]) if math.isfinite(r[3])]
+            if pts:
+                plot.add([p[0] for p in pts], [p[1] for p in pts], label=method, mode="both")
+        plot.write(out / "tail.svg")
+        if "crude" in methods and all(e.meta["hits"] == 0 for e in estimates["crude"]):
+            print("tail_crude recorded zero hits at every u; use the change-of-measure "
+                  "estimator for this range", file=sys.stderr)
+            return EXIT_NUMERICAL, summary
+        return EXIT_OK, summary
+
+    # alone, the pass runs inside the public estimator, which perfbench/tracer.py times
+    return Plan(problem, config, (sweep(problem, us),), write,
+                lambda: [estimator(problem, us, config)])
+
+
+def cmd_tail(cfg: dict, out: Path, problems: dict, ran: tuple[Plan, list] | None = None
+             ) -> tuple[int, list[tuple] | None]:
+    """``ran``: this stage's plan and results, from a pass it shared in ``report``."""
+    plan, results = ran or _run_alone(plan_tail(cfg, problems))
+    return plan.write(out, results)
 
 
 def cmd_smallball(cfg: dict, out: Path, problems: dict) -> tuple[int, None]:
@@ -465,46 +510,61 @@ def cmd_smallball(cfg: dict, out: Path, problems: dict) -> tuple[int, None]:
     return EXIT_OK, None
 
 
-def cmd_argmin(cfg: dict, out: Path, problems: dict) -> tuple[int, dict]:
+def plan_argmin(cfg: dict, problems: dict) -> Plan:
     us = (_param_list(cfg.get("argmin_u_list", []), "argmin_u_list", ">= 0")
           or _u_values(cfg, ">= 0"))
     xs = _param_list(cfg.get("x_list", []), "x_list", "> 0")
     config = sampler_config(cfg)
     problem = build_problem(cfg, problems)
     grid, solution = problem.grid, problem.solution
-    summary = {}
-    warnings: list[str] = []
-    plot = Plot("conditional argmin law vs optimal measure", "t", "weight")
-    plot.add(grid.points.tolist(), solution.measure.weights.tolist(),
-             label="optimal measure", mode="line")
-    for u, result in zip(us, argmin_conditional(problem, us, config)):
-        if isinstance(result, EstimationError):
-            summary[f"u={u:g}"] = {"failed": str(result)}
-            warnings.append(f"u={u:g}: {result}")
-            continue
-        hist, ess = result
-        write_csv(out / f"argmin_u{u:g}.csv", cfg, ["point", "weight"],
-                  _measure_rows(hist))
-        summary[f"u={u:g}"] = {"ess": ess,
-                               "tv_to_optimal": tv_distance(hist, solution.measure)}
-        plot.add(grid.points.tolist(), hist.weights.tolist(), label=f"u={u:g}", mode="dots")
-        if ess < ESS_WARN_THRESHOLD:
-            warnings.append(f"u={u:g}: effective sample size {ess:.1f} < "
-                            f"{ESS_WARN_THRESHOLD:g}; histogram is noise-dominated")
-    for x, hist in zip(xs, mx_conditional(problem, xs, config) if xs else []):
-        if isinstance(hist, EstimationError):
-            summary[f"x={x:g}"] = {"failed": str(hist)}
-            warnings.append(f"x={x:g}: {hist}")
-            continue
-        write_csv(out / f"mx_x{x:g}.csv", cfg, ["point", "weight"], _measure_rows(hist))
-        summary[f"x={x:g}"] = {"tv_to_optimal": tv_distance(hist, solution.measure)}
-    result = {"sigma_star_sq": solution.sigma_star_sq, "results": summary,
-              "ess_threshold": ESS_WARN_THRESHOLD}
-    write_json(out / "argmin.json", cfg, result)
-    plot.write(out / "argmin.svg")
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    return (EXIT_NUMERICAL if warnings else EXIT_OK), result
+    # the argmin law over every u, and m_x over every x, from one pass
+    sweeps = (argmin_sweep(problem, us), *([mx_sweep(problem, xs)] if xs else []))
+
+    def write(out: Path, results: list) -> tuple[int, dict]:
+        argmins, mxs = results[0], (results[1] if xs else [])
+        summary = {}
+        warnings: list[str] = []
+        plot = Plot("conditional argmin law vs optimal measure", "t", "weight")
+        plot.add(grid.points.tolist(), solution.measure.weights.tolist(),
+                 label="optimal measure", mode="line")
+        for u, result in zip(us, argmins):
+            if isinstance(result, EstimationError):
+                summary[f"u={u:g}"] = {"failed": str(result)}
+                warnings.append(f"u={u:g}: {result}")
+                continue
+            hist, ess = result
+            write_csv(out / f"argmin_u{u:g}.csv", cfg, ["point", "weight"],
+                      _measure_rows(hist))
+            summary[f"u={u:g}"] = {"ess": ess,
+                                   "tv_to_optimal": tv_distance(hist, solution.measure)}
+            plot.add(grid.points.tolist(), hist.weights.tolist(), label=f"u={u:g}",
+                     mode="dots")
+            if ess < ESS_WARN_THRESHOLD:
+                warnings.append(f"u={u:g}: effective sample size {ess:.1f} < "
+                                f"{ESS_WARN_THRESHOLD:g}; histogram is noise-dominated")
+        for x, hist in zip(xs, mxs):
+            if isinstance(hist, EstimationError):
+                summary[f"x={x:g}"] = {"failed": str(hist)}
+                warnings.append(f"x={x:g}: {hist}")
+                continue
+            write_csv(out / f"mx_x{x:g}.csv", cfg, ["point", "weight"], _measure_rows(hist))
+            summary[f"x={x:g}"] = {"tv_to_optimal": tv_distance(hist, solution.measure)}
+        result = {"sigma_star_sq": solution.sigma_star_sq, "results": summary,
+                  "ess_threshold": ESS_WARN_THRESHOLD}
+        write_json(out / "argmin.json", cfg, result)
+        plot.write(out / "argmin.svg")
+        for w in warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        return (EXIT_NUMERICAL if warnings else EXIT_OK), result
+
+    return Plan(problem, config, sweeps, write, lambda: run_sweeps(problem, config, sweeps))
+
+
+def cmd_argmin(cfg: dict, out: Path, problems: dict, ran: tuple[Plan, list] | None = None
+               ) -> tuple[int, dict]:
+    """``ran``: this stage's plan and results, from a pass it shared in ``report``."""
+    plan, results = ran or _run_alone(plan_argmin(cfg, problems))
+    return plan.write(out, results)
 
 
 def cmd_diagnose(cfg: dict, out: Path, problems: dict) -> tuple[int, dict]:
@@ -549,6 +609,41 @@ def cmd_diagnose(cfg: dict, out: Path, problems: dict) -> tuple[int, dict]:
 
 
 STAGES = ("solve", "analytic", "tail", "diagnose", "argmin")
+PLANS = {"tail": plan_tail, "argmin": plan_argmin}   # the stages a study plans together
+
+
+def _stage_config(study_cfg: dict, stage: str) -> dict:
+    stage_cfg = dict(study_cfg, command=stage)
+    if stage == "diagnose":
+        stage_cfg["u_list"] = stage_cfg["diagnose_u_list"]
+    return stage_cfg
+
+
+def _run_planned(study_cfg: dict, problems: dict) -> dict[str, tuple[Plan, list]]:
+    """Each stage of PLANS planned, then one pass per distinct (Problem,
+    sampling plan) for all their sweeps: {stage: (plan, results)}.
+
+    A stage whose plan or pass raises is left out, so that it runs alone at
+    its own position in the report, and fails there as it would alone.
+    """
+    plans = {}
+    for stage, plan_stage in PLANS.items():
+        try:
+            plans[stage] = plan_stage(_stage_config(study_cfg, stage), problems)
+        except GaussminError:
+            continue
+    ran = {}
+    for problem, config in dict.fromkeys((plan.problem, plan.config) for plan in plans.values()):
+        group = {stage: plan for stage, plan in plans.items()
+                 if plan.problem is problem and plan.config == config}
+        try:
+            results = iter(run_sweeps(problem, config,
+                                      [sweep for plan in group.values() for sweep in plan.sweeps]))
+        except GaussminError:
+            continue
+        for stage, plan in group.items():
+            ran[stage] = plan, [next(results) for _ in plan.sweeps]
+    return ran
 
 
 def cmd_report(cfg: dict, out: Path, _problems: dict) -> tuple[int, None]:
@@ -570,18 +665,20 @@ def cmd_report(cfg: dict, out: Path, _problems: dict) -> tuple[int, None]:
         lines.append("")
         sdir = out / name
         shared: dict = {}  # this study's Problems, freed when it ends
+        ran: dict = {}
         for stage in STAGES:
-            stage_cfg = dict(scfg_base)
-            stage_cfg["command"] = stage
-            if stage == "diagnose" and "diagnose_u_list" not in stage_cfg:
+            if stage == "diagnose" and "diagnose_u_list" not in scfg_base:
                 lines.append(f"- {stage}: skipped (no diagnose_u_list)")
                 continue
-            if stage == "diagnose":
-                stage_cfg["u_list"] = stage_cfg["diagnose_u_list"]
+            if stage == "tail":   # the first stage of PLANS: plan them all, share passes
+                ran = _run_planned(scfg_base, shared)
             stage_dir = sdir / stage
             stage_dir.mkdir(parents=True, exist_ok=True)
+            args = (_stage_config(scfg_base, stage), stage_dir, shared)
+            if stage in ran:
+                args += (ran[stage],)
             try:
-                code, result = COMMANDS[stage](stage_cfg, stage_dir, shared)
+                code, result = COMMANDS[stage](*args)
             except NoClosedFormError:
                 if not any(stage_dir.iterdir()):  # made above, not by an earlier run
                     stage_dir.rmdir()

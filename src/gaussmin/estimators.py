@@ -16,23 +16,29 @@ path map and certified solution, built once and shared by all estimates on
 that grid (on a Gauss-Markov kernel from 129 points, without a Gram matrix).
 
 Each sweep estimator takes its whole parameter list (u, x or eps) and makes
-one pass over the paths. Its ``per_path`` step maps paths to per-path
-columns: Y, the min and argmin, computed once, and the shifted min (and
-argmin) of each u whose tilt shifts the survival test. Its ``fold`` reduces a
+one pass over the paths. It is one ``Sweep``: a ``per_path`` step maps a tile
+of paths to per-path columns (Y, the min and argmin, and the shifted min and
+argmin of each u whose tilt shifts the survival test); a ``fold`` reduces a
 batch's columns to every parameter's statistics, one parameter at a time, in
-the same float operations as a one-element list. ``_sweep`` is the one place
-that totals the folds, in path order: tuples position by position, counts,
-floats and histograms by ``+``, and log sums of weights (``_LogSum``) by
-``np.logaddexp``; the estimator only finishes the total. ``tail_is`` also
-counts the crude hits in its pass, so the CLI's ``tail`` makes one pass for
-both methods. ``correction_diagnostic`` runs ``tail_is``'s pass for its whole
-u list, and its fold also reduces each u's statistics per group of
-consecutive path indices, for a jackknife error bar on its fit.
+the same float operations as a one-element list; and a ``finish`` turns the
+total into the estimator's result. ``run_sweeps`` runs several sweeps on one
+(``Problem``, ``SamplerConfig``) in one pass: per tile it computes the
+functionals, and each u's shifted path, once for every sweep that reads
+them, and it is the one place that totals each sweep's folds, in path order:
+tuples position by position, counts, floats and histograms by ``+``, and log
+sums of weights (``_LogSum``) by ``np.logaddexp``. A sweep's total is the
+same whichever other sweeps share its pass, so the six public estimators are
+one-sweep calls, and the CLI's ``argmin`` and a report study's ``tail`` and
+``argmin`` stages share one pass. ``tail_is`` also counts the crude hits in
+its pass, so the CLI's ``tail`` makes one pass for both methods.
+``correction_diagnostic`` runs ``tail_is``'s sweep for its whole u list, and
+its fold also reduces each u's statistics per group of consecutive path
+indices, for a jackknife error bar on its fit.
 
 The batch is the unit of folding only: its paths are drawn and mapped tile by
 tile (``gauss_sim.tiles``), and the columns are joined in path order before
 the fold, so a pass over a fine grid holds one tile of paths, and the tile
-size changes no output. ``_sweep`` adds the folds in path order whatever
+size changes no output. ``run_sweeps`` adds the folds in path order whatever
 the worker count, so every number here is a deterministic function of (seed,
 stream, n, batch size, parameter) that no worker count changes. Counts
 (crude, small-ball, Y <= x, the diagnostic's survivors per group) are integer
@@ -43,6 +49,7 @@ per-batch float sums, which a different batch size can move in the last bit.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
@@ -53,8 +60,8 @@ import numpy as np
 from . import optimizer
 from .exceptions import EstimationError
 from .gauss_sim import (MARKOV_MIN_POINTS, Factorization, MarkovPaths, PathBatch,
-                        SamplerConfig, factorize, functionals, markov_form_valid, sample,
-                        tiles)
+                        PathFunctionals, SamplerConfig, factorize, functionals,
+                        markov_form_valid, sample, tiles)
 from .grids import Grid
 from .kernels import Kernel
 from .measure import GridMeasure
@@ -164,33 +171,97 @@ def _add(a, b):
     return tuple(map(_add, a, b)) if isinstance(a, tuple) else a + b
 
 
-def _sweep(problem: Problem, config: SamplerConfig,
-           per_path: Callable[[PathBatch], Sequence[np.ndarray]],
-           fold: Callable[..., tuple]) -> tuple:
-    """The total of every batch's fold, added in path order.
+@dataclass(frozen=True)
+class Sweep:
+    """One estimator's share of a pass over the paths.
 
-    A batch is drawn tile by tile; ``per_path`` maps each tile to per-path
-    columns, and ``fold`` reduces the batch's columns, joined in path order.
-    This is the one place that totals folds: tuples add position by position,
-    anything else by its ``+`` (a ``_LogSum`` by ``np.logaddexp``). With
-    several workers the batches are computed concurrently but added in
-    submission order, so the total is identical for any worker count.
+    ``per_path`` maps a ``_Tile`` to per-path columns, ``fold`` reduces a
+    batch's columns to a tuple, and ``finish(total, config)`` turns the total
+    of the batch folds into the estimator's result. ``argmins`` are the u
+    whose tilted path's argmin ``per_path`` reads (``_Tile.low``).
+    """
+
+    per_path: Callable[[_Tile], Sequence[np.ndarray]]
+    fold: Callable[..., tuple]
+    finish: Callable[[tuple, SamplerConfig], object]
+    argmins: frozenset[float] = frozenset()
+
+
+class _Tile:
+    """One tile of a pass's paths, with the columns its sweeps share, each
+    computed once: the functionals against the optimal measure (``fn``) and,
+    per u, the min and argmin of the path the survival test reads (``low``)."""
+
+    def __init__(self, batch: PathBatch, problem: Problem, argmins: frozenset[float]):
+        self.batch = batch
+        self._problem = problem
+        self._argmins = argmins
+        self._lows: dict[float, tuple] = {}
+
+    @cached_property
+    def fn(self) -> PathFunctionals:
+        # a sweep that reads it read problem.solution when it was built, so
+        # no worker solves
+        return functionals(self.batch, self._problem.solution.measure)
+
+    def low(self, u: float, shift: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+        """The min of X + ``shift`` (u's ``_tilt_shift``; X itself for None)
+        and, if a sweep of the pass reads it, its leftmost argmin, else None.
+        The shifted array is built once per u, for every sweep that reads it."""
+        if u not in self._lows:
+            argmin = u in self._argmins
+            if shift is None:
+                fn = self.fn
+                self._lows[u] = fn.min_value, fn.argmin_index if argmin else None
+            else:
+                low = self.batch.values + shift
+                self._lows[u] = low.min(axis=1), low.argmin(axis=1) if argmin else None
+        return self._lows[u]
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_sweeps(problem: Problem, config: SamplerConfig, sweeps: Sequence[Sweep]) -> list:
+    """Each sweep's result, from one pass over ``config``'s paths on ``problem``.
+
+    A batch is drawn tile by tile; every sweep's ``per_path`` maps each tile
+    to its columns, and its ``fold`` reduces the batch's columns, joined in
+    path order. This is the one place that totals folds: tuples add position
+    by position, anything else by its ``+`` (a ``_LogSum`` by
+    ``np.logaddexp``). A sweep's fold and total see the same operands
+    whichever sweeps share the pass. With several workers (never more than
+    the CPUs: more threads would only wait) the batches are computed
+    concurrently but added in submission order, so each total is identical
+    for any worker count.
     """
     paths, grid = problem.path_map, problem.grid  # cached here, before workers read it
+    argmins = frozenset().union(*(sweep.argmins for sweep in sweeps))
     starts = range(0, config.n_paths, config.batch_size)
+
+    def tile_columns(tile: _Tile) -> list:   # the tile is freed before the next is drawn
+        return [sweep.per_path(tile) for sweep in sweeps]
 
     def run(start: int) -> tuple:
         count = min(config.batch_size, config.n_paths - start)
-        columns = [per_path(sample(paths, grid, config, tile_start, tile_rows))
-                   for tile_start, tile_rows in tiles(paths, start, count)]
-        if len(columns) == 1:
-            return fold(*columns[0])
-        return fold(*map(np.concatenate, zip(*columns)))
+        per_tile = [tile_columns(_Tile(sample(paths, grid, config, tile_start, tile_rows),
+                                       problem, argmins))
+                    for tile_start, tile_rows in tiles(paths, start, count)]
+        return tuple(sweep.fold(*(columns[0] if len(columns) == 1
+                                  else map(np.concatenate, zip(*columns))))
+                     for sweep, columns in zip(sweeps, zip(*per_tile)))
 
-    if config.workers == 1:
-        return reduce(_add, map(run, starts))
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return reduce(_add, pool.map(run, starts))
+    workers = min(config.workers, _cpus())
+    if workers == 1:
+        totals = reduce(_add, map(run, starts))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            totals = reduce(_add, pool.map(run, starts))
+    return [sweep.finish(total, config) for sweep, total in zip(sweeps, totals)]
 
 
 def _tilt_shift(solution: OptimalSolution, u: float) -> np.ndarray | None:
@@ -216,17 +287,24 @@ def _binomial_estimate(hits: int, config: SamplerConfig, meta: dict) -> Estimate
 
 def tail_crude(problem: Problem, us: Sequence[float], config: SamplerConfig) -> list[Estimate]:
     """Direct Monte Carlo estimates of P(min over grid > u), one per u, from one pass."""
+    return run_sweeps(problem, config, [tail_crude_sweep(problem, us)])[0]
+
+
+def tail_crude_sweep(problem: Problem, us: Sequence[float]) -> Sweep:
+    """``tail_crude``'s sweep: per u, the paths with min X > u."""
     us = [float(u) for u in us]
 
-    def per_path(batch: PathBatch) -> tuple:
-        return (batch.values.min(axis=1),)
+    def per_path(tile: _Tile) -> tuple:
+        return (tile.batch.values.min(axis=1),)
 
     def fold(mins: np.ndarray) -> tuple:
         return tuple(int(np.count_nonzero(mins > u)) for u in us)
 
-    hits = _sweep(problem, config, per_path, fold)
-    return [_binomial_estimate(h, config, {"method": "tail_crude", "u": u})
-            for h, u in zip(hits, us)]
+    def finish(hits: tuple, config: SamplerConfig) -> list[Estimate]:
+        return [_binomial_estimate(h, config, {"method": "tail_crude", "u": u})
+                for h, u in zip(hits, us)]
+
+    return Sweep(per_path, fold, finish)
 
 
 def tail_is(problem: Problem, us: Sequence[float], config: SamplerConfig) -> list[Estimate]:
@@ -239,9 +317,7 @@ def tail_is(problem: Problem, us: Sequence[float], config: SamplerConfig) -> lis
     test): each estimate's ``meta["crude"]`` is the Estimate that
     ``tail_crude`` returns for that u on the same config.
     """
-    us = [float(u) for u in us]
-    total = _sweep(problem, config, *_is_sweep(problem, us))
-    return [_is_estimate(u, u_total, problem, config) for u, u_total in zip(us, total)]
+    return run_sweeps(problem, config, [tail_is_sweep(problem, us)])[0]
 
 
 def _is_stats(u: float, s2: float, y: np.ndarray, low_min: np.ndarray) -> tuple:
@@ -257,32 +333,31 @@ def _is_stats(u: float, s2: float, y: np.ndarray, low_min: np.ndarray) -> tuple:
         float(np.exp(logw - m).sum())))
 
 
-def _is_sweep(problem: Problem, us: list[float]) -> tuple[Callable, Callable]:
-    """``tail_is``'s ``per_path`` and ``fold`` for ``us`` on ``problem``.
-
-    A batch's fold is, per u, the crude hits and ``_is_stats``.
-    """
+def tail_is_sweep(problem: Problem, us: Sequence[float]) -> Sweep:
+    """``tail_is``'s sweep: a batch's fold is, per u, the crude hits and
+    ``_is_stats``."""
+    us = [float(u) for u in us]
     solution = problem.solution
     s2 = solution.sigma_star_sq
-    measure = solution.measure
     shifts = [_tilt_shift(solution, u) for u in us]
 
-    def per_path(batch: PathBatch) -> tuple:
+    def per_path(tile: _Tile) -> tuple:
         # Y, min X and, per u, the min of the path the survival test reads
-        fn = functionals(batch, measure)
-        return (fn.y, fn.min_value, *(fn.min_value if shift is None
-                                      else (batch.values + shift).min(axis=1)
-                                      for shift in shifts))
+        return (tile.fn.y, tile.fn.min_value,
+                *(tile.low(u, shift)[0] for u, shift in zip(us, shifts)))
 
     def fold(y: np.ndarray, low: np.ndarray, *u_lows: np.ndarray) -> tuple:
         return tuple((int(np.count_nonzero(low > u)), *_is_stats(u, s2, y, u_low))
                      for u, u_low in zip(us, u_lows))
 
-    return per_path, fold
+    def finish(total: tuple, config: SamplerConfig) -> list[Estimate]:
+        return [_is_estimate(u, u_total, problem, config) for u, u_total in zip(us, total)]
+
+    return Sweep(per_path, fold, finish)
 
 
 def _is_estimate(u: float, total: tuple, problem: Problem, config: SamplerConfig) -> Estimate:
-    """u's Estimate from its part of the total of ``_is_sweep``'s folds."""
+    """u's Estimate from its part of the total of ``tail_is_sweep``'s folds."""
     hits, n_surv, sum_w, sum_w2, lse = total
     lse = float(lse.log)
     s2 = problem.solution.sigma_star_sq
@@ -323,26 +398,28 @@ def small_ball(problem: Problem, eps_list: Sequence[float], config: SamplerConfi
     if any(not eps > 0 for eps in eps_list):
         raise ValueError("eps must be > 0")
     if mode == "range":
-        def per_path(batch: PathBatch) -> tuple:
-            x = batch.values  # a singleton grid has no increments: deviation 0
+        def per_path(tile: _Tile) -> tuple:
+            x = tile.batch.values  # a singleton grid has no increments: deviation 0
             return (np.abs(x[:, 1:] - x[:, :1]).max(axis=1, initial=0.0),)
 
         def fold(dev: np.ndarray) -> tuple:
             return tuple(int(np.count_nonzero(dev < eps)) for eps in eps_list)
     elif mode == "zstar":
-        measure = problem.solution.measure
+        problem.solution  # solved here, not in a worker
 
-        def per_path(batch: PathBatch) -> tuple:
-            fn = functionals(batch, measure)
-            return (fn.min_value - fn.y,)
+        def per_path(tile: _Tile) -> tuple:
+            return (tile.fn.min_value - tile.fn.y,)
 
         def fold(gap: np.ndarray) -> tuple:
             return tuple(int(np.count_nonzero(gap > -eps)) for eps in eps_list)
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'range' or 'zstar'")
-    hits = _sweep(problem, config, per_path, fold)
-    return [_binomial_estimate(h, config, {"method": f"small_ball_{mode}", "eps": eps})
-            for h, eps in zip(hits, eps_list)]
+
+    def finish(hits: tuple, config: SamplerConfig) -> list[Estimate]:
+        return [_binomial_estimate(h, config, {"method": f"small_ball_{mode}", "eps": eps})
+                for h, eps in zip(hits, eps_list)]
+
+    return run_sweeps(problem, config, [Sweep(per_path, fold, finish)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -471,21 +548,23 @@ def correction_diagnostic(problem: Problem, u_list: Sequence[float], config: Sam
     config = replace(config, stream=config.stream + 1)
     n = config.n_paths
     s2 = problem.solution.sigma_star_sq
-    is_per_path, is_fold = _is_sweep(problem, us)
+    tail = tail_is_sweep(problem, us)
 
-    def per_path(batch: PathBatch) -> tuple:
-        columns = is_per_path(batch)
-        first = batch.start_index
+    def per_path(tile: _Tile) -> tuple:
+        columns = tail.per_path(tile)
+        first = tile.batch.start_index
         return (*columns, np.arange(first, first + columns[0].size) * JACKKNIFE_GROUPS // n)
 
     def fold(*columns: np.ndarray) -> tuple:
         *columns, group = columns
         y, _, *u_lows = columns
-        return is_fold(*columns), tuple(_group_stats(u, s2, y, u_low, group)
-                                        for u, u_low in zip(us, u_lows))
+        return tail.fold(*columns), tuple(_group_stats(u, s2, y, u_low, group)
+                                          for u, u_low in zip(us, u_lows))
 
-    total, groups = _sweep(problem, config, per_path, fold)
-    estimates = tuple(_is_estimate(u, u_total, problem, config) for u, u_total in zip(us, total))
+    def finish(total: tuple, config: SamplerConfig) -> tuple:
+        return tuple(tail.finish(total[0], config)), total[1]
+
+    estimates, groups = run_sweeps(problem, config, [Sweep(per_path, fold, finish)])[0]
     groups = [(*g[:3], g[3].log) for g in groups]
     log_ps = [e.log_value for e in estimates]
     exponent, intercept, _, used = fit_correction_exponent(us, log_ps, s2)
@@ -513,12 +592,17 @@ def argmin_conditional(problem: Problem, us: Sequence[float], config: SamplerCon
     converges to the optimal measure. Each entry is (histogram, effective
     sample size), or the EstimationError of a u at which no path survives.
     """
+    return run_sweeps(problem, config, [argmin_sweep(problem, us)])[0]
+
+
+def argmin_sweep(problem: Problem, us: Sequence[float]) -> Sweep:
+    """``argmin_conditional``'s sweep: per u, a batch's weighted histogram of
+    the tilted argmin over the survivors, sum w and sum w^2."""
     us = [float(u) for u in us]
     if any(not u >= 0 for u in us):
         raise EstimationError("u must be >= 0")
     solution = problem.solution
     s2 = solution.sigma_star_sq
-    measure = solution.measure
     shifts = [_tilt_shift(solution, u) for u in us]
     n_points = problem.grid.points.size
 
@@ -528,29 +612,21 @@ def argmin_conditional(problem: Problem, us: Sequence[float], config: SamplerCon
         hist = np.bincount(low_argmin[keep], weights=w, minlength=n_points)
         return hist, float(w.sum()), float((w * w).sum())
 
-    def per_path(batch: PathBatch) -> list:
+    def per_path(tile: _Tile) -> list:
         # Y, then per u the min and argmin of the tilted path
-        fn = functionals(batch, measure)
-        columns = [fn.y]
-        for shift in shifts:
-            if shift is None:
-                columns += [fn.min_value, fn.argmin_index]
-            else:
-                low = batch.values + shift
-                columns += [low.min(axis=1), low.argmin(axis=1)]
-        return columns
+        return [tile.fn.y, *(column for u, shift in zip(us, shifts)
+                             for column in tile.low(u, shift))]
 
     def fold(y: np.ndarray, *lows: np.ndarray) -> tuple:
         return tuple(u_stats(u, y, lows[2 * i], lows[2 * i + 1]) for i, u in enumerate(us))
 
-    results: list[tuple[GridMeasure, float] | EstimationError] = []
-    for u, (hist, sw, sw2) in zip(us, _sweep(problem, config, per_path, fold)):
-        if sw <= 0:
-            results.append(EstimationError(
-                f"no paths with min > 0 survive at u={u}; no histogram"))
-        else:
-            results.append((GridMeasure.from_raw(problem.grid, hist), sw * sw / sw2))
-    return results
+    def finish(total: tuple, config: SamplerConfig
+               ) -> list[tuple[GridMeasure, float] | EstimationError]:
+        return [EstimationError(f"no paths with min > 0 survive at u={u}; no histogram")
+                if sw <= 0 else (GridMeasure.from_raw(problem.grid, hist), sw * sw / sw2)
+                for u, (hist, sw, sw2) in zip(us, total)]
+
+    return Sweep(per_path, fold, finish, argmins=frozenset(us))
 
 
 def mx_conditional(problem: Problem, xs: Sequence[float], config: SamplerConfig
@@ -560,21 +636,28 @@ def mx_conditional(problem: Problem, xs: Sequence[float], config: SamplerConfig
     As x decreases to 0 this law converges to the optimal measure. An entry
     is the EstimationError of an x that no path satisfies.
     """
+    return run_sweeps(problem, config, [mx_sweep(problem, xs)])[0]
+
+
+def mx_sweep(problem: Problem, xs: Sequence[float]) -> Sweep:
+    """``mx_conditional``'s sweep: per x, a batch's argmin histogram over the
+    paths with Y <= x and min > 0."""
     xs = [float(x) for x in xs]
     if any(not x > 0 for x in xs):
         raise EstimationError("x must be > 0")
-    measure = problem.solution.measure
+    problem.solution  # solved here, not in a worker
     n_points = problem.grid.points.size
 
-    def per_path(batch: PathBatch) -> tuple:
-        fn = functionals(batch, measure)
-        return fn.y, fn.min_value, fn.argmin_index
+    def per_path(tile: _Tile) -> tuple:
+        return tile.fn.y, tile.fn.min_value, tile.fn.argmin_index
 
     def fold(y: np.ndarray, low: np.ndarray, argmin: np.ndarray) -> tuple:
         survive = low > 0
         return tuple(np.bincount(argmin[survive & (y <= x)], minlength=n_points) for x in xs)
 
-    hists = _sweep(problem, config, per_path, fold)
-    return [GridMeasure.from_raw(problem.grid, hist) if hist.sum() > 0
-            else EstimationError(f"no paths satisfy Y <= {x} and min > 0; no histogram")
-            for x, hist in zip(xs, hists)]
+    def finish(hists: tuple, config: SamplerConfig) -> list[GridMeasure | EstimationError]:
+        return [GridMeasure.from_raw(problem.grid, hist) if hist.sum() > 0
+                else EstimationError(f"no paths satisfy Y <= {x} and min > 0; no histogram")
+                for x, hist in zip(xs, hists)]
+
+    return Sweep(per_path, fold, finish)

@@ -456,18 +456,29 @@ def embedded_config(stage_dir: Path) -> dict:
     raise AssertionError(f"no config in {stage_dir}")
 
 
-def test_report_stage_is_byte_identical_to_its_standalone_run(run_cli, tmp_path):
-    # sharing a study's Problems cannot move a byte: rerunning every stage on
-    # the config its output embeds, with its own Problems, writes the same files
-    code, out = run_cli("report", config={"studies": [SMALL_STUDY]}, out=tmp_path / "rep")
+# example2 at k=4 charges 14 of 17 points, so its tail and argmin stages
+# share the shifted paths of u = 1 and 2 in one pass
+EXAMPLE2_STUDY = {"name": "example2", "preset": "example2", "k": 4, "k_min": 2, "k_max": 4,
+                  "n_paths": 2000}
+
+
+@pytest.mark.parametrize("study, stages", [
+    (SMALL_STUDY, gaussmin.cli.STAGES),
+    (EXAMPLE2_STUDY, ("solve", "analytic", "tail", "argmin")),   # no diagnose_u_list
+], ids=["ou", "example2"])
+def test_report_stage_is_byte_identical_to_its_standalone_run(run_cli, tmp_path, study, stages):
+    # sharing a study's Problems and passes cannot move a byte: rerunning
+    # every stage on the config its output embeds, with its own Problems and
+    # its own pass, writes the same files
+    code, out = run_cli("report", config={"studies": [study]}, out=tmp_path / "rep")
     assert code == EXIT_OK
-    stages = sorted(p.name for p in (out / "ou").iterdir())
-    assert stages == sorted(gaussmin.cli.STAGES)
+    study_dir = out / study["name"]
+    assert sorted(p.name for p in study_dir.iterdir()) == sorted(stages)
     for stage in stages:
-        code, alone = run_cli(stage, config=embedded_config(out / "ou" / stage),
+        code, alone = run_cli(stage, config=embedded_config(study_dir / stage),
                               out=tmp_path / f"alone_{stage}")
         assert code == EXIT_OK
-        assert tree_bytes(alone) == tree_bytes(out / "ou" / stage), stage
+        assert tree_bytes(alone) == tree_bytes(study_dir / stage), stage
 
 
 @pytest.mark.parametrize("kernel, interval", [
@@ -505,16 +516,21 @@ def test_report_study_with_a_bad_kernel_fails_its_stages(run_cli, kernel):
 
 @pytest.mark.parametrize("command, config, passes", [
     ("tail", {}, 1),                      # IS over every u, counting the crude hits too
-    # argmin over every u, then m_x over every x (x = 0.25 needs far more paths)
-    ("argmin", {"x_list": [1.0, 0.5]}, 2),
-    ("argmin", {"x_list": []}, 1),        # no x: no m_x pass
+    # argmin over every u and m_x over every x share one pass (x = 0.25 needs
+    # far more paths)
+    ("argmin", {"x_list": [1.0, 0.5]}, 1),
+    ("argmin", {"x_list": []}, 1),
     ("smallball", {}, 1),
     ("tail", {"methods": ["crude"]}, 1),  # crude alone needs no IS pass
     ("tail", {"methods": ["is"]}, 1),
+    # tail, argmin and m_x share one pass; diagnose draws its own on stream + 1
+    ("report", {"studies": [dict(SMALL_STUDY, n_paths=3000)]}, 2),
 ])
 def test_sweep_draws_each_path_once_per_estimator(run_cli, monkeypatch, command, config,
                                                   passes):
-    # each estimator folds its whole parameter list from one pass over the paths
+    # each estimator folds its whole parameter list from one pass over the
+    # paths, and the sweeps of a command (or a study) on one Problem and
+    # sampling plan share it
     rows = Counter()
     sample = gaussmin.estimators.sample
 

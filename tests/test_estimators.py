@@ -1,10 +1,12 @@
 """Tail, small-ball and conditional-argmin estimators."""
 
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import gaussmin.estimators
 from gaussmin import (
     DyadicGrid,
     Estimate,
@@ -23,7 +25,8 @@ from gaussmin import (
     tail_crude,
     tail_is,
 )
-from gaussmin.estimators import JACKKNIFE_GROUPS
+from gaussmin.estimators import (JACKKNIFE_GROUPS, argmin_sweep, mx_sweep, run_sweeps,
+                                 tail_is_sweep)
 from conftest import make_config, markov_problem
 from oracles import (binomial_bin_stderr, orthant_closed, planted_logp,
                      weighted_bin_stderr)
@@ -437,6 +440,67 @@ def test_mx_list_equals_one_element_calls(sweep_case):
     [alone] = mx_conditional(problem, xs[-1:], cfg)
     assert isinstance(fused[-1], EstimationError)
     assert str(fused[-1]) == str(alone)
+
+
+def _same_laws(shared: list, alone: list) -> bool:
+    """Histograms (with their ESS, if any) or failures, exactly equal."""
+    def key(entry):
+        if isinstance(entry, EstimationError):
+            return str(entry)
+        hist, *ess = entry if isinstance(entry, tuple) else (entry,)
+        return hist.weights.tobytes(), ess
+    return [key(e) for e in shared] == [key(e) for e in alone]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("batch_size", [16384, 777])
+@pytest.mark.parametrize("name", ["ou", "example2"])
+def test_shared_pass_equals_separate_calls(ou_problem_k5, example2_problem_k5, name,
+                                           batch_size, workers):
+    # tail_is, the argmin law and m_x in one pass share each tile's functionals
+    # and, on example2 (partial support), the shifted paths of u = 0.5, 1, 2;
+    # in either order, each result is exactly its estimator's alone
+    problem = ou_problem_k5 if name == "ou" else example2_problem_k5
+    cfg = make_config(n_paths=20_001, batch_size=batch_size, workers=workers)
+    xs = [1.0, 0.5, 1e-12]   # no path has Y <= 1e-12: a failure, shared too
+    tail = tail_is(problem, SWEEP_US, cfg)
+    argmin = argmin_conditional(problem, SWEEP_US, cfg)
+    mx = mx_conditional(problem, xs, cfg)
+    sweeps = [tail_is_sweep(problem, SWEEP_US), argmin_sweep(problem, SWEEP_US),
+              mx_sweep(problem, xs)]
+    for order in (slice(None), slice(None, None, -1)):
+        shared_tail, shared_argmin, shared_mx = run_sweeps(problem, cfg, sweeps[order])[order]
+        assert shared_tail == tail
+        assert _same_laws(shared_argmin, argmin)
+        assert _same_laws(shared_mx, mx)
+
+
+def test_sampling_pool_is_capped_at_the_cpus(ou_problem_k2, monkeypatch):
+    # no worker count moves a result, so a pass never opens more threads than
+    # the CPUs this process may use; the recorder runs the batches serially,
+    # so this starts no thread at all
+    opened = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(gaussmin.estimators, "ThreadPoolExecutor", Recorder)
+    cfg = make_config(n_paths=64, batch_size=1, workers=10**6)
+    assert (tail_is(ou_problem_k2, [0.0, 1.0], cfg)
+            == tail_is(ou_problem_k2, [0.0, 1.0], replace(cfg, workers=1)))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    assert opened == ([cpus] if cpus > 1 else [])
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ NNLS for min x' Sigma x / 2 - 1' x over x >= 0 and takes nu = x / sum(x).
 On a Gram matrix theta comes from the sampler's jittered Cholesky factor
 Sigma = L L' (which a Problem shares), and each active-set step grows a factor
 of the active points by one row. On a Gauss-Markov kernel's (r, q), which a
-Problem from 129 points passes instead, Sigma^{-1} is tridiagonal, so theta and
-every active-set step cost O(n) and no n x n matrix is built: refine below
-reaches 257 points that way. Before returning, it certifies optimality with
+Problem passes instead at every grid size, Sigma^{-1} is tridiagonal, so theta
+and every active-set step cost O(n) and no n x n matrix is built: refine below
+reaches 257 points that way, from its first level on. Before returning, it certifies optimality with
 ``certify`` through the mean function m = Sigma nu: m_j >= sigma*^2
 everywhere with equality on the support."""
 

@@ -138,10 +138,13 @@ def _merge(base: dict, extra: dict) -> dict:
 
 def resolve_config(command: str, file_config: dict | None, preset: str | None,
                    seed: int | None, threads: int | None) -> dict:
-    """Preset defaults, then file config, then CLI flag overrides."""
+    """Preset defaults, then file config, then CLI flag overrides (``preset``
+    included: the flag's preset wins over the file's "preset" key)."""
     cfg: dict = {}
     file_config = dict(file_config or {})
-    preset = file_config.pop("preset", preset)
+    file_preset = file_config.pop("preset", None)
+    if preset is None:
+        preset = file_preset
     if preset is not None:
         _require(preset in PRESETS, f"unknown preset {preset!r}; "
                  f"choose from {sorted(PRESETS)}")

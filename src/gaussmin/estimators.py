@@ -13,7 +13,8 @@ the ORIGINAL law; the tilt lives entirely in the weight, so the estimator is
 exact (not asymptotic) on the grid -- but only for the certified optimum.
 Every estimator therefore takes a ``Problem``: one (kernel, grid) with its
 path map and certified solution, built once and shared by all estimates on
-that grid (on a Gauss-Markov kernel from 129 points, without a Gram matrix).
+that grid (a Gauss-Markov kernel is solved on its Markov form, without a Gram
+matrix, and from 129 points also sampled without one).
 
 Each sweep estimator takes its whole parameter list (u, x or eps) and makes
 one pass over the paths. It is one ``Sweep``: a ``per_path`` step maps a tile
@@ -27,9 +28,11 @@ functionals, and each u's shifted path, once for every sweep that reads
 them, and it is the one place that totals each sweep's folds, in path order:
 tuples position by position, counts, floats and histograms by ``+``, and log
 sums of weights (``_LogSum``) by ``np.logaddexp``. A sweep's total is the
-same whichever other sweeps share its pass, so the six public estimators are
-one-sweep calls, and the CLI's ``argmin`` and a report study's ``tail`` and
-``argmin`` stages share one pass. ``tail_is`` also counts the crude hits in
+same whichever other sweeps share its pass, so each of the six public
+estimators is a sweep builder (``tail_is_sweep``, ``tail_crude_sweep``,
+``small_ball_sweep``, ``correction_sweep``, ``argmin_sweep``, ``mx_sweep``)
+and a one-sweep call, and the CLI's ``argmin`` and a report study's ``tail``
+and ``argmin`` stages share one pass. ``tail_is`` also counts the crude hits in
 its pass, so the CLI's ``tail`` makes one pass for both methods.
 ``correction_diagnostic`` runs ``tail_is``'s sweep for its whole u list, and
 its fold also reduces each u's statistics per group of consecutive path
@@ -77,13 +80,17 @@ class Problem:
     """One (kernel, grid), with what the sampler and the solver need of it,
     each computed on first use and kept.
 
-    A Markov Problem (``markov`` is the kernel's Markov form (r, q): it passes
-    ``gauss_sim.markov_form_valid``, on at least MARKOV_MIN_POINTS points)
-    samples by the O(n) cumsum and solves on (r, q); nothing on it builds a
-    Gram matrix or a factor. Any other Problem is dense: its ``sigma`` has one
-    jittered Cholesky ``factor`` (also the PSD check of ``sigma``), which is
-    both its ``path_map`` and the solver's factor. ``sigma`` and ``factor`` are
-    lazy on either route, so they are built only where something reads them.
+    ``markov`` is the kernel's Markov form (r, q) if it passes
+    ``gauss_sim.markov_form_valid``, else None. With a form, the solution and
+    its certificate come from (r, q) at any grid size; without one, from the
+    one jittered Cholesky ``factor`` of ``sigma`` (also the PSD check of
+    ``sigma``). The ``path_map`` is the form's O(n) cumsum from
+    MARKOV_MIN_POINTS points, and the factor below that, where the matrix
+    product is faster; but where that factor needed jitter lambda > 0, its
+    paths would have covariance sigma + lambda I while the certificate is
+    sigma's, so a form samples by its exact cumsum there too. ``sigma`` and
+    ``factor`` are lazy, so they are built only where something reads them:
+    a Gauss-Markov Problem that is only solved builds neither.
     """
 
     kernel: Kernel
@@ -92,14 +99,12 @@ class Problem:
 
     def __post_init__(self):
         form = self.kernel.markov_form(self.grid)   # also checks the grid's domain
-        if (form is None or self.grid.points.size < MARKOV_MIN_POINTS
-                or not markov_form_valid(*form)):
-            form = None
-        object.__setattr__(self, "markov", form)
+        object.__setattr__(self, "markov",
+                           form if form is not None and markov_form_valid(*form) else None)
 
     @property
     def route(self) -> str:
-        """The sampler's and the solver's route: "markov" or "dense"."""
+        """The solver's route: "markov" or "dense"."""
         return "dense" if self.markov is None else "markov"
 
     @cached_property
@@ -114,7 +119,10 @@ class Problem:
 
     @cached_property
     def path_map(self) -> Factorization | MarkovPaths:
-        return self.factor if self.markov is None else MarkovPaths.of(*self.markov)
+        if self.markov is None or (self.grid.points.size < MARKOV_MIN_POINTS
+                                   and self.factor.jitter == 0.0):
+            return self.factor
+        return MarkovPaths.of(*self.markov)
 
     @cached_property
     def solution(self) -> OptimalSolution:
@@ -394,6 +402,11 @@ def small_ball(problem: Problem, eps_list: Sequence[float], config: SamplerConfi
     singleton grid: there are no increments). mode "zstar": fraction with
     min_i (X_i - Y) > -eps, Y taken against the problem's optimal measure.
     """
+    return run_sweeps(problem, config, [small_ball_sweep(problem, eps_list, mode)])[0]
+
+
+def small_ball_sweep(problem: Problem, eps_list: Sequence[float], mode: str = "range") -> Sweep:
+    """``small_ball``'s sweep: per eps, the paths inside the ball."""
     eps_list = [float(eps) for eps in eps_list]
     if any(not eps > 0 for eps in eps_list):
         raise ValueError("eps must be > 0")
@@ -419,7 +432,7 @@ def small_ball(problem: Problem, eps_list: Sequence[float], config: SamplerConfi
         return [_binomial_estimate(h, config, {"method": f"small_ball_{mode}", "eps": eps})
                 for h, eps in zip(hits, eps_list)]
 
-    return run_sweeps(problem, config, [Sweep(per_path, fold, finish)])[0]
+    return Sweep(per_path, fold, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -542,18 +555,27 @@ def correction_diagnostic(problem: Problem, u_list: Sequence[float], config: Sam
     The groups depend on the path index only, so no batch size, tile size
     or worker count moves a survivor count.
     """
+    config = replace(config, stream=config.stream + 1)
+    return run_sweeps(problem, config,
+                      [correction_sweep(problem, u_list, config.n_paths, beta)])[0]
+
+
+def correction_sweep(problem: Problem, u_list: Sequence[float], n_paths: int,
+                     beta: float | None = None) -> Sweep:
+    """``correction_diagnostic``'s sweep, for a pass whose config has
+    ``n_paths`` paths (the path groups are cut for that count):
+    ``tail_is_sweep``'s columns and fold, and each u's statistics per path
+    group; its finish fits the exponent."""
     us = [float(u) for u in u_list]
     if len(us) < 2 or any(b <= a for a, b in zip(us, us[1:])) or us[0] <= 0:
         raise EstimationError("u_list must be at least 2 strictly increasing positive values")
-    config = replace(config, stream=config.stream + 1)
-    n = config.n_paths
     s2 = problem.solution.sigma_star_sq
     tail = tail_is_sweep(problem, us)
 
     def per_path(tile: _Tile) -> tuple:
         columns = tail.per_path(tile)
         first = tile.batch.start_index
-        return (*columns, np.arange(first, first + columns[0].size) * JACKKNIFE_GROUPS // n)
+        return (*columns, np.arange(first, first + columns[0].size) * JACKKNIFE_GROUPS // n_paths)
 
     def fold(*columns: np.ndarray) -> tuple:
         *columns, group = columns
@@ -561,20 +583,20 @@ def correction_diagnostic(problem: Problem, u_list: Sequence[float], config: Sam
         return tail.fold(*columns), tuple(_group_stats(u, s2, y, u_low, group)
                                           for u, u_low in zip(us, u_lows))
 
-    def finish(total: tuple, config: SamplerConfig) -> tuple:
-        return tuple(tail.finish(total[0], config)), total[1]
+    def finish(total: tuple, config: SamplerConfig) -> CorrectionDiagnostic:
+        estimates = tuple(tail.finish(total[0], config))
+        groups = [(*g[:3], g[3].log) for g in total[1]]
+        log_ps = [e.log_value for e in estimates]
+        exponent, intercept, _, used = fit_correction_exponent(us, log_ps, s2)
+        halfwidth = _jackknife_halfwidth(us, np.array([g[3] for g in groups]), s2, n_paths)
+        rows = tuple((u, lp, lp + u * u / (2.0 * s2)) for u, lp in zip(us, log_ps))
+        excluded = tuple(u for u, keep in zip(us, used) if not keep)
+        group_stats = tuple(tuple(zip(*(column.tolist() for column in g))) for g in groups)
+        return CorrectionDiagnostic(rows=rows, exponent=exponent, intercept=intercept,
+                                    exponent_halfwidth=halfwidth, estimates=estimates,
+                                    group_stats=group_stats, excluded=excluded, beta=beta)
 
-    estimates, groups = run_sweeps(problem, config, [Sweep(per_path, fold, finish)])[0]
-    groups = [(*g[:3], g[3].log) for g in groups]
-    log_ps = [e.log_value for e in estimates]
-    exponent, intercept, _, used = fit_correction_exponent(us, log_ps, s2)
-    halfwidth = _jackknife_halfwidth(us, np.array([g[3] for g in groups]), s2, n)
-    rows = tuple((u, lp, lp + u * u / (2.0 * s2)) for u, lp in zip(us, log_ps))
-    excluded = tuple(u for u, keep in zip(us, used) if not keep)
-    group_stats = tuple(tuple(zip(*(column.tolist() for column in g))) for g in groups)
-    return CorrectionDiagnostic(rows=rows, exponent=exponent, intercept=intercept,
-                                exponent_halfwidth=halfwidth, estimates=estimates,
-                                group_stats=group_stats, excluded=excluded, beta=beta)
+    return Sweep(per_path, fold, finish)
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,19 @@ open-interval uniforms, computed in place in the keystream buffer.
 
 A path map turns the normals xi into paths X. The dense map is X = xi L^T for
 the (jittered) Cholesky factor L of the Gram matrix from ``factorize``, the
-one factor a dense ``Problem`` keeps and shares with the simplex solver; it
-costs O(n^2) per path. A Gauss-Markov kernel, R(s, t) = q(s) q(t) r(min(s, t)),
-has L_ij = q_i sqrt(r_j - r_(j-1)) for j <= i, so the same X is
-q * cumsum(xi * sqrt(dr)), O(n) per path and written over xi (``MarkovPaths``).
-A ``Problem`` takes that route, for its paths and its solver alike, exactly
-when the kernel has a Markov form that ``markov_form_valid`` accepts (every
-dr finite and > 0, every 1/q and variance q^2 r finite) and
-n >= MARKOV_MIN_POINTS (below that the matrix product is faster); it then
-builds no Gram matrix and no factor, so nothing is jittered. The two maps
-agree to rounding (about 1e-12 relative at 1025 points).
+one factor a ``Problem`` keeps (and shares with the simplex solver when its
+kernel has no Markov form); it costs O(n^2) per path. A Gauss-Markov kernel,
+R(s, t) = q(s) q(t) r(min(s, t)), has L_ij = q_i sqrt(r_j - r_(j-1)) for
+j <= i, so the same X is q * cumsum(xi * sqrt(dr)), O(n) per path and
+written over xi (``MarkovPaths``).
+A ``Problem`` whose kernel has a Markov form that ``markov_form_valid``
+accepts (every dr finite and > 0, every 1/q and variance q^2 r finite) solves
+on that form at any size, and samples by the cumsum from MARKOV_MIN_POINTS
+points, where it builds no Gram matrix and no factor, so nothing is jittered.
+Below that the matrix product is faster and maps its paths, unless the factor
+needed jitter: its paths would then not have the law the solution certifies,
+and the form samples by the exact cumsum instead. The two maps agree to
+rounding (about 1e-12 relative at 1025 points).
 
 Finiteness is checked once per ``Problem``, not per batch: ``factorize``
 refuses a sigma or factor with a NaN or inf entry, and ``markov_form_valid``
@@ -48,7 +51,8 @@ BLOCK = 4  # uint64 outputs per Philox counter increment
 DEFAULT_JITTER_START = 1e-12
 DEFAULT_JITTER_MAX = 1e-6
 DEFAULT_BATCH = 16_384
-# Smallest grid that takes the O(n) Markov route. Measured per sampled value
+# Smallest grid whose paths take the O(n) Markov cumsum (a Problem solves on a
+# valid Markov form at any size). Measured per sampled value
 # (batches of 16384, one BLAS thread): the dense product costs 3-4 ns at 65
 # points, 6-10 ns at 129 and 30 ns at 1025; the cumsum costs 6.5-8 ns at any
 # size. At 129 points the two tie on time, and the cumsum needs no second

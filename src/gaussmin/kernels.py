@@ -229,7 +229,9 @@ class ModulatedBrownian(Kernel):
         gt = np.asarray(self.scale.g(t), dtype=float)
         if np.any(gs <= 0) or np.any(gt <= 0):
             raise DomainError("scale function must be positive on the support")
-        return np.minimum(s[:, None], t[None, :]) / (gs[:, None] * gt[None, :])
+        # a product g(s) g(t) that underflows to 0 gives inf, which factorize refuses
+        with np.errstate(divide="ignore"):
+            return np.minimum(s[:, None], t[None, :]) / (gs[:, None] * gt[None, :])
 
     def _markov(self, pts):
         g = np.asarray(self.scale.g(pts), dtype=float)

@@ -11,13 +11,16 @@ feeds Sigma x and Sigma_PP^-1 1 on point sets P to the same two steps:
 * NNLS otherwise: min over x >= 0 of x^T Sigma x / 2 - 1^T x, by Lawson &
   Hanson's active-set method, and nu* = x / sum(x).
 
-Dense route: Sigma is an n x n matrix, and the sampler's Cholesky factor
+Dense route: Sigma is an n x n matrix, and its Cholesky factor
 L L^T = Sigma + lambda I (``factorize``, whose jitter ladder is also the PSD
-check; a ``Problem`` shares its own) gives theta = L^-T L^-1 1, and the NNLS
-solves the same jittered problem.
+check; a ``Problem`` passes its own, which also maps its paths) gives
+theta = L^-T L^-1 1, and the NNLS solves the same jittered problem. A
+``Problem`` takes this route only for a kernel without a valid Markov form
+(``PowerExponential(alpha < 1)``, ``ExplicitGram``).
 
 Markov route: Sigma_ij = q_i q_j r_min(i,j), given as its Markov form (r, q)
-(``Kernel.markov_form``), with no matrix. Sigma = D C D with D = diag(q) and
+(``Kernel.markov_form``), with no matrix; a ``Problem`` whose kernel has a
+valid form takes it at every grid size. Sigma = D C D with D = diag(q) and
 C_ij = min(r_i, r_j), the covariance of Brownian motion at times r, whose
 inverse is tridiagonal. So theta = D^-1 C^-1 D^-1 1 costs O(n), and so does
 Sigma_PP^-1 1 on any point subset P, because (r_P, q_P) is again a Markov

@@ -270,17 +270,29 @@ def test_solve_single_level_writes_strict_json(run_cli):
     assert doc["k_final"] == 4
 
 
+def _how_it_was_solved(run_cli, config: dict) -> tuple:
+    code, out = run_cli("solve", config=config)
+    assert code == EXIT_OK
+    doc = json.loads((out / "solution.json").read_text())
+    return doc["route"], doc["method"], doc["support_size"], doc["jitter"]
+
+
+# a Gauss-Markov kernel solves on its Markov form at every level, and the
+# Markov route factors nothing
 @pytest.mark.parametrize("preset, k, route, method, support_size, jitter", [
-    ("ou", 4, "dense", "theta", 17, 0.0),
-    ("example2", 7, "markov", "nnls", 103, None),   # the Markov route factors nothing
+    ("ou", 4, "markov", "theta", 17, None),
+    ("example2", 7, "markov", "nnls", 103, None),
 ])
 def test_solution_json_says_how_it_was_solved(run_cli, preset, k, route, method,
                                               support_size, jitter):
-    code, out = run_cli("solve", config={"preset": preset, "k_min": k, "k_max": k})
-    assert code == EXIT_OK
-    doc = json.loads((out / "solution.json").read_text())
-    assert (doc["route"], doc["method"], doc["support_size"], doc["jitter"]) == (
+    assert _how_it_was_solved(run_cli, {"preset": preset, "k_min": k, "k_max": k}) == (
         route, method, support_size, jitter)
+
+
+def test_solution_json_says_a_kernel_without_markov_form_solved_dense(run_cli):
+    config = {"kernel": {"type": "power_exponential", "alpha": 0.5},
+              "interval": [0.0, 1.0], "k_min": 4, "k_max": 4}
+    assert _how_it_was_solved(run_cli, config) == ("dense", "theta", 17, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +406,20 @@ def test_tail_preset_in_config_file(run_cli):
     assert cfg["k"] == 5  # the preset's tail override
 
 
+def test_preset_flag_wins_over_the_config_files_preset(run_cli):
+    # flags override the config file, the preset included
+    code, out = run_cli("tail", config={"preset": "example1", "n_paths": 1000, "u": 0.0},
+                        extra=["--preset", "ou"])
+    assert code == EXIT_OK
+    headers, _, _ = read_csv(out / "tail_crude.csv")
+    cfg = json.loads(headers[1].split("# config:")[1])
+    assert (cfg["kernel"], cfg["interval"], cfg["k"]) == ({"type": "ou"}, [0.0, 1.0], 5)
+
+
 def test_tail_builds_gram_factor_and_solution_once(run_cli, monkeypatch):
-    # one Problem serves all ten estimates: one Gram matrix, one Cholesky
-    # factor shared by the sampler and the solver, and one certificate
+    # one Problem serves all ten estimates: one Gram matrix and one Cholesky
+    # factor for the 33-point path map, and one certificate, from the solve
+    # on the kernel's Markov form
     calls = Counter()
 
     def counted(name, fn):
@@ -422,10 +445,10 @@ SMALL_STUDY = {"name": "ou", "preset": "ou", "k": 3, "k_min": 2, "k_max": 4,
 
 
 def test_report_study_builds_each_grid_once(run_cli, monkeypatch):
-    # Gram matrices built, by grid size: refine builds levels 2, 3 and 4 (5, 9
-    # and 17 points); analytic, tail and argmin share one k=3 Problem, and
-    # diagnose reuses refine's final k=4 level. Refine's lower levels are not
-    # kept, so k=3 is built twice.
+    # Gram matrices built, by grid size: refine's levels 2, 3 and 4 solve on
+    # the Markov form and build none; analytic, tail and argmin share one k=3
+    # Problem, whose dense path map builds one, and diagnose samples refine's
+    # final k=4 Problem, which builds the other.
     grams, choleskys = Counter(), Counter()
     gram, cholesky = Kernel.gram, np.linalg.cholesky
 
@@ -443,7 +466,7 @@ def test_report_study_builds_each_grid_once(run_cli, monkeypatch):
     assert code == EXIT_OK
     _, _, trace = read_csv(out / "ou" / "solve" / "trace.csv")
     assert [row[0] for row in trace] == [2, 3, 4]
-    assert grams == choleskys == {5: 1, 9: 2, 17: 1}
+    assert grams == choleskys == {9: 1, 17: 1}
 
 
 def embedded_config(stage_dir: Path) -> dict:
@@ -807,7 +830,7 @@ def test_traced_run_gives_finite_layer_metrics(tmp_path, command, config):
     # gauss_sim.parallelism NaN, which the benchmark's JSON result line cannot
     # carry. Likewise every solve, on either route, must run inside the traced
     # solve_simplex_qp, or optimizer.solve.reuse is NaN (129 points: the Markov
-    # route, which solves on the kernel's (r, q))
+    # path map; every preset kernel solves on its (r, q))
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     cfg_path, spans_path = tmp_path / "config.json", tmp_path / "spans.json"
     cfg_path.write_text(json.dumps(config))
@@ -838,15 +861,17 @@ def test_cli_import_leaves_out_scipy_optimize_and_interpolate():
 
 
 def test_dense_nnls_leaves_out_scipy_optimize(tmp_path):
-    # example2 up to k=6 (65 points) solves on the dense route with a partial
-    # support, so the active set runs there without scipy.optimize
+    # an explicit Gram matrix solves on the dense route, and this one's
+    # optimum charges only its second point (Sigma^-1 1 = (-1.25, 2.5)), so
+    # the active set runs there without scipy.optimize
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"k_max": 6}))
-    argv = ["solve", "--preset", "example2", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    cfg.write_text(json.dumps({"kernel": {"type": "explicit",
+                                          "matrix": [[1.0, 0.9], [0.9, 0.85]]}}))
+    argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]
     res = run_python(["-c", "import sys, gaussmin.cli; "
                             f"code = gaussmin.cli.main({argv!r}); "
                             "print(code, 'scipy.optimize' in sys.modules)"])
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == [str(gaussmin.cli.EXIT_OK), "False"]
     doc = json.loads((tmp_path / "out" / "solution.json").read_text())
-    assert (doc["k_final"], doc["route"], doc["method"]) == (6, "dense", "nnls")
+    assert (doc["route"], doc["method"], doc["support_size"]) == ("dense", "nnls", 1)

@@ -25,8 +25,8 @@ from gaussmin import (
     tail_crude,
     tail_is,
 )
-from gaussmin.estimators import (JACKKNIFE_GROUPS, argmin_sweep, mx_sweep, run_sweeps,
-                                 tail_is_sweep)
+from gaussmin.estimators import (JACKKNIFE_GROUPS, argmin_sweep, correction_sweep, mx_sweep,
+                                 run_sweeps, small_ball_sweep, tail_is_sweep)
 from conftest import make_config, markov_problem
 from oracles import (binomial_bin_stderr, orthant_closed, planted_logp,
                      weighted_bin_stderr)
@@ -457,22 +457,32 @@ def _same_laws(shared: list, alone: list) -> bool:
 @pytest.mark.parametrize("name", ["ou", "example2"])
 def test_shared_pass_equals_separate_calls(ou_problem_k5, example2_problem_k5, name,
                                            batch_size, workers):
-    # tail_is, the argmin law and m_x in one pass share each tile's functionals
-    # and, on example2 (partial support), the shifted paths of u = 0.5, 1, 2;
-    # in either order, each result is exactly its estimator's alone
+    # tail_is, the argmin law, m_x, both small balls and the diagnostic in one
+    # pass share each tile's functionals and, on example2 (partial support),
+    # the shifted paths of u = 0.5, 1, 2; in either order, each result is
+    # exactly its estimator's alone. The diagnostic draws on stream + 1, so
+    # the pass runs on stream 1 and the diagnostic alone is given stream 0.
     problem = ou_problem_k5 if name == "ou" else example2_problem_k5
-    cfg = make_config(n_paths=20_001, batch_size=batch_size, workers=workers)
+    cfg = make_config(n_paths=20_001, batch_size=batch_size, workers=workers, stream=1)
     xs = [1.0, 0.5, 1e-12]   # no path has Y <= 1e-12: a failure, shared too
+    eps, diagnose_us = [2.0, 1.0, 0.5], [0.5, 1.0, 2.0]
     tail = tail_is(problem, SWEEP_US, cfg)
     argmin = argmin_conditional(problem, SWEEP_US, cfg)
     mx = mx_conditional(problem, xs, cfg)
+    balls = [small_ball(problem, eps, cfg, mode=mode) for mode in ("range", "zstar")]
+    diagnostic = correction_diagnostic(problem, diagnose_us, replace(cfg, stream=0))
     sweeps = [tail_is_sweep(problem, SWEEP_US), argmin_sweep(problem, SWEEP_US),
-              mx_sweep(problem, xs)]
+              mx_sweep(problem, xs), small_ball_sweep(problem, eps, "range"),
+              small_ball_sweep(problem, eps, "zstar"),
+              correction_sweep(problem, diagnose_us, cfg.n_paths)]
     for order in (slice(None), slice(None, None, -1)):
-        shared_tail, shared_argmin, shared_mx = run_sweeps(problem, cfg, sweeps[order])[order]
+        (shared_tail, shared_argmin, shared_mx, *shared_balls,
+         shared_diagnostic) = run_sweeps(problem, cfg, sweeps[order])[order]
         assert shared_tail == tail
         assert _same_laws(shared_argmin, argmin)
         assert _same_laws(shared_mx, mx)
+        assert shared_balls == balls
+        assert shared_diagnostic == diagnostic
 
 
 def test_sampling_pool_is_capped_at_the_cpus(ou_problem_k2, monkeypatch):

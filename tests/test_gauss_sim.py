@@ -12,9 +12,12 @@ from gaussmin import (
     DyadicGrid,
     GridMismatchError,
     GridMeasure,
+    ModulatedBrownian,
     NotPositiveSemidefiniteError,
     OrnsteinUhlenbeck,
+    PointGrid,
     PowerExponential,
+    PowerScale,
     Problem,
     SamplerConfig,
     functionals,
@@ -22,8 +25,9 @@ from gaussmin import (
     tail_is,
 )
 from gaussmin import gauss_sim
-from gaussmin.estimators import (argmin_conditional, correction_diagnostic, mx_conditional,
-                                 small_ball, tail_crude)
+from gaussmin.estimators import (argmin_conditional, argmin_sweep, correction_diagnostic,
+                                 mx_sweep, run_sweeps, small_ball_sweep, tail_crude_sweep,
+                                 tail_is_sweep)
 from gaussmin.gauss_sim import (DEFAULT_BATCH, MARKOV_MIN_POINTS, MarkovPaths, PathBatch,
                                 factorize, markov_form_valid, standard_normals, tiles)
 from conftest import MARKOV_KERNELS, make_config, markov_problem, run_python
@@ -263,9 +267,9 @@ def test_dense_route_below_the_crossover_is_unchanged(name, k):
 
 
 def test_path_map_dispatch_rule():
-    # a Problem is Markov when its kernel's (r, q) passes markov_form_valid on
-    # at least MARKOV_MIN_POINTS points; it then samples by the cumsum, and a
-    # dense Problem samples by its factor
+    # a Problem solves on its kernel's (r, q) when the form passes
+    # markov_form_valid, at any size; it samples by the cumsum from
+    # MARKOV_MIN_POINTS points, and by its factor below that or without a form
     problem = markov_problem("ou", 8)
     assert problem.route == "markov"
     assert isinstance(problem.path_map, MarkovPaths)
@@ -279,11 +283,27 @@ def test_path_map_dispatch_rule():
     assert not markov_form_valid(r, np.where(q < 0.5, np.nan, q))
     small = markov_problem("ou", 6)
     assert small.grid.n < MARKOV_MIN_POINTS
+    assert small.route == "markov"
+    assert small.path_map is small.factor
     no_form = Problem(PowerExponential(0.5), DyadicGrid(0.0, 1.0, 8))
     overflow = Problem(OrnsteinUhlenbeck(), DyadicGrid(0.0, 400.0, 8))  # r = e^800 = inf
-    for p in (small, no_form, overflow):
+    for p in (no_form, overflow):
         assert p.route == "dense"
         assert p.path_map is p.factor
+
+
+def test_a_jittered_factor_leaves_the_path_map_to_the_markov_form():
+    # two points 4.5e-16 apart have a valid Markov form, but their Gram
+    # matrix factors only with jitter, and paths of covariance sigma + lambda I
+    # would not have the law the form's certificate is for: the form samples
+    problem = Problem(ModulatedBrownian(PowerScale(0.5), 1.0, 4.0),
+                      PointGrid([2.0, 2.0 + 4.5e-16, 3.0]))
+    assert problem.route == "markov"
+    assert problem.factor.jitter > 0
+    assert isinstance(problem.path_map, MarkovPaths)
+    for e in tail_is(problem, [0.5, 1.0, 1.5], make_config(n_paths=100_000)):
+        crude = e.meta["crude"]
+        assert abs(e.value - crude.value) <= 4 * np.hypot(e.stderr, crude.stderr), e.meta["u"]
 
 
 def test_markov_route_is_bit_identical_across_batches_and_workers():
@@ -387,16 +407,18 @@ def test_a_fine_pass_holds_one_tile_not_the_batch():
 
 
 def _sweep_outputs(problem: Problem, cfg: SamplerConfig) -> list:
-    """Every sweep estimator's output on ``problem``, exactly (floats by repr)."""
+    """Every sweep estimator's output on ``problem``, exactly (floats by repr):
+    the six stream-0 sweeps in one pass, and the diagnostic's own pass."""
     us = [0.0, 0.5, 1.0, 2.0]
-    out = [repr(e) for e in tail_is(problem, us, cfg)]   # with meta["crude"]
-    out += [repr(e) for e in tail_crude(problem, us, cfg)]
-    out += [repr(e) for mode in ("range", "zstar")
-            for e in small_ball(problem, [2.0, 1.0, 0.5], cfg, mode=mode)]
+    tail, crude, ball_range, ball_zstar, argmin, mx = run_sweeps(problem, cfg, [
+        tail_is_sweep(problem, us), tail_crude_sweep(problem, us),
+        small_ball_sweep(problem, [2.0, 1.0, 0.5], "range"),
+        small_ball_sweep(problem, [2.0, 1.0, 0.5], "zstar"),
+        argmin_sweep(problem, [1.0, 2.0]), mx_sweep(problem, [2.0, 0.5])])
+    out = [repr(e) for e in tail + crude + ball_range + ball_zstar]   # tail with meta["crude"]
     out += [repr(r) if isinstance(r, Exception) else repr((r[0].weights.tolist(), r[1]))
-            for r in argmin_conditional(problem, [1.0, 2.0], cfg)]
-    out += [repr(r) if isinstance(r, Exception) else repr(r.weights.tolist())
-            for r in mx_conditional(problem, [2.0, 0.5], cfg)]
+            for r in argmin]
+    out += [repr(r) if isinstance(r, Exception) else repr(r.weights.tolist()) for r in mx]
     out.append(repr(correction_diagnostic(problem, [0.5, 1.0, 2.0], cfg)))
     return out
 

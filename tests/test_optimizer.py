@@ -434,7 +434,7 @@ def test_solution_agrees_with_discretized_closed_form(ou):
 # the Markov route: O(n) theta, active set and certificate, no Gram matrix
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("k", [7, 8, 9, 10])
+@pytest.mark.parametrize("k", range(2, 11))
 @pytest.mark.parametrize("name", sorted(MARKOV_KERNELS))
 def test_markov_solve_matches_the_dense_solve(name, k):
     problem = markov_problem(name, k)
@@ -484,6 +484,21 @@ def test_a_markov_problem_builds_no_gram_matrix_and_no_factor(monkeypatch):
     assert not isinstance(argmin_conditional(problem, [1.0], cfg)[0], Exception)
     for mode in ("range", "zstar"):
         assert small_ball(problem, [1.0], cfg, mode=mode)[0].value > 0
+
+
+@pytest.mark.parametrize("name", sorted(MARKOV_KERNELS))
+def test_refine_on_a_markov_kernel_builds_no_gram_matrix_at_any_level(name, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("refine built a dense matrix or factor")
+
+    monkeypatch.setattr(Kernel, "gram", refuse)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    for module in (gaussmin.estimators, gaussmin.gauss_sim, gaussmin.optimizer):
+        monkeypatch.setattr(module, "factorize", refuse)
+    kernel, a, b = MARKOV_KERNELS[name]
+    trace = refine(kernel, (a, b), 2, 8, stop_tol=0.0)
+    assert [e.k for e in trace.entries] == list(range(2, 9))
+    assert trace.problem.route == "markov"
 
 
 def test_markov_form_is_checked_by_the_solver_and_the_certificate():

@@ -17,36 +17,38 @@ that grid (a Gauss-Markov kernel is solved on its Markov form, without a Gram
 matrix, and from 129 points also sampled without one).
 
 Each sweep estimator takes its whole parameter list (u, x or eps) and makes
-one pass over the paths. It is one ``Sweep``: a ``per_path`` step maps a tile
-of paths to per-path columns (Y, the min and argmin, and the shifted min and
-argmin of each u whose tilt shifts the survival test); a ``fold`` reduces a
-batch's columns to every parameter's statistics, one parameter at a time, in
-the same float operations as a one-element list; and a ``finish`` turns the
-total into the estimator's result. ``run_sweeps`` runs several sweeps on one
-(``Problem``, ``SamplerConfig``) in one pass: per tile it computes the
-functionals, and each u's shifted path, once for every sweep that reads
-them, and it is the one place that totals each sweep's folds, in path order:
-tuples position by position, counts, floats and histograms by ``+``, and log
-sums of weights (``_LogSum``) by ``np.logaddexp``. A sweep's total is the
-same whichever other sweeps share its pass, so each of the six public
-estimators is a sweep builder (``tail_is_sweep``, ``tail_crude_sweep``,
-``small_ball_sweep``, ``correction_sweep``, ``argmin_sweep``, ``mx_sweep``)
-and a one-sweep call, and the CLI's ``argmin`` and a report study's ``tail``
-and ``argmin`` stages share one pass. ``tail_is`` also counts the crude hits in
-its pass, so the CLI's ``tail`` makes one pass for both methods.
-``correction_diagnostic`` runs ``tail_is``'s sweep for its whole u list, and
-its fold also reduces each u's statistics per group of consecutive path
-indices, for a jackknife error bar on its fit.
+one pass over the paths. It is one ``Sweep``: a ``fold`` reduces a batch of
+paths to every parameter's statistics, one parameter at a time, in the same
+float operations as a one-element list, reading the batch's shared columns (Y,
+the min and argmin, and the shifted min and argmin of each u whose tilt shifts
+the survival test); and a ``finish`` turns the total into the estimator's
+result. ``run_sweeps`` runs several sweeps on one (``Problem``,
+``SamplerConfig``) in one pass: per batch it computes the functionals, and
+each u's shifted path, once for every sweep that reads them, and it is the one
+place that totals each sweep's folds, in path order: tuples position by
+position, counts, floats and histograms by ``+``, and log sums of weights
+(``_LogSum``) by ``np.logaddexp``. A sweep's total is the same whichever other
+sweeps share its pass, so each of the six public estimators is a sweep builder
+(``tail_is_sweep``, ``tail_crude_sweep``, ``small_ball_sweep``,
+``correction_sweep``, ``argmin_sweep``, ``mx_sweep``) and a one-sweep call,
+and the CLI's ``argmin`` and a report study's ``tail`` and ``argmin`` stages
+share one pass. ``tail_is`` also counts the crude hits in its pass, so the
+CLI's ``tail`` makes one pass for both methods. ``correction_diagnostic`` runs
+``tail_is``'s sweep for its whole u list, and its fold also reduces each u's
+statistics per group of consecutive path indices, for a jackknife error bar on
+its fit.
 
-The batch is the unit of folding only: its paths are drawn and mapped tile by
-tile (``gauss_sim.tiles``), and the columns are joined in path order before
-the fold, so a pass over a fine grid holds one tile of paths, and the tile
-size changes no output. ``run_sweeps`` adds the folds in path order whatever
-the worker count, so every number here is a deterministic function of (seed,
-stream, n, batch size, parameter) that no worker count changes. Counts
-(crude, small-ball, Y <= x, the diagnostic's survivors per group) are integer
-sums and so also independent of the batch size; the weighted estimators add
-per-batch float sums, which a different batch size can move in the last bit.
+The batch is the one unit of a pass: of its memory and of its folds. A batch
+holds ``gauss_sim.batch_rows`` paths, the batch size capped at BATCH_VALUES
+keystream values (2040 paths at 1025 points), so a pass over a fine grid
+holds one 16 MiB keystream on either path map. ``run_sweeps`` adds the folds
+in path order whatever the worker count, so every number here is a
+deterministic function of (seed, stream, n, batch rows, parameter) that no
+worker count changes. Counts (crude, small-ball, Y <= x, the diagnostic's
+survivors per group) are integer sums of per-path tests, so the batch size
+moves one only where it moves a path: on the dense map from 257 points, whose
+product rounds by the batch's shape. The weighted estimators add per-batch
+float sums, which different batch rows can move in the last bit.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ import numpy as np
 from . import optimizer
 from .exceptions import EstimationError
 from .gauss_sim import (MARKOV_MIN_POINTS, Factorization, MarkovPaths, PathBatch,
-                        PathFunctionals, SamplerConfig, factorize, functionals,
-                        markov_form_valid, sample, tiles)
+                        PathFunctionals, SamplerConfig, batch_rows, factorize, functionals,
+                        markov_form_valid, sample)
 from .grids import Grid
 from .kernels import Kernel
 from .measure import GridMeasure
@@ -183,25 +185,27 @@ def _add(a, b):
 class Sweep:
     """One estimator's share of a pass over the paths.
 
-    ``per_path`` maps a ``_Tile`` to per-path columns, ``fold`` reduces a
-    batch's columns to a tuple, and ``finish(total, config)`` turns the total
-    of the batch folds into the estimator's result. ``argmins`` are the u
-    whose tilted path's argmin ``per_path`` reads (``_Tile.low``).
+    ``fold`` reduces a ``_Batch`` to a tuple, and ``finish(total, config)``
+    turns the total of the batch folds into the estimator's result.
+    ``argmins`` are the u whose tilted path's argmin ``fold`` reads
+    (``_Batch.low``).
     """
 
-    per_path: Callable[[_Tile], Sequence[np.ndarray]]
-    fold: Callable[..., tuple]
+    fold: Callable[[_Batch], tuple]
     finish: Callable[[tuple, SamplerConfig], object]
     argmins: frozenset[float] = frozenset()
 
 
-class _Tile:
-    """One tile of a pass's paths, with the columns its sweeps share, each
-    computed once: the functionals against the optimal measure (``fn``) and,
-    per u, the min and argmin of the path the survival test reads (``low``)."""
+class _Batch:
+    """One batch of a pass's paths (``paths``), with the pass's path count
+    (``n_paths``) and the columns its sweeps share, each computed once: the
+    functionals against the optimal measure (``fn``) and, per u, the min and
+    argmin of the path the survival test reads (``low``)."""
 
-    def __init__(self, batch: PathBatch, problem: Problem, argmins: frozenset[float]):
-        self.batch = batch
+    def __init__(self, paths: PathBatch, n_paths: int, problem: Problem,
+                 argmins: frozenset[float]):
+        self.paths = paths
+        self.n_paths = n_paths
         self._problem = problem
         self._argmins = argmins
         self._lows: dict[float, tuple] = {}
@@ -210,19 +214,20 @@ class _Tile:
     def fn(self) -> PathFunctionals:
         # a sweep that reads it read problem.solution when it was built, so
         # no worker solves
-        return functionals(self.batch, self._problem.solution.measure)
+        return functionals(self.paths, self._problem.solution.measure)
 
-    def low(self, u: float, shift: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
-        """The min of X + ``shift`` (u's ``_tilt_shift``; X itself for None)
+    def low(self, u: float) -> tuple[np.ndarray, np.ndarray | None]:
+        """The min of X + u's ``_tilt_shift`` (X itself where that is None)
         and, if a sweep of the pass reads it, its leftmost argmin, else None.
         The shifted array is built once per u, for every sweep that reads it."""
         if u not in self._lows:
             argmin = u in self._argmins
+            shift = _tilt_shift(self._problem.solution, u)
             if shift is None:
                 fn = self.fn
                 self._lows[u] = fn.min_value, fn.argmin_index if argmin else None
             else:
-                low = self.batch.values + shift
+                low = self.paths.values + shift
                 self._lows[u] = low.min(axis=1), low.argmin(axis=1) if argmin else None
         return self._lows[u]
 
@@ -237,32 +242,26 @@ def _cpus() -> int:
 def run_sweeps(problem: Problem, config: SamplerConfig, sweeps: Sequence[Sweep]) -> list:
     """Each sweep's result, from one pass over ``config``'s paths on ``problem``.
 
-    A batch is drawn tile by tile; every sweep's ``per_path`` maps each tile
-    to its columns, and its ``fold`` reduces the batch's columns, joined in
-    path order. This is the one place that totals folds: tuples add position
-    by position, anything else by its ``+`` (a ``_LogSum`` by
-    ``np.logaddexp``). A sweep's fold and total see the same operands
-    whichever sweeps share the pass. With several workers (never more than
-    the CPUs: more threads would only wait) the batches are computed
-    concurrently but added in submission order, so each total is identical
-    for any worker count.
+    The pass draws batches of ``gauss_sim.batch_rows`` paths: at most
+    ``config.batch_size``, and at most BATCH_VALUES keystream values. Every
+    sweep's ``fold`` reduces each batch, and this is the one place that totals
+    folds: tuples add position by position, anything else by its ``+`` (a
+    ``_LogSum`` by ``np.logaddexp``). A sweep's fold and total see the same
+    operands whichever sweeps share the pass. With several workers (never
+    more than the CPUs: more threads would only wait) the batches are
+    computed concurrently but added in submission order, so each total is
+    identical for any worker count.
     """
-    paths, grid = problem.path_map, problem.grid  # cached here, before workers read it
+    path_map, grid = problem.path_map, problem.grid  # cached here, before workers read it
     argmins = frozenset().union(*(sweep.argmins for sweep in sweeps))
-    starts = range(0, config.n_paths, config.batch_size)
+    rows = batch_rows(path_map.n, config.batch_size)
 
-    def tile_columns(tile: _Tile) -> list:   # the tile is freed before the next is drawn
-        return [sweep.per_path(tile) for sweep in sweeps]
+    def run(start: int) -> tuple:   # the batch is freed before the next is drawn
+        paths = sample(path_map, grid, config, start, min(rows, config.n_paths - start))
+        batch = _Batch(paths, config.n_paths, problem, argmins)
+        return tuple(sweep.fold(batch) for sweep in sweeps)
 
-    def run(start: int) -> tuple:
-        count = min(config.batch_size, config.n_paths - start)
-        per_tile = [tile_columns(_Tile(sample(paths, grid, config, tile_start, tile_rows),
-                                       problem, argmins))
-                    for tile_start, tile_rows in tiles(paths, start, count)]
-        return tuple(sweep.fold(*(columns[0] if len(columns) == 1
-                                  else map(np.concatenate, zip(*columns))))
-                     for sweep, columns in zip(sweeps, zip(*per_tile)))
-
+    starts = range(0, config.n_paths, rows)
     workers = min(config.workers, _cpus())
     if workers == 1:
         totals = reduce(_add, map(run, starts))
@@ -302,17 +301,15 @@ def tail_crude_sweep(problem: Problem, us: Sequence[float]) -> Sweep:
     """``tail_crude``'s sweep: per u, the paths with min X > u."""
     us = [float(u) for u in us]
 
-    def per_path(tile: _Tile) -> tuple:
-        return (tile.batch.values.min(axis=1),)
-
-    def fold(mins: np.ndarray) -> tuple:
+    def fold(batch: _Batch) -> tuple:
+        mins = batch.paths.values.min(axis=1)
         return tuple(int(np.count_nonzero(mins > u)) for u in us)
 
     def finish(hits: tuple, config: SamplerConfig) -> list[Estimate]:
         return [_binomial_estimate(h, config, {"method": "tail_crude", "u": u})
                 for h, u in zip(hits, us)]
 
-    return Sweep(per_path, fold, finish)
+    return Sweep(fold, finish)
 
 
 def tail_is(problem: Problem, us: Sequence[float], config: SamplerConfig) -> list[Estimate]:
@@ -345,23 +342,18 @@ def tail_is_sweep(problem: Problem, us: Sequence[float]) -> Sweep:
     """``tail_is``'s sweep: a batch's fold is, per u, the crude hits and
     ``_is_stats``."""
     us = [float(u) for u in us]
-    solution = problem.solution
-    s2 = solution.sigma_star_sq
-    shifts = [_tilt_shift(solution, u) for u in us]
+    s2 = problem.solution.sigma_star_sq
 
-    def per_path(tile: _Tile) -> tuple:
-        # Y, min X and, per u, the min of the path the survival test reads
-        return (tile.fn.y, tile.fn.min_value,
-                *(tile.low(u, shift)[0] for u, shift in zip(us, shifts)))
-
-    def fold(y: np.ndarray, low: np.ndarray, *u_lows: np.ndarray) -> tuple:
-        return tuple((int(np.count_nonzero(low > u)), *_is_stats(u, s2, y, u_low))
-                     for u, u_low in zip(us, u_lows))
+    def fold(batch: _Batch) -> tuple:
+        # per u, the crude hits of min X and the weights of the survival test
+        y, low = batch.fn.y, batch.fn.min_value
+        return tuple((int(np.count_nonzero(low > u)), *_is_stats(u, s2, y, batch.low(u)[0]))
+                     for u in us)
 
     def finish(total: tuple, config: SamplerConfig) -> list[Estimate]:
         return [_is_estimate(u, u_total, problem, config) for u, u_total in zip(us, total)]
 
-    return Sweep(per_path, fold, finish)
+    return Sweep(fold, finish)
 
 
 def _is_estimate(u: float, total: tuple, problem: Problem, config: SamplerConfig) -> Estimate:
@@ -411,19 +403,15 @@ def small_ball_sweep(problem: Problem, eps_list: Sequence[float], mode: str = "r
     if any(not eps > 0 for eps in eps_list):
         raise ValueError("eps must be > 0")
     if mode == "range":
-        def per_path(tile: _Tile) -> tuple:
-            x = tile.batch.values  # a singleton grid has no increments: deviation 0
-            return (np.abs(x[:, 1:] - x[:, :1]).max(axis=1, initial=0.0),)
-
-        def fold(dev: np.ndarray) -> tuple:
+        def fold(batch: _Batch) -> tuple:
+            x = batch.paths.values  # a singleton grid has no increments: deviation 0
+            dev = np.abs(x[:, 1:] - x[:, :1]).max(axis=1, initial=0.0)
             return tuple(int(np.count_nonzero(dev < eps)) for eps in eps_list)
     elif mode == "zstar":
         problem.solution  # solved here, not in a worker
 
-        def per_path(tile: _Tile) -> tuple:
-            return (tile.fn.min_value - tile.fn.y,)
-
-        def fold(gap: np.ndarray) -> tuple:
+        def fold(batch: _Batch) -> tuple:
+            gap = batch.fn.min_value - batch.fn.y
             return tuple(int(np.count_nonzero(gap > -eps)) for eps in eps_list)
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'range' or 'zstar'")
@@ -432,7 +420,7 @@ def small_ball_sweep(problem: Problem, eps_list: Sequence[float], mode: str = "r
         return [_binomial_estimate(h, config, {"method": f"small_ball_{mode}", "eps": eps})
                 for h, eps in zip(hits, eps_list)]
 
-    return Sweep(per_path, fold, finish)
+    return Sweep(fold, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -552,43 +540,37 @@ def correction_diagnostic(problem: Problem, u_list: Sequence[float], config: Sam
     slope, so the half-width is not the regression's (which assumes
     independent points) but a jackknife over JACKKNIFE_GROUPS groups of
     consecutive paths: path j is in group j * JACKKNIFE_GROUPS // n_paths.
-    The groups depend on the path index only, so no batch size, tile size
-    or worker count moves a survivor count.
+    The groups depend on the path index only, so no batch size or worker
+    count moves a survivor count.
     """
     config = replace(config, stream=config.stream + 1)
-    return run_sweeps(problem, config,
-                      [correction_sweep(problem, u_list, config.n_paths, beta)])[0]
+    return run_sweeps(problem, config, [correction_sweep(problem, u_list, beta)])[0]
 
 
-def correction_sweep(problem: Problem, u_list: Sequence[float], n_paths: int,
+def correction_sweep(problem: Problem, u_list: Sequence[float],
                      beta: float | None = None) -> Sweep:
-    """``correction_diagnostic``'s sweep, for a pass whose config has
-    ``n_paths`` paths (the path groups are cut for that count):
-    ``tail_is_sweep``'s columns and fold, and each u's statistics per path
-    group; its finish fits the exponent."""
+    """``correction_diagnostic``'s sweep: ``tail_is_sweep``'s fold, and each
+    u's statistics per group of the pass's paths; its finish fits the
+    exponent."""
     us = [float(u) for u in u_list]
     if len(us) < 2 or any(b <= a for a, b in zip(us, us[1:])) or us[0] <= 0:
         raise EstimationError("u_list must be at least 2 strictly increasing positive values")
     s2 = problem.solution.sigma_star_sq
     tail = tail_is_sweep(problem, us)
 
-    def per_path(tile: _Tile) -> tuple:
-        columns = tail.per_path(tile)
-        first = tile.batch.start_index
-        return (*columns, np.arange(first, first + columns[0].size) * JACKKNIFE_GROUPS // n_paths)
-
-    def fold(*columns: np.ndarray) -> tuple:
-        *columns, group = columns
-        y, _, *u_lows = columns
-        return tail.fold(*columns), tuple(_group_stats(u, s2, y, u_low, group)
-                                          for u, u_low in zip(us, u_lows))
+    def fold(batch: _Batch) -> tuple:
+        first, y = batch.paths.start_index, batch.fn.y
+        group = np.arange(first, first + y.size) * JACKKNIFE_GROUPS // batch.n_paths
+        return tail.fold(batch), tuple(_group_stats(u, s2, y, batch.low(u)[0], group)
+                                       for u in us)
 
     def finish(total: tuple, config: SamplerConfig) -> CorrectionDiagnostic:
         estimates = tuple(tail.finish(total[0], config))
         groups = [(*g[:3], g[3].log) for g in total[1]]
         log_ps = [e.log_value for e in estimates]
         exponent, intercept, _, used = fit_correction_exponent(us, log_ps, s2)
-        halfwidth = _jackknife_halfwidth(us, np.array([g[3] for g in groups]), s2, n_paths)
+        halfwidth = _jackknife_halfwidth(us, np.array([g[3] for g in groups]), s2,
+                                         config.n_paths)
         rows = tuple((u, lp, lp + u * u / (2.0 * s2)) for u, lp in zip(us, log_ps))
         excluded = tuple(u for u, keep in zip(us, used) if not keep)
         group_stats = tuple(tuple(zip(*(column.tolist() for column in g))) for g in groups)
@@ -596,7 +578,7 @@ def correction_sweep(problem: Problem, u_list: Sequence[float], n_paths: int,
                                     exponent_halfwidth=halfwidth, estimates=estimates,
                                     group_stats=group_stats, excluded=excluded, beta=beta)
 
-    return Sweep(per_path, fold, finish)
+    return Sweep(fold, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +605,7 @@ def argmin_sweep(problem: Problem, us: Sequence[float]) -> Sweep:
     us = [float(u) for u in us]
     if any(not u >= 0 for u in us):
         raise EstimationError("u must be >= 0")
-    solution = problem.solution
-    s2 = solution.sigma_star_sq
-    shifts = [_tilt_shift(solution, u) for u in us]
+    s2 = problem.solution.sigma_star_sq
     n_points = problem.grid.points.size
 
     def u_stats(u: float, y: np.ndarray, low_min: np.ndarray, low_argmin: np.ndarray) -> tuple:
@@ -634,13 +614,9 @@ def argmin_sweep(problem: Problem, us: Sequence[float]) -> Sweep:
         hist = np.bincount(low_argmin[keep], weights=w, minlength=n_points)
         return hist, float(w.sum()), float((w * w).sum())
 
-    def per_path(tile: _Tile) -> list:
-        # Y, then per u the min and argmin of the tilted path
-        return [tile.fn.y, *(column for u, shift in zip(us, shifts)
-                             for column in tile.low(u, shift))]
-
-    def fold(y: np.ndarray, *lows: np.ndarray) -> tuple:
-        return tuple(u_stats(u, y, lows[2 * i], lows[2 * i + 1]) for i, u in enumerate(us))
+    def fold(batch: _Batch) -> tuple:
+        # per u, over the min and argmin of the tilted path
+        return tuple(u_stats(u, batch.fn.y, *batch.low(u)) for u in us)
 
     def finish(total: tuple, config: SamplerConfig
                ) -> list[tuple[GridMeasure, float] | EstimationError]:
@@ -648,7 +624,7 @@ def argmin_sweep(problem: Problem, us: Sequence[float]) -> Sweep:
                 if sw <= 0 else (GridMeasure.from_raw(problem.grid, hist), sw * sw / sw2)
                 for u, (hist, sw, sw2) in zip(us, total)]
 
-    return Sweep(per_path, fold, finish, argmins=frozenset(us))
+    return Sweep(fold, finish, argmins=frozenset(us))
 
 
 def mx_conditional(problem: Problem, xs: Sequence[float], config: SamplerConfig
@@ -670,16 +646,15 @@ def mx_sweep(problem: Problem, xs: Sequence[float]) -> Sweep:
     problem.solution  # solved here, not in a worker
     n_points = problem.grid.points.size
 
-    def per_path(tile: _Tile) -> tuple:
-        return tile.fn.y, tile.fn.min_value, tile.fn.argmin_index
-
-    def fold(y: np.ndarray, low: np.ndarray, argmin: np.ndarray) -> tuple:
-        survive = low > 0
-        return tuple(np.bincount(argmin[survive & (y <= x)], minlength=n_points) for x in xs)
+    def fold(batch: _Batch) -> tuple:
+        fn = batch.fn
+        survive = fn.min_value > 0
+        return tuple(np.bincount(fn.argmin_index[survive & (fn.y <= x)], minlength=n_points)
+                     for x in xs)
 
     def finish(hists: tuple, config: SamplerConfig) -> list[GridMeasure | EstimationError]:
         return [GridMeasure.from_raw(problem.grid, hist) if hist.sum() > 0
                 else EstimationError(f"no paths satisfy Y <= {x} and min > 0; no histogram")
                 for x, hist in zip(xs, hists)]
 
-    return Sweep(per_path, fold, finish)
+    return Sweep(fold, finish)

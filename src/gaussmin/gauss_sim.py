@@ -28,10 +28,11 @@ a Markov form with an infinite variance. The normals satisfy |xi| <= 8.3,
 since the uniforms lie in [2^-53, 1 - 2^-53], so every path value is finite,
 |X_i| <= 8.3 sqrt(n (sigma_ii + jitter)).
 
-The estimators draw a batch as consecutive ``tiles``, so that a pass over a
-fine grid holds one tile of paths, not a whole batch. Philox addressing makes
-the tiles the batch's own paths, and the tile size changes no output (see
-``tiles`` for what keeps Y = X w bitwise).
+A pass of the estimators draws ``batch_rows`` paths per batch: at most the
+batch size, and at most BATCH_VALUES keystream values, so a pass over a fine
+grid holds one 16 MiB keystream (and, on the dense map, its X) whatever batch
+size it is given. Philox addressing gives every path the same normals in any
+batch.
 """
 
 from __future__ import annotations
@@ -58,15 +59,16 @@ DEFAULT_BATCH = 16_384
 # size. At 129 points the two tie on time, and the cumsum needs no second
 # batch-sized array.
 MARKOV_MIN_POINTS = 129
-# Keystream values (8 B each) per tile, 16 MiB: the smallest power of two
-# that keeps a default batch of up to 65 points (16384 x 68 values) whole, with
-# the allocations it always had. A 1025-point batch is cut into 9 tiles.
-TILE_VALUES = 2**21
+# Keystream values (8 B each) per batch at most, 16 MiB: a default batch of up
+# to 128 points (16384 x 128 values) stays whole; a 1025-point batch holds 2040
+# paths.
+BATCH_VALUES = 2**21
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Reproducible sampling plan: (seed, stream, path index) fixes every value."""
+    """Reproducible sampling plan: (seed, stream, path index) fixes every value.
+    A pass draws batches of at most ``batch_size`` paths (``batch_rows``)."""
 
     seed: int
     n_paths: int
@@ -241,26 +243,11 @@ def standard_normals(seed: int, stream: int, start: int, count: int,
     return ndtri(xi, out=xi)
 
 
-def tiles(paths: Factorization | MarkovPaths, start: int, count: int) -> list[tuple[int, int]]:
-    """(start, count) of the consecutive tiles that cover paths [start, start + count).
-
-    A batch whose keystream holds at most TILE_VALUES values is one tile;
-    a larger one is cut into tiles of the largest multiple of 4 rows that
-    fits, at least 4. Y = X w is an OpenBLAS dgemv, which rounds the rows of a
-    block's M mod 4 remainder differently and a one-row product as a dot, so
-    the tiles start at multiples of 4 and a last tile of one row joins the one
-    before it: Y is then bitwise the whole batch's (with a one-thread BLAS;
-    a threaded one splits the rows at points of its own). The dense map's
-    dgemm rounds by shape, so a ``Factorization`` batch stays whole.
-    """
-    width = BLOCK * _blocks_per_path(paths.n)
-    if isinstance(paths, Factorization) or count * width <= TILE_VALUES:
-        return [(start, count)]
-    rows = max(4, TILE_VALUES // width // 4 * 4)
-    bounds = list(range(start, start + count, rows))
-    if len(bounds) > 1 and start + count - bounds[-1] == 1:
-        bounds.pop()
-    return [(a, b - a) for a, b in zip(bounds, bounds[1:] + [start + count])]
+def batch_rows(n_points: int, batch_size: int) -> int:
+    """Paths per batch of a pass on ``n_points`` points: ``batch_size``, capped
+    so that a batch's keystream holds at most BATCH_VALUES values (at least
+    one path)."""
+    return min(batch_size, max(1, BATCH_VALUES // (BLOCK * _blocks_per_path(n_points))))
 
 
 def sample(factor: Factorization | MarkovPaths, grid: Grid, config: SamplerConfig,

@@ -238,8 +238,8 @@ def test_correction_diagnostic_jackknife_covers_the_seed_spread(ou):
 
 
 def test_correction_diagnostic_batch_size_moves_no_group_count():
-    # 257 points: a batch of 16384 paths is drawn in tiles, and 777 paths
-    # leave batches that straddle the group boundaries
+    # 257 points: a batch size of 16384 draws batches of 8065 paths, and
+    # 777 paths leave batches that straddle the group boundaries
     problem = markov_problem("example1", 8)
     us = [2.0, 2.5, 3.0, 3.5, 4.0]
     a, b = (correction_diagnostic(problem, us, make_config(n_paths=20_001, batch_size=size))
@@ -274,6 +274,18 @@ def test_log_sums_add_across_batches_with_no_survivor(ou_problem_k5):
         return [e.log_value for e in diag.estimates] + [g[3] for u in diag.group_stats for g in u]
 
     np.testing.assert_allclose(logs(a), logs(b), rtol=1e-13, atol=0)
+
+
+def test_a_correction_sweep_cuts_its_path_groups_for_the_pass_it_runs_in(ou_problem_k5):
+    # one sweep in a 1000-path and in a 3000-path pass: each result is that
+    # pass's own diagnostic, with every path group filled
+    us = [0.5, 1.0, 2.0]
+    sweep = correction_sweep(ou_problem_k5, us)
+    for n_paths in (1000, 3000):
+        cfg = make_config(n_paths=n_paths, batch_size=512, stream=1)
+        [diagnostic] = run_sweeps(ou_problem_k5, cfg, [sweep])
+        assert diagnostic == correction_diagnostic(ou_problem_k5, us, replace(cfg, stream=0))
+        assert all(g[0] > 0 for g in diagnostic.group_stats[0])
 
 
 def test_correction_diagnostic_validates_u_list(ou_problem_k2):
@@ -458,7 +470,7 @@ def _same_laws(shared: list, alone: list) -> bool:
 def test_shared_pass_equals_separate_calls(ou_problem_k5, example2_problem_k5, name,
                                            batch_size, workers):
     # tail_is, the argmin law, m_x, both small balls and the diagnostic in one
-    # pass share each tile's functionals and, on example2 (partial support),
+    # pass share each batch's functionals and, on example2 (partial support),
     # the shifted paths of u = 0.5, 1, 2; in either order, each result is
     # exactly its estimator's alone. The diagnostic draws on stream + 1, so
     # the pass runs on stream 1 and the diagnostic alone is given stream 0.
@@ -474,7 +486,7 @@ def test_shared_pass_equals_separate_calls(ou_problem_k5, example2_problem_k5, n
     sweeps = [tail_is_sweep(problem, SWEEP_US), argmin_sweep(problem, SWEEP_US),
               mx_sweep(problem, xs), small_ball_sweep(problem, eps, "range"),
               small_ball_sweep(problem, eps, "zstar"),
-              correction_sweep(problem, diagnose_us, cfg.n_paths)]
+              correction_sweep(problem, diagnose_us)]
     for order in (slice(None), slice(None, None, -1)):
         (shared_tail, shared_argmin, shared_mx, *shared_balls,
          shared_diagnostic) = run_sweeps(problem, cfg, sweeps[order])[order]

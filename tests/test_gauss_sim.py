@@ -1,8 +1,6 @@
 """Counter-based Gaussian path sampling and per-path functionals."""
 
-import json
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,8 +27,8 @@ from gaussmin.estimators import (argmin_conditional, argmin_sweep, correction_di
                                  mx_sweep, run_sweeps, small_ball_sweep, tail_crude_sweep,
                                  tail_is_sweep)
 from gaussmin.gauss_sim import (DEFAULT_BATCH, MARKOV_MIN_POINTS, MarkovPaths, PathBatch,
-                                factorize, markov_form_valid, standard_normals, tiles)
-from conftest import MARKOV_KERNELS, make_config, markov_problem, run_python
+                                batch_rows, factorize, markov_form_valid, standard_normals)
+from conftest import MARKOV_KERNELS, make_config, markov_problem
 from oracles import ks_critical, reference_normals
 
 
@@ -359,50 +357,41 @@ def test_argmin_of_a_strided_batch_matches_argmin_without_a_copy():
 
 
 # ---------------------------------------------------------------------------
-# tiles: the estimators draw and reduce a batch tile by tile
+# batches: a pass draws and reduces at most BATCH_VALUES keystream values at once
 # ---------------------------------------------------------------------------
 
 
-def test_tiles_cover_a_batch_in_multiples_of_four_rows(monkeypatch):
-    fine = markov_problem("ou", 10).path_map   # 1025 points: 1028 keystream values per path
-    assert tiles(fine, 40, DEFAULT_BATCH) != [(40, DEFAULT_BATCH)]
-    monkeypatch.setattr(gauss_sim, "TILE_VALUES", 10 * 1028)   # 10 rows fit, so 8
-    assert tiles(fine, 40, 24) == [(40, 8), (48, 8), (56, 8)]
-    assert tiles(fine, 40, 27) == [(40, 8), (48, 8), (56, 8), (64, 3)]
-    # a one-row last tile would be a dot product, not dgemv: it joins the one before
-    assert tiles(fine, 40, 25) == [(40, 8), (48, 8), (56, 9)]
-    assert tiles(fine, 40, 10) == [(40, 10)]   # the whole batch fits
-    assert tiles(fine, 40, 1) == [(40, 1)]
-    monkeypatch.setattr(gauss_sim, "TILE_VALUES", 1)
-    assert tiles(fine, 0, 9) == [(0, 4), (4, 5)]   # at least 4 rows
-    # the dense product rounds by shape, so its batches stay whole
-    dense = Problem(PowerExponential(0.5), DyadicGrid(0.0, 1.0, 10)).factor
-    assert tiles(dense, 0, DEFAULT_BATCH) == [(0, DEFAULT_BATCH)]
+def test_batch_rows_cap_the_keystream_of_a_batch():
+    # up to 128 points a default batch keeps its 16384 rows; from 129 points
+    # (132 keystream values per path) the cap sets the rows
+    for n in (33, 65, 128):
+        assert batch_rows(n, DEFAULT_BATCH) == DEFAULT_BATCH
+    assert batch_rows(129, DEFAULT_BATCH) == 15887
+    assert batch_rows(1025, DEFAULT_BATCH) == 2040
+    assert batch_rows(1025, 10**6) == 2040
+    assert batch_rows(1025, 777) == 777   # a smaller batch size wins
+    assert batch_rows(2**21 + 1, DEFAULT_BATCH) == 1   # at least one path
 
 
-def test_narrow_batches_stay_whole():
-    # a default batch of up to 65 points keeps its one allocation on either route
-    def markov(n):
-        return MarkovPaths(step=np.ones(n), scale=np.ones(n))
-
-    for n in (33, 65):
-        assert tiles(markov(n), 0, DEFAULT_BATCH) == [(0, DEFAULT_BATCH)]
-    assert len(tiles(markov(129), 0, DEFAULT_BATCH)) == 2
-
-
-def test_a_fine_pass_holds_one_tile_not_the_batch():
-    problem = markov_problem("ou", 10)
+@pytest.mark.parametrize("route", ["markov", "dense"])
+def test_a_fine_pass_holds_one_capped_batch(route):
+    # 1025 points: a default batch's keystream would be 135 MB; the pass draws
+    # 2040 paths at a time, and the dense map adds their X to the keystream
+    if route == "markov":
+        problem, batches = markov_problem("ou", 10), 1
+    else:
+        problem, batches = Problem(PowerExponential(0.5), DyadicGrid(0.0, 1.0, 10)), 2
     paths, _ = problem.path_map, problem.solution   # built before tracing
-    assert isinstance(paths, MarkovPaths)
-    buffer = DEFAULT_BATCH * 1028 * 8   # the whole batch's keystream, 135 MB
+    assert isinstance(paths, MarkovPaths) == (route == "markov")
+    buffer = DEFAULT_BATCH * 1028 * 8
     tracemalloc.start()
     try:
         tail_is(problem, [0.0, 1.0], make_config(n_paths=DEFAULT_BATCH))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    tile = 8 * gauss_sim.TILE_VALUES
-    assert peak <= 1.25 * tile, f"peak {peak / tile:.2f} x one tile"
+    capped = 8 * gauss_sim.BATCH_VALUES
+    assert peak <= (batches + 0.25) * capped, f"peak {peak / capped:.2f} x one capped keystream"
     assert peak < 0.25 * buffer, f"peak {peak / buffer:.2f} x the batch's buffer"
 
 
@@ -423,45 +412,18 @@ def _sweep_outputs(problem: Problem, cfg: SamplerConfig) -> list:
     return out
 
 
-def tile_size_changes(name: str, k: int, runs: list[tuple[int, int]]) -> list[str]:
-    """The (batch size, workers, tiling) runs whose outputs differ from the
-    whole-batch run: tiles of 4 rows, of 100 rows and of the default size
-    (where that splits a batch)."""
-    problem = markov_problem(name, k)
-    width = 4 * -(-problem.grid.n // 4)
-    default = gauss_sim.TILE_VALUES
-    changes = []
-    try:
-        for batch_size, workers in runs:
-            tilings = {"whole": 2**62, "4 rows": 4 * width, "100 rows": 100 * width}
-            if len(tiles(problem.path_map, 0, batch_size)) > 1:
-                tilings["default"] = default
-            cfg = make_config(n_paths=20_001, batch_size=batch_size, workers=workers)
-            outputs = {}
-            for label, tile_values in tilings.items():
-                gauss_sim.TILE_VALUES = tile_values
-                outputs[label] = _sweep_outputs(problem, cfg)
-            changes += [f"batch {batch_size}, workers {workers}, {label}"
-                        for label, out in outputs.items() if out != outputs["whole"]]
-    finally:
-        gauss_sim.TILE_VALUES = default
-    return changes
-
-
-@pytest.mark.parametrize("name, k, runs", [
-    ("example2", 8, [(777, 1), (16384, 2)]),   # partial support: shifted min and argmin
-    ("ou", 7, [(777, 2), (16384, 1)]),
-    ("example1", 10, [(16384, 2)]),
+@pytest.mark.parametrize("name, k", [
+    ("example2", 8),   # partial support: shifted min and argmin
+    ("example1", 10),
 ])
-def test_tile_size_changes_no_output(name, k, runs):
-    # Y = X w is a dgemv, which a threaded BLAS splits at row counts of its
-    # own choosing for a tile and for a whole batch; with one BLAS thread the
-    # tiles reproduce the whole batch's Y bitwise, and so every output.
-    # 20001 paths leave short last batches, and 777 = 4 * 194 + 1 rows.
-    tests = str(Path(__file__).resolve().parent)
-    res = run_python(["-c", f"import sys; sys.path.insert(0, {tests!r}); import json, "
-                            f"test_gauss_sim as t; print(json.dumps(t.tile_size_changes("
-                            f"{name!r}, {k}, {runs!r})))"],
-                     timeout=600, env={"OPENBLAS_NUM_THREADS": "1"})
-    assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout) == []
+def test_batch_sizes_above_the_cap_change_no_output(name, k):
+    # every batch size from the capped rows up draws batches of the same
+    # shapes, which the BLAS rounds alike, and no worker count moves a total;
+    # 20001 paths leave a short last batch
+    problem = markov_problem(name, k)
+    capped = batch_rows(problem.grid.n, DEFAULT_BATCH)
+    assert capped < DEFAULT_BATCH
+    outputs = {(batch_size, workers): _sweep_outputs(problem, make_config(
+                   n_paths=20_001, batch_size=batch_size, workers=workers))
+               for batch_size, workers in [(capped, 1), (DEFAULT_BATCH, 2), (10**6, 1)]}
+    assert [run for run, out in outputs.items() if out != outputs[capped, 1]] == []

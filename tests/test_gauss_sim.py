@@ -361,12 +361,16 @@ def test_argmin_of_a_strided_batch_matches_argmin_without_a_copy():
 # ---------------------------------------------------------------------------
 
 
-def test_batch_rows_cap_the_keystream_of_a_batch():
+def test_narrow_batches_stay_whole():
     # up to 128 points a default batch keeps its 16384 rows; from 129 points
     # (132 keystream values per path) the cap sets the rows
     for n in (33, 65, 128):
         assert batch_rows(n, DEFAULT_BATCH) == DEFAULT_BATCH
     assert batch_rows(129, DEFAULT_BATCH) == 15887
+
+
+def test_batch_rows_cap_the_keystream_of_a_batch():
+    # 1025 points (1028 keystream values per path): 2^21 // 1028 rows
     assert batch_rows(1025, DEFAULT_BATCH) == 2040
     assert batch_rows(1025, 10**6) == 2040
     assert batch_rows(1025, 777) == 777   # a smaller batch size wins

@@ -40,9 +40,9 @@ its fit.
 
 The batch is the one unit of a pass: of its memory and of its folds. A batch
 holds ``gauss_sim.batch_rows`` paths, the batch size capped at BATCH_VALUES
-keystream values (2040 paths at 1025 points), so a pass over a fine grid
-holds one 16 MiB keystream on either path map. ``run_sweeps`` adds the folds
-in path order whatever the worker count, so every number here is a
+normals in whole blocks (1792 paths at 1025 points), so a pass over a fine
+grid holds one table of at most 16 MiB on either path map. ``run_sweeps``
+adds the folds in path order whatever the worker count, so every number is a
 deterministic function of (seed, stream, n, batch rows, parameter) that no
 worker count changes. Counts (crude, small-ball, Y <= x, the diagnostic's
 survivors per group) are integer sums of per-path tests, so the batch size
@@ -243,7 +243,7 @@ def run_sweeps(problem: Problem, config: SamplerConfig, sweeps: Sequence[Sweep])
     """Each sweep's result, from one pass over ``config``'s paths on ``problem``.
 
     The pass draws batches of ``gauss_sim.batch_rows`` paths: at most
-    ``config.batch_size``, and at most BATCH_VALUES keystream values. Every
+    ``config.batch_size``, and at most BATCH_VALUES normals. Every
     sweep's ``fold`` reduces each batch, and this is the one place that totals
     folds: tuples add position by position, anything else by its ``+`` (a
     ``_LogSum`` by ``np.logaddexp``). A sweep's fold and total see the same

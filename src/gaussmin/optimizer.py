@@ -41,9 +41,6 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
-# cho_factor stays importable here for perfbench/tracer.py
-from scipy.linalg import cho_factor, solve_triangular  # noqa: F401
-from scipy.linalg.blas import dtpsv
 
 from .exceptions import NotPositiveSemidefiniteError, OptimizerError
 from .gauss_sim import Factorization, factorize, markov_form_valid, screen_gram
@@ -53,6 +50,16 @@ from .measure import GridMeasure
 
 if TYPE_CHECKING:
     from .estimators import Problem
+
+
+def __getattr__(name: str):
+    # perfbench/tracer.py patches gaussmin.optimizer.cho_factor; it is imported
+    # on that first lookup, so an untraced run loads no scipy module
+    if name == "cho_factor":
+        from scipy.linalg import cho_factor
+        return cho_factor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 SUPPORT_TOL = 1e-9          # relative weight below which a point is off-support
 NNLS_TOL = 1e-12            # NNLS: a point joins while 1 - (Sigma x)_j exceeds this
@@ -273,6 +280,9 @@ def _dense_theta_on(sigma: np.ndarray, factor: Factorization) -> Callable:
     factor; a subset uses packed rows L (row i at i (i+1) / 2) of its points in join
     order and z = L^-1 1. A joining point appends a row in O(|P|^2); a leaving one
     cuts the rows from its own on. A point of pivot d^2 <= 0 stays out at s = 0."""
+    from scipy.linalg import solve_triangular   # only the dense route needs scipy
+    from scipy.linalg.blas import dtpsv
+
     n, lam, lower = factor.n, factor.jitter, factor.lower
     packed, z, order, size = np.empty(n * (n + 1) // 2), np.empty(n), np.empty(n, int), 0
 

@@ -13,11 +13,11 @@ import itertools
 import math
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import SFC64, Generator, SeedSequence
 from scipy import integrate
-from scipy.special import ndtri
 
 from gaussmin import GridMismatchError
+from gaussmin.gauss_sim import BLOCK_ROWS
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +211,22 @@ def mu_alpha_mean_quad(alpha: float, a: float, b: float, t: float) -> float:
 
 def reference_normals(seed: int, stream: int, start: int, count: int,
                       n_points: int) -> np.ndarray:
-    """The (count, n_points) block of the normal table, one temporary per step.
+    """The (count, n_points) block of the normal table, one generator per block.
 
-    Path j reads Philox counter blocks [j*bpp, (j+1)*bpp), bpp =
-    ceil(n_points/4), of the (seed, stream) keystream; each 64-bit word keeps
-    its top 52 bits as the uniform (k + 1/2) 2^-52, mapped through ndtri.
+    Path j is row j mod BLOCK_ROWS of its block's (BLOCK_ROWS, n_points) draw
+    ``Generator(SFC64(SeedSequence(words))).standard_normal``, whose entropy
+    is the six little-endian 32-bit halves of (seed, stream, j // BLOCK_ROWS).
     """
-    bpp = -(-n_points // 4)
-    bg = Philox(key=np.array([seed, stream], dtype=np.uint64))
-    bg.advance(start * bpp)
-    raw = bg.random_raw(count * bpp * 4).reshape(count, bpp * 4)[:, :n_points]
-    return ndtri(((raw >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52)
+    tables = {}
+    rows = []
+    for j in range(start, start + count):
+        block, row = divmod(j, BLOCK_ROWS)
+        if block not in tables:
+            words = [w for v in (seed, stream, block) for w in (v % 2**32, v // 2**32)]
+            gen = Generator(SFC64(SeedSequence(np.array(words, dtype=np.uint32))))
+            tables[block] = gen.standard_normal((BLOCK_ROWS, n_points))
+        rows.append(tables[block][row])
+    return np.array(rows).reshape(count, n_points)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,9 @@ from gaussmin import gauss_sim
 from gaussmin.estimators import (argmin_conditional, argmin_sweep, correction_diagnostic,
                                  mx_sweep, run_sweeps, small_ball_sweep, tail_crude_sweep,
                                  tail_is_sweep)
-from gaussmin.gauss_sim import (DEFAULT_BATCH, MARKOV_MIN_POINTS, MarkovPaths, PathBatch,
-                                batch_rows, factorize, markov_form_valid, standard_normals)
+from gaussmin.gauss_sim import (BLOCK_ROWS, DEFAULT_BATCH, MARKOV_MIN_POINTS, MarkovPaths,
+                                PathBatch, batch_rows, factorize, markov_form_valid,
+                                standard_normals)
 from conftest import MARKOV_KERNELS, make_config, markov_problem
 from oracles import ks_critical, reference_normals
 
@@ -82,6 +83,9 @@ def test_normal_table_is_addressable_by_row():
         full = standard_normals(99, 0, 0, 10, n_points)
         block = standard_normals(99, 0, 5, 3, n_points)
         assert np.array_equal(block, full[5:8])
+        across = standard_normals(99, 0, 0, 2 * BLOCK_ROWS + 5, n_points)
+        assert np.array_equal(standard_normals(99, 0, BLOCK_ROWS - 3, 6, n_points),
+                              across[BLOCK_ROWS - 3:BLOCK_ROWS + 3])
 
 
 def test_normal_table_values_are_finite_and_keyed():
@@ -89,6 +93,16 @@ def test_normal_table_values_are_finite_and_keyed():
     assert np.all(np.isfinite(a))
     assert not np.array_equal(a, standard_normals(8, 0, 0, 64, 9))
     assert not np.array_equal(a, standard_normals(7, 1, 0, 64, 9))
+
+
+def test_block_seeds_are_injective():
+    # numpy splits each int of a list entropy into as few 32-bit words as it
+    # needs and concatenates them, so [2^32, 5, 7] and [0, 1 + 5 * 2^32, 7]
+    # both give the words (0, 1, 5, 7); fixed-width words keep them apart
+    start = 7 * BLOCK_ROWS
+    a = standard_normals(2**32, 5, start, BLOCK_ROWS, 4)
+    b = standard_normals(0, 1 + 5 * 2**32, start, BLOCK_ROWS, 4)
+    assert not np.array_equal(a, b)
 
 
 def test_normal_table_marginals_pass_ks(ou):
@@ -105,11 +119,30 @@ def test_normal_table_marginals_pass_ks(ou):
         assert d < crit, f"coordinate {j}: D={d:.4f} >= {crit:.4f}"
 
 
-@pytest.mark.parametrize("n_points", [8, 9, 10, 11, 1025])  # every n mod 4
+@pytest.mark.parametrize("n_points", [8, 9, 10, 11, 1025])
 def test_normal_table_matches_the_out_of_place_oracle(n_points):
-    for start in (0, 13):
-        assert np.array_equal(standard_normals(31, 2, start, 50, n_points),
-                              reference_normals(31, 2, start, 50, n_points))
+    # from BLOCK_ROWS - 1, BLOCK_ROWS + 2 rows span two block edges
+    for start, count in ((0, 50), (BLOCK_ROWS - 1, BLOCK_ROWS + 2)):
+        assert np.array_equal(standard_normals(31, 2, start, count, n_points),
+                              reference_normals(31, 2, start, count, n_points))
+
+
+def test_normal_table_law_across_block_edges():
+    # the rows on either side of 400 block edges: their values pass a
+    # two-sided KS test against N(0, 1) at significance 1e-3, and the
+    # correlation of the pairs of values at the same point of the last row
+    # of one block and the first row of the next is within 4 stderrs of 0
+    n_points, edges = 64, range(1, 401)
+    pairs = np.array([standard_normals(5, 3, e * BLOCK_ROWS - 1, 2, n_points) for e in edges])
+    values = np.sort(pairs.ravel())
+    n = values.size
+    ranks = np.arange(1, n + 1) / n
+    cdf = ndtr(values)
+    d = max(np.abs(cdf - ranks).max(), np.abs(cdf - ranks + 1.0 / n).max())
+    assert d < ks_critical(n, 1e-3), f"D={d:.4f}"
+    before, after = pairs[:, 0].ravel(), pairs[:, 1].ravel()
+    corr = np.corrcoef(before, after)[0, 1]
+    assert abs(corr) <= 4.0 / np.sqrt(before.size), f"corr {corr:.4f}"
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +160,23 @@ def test_sample_batch_size_does_not_change_paths(ou):
         sample(fac, grid, cfg, start=s, count=min(cfg.batch_size, cfg.n_paths - s)).values
         for s in starts])
     assert np.array_equal(stacked, full.values)
+
+
+@pytest.mark.parametrize("k, n_paths", [(5, 2000), (10, 300)])
+def test_batch_sizes_give_the_same_paths(ou, k, n_paths):
+    # 33 points on the dense map, 1025 on the Markov cumsum: batches of 1, 777
+    # and the pass's default rows, each drawing whole blocks where it starts
+    # or ends inside one, stack to the same paths
+    problem = Problem(ou, DyadicGrid(0.0, 1.0, k))
+    cfg = make_config(n_paths=n_paths)
+    stacks = []
+    for size in (1, 777, DEFAULT_BATCH):
+        rows = batch_rows(problem.grid.n, size)
+        stacks.append(np.vstack([
+            sample(problem.path_map, problem.grid, cfg, s, min(rows, n_paths - s)).values
+            for s in range(0, n_paths, rows)]))
+    assert np.array_equal(stacks[0], stacks[2])
+    assert np.array_equal(stacks[1], stacks[2])
 
 
 def test_sample_slices_address_the_same_paths(ou):
@@ -324,11 +374,11 @@ def test_markov_route_is_bit_identical_across_batches_and_workers():
 
 
 def test_one_fine_batch_allocates_about_one_keystream_buffer():
-    # the normals, the paths and the cumsum share the keystream buffer, and
+    # the normals, the paths and the cumsum share the normals' buffer, and
     # functionals does not compute the unread argmin
     problem = markov_problem("ou", 10)
     paths, measure = problem.path_map, problem.solution.measure
-    buffer = DEFAULT_BATCH * 1028 * 8   # 1025 points use 257 Philox blocks of 4
+    buffer = DEFAULT_BATCH * 1025 * 8
     tracemalloc.start()
     try:
         batch = sample(paths, problem.grid, make_config(n_paths=DEFAULT_BATCH))
@@ -339,13 +389,12 @@ def test_one_fine_batch_allocates_about_one_keystream_buffer():
     assert peak <= 1.25 * buffer, f"peak {peak / buffer:.2f} x the buffer"
 
 
-def test_argmin_of_a_strided_batch_matches_argmin_without_a_copy():
-    problem = markov_problem("example1", 7)  # 129 points: the Markov route's strided batch
+def test_argmin_of_a_batch_is_the_leftmost_minimum_without_a_copy():
+    problem = markov_problem("example1", 7)  # 129 points: the Markov route
     assert isinstance(problem.path_map, MarkovPaths)
     batch = sample(problem.path_map, problem.grid, make_config(n_paths=DEFAULT_BATCH))
-    assert not batch.values.flags.c_contiguous
     fn = functionals(batch, problem.solution.measure)
-    buffer = DEFAULT_BATCH * 132 * 8    # 129 points use 33 Philox blocks of 4
+    buffer = DEFAULT_BATCH * 129 * 8
     tracemalloc.start()
     try:
         index = fn.argmin_index
@@ -357,37 +406,56 @@ def test_argmin_of_a_strided_batch_matches_argmin_without_a_copy():
 
 
 # ---------------------------------------------------------------------------
-# batches: a pass draws and reduces at most BATCH_VALUES keystream values at once
+# batches: a pass draws and reduces at most BATCH_VALUES normals at once
 # ---------------------------------------------------------------------------
 
 
 def test_narrow_batches_stay_whole():
     # up to 128 points a default batch keeps its 16384 rows; from 129 points
-    # (132 keystream values per path) the cap sets the rows
+    # the cap sets the rows: 2^21 // 129 = 16256, down to whole blocks
     for n in (33, 65, 128):
         assert batch_rows(n, DEFAULT_BATCH) == DEFAULT_BATCH
-    assert batch_rows(129, DEFAULT_BATCH) == 15887
+    assert batch_rows(129, DEFAULT_BATCH) == 16128
 
 
 def test_batch_rows_cap_the_keystream_of_a_batch():
-    # 1025 points (1028 keystream values per path): 2^21 // 1028 rows
-    assert batch_rows(1025, DEFAULT_BATCH) == 2040
-    assert batch_rows(1025, 10**6) == 2040
+    # 1025 points: 2^21 // 1025 = 2046 rows, down to 7 blocks of 256
+    assert batch_rows(1025, DEFAULT_BATCH) == 1792
+    assert batch_rows(1025, 10**6) == 1792
     assert batch_rows(1025, 777) == 777   # a smaller batch size wins
+    assert batch_rows(4097, DEFAULT_BATCH) == BLOCK_ROWS   # 511 rows, down to one block
     assert batch_rows(2**21 + 1, DEFAULT_BATCH) == 1   # at least one path
+
+
+@pytest.mark.parametrize("k, n_paths", [(5, 3000), (10, 3000), (12, 1000)])
+def test_a_default_pass_draws_each_block_once(monkeypatch, k, n_paths):
+    # 33, 1025 and 4097 points: the capped rows are whole blocks, so no batch
+    # edge falls inside a block, and the pass seeds ceil(n_paths / BLOCK_ROWS)
+    # generators, one per block
+    problem = markov_problem("ou", k)
+    blocks = []
+    seed_sequence = gauss_sim.SeedSequence
+
+    def counted(words):
+        blocks.append(int(words.view("<u8")[2]))
+        return seed_sequence(words)
+
+    monkeypatch.setattr(gauss_sim, "SeedSequence", counted)
+    tail_is(problem, [0.0, 1.0], make_config(n_paths=n_paths))
+    assert sorted(blocks) == list(range(-(-n_paths // BLOCK_ROWS)))
 
 
 @pytest.mark.parametrize("route", ["markov", "dense"])
 def test_a_fine_pass_holds_one_capped_batch(route):
-    # 1025 points: a default batch's keystream would be 135 MB; the pass draws
-    # 2040 paths at a time, and the dense map adds their X to the keystream
+    # 1025 points: a default batch's normals would be 134 MB; the pass draws
+    # 1792 paths at a time, and the dense map adds their X to the normals
     if route == "markov":
         problem, batches = markov_problem("ou", 10), 1
     else:
         problem, batches = Problem(PowerExponential(0.5), DyadicGrid(0.0, 1.0, 10)), 2
     paths, _ = problem.path_map, problem.solution   # built before tracing
     assert isinstance(paths, MarkovPaths) == (route == "markov")
-    buffer = DEFAULT_BATCH * 1028 * 8
+    buffer = DEFAULT_BATCH * 1025 * 8
     tracemalloc.start()
     try:
         tail_is(problem, [0.0, 1.0], make_config(n_paths=DEFAULT_BATCH))

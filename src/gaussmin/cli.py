@@ -33,7 +33,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .estimators import (ESS_WARN_THRESHOLD, JACKKNIFE_GROUPS, Problem, Sweep, a
                          tail_crude_sweep, tail_is, tail_is_sweep)
 from .exceptions import ConfigError, EstimationError, GaussminError
 # factorize, certify and solve_simplex_qp stay importable here for perfbench/tracer.py
-from .gauss_sim import DEFAULT_BATCH, SamplerConfig, factorize, sample  # noqa: F401
+from .gauss_sim import SamplerConfig, batch_rows, factorize, sample  # noqa: F401
 from .grids import MAX_LEVEL, DyadicGrid, Grid
 from .kernels import (ExplicitGram, Kernel, ModulatedBrownian, OrnsteinUhlenbeck,
                       PowerExponential, PowerScale, ScaleFunction, ShiftedRootScale,
@@ -237,12 +237,15 @@ def build_problem(cfg: dict, problems: dict, k_default: int = 5) -> Problem:
 
 
 def sampler_config(cfg: dict) -> SamplerConfig:
-    """The five sampling settings, each a JSON integer in range. ``stream``
-    stops at 2^64 - 2, because ``diagnose`` draws on ``stream + 1``."""
+    """The four sampling settings, each a JSON integer in range. ``stream``
+    stops at 2^64 - 2, because ``diagnose`` draws on ``stream + 1``. The
+    retired ``batch_size`` is refused, not ignored: it would sit in every
+    output header and change nothing."""
+    _require("batch_size" not in cfg,
+             "'batch_size' is retired: a pass's batches depend on its grid alone")
     return SamplerConfig(
         seed=_number(cfg, "seed", DEFAULT_SEED, integer=True, low=0, high=2**64 - 1),
         n_paths=_number(cfg, "n_paths", DEFAULT_N_PATHS, integer=True, low=1),
-        batch_size=_number(cfg, "batch_size", DEFAULT_BATCH, integer=True, low=1),
         stream=_number(cfg, "stream", 0, integer=True, low=0, high=2**64 - 2),
         workers=_number(cfg, "threads", 1, integer=True, low=1))
 
@@ -286,7 +289,7 @@ def _config_line(cfg: dict) -> str:
     return json.dumps(_repro_config(cfg), sort_keys=True, separators=(",", ":"))
 
 
-def write_csv(path: Path, cfg: dict, columns: list[str], rows: list[tuple]) -> None:
+def write_csv(path: Path, cfg: dict, columns: list[str], rows: Iterable) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# reproducibility: rerun with this resolved config\n")
         fh.write(f"# config: {_config_line(cfg)}\n")
@@ -428,6 +431,17 @@ def _run_alone(plan: Plan) -> tuple[Plan, list]:
     return plan, plan.alone()
 
 
+def _first_paths(problem: Problem, config: SamplerConfig, count: int
+                 ) -> Iterator[list[float]]:
+    """Paths [0, count) as lists, one at a time, from the pass's own batches."""
+    rows = batch_rows(problem.path_map.n)
+    for start in range(0, count, rows):
+        batch = sample(problem.path_map, problem.grid, config, start,
+                       min(rows, config.n_paths - start))
+        for path in batch.values[:count - start]:
+            yield path.tolist()
+
+
 def plan_tail(cfg: dict, problems: dict) -> Plan:
     us = _u_values(cfg)
     methods = cfg.get("methods", ["crude", "is"])
@@ -450,10 +464,8 @@ def plan_tail(cfg: dict, problems: dict) -> Plan:
     def write(out: Path, results: list) -> tuple[int, list[tuple] | None]:
         [estimates] = results
         if n_dump:
-            batch = sample(problem.path_map, grid, config, start=0, count=n_dump)
-            write_csv(out / "paths.csv", cfg,
-                      [f"x{i}" for i in range(grid.points.size)],
-                      [tuple(row) for row in batch.values])
+            write_csv(out / "paths.csv", cfg, [f"x{i}" for i in range(grid.points.size)],
+                      _first_paths(problem, config, n_dump))
         if "is" in methods:
             estimates = {"is": estimates, "crude": [e.meta["crude"] for e in estimates]}
         else:
@@ -479,7 +491,7 @@ def plan_tail(cfg: dict, problems: dict) -> Plan:
             if pts:
                 plot.add([p[0] for p in pts], [p[1] for p in pts], label=method, mode="both")
         plot.write(out / "tail.svg")
-        if "crude" in methods and all(e.meta["hits"] == 0 for e in estimates["crude"]):
+        if "is" not in methods and all(e.meta["hits"] == 0 for e in estimates["crude"]):
             print("tail_crude recorded zero hits at every u; use the change-of-measure "
                   "estimator for this range", file=sys.stderr)
             return EXIT_NUMERICAL, summary

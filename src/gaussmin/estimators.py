@@ -39,16 +39,10 @@ statistics per group of consecutive path indices, for a jackknife error bar on
 its fit.
 
 The batch is the one unit of a pass: of its memory and of its folds. A batch
-holds ``gauss_sim.batch_rows`` paths, the batch size capped at BATCH_VALUES
-normals in whole blocks (1792 paths at 1025 points), so a pass over a fine
-grid holds one table of at most 16 MiB on either path map. ``run_sweeps``
-adds the folds in path order whatever the worker count, so every number is a
-deterministic function of (seed, stream, n, batch rows, parameter) that no
-worker count changes. Counts (crude, small-ball, Y <= x, the diagnostic's
-survivors per group) are integer sums of per-path tests, so the batch size
-moves one only where it moves a path: on the dense map from 257 points, whose
-product rounds by the batch's shape. The weighted estimators add per-batch
-float sums, which different batch rows can move in the last bit.
+holds ``gauss_sim.batch_rows(n)`` paths, set by the grid alone (1792 at 1025
+points). ``run_sweeps`` adds the folds in path order whatever the worker
+count, so every number is a deterministic function of (seed, stream, n_paths,
+grid, parameter) that no worker count changes.
 """
 
 from __future__ import annotations
@@ -242,8 +236,7 @@ def _cpus() -> int:
 def run_sweeps(problem: Problem, config: SamplerConfig, sweeps: Sequence[Sweep]) -> list:
     """Each sweep's result, from one pass over ``config``'s paths on ``problem``.
 
-    The pass draws batches of ``gauss_sim.batch_rows`` paths: at most
-    ``config.batch_size``, and at most BATCH_VALUES normals. Every
+    The pass draws batches of ``gauss_sim.batch_rows(n)`` paths. Every
     sweep's ``fold`` reduces each batch, and this is the one place that totals
     folds: tuples add position by position, anything else by its ``+`` (a
     ``_LogSum`` by ``np.logaddexp``). A sweep's fold and total see the same
@@ -254,7 +247,7 @@ def run_sweeps(problem: Problem, config: SamplerConfig, sweeps: Sequence[Sweep])
     """
     path_map, grid = problem.path_map, problem.grid  # cached here, before workers read it
     argmins = frozenset().union(*(sweep.argmins for sweep in sweeps))
-    rows = batch_rows(path_map.n, config.batch_size)
+    rows = batch_rows(path_map.n)
 
     def run(start: int) -> tuple:   # the batch is freed before the next is drawn
         paths = sample(path_map, grid, config, start, min(rows, config.n_paths - start))

@@ -4,9 +4,9 @@ Sampling is block-addressed: path j is row j mod BLOCK_ROWS of block
 j // BLOCK_ROWS, and a block's (BLOCK_ROWS, n) table is drawn by numpy's
 ziggurat (``Generator.standard_normal``) from an SFC64 generator seeded by the
 fixed-width words of (seed, stream, block). So path j is the same array no
-matter the batch size, the order of generation, or how many workers produced
-it; a batch that starts or ends inside a block draws that block whole and
-keeps the rows it owns.
+matter how a batch cuts the paths, the order of generation, or how many
+workers produced it; a batch that starts or ends inside a block draws that
+block whole and keeps the rows it owns.
 
 A path map turns the normals xi into paths X. The dense map is X = xi L^T for
 the (jittered) Cholesky factor L of the Gram matrix from ``factorize``, the
@@ -32,11 +32,9 @@ x_R - log1p(-U) / x_R with a 53-bit uniform U < 1, so at most
 x_R + 53 log(2) / x_R. So every path value is finite,
 |X_i| < 13.8 sqrt(n (sigma_ii + jitter)).
 
-A pass of the estimators draws ``batch_rows`` paths per batch: at most the
-batch size, and at most BATCH_VALUES normals, rounded down to whole blocks,
-so a pass over a fine grid holds one table of at most 16 MiB (and, on the
-dense map, its X) whatever batch size it is given, and a default pass draws
-every block once.
+A pass of the estimators draws batches of ``batch_rows(n)`` paths, set by the
+grid alone, so a pass over a fine grid holds one table of at most 16 MiB
+(and, on the dense map, its X), and on up to 8192 points draws each block once.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ from .measure import GridMeasure
 BLOCK_ROWS = 256
 DEFAULT_JITTER_START = 1e-12
 DEFAULT_JITTER_MAX = 1e-6
-DEFAULT_BATCH = 16_384
 # Smallest grid whose paths take the O(n) Markov cumsum (a Problem solves on a
 # valid Markov form at any size). Measured per sampled value
 # (batches of 16384, one BLAS thread): the dense product costs 3-4 ns at 65
@@ -65,9 +62,9 @@ DEFAULT_BATCH = 16_384
 # size. At 129 points the two tie on time, and the cumsum needs no second
 # batch-sized array.
 MARKOV_MIN_POINTS = 129
-# Normals (8 B each) per batch at most, 16 MiB, rounded down to whole blocks:
-# a default batch of up to 128 points (16384 x 128 values) stays whole; a
-# 1025-point batch holds 1792 paths, a 4097-point batch 256.
+# Paths, and normals (8 B each, 16 MiB), per batch at most (``batch_rows``):
+# 16384 paths up to 128 points, 1792 at 1025 points, 256 at 4097.
+MAX_BATCH_ROWS = 16_384
 BATCH_VALUES = 2**21
 
 
@@ -82,12 +79,10 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Reproducible sampling plan: (seed, stream, path index) fixes every value.
-    A pass draws batches of at most ``batch_size`` paths (``batch_rows``)."""
+    """Reproducible sampling plan: (seed, stream, path index) fixes every value."""
 
     seed: int
     n_paths: int
-    batch_size: int = DEFAULT_BATCH
     stream: int = 0
     workers: int = 1
 
@@ -96,8 +91,6 @@ class SamplerConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -251,14 +244,14 @@ def standard_normals(seed: int, stream: int, start: int, count: int,
     return table[offset:offset + count]
 
 
-def batch_rows(n_points: int, batch_size: int) -> int:
-    """Paths per batch of a pass on ``n_points`` points: ``batch_size``, capped
+def batch_rows(n_points: int) -> int:
+    """Paths per batch of a pass on ``n_points`` points: MAX_BATCH_ROWS, capped
     at BATCH_VALUES normals per batch rounded down to whole blocks (at least
-    one path), so that no capped batch edge falls inside a block."""
+    one path), so that no batch edge falls inside a block."""
     rows = BATCH_VALUES // n_points
     if rows >= BLOCK_ROWS:
         rows -= rows % BLOCK_ROWS
-    return min(batch_size, max(1, rows))
+    return min(MAX_BATCH_ROWS, max(1, rows))
 
 
 def sample(factor: Factorization | MarkovPaths, grid: Grid, config: SamplerConfig,

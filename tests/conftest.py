@@ -22,6 +22,7 @@ from gaussmin import (
     SamplerConfig,
     ShiftedRootScale,
 )
+from gaussmin import gauss_sim
 from gaussmin.cli import main as cli_main
 
 # the three Gauss-Markov presets' kernels and intervals
@@ -70,6 +71,13 @@ def ou_problem_k5(ou, ou_grid_k5):
 
 def make_config(seed=4242, n_paths=100_000, **kw) -> SamplerConfig:
     return SamplerConfig(seed=seed, n_paths=n_paths, **kw)
+
+
+@pytest.fixture
+def row_cap(monkeypatch):
+    """``row_cap(rows)`` caps every pass's batches at ``rows`` paths for the
+    rest of the test, so that few paths make many batches."""
+    return lambda rows: monkeypatch.setattr(gauss_sim, "MAX_BATCH_ROWS", rows)
 
 
 def run_python(args: list[str], timeout: float = 120,

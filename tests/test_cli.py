@@ -13,7 +13,8 @@ import pytest
 import gaussmin.cli
 import gaussmin.estimators
 import gaussmin.optimizer
-from gaussmin import MAX_LEVEL, Kernel
+from gaussmin import (MAX_LEVEL, DyadicGrid, Kernel, OrnsteinUhlenbeck, Problem,
+                      SamplerConfig)
 from gaussmin.cli import main as cli_main
 from conftest import run_python
 
@@ -129,20 +130,22 @@ def test_smallball_requires_eps_list(run_cli):
 
 
 # every sweep parameter and sampling setting is checked before any pass over
-# the paths, so a bad one exits 3 and writes nothing
+# the paths, so a bad one exits 3, names its key and writes nothing; the
+# retired batch_size is refused the same way
 
 OU_K3 = {"kernel": {"type": "ou"}, "interval": [0.0, 1.0], "k": 3, "n_paths": 1000}
 
 
 @pytest.mark.parametrize("setting, extra", [
-    ({"n_paths": 0}, []), ({"batch_size": 0}, []), ({}, ["--threads", "0"]),
-    ({"n_paths": 1000.9}, []), ({"batch_size": True}, []), ({"seed": 7.5}, []),
+    ({"n_paths": 0}, []), ({"batch_size": 512}, []), ({}, ["--threads", "0"]),
+    ({"n_paths": 1000.9}, []), ({"seed": 7.5}, []),
     ({"stream": -1}, []), ({"stream": 2**64 - 1}, [])],
-    ids=["n_paths", "batch_size", "threads", "n_paths_float", "batch_size_bool", "seed_float",
+    ids=["n_paths", "batch_size", "threads", "n_paths_float", "seed_float",
          "stream_negative", "stream_past_diagnose"])
-def test_bad_sampling_setting_exits_3(run_cli, setting, extra):
+def test_bad_sampling_setting_exits_3(run_cli, capsys, setting, extra):
     code, out = run_cli("tail", config=dict(OU_K3, u_list=[1.0], **setting), extra=extra)
     assert code == EXIT_CONFIG
+    assert f"'{next(iter(setting), 'threads')}'" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -368,6 +371,19 @@ def test_tail_crude_only_zero_hits_exits_2(run_cli):
     assert not (out / "tail_summary.csv").exists()
 
 
+def test_tail_zero_crude_hits_exit_0_beside_the_change_of_measure(run_cli, capsys):
+    # the crude count is 0 at every u, but the change-of-measure estimate exists
+    code, out = run_cli("tail", config={
+        "kernel": {"type": "ou"}, "interval": [0.0, 1.0], "k": 3,
+        "u_list": [8.0], "n_paths": 5000})
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
+    _, _, crude = read_csv(out / "tail_crude.csv")
+    _, _, weighted = read_csv(out / "tail_is.csv")
+    assert crude[0][1] == 0.0
+    assert 0.0 < weighted[0][1] < 1e-20
+
+
 @pytest.mark.parametrize("methods", [[["is"]], {"is": 1}, [], ["cmc"], "is", ["is", 1]],
                          ids=["nested-list", "dict", "empty", "unknown", "string", "non-string"])
 def test_tail_methods_must_be_a_list_of_crude_and_is(run_cli, methods):
@@ -578,6 +594,27 @@ def test_tail_dump_paths(run_cli):
     assert len(rows) == 50
 
 
+def test_tail_dump_draws_the_pass_batches(run_cli, monkeypatch, row_cap):
+    # the dump draws its paths in the pass's own batches, one at a time, and
+    # keeps the rows it needs of the last
+    row_cap(256)
+    drawn = []
+    sample = gaussmin.cli.sample
+
+    def counted(path_map, grid, config, start, count):
+        drawn.append((start, count))
+        return sample(path_map, grid, config, start, count)
+
+    monkeypatch.setattr(gaussmin.cli, "sample", counted)
+    code, out = run_cli("tail", config={"preset": "ou", "n_paths": 2000, "dump_paths": 600})
+    assert code == EXIT_OK
+    assert drawn == [(0, 256), (256, 256), (512, 256)]
+    problem = Problem(OrnsteinUhlenbeck(), DyadicGrid(0.0, 1.0, 5))
+    paths = sample(problem.path_map, problem.grid, SamplerConfig(seed=12345, n_paths=600))
+    _, _, rows = read_csv(out / "paths.csv")
+    assert np.array_equal(np.array(rows), paths.values)
+
+
 # ---------------------------------------------------------------------------
 # argmin
 # ---------------------------------------------------------------------------
@@ -683,8 +720,9 @@ def test_diagnose_writes_strict_json_when_paths_are_few(run_cli, preset, cfg, se
         assert (row["D"] is None) == (row["u"] in excluded)
 
 
-def test_diagnose_thread_count_is_byte_invisible(run_cli, tmp_path):
-    cfg = {"preset": "ou", "n_paths": 20_001, "batch_size": 777}
+def test_diagnose_thread_count_is_byte_invisible(run_cli, tmp_path, row_cap):
+    row_cap(777)
+    cfg = {"preset": "ou", "n_paths": 20_001}
     code_a, out_a = run_cli("diagnose", config=cfg, out=tmp_path / "t1",
                             extra=["--threads", "1"])
     code_b, out_b = run_cli("diagnose", config=cfg, out=tmp_path / "t2",
@@ -784,9 +822,10 @@ def test_rerun_is_byte_identical(run_cli, tmp_path):
     assert tree_bytes(out_a) == tree_bytes(out_b)
 
 
-def test_thread_count_is_byte_invisible(run_cli, tmp_path):
+def test_thread_count_is_byte_invisible(run_cli, tmp_path, row_cap):
+    row_cap(512)
     cfg = {"kernel": {"type": "ou"}, "interval": [0.0, 1.0], "k": 3,
-           "u_list": [0.0, 1.0], "n_paths": 5000, "batch_size": 512}
+           "u_list": [0.0, 1.0], "n_paths": 5000}
     code_a, out_a = run_cli("tail", config=cfg, out=tmp_path / "t1",
                             extra=["--threads", "1"])
     code_b, out_b = run_cli("tail", config=cfg, out=tmp_path / "t8",

@@ -237,13 +237,15 @@ def test_correction_diagnostic_jackknife_covers_the_seed_spread(ou):
     assert 0.67 * se <= sd <= 1.5 * se, f"sd {sd:.4f} over seeds, jackknife se {se:.4f}"
 
 
-def test_correction_diagnostic_batch_size_moves_no_group_count():
-    # 257 points: a batch size of 16384 draws batches of 8065 paths, and
-    # 777 paths leave batches that straddle the group boundaries
+def test_correction_diagnostic_batch_size_moves_no_group_count(row_cap):
+    # 257 points: a pass draws batches of 7936 paths, and batches capped at
+    # 777 paths straddle the group boundaries
     problem = markov_problem("example1", 8)
     us = [2.0, 2.5, 3.0, 3.5, 4.0]
-    a, b = (correction_diagnostic(problem, us, make_config(n_paths=20_001, batch_size=size))
-            for size in (16384, 777))
+    cfg = make_config(n_paths=20_001)
+    a = correction_diagnostic(problem, us, cfg)
+    row_cap(777)
+    b = correction_diagnostic(problem, us, cfg)
     assert [[g[0] for g in u] for u in a.group_stats] == \
         [[g[0] for g in u] for u in b.group_stats]
     assert a.excluded == b.excluded
@@ -257,16 +259,22 @@ def test_correction_diagnostic_batch_size_moves_no_group_count():
     np.testing.assert_allclose(numbers(a), numbers(b), rtol=1e-12, atol=0)
 
 
-def test_log_sums_add_across_batches_with_no_survivor(ou_problem_k5):
+def test_log_sums_add_across_batches_with_no_survivor(ou_problem_k5, row_cap):
     # one path per batch: about 85% of the batches have no surviving path, so
     # most log sums of weights that are added start at -inf
     us = [1.0, 2.0, 3.0]
-    one, whole = (make_config(n_paths=2000, batch_size=size) for size in (1, 2000))
-    for a, b in zip(tail_is(ou_problem_k5, us, one), tail_is(ou_problem_k5, us, whole)):
-        assert 0 < a.meta["n_surviving"] == b.meta["n_surviving"] < 2000 // 2
-        assert a.meta["crude"].meta["hits"] == b.meta["crude"].meta["hits"]
-        assert a.log_value == pytest.approx(b.log_value, rel=1e-13, abs=0)
-    a, b = (correction_diagnostic(ou_problem_k5, us, cfg) for cfg in (one, whole))
+    cfg = make_config(n_paths=2000)   # one batch
+
+    def run():
+        return tail_is(ou_problem_k5, us, cfg), correction_diagnostic(ou_problem_k5, us, cfg)
+
+    whole, b = run()
+    row_cap(1)
+    one, a = run()
+    for x, y in zip(one, whole):
+        assert 0 < x.meta["n_surviving"] == y.meta["n_surviving"] < 2000 // 2
+        assert x.meta["crude"].meta["hits"] == y.meta["crude"].meta["hits"]
+        assert x.log_value == pytest.approx(y.log_value, rel=1e-13, abs=0)
     assert [[g[0] for g in u] for u in a.group_stats] == \
         [[g[0] for g in u] for u in b.group_stats]
 
@@ -276,13 +284,15 @@ def test_log_sums_add_across_batches_with_no_survivor(ou_problem_k5):
     np.testing.assert_allclose(logs(a), logs(b), rtol=1e-13, atol=0)
 
 
-def test_a_correction_sweep_cuts_its_path_groups_for_the_pass_it_runs_in(ou_problem_k5):
+def test_a_correction_sweep_cuts_its_path_groups_for_the_pass_it_runs_in(ou_problem_k5,
+                                                                         row_cap):
     # one sweep in a 1000-path and in a 3000-path pass: each result is that
     # pass's own diagnostic, with every path group filled
     us = [0.5, 1.0, 2.0]
     sweep = correction_sweep(ou_problem_k5, us)
+    row_cap(512)
     for n_paths in (1000, 3000):
-        cfg = make_config(n_paths=n_paths, batch_size=512, stream=1)
+        cfg = make_config(n_paths=n_paths, stream=1)
         [diagnostic] = run_sweeps(ou_problem_k5, cfg, [sweep])
         assert diagnostic == correction_diagnostic(ou_problem_k5, us, replace(cfg, stream=0))
         assert all(g[0] > 0 for g in diagnostic.group_stats[0])
@@ -391,10 +401,11 @@ def example2_problem_k5():
 
 @pytest.fixture(params=[("ou", 1), ("ou", 2), ("example2", 1), ("example2", 2)],
                 ids=lambda p: f"{p[0]}-workers{p[1]}")
-def sweep_case(request, ou_problem_k5, example2_problem_k5):
+def sweep_case(request, ou_problem_k5, example2_problem_k5, row_cap):
     name, workers = request.param
     problem = ou_problem_k5 if name == "ou" else example2_problem_k5
-    return problem, make_config(n_paths=5000, batch_size=768, workers=workers)
+    row_cap(768)
+    return problem, make_config(n_paths=5000, workers=workers)
 
 
 def test_sweep_problems_cover_full_and_partial_support(ou_problem_k5, example2_problem_k5):
@@ -410,14 +421,15 @@ def test_tail_list_equals_one_element_calls(sweep_case, estimator):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("batch_size", [16384, 777])
+@pytest.mark.parametrize("rows", [16384, 777])
 @pytest.mark.parametrize("name", ["ou", "example2"])
-def test_is_pass_counts_the_crude_hits(ou_problem_k5, example2_problem_k5, name, batch_size,
+def test_is_pass_counts_the_crude_hits(ou_problem_k5, example2_problem_k5, row_cap, name, rows,
                                        workers):
     # the crude hits counted in tail_is's pass use the unshifted test min X > u,
     # also where the tilt shifts IS's survival test (example2, partial support)
     problem = ou_problem_k5 if name == "ou" else example2_problem_k5
-    cfg = make_config(n_paths=40_000, batch_size=batch_size, workers=workers)
+    row_cap(rows)
+    cfg = make_config(n_paths=40_000, workers=workers)
     weighted = tail_is(problem, SWEEP_US, cfg)
     crude = tail_crude(problem, SWEEP_US, cfg)
     assert [e.meta["crude"] for e in weighted] == crude
@@ -465,17 +477,18 @@ def _same_laws(shared: list, alone: list) -> bool:
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("batch_size", [16384, 777])
+@pytest.mark.parametrize("rows", [16384, 777])
 @pytest.mark.parametrize("name", ["ou", "example2"])
-def test_shared_pass_equals_separate_calls(ou_problem_k5, example2_problem_k5, name,
-                                           batch_size, workers):
+def test_shared_pass_equals_separate_calls(ou_problem_k5, example2_problem_k5, row_cap, name,
+                                           rows, workers):
     # tail_is, the argmin law, m_x, both small balls and the diagnostic in one
     # pass share each batch's functionals and, on example2 (partial support),
     # the shifted paths of u = 0.5, 1, 2; in either order, each result is
     # exactly its estimator's alone. The diagnostic draws on stream + 1, so
     # the pass runs on stream 1 and the diagnostic alone is given stream 0.
     problem = ou_problem_k5 if name == "ou" else example2_problem_k5
-    cfg = make_config(n_paths=20_001, batch_size=batch_size, workers=workers, stream=1)
+    row_cap(rows)
+    cfg = make_config(n_paths=20_001, workers=workers, stream=1)
     xs = [1.0, 0.5, 1e-12]   # no path has Y <= 1e-12: a failure, shared too
     eps, diagnose_us = [2.0, 1.0, 0.5], [0.5, 1.0, 2.0]
     tail = tail_is(problem, SWEEP_US, cfg)
@@ -497,7 +510,7 @@ def test_shared_pass_equals_separate_calls(ou_problem_k5, example2_problem_k5, n
         assert shared_diagnostic == diagnostic
 
 
-def test_sampling_pool_is_capped_at_the_cpus(ou_problem_k2, monkeypatch):
+def test_sampling_pool_is_capped_at_the_cpus(ou_problem_k2, monkeypatch, row_cap):
     # no worker count moves a result, so a pass never opens more threads than
     # the CPUs this process may use; the recorder runs the batches serially,
     # so this starts no thread at all
@@ -517,7 +530,8 @@ def test_sampling_pool_is_capped_at_the_cpus(ou_problem_k2, monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(gaussmin.estimators, "ThreadPoolExecutor", Recorder)
-    cfg = make_config(n_paths=64, batch_size=1, workers=10**6)
+    row_cap(1)
+    cfg = make_config(n_paths=64, workers=10**6)
     assert (tail_is(ou_problem_k2, [0.0, 1.0], cfg)
             == tail_is(ou_problem_k2, [0.0, 1.0], replace(cfg, workers=1)))
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -538,9 +552,10 @@ def test_estimates_are_reproducible(ou_problem_k5):
     assert a.value != c.value
 
 
-def test_worker_count_never_changes_results(ou_problem_k5):
-    serial = make_config(n_paths=50_000, batch_size=4096, workers=1)
-    threaded = make_config(n_paths=50_000, batch_size=4096, workers=4)
+def test_worker_count_never_changes_results(ou_problem_k5, row_cap):
+    row_cap(4096)
+    serial = make_config(n_paths=50_000, workers=1)
+    threaded = make_config(n_paths=50_000, workers=4)
     [a] = tail_is(ou_problem_k5, [2.0], serial)
     [b] = tail_is(ou_problem_k5, [2.0], threaded)
     assert (a.value, a.stderr, a.log_value) == (b.value, b.stderr, b.log_value)

@@ -26,7 +26,7 @@ from gaussmin import gauss_sim
 from gaussmin.estimators import (argmin_conditional, argmin_sweep, correction_diagnostic,
                                  mx_sweep, run_sweeps, small_ball_sweep, tail_crude_sweep,
                                  tail_is_sweep)
-from gaussmin.gauss_sim import (BLOCK_ROWS, DEFAULT_BATCH, MARKOV_MIN_POINTS, MarkovPaths,
+from gaussmin.gauss_sim import (BLOCK_ROWS, MARKOV_MIN_POINTS, MAX_BATCH_ROWS, MarkovPaths,
                                 PathBatch, batch_rows, factorize, markov_form_valid,
                                 standard_normals)
 from conftest import MARKOV_KERNELS, make_config, markov_problem
@@ -153,25 +153,23 @@ def test_normal_table_law_across_block_edges():
 def test_sample_batch_size_does_not_change_paths(ou):
     grid = DyadicGrid(0.0, 1.0, 4)
     fac = factorize(ou.gram(grid))
-    cfg = make_config(n_paths=5000, batch_size=777)
+    cfg, rows = make_config(n_paths=5000), 777
     full = sample(fac, grid, cfg)
-    starts = range(0, cfg.n_paths, cfg.batch_size)
     stacked = np.vstack([
-        sample(fac, grid, cfg, start=s, count=min(cfg.batch_size, cfg.n_paths - s)).values
-        for s in starts])
+        sample(fac, grid, cfg, start=s, count=min(rows, cfg.n_paths - s)).values
+        for s in range(0, cfg.n_paths, rows)])
     assert np.array_equal(stacked, full.values)
 
 
 @pytest.mark.parametrize("k, n_paths", [(5, 2000), (10, 300)])
 def test_batch_sizes_give_the_same_paths(ou, k, n_paths):
     # 33 points on the dense map, 1025 on the Markov cumsum: batches of 1, 777
-    # and the pass's default rows, each drawing whole blocks where it starts
-    # or ends inside one, stack to the same paths
+    # and the pass's rows, each drawing whole blocks where it starts or ends
+    # inside one, stack to the same paths
     problem = Problem(ou, DyadicGrid(0.0, 1.0, k))
     cfg = make_config(n_paths=n_paths)
     stacks = []
-    for size in (1, 777, DEFAULT_BATCH):
-        rows = batch_rows(problem.grid.n, size)
+    for rows in (1, 777, batch_rows(problem.grid.n)):
         stacks.append(np.vstack([
             sample(problem.path_map, problem.grid, cfg, s, min(rows, n_paths - s)).values
             for s in range(0, n_paths, rows)]))
@@ -278,8 +276,8 @@ def test_sampler_config_validation():
         SamplerConfig(seed=2**64, n_paths=10)
     with pytest.raises(ValueError):
         SamplerConfig(seed=1, n_paths=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(seed=1, n_paths=10, batch_size=0)
+    with pytest.raises(TypeError):   # retired: the grid alone sets a pass's batches
+        SamplerConfig(seed=1, n_paths=10, batch_size=5)
     with pytest.raises(ValueError):
         SamplerConfig(seed=1, n_paths=10, workers=0)
 
@@ -354,19 +352,20 @@ def test_a_jittered_factor_leaves_the_path_map_to_the_markov_form():
         assert abs(e.value - crude.value) <= 4 * np.hypot(e.stderr, crude.stderr), e.meta["u"]
 
 
-def test_markov_route_is_bit_identical_across_batches_and_workers():
+def test_markov_route_is_bit_identical_across_batches_and_workers(row_cap):
     problem = markov_problem("example2", 8)  # partial support: the shifted min and argmin run
     assert isinstance(problem.path_map, MarkovPaths)
-    cfg = make_config(n_paths=6000, batch_size=777)
+    cfg, rows = make_config(n_paths=6000), 777
     full = sample(problem.path_map, problem.grid, cfg).values
     stacked = np.vstack([
         sample(problem.path_map, problem.grid, cfg, start=s,
-               count=min(cfg.batch_size, cfg.n_paths - s)).values
-        for s in range(0, cfg.n_paths, cfg.batch_size)])
+               count=min(rows, cfg.n_paths - s)).values
+        for s in range(0, cfg.n_paths, rows)])
     assert np.array_equal(stacked, full)
+    row_cap(rows)
     results = []
     for workers in (1, 2):
-        cfg = make_config(n_paths=6000, batch_size=777, workers=workers)
+        cfg = make_config(n_paths=6000, workers=workers)
         tails = [(e.value, e.stderr, e.log_value) for e in tail_is(problem, [0.0, 1.0, 2.0], cfg)]
         hists = [(h.weights.tolist(), ess) for h, ess in argmin_conditional(problem, [1.0], cfg)]
         results.append((tails, hists))
@@ -378,10 +377,10 @@ def test_one_fine_batch_allocates_about_one_keystream_buffer():
     # functionals does not compute the unread argmin
     problem = markov_problem("ou", 10)
     paths, measure = problem.path_map, problem.solution.measure
-    buffer = DEFAULT_BATCH * 1025 * 8
+    buffer = MAX_BATCH_ROWS * 1025 * 8
     tracemalloc.start()
     try:
-        batch = sample(paths, problem.grid, make_config(n_paths=DEFAULT_BATCH))
+        batch = sample(paths, problem.grid, make_config(n_paths=MAX_BATCH_ROWS))
         functionals(batch, measure)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -392,9 +391,9 @@ def test_one_fine_batch_allocates_about_one_keystream_buffer():
 def test_argmin_of_a_batch_is_the_leftmost_minimum_without_a_copy():
     problem = markov_problem("example1", 7)  # 129 points: the Markov route
     assert isinstance(problem.path_map, MarkovPaths)
-    batch = sample(problem.path_map, problem.grid, make_config(n_paths=DEFAULT_BATCH))
+    batch = sample(problem.path_map, problem.grid, make_config(n_paths=MAX_BATCH_ROWS))
     fn = functionals(batch, problem.solution.measure)
-    buffer = DEFAULT_BATCH * 129 * 8
+    buffer = MAX_BATCH_ROWS * 129 * 8
     tracemalloc.start()
     try:
         index = fn.argmin_index
@@ -411,20 +410,18 @@ def test_argmin_of_a_batch_is_the_leftmost_minimum_without_a_copy():
 
 
 def test_narrow_batches_stay_whole():
-    # up to 128 points a default batch keeps its 16384 rows; from 129 points
+    # up to 128 points a batch keeps its 16384 rows; from 129 points
     # the cap sets the rows: 2^21 // 129 = 16256, down to whole blocks
     for n in (33, 65, 128):
-        assert batch_rows(n, DEFAULT_BATCH) == DEFAULT_BATCH
-    assert batch_rows(129, DEFAULT_BATCH) == 16128
+        assert batch_rows(n) == MAX_BATCH_ROWS
+    assert batch_rows(129) == 16128
 
 
 def test_batch_rows_cap_the_keystream_of_a_batch():
     # 1025 points: 2^21 // 1025 = 2046 rows, down to 7 blocks of 256
-    assert batch_rows(1025, DEFAULT_BATCH) == 1792
-    assert batch_rows(1025, 10**6) == 1792
-    assert batch_rows(1025, 777) == 777   # a smaller batch size wins
-    assert batch_rows(4097, DEFAULT_BATCH) == BLOCK_ROWS   # 511 rows, down to one block
-    assert batch_rows(2**21 + 1, DEFAULT_BATCH) == 1   # at least one path
+    assert batch_rows(1025) == 1792
+    assert batch_rows(4097) == BLOCK_ROWS   # 511 rows, down to one block
+    assert batch_rows(2**21 + 1) == 1   # at least one path
 
 
 @pytest.mark.parametrize("k, n_paths", [(5, 3000), (10, 3000), (12, 1000)])
@@ -447,7 +444,7 @@ def test_a_default_pass_draws_each_block_once(monkeypatch, k, n_paths):
 
 @pytest.mark.parametrize("route", ["markov", "dense"])
 def test_a_fine_pass_holds_one_capped_batch(route):
-    # 1025 points: a default batch's normals would be 134 MB; the pass draws
+    # 1025 points: 16384 paths' normals would be 134 MB; the pass draws
     # 1792 paths at a time, and the dense map adds their X to the normals
     if route == "markov":
         problem, batches = markov_problem("ou", 10), 1
@@ -455,10 +452,10 @@ def test_a_fine_pass_holds_one_capped_batch(route):
         problem, batches = Problem(PowerExponential(0.5), DyadicGrid(0.0, 1.0, 10)), 2
     paths, _ = problem.path_map, problem.solution   # built before tracing
     assert isinstance(paths, MarkovPaths) == (route == "markov")
-    buffer = DEFAULT_BATCH * 1025 * 8
+    buffer = MAX_BATCH_ROWS * 1025 * 8
     tracemalloc.start()
     try:
-        tail_is(problem, [0.0, 1.0], make_config(n_paths=DEFAULT_BATCH))
+        tail_is(problem, [0.0, 1.0], make_config(n_paths=MAX_BATCH_ROWS))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -488,14 +485,11 @@ def _sweep_outputs(problem: Problem, cfg: SamplerConfig) -> list:
     ("example2", 8),   # partial support: shifted min and argmin
     ("example1", 10),
 ])
-def test_batch_sizes_above_the_cap_change_no_output(name, k):
-    # every batch size from the capped rows up draws batches of the same
-    # shapes, which the BLAS rounds alike, and no worker count moves a total;
+def test_worker_counts_change_no_capped_pass_output(name, k):
+    # no worker count moves a total of a pass whose batches the cap sets;
     # 20001 paths leave a short last batch
     problem = markov_problem(name, k)
-    capped = batch_rows(problem.grid.n, DEFAULT_BATCH)
-    assert capped < DEFAULT_BATCH
-    outputs = {(batch_size, workers): _sweep_outputs(problem, make_config(
-                   n_paths=20_001, batch_size=batch_size, workers=workers))
-               for batch_size, workers in [(capped, 1), (DEFAULT_BATCH, 2), (10**6, 1)]}
-    assert [run for run, out in outputs.items() if out != outputs[capped, 1]] == []
+    assert batch_rows(problem.grid.n) < MAX_BATCH_ROWS
+    one, two = (_sweep_outputs(problem, make_config(n_paths=20_001, workers=workers))
+                for workers in (1, 2))
+    assert one == two

@@ -22,7 +22,8 @@ problem = Problem(ModulatedBrownian(PowerScale(0.5), 1.0, 2.0), grid)
 config = SamplerConfig(seed=11, n_paths=200_000)
 
 u_list = [2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0]
-diag = correction_diagnostic(problem, u_list, config, beta=0.5)
+diag = correction_diagnostic(problem, u_list, config)
+beta = 0.5   # as in the example1 preset
 
 print(f"sigma*^2 = {problem.solution.sigma_star_sq:.6f} on {grid.n} points, "
       f"n = {config.n_paths} paths shared by every u\n")
@@ -32,8 +33,8 @@ for u, log_p, d in diag.rows:
 
 print(f"\nfitted exponent  = {diag.exponent:.4f} "
       f"(+/- {diag.exponent_halfwidth:.4f}, jackknife)")
-print(f"lower-bound rate = 1/(beta+1) = {diag.lower_bound_exponent:.4f} "
-      f"for roughness beta = {diag.beta}")
+print(f"lower-bound rate = 1/(beta+1) = {1.0 / (beta + 1.0):.4f} "
+      f"for roughness beta = {beta}")
 if diag.excluded:
     print(f"excluded u (no finite D < 0, pure noise): {diag.excluded}")
 else:

@@ -403,12 +403,9 @@ def cmd_analytic(cfg: dict, out: Path, problems: dict) -> tuple[int, dict]:
 
 
 def _u_values(cfg: dict, domain: str = "finite") -> list[float]:
-    if "u_list" in cfg:
-        us = _param_list(cfg["u_list"], "u_list", domain)
-    elif "u" in cfg:
-        us = _param_list([cfg["u"]], "u", domain)
-    else:
-        raise ConfigError("config needs 'u' or 'u_list'")
+    _require("u" not in cfg, "'u' is retired: give a one-element 'u_list'")
+    _require("u_list" in cfg, "config needs 'u_list'")
+    us = _param_list(cfg["u_list"], "u_list", domain)
     _require(len(us) >= 1, "empty u list")
     return us
 
@@ -593,7 +590,7 @@ def cmd_diagnose(cfg: dict, out: Path, problems: dict) -> tuple[int, dict]:
     beta = None if cfg.get("beta") is None else _number(cfg, "beta", None, low=0)
     config = sampler_config(local)
     problem = build_problem(local, problems)
-    diag = correction_diagnostic(problem, us, config, beta=beta)
+    diag = correction_diagnostic(problem, us, config)
     rows = [(u, est.value, est.stderr, lp, d)
             for (u, lp, d), est in zip(diag.rows, diag.estimates)]
     write_csv(out / "diagnose.csv", cfg, ["u", "p_hat", "stderr", "log_p", "D_u"], rows)
@@ -606,8 +603,8 @@ def cmd_diagnose(cfg: dict, out: Path, problems: dict) -> tuple[int, dict]:
         "halfwidth_method": "jackknife",
         "groups": JACKKNIFE_GROUPS,
         "excluded_u": list(diag.excluded),
-        "beta": diag.beta,
-        "lower_bound_exponent": diag.lower_bound_exponent,
+        "beta": beta,
+        "lower_bound_exponent": None if beta is None else 1.0 / (beta + 1.0),
         "sigma_star_sq": problem.solution.sigma_star_sq,
         "rows": [{"u": u, "log_p": _finite_or_none(lp), "D": _finite_or_none(d)}
                  for u, lp, d in diag.rows],
@@ -664,13 +661,19 @@ def _run_planned(study_cfg: dict, problems: dict) -> dict[str, tuple[Plan, list]
 def cmd_report(cfg: dict, out: Path, _problems: dict) -> tuple[int, None]:
     studies = cfg.get("studies", [])
     _require(isinstance(studies, list), "'studies' must be a list")
+    # a name is its study's directory under --out: all are checked before any stage writes
+    names = [study.get("name") if isinstance(study, dict) else None for study in studies]
+    for name in names:
+        _require(isinstance(name, str) and name not in ("", ".", "..")
+                 and not set(name) & set("/\\\0"), "each study needs a name that is one "
+                 f"path component: not empty, '.' or '..', no '/', '\\' or NUL; got {name!r}")
+    _require(len(set(names)) == len(names), f"two studies share a name in {names}")
     lines = ["# reproduction report", "",
              "Optimal measures, tails and argmin laws for minima of Gaussian "
              "processes on an interval.", "",
              f"Resolved master config: `{_config_line(cfg)}`", ""]
     any_failed = False
     for study in studies:
-        _require(isinstance(study, dict) and "name" in study, "each study needs a name")
         name = study["name"]
         scfg_base = resolve_config("report", {k: v for k, v in study.items()
                                               if k not in ("name",)},
@@ -818,16 +821,19 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             try:
                 file_config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-            except FileNotFoundError:
-                raise ConfigError(f"config file not found: {args.config}") from None
-            except json.JSONDecodeError as exc:
+            except OSError as exc:   # missing, a directory, or unreadable
+                raise ConfigError(f"cannot read --config {args.config}: {exc.strerror}") from None
+            except ValueError as exc:   # not JSON, or not UTF-8
                 raise ConfigError(f"malformed JSON in {args.config}: {exc}") from None
             if not isinstance(file_config, dict):
                 raise ConfigError("config root must be a JSON object")
         cfg = resolve_config(args.command, file_config, args.preset,
                              args.seed, args.threads)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:   # an existing file, or a path under one
+            raise ConfigError(f"cannot create --out {out}: {exc.strerror}") from None
         code, _ = COMMANDS[args.command](cfg, out, {})
         return code
     except ConfigError as exc:

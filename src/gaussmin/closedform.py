@@ -26,6 +26,7 @@ from .measure import (DensityPart, MixedMeasure, NegGGForm, PowerForm, UniformFo
                       energy, mean_function, normalize)
 
 CHECK_MESH = 512
+UNIT_MEAN_TOL = 1e-5
 A0_TOL = 1e-12
 A0_MAX_ITER = 200
 
@@ -150,24 +151,24 @@ def power_law_measure(alpha: float, a: float, b: float) -> MixedMeasure:
     return MixedMeasure.from_atoms((a, b), atoms, density)
 
 
-def sigma_star_from_mu(kernel: Kernel, mu: MixedMeasure, tol: float = 1e-5) -> float:
+def sigma_star_from_mu(kernel: Kernel, mu: MixedMeasure) -> float:
     """Optimal energy from an unnormalized measure with unit mean function.
 
-    Verifies mean_function(kernel, mu) = 1 on the support hull at 512 points
-    (tolerance ``tol``), then returns 1 / total mass, cross-checked against
-    the energy of the normalized measure within ``tol`` relative.
+    Verifies mean_function(kernel, mu) = 1 on the support hull at CHECK_MESH
+    points (within UNIT_MEAN_TOL), then returns 1 / total mass, cross-checked
+    against the energy of the normalized measure within UNIT_MEAN_TOL relative.
     """
     lo, hi = mu.support_hull()
     ts = np.linspace(lo, hi, CHECK_MESH)
     mf = mean_function(kernel, mu, ts)
     dev = float(np.abs(mf - 1.0).max())
-    if dev > tol:
+    if dev > UNIT_MEAN_TOL:
         raise ClosedFormError(
             f"mean function deviates from 1 by {dev:.3e} on the support hull: "
             "the measure is not optimal for this kernel")
     value = 1.0 / mu.total_mass
     cross = energy(kernel, normalize(mu))
-    if abs(cross - value) > tol * value:
+    if abs(cross - value) > UNIT_MEAN_TOL * value:
         raise ClosedFormError(
             f"energy cross-check failed: 1/mass {value:.10g} vs quadrature {cross:.10g}")
     return value

@@ -139,7 +139,6 @@ class Estimate:
     value: float
     stderr: float
     n: int
-    seed: int
     log_value: float
     meta: dict
 
@@ -276,7 +275,7 @@ def _binomial_estimate(hits: int, config: SamplerConfig, meta: dict) -> Estimate
     p = hits / n
     stderr = math.sqrt(p * (1.0 - p) / n)
     meta = dict(meta, hits=int(hits), zero_hits=(hits == 0))
-    return Estimate(value=p, stderr=stderr, n=n, seed=config.seed,
+    return Estimate(value=p, stderr=stderr, n=n,
                     log_value=math.log(p) if p > 0 else -math.inf, meta=meta)
 
 
@@ -369,7 +368,7 @@ def _is_estimate(u: float, total: tuple, problem: Problem, config: SamplerConfig
             "n_surviving": n_surv, "ess": ess, "rel_stderr": rel_stderr,
             "log_only": value == 0.0 and lse > -math.inf,
             "crude": _binomial_estimate(hits, config, {"method": "tail_crude", "u": u})}
-    return Estimate(value=value, stderr=stderr, n=n, seed=config.seed,
+    return Estimate(value=value, stderr=stderr, n=n,
                     log_value=log_p if lse > -math.inf else -math.inf, meta=meta)
 
 
@@ -431,10 +430,9 @@ class CorrectionDiagnostic:
     1.96 x the jackknife standard error of the slope over JACKKNIFE_GROUPS
     groups of consecutive paths (inf when a fit without some group has fewer
     than two usable points). ``group_stats[i][g]`` is u[i]'s (survivors,
-    sum w, sum w^2, log sum w) over group g. ``beta`` is the roughness
-    parameter of the kernel when known; 1/(beta+1) is then the proved
-    lower-bound exponent, reported for comparison (the Markov full-density
-    prediction for the slope itself is 2/3).
+    sum w, sum w^2, log sum w) over group g. The Markov full-density
+    prediction for the slope is 2/3; the proved lower-bound exponent is
+    1/(beta+1), for the kernel's roughness beta (``correction_diagnostic``).
     """
 
     rows: tuple[tuple[float, float, float], ...]   # (u, log_p, D)
@@ -444,21 +442,16 @@ class CorrectionDiagnostic:
     estimates: tuple[Estimate, ...]
     group_stats: tuple[tuple[tuple[int, float, float, float], ...], ...]
     excluded: tuple[float, ...] = ()
-    beta: float | None = None
-
-    @property
-    def lower_bound_exponent(self) -> float | None:
-        return 1.0 / (self.beta + 1.0) if self.beta is not None else None
 
 
 def fit_correction_exponent(u_values: Sequence[float], log_p_values: Sequence[float],
-                            sigma_sq: float) -> tuple[float, float, float, np.ndarray]:
+                            sigma_sq: float) -> tuple[float, float, np.ndarray]:
     """Fit log(-D) = exponent * log u + intercept over points with finite D < 0.
 
-    Returns (exponent, intercept, halfwidth, used_mask); the half-width is
-    1.96 x the standard regression error of the slope (0 when only two
-    points are used). A u where no path survives has log_p = D = -inf and
-    is not used.
+    Returns (exponent, intercept, used_mask). The fit gives no error bar: the
+    points of one sweep share their paths, so their errors are correlated,
+    and ``correction_diagnostic`` takes a jackknife over path groups instead.
+    A u where no path survives has log_p = D = -inf and is not used.
     """
     u = np.asarray(u_values, dtype=float)
     log_p = np.asarray(log_p_values, dtype=float)
@@ -475,15 +468,7 @@ def fit_correction_exponent(u_values: Sequence[float], log_p_values: Sequence[fl
     x = np.log(u[used])
     y = np.log(-d[used])
     slope, intercept = np.polyfit(x, y, 1)
-    m = x.size
-    if m > 2:
-        resid = y - (slope * x + intercept)
-        s_sq = float(resid @ resid) / (m - 2)
-        se = math.sqrt(s_sq / float(((x - x.mean()) ** 2).sum()))
-        halfwidth = 1.96 * se
-    else:
-        halfwidth = 0.0
-    return float(slope), float(intercept), halfwidth, used
+    return float(slope), float(intercept), used
 
 
 def _group_stats(u: float, s2: float, y: np.ndarray, low_min: np.ndarray,
@@ -523,25 +508,25 @@ def _jackknife_halfwidth(us: list[float], lse: np.ndarray, s2: float, n: int) ->
     return 1.96 * math.sqrt((n_groups - 1) / n_groups * float(spread @ spread))
 
 
-def correction_diagnostic(problem: Problem, u_list: Sequence[float], config: SamplerConfig,
-                          beta: float | None = None) -> CorrectionDiagnostic:
+def correction_diagnostic(problem: Problem, u_list: Sequence[float],
+                          config: SamplerConfig) -> CorrectionDiagnostic:
     """Estimate D(u) over a u sweep and fit its growth exponent.
 
     One pass on stream ``config.stream + 1`` estimates every u: the
     estimates are exactly ``tail_is``'s on that stream. Errors of log p(u)
     on shared paths are positively correlated and largely cancel in the
-    slope, so the half-width is not the regression's (which assumes
-    independent points) but a jackknife over JACKKNIFE_GROUPS groups of
-    consecutive paths: path j is in group j * JACKKNIFE_GROUPS // n_paths.
-    The groups depend on the path index only, so no batch size or worker
-    count moves a survivor count.
+    slope, which a regression error bar would take as independent, so the
+    half-width is a jackknife over JACKKNIFE_GROUPS groups of consecutive
+    paths: path j is in group j * JACKKNIFE_GROUPS // n_paths. The groups
+    depend on the path index only, so no batch cut or worker count moves a
+    survivor count. The exponent is to be read beside the proved lower-bound
+    exponent 1/(beta+1) of a kernel of roughness beta, which the caller knows.
     """
     config = replace(config, stream=config.stream + 1)
-    return run_sweeps(problem, config, [correction_sweep(problem, u_list, beta)])[0]
+    return run_sweeps(problem, config, [correction_sweep(problem, u_list)])[0]
 
 
-def correction_sweep(problem: Problem, u_list: Sequence[float],
-                     beta: float | None = None) -> Sweep:
+def correction_sweep(problem: Problem, u_list: Sequence[float]) -> Sweep:
     """``correction_diagnostic``'s sweep: ``tail_is_sweep``'s fold, and each
     u's statistics per group of the pass's paths; its finish fits the
     exponent."""
@@ -561,7 +546,7 @@ def correction_sweep(problem: Problem, u_list: Sequence[float],
         estimates = tuple(tail.finish(total[0], config))
         groups = [(*g[:3], g[3].log) for g in total[1]]
         log_ps = [e.log_value for e in estimates]
-        exponent, intercept, _, used = fit_correction_exponent(us, log_ps, s2)
+        exponent, intercept, used = fit_correction_exponent(us, log_ps, s2)
         halfwidth = _jackknife_halfwidth(us, np.array([g[3] for g in groups]), s2,
                                          config.n_paths)
         rows = tuple((u, lp, lp + u * u / (2.0 * s2)) for u, lp in zip(us, log_ps))
@@ -569,7 +554,7 @@ def correction_sweep(problem: Problem, u_list: Sequence[float],
         group_stats = tuple(tuple(zip(*(column.tolist() for column in g))) for g in groups)
         return CorrectionDiagnostic(rows=rows, exponent=exponent, intercept=intercept,
                                     exponent_halfwidth=halfwidth, estimates=estimates,
-                                    group_stats=group_stats, excluded=excluded, beta=beta)
+                                    group_stats=group_stats, excluded=excluded)
 
     return Sweep(fold, finish)
 

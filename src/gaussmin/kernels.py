@@ -254,6 +254,8 @@ class ExplicitGram(Kernel):
             raise ValueError("matrix must be square")
         if pts.ndim != 1 or pts.size != m.shape[0]:
             raise ValueError("points must match the matrix dimension")
+        if not np.all(np.diff(pts) > 0):   # _index_of searches them in order
+            raise ValueError("points must be strictly increasing")
         if not np.allclose(m, m.T, rtol=0, atol=1e-12 * max(1.0, np.abs(m).max())):
             raise ValueError("matrix must be symmetric")
         m = 0.5 * (m + m.T)  # exact symmetry

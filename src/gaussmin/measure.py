@@ -20,7 +20,7 @@ from .exceptions import DomainError, GridMismatchError
 from .grids import Grid
 from .kernels import Kernel, ScaleFunction
 
-DEFAULT_QUAD_POINTS = 4096  # 2**12 composite midpoint panels
+QUAD_POINTS = 4096  # 2**12 composite midpoint panels in every density quadrature
 # Kernel entries per quadrature block (1 MiB): a kernel's pairwise makes a few
 # block-sized temporaries, so the energy and mean-function sums stay small.
 QUAD_BLOCK = 2**17
@@ -101,7 +101,7 @@ class MixedMeasure:
     """Atoms plus an optional density on a compact interval.
 
     ``total_mass`` is cached at construction (atom sum plus midpoint
-    quadrature of the density at ``DEFAULT_QUAD_POINTS`` panels).
+    quadrature of the density at ``QUAD_POINTS`` panels).
     """
 
     interval: tuple[float, float]
@@ -184,10 +184,10 @@ class MixedMeasure:
         return out
 
 
-def _density_mass(density: DensityPart | None, n: int = DEFAULT_QUAD_POINTS) -> float:
+def _density_mass(density: DensityPart | None) -> float:
     if density is None:
         return 0.0
-    xs, h = _midpoints(density.lo, density.hi, n)
+    xs, h = _midpoints(density.lo, density.hi, QUAD_POINTS)
     return float(np.sum(density.eval(xs)) * h)
 
 
@@ -233,12 +233,11 @@ def normalize(m: MixedMeasure) -> MixedMeasure:
     return MixedMeasure(m.interval, m.atom_locations, m.atom_masses * scale, density)
 
 
-def energy(kernel: Kernel, m: MixedMeasure | GridMeasure,
-           quadrature_points: int = DEFAULT_QUAD_POINTS) -> float:
+def energy(kernel: Kernel, m: MixedMeasure | GridMeasure) -> float:
     """Double integral of the covariance against the measure squared.
 
     Atom-atom terms are exact; atom-density and density-density terms use
-    composite midpoint rules at the requested resolution. Deterministic.
+    composite midpoint rules of QUAD_POINTS panels. Deterministic.
     """
     if isinstance(m, GridMeasure):
         sigma = kernel.gram(m.grid)
@@ -248,22 +247,21 @@ def energy(kernel: Kernel, m: MixedMeasure | GridMeasure,
     if locs.size:
         total += float(masses @ kernel.pairwise(locs, locs) @ masses)
     if m.density is not None:
-        xs, h = _midpoints(m.density.lo, m.density.hi, quadrature_points)
+        xs, h = _midpoints(m.density.lo, m.density.hi, QUAD_POINTS)
         fw = m.density.eval(xs) * h
         if locs.size:
             total += 2.0 * float(masses @ kernel.pairwise(locs, xs) @ fw)
         # density-density in row blocks to bound memory
-        block = max(1, QUAD_BLOCK // quadrature_points)
+        block = QUAD_BLOCK // QUAD_POINTS
         acc = 0.0
-        for i in range(0, quadrature_points, block):
+        for i in range(0, QUAD_POINTS, block):
             rows = kernel.pairwise(xs[i:i + block], xs)
             acc += float(fw[i:i + block] @ rows @ fw)
         total += acc
     return total
 
 
-def mean_function(kernel: Kernel, m: MixedMeasure | GridMeasure, eval_points,
-                  quadrature_points: int = DEFAULT_QUAD_POINTS) -> np.ndarray:
+def mean_function(kernel: Kernel, m: MixedMeasure | GridMeasure, eval_points) -> np.ndarray:
     """m(t) = integral of R(t, s) against the measure, at each requested t."""
     ts = np.atleast_1d(np.asarray(eval_points, dtype=float))
     if isinstance(m, GridMeasure):
@@ -272,16 +270,15 @@ def mean_function(kernel: Kernel, m: MixedMeasure | GridMeasure, eval_points,
     if m.atom_locations.size:
         out += kernel.pairwise(ts, m.atom_locations) @ m.atom_masses
     if m.density is not None:
-        xs, h = _midpoints(m.density.lo, m.density.hi, quadrature_points)
+        xs, h = _midpoints(m.density.lo, m.density.hi, QUAD_POINTS)
         fw = m.density.eval(xs) * h
-        block = max(1, QUAD_BLOCK // quadrature_points)  # rows of ts, to bound memory
+        block = QUAD_BLOCK // QUAD_POINTS  # rows of ts, to bound memory
         for i in range(0, ts.size, block):
             out[i:i + block] += kernel.pairwise(ts[i:i + block], xs) @ fw
     return out
 
 
-def discretize(m: MixedMeasure, grid: Grid,
-               quadrature_points: int = DEFAULT_QUAD_POINTS) -> GridMeasure:
+def discretize(m: MixedMeasure, grid: Grid) -> GridMeasure:
     """Project a probability measure onto a grid.
 
     Atoms move to the nearest grid point (leftmost on ties); density mass over
@@ -298,7 +295,7 @@ def discretize(m: MixedMeasure, grid: Grid,
         edges = np.concatenate(([pts[0]], 0.5 * (pts[:-1] + pts[1:]), [pts[-1]]))
         edges[0] = min(edges[0], m.density.lo)
         edges[-1] = max(edges[-1], m.density.hi)
-        per_cell = max(4, quadrature_points // pts.size)
+        per_cell = max(4, QUAD_POINTS // pts.size)
         for i in range(pts.size):
             lo = max(edges[i], m.density.lo)
             hi = min(edges[i + 1], m.density.hi)

@@ -27,10 +27,10 @@ Sigma_PP^-1 1 on any point subset P, because (r_P, q_P) is again a Markov
 form: each active-set step of the NNLS is O(n). ``markov_form_valid`` (finite
 r increments > 0, finite 1/q and variances q^2 r) is the PSD check of this route.
 
-The returned measure is then certified by ``certify`` through its mean vector
-m = Sigma nu (two cumulative sums on the Markov route): feasibility requires
-min_j m_j >= sigma*^2 with equality on the support, and sigma*^2 is exactly
-nu^T m of the returned weights.
+The returned measure is certified through m = Sigma nu by the route's own
+matvec (``certify`` screens a matrix or form from outside first): feasibility
+needs min_j m_j >= sigma*^2, with equality on the support, within CERTIFY_TOL
+relative, and sigma*^2 is exactly nu^T m of the returned weights.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ def __getattr__(name: str):
 
 
 SUPPORT_TOL = 1e-9          # relative weight below which a point is off-support
+CERTIFY_TOL = 1e-8          # relative tolerance of a certificate's slack and support
 NNLS_TOL = 1e-12            # NNLS: a point joins while 1 - (Sigma x)_j exceeds this
 
 
@@ -90,9 +91,9 @@ class CertificateReport:
 class OptimalSolution:
     """Optimal grid measure with the ``CertificateReport`` that passed it.
 
-    Invariants: min_j m_j >= sigma_star_sq * (1 - 1e-8); |m_j - sigma_star_sq|
-    <= 1e-8 * sigma_star_sq for j in support; sigma_star_sq = nu^T Sigma nu
-    of ``measure.weights``, exactly.
+    Invariants, with tol = CERTIFY_TOL: min_j m_j >= sigma_star_sq * (1 - tol);
+    |m_j - sigma_star_sq| <= tol * sigma_star_sq for j in support; sigma_star_sq
+    = nu^T Sigma nu of ``measure.weights``, exactly.
     """
 
     measure: GridMeasure
@@ -156,12 +157,12 @@ class RefinementTrace:
 # ---------------------------------------------------------------------------
 
 
-def certify(sigma: np.ndarray | tuple[np.ndarray, np.ndarray], measure: GridMeasure,
-            tol: float = 1e-8) -> CertificateReport:
+def certify(sigma: np.ndarray | tuple[np.ndarray, np.ndarray],
+            measure: GridMeasure) -> CertificateReport:
     """Report first-order optimality of ``measure`` for ``sigma``.
 
     ``sigma`` is a Gram matrix or a Markov form (r, q) (module doc). Always
-    returns a report; ``passed`` is the verdict at relative tolerance ``tol``.
+    returns a report; ``passed`` is the verdict at relative tolerance CERTIFY_TOL.
     ``sigma`` is screened first, since it may come from outside a ``Problem``:
     a matrix must be square, finite, symmetric, with a nonnegative diagonal
     and Cauchy-Schwarz, a Markov form pass ``markov_form_valid``.
@@ -175,12 +176,17 @@ def certify(sigma: np.ndarray | tuple[np.ndarray, np.ndarray], measure: GridMeas
     w = measure.weights
     if w.size != n:
         raise OptimizerError(f"measure has {w.size} weights for a {n}-point Gram")
-    m = _markov_matvec(r, q, w) if isinstance(sigma, tuple) else sigma @ w
+    return _report(_markov_matvec(r, q, w) if isinstance(sigma, tuple) else sigma @ w, w)
+
+
+def _report(m: np.ndarray, w: np.ndarray) -> CertificateReport:
+    """The certificate of weights ``w`` with mean vector m = Sigma w."""
     sigma_sq = float(w @ m)
     support = w > SUPPORT_TOL * w.max()
     min_slack = float(m.min() - sigma_sq)
     max_violation = float(np.abs(m[support] - sigma_sq).max())
-    passed = bool(min_slack >= -tol * sigma_sq and max_violation <= tol * sigma_sq)
+    tol = CERTIFY_TOL * sigma_sq
+    passed = bool(min_slack >= -tol and max_violation <= tol)
     return CertificateReport(m=m, sigma_sq=sigma_sq, min_slack=min_slack,
                              max_support_violation=max_violation, passed=passed)
 
@@ -344,7 +350,7 @@ def solve_simplex_qp(sigma: np.ndarray | tuple[np.ndarray, np.ndarray],
     else:
         (w, steps), method = _active_set(matvec, theta_on, n, route), "nnls"
     measure = GridMeasure.from_raw(grid, w)
-    report = certify(sigma, measure)
+    report = _report(matvec(measure.weights), measure.weights)   # sigma passed the route's check
     if not report.passed:
         raise OptimizerError(
             f"certificate violated: min slack {report.min_slack:.3e}, support deviation "

@@ -224,13 +224,13 @@ def test_criterion_07_correction_exponent():
     u_list = [2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0]
     sigma_sq = 0.85
     planted = [planted_logp(u, sigma_sq, gamma=2 / 3) for u in u_list]
-    slope, _, _, _ = fit_correction_exponent(u_list, planted, sigma_sq)
+    slope, _, _ = fit_correction_exponent(u_list, planted, sigma_sq)
     planted_ok = abs(slope - 2 / 3) <= 1e-6
 
     t0 = time.perf_counter()
     kern = ModulatedBrownian(PowerScale(0.5), 1.0, 2.0)
     problem = Problem(kern, DyadicGrid(1.0, 2.0, 6))
-    diag = correction_diagnostic(problem, u_list, config(1_000_000), beta=0.5)
+    diag = correction_diagnostic(problem, u_list, config(1_000_000))
     elapsed = time.perf_counter() - t0
 
     d_ok = all(d < 0 for _, _, d in diag.rows) and not diag.excluded

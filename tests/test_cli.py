@@ -65,9 +65,29 @@ def test_malformed_json_exits_3(tmp_path):
         == EXIT_CONFIG
 
 
+def test_config_that_is_not_utf8_exits_3(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert cli_main(["solve", "--config", str(bad), "--out", str(tmp_path / "o")]) \
+        == EXIT_CONFIG
+
+
 def test_missing_config_file_exits_3(tmp_path):
     assert cli_main(["solve", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+def test_config_that_is_a_directory_exits_3(tmp_path, capsys):
+    assert cli_main(["solve", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) \
+        == EXIT_CONFIG
+    assert "config error: cannot read --config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["existing_file", "under_a_file"])
+def test_out_that_cannot_be_a_directory_exits_3(tmp_path, capsys, out):
+    (tmp_path / "taken").write_text("")
+    assert cli_main(["solve", "--preset", "ou", "--out", str(tmp_path / out)]) == EXIT_CONFIG
+    assert "config error: cannot create --out" in capsys.readouterr().err
 
 
 def test_non_object_config_exits_3(tmp_path):
@@ -90,7 +110,7 @@ def test_missing_kernel_exits_3(run_cli):
 def test_level_out_of_range_exits_3(run_cli):
     code, _ = run_cli("tail", config={"kernel": {"type": "ou"},
                                       "interval": [0.0, 1.0],
-                                      "k": MAX_LEVEL + 1, "u": 1.0})
+                                      "k": MAX_LEVEL + 1, "u_list": [1.0]})
     assert code == EXIT_CONFIG
 
 
@@ -98,6 +118,17 @@ def test_analytic_rejects_explicit_kernel(run_cli):
     code, _ = run_cli("analytic", config={"kernel": {"type": "explicit",
                                                      "matrix": [[1.0]]}})
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["solve", "tail"])
+def test_unsorted_explicit_points_exit_3(run_cli, capsys, command):
+    code, out = run_cli(command, config={
+        "kernel": {"type": "explicit", "matrix": [[1.0, 0.5], [0.5, 1.0]],
+                   "points": [1.0, 0.0]},
+        "u_list": [1.0], "n_paths": 100})
+    assert code == EXIT_CONFIG
+    assert "strictly increasing" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 INF_GRAM = {"kernel": {"type": "modulated_bm",
@@ -131,7 +162,7 @@ def test_smallball_requires_eps_list(run_cli):
 
 # every sweep parameter and sampling setting is checked before any pass over
 # the paths, so a bad one exits 3, names its key and writes nothing; the
-# retired batch_size is refused the same way
+# retired batch_size and u are refused the same way
 
 OU_K3 = {"kernel": {"type": "ou"}, "interval": [0.0, 1.0], "k": 3, "n_paths": 1000}
 
@@ -139,9 +170,9 @@ OU_K3 = {"kernel": {"type": "ou"}, "interval": [0.0, 1.0], "k": 3, "n_paths": 10
 @pytest.mark.parametrize("setting, extra", [
     ({"n_paths": 0}, []), ({"batch_size": 512}, []), ({}, ["--threads", "0"]),
     ({"n_paths": 1000.9}, []), ({"seed": 7.5}, []),
-    ({"stream": -1}, []), ({"stream": 2**64 - 1}, [])],
+    ({"stream": -1}, []), ({"stream": 2**64 - 1}, []), ({"u": 1.0}, [])],
     ids=["n_paths", "batch_size", "threads", "n_paths_float", "seed_float",
-         "stream_negative", "stream_past_diagnose"])
+         "stream_negative", "stream_past_diagnose", "u"])
 def test_bad_sampling_setting_exits_3(run_cli, capsys, setting, extra):
     code, out = run_cli("tail", config=dict(OU_K3, u_list=[1.0], **setting), extra=extra)
     assert code == EXIT_CONFIG
@@ -424,7 +455,8 @@ def test_tail_preset_in_config_file(run_cli):
 
 def test_preset_flag_wins_over_the_config_files_preset(run_cli):
     # flags override the config file, the preset included
-    code, out = run_cli("tail", config={"preset": "example1", "n_paths": 1000, "u": 0.0},
+    code, out = run_cli("tail", config={"preset": "example1", "n_paths": 1000,
+                                        "u_list": [0.0]},
                         extra=["--preset", "ou"])
     assert code == EXIT_OK
     headers, _, _ = read_csv(out / "tail_crude.csv")
@@ -435,7 +467,8 @@ def test_preset_flag_wins_over_the_config_files_preset(run_cli):
 def test_tail_builds_gram_factor_and_solution_once(run_cli, monkeypatch):
     # one Problem serves all ten estimates: one Gram matrix and one Cholesky
     # factor for the 33-point path map, and one certificate, from the solve
-    # on the kernel's Markov form
+    # on the kernel's Markov form (every certificate, the solver's and
+    # certify's, is made by optimizer._report)
     calls = Counter()
 
     def counted(name, fn):
@@ -448,8 +481,8 @@ def test_tail_builds_gram_factor_and_solution_once(run_cli, monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
     monkeypatch.setattr(gaussmin.optimizer, "cho_factor",
                         counted("cholesky", gaussmin.optimizer.cho_factor))
-    for mod in (gaussmin.optimizer, gaussmin.estimators, gaussmin.cli):
-        monkeypatch.setattr(mod, "certify", counted("certify", mod.certify))
+    monkeypatch.setattr(gaussmin.optimizer, "_report",
+                        counted("certify", gaussmin.optimizer._report))
     code, _ = run_cli("tail", config={"preset": "ou", "n_paths": 2000})
     assert code == EXIT_OK
     assert calls == {"gram": 1, "cholesky": 1, "certify": 1}
@@ -587,7 +620,7 @@ def test_sweep_draws_each_path_once_per_estimator(run_cli, monkeypatch, command,
 def test_tail_dump_paths(run_cli):
     code, out = run_cli("tail", config={
         "kernel": {"type": "ou"}, "interval": [0.0, 1.0], "k": 2,
-        "u": 1.0, "n_paths": 2000, "dump_paths": 50})
+        "u_list": [1.0], "n_paths": 2000, "dump_paths": 50})
     assert code == EXIT_OK
     _, columns, rows = read_csv(out / "paths.csv")
     assert columns == [f"x{i}" for i in range(5)]
@@ -689,7 +722,8 @@ def test_diagnose_outputs(run_cli):
     for key in ("exponent", "intercept", "exponent_halfwidth", "excluded_u",
                 "beta", "lower_bound_exponent", "sigma_star_sq", "rows"):
         assert key in doc, key
-    assert doc["lower_bound_exponent"] == pytest.approx(0.5)
+    # the config's beta, and the proved lower-bound exponent 1/(beta+1)
+    assert (doc["beta"], doc["lower_bound_exponent"]) == (1.0, 0.5)
     assert (doc["halfwidth_method"], doc["groups"]) == ("jackknife", 10)
     assert len(doc["rows"]) == 3
     _, columns, rows = read_csv(out / "diagnose.csv")
@@ -741,6 +775,21 @@ def test_report_with_no_studies(run_cli):
     assert code == EXIT_OK
     text = (out / "report.md").read_text()
     assert text.startswith("# reproduction report")
+
+
+@pytest.mark.parametrize("names", [
+    ["ok", "../escaped"], ["ok", ""], ["ok", 7], ["ok", "ok"], ["ok", "."], ["ok", ".."],
+    ["ok", "a/b"], ["ok", "a\\b"]],
+    ids=["parent", "empty", "not_a_string", "duplicate", "dot", "dotdot", "slash",
+         "backslash"])
+def test_report_bad_study_name_exits_3_before_any_stage(run_cli, tmp_path, names):
+    # a study's name is its directory under --out: a bad one is refused
+    # before the good study ahead of it runs, and nothing is written anywhere
+    code, out = run_cli("report", config={"studies": [
+        {"name": name, "preset": "ou", "n_paths": 1000} for name in names]})
+    assert code == EXIT_CONFIG
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "report_config.json"]
+    assert list(out.iterdir()) == []
 
 
 def report_sections(text: str) -> dict[str, list[str]]:

@@ -162,11 +162,10 @@ def test_fit_recovers_a_planted_exponent():
     sigma_sq = 2 / 3
     u = np.array([2.0, 3.0, 4.0, 5.0, 8.0])
     log_p = np.array([planted_logp(x, sigma_sq, gamma=2 / 3, scale=1.3) for x in u])
-    slope, intercept, halfwidth, used = fit_correction_exponent(u, log_p, sigma_sq)
+    slope, intercept, used = fit_correction_exponent(u, log_p, sigma_sq)
     assert slope == pytest.approx(2 / 3, abs=1e-6)
     assert intercept == pytest.approx(np.log(1.3), abs=1e-6)
     assert used.all()
-    assert halfwidth == pytest.approx(0.0, abs=1e-6)
 
 
 def test_fit_excludes_nonnegative_deviations():
@@ -174,18 +173,9 @@ def test_fit_excludes_nonnegative_deviations():
     u = np.array([1.0, 2.0, 3.0, 4.0])
     log_p = np.array([planted_logp(x, sigma_sq) for x in u])
     log_p[1] = -u[1] ** 2 / (2 * sigma_sq) + 0.5  # D(u_2) = +0.5
-    slope, _, _, used = fit_correction_exponent(u, log_p, sigma_sq)
+    slope, _, used = fit_correction_exponent(u, log_p, sigma_sq)
     assert list(used) == [True, False, True, True]
     assert slope == pytest.approx(2 / 3, abs=1e-6)
-
-
-def test_fit_reports_uncertainty_for_noisy_points():
-    sigma_sq = 0.5
-    u = np.array([1.0, 2.0, 4.0, 8.0])
-    noise = np.array([0.0, 1e-2, -1e-2, 5e-3])
-    log_p = np.array([planted_logp(x, sigma_sq) for x in u]) + noise
-    _, _, halfwidth, _ = fit_correction_exponent(u, log_p, sigma_sq)
-    assert halfwidth > 0
 
 
 def test_fit_input_validation():
@@ -204,17 +194,16 @@ def test_correction_diagnostic_end_to_end(ou):
     problem = Problem(ou, DyadicGrid(0.0, 1.0, 4))
     cfg = make_config(n_paths=20_000)
     us = [1.0, 2.0, 3.0]
-    diag = correction_diagnostic(problem, us, cfg, beta=1.0)
+    diag = correction_diagnostic(problem, us, cfg)
     assert len(diag.rows) == 3
     assert all(d < 0 for _, _, d in diag.rows)
     assert 0 < diag.exponent < 1.2
     assert 0 < diag.exponent_halfwidth < 0.2
-    assert diag.lower_bound_exponent == pytest.approx(0.5)
     # one pass for every u, on the first substream: each estimate is tail_is's
     # there, field for field (meta, with its crude Estimate, included)
     again = tail_is(problem, us, replace(cfg, stream=cfg.stream + 1))
     for est, ref in zip(diag.estimates, again, strict=True):
-        for name in ("value", "stderr", "n", "seed", "log_value", "meta"):
+        for name in ("value", "stderr", "n", "log_value", "meta"):
             assert getattr(est, name) == getattr(ref, name), name
     # the groups split the paths: their sums are the estimate's totals
     for est, groups in zip(diag.estimates, diag.group_stats):
@@ -563,13 +552,13 @@ def test_worker_count_never_changes_results(ou_problem_k5, row_cap):
 
 def test_estimate_validation():
     with pytest.raises(ValueError):
-        Estimate(value=0.5, stderr=-1.0, n=10, seed=0, log_value=np.log(0.5), meta={})
+        Estimate(value=0.5, stderr=-1.0, n=10, log_value=np.log(0.5), meta={})
     with pytest.raises(ValueError):
-        Estimate(value=1.5, stderr=0.0, n=10, seed=0, log_value=np.log(1.5), meta={})
+        Estimate(value=1.5, stderr=0.0, n=10, log_value=np.log(1.5), meta={})
     with pytest.raises(ValueError):
-        Estimate(value=0.5, stderr=0.0, n=10, seed=0, log_value=-100.0, meta={})
+        Estimate(value=0.5, stderr=0.0, n=10, log_value=-100.0, meta={})
     with pytest.raises(ValueError):
-        Estimate(value=0.0, stderr=0.0, n=10, seed=0, log_value=-100.0, meta={})
-    ok = Estimate(value=0.0, stderr=0.0, n=10, seed=0, log_value=-1000.0,
+        Estimate(value=0.0, stderr=0.0, n=10, log_value=-100.0, meta={})
+    ok = Estimate(value=0.0, stderr=0.0, n=10, log_value=-1000.0,
                   meta={"log_only": True})
     assert ok.log_value == -1000.0

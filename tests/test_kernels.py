@@ -181,6 +181,14 @@ def test_explicit_gram_validation():
         ExplicitGram(np.eye(2), np.array([0.0, 1.0, 2.0]))
 
 
+@pytest.mark.parametrize("points", [[1.0, 0.0], [0.0, 0.0], [0.0, np.nan]],
+                         ids=["decreasing", "repeated", "nan"])
+def test_explicit_gram_points_must_increase(points):
+    # the grid lookup searches the points in order
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ExplicitGram(np.array([[1.0, 0.5], [0.5, 1.0]]), np.array(points))
+
+
 def test_explicit_gram_evaluates_on_grid_and_rejects_off_grid():
     kern = ExplicitGram(np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.0, 1.0]))
     assert entry(kern, 0.0, 1.0) == 0.5

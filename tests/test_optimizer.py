@@ -194,6 +194,19 @@ def test_solver_rejects_non_psd_and_asymmetric_input():
             certify(np.array(sigma), measure)
 
 
+def test_solver_certifies_a_matrix_its_factorization_accepts():
+    # lowest eigenvalue -5e-7: factorize takes it with jitter 1e-6 (scaled),
+    # and the certificate is then the solve's, not a second PSD screen
+    sigma = [[1.0, 1.0 + 5e-7], [1.0 + 5e-7, 1.0]]
+    sol = solve_simplex_qp(sigma)
+    np.testing.assert_allclose(sol.measure.weights, [0.5, 0.5], rtol=0, atol=1e-9)
+    assert sol.sigma_star_sq == pytest.approx(1.0 + 2.5e-7, rel=1e-15)
+    assert sol.report.passed
+    # the public certify still screens a matrix from outside the solver
+    with pytest.raises(NotPositiveSemidefiniteError):
+        certify(np.array(sigma), sol.measure)
+
+
 def test_solver_grid_size_must_match():
     with pytest.raises(OptimizerError):
         solve_simplex_qp(np.eye(3), grid=DyadicGrid(0.0, 1.0, 2))
@@ -276,7 +289,7 @@ def test_nnls_certifies_partial_support_at_level_11():
     sol = solve_simplex_qp(sigma, grid=grid)
     assert sol.method == "nnls"
     assert sol.support.size < grid.n
-    assert certify(sigma, sol.measure, tol=1e-8).passed
+    assert certify(sigma, sol.measure).passed
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +364,7 @@ def test_certify_passes_refined_solution(ou):
     grid = DyadicGrid(0.0, 1.0, 6)
     sigma = ou.gram(grid)
     sol = solve_simplex_qp(sigma, grid=grid)
-    report = certify(sigma, sol.measure, tol=1e-6)
+    report = certify(sigma, sol.measure)
     assert report.passed
 
 

@@ -6,13 +6,18 @@ whole reproduction is one command. Every output embeds the fully resolved
 config, outputs carry no timestamps, and all sampling is counter-addressed,
 so reruns with the same config are byte-identical at any thread count.
 
+``KEYS`` gives every config key its kind, range and default. ``resolve_config``
+refuses an unknown or retired key, or a bad value, before any command runs;
+every command accepts every key, so presets and embedded configs replay
+anywhere. A command checks only rules of its own or across keys (k_min <= k_max).
+
 Every command takes a dict of ``Problem``s, one per (kernel, grid), that
 ``build_problem`` fills: ``main`` passes an empty one and ``report`` one per
 study, so a study's stages share each path map and certified solution.
 A ``Problem`` is deterministic, so sharing moves no byte.
 
 The sampling commands ``tail`` and ``argmin`` are two steps: a plan
-(``plan_tail``, ``plan_argmin``: the config checks, the ``Problem``, the
+(``plan_tail``, ``plan_argmin``: the command's rules, the ``Problem``, the
 sampling plan and the sweeps the command needs) and a write step (files,
 plot, warnings and exit code, from the sweeps' results). Alone, a command
 plans, makes one pass and writes. ``report`` plans a study's ``tail`` and
@@ -33,7 +38,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -46,14 +51,11 @@ from .exceptions import ConfigError, EstimationError, GaussminError
 from .gauss_sim import SamplerConfig, batch_rows, factorize, sample  # noqa: F401
 from .grids import MAX_LEVEL, DyadicGrid, Grid
 from .kernels import (ExplicitGram, Kernel, ModulatedBrownian, OrnsteinUhlenbeck,
-                      PowerExponential, PowerScale, ScaleFunction, ShiftedRootScale,
-                      TabulatedScale)
+                      PowerExponential, PowerScale, ShiftedRootScale, TabulatedScale)
 from .measure import GridMeasure, discretize, normalize, tv_distance
 from .optimizer import certify, refine, solve_simplex_qp  # noqa: F401
 from .svgplot import Plot
 
-DEFAULT_SEED = 12345
-DEFAULT_N_PATHS = 100_000
 PATH_DUMP_CAP = 10_000
 
 EXIT_OK = 0
@@ -69,19 +71,6 @@ EXIT_CONFIG = 3
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
-
-
-def _number(cfg: dict, key: str, default, integer: bool = False,
-            low: float = -math.inf, high: float = math.inf) -> int | float:
-    """A scalar config value: a JSON integer when ``integer``, else a finite
-    number, in [low, high]; anything else is a ConfigError, not a traceback."""
-    v = cfg.get(key, default)
-    ok = (isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
-          and (integer or math.isfinite(v)) and low <= v <= high)
-    bounds = "" if (low, high) == (-math.inf, math.inf) else f" in [{low}, {high}]"
-    _require(ok, f"'{key}' must be {'an integer' if integer else 'a finite number'}"
-                 f"{bounds}; got {v!r}")
-    return int(v) if integer else float(v)
 
 
 PRESETS: dict[str, dict] = {
@@ -130,6 +119,117 @@ PRESETS: dict[str, dict] = {
 }
 
 
+def _finite(v) -> bool:
+    """A finite JSON number, not a boolean."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+class Key(NamedTuple):
+    """A config key: what its value must be, the test ``ok(value)`` of that
+    (which may raise a ConfigError naming a key inside the value), and the
+    default a command reads without it (None: no default)."""
+    must: str
+    ok: Callable[[object], bool]
+    default: object = None
+
+
+def _check_keys(obj: dict, table: dict[str, Key], prefix: str = "") -> bool:
+    """True when each key of ``obj`` is known to ``table`` and of its kind;
+    else a ConfigError naming the key (an unknown one with the closest known)."""
+    for key, value in obj.items():
+        if key not in table:
+            import difflib   # on this error path only: a valid config never loads it
+            close = difflib.get_close_matches(key, list(table), n=1)
+            raise ConfigError(f"unknown key '{prefix}{key}'"
+                              + "".join(f"; did you mean '{prefix}{c}'?" for c in close))
+        _require(table[key].ok(value), f"'{prefix}{key}' must be {table[key].must}; got {value!r}")
+    return True
+
+
+def _integer(low: int, high: float = math.inf, default: int | None = None) -> Key:
+    return Key(f"an integer in [{low}, {high}]",
+               lambda v: _finite(v) and isinstance(v, int) and low <= v <= high, default)
+
+
+def _params(must: str = "", ok: Callable[[float], bool] = lambda v: True, default=None) -> Key:
+    """A sweep's parameters, whose ``:g`` labels name output files and JSON keys."""
+    return Key(f"a list of numbers{must} with distinct ':g' labels", lambda v: NUMBERS.ok(v)
+               and all(map(ok, v)) and len({f"{x:g}" for x in v}) == len(v), default)
+
+
+def _kernel(v) -> bool:
+    """A kernel object: a "type" of KERNELS and that type's own keys."""
+    if not (isinstance(v, dict) and v.get("type") in tuple(KERNELS)):
+        return False
+    keys = KERNELS[v["type"]]
+    _check_keys({k: x for k, x in v.items() if k != "type"}, keys, "kernel.")
+    missing = sorted(set(keys) - set(v) - {"points"})
+    _require(not missing, f"a {v['type']!r} kernel needs {missing}")
+    return True
+
+
+def _studies(v) -> bool:
+    """Study objects: a "name", the study's directory under --out, which no
+    two share, and keys of KEYS, a null one unset as ``resolve_config`` reads it."""
+    return (isinstance(v, list)
+            and all(isinstance(s, dict) and isinstance(s.get("name"), str) for s in v)
+            and all(_check_keys({k: x for k, x in s.items() if x is not None},
+                                {**KEYS, "name": NAME}, f"studies[{i}].") for i, s in enumerate(v))
+            and len({s["name"] for s in v}) == len(v))
+
+
+NUMBERS = Key("a list of finite numbers", lambda v: isinstance(v, list) and all(map(_finite, v)))
+INTERVAL = Key("[a, b] with finite numbers a < b",
+               lambda v: NUMBERS.ok(v) and len(v) == 2 and v[0] < v[1])
+NAME = Key("one path component: not empty, '.' or '..', and no '/', '\\' or NUL",
+           lambda v: v not in ("", ".", "..") and not set(v) & set("/\\\0"))
+SCALES = {"power": Key("a number in (0, 1)", lambda v: _finite(v) and 0 < v < 1),
+          "shifted_root": Key("a number >= 0", lambda v: _finite(v) and v >= 0),
+          "tabulated": Key("an object of the number lists 'x', 'g', 'dg' and 'd2g'",
+                           lambda v: isinstance(v, dict) and sorted(v) == ["d2g", "dg", "g", "x"]
+                           and all(map(NUMBERS.ok, v.values())))}
+KERNELS = {   # each kernel type's own keys, beside "type"; all are required but "points"
+    "ou": {},
+    "power_exponential": {"alpha": Key("a number in (0, 1]", lambda v: _finite(v) and 0 < v <= 1)},
+    "modulated_bm": {"g": Key(f"an object of exactly one of {list(SCALES)}",
+                              lambda v: isinstance(v, dict) and len(v) == 1
+                              and _check_keys(v, SCALES, "kernel.g."))},
+    "explicit": {"matrix": Key("a list of rows of finite numbers",
+                               lambda v: isinstance(v, list) and all(map(NUMBERS.ok, v))),
+                 "points": NUMBERS},
+}
+KEYS: dict[str, Key] = {
+    "preset": Key(f"one of {sorted(PRESETS)}", lambda v: v in tuple(PRESETS)),
+    "command": Key("a command name", lambda v: v in tuple(COMMANDS)),
+    "kernel": Key(f"an object with a 'type' of {list(KERNELS)} and its keys", _kernel),
+    "interval": INTERVAL,
+    "k": _integer(0, MAX_LEVEL, 5),
+    "k_min": _integer(0, MAX_LEVEL, 2),
+    "k_max": _integer(0, MAX_LEVEL, 8),
+    "stop_tol": Key("a finite number", _finite, 1e-6),
+    "cross_check": Key("true or false", lambda v: isinstance(v, bool), True),
+    "u_list": _params(),
+    "methods": Key("a non-empty list of 'crude' and 'is'", lambda v: isinstance(v, list)
+                   and bool(v) and all(m in ("crude", "is") for m in v), ["crude", "is"]),
+    "dump_paths": _integer(0, default=0),
+    "argmin_u_list": _params(" >= 0", lambda v: v >= 0),
+    "x_list": _params(" > 0", lambda v: v > 0, default=[]),
+    "eps_list": _params(" > 0", lambda v: v > 0),
+    "mode": Key("'range' or 'zstar'", lambda v: v in ("range", "zstar"), "range"),
+    "beta": Key("a number >= 0", lambda v: _finite(v) and v >= 0),
+    "diagnose_u_list": _params(),
+    "diagnose_k": _integer(0, MAX_LEVEL),
+    "diagnose_interval": INTERVAL,
+    "seed": _integer(0, 2**64 - 1, 12345),
+    "stream": _integer(0, 2**64 - 2, 0),   # diagnose draws on stream + 1
+    "n_paths": _integer(1, default=100_000),
+    "threads": _integer(1, default=1),
+    "studies": Key("a list of objects with distinct names", _studies, []),
+    "u": Key("left out: it is retired, give a one-element 'u_list'", lambda v: False),
+    "batch_size": Key("left out: it is retired, batches depend on the grid", lambda v: False),
+}
+
+
 def _merge(base: dict, extra: dict) -> dict:
     out = dict(base)
     out.update({k: v for k, v in extra.items() if v is not None})
@@ -139,78 +239,47 @@ def _merge(base: dict, extra: dict) -> dict:
 def resolve_config(command: str, file_config: dict | None, preset: str | None,
                    seed: int | None, threads: int | None) -> dict:
     """Preset defaults, then file config, then CLI flag overrides (``preset``
-    included: the flag's preset wins over the file's "preset" key)."""
+    included: the flag's preset wins over the file's "preset" key), each key
+    checked against KEYS. The check writes nothing into the config, which
+    every output embeds."""
     cfg: dict = {}
     file_config = dict(file_config or {})
     file_preset = file_config.pop("preset", None)
-    if preset is None:
-        preset = file_preset
+    preset = file_preset if preset is None else preset
     if preset is not None:
-        _require(preset in PRESETS, f"unknown preset {preset!r}; "
-                 f"choose from {sorted(PRESETS)}")
+        _check_keys({"preset": preset}, KEYS)
         p = dict(PRESETS[preset])
         overrides = p.pop("overrides", {})
         cfg = _merge(p, overrides.get(command, {}))
-    cfg = _merge(cfg, file_config)
-    if seed is not None:
-        cfg["seed"] = seed
-    if threads is not None:
-        cfg["threads"] = threads
-    cfg.setdefault("seed", DEFAULT_SEED)
-    cfg.setdefault("threads", 1)
-    cfg.setdefault("n_paths", DEFAULT_N_PATHS)
+    cfg = _merge(_merge(cfg, file_config), {"seed": seed, "threads": threads})
+    for key in ("seed", "threads", "n_paths"):
+        cfg.setdefault(key, KEYS[key].default)
     cfg["command"] = command
+    _check_keys(cfg, KEYS)
     return cfg
 
 
-def build_scale(gcfg: dict) -> ScaleFunction:
-    _require(isinstance(gcfg, dict), "modulated_bm needs a 'g' object")
-    if "power" in gcfg:
-        return PowerScale(float(gcfg["power"]))
-    if "shifted_root" in gcfg:
-        return ShiftedRootScale(float(gcfg["shifted_root"]))
-    if "tabulated" in gcfg:
-        t = gcfg["tabulated"]
-        for key in ("x", "g", "dg", "d2g"):
-            _require(key in t, f"tabulated scale needs '{key}'")
-        return TabulatedScale(np.asarray(t["x"], float), np.asarray(t["g"], float),
-                              np.asarray(t["dg"], float), np.asarray(t["d2g"], float))
-    raise ConfigError("scale 'g' must contain 'power', 'shifted_root' or 'tabulated'")
-
-
-def _interval(cfg: dict) -> tuple[float, float]:
-    """The config's interval [a, b]: two finite numbers with a < b."""
-    iv = cfg.get("interval")
-    ok = (isinstance(iv, (list, tuple)) and len(iv) == 2
-          and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                  and math.isfinite(v) for v in iv)
-          and iv[0] < iv[1])
-    _require(ok, f"'interval' must be [a, b] with finite numbers a < b; got {iv!r}")
-    return float(iv[0]), float(iv[1])
-
-
 def build_kernel(cfg: dict) -> Kernel:
-    """The config's kernel; a parameter its constructor rejects is a ConfigError."""
+    """The config's kernel; every kernel but an explicit Gram needs the
+    interval, and a parameter its constructor rejects is a ConfigError."""
     kcfg = cfg.get("kernel")
-    _require(isinstance(kcfg, dict) and "type" in kcfg, "config needs kernel.type")
+    _require(kcfg is not None, "config needs 'kernel'")
     ktype = kcfg["type"]
+    _require(ktype == "explicit" or "interval" in cfg, "config needs 'interval'")
     try:
         if ktype == "ou":
             return OrnsteinUhlenbeck()
         if ktype == "power_exponential":
-            _require("alpha" in kcfg, "power_exponential needs 'alpha'")
             return PowerExponential(float(kcfg["alpha"]))
-        if ktype == "modulated_bm":
-            return ModulatedBrownian(build_scale(kcfg.get("g", {})), *_interval(cfg))
         if ktype == "explicit":
-            _require("matrix" in kcfg, "explicit kernel needs 'matrix'")
-            matrix = np.asarray(kcfg["matrix"], dtype=float)
-            points = (np.asarray(kcfg["points"], dtype=float) if "points" in kcfg
-                      else np.arange(matrix.shape[0], dtype=float))
-            return ExplicitGram(matrix, points)
-    except (TypeError, ValueError) as exc:
+            return ExplicitGram(kcfg["matrix"], kcfg.get("points", range(len(kcfg["matrix"]))))
+        [(form, value)] = kcfg["g"].items()   # exactly one, as SCALES requires
+        scale = (TabulatedScale(*(value[key] for key in ("x", "g", "dg", "d2g")))
+                 if form == "tabulated" else
+                 (PowerScale if form == "power" else ShiftedRootScale)(float(value)))
+        return ModulatedBrownian(scale, *map(float, cfg["interval"]))
+    except ValueError as exc:
         raise ConfigError(f"bad {ktype!r} kernel parameters: {exc}") from None
-    raise ConfigError(f"unknown kernel type {ktype!r}")
 
 
 def _problem_key(cfg: dict, grid: Grid) -> str:
@@ -220,7 +289,7 @@ def _problem_key(cfg: dict, grid: Grid) -> str:
     return json.dumps([cfg["kernel"], *dyadic], sort_keys=True)
 
 
-def build_problem(cfg: dict, problems: dict, k_default: int = 5) -> Problem:
+def build_problem(cfg: dict, problems: dict, k_default: int = KEYS["k"].default) -> Problem:
     """The config's kernel on its grid: an explicit Gram's own points, else the
     level-``k`` dyadic grid of the interval. Built once per ``_problem_key`` in
     ``problems``, so commands given the same dict share it."""
@@ -228,8 +297,7 @@ def build_problem(cfg: dict, problems: dict, k_default: int = 5) -> Problem:
     if isinstance(kernel, ExplicitGram):
         grid = kernel.grid()
     else:
-        k = _number(cfg, "k", k_default, integer=True, low=0, high=MAX_LEVEL)
-        grid = DyadicGrid(*_interval(cfg), k)
+        grid = DyadicGrid(*map(float, cfg["interval"]), cfg.get("k", k_default))
     key = _problem_key(cfg, grid)
     if key not in problems:
         problems[key] = Problem(kernel, grid)
@@ -237,41 +305,9 @@ def build_problem(cfg: dict, problems: dict, k_default: int = 5) -> Problem:
 
 
 def sampler_config(cfg: dict) -> SamplerConfig:
-    """The four sampling settings, each a JSON integer in range. ``stream``
-    stops at 2^64 - 2, because ``diagnose`` draws on ``stream + 1``. The
-    retired ``batch_size`` is refused, not ignored: it would sit in every
-    output header and change nothing."""
-    _require("batch_size" not in cfg,
-             "'batch_size' is retired: a pass's batches depend on its grid alone")
-    return SamplerConfig(
-        seed=_number(cfg, "seed", DEFAULT_SEED, integer=True, low=0, high=2**64 - 1),
-        n_paths=_number(cfg, "n_paths", DEFAULT_N_PATHS, integer=True, low=1),
-        stream=_number(cfg, "stream", 0, integer=True, low=0, high=2**64 - 2),
-        workers=_number(cfg, "threads", 1, integer=True, low=1))
-
-
-PARAM_DOMAINS = {"finite": lambda v: True, ">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0}
-
-
-def _param_list(values, key: str, domain: str = "finite") -> list[float]:
-    """A sweep's parameter list, checked before any pass over the paths.
-
-    Entries must be finite numbers in ``domain`` (a PARAM_DOMAINS key), and
-    their ``:g`` labels distinct: the labels name output files and JSON keys,
-    so two values sharing one would overwrite each other's results.
-    """
-    _require(isinstance(values, list), f"'{key}' must be a list of numbers")
-    labels: dict[str, float] = {}
-    for v in values:
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-                 f"'{key}' entry {v!r} is not a number")
-        _require(math.isfinite(v), f"'{key}' entry {v!r} is not finite")
-        _require(PARAM_DOMAINS[domain](v), f"'{key}' entries must be {domain}; got {v!r}")
-        label = f"{v:g}"
-        _require(label not in labels,
-                 f"'{key}' entries {labels.get(label)!r} and {v!r} share the label {label!r}")
-        labels[label] = float(v)
-    return list(labels.values())
+    """The config's sampling settings, whose ranges KEYS has checked."""
+    return SamplerConfig(seed=cfg["seed"], n_paths=cfg["n_paths"],
+                         stream=cfg.get("stream", KEYS["stream"].default), workers=cfg["threads"])
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +369,11 @@ def cmd_solve(cfg: dict, out: Path, problems: dict) -> tuple[int, dict]:
     if isinstance(kernel, ExplicitGram):
         trace = refine(kernel, (0.0, 1.0), 0, 0)
     else:
-        k_min = _number(cfg, "k_min", 2, integer=True, low=0, high=MAX_LEVEL)
-        k_max = _number(cfg, "k_max", 8, integer=True, low=k_min, high=MAX_LEVEL)
-        trace = refine(kernel, _interval(cfg), k_min, k_max,
-                       stop_tol=_number(cfg, "stop_tol", 1e-6))
+        k_min = cfg.get("k_min", KEYS["k_min"].default)
+        k_max = cfg.get("k_max", KEYS["k_max"].default)
+        _require(k_min <= k_max, f"'k_max' must be >= 'k_min' = {k_min}; got {k_max}")
+        trace = refine(kernel, tuple(map(float, cfg["interval"])), k_min, k_max,
+                       stop_tol=float(cfg.get("stop_tol", KEYS["stop_tol"].default)))
     final, problem = trace.final, trace.problem
     problems.setdefault(_problem_key(cfg, problem.grid), problem)
     solution = problem.solution
@@ -375,7 +412,7 @@ class NoClosedFormError(ConfigError):
 def cmd_analytic(cfg: dict, out: Path, problems: dict) -> tuple[int, dict]:
     kernel = build_kernel(cfg)
     if isinstance(kernel, OrnsteinUhlenbeck):
-        a, b = _interval(cfg)
+        a, b = map(float, cfg["interval"])
         measure = ou_measure(a, b)
         result = {"case": None, "a0": None, "sigma_star_sq": ou_sigma_star_sq(a, b)}
     elif isinstance(kernel, ModulatedBrownian):
@@ -387,7 +424,7 @@ def cmd_analytic(cfg: dict, out: Path, problems: dict) -> tuple[int, dict]:
         raise NoClosedFormError("analytic supports kernel types 'ou' and 'modulated_bm'")
     result.update(measure=measure.to_dict(), total_mass=measure.total_mass)
     probability = normalize(measure)
-    if cfg.get("cross_check", True):
+    if cfg.get("cross_check", KEYS["cross_check"].default):
         problem = build_problem(cfg, problems, k_default=8)
         sol = problem.solution
         disc = discretize(probability, problem.grid)
@@ -400,14 +437,6 @@ def cmd_analytic(cfg: dict, out: Path, problems: dict) -> tuple[int, dict]:
         write_csv(out / "measure.csv", cfg, ["point", "weight"], _measure_rows(disc))
     write_json(out / "analytic.json", cfg, result)
     return EXIT_OK, result
-
-
-def _u_values(cfg: dict, domain: str = "finite") -> list[float]:
-    _require("u" not in cfg, "'u' is retired: give a one-element 'u_list'")
-    _require("u_list" in cfg, "config needs 'u_list'")
-    us = _param_list(cfg["u_list"], "u_list", domain)
-    _require(len(us) >= 1, "empty u list")
-    return us
 
 
 @dataclass(frozen=True)
@@ -440,16 +469,14 @@ def _first_paths(problem: Problem, config: SamplerConfig, count: int
 
 
 def plan_tail(cfg: dict, problems: dict) -> Plan:
-    us = _u_values(cfg)
-    methods = cfg.get("methods", ["crude", "is"])
-    _require(isinstance(methods, list) and methods
-             and all(isinstance(m, str) and m in ("crude", "is") for m in methods),
-             f"'methods' must be a non-empty list of 'crude' and/or 'is'; got {methods!r}")
+    us = [float(u) for u in cfg.get("u_list", [])]
+    _require(bool(us), "tail needs a non-empty 'u_list'")
+    methods = cfg.get("methods", KEYS["methods"].default)
     if len(set(methods)) < len(methods):  # a repeated method runs, and is written, once
         methods = list(dict.fromkeys(methods))
         cfg = dict(cfg, methods=methods)
     config = sampler_config(cfg)
-    n_dump = min(_number(cfg, "dump_paths", 0, integer=True, low=0), config.n_paths,
+    n_dump = min(cfg.get("dump_paths", KEYS["dump_paths"].default), config.n_paths,
                  PATH_DUMP_CAP)
     problem = build_problem(cfg, problems)
     grid = problem.grid
@@ -507,10 +534,9 @@ def cmd_tail(cfg: dict, out: Path, problems: dict, ran: tuple[Plan, list] | None
 
 
 def cmd_smallball(cfg: dict, out: Path, problems: dict) -> tuple[int, None]:
-    eps_list = _param_list(cfg.get("eps_list", []), "eps_list", "> 0")
-    _require(bool(eps_list), "smallball needs 'eps_list'")
-    mode = cfg.get("mode", "range")
-    _require(mode in ("range", "zstar"), "mode must be 'range' or 'zstar'")
+    eps_list = [float(eps) for eps in cfg.get("eps_list", [])]
+    _require(bool(eps_list), "smallball needs a non-empty 'eps_list'")
+    mode = cfg.get("mode", KEYS["mode"].default)
     config = sampler_config(cfg)
     problem = build_problem(cfg, problems)
     rows = [(eps, e.value, e.stderr, e.log_value, e.meta["hits"])
@@ -523,9 +549,9 @@ def cmd_smallball(cfg: dict, out: Path, problems: dict) -> tuple[int, None]:
 
 
 def plan_argmin(cfg: dict, problems: dict) -> Plan:
-    us = (_param_list(cfg.get("argmin_u_list", []), "argmin_u_list", ">= 0")
-          or _u_values(cfg, ">= 0"))
-    xs = _param_list(cfg.get("x_list", []), "x_list", "> 0")
+    us = [float(u) for u in cfg.get("argmin_u_list") or cfg.get("u_list", [])]
+    _require(bool(us) and min(us) >= 0, "argmin needs 'argmin_u_list', or a 'u_list' >= 0")
+    xs = [float(x) for x in cfg.get("x_list", KEYS["x_list"].default)]
     config = sampler_config(cfg)
     problem = build_problem(cfg, problems)
     grid, solution = problem.grid, problem.solution
@@ -584,10 +610,10 @@ def cmd_diagnose(cfg: dict, out: Path, problems: dict) -> tuple[int, dict]:
     for key in ("interval", "k", "u_list"):
         if f"diagnose_{key}" in cfg:
             local[key] = cfg[f"diagnose_{key}"]
-    us = _u_values(local, "> 0")
-    _require(len(us) >= 2 and all(b > a for a, b in zip(us, us[1:])),
-             "diagnose needs at least two strictly increasing u values")
-    beta = None if cfg.get("beta") is None else _number(cfg, "beta", None, low=0)
+    us = [float(u) for u in local.get("u_list", [])]
+    _require(len(us) >= 2 and us[0] > 0 and all(b > a for a, b in zip(us, us[1:])),
+             "diagnose needs at least two 'u_list' values, > 0 and strictly increasing")
+    beta = None if cfg.get("beta") is None else float(cfg["beta"])
     config = sampler_config(local)
     problem = build_problem(local, problems)
     diag = correction_diagnostic(problem, us, config)
@@ -659,26 +685,16 @@ def _run_planned(study_cfg: dict, problems: dict) -> dict[str, tuple[Plan, list]
 
 
 def cmd_report(cfg: dict, out: Path, _problems: dict) -> tuple[int, None]:
-    studies = cfg.get("studies", [])
-    _require(isinstance(studies, list), "'studies' must be a list")
-    # a name is its study's directory under --out: all are checked before any stage writes
-    names = [study.get("name") if isinstance(study, dict) else None for study in studies]
-    for name in names:
-        _require(isinstance(name, str) and name not in ("", ".", "..")
-                 and not set(name) & set("/\\\0"), "each study needs a name that is one "
-                 f"path component: not empty, '.' or '..', no '/', '\\' or NUL; got {name!r}")
-    _require(len(set(names)) == len(names), f"two studies share a name in {names}")
     lines = ["# reproduction report", "",
              "Optimal measures, tails and argmin laws for minima of Gaussian "
              "processes on an interval.", "",
              f"Resolved master config: `{_config_line(cfg)}`", ""]
     any_failed = False
-    for study in studies:
+    for study in cfg.get("studies", KEYS["studies"].default):   # checked with cfg
         name = study["name"]
-        scfg_base = resolve_config("report", {k: v for k, v in study.items()
-                                              if k not in ("name",)},
-                                   study.get("preset"), None, cfg.get("threads"))
-        scfg_base["seed"] = study.get("seed", cfg.get("seed", DEFAULT_SEED))
+        scfg_base = resolve_config("report", {k: v for k, v in study.items() if k != "name"},
+                                   study.get("preset"), study.get("seed", cfg.get("seed")),
+                                   cfg.get("threads"))
         lines.append(f"## study: {name}")
         lines.append("")
         sdir = out / name
@@ -827,13 +843,13 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"malformed JSON in {args.config}: {exc}") from None
             if not isinstance(file_config, dict):
                 raise ConfigError("config root must be a JSON object")
-        cfg = resolve_config(args.command, file_config, args.preset,
-                             args.seed, args.threads)
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:   # an existing file, or a path under one
             raise ConfigError(f"cannot create --out {out}: {exc.strerror}") from None
+        cfg = resolve_config(args.command, file_config, args.preset,
+                             args.seed, args.threads)
         code, _ = COMMANDS[args.command](cfg, out, {})
         return code
     except ConfigError as exc:

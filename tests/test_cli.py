@@ -162,7 +162,8 @@ def test_smallball_requires_eps_list(run_cli):
 
 # every sweep parameter and sampling setting is checked before any pass over
 # the paths, so a bad one exits 3, names its key and writes nothing; the
-# retired batch_size and u are refused the same way
+# retired batch_size and u are refused the same way, and so is an unknown key,
+# named with the closest known one
 
 OU_K3 = {"kernel": {"type": "ou"}, "interval": [0.0, 1.0], "k": 3, "n_paths": 1000}
 
@@ -170,13 +171,17 @@ OU_K3 = {"kernel": {"type": "ou"}, "interval": [0.0, 1.0], "k": 3, "n_paths": 10
 @pytest.mark.parametrize("setting, extra", [
     ({"n_paths": 0}, []), ({"batch_size": 512}, []), ({}, ["--threads", "0"]),
     ({"n_paths": 1000.9}, []), ({"seed": 7.5}, []),
-    ({"stream": -1}, []), ({"stream": 2**64 - 1}, []), ({"u": 1.0}, [])],
+    ({"stream": -1}, []), ({"stream": 2**64 - 1}, []), ({"u": 1.0}, []),
+    ({"n_path": 1000}, [])],
     ids=["n_paths", "batch_size", "threads", "n_paths_float", "seed_float",
-         "stream_negative", "stream_past_diagnose", "u"])
+         "stream_negative", "stream_past_diagnose", "u", "n_path"])
 def test_bad_sampling_setting_exits_3(run_cli, capsys, setting, extra):
     code, out = run_cli("tail", config=dict(OU_K3, u_list=[1.0], **setting), extra=extra)
     assert code == EXIT_CONFIG
-    assert f"'{next(iter(setting), 'threads')}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"'{next(iter(setting), 'threads')}'" in err
+    if "n_path" in setting:
+        assert "did you mean 'n_paths'?" in err
     assert list(out.iterdir()) == []
 
 
@@ -229,23 +234,40 @@ def test_diagnose_bad_u_list_exits_3(run_cli, u_list):
     ("solve", "k_max", 1),       # below k_min = 2
     ("solve", "stop_tol", "tiny"),
     ("analytic", "k", 2.5),
-], ids=["dump_paths", "beta", "k_min", "k_max", "stop_tol", "analytic_k"])
-def test_bad_scalar_setting_exits_3(run_cli, command, key, value):
+    ("analytic", "cross_check", "false"),
+    ("smallball", "u", 1.0),     # retired in every command, not only where u_list is read
+    ("solve", "u", 1.0),
+    ("analytic", "u", 1.0),
+    ("argmin", "u", 1.0),        # the preset sets argmin_u_list
+    ("tail", "diagnose_k", "junk"),   # checked though only diagnose reads it
+    ("solve", "seed", "abc"),
+    ("analytic", "k_min", "x"),
+], ids=["dump_paths", "beta", "k_min", "k_max", "stop_tol", "analytic_k", "cross_check",
+        "smallball_u", "solve_u", "analytic_u", "argmin_u", "tail_diagnose_k", "solve_seed",
+        "analytic_k_min"])
+def test_bad_scalar_setting_exits_3(run_cli, capsys, command, key, value):
     code, out = run_cli(command, config={"preset": "ou", "n_paths": 1000, key: value})
     assert code == EXIT_CONFIG
+    assert f"'{key}'" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("kernel, interval", [
-    ({"type": "power_exponential", "alpha": 1.5}, [0.0, 1.0]),
-    ({"type": "modulated_bm", "g": {"power": "x"}}, [1.0, 4.0]),
-    ({"type": "ou"}, [1.0, 0.0]),
-    ({"type": "ou"}, [0.0, "1"]),
-], ids=["alpha", "scale_power", "reversed_interval", "non_numeric_interval"])
-def test_bad_kernel_or_interval_exits_3(run_cli, kernel, interval):
+@pytest.mark.parametrize("kernel, interval, key", [
+    ({"type": "power_exponential", "alpha": 1.5}, [0.0, 1.0], "kernel.alpha"),
+    ({"type": "modulated_bm", "g": {"power": "x"}}, [1.0, 4.0], "kernel.g.power"),
+    ({"type": "ou"}, [1.0, 0.0], "interval"),
+    ({"type": "ou"}, [0.0, "1"], "interval"),
+    ({"type": "ou", "alpha": 0.5}, [0.0, 1.0], "kernel.alpha"),
+    ({"type": "power_exponential", "alpha": "0.5"}, [0.0, 1.0], "kernel.alpha"),
+    ({"type": "modulated_bm", "g": {"power": 0.5, "shifted_root": 1}}, [1.0, 4.0], "kernel.g"),
+    ({"type": "modulated_bm", "g": {"power": True}}, [1.0, 4.0], "kernel.g.power"),
+], ids=["alpha", "scale_power", "reversed_interval", "non_numeric_interval", "ou_alpha",
+        "alpha_string", "two_scales", "scale_power_bool"])
+def test_bad_kernel_or_interval_exits_3(run_cli, capsys, kernel, interval, key):
     code, out = run_cli("tail", config=dict(OU_K3, kernel=kernel, interval=interval,
                                             u_list=[1.0]))
     assert code == EXIT_CONFIG
+    assert f"'{key}'" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -434,6 +456,15 @@ def test_tail_runs_a_repeated_method_once(run_cli, tmp_path, methods, once):
     assert tree_bytes(out_a) == tree_bytes(out_b)
 
 
+def test_integer_sweep_values_are_written_as_floats(run_cli):
+    # the key check leaves the config as given; the command reads u = 1 as 1.0
+    code, out = run_cli("tail", config=dict(OU_K3, u_list=[1, 2], methods=["crude"]))
+    assert code == EXIT_OK
+    lines = (out / "tail_crude.csv").read_text().splitlines()
+    assert '"u_list":[1,2]' in lines[1]
+    assert [line.split(",")[0] for line in lines[3:]] == ["1.0", "2.0"]
+
+
 def test_tail_log_values_parse_back(run_cli):
     code, out = run_cli("tail", config={
         "kernel": {"type": "ou"}, "interval": [0.0, 1.0], "k": 3,
@@ -576,14 +607,13 @@ def test_report_skips_analytic_exactly_when_analytic_exits_3(run_cli, tmp_path, 
 
 
 @pytest.mark.parametrize("kernel", ["ou", {"type": "frobnicate"}])
-def test_report_study_with_a_bad_kernel_fails_its_stages(run_cli, kernel):
+def test_report_study_with_a_bad_kernel_exits_3_before_any_stage(run_cli, capsys, kernel):
+    # a bad kernel is a config error, with no traceback, found before any stage writes
     code, out = run_cli("report", config={"studies": [
         {"name": "s", "kernel": kernel, "interval": [0.0, 1.0], "u_list": [0.0]}]})
-    assert code == EXIT_NUMERICAL
-    lines = report_sections((out / "report.md").read_text())["s"]
-    assert [line.split(" (")[0] for line in lines] == [
-        "- solve: FAILED", "- analytic: FAILED", "- tail: FAILED",
-        "- diagnose: skipped", "- argmin: FAILED"]
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: 'studies[0].kernel' must be")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, config, passes", [
@@ -777,16 +807,19 @@ def test_report_with_no_studies(run_cli):
     assert text.startswith("# reproduction report")
 
 
-@pytest.mark.parametrize("names", [
-    ["ok", "../escaped"], ["ok", ""], ["ok", 7], ["ok", "ok"], ["ok", "."], ["ok", ".."],
-    ["ok", "a/b"], ["ok", "a\\b"]],
+@pytest.mark.parametrize("bad", [
+    {"name": "../escaped"}, {"name": ""}, {"name": 7}, {"name": "ok"}, {"name": "."},
+    {"name": ".."}, {"name": "a/b"}, {"name": "a\\b"},
+    {"name": "a", "k_max": 3, "seed": "x"}, {"name": "a", "threads": 0}],
     ids=["parent", "empty", "not_a_string", "duplicate", "dot", "dotdot", "slash",
-         "backslash"])
-def test_report_bad_study_name_exits_3_before_any_stage(run_cli, tmp_path, names):
+         "backslash", "seed", "threads"])
+def test_report_bad_study_name_exits_3_before_any_stage(run_cli, tmp_path, bad):
     # a study's name is its directory under --out: a bad one is refused
-    # before the good study ahead of it runs, and nothing is written anywhere
+    # before the good study ahead of it runs, and nothing is written anywhere;
+    # so is any other bad key of a study
     code, out = run_cli("report", config={"studies": [
-        {"name": name, "preset": "ou", "n_paths": 1000} for name in names]})
+        {"name": "ok", "preset": "ou", "n_paths": 1000},
+        {"preset": "ou", "n_paths": 1000, **bad}]})
     assert code == EXIT_CONFIG
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "report_config.json"]
     assert list(out.iterdir()) == []
@@ -905,6 +938,35 @@ def test_perfbench_tracer_finds_every_name_it_patches():
     res = run_python(["-c", f"import sys; sys.path.insert(0, {str(tracer_dir)!r}); "
                             "from tracer import Tracer, install; install(Tracer())"])
     assert res.returncode == 0, res.stderr
+
+
+def test_presets_and_benchmark_configs_pass_the_key_check(tmp_path):
+    # every preset resolves for every command, and so do the argv and config
+    # of each perfbench workload: a refused benchmark config would fail every
+    # benchmark run. The check imports difflib only to name a refused key, so
+    # a valid run leaves it out, and the benchmark's setup_s pays nothing for it
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    script = f"""
+import importlib.util, sys
+from gaussmin import cli
+for preset in cli.PRESETS:
+    for command in cli.COMMANDS:
+        cli.resolve_config(command, None, preset, None, None)
+code = cli.main(["analytic", "--preset", "ou", "--out", {str(tmp_path / "out")!r}])
+print(code, "difflib" in sys.modules)
+sys.path.insert(0, {str(perfbench)!r})
+spec = importlib.util.spec_from_file_location("perfbench_run", {str(perfbench / "run.py")!r})
+run = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(run)
+for workload in run.WORKLOADS.values():
+    args = cli.build_parser().parse_args(workload["argv"])
+    cli.resolve_config(args.command, workload["config"], args.preset, args.seed, args.threads)
+print(sorted(run.WORKLOADS))
+"""
+    res = run_python(["-c", script])
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [f"{EXIT_OK} False",
+                                       "['fine_grid', 'report_full', 'tail_sweep']"]
 
 
 @pytest.mark.parametrize("command, config", [

@@ -1,15 +1,20 @@
-"""Byte-compare the full reproduction report of a git revision and of the working tree.
+"""Byte-compare the outputs of the preset commands at a git revision and in the working tree.
 
 Usage: python tools/diff_report.py [REV]      (REV defaults to HEAD)
 
-Runs ``gaussmin report --preset full_repro --threads 1`` with one BLAS thread
-(OPENBLAS_NUM_THREADS=1) twice: on REV's sources, exported by ``git archive``
-into a temporary directory, and on the working tree's sources, uncommitted
-changes included. Prints each output file that differs or exists on one side
-only. Exits 0 when none differs, 1 when any does (or the two runs' exit
-codes differ) and 2 when REV is not a commit. The temporary directory, with
-both output trees, is removed either way. REV is read from the local repository,
-so the check needs no network.
+Runs each command of RUNS with one BLAS thread (OPENBLAS_NUM_THREADS=1),
+each into its own output directory: the full reproduction report,
+``report --preset full_repro --threads 1``, and six standalone preset
+commands (``tail --preset ou``, ``argmin --preset example2``, ``diagnose
+--preset example1``, ``analytic --preset example1``, ``solve --preset
+example2`` and ``smallball --preset ou``). It runs them twice: on REV's
+sources, exported by ``git archive`` into a temporary directory, and on the
+working tree's sources, uncommitted changes included. Prints each output
+file that differs or exists on one side only, and each command whose exit
+code differs. Exits 0 when none differs, 1 when any does and 2 when REV is
+not a commit. The temporary directory, with both output trees, is removed
+either way. REV is read from the local repository, so the check needs no
+network.
 """
 
 from __future__ import annotations
@@ -22,7 +27,15 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-REPORT = ["report", "--preset", "full_repro", "--threads", "1"]
+RUNS = {   # output directory: command line
+    "report": ["report", "--preset", "full_repro", "--threads", "1"],
+    "tail": ["tail", "--preset", "ou"],
+    "argmin": ["argmin", "--preset", "example2"],
+    "diagnose": ["diagnose", "--preset", "example1"],
+    "analytic": ["analytic", "--preset", "example1"],
+    "solve": ["solve", "--preset", "example2"],
+    "smallball": ["smallball", "--preset", "ou"],
+}
 
 
 def export(rev: str, dest: Path) -> None:
@@ -33,11 +46,15 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def report(src: Path, out: Path) -> int:
-    """The report's exit code, run from the package sources under ``src``."""
+def run_all(src: Path, out: Path) -> dict[str, int]:
+    """Each command's exit code, run from the package sources under ``src``
+    into its own directory under ``out``."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
-    return subprocess.run([sys.executable, "-m", "gaussmin.cli", *REPORT, "--out", str(out)],
-                          env=env, cwd=out.parent, stdout=subprocess.DEVNULL).returncode
+    out.mkdir()
+    return {name: subprocess.run([sys.executable, "-m", "gaussmin.cli", *argv,
+                                  "--out", str(out / name)], env=env, cwd=out,
+                                 stdout=subprocess.DEVNULL).returncode
+            for name, argv in RUNS.items()}
 
 
 def files(root: Path) -> dict[str, bytes]:
@@ -55,19 +72,22 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="diff_report-") as tmp:
         tmp = Path(tmp)
         export(rev, tmp / "rev")
-        codes = (report(tmp / "rev" / "src", tmp / "out_rev"),
-                 report(ROOT / "src", tmp / "out_tree"))
+        codes = (run_all(tmp / "rev" / "src", tmp / "out_rev"),
+                 run_all(ROOT / "src", tmp / "out_tree"))
         old, new = files(tmp / "out_rev"), files(tmp / "out_tree")
     differ = sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
     for name in differ:
         side = ("" if name in old and name in new
                 else f" (only in {rev})" if name in old else " (only in the working tree)")
         print(f"differs: {name}{side}")
-    if codes[0] != codes[1]:
-        print(f"exit codes differ: {codes[0]} at {rev}, {codes[1]} in the working tree")
-    print(f"{len(differ)} of {len(old.keys() | new.keys())} files differ between {rev} "
-          "and the working tree")
-    return 1 if differ or codes[0] != codes[1] else 0
+    codes_differ = [name for name in RUNS if codes[0][name] != codes[1][name]]
+    for name in codes_differ:
+        print(f"exit codes of {name} differ: {codes[0][name]} at {rev}, "
+              f"{codes[1][name]} in the working tree")
+    print(f"{len(differ)} of {len(old.keys() | new.keys())} files differ between {rev} and "
+          f"the working tree, over {len(RUNS)} commands: "
+          + "; ".join(" ".join(argv) for argv in RUNS.values()))
+    return 1 if differ or codes_differ else 0
 
 
 if __name__ == "__main__":

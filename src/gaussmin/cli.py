@@ -125,25 +125,29 @@ def _finite(v) -> bool:
 
 
 class Key(NamedTuple):
-    """A config key: what its value must be, the test ``ok(value)`` of that
-    (which may raise a ConfigError naming a key inside the value), and the
-    default a command reads without it (None: no default)."""
+    """A config key: what its value must be, the test ``ok(value)`` of that,
+    the default a command reads without it (None: no default), and, for a
+    value that holds keys of its own, ``inner(value, name)``, which checks
+    them once ``ok`` holds and names each under the key's full ``name``."""
     must: str
     ok: Callable[[object], bool]
     default: object = None
+    inner: Callable[[object, str], None] | None = None
 
 
-def _check_keys(obj: dict, table: dict[str, Key], prefix: str = "") -> bool:
-    """True when each key of ``obj`` is known to ``table`` and of its kind;
-    else a ConfigError naming the key (an unknown one with the closest known)."""
+def _check_keys(obj: dict, table: dict[str, Key], prefix: str = "") -> None:
+    """Raise a ConfigError naming the first key of ``obj`` that ``table``
+    does not know (with the closest known) or that is not of its kind."""
     for key, value in obj.items():
         if key not in table:
             import difflib   # on this error path only: a valid config never loads it
             close = difflib.get_close_matches(key, list(table), n=1)
             raise ConfigError(f"unknown key '{prefix}{key}'"
                               + "".join(f"; did you mean '{prefix}{c}'?" for c in close))
-        _require(table[key].ok(value), f"'{prefix}{key}' must be {table[key].must}; got {value!r}")
-    return True
+        entry = table[key]
+        _require(entry.ok(value), f"'{prefix}{key}' must be {entry.must}; got {value!r}")
+        if entry.inner is not None:
+            entry.inner(value, f"{prefix}{key}")
 
 
 def _integer(low: int, high: float = math.inf, default: int | None = None) -> Key:
@@ -157,25 +161,20 @@ def _params(must: str = "", ok: Callable[[float], bool] = lambda v: True, defaul
                and all(map(ok, v)) and len({f"{x:g}" for x in v}) == len(v), default)
 
 
-def _kernel(v) -> bool:
-    """A kernel object: a "type" of KERNELS and that type's own keys."""
-    if not (isinstance(v, dict) and v.get("type") in tuple(KERNELS)):
-        return False
+def _kernel_keys(v: dict, name: str) -> None:
+    """The own keys of kernel ``name``, beside its "type"."""
     keys = KERNELS[v["type"]]
-    _check_keys({k: x for k, x in v.items() if k != "type"}, keys, "kernel.")
+    _check_keys({k: x for k, x in v.items() if k != "type"}, keys, f"{name}.")
     missing = sorted(set(keys) - set(v) - {"points"})
-    _require(not missing, f"a {v['type']!r} kernel needs {missing}")
-    return True
+    _require(not missing, f"'{name}' of type {v['type']!r} needs {missing}")
 
 
-def _studies(v) -> bool:
-    """Study objects: a "name", the study's directory under --out, which no
-    two share, and keys of KEYS, a null one unset as ``resolve_config`` reads it."""
-    return (isinstance(v, list)
-            and all(isinstance(s, dict) and isinstance(s.get("name"), str) for s in v)
-            and all(_check_keys({k: x for k, x in s.items() if x is not None},
-                                {**KEYS, "name": NAME}, f"studies[{i}].") for i, s in enumerate(v))
-            and len({s["name"] for s in v}) == len(v))
+def _study_keys(v: list, name: str) -> None:
+    """Each study's keys: those of KEYS and its "name", a null one unset as
+    ``resolve_config`` reads it."""
+    for i, study in enumerate(v):
+        _check_keys({k: x for k, x in study.items() if x is not None},
+                    {**KEYS, "name": NAME}, f"{name}[{i}].")
 
 
 NUMBERS = Key("a list of finite numbers", lambda v: isinstance(v, list) and all(map(_finite, v)))
@@ -192,8 +191,8 @@ KERNELS = {   # each kernel type's own keys, beside "type"; all are required but
     "ou": {},
     "power_exponential": {"alpha": Key("a number in (0, 1]", lambda v: _finite(v) and 0 < v <= 1)},
     "modulated_bm": {"g": Key(f"an object of exactly one of {list(SCALES)}",
-                              lambda v: isinstance(v, dict) and len(v) == 1
-                              and _check_keys(v, SCALES, "kernel.g."))},
+                              lambda v: isinstance(v, dict) and len(v) == 1,
+                              inner=lambda v, name: _check_keys(v, SCALES, f"{name}."))},
     "explicit": {"matrix": Key("a list of rows of finite numbers",
                                lambda v: isinstance(v, list) and all(map(NUMBERS.ok, v))),
                  "points": NUMBERS},
@@ -201,7 +200,9 @@ KERNELS = {   # each kernel type's own keys, beside "type"; all are required but
 KEYS: dict[str, Key] = {
     "preset": Key(f"one of {sorted(PRESETS)}", lambda v: v in tuple(PRESETS)),
     "command": Key("a command name", lambda v: v in tuple(COMMANDS)),
-    "kernel": Key(f"an object with a 'type' of {list(KERNELS)} and its keys", _kernel),
+    "kernel": Key(f"an object with a 'type' of {list(KERNELS)} and its keys",
+                  lambda v: isinstance(v, dict) and v.get("type") in tuple(KERNELS),
+                  inner=_kernel_keys),
     "interval": INTERVAL,
     "k": _integer(0, MAX_LEVEL, 5),
     "k_min": _integer(0, MAX_LEVEL, 2),
@@ -224,7 +225,10 @@ KEYS: dict[str, Key] = {
     "stream": _integer(0, 2**64 - 2, 0),   # diagnose draws on stream + 1
     "n_paths": _integer(1, default=100_000),
     "threads": _integer(1, default=1),
-    "studies": Key("a list of objects with distinct names", _studies, []),
+    # a study's "name" is its directory under --out, which no two share
+    "studies": Key("a list of objects with distinct names", lambda v: isinstance(v, list)
+                   and all(isinstance(s, dict) and isinstance(s.get("name"), str) for s in v)
+                   and len({s["name"] for s in v}) == len(v), [], _study_keys),
     "u": Key("left out: it is retired, give a one-element 'u_list'", lambda v: False),
     "batch_size": Key("left out: it is retired, batches depend on the grid", lambda v: False),
 }
@@ -692,9 +696,10 @@ def cmd_report(cfg: dict, out: Path, _problems: dict) -> tuple[int, None]:
     any_failed = False
     for study in cfg.get("studies", KEYS["studies"].default):   # checked with cfg
         name = study["name"]
-        scfg_base = resolve_config("report", {k: v for k, v in study.items() if k != "name"},
-                                   study.get("preset"), study.get("seed", cfg.get("seed")),
-                                   cfg.get("threads"))
+        own = {k: v for k, v in study.items() if v is not None and k != "name"}
+        scfg_base = resolve_config("report", own, own.get("preset"),
+                                   own.get("seed", cfg.get("seed")),
+                                   own.get("threads", cfg.get("threads")))
         lines.append(f"## study: {name}")
         lines.append("")
         sdir = out / name

@@ -14,7 +14,7 @@ exact (not asymptotic) on the grid -- but only for the certified optimum.
 Every estimator therefore takes a ``Problem``: one (kernel, grid) with its
 path map and certified solution, built once and shared by all estimates on
 that grid (a Gauss-Markov kernel is solved on its Markov form, without a Gram
-matrix, and from 129 points also sampled without one).
+matrix or factor, and sampled by it too).
 
 Each sweep estimator takes its whole parameter list (u, x or eps) and makes
 one pass over the paths. It is one ``Sweep``: a ``fold`` reduces a batch of
@@ -58,9 +58,8 @@ import numpy as np
 
 from . import optimizer
 from .exceptions import EstimationError
-from .gauss_sim import (MARKOV_MIN_POINTS, Factorization, MarkovPaths, PathBatch,
-                        PathFunctionals, SamplerConfig, batch_rows, factorize, functionals,
-                        markov_form_valid, sample)
+from .gauss_sim import (Factorization, MarkovForm, PathBatch, PathFunctionals,
+                        SamplerConfig, batch_rows, factorize, functionals, sample)
 from .grids import Grid
 from .kernels import Kernel
 from .measure import GridMeasure
@@ -76,27 +75,21 @@ class Problem:
     """One (kernel, grid), with what the sampler and the solver need of it,
     each computed on first use and kept.
 
-    ``markov`` is the kernel's Markov form (r, q) if it passes
-    ``gauss_sim.markov_form_valid``, else None. With a form, the solution and
-    its certificate come from (r, q) at any grid size; without one, from the
-    one jittered Cholesky ``factor`` of ``sigma`` (also the PSD check of
-    ``sigma``). The ``path_map`` is the form's O(n) cumsum from
-    MARKOV_MIN_POINTS points, and the factor below that, where the matrix
-    product is faster; but where that factor needed jitter lambda > 0, its
-    paths would have covariance sigma + lambda I while the certificate is
-    sigma's, so a form samples by its exact cumsum there too. ``sigma`` and
-    ``factor`` are lazy, so they are built only where something reads them:
-    a Gauss-Markov Problem that is only solved builds neither.
+    ``markov`` is the kernel's ``MarkovForm`` if ``MarkovForm.of`` accepts
+    its (r, q), else None. A form is the path map and gives the solution and
+    its certificate, at any grid size, with no Gram matrix and no factor.
+    Without one, the one jittered Cholesky ``factor`` of ``sigma`` (also the
+    PSD check of ``sigma``) does both; ``sigma`` and ``factor`` are lazy, so
+    they are built only where something reads them.
     """
 
     kernel: Kernel
     grid: Grid
-    markov: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
+    markov: MarkovForm | None = field(init=False, repr=False)
 
     def __post_init__(self):
         form = self.kernel.markov_form(self.grid)   # also checks the grid's domain
-        object.__setattr__(self, "markov",
-                           form if form is not None and markov_form_valid(*form) else None)
+        object.__setattr__(self, "markov", None if form is None else MarkovForm.of(*form))
 
     @property
     def route(self) -> str:
@@ -113,12 +106,9 @@ class Problem:
     def factor(self) -> Factorization:
         return factorize(self.sigma)
 
-    @cached_property
-    def path_map(self) -> Factorization | MarkovPaths:
-        if self.markov is None or (self.grid.points.size < MARKOV_MIN_POINTS
-                                   and self.factor.jitter == 0.0):
-            return self.factor
-        return MarkovPaths.of(*self.markov)
+    @property
+    def path_map(self) -> Factorization | MarkovForm:
+        return self.factor if self.markov is None else self.markov
 
     @cached_property
     def solution(self) -> OptimalSolution:

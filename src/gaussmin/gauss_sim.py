@@ -10,23 +10,19 @@ block whole and keeps the rows it owns.
 
 A path map turns the normals xi into paths X. The dense map is X = xi L^T for
 the (jittered) Cholesky factor L of the Gram matrix from ``factorize``, the
-one factor a ``Problem`` keeps (and shares with the simplex solver when its
-kernel has no Markov form); it costs O(n^2) per path. A Gauss-Markov kernel,
-R(s, t) = q(s) q(t) r(min(s, t)), has L_ij = q_i sqrt(r_j - r_(j-1)) for
-j <= i, so the same X is q * cumsum(xi * sqrt(dr)), O(n) per path and
-written over xi (``MarkovPaths``).
-A ``Problem`` whose kernel has a Markov form that ``markov_form_valid``
-accepts (every dr finite and > 0, every 1/q and variance q^2 r finite) solves
-on that form at any size, and samples by the cumsum from MARKOV_MIN_POINTS
-points, where it builds no Gram matrix and no factor, so nothing is jittered.
-Below that the matrix product is faster and maps its paths, unless the factor
-needed jitter: its paths would then not have the law the solution certifies,
-and the form samples by the exact cumsum instead. The two maps agree to
-rounding (about 1e-12 relative at 1025 points).
+one factor a ``Problem`` keeps (and shares with the simplex solver) when its
+kernel has no Markov form; it costs O(n^2) per path. A Gauss-Markov kernel,
+R(s, t) = q(s) q(t) r(min(s, t)), is represented by its ``MarkovForm`` (r, q),
+which samples, multiplies and solves with no Gram matrix. Its exact lower
+factor is L_ij = q_i sqrt(r_j - r_(j-1)) for j <= i, so its paths are xi L^T
+below MARKOV_MIN_POINTS points, where that product is faster, and from there
+q * cumsum(xi * sqrt(dr)), O(n) per path and written over xi. The two agree to
+rounding (about 1e-12 relative at 1025 points). Nothing on this route is
+jittered, so its paths have the law its certificate is for.
 
 Finiteness is checked once per ``Problem``, not per batch: ``factorize``
-refuses a sigma or factor with a NaN or inf entry, and ``markov_form_valid``
-a Markov form with an infinite variance. The normals satisfy |xi| < 13.8:
+refuses a sigma or factor with a NaN or inf entry, and ``MarkovForm.of`` a
+form with an infinite variance. The normals satisfy |xi| < 13.8:
 the ziggurat's layers lie within x_R = 3.654, and its tail draws
 x_R - log1p(-U) / x_R with a 53-bit uniform U < 1, so at most
 x_R + 53 log(2) / x_R. So every path value is finite,
@@ -34,13 +30,15 @@ x_R + 53 log(2) / x_R. So every path value is finite,
 
 A pass of the estimators draws batches of ``batch_rows(n)`` paths, set by the
 grid alone, so a pass over a fine grid holds one table of at most 16 MiB
-(and, on the dense map, its X), and on up to 8192 points draws each block once.
+(and, where a matrix product maps it, its X), and on up to 8192 points draws
+each block once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
@@ -55,8 +53,8 @@ from .measure import GridMeasure
 BLOCK_ROWS = 256
 DEFAULT_JITTER_START = 1e-12
 DEFAULT_JITTER_MAX = 1e-6
-# Smallest grid whose paths take the O(n) Markov cumsum (a Problem solves on a
-# valid Markov form at any size). Measured per sampled value
+# Smallest grid whose Markov form maps its paths by the O(n) cumsum rather
+# than by the product with its lower factor. Measured per sampled value
 # (batches of 16384, one BLAS thread): the dense product costs 3-4 ns at 65
 # points, 6-10 ns at 129 and 30 ns at 1025; the cumsum costs 6.5-8 ns at any
 # size. At 129 points the two tie on time, and the cumsum needs no second
@@ -116,48 +114,66 @@ class Factorization:
         return xi @ self.lower.T
 
 
-@dataclass(frozen=True)
-class MarkovPaths:
-    """X_i = q_i sum_(j <= i) sqrt(r_j - r_(j-1)) xi_j with r_(-1) = 0: the
-    dense map's L applied as a cumulative sum."""
+class MarkovForm(NamedTuple):
+    """Sigma_ij = q_i q_j r_min(i,j) on n points, with no matrix. Sigma = D C D
+    with D = diag(q) and C_ij = min(r_i, r_j), the covariance of Brownian
+    motion at times r, whose inverse is tridiagonal; so Sigma w, Sigma_PP^-1 1
+    on any point subset P and a path each cost O(n).
 
-    step: np.ndarray    # sqrt(r_j - r_(j-1))
-    scale: np.ndarray   # q
+    Build it with ``of``, the PSD and finiteness check of this route. It is a
+    tuple, as the plain (r, q) that the solver and ``certify`` also take is."""
+
+    r: np.ndarray
+    q: np.ndarray
 
     @classmethod
-    def of(cls, r: np.ndarray, q: np.ndarray) -> MarkovPaths:
-        """The map of a Markov form that ``markov_form_valid`` accepts."""
-        return cls(step=np.sqrt(np.diff(r, prepend=0.0)), scale=q)
-
-    def __post_init__(self):
-        for name in ("step", "scale"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    def of(cls, r, q) -> MarkovForm | None:
+        """The form, when (r, q) are arrays of one length n >= 1 with every
+        dr = r_j - r_(j-1) (r_(-1) = 0) finite and > 0, so that min(r_i, r_j)
+        is Brownian motion's covariance at increasing times, every 1/q finite
+        (the precision has D^-1 = diag(1/q)), and every variance q_j^2 r_j
+        finite (it bounds the covariances); else None."""
+        r, q = np.asarray(r, dtype=float), np.asarray(q, dtype=float)
+        if r.ndim != 1 or r.shape != q.shape or r.size < 1:
+            return None
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):  # refused here
+            dr = np.diff(r, prepend=0.0)
+            valid = (np.all(np.isfinite(dr)) and np.all(dr > 0)
+                     and np.all(np.isfinite(1.0 / q)) and np.all(np.isfinite(q * q * r)))
+        return cls(r, q) if valid else None
 
     @property
     def n(self) -> int:
-        return self.step.size
+        return self.r.size
+
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        """Sigma w = q (C u) with u = q w, where
+        (C u)_i = sum_(j <= i) r_j u_j + r_i sum_(j > i) u_j."""
+        r, q = self
+        u = q * w
+        cu = np.cumsum(r * u)
+        cu[:-1] += r[:-1] * np.cumsum(u[:0:-1])[::-1]
+        return q * cu
+
+    def theta_on(self, idx: np.ndarray) -> np.ndarray:
+        """Sigma_PP^-1 1 = D^-1 C^-1 v on the sorted points P = idx, v = 1/q_P,
+        since (r_P, q_P) is again a form: (C^-1 v)_i = g_i - g_(i+1),
+        g_i = (v_i - v_(i-1)) / (r_i - r_(i-1)) (v_(-1) = r_(-1) = 0, g_n = 0)."""
+        v = 1.0 / self.q[idx]
+        g = np.diff(v, prepend=0.0) / np.diff(self.r[idx], prepend=0.0)
+        g[:-1] -= g[1:]
+        return v * g
 
     def paths(self, xi: np.ndarray) -> np.ndarray:
-        """X, written over xi."""
-        xi *= self.step
+        """X = xi L^T for the exact lower factor L_ij = q_i sqrt(dr_j), j <= i:
+        a new array below MARKOV_MIN_POINTS points, else the cumsum over xi."""
+        step = np.sqrt(np.diff(self.r, prepend=0.0))
+        if self.n < MARKOV_MIN_POINTS:
+            return xi @ np.tril(np.outer(self.q, step)).T
+        xi *= step
         np.cumsum(xi, axis=1, out=xi)
-        xi *= self.scale
+        xi *= self.q
         return xi
-
-
-def markov_form_valid(r: np.ndarray, q: np.ndarray) -> bool:
-    """Whether (r, q) is the Markov form of a finite positive definite
-    covariance: every dr = r_j - r_(j-1) (r_(-1) = 0) finite and > 0, so that
-    min(r_i, r_j) is Brownian motion's covariance at increasing times, every
-    1/q finite (the precision has D^-1 = diag(1/q)), and every variance
-    q_j^2 r_j finite (it bounds the covariances). This is the whole PSD and
-    finiteness check of the Markov route."""
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):  # refused below
-        dr = np.diff(r, prepend=0.0)
-        return bool(np.all(np.isfinite(dr)) and np.all(dr > 0)
-                    and np.all(np.isfinite(1.0 / q)) and np.all(np.isfinite(q * q * r)))
 
 
 @dataclass(frozen=True)
@@ -254,11 +270,12 @@ def batch_rows(n_points: int) -> int:
     return min(MAX_BATCH_ROWS, max(1, rows))
 
 
-def sample(factor: Factorization | MarkovPaths, grid: Grid, config: SamplerConfig,
+def sample(factor: Factorization | MarkovForm, grid: Grid, config: SamplerConfig,
            start: int = 0, count: int | None = None) -> PathBatch:
     """Draw paths [start, start + count) as one batch (count defaults to n_paths).
 
-    ``factor`` is the path map: a ``Factorization`` or a ``Problem.path_map``.
+    ``factor`` is the path map: a ``Factorization`` or a ``MarkovForm``, as a
+    ``Problem.path_map`` is.
     It maps the whole blocks that hold the paths, so a path's values do not
     depend on how the batch cuts its block.
     """

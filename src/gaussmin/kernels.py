@@ -167,7 +167,7 @@ class Kernel:
 
 def _ou_markov(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # exp(-|s - t|) = e^-s e^-t e^(2 min(s, t)); an r that overflows is
-    # refused by markov_form_valid, and the Problem then takes the dense route
+    # refused by MarkovForm.of, and the Problem then takes the dense route
     with np.errstate(over="ignore"):
         return np.exp(2.0 * pts), np.exp(-pts)
 

@@ -20,12 +20,10 @@ theta = L^-T L^-1 1, and the NNLS solves the same jittered problem. A
 
 Markov route: Sigma_ij = q_i q_j r_min(i,j), given as its Markov form (r, q)
 (``Kernel.markov_form``), with no matrix; a ``Problem`` whose kernel has a
-valid form takes it at every grid size. Sigma = D C D with D = diag(q) and
-C_ij = min(r_i, r_j), the covariance of Brownian motion at times r, whose
-inverse is tridiagonal. So theta = D^-1 C^-1 D^-1 1 costs O(n), and so does
-Sigma_PP^-1 1 on any point subset P, because (r_P, q_P) is again a Markov
-form: each active-set step of the NNLS is O(n). ``markov_form_valid`` (finite
-r increments > 0, finite 1/q and variances q^2 r) is the PSD check of this route.
+form that ``MarkovForm.of`` accepts takes it at every grid size. The form's
+``theta_on`` solves Sigma_PP s = 1 on any point subset P in O(|P|), and its
+``matvec`` is O(n), so each active-set step of the NNLS is O(n).
+``MarkovForm.of`` is the PSD check of this route.
 
 The returned measure is certified through m = Sigma nu by the route's own
 matvec (``certify`` screens a matrix or form from outside first): feasibility
@@ -37,13 +35,12 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .exceptions import NotPositiveSemidefiniteError, OptimizerError
-from .gauss_sim import Factorization, factorize, markov_form_valid, screen_gram
+from .gauss_sim import Factorization, MarkovForm, factorize, screen_gram
 from .grids import MAX_LEVEL, DyadicGrid, Grid, PointGrid
 from .kernels import ExplicitGram, Kernel
 from .measure import GridMeasure
@@ -165,18 +162,18 @@ def certify(sigma: np.ndarray | tuple[np.ndarray, np.ndarray],
     returns a report; ``passed`` is the verdict at relative tolerance CERTIFY_TOL.
     ``sigma`` is screened first, since it may come from outside a ``Problem``:
     a matrix must be square, finite, symmetric, with a nonnegative diagonal
-    and Cauchy-Schwarz, a Markov form pass ``markov_form_valid``.
+    and Cauchy-Schwarz, a Markov form pass ``MarkovForm.of``.
     """
     if isinstance(sigma, tuple):
-        r, q = _markov_form(sigma)
-        n = r.size
+        sigma = _checked_form(sigma)
+        n = sigma.n
     else:
         sigma = _screened_gram(sigma)
         n = sigma.shape[0]
     w = measure.weights
     if w.size != n:
         raise OptimizerError(f"measure has {w.size} weights for a {n}-point Gram")
-    return _report(_markov_matvec(r, q, w) if isinstance(sigma, tuple) else sigma @ w, w)
+    return _report(sigma.matvec(w) if isinstance(sigma, MarkovForm) else sigma @ w, w)
 
 
 def _report(m: np.ndarray, w: np.ndarray) -> CertificateReport:
@@ -204,40 +201,14 @@ def _screened_gram(sigma: np.ndarray) -> np.ndarray:
     return sigma
 
 
-# ---------------------------------------------------------------------------
-# the Markov route: Sigma = D C D with C^-1 tridiagonal, never formed
-# ---------------------------------------------------------------------------
-
-
-def _markov_form(form: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(r, q) as float arrays, after the route's PSD check."""
-    r, q = (np.asarray(a, dtype=float) for a in form)
-    if r.ndim != 1 or r.shape != q.shape or r.size < 1:
+def _checked_form(form: tuple) -> MarkovForm:
+    """``form`` as a ``MarkovForm``, after the route's PSD check."""
+    checked = MarkovForm.of(*form)
+    if checked is None:
         raise NotPositiveSemidefiniteError(
-            f"a Markov form needs r and q of one length, got {r.shape} and {q.shape}")
-    if not markov_form_valid(r, q):
-        raise NotPositiveSemidefiniteError(
-            "Markov form needs finite increments r_j - r_(j-1) > 0 (r_(-1) = 0), "
-            "finite 1/q and finite variances q^2 r")
-    return r, q
-
-
-def _markov_matvec(r: np.ndarray, q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sigma w = q (C u) with u = q w, where
-    (C u)_i = sum_(j <= i) r_j u_j + r_i sum_(j > i) u_j."""
-    u = q * w
-    cu = np.cumsum(r * u)
-    cu[:-1] += r[:-1] * np.cumsum(u[:0:-1])[::-1]
-    return q * cu
-
-
-def _markov_theta(r: np.ndarray, q: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Sigma_PP^-1 1 = D^-1 C^-1 v on the sorted points P = idx, v = 1/q_P: (C^-1 v)_i =
-    g_i - g_(i+1), g_i = (v_i - v_(i-1)) / (r_i - r_(i-1)) (v_(-1) = r_(-1) = 0, g_n = 0)."""
-    v = 1.0 / q[idx]
-    g = np.diff(v, prepend=0.0) / np.diff(r[idx], prepend=0.0)
-    g[:-1] -= g[1:]
-    return v * g
+            "a Markov form needs r and q of one length with finite increments "
+            "r_j - r_(j-1) > 0 (r_(-1) = 0), finite 1/q and finite variances q^2 r")
+    return checked
 
 
 def _active_set(matvec: Callable, theta_on: Callable, n: int,
@@ -332,9 +303,8 @@ def solve_simplex_qp(sigma: np.ndarray | tuple[np.ndarray, np.ndarray],
     result's measure; index positions are used when absent.
     """
     if isinstance(sigma, tuple):
-        r, q = _markov_form(sigma)
-        n, route = r.size, "markov"
-        matvec, theta_on = partial(_markov_matvec, r, q), partial(_markov_theta, r, q)
+        sigma = _checked_form(sigma)
+        n, route, matvec, theta_on = sigma.n, "markov", sigma.matvec, sigma.theta_on
     else:
         sigma, factor = np.asarray(sigma, dtype=float), factor or factorize(sigma)
         n, route, matvec, theta_on = factor.n, "dense", sigma.dot, _dense_theta_on(sigma, factor)

@@ -496,9 +496,9 @@ def test_preset_flag_wins_over_the_config_files_preset(run_cli):
 
 
 def test_tail_builds_gram_factor_and_solution_once(run_cli, monkeypatch):
-    # one Problem serves all ten estimates: one Gram matrix and one Cholesky
-    # factor for the 33-point path map, and one certificate, from the solve
-    # on the kernel's Markov form (every certificate, the solver's and
+    # one Problem serves all ten estimates: its Markov form maps the 33-point
+    # paths and solves, with no Gram matrix and no Cholesky factor, and one
+    # certificate comes from that solve (every certificate, the solver's and
     # certify's, is made by optimizer._report)
     calls = Counter()
 
@@ -516,7 +516,7 @@ def test_tail_builds_gram_factor_and_solution_once(run_cli, monkeypatch):
                         counted("certify", gaussmin.optimizer._report))
     code, _ = run_cli("tail", config={"preset": "ou", "n_paths": 2000})
     assert code == EXIT_OK
-    assert calls == {"gram": 1, "cholesky": 1, "certify": 1}
+    assert calls == {"certify": 1}
 
 
 SMALL_STUDY = {"name": "ou", "preset": "ou", "k": 3, "k_min": 2, "k_max": 4,
@@ -525,10 +525,10 @@ SMALL_STUDY = {"name": "ou", "preset": "ou", "k": 3, "k_min": 2, "k_max": 4,
 
 
 def test_report_study_builds_each_grid_once(run_cli, monkeypatch):
-    # Gram matrices built, by grid size: refine's levels 2, 3 and 4 solve on
-    # the Markov form and build none; analytic, tail and argmin share one k=3
-    # Problem, whose dense path map builds one, and diagnose samples refine's
-    # final k=4 Problem, which builds the other.
+    # analytic, tail and argmin share one k=3 Problem, and diagnose samples
+    # refine's final k=4 Problem; each solves and samples on its Markov form,
+    # and refine's levels 2, 3 and 4 solve on theirs, so none builds a Gram
+    # matrix or a Cholesky factor.
     grams, choleskys = Counter(), Counter()
     gram, cholesky = Kernel.gram, np.linalg.cholesky
 
@@ -546,7 +546,7 @@ def test_report_study_builds_each_grid_once(run_cli, monkeypatch):
     assert code == EXIT_OK
     _, _, trace = read_csv(out / "ou" / "solve" / "trace.csv")
     assert [row[0] for row in trace] == [2, 3, 4]
-    assert grams == choleskys == {9: 1, 17: 1}
+    assert grams == choleskys == {}
 
 
 def embedded_config(stage_dir: Path) -> dict:
@@ -614,6 +614,36 @@ def test_report_study_with_a_bad_kernel_exits_3_before_any_stage(run_cli, capsys
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: 'studies[0].kernel' must be")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("kernel, message", [
+    ({"type": "ou", "alpha": 1}, "unknown key 'studies[0].kernel.alpha'"),
+    ({"type": "modulated_bm", "g": {"power": 2}}, "'studies[0].kernel.g.power' must be"),
+], ids=["unknown_key", "bad_value"])
+def test_a_study_kernel_key_error_names_the_study(run_cli, capsys, kernel, message):
+    code, out = run_cli("report", config={"studies": [
+        {"name": "a", "preset": "ou", "kernel": kernel, "interval": [1.0, 4.0]}]})
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert list(out.iterdir()) == []
+
+
+def test_a_study_samples_on_its_own_threads(run_cli, monkeypatch):
+    # a study's threads wins over the master's, as its seed does, and a null
+    # one is unset
+    workers, run_sweeps = [], gaussmin.cli.run_sweeps
+
+    def spied(problem, config, sweeps):
+        workers.append(config.workers)
+        return run_sweeps(problem, config, sweeps)
+
+    monkeypatch.setattr(gaussmin.cli, "run_sweeps", spied)
+    study = {k: v for k, v in SMALL_STUDY.items() if not k.startswith("diagnose")}
+    code, _ = run_cli("report", config={"threads": 2, "studies": [
+        dict(study, name="own", threads=1), dict(study, name="master"),
+        dict(study, name="null", threads=None)]})
+    assert code == EXIT_OK
+    assert workers == [1, 2, 2]
 
 
 @pytest.mark.parametrize("command, config, passes", [

@@ -26,9 +26,8 @@ from gaussmin import gauss_sim
 from gaussmin.estimators import (argmin_conditional, argmin_sweep, correction_diagnostic,
                                  mx_sweep, run_sweeps, small_ball_sweep, tail_crude_sweep,
                                  tail_is_sweep)
-from gaussmin.gauss_sim import (BLOCK_ROWS, MARKOV_MIN_POINTS, MAX_BATCH_ROWS, MarkovPaths,
-                                PathBatch, batch_rows, factorize, markov_form_valid,
-                                standard_normals)
+from gaussmin.gauss_sim import (BLOCK_ROWS, MARKOV_MIN_POINTS, MAX_BATCH_ROWS, MarkovForm,
+                                PathBatch, batch_rows, factorize, standard_normals)
 from conftest import MARKOV_KERNELS, make_config, markov_problem
 from oracles import ks_critical, reference_normals
 
@@ -163,7 +162,7 @@ def test_sample_batch_size_does_not_change_paths(ou):
 
 @pytest.mark.parametrize("k, n_paths", [(5, 2000), (10, 300)])
 def test_batch_sizes_give_the_same_paths(ou, k, n_paths):
-    # 33 points on the dense map, 1025 on the Markov cumsum: batches of 1, 777
+    # 33 points on the Markov product, 1025 on its cumsum: batches of 1, 777
     # and the pass's rows, each drawing whole blocks where it starts or ends
     # inside one, stack to the same paths
     problem = Problem(ou, DyadicGrid(0.0, 1.0, k))
@@ -289,48 +288,38 @@ def test_path_batch_validation():
 
 
 # ---------------------------------------------------------------------------
-# the path map: dense xi L^T below MARKOV_MIN_POINTS, the O(n) cumsum above
+# the Markov path map: xi L^T below MARKOV_MIN_POINTS, the O(n) cumsum above
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("k", [8, 10])
+@pytest.mark.parametrize("k", [5, 6, 8, 10])
 @pytest.mark.parametrize("name", sorted(MARKOV_KERNELS))
 def test_markov_route_matches_the_dense_product(name, k):
     problem = markov_problem(name, k)
-    assert isinstance(problem.path_map, MarkovPaths)
+    assert isinstance(problem.path_map, MarkovForm)
     x = sample(problem.path_map, problem.grid, make_config(n_paths=500), start=40).values
     dense = reference_normals(4242, 0, 40, 500, problem.grid.n) @ problem.factor.lower.T
     assert np.abs(x - dense).max() <= 1e-11 * np.abs(dense).max()
 
 
-@pytest.mark.parametrize("k", [5, 6])
-@pytest.mark.parametrize("name", sorted(MARKOV_KERNELS))
-def test_dense_route_below_the_crossover_is_unchanged(name, k):
-    problem = markov_problem(name, k)
-    assert problem.path_map is problem.factor
-    x = sample(problem.path_map, problem.grid, make_config(n_paths=500), start=40).values
-    dense = reference_normals(4242, 0, 40, 500, problem.grid.n) @ problem.factor.lower.T
-    assert np.array_equal(x, dense)
-
-
 def test_path_map_dispatch_rule():
-    # a Problem solves on its kernel's (r, q) when the form passes
-    # markov_form_valid, at any size; it samples by the cumsum from
-    # MARKOV_MIN_POINTS points, and by its factor below that or without a form
-    problem = markov_problem("ou", 8)
-    assert problem.route == "markov"
-    assert isinstance(problem.path_map, MarkovPaths)
+    # a Problem whose kernel's (r, q) passes MarkovForm.of samples and solves
+    # on that form at any size; without a valid form, on its factor
+    for k in (6, 8):
+        problem = markov_problem("ou", k)
+        assert problem.route == "markov"
+        assert problem.path_map is problem.markov
+        assert isinstance(problem.path_map, MarkovForm)
+    assert markov_problem("ou", 6).grid.n < MARKOV_MIN_POINTS
     r, q = problem.kernel.markov_form(problem.grid)
-    assert markov_form_valid(r, q)
-    assert not markov_form_valid(np.where(r > 2.0, np.inf, r), q)
+    assert MarkovForm.of(r, q) is not None
+    assert MarkovForm.of(np.where(r > 2.0, np.inf, r), q) is None
     flat = r.copy()
     flat[5] = flat[4]
-    assert not markov_form_valid(flat, q)
-    assert not markov_form_valid(r, np.where(q < 0.5, 0.0, q))
-    assert not markov_form_valid(r, np.where(q < 0.5, np.nan, q))
-    small = markov_problem("ou", 6)
-    assert small.grid.n < MARKOV_MIN_POINTS
-    assert small.route == "markov"
-    assert small.path_map is small.factor
+    assert MarkovForm.of(flat, q) is None
+    assert MarkovForm.of(r, np.where(q < 0.5, 0.0, q)) is None
+    assert MarkovForm.of(r, np.where(q < 0.5, np.nan, q)) is None
+    assert MarkovForm.of(r, q[1:]) is None
+    assert MarkovForm.of(r[:0], q[:0]) is None
     no_form = Problem(PowerExponential(0.5), DyadicGrid(0.0, 1.0, 8))
     overflow = Problem(OrnsteinUhlenbeck(), DyadicGrid(0.0, 400.0, 8))  # r = e^800 = inf
     for p in (no_form, overflow):
@@ -346,7 +335,7 @@ def test_a_jittered_factor_leaves_the_path_map_to_the_markov_form():
                       PointGrid([2.0, 2.0 + 4.5e-16, 3.0]))
     assert problem.route == "markov"
     assert problem.factor.jitter > 0
-    assert isinstance(problem.path_map, MarkovPaths)
+    assert isinstance(problem.path_map, MarkovForm)
     for e in tail_is(problem, [0.5, 1.0, 1.5], make_config(n_paths=100_000)):
         crude = e.meta["crude"]
         assert abs(e.value - crude.value) <= 4 * np.hypot(e.stderr, crude.stderr), e.meta["u"]
@@ -354,7 +343,7 @@ def test_a_jittered_factor_leaves_the_path_map_to_the_markov_form():
 
 def test_markov_route_is_bit_identical_across_batches_and_workers(row_cap):
     problem = markov_problem("example2", 8)  # partial support: the shifted min and argmin run
-    assert isinstance(problem.path_map, MarkovPaths)
+    assert isinstance(problem.path_map, MarkovForm)
     cfg, rows = make_config(n_paths=6000), 777
     full = sample(problem.path_map, problem.grid, cfg).values
     stacked = np.vstack([
@@ -390,7 +379,7 @@ def test_one_fine_batch_allocates_about_one_keystream_buffer():
 
 def test_argmin_of_a_batch_is_the_leftmost_minimum_without_a_copy():
     problem = markov_problem("example1", 7)  # 129 points: the Markov route
-    assert isinstance(problem.path_map, MarkovPaths)
+    assert isinstance(problem.path_map, MarkovForm)
     batch = sample(problem.path_map, problem.grid, make_config(n_paths=MAX_BATCH_ROWS))
     fn = functionals(batch, problem.solution.measure)
     buffer = MAX_BATCH_ROWS * 129 * 8
@@ -451,7 +440,7 @@ def test_a_fine_pass_holds_one_capped_batch(route):
     else:
         problem, batches = Problem(PowerExponential(0.5), DyadicGrid(0.0, 1.0, 10)), 2
     paths, _ = problem.path_map, problem.solution   # built before tracing
-    assert isinstance(paths, MarkovPaths) == (route == "markov")
+    assert isinstance(paths, MarkovForm) == (route == "markov")
     buffer = MAX_BATCH_ROWS * 1025 * 8
     tracemalloc.start()
     try:

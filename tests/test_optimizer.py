@@ -1,6 +1,7 @@
 """Simplex QP solver, certificates and dyadic refinement."""
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -491,12 +492,15 @@ def test_a_markov_problem_builds_no_gram_matrix_and_no_factor(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
     for module in (gaussmin.estimators, gaussmin.gauss_sim, gaussmin.optimizer):
         monkeypatch.setattr(module, "factorize", refuse)
-    problem = markov_problem("example2", 10)   # partial support: the shifted tilt runs
     cfg = make_config(n_paths=2000)
-    assert tail_is(problem, [0.0, 1.0], cfg)[1].value > 0
-    assert not isinstance(argmin_conditional(problem, [1.0], cfg)[0], Exception)
-    for mode in ("range", "zstar"):
-        assert small_ball(problem, [1.0], cfg, mode=mode)[0].value > 0
+    # 33 points sample by the form's product and 1025 by its cumsum; on
+    # example2's partial support the shifted tilt runs
+    for name, k in itertools.product(sorted(MARKOV_KERNELS), (5, 10)):
+        problem = markov_problem(name, k)
+        assert tail_is(problem, [0.0, 1.0], cfg)[1].value > 0
+        assert not isinstance(argmin_conditional(problem, [1.0], cfg)[0], Exception)
+        for mode in ("range", "zstar"):
+            assert small_ball(problem, [1.0], cfg, mode=mode)[0].value > 0
 
 
 @pytest.mark.parametrize("name", sorted(MARKOV_KERNELS))

@@ -11,16 +11,19 @@ example2`` and ``smallball --preset ou``). It runs them twice: on REV's
 sources, exported by ``git archive`` into a temporary directory, and on the
 working tree's sources, uncommitted changes included. Prints each output
 file that differs or exists on one side only, and each command whose exit
-code differs. Exits 0 when none differs, 1 when any does and 2 when REV is
-not a commit. The temporary directory, with both output trees, is removed
-either way. REV is read from the local repository, so the check needs no
-network.
+code differs. For a CSV or JSON file on both sides it adds the largest
+relative change |a - b| / max(|a|, |b|) among the file's numbers, or says
+that more than its numbers changed. Exits 0 when none differs, 1 when any
+does and 2 when REV is not a commit. The temporary directory, with both
+output trees, is removed either way. REV is read from the local repository,
+so the check needs no network.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -62,6 +65,19 @@ def files(root: Path) -> dict[str, bytes]:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+NUMBER = re.compile(rb"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def moved(old: bytes, new: bytes) -> str:
+    """How far the numbers of a CSV or JSON file moved between two versions."""
+    if NUMBER.sub(b"#", old) != NUMBER.sub(b"#", new):
+        return "more than its numbers changed"
+    change = max((abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+                  for a, b in zip(*(map(float, NUMBER.findall(v)) for v in (old, new)))),
+                 default=0.0)
+    return f"largest relative change {change:.2g}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", nargs="?", default="HEAD", help="git revision (default: HEAD)")
@@ -77,8 +93,10 @@ def main(argv: list[str] | None = None) -> int:
         old, new = files(tmp / "out_rev"), files(tmp / "out_tree")
     differ = sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
     for name in differ:
-        side = ("" if name in old and name in new
-                else f" (only in {rev})" if name in old else " (only in the working tree)")
+        side = (f" (only in {rev})" if name not in new
+                else " (only in the working tree)" if name not in old
+                else f" ({moved(old[name], new[name])})" if name.endswith((".csv", ".json"))
+                else "")
         print(f"differs: {name}{side}")
     codes_differ = [name for name in RUNS if codes[0][name] != codes[1][name]]
     for name in codes_differ:

@@ -39,10 +39,10 @@ statistics per group of consecutive path indices, for a jackknife error bar on
 its fit.
 
 The batch is the one unit of a pass: of its memory and of its folds. A batch
-holds ``gauss_sim.batch_rows(n)`` paths, set by the grid alone (1792 at 1025
-points). ``run_sweeps`` adds the folds in path order whatever the worker
-count, so every number is a deterministic function of (seed, stream, n_paths,
-grid, parameter) that no worker count changes.
+holds ``gauss_sim.batch_rows(n)`` paths, set by the grid alone (7936 at 33
+points, one block of 256 at 1025). ``run_sweeps`` adds the folds in path
+order whatever the worker count, so every number is a deterministic function
+of (seed, stream, n_paths, grid, parameter) that no worker count changes.
 """
 
 from __future__ import annotations

@@ -29,41 +29,50 @@ x_R + 53 log(2) / x_R. So every path value is finite,
 |X_i| < 13.8 sqrt(n (sigma_ii + jitter)).
 
 A pass of the estimators draws batches of ``batch_rows(n)`` paths, set by the
-grid alone, so a pass over a fine grid holds one table of at most 16 MiB
-(and, where a matrix product maps it, its X), and on up to 8192 points draws
-each block once.
+grid alone: whole blocks of at most 2 MiB of normals, or one block where a
+block is larger (from 1025 points), and, where a matrix product maps them,
+their X. So a pass draws each block once at every grid size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
 from .exceptions import GridMismatchError, NotPositiveSemidefiniteError
 from .grids import Grid
-from .measure import GridMeasure
+
+if TYPE_CHECKING:
+    from .measure import GridMeasure
 
 # Paths per block of the normal table. Measured per value (one thread): 13.3
 # ns at 33 points and 12.4 ns at 1025 with 256 rows, against 17 and 12 ns with
-# 64; a 4097-point batch capped at BATCH_VALUES (511 rows) holds one block.
+# 64. A batch is never less than one block (``batch_rows``).
 BLOCK_ROWS = 256
 DEFAULT_JITTER_START = 1e-12
 DEFAULT_JITTER_MAX = 1e-6
 # Smallest grid whose Markov form maps its paths by the O(n) cumsum rather
-# than by the product with its lower factor. Measured per sampled value
-# (batches of 16384, one BLAS thread): the dense product costs 3-4 ns at 65
-# points, 6-10 ns at 129 and 30 ns at 1025; the cumsum costs 6.5-8 ns at any
-# size. At 129 points the two tie on time, and the cumsum needs no second
-# batch-sized array.
+# than by the product with its lower factor. Measured per sampled value at
+# the pass's batch rows (2-core Xeon, one BLAS thread, two runs): the product
+# costs 3.6-4.8 ns at 65 points, 4.9-6.8 at 97, 6.0-6.2 at 129, 7.8-8.0 at 193
+# and 10.1-10.2 at 257; the cumsum costs 4.1-5.8 ns at every size. So the two
+# tie near 97 points, between the dyadic grids of 65 and 129 points, and the
+# cumsum needs no second batch-sized array.
 MARKOV_MIN_POINTS = 129
-# Paths, and normals (8 B each, 16 MiB), per batch at most (``batch_rows``):
-# 16384 paths up to 128 points, 1792 at 1025 points, 256 at 4097.
+# Paths, and normals (8 B each, 2 MiB: one core's L2 cache), per batch at most
+# (``batch_rows``): 16384 paths up to 16 points, 7936 at 33, 1792 at 129 and one
+# block from 513 points. Median time of tail_is passes (2-core Xeon, one BLAS
+# thread, 7 runs) at 2^17, 2^18, 2^19, 2^20 and 2^21 values: OU k=5, 500k paths,
+# 5 u: 0.31, 0.33, 0.32, 0.39, 0.38 s; k=6: 0.63, 0.59, 0.59, 0.60, 0.69 s;
+# example1 k=10, 50k paths, u=3: 0.87, 0.86, 0.85, 0.89, 0.92 s. 2^17 to 2^19
+# tie within the spread of a second run, where 2^17 was again slower at 65
+# points; 2^18 holds half the normals of 2^19.
 MAX_BATCH_ROWS = 16_384
-BATCH_VALUES = 2**21
+BATCH_VALUES = 2**18
 
 
 def __getattr__(name: str):
@@ -262,12 +271,10 @@ def standard_normals(seed: int, stream: int, start: int, count: int,
 
 def batch_rows(n_points: int) -> int:
     """Paths per batch of a pass on ``n_points`` points: MAX_BATCH_ROWS, capped
-    at BATCH_VALUES normals per batch rounded down to whole blocks (at least
-    one path), so that no batch edge falls inside a block."""
+    at BATCH_VALUES normals per batch rounded down to whole blocks, and never
+    less than one block, so that no batch edge falls inside a block."""
     rows = BATCH_VALUES // n_points
-    if rows >= BLOCK_ROWS:
-        rows -= rows % BLOCK_ROWS
-    return min(MAX_BATCH_ROWS, max(1, rows))
+    return min(MAX_BATCH_ROWS, max(BLOCK_ROWS, rows - rows % BLOCK_ROWS))
 
 
 def sample(factor: Factorization | MarkovForm, grid: Grid, config: SamplerConfig,

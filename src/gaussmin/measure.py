@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exceptions import DomainError, GridMismatchError
+from .gauss_sim import MarkovForm
 from .grids import Grid
 from .kernels import Kernel, ScaleFunction
 
@@ -233,12 +234,49 @@ def normalize(m: MixedMeasure) -> MixedMeasure:
     return MixedMeasure(m.interval, m.atom_locations, m.atom_masses * scale, density)
 
 
+def _markov_sums(kernel: Kernel, points: np.ndarray, weights: np.ndarray
+                 ) -> np.ndarray | None:
+    """sum_j R(points_i, points_j) weights_j at every point, in O(N) by the
+    kernel's Markov form on the sorted distinct points, where the weights of
+    equal points add up (the form needs increasing r); None for a kernel
+    without a form that ``MarkovForm.of`` accepts."""
+    nodes, where = np.unique(points, return_inverse=True)
+    form = kernel.markov_form(nodes)
+    form = None if form is None else MarkovForm.of(*form)
+    if form is None:
+        return None
+    return form.matvec(np.bincount(where, weights=weights, minlength=nodes.size))[where]
+
+
+def _quadrature(m: MixedMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """The density part's midpoint nodes and their weights f(x) h."""
+    xs, h = _midpoints(m.density.lo, m.density.hi, QUAD_POINTS)
+    return xs, m.density.eval(xs) * h
+
+
+def _point_masses(m: MixedMeasure | GridMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """The measure as weights on points: a grid measure's own, or the atoms
+    and the density's quadrature nodes."""
+    if isinstance(m, GridMeasure):
+        return m.grid.points, m.weights
+    if m.density is None:
+        return m.atom_locations, m.atom_masses
+    xs, fw = _quadrature(m)
+    return np.concatenate((m.atom_locations, xs)), np.concatenate((m.atom_masses, fw))
+
+
 def energy(kernel: Kernel, m: MixedMeasure | GridMeasure) -> float:
     """Double integral of the covariance against the measure squared.
 
     Atom-atom terms are exact; atom-density and density-density terms use
-    composite midpoint rules of QUAD_POINTS panels. Deterministic.
+    composite midpoint rules of QUAD_POINTS panels. A kernel with a Markov
+    form sums them in O(N) over the atoms and nodes; any other in blocks of
+    QUAD_BLOCK entries. Deterministic.
     """
+    points, weights = _point_masses(m)
+    sums = _markov_sums(kernel, points, weights)
+    if sums is not None:
+        return float(weights @ sums)
     if isinstance(m, GridMeasure):
         sigma = kernel.gram(m.grid)
         return float(m.weights @ sigma @ m.weights)
@@ -247,8 +285,7 @@ def energy(kernel: Kernel, m: MixedMeasure | GridMeasure) -> float:
     if locs.size:
         total += float(masses @ kernel.pairwise(locs, locs) @ masses)
     if m.density is not None:
-        xs, h = _midpoints(m.density.lo, m.density.hi, QUAD_POINTS)
-        fw = m.density.eval(xs) * h
+        xs, fw = _quadrature(m)
         if locs.size:
             total += 2.0 * float(masses @ kernel.pairwise(locs, xs) @ fw)
         # density-density in row blocks to bound memory
@@ -262,16 +299,22 @@ def energy(kernel: Kernel, m: MixedMeasure | GridMeasure) -> float:
 
 
 def mean_function(kernel: Kernel, m: MixedMeasure | GridMeasure, eval_points) -> np.ndarray:
-    """m(t) = integral of R(t, s) against the measure, at each requested t."""
+    """m(t) = integral of R(t, s) against the measure, at each requested t:
+    for a kernel with a Markov form, in O(N) over the evaluation points (of
+    weight 0), the atoms and the nodes."""
     ts = np.atleast_1d(np.asarray(eval_points, dtype=float))
+    points, weights = _point_masses(m)
+    sums = _markov_sums(kernel, np.concatenate((ts, points)),
+                        np.concatenate((np.zeros(ts.size), weights)))
+    if sums is not None:
+        return sums[:ts.size]
     if isinstance(m, GridMeasure):
         return kernel.pairwise(ts, m.grid.points) @ m.weights
     out = np.zeros_like(ts)
     if m.atom_locations.size:
         out += kernel.pairwise(ts, m.atom_locations) @ m.atom_masses
     if m.density is not None:
-        xs, h = _midpoints(m.density.lo, m.density.hi, QUAD_POINTS)
-        fw = m.density.eval(xs) * h
+        xs, fw = _quadrature(m)
         block = QUAD_BLOCK // QUAD_POINTS  # rows of ts, to bound memory
         for i in range(0, ts.size, block):
             out[i:i + block] += kernel.pairwise(ts[i:i + block], xs) @ fw

@@ -26,8 +26,8 @@ from gaussmin import gauss_sim
 from gaussmin.estimators import (argmin_conditional, argmin_sweep, correction_diagnostic,
                                  mx_sweep, run_sweeps, small_ball_sweep, tail_crude_sweep,
                                  tail_is_sweep)
-from gaussmin.gauss_sim import (BLOCK_ROWS, MARKOV_MIN_POINTS, MAX_BATCH_ROWS, MarkovForm,
-                                PathBatch, batch_rows, factorize, standard_normals)
+from gaussmin.gauss_sim import (BATCH_VALUES, BLOCK_ROWS, MARKOV_MIN_POINTS, MAX_BATCH_ROWS,
+                                MarkovForm, PathBatch, batch_rows, factorize, standard_normals)
 from conftest import MARKOV_KERNELS, make_config, markov_problem
 from oracles import ks_critical, reference_normals
 
@@ -399,25 +399,34 @@ def test_argmin_of_a_batch_is_the_leftmost_minimum_without_a_copy():
 
 
 def test_narrow_batches_stay_whole():
-    # up to 128 points a batch keeps its 16384 rows; from 129 points
-    # the cap sets the rows: 2^21 // 129 = 16256, down to whole blocks
-    for n in (33, 65, 128):
+    # up to 16 points a batch keeps its 16384 rows; from 17 points the cap
+    # sets the rows: 2^18 // 33 = 7943, down to 31 blocks
+    for n in (3, 9, 16):
         assert batch_rows(n) == MAX_BATCH_ROWS
-    assert batch_rows(129) == 16128
+    assert [batch_rows(n) for n in (17, 33, 65, 129)] == [15360, 7936, 3840, 1792]
 
 
 def test_batch_rows_cap_the_keystream_of_a_batch():
-    # 1025 points: 2^21 // 1025 = 2046 rows, down to 7 blocks of 256
-    assert batch_rows(1025) == 1792
-    assert batch_rows(4097) == BLOCK_ROWS   # 511 rows, down to one block
-    assert batch_rows(2**21 + 1) == 1   # at least one path
+    # 1025 points: 2^18 // 1025 = 255 rows, up to one block, so that no
+    # batch draws two blocks and keeps half of them
+    assert batch_rows(513) == BLOCK_ROWS
+    assert batch_rows(1025) == BLOCK_ROWS
+    assert batch_rows(4097) == BLOCK_ROWS
+    assert batch_rows(2**21 + 1) == BLOCK_ROWS   # never less than one block
 
 
-@pytest.mark.parametrize("k, n_paths", [(5, 3000), (10, 3000), (12, 1000)])
+def test_every_batch_is_whole_blocks_within_the_cap():
+    for n in range(1, 20_001):
+        rows = batch_rows(n)
+        assert rows % BLOCK_ROWS == 0 and rows <= MAX_BATCH_ROWS, n
+        assert rows * n <= BATCH_VALUES or rows == BLOCK_ROWS, n
+
+
+@pytest.mark.parametrize("k, n_paths", [(5, 3000), (10, 3000), (11, 1000), (12, 1000)])
 def test_a_default_pass_draws_each_block_once(monkeypatch, k, n_paths):
-    # 33, 1025 and 4097 points: the capped rows are whole blocks, so no batch
-    # edge falls inside a block, and the pass seeds ceil(n_paths / BLOCK_ROWS)
-    # generators, one per block
+    # 33, 1025, 2049 and 4097 points: the capped rows are whole blocks, so no
+    # batch edge falls inside a block, and the pass seeds
+    # ceil(n_paths / BLOCK_ROWS) generators, one per block
     problem = markov_problem("ou", k)
     blocks = []
     seed_sequence = gauss_sim.SeedSequence
@@ -431,26 +440,30 @@ def test_a_default_pass_draws_each_block_once(monkeypatch, k, n_paths):
     assert sorted(blocks) == list(range(-(-n_paths // BLOCK_ROWS)))
 
 
-@pytest.mark.parametrize("route", ["markov", "dense"])
-def test_a_fine_pass_holds_one_capped_batch(route):
-    # 1025 points: 16384 paths' normals would be 134 MB; the pass draws
-    # 1792 paths at a time, and the dense map adds their X to the normals
+@pytest.mark.parametrize("route, k, batches", [
+    # 1025 points: the cumsum writes over the normals, and the Cholesky
+    # product adds X to them; at 33 points, so does the form's own product
+    pytest.param("markov", 10, 1, id="markov"),
+    pytest.param("dense", 10, 2, id="dense"),
+    pytest.param("markov", 5, 2, id="markov-33"),
+])
+def test_a_fine_pass_holds_one_capped_batch(route, k, batches):
+    # 16384 paths' normals would be 134 MB at 1025 points and 4.3 MB at 33;
+    # the pass draws one block of 256 paths, or 7936 paths, at a time
     if route == "markov":
-        problem, batches = markov_problem("ou", 10), 1
+        problem = markov_problem("ou", k)
     else:
-        problem, batches = Problem(PowerExponential(0.5), DyadicGrid(0.0, 1.0, 10)), 2
+        problem = Problem(PowerExponential(0.5), DyadicGrid(0.0, 1.0, k))
     paths, _ = problem.path_map, problem.solution   # built before tracing
     assert isinstance(paths, MarkovForm) == (route == "markov")
-    buffer = MAX_BATCH_ROWS * 1025 * 8
     tracemalloc.start()
     try:
         tail_is(problem, [0.0, 1.0], make_config(n_paths=MAX_BATCH_ROWS))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    capped = 8 * gauss_sim.BATCH_VALUES
+    capped = 8 * BATCH_VALUES
     assert peak <= (batches + 0.25) * capped, f"peak {peak / capped:.2f} x one capped keystream"
-    assert peak < 0.25 * buffer, f"peak {peak / buffer:.2f} x the batch's buffer"
 
 
 def _sweep_outputs(problem: Problem, cfg: SamplerConfig) -> list:

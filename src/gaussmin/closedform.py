@@ -107,21 +107,13 @@ def tbm_measure(g: ScaleFunction, a: float, b: float) -> TbmResult:
     if p_b < -1e-12:
         raise ClosedFormError("g(b) g'(b) < 0: g must be nondecreasing at the right endpoint")
     p_b = max(p_b, 0.0)
-    if h_a >= 0:
-        xs = np.linspace(a, b, CHECK_MESH)
-        if np.min(np.asarray(g.dg(xs), dtype=float)) < -1e-12:
-            raise ClosedFormError("case A requires g nondecreasing on the whole interval")
-        p_a = (float(g.g(a)) / a) * h_a
-        density = _negg_density(g, a, b)
-        measure = MixedMeasure.from_atoms((a, b), [(a, p_a), (b, p_b)], density)
-        return TbmResult(measure, "A", None)
-    a0 = _find_a0(g, a, b)
-    xs = np.linspace(a0, b, CHECK_MESH)
-    if np.min(np.asarray(g.dg(xs), dtype=float)) < -1e-12:
-        raise ClosedFormError("case B requires g nondecreasing on [a0, b]")
-    density = _negg_density(g, a0, b)
-    measure = MixedMeasure.from_atoms((a, b), [(b, p_b)], density)
-    return TbmResult(measure, "B", a0)
+    case, a0 = ("A", None) if h_a >= 0 else ("B", _find_a0(g, a, b))
+    lo = a if a0 is None else a0
+    if np.min(np.asarray(g.dg(np.linspace(lo, b, CHECK_MESH)), dtype=float)) < -1e-12:
+        raise ClosedFormError(f"case {case} requires g nondecreasing on [{lo:.6g}, {b:.6g}]")
+    left = [(a, (float(g.g(a)) / a) * h_a)] if a0 is None else []
+    measure = MixedMeasure.from_atoms((a, b), left + [(b, p_b)], _negg_density(g, lo, b))
+    return TbmResult(measure, case, a0)
 
 
 def _negg_density(g: ScaleFunction, lo: float, hi: float) -> DensityPart | None:

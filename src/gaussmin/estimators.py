@@ -75,12 +75,12 @@ class Problem:
     """One (kernel, grid), with what the sampler and the solver need of it,
     each computed on first use and kept.
 
-    ``markov`` is the kernel's ``MarkovForm`` if ``MarkovForm.of`` accepts
-    its (r, q), else None. A form is the path map and gives the solution and
-    its certificate, at any grid size, with no Gram matrix and no factor.
-    Without one, the one jittered Cholesky ``factor`` of ``sigma`` (also the
-    PSD check of ``sigma``) does both; ``sigma`` and ``factor`` are lazy, so
-    they are built only where something reads them.
+    ``markov`` is the kernel's checked ``MarkovForm`` on the grid
+    (``Kernel.markov_form``), or None. A form is the path map and gives the
+    solution and its certificate, at any grid size, with no Gram matrix and no
+    factor. Without one, the one jittered Cholesky ``factor`` of ``sigma``
+    (also the PSD check of ``sigma``) does both; ``sigma`` and ``factor`` are
+    lazy, so they are built only where something reads them.
     """
 
     kernel: Kernel
@@ -88,8 +88,8 @@ class Problem:
     markov: MarkovForm | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        form = self.kernel.markov_form(self.grid)   # also checks the grid's domain
-        object.__setattr__(self, "markov", None if form is None else MarkovForm.of(*form))
+        # also checks the grid's domain
+        object.__setattr__(self, "markov", self.kernel.markov_form(self.grid))
 
     @property
     def route(self) -> str:

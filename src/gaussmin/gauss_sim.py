@@ -129,7 +129,8 @@ class MarkovForm(NamedTuple):
     motion at times r, whose inverse is tridiagonal; so Sigma w, Sigma_PP^-1 1
     on any point subset P and a path each cost O(n).
 
-    Build it with ``of``, the PSD and finiteness check of this route. It is a
+    Build it with ``of``, the PSD and finiteness check of this route, which
+    ``Kernel.markov_form`` makes for a kernel's form on given points. It is a
     tuple, as the plain (r, q) that the solver and ``certify`` also take is."""
 
     r: np.ndarray

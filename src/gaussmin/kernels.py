@@ -14,7 +14,10 @@ Four families are supported:
 Every family except ``PowerExponential(alpha < 1)`` and ``ExplicitGram`` is a
 Gauss-Markov kernel: ``R(s, t) = q(s) q(t) r(min(s, t))`` with r increasing,
 so a path is q times a time-changed Brownian motion W(r(t)).
-``Kernel.markov_form`` returns (r, q) on a point set, or None.
+``Kernel.markov_form`` returns this form on a point set as a ``MarkovForm``
+once ``MarkovForm.of`` has checked it, or None: the one test, for the
+sampler, the solver and the measure sums alike, of whether a kernel is
+Gauss-Markov on given points.
 
 Kernels are immutable and all operations are pure, so instances can be shared
 freely across concurrent workers.
@@ -27,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DomainError, NotPositiveSemidefiniteError
+from .gauss_sim import MarkovForm
 from .grids import as_points
 
 PSD_RTOL = 1e-10  # minimum eigenvalue >= -PSD_RTOL * max diagonal
@@ -154,20 +158,32 @@ class Kernel:
         self._check_domain(pts)
         return self.pairwise(pts, pts)
 
-    def markov_form(self, grid) -> tuple[np.ndarray, np.ndarray] | None:
-        """(r, q) on the points with R(s, t) = q(s) q(t) r(min(s, t)), or None
-        for a kernel without this Gauss-Markov form."""
+    def markov_form(self, grid) -> MarkovForm | None:
+        """The checked form (r, q) on the points, R(s, t) = q(s) q(t) r(min(s, t)):
+        ``MarkovForm.of`` of the family's (r, q), or None for a kernel without
+        this Gauss-Markov form or with one that ``MarkovForm.of`` refuses."""
         pts = as_points(grid)
         self._check_domain(pts)
-        return self._markov(pts)
+        form = self._markov(pts)
+        return None if form is None else MarkovForm.of(*form)
 
     def _markov(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         return None
 
 
+def _abs_lags(s, t) -> np.ndarray:
+    """|s_i - t_j| in one new array, which the stationary kernels transform in
+    place: a row block of their pairwise then holds one block-sized array, not
+    two, so glibc's malloc does not give the heap's top back to the system and
+    fault it in again on every block of ``measure``'s blocked sums."""
+    d = np.asarray(s, dtype=float)[:, None] - np.asarray(t, dtype=float)[None, :]
+    return np.abs(d, out=d)
+
+
 def _ou_markov(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # exp(-|s - t|) = e^-s e^-t e^(2 min(s, t)); an r that overflows is
-    # refused by MarkovForm.of, and the Problem then takes the dense route
+    # refused by MarkovForm.of, so markov_form returns None: a Problem then
+    # takes the dense route, and the measure sums the blocked one
     with np.errstate(over="ignore"):
         return np.exp(2.0 * pts), np.exp(-pts)
 
@@ -177,9 +193,8 @@ class OrnsteinUhlenbeck(Kernel):
     """Stationary exponential covariance exp(-|s - t|)."""
 
     def pairwise(self, s, t):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return np.exp(-np.abs(s[:, None] - t[None, :]))
+        d = _abs_lags(s, t)
+        return np.exp(np.negative(d, out=d), out=d)
 
     def _markov(self, pts):
         return _ou_markov(pts)
@@ -196,9 +211,9 @@ class PowerExponential(Kernel):
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
 
     def pairwise(self, s, t):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return np.exp(-np.abs(s[:, None] - t[None, :]) ** self.alpha)
+        d = _abs_lags(s, t)
+        d **= self.alpha
+        return np.exp(np.negative(d, out=d), out=d)
 
     def _markov(self, pts):
         return _ou_markov(pts) if self.alpha == 1.0 else None

@@ -3,9 +3,11 @@
 ``MixedMeasure`` represents ``sum_i p_i delta_{x_i} + f(x) dx`` with the
 density supported on a subinterval; ``GridMeasure`` is a probability vector on
 a grid. Energies (the covariance double integral) and mean functions are
-computed with exact atom-atom terms and composite midpoint quadrature for the
-density parts -- midpoint avoids evaluating densities at endpoint
-singularities.
+sums of the covariance against the measure as weights on points: the atoms
+exactly, and the density by composite midpoint quadrature -- midpoint avoids
+evaluating densities at endpoint singularities. One routine makes both sums:
+on the kernel's checked Markov form (``Kernel.markov_form``) in O(N), else
+over row blocks of ``kernel.pairwise``, with no n x n matrix either way.
 
 All types are immutable after construction and every operation is pure.
 """
@@ -17,7 +19,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exceptions import DomainError, GridMismatchError
-from .gauss_sim import MarkovForm
 from .grids import Grid
 from .kernels import Kernel, ScaleFunction
 
@@ -234,91 +235,56 @@ def normalize(m: MixedMeasure) -> MixedMeasure:
     return MixedMeasure(m.interval, m.atom_locations, m.atom_masses * scale, density)
 
 
-def _markov_sums(kernel: Kernel, points: np.ndarray, weights: np.ndarray
-                 ) -> np.ndarray | None:
-    """sum_j R(points_i, points_j) weights_j at every point, in O(N) by the
-    kernel's Markov form on the sorted distinct points, where the weights of
-    equal points add up (the form needs increasing r); None for a kernel
-    without a form that ``MarkovForm.of`` accepts."""
-    nodes, where = np.unique(points, return_inverse=True)
-    form = kernel.markov_form(nodes)
-    form = None if form is None else MarkovForm.of(*form)
-    if form is None:
-        return None
-    return form.matvec(np.bincount(where, weights=weights, minlength=nodes.size))[where]
-
-
-def _quadrature(m: MixedMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """The density part's midpoint nodes and their weights f(x) h."""
-    xs, h = _midpoints(m.density.lo, m.density.hi, QUAD_POINTS)
-    return xs, m.density.eval(xs) * h
-
-
 def _point_masses(m: MixedMeasure | GridMeasure) -> tuple[np.ndarray, np.ndarray]:
     """The measure as weights on points: a grid measure's own, or the atoms
-    and the density's quadrature nodes."""
+    and the density's midpoint nodes with their weights f(x) h."""
     if isinstance(m, GridMeasure):
         return m.grid.points, m.weights
     if m.density is None:
         return m.atom_locations, m.atom_masses
-    xs, fw = _quadrature(m)
-    return np.concatenate((m.atom_locations, xs)), np.concatenate((m.atom_masses, fw))
+    xs, h = _midpoints(m.density.lo, m.density.hi, QUAD_POINTS)
+    return (np.concatenate((m.atom_locations, xs)),
+            np.concatenate((m.atom_masses, m.density.eval(xs) * h)))
+
+
+def _covariance_sums(kernel: Kernel, ts: np.ndarray, points: np.ndarray,
+                     weights: np.ndarray) -> np.ndarray:
+    """sum_j R(ts_i, points_j) weights_j at every t_i.
+
+    Where the kernel has a Markov form on the sorted distinct ts and points,
+    the sums are the checked form's O(N) matvec of the weights, with the
+    weights of equal points summed (the form needs increasing r). Otherwise
+    they are taken over row blocks of ``kernel.pairwise`` of at most
+    QUAD_BLOCK entries.
+    """
+    nodes, where = np.unique(np.concatenate((ts, points)), return_inverse=True)
+    form = kernel.markov_form(nodes)   # also checks the points' domain
+    if form is not None:
+        node_weights = np.bincount(where[ts.size:], weights=weights, minlength=nodes.size)
+        return form.matvec(node_weights)[where[:ts.size]]
+    rows = max(1, QUAD_BLOCK // points.size)
+    out = np.empty(ts.size)
+    for i in range(0, ts.size, rows):
+        out[i:i + rows] = kernel.pairwise(ts[i:i + rows], points) @ weights
+    return out
 
 
 def energy(kernel: Kernel, m: MixedMeasure | GridMeasure) -> float:
-    """Double integral of the covariance against the measure squared.
-
-    Atom-atom terms are exact; atom-density and density-density terms use
-    composite midpoint rules of QUAD_POINTS panels. A kernel with a Markov
-    form sums them in O(N) over the atoms and nodes; any other in blocks of
-    QUAD_BLOCK entries. Deterministic.
+    """Double integral of the covariance against the measure squared: the
+    weights against their own ``mean_function`` sums at the measure's points,
+    a grid measure's weights, or the atoms (exact) and the density's
+    composite midpoint rule of QUAD_POINTS panels. Deterministic.
     """
     points, weights = _point_masses(m)
-    sums = _markov_sums(kernel, points, weights)
-    if sums is not None:
-        return float(weights @ sums)
-    if isinstance(m, GridMeasure):
-        sigma = kernel.gram(m.grid)
-        return float(m.weights @ sigma @ m.weights)
-    total = 0.0
-    locs, masses = m.atom_locations, m.atom_masses
-    if locs.size:
-        total += float(masses @ kernel.pairwise(locs, locs) @ masses)
-    if m.density is not None:
-        xs, fw = _quadrature(m)
-        if locs.size:
-            total += 2.0 * float(masses @ kernel.pairwise(locs, xs) @ fw)
-        # density-density in row blocks to bound memory
-        block = QUAD_BLOCK // QUAD_POINTS
-        acc = 0.0
-        for i in range(0, QUAD_POINTS, block):
-            rows = kernel.pairwise(xs[i:i + block], xs)
-            acc += float(fw[i:i + block] @ rows @ fw)
-        total += acc
-    return total
+    return float(weights @ _covariance_sums(kernel, points, points, weights))
 
 
 def mean_function(kernel: Kernel, m: MixedMeasure | GridMeasure, eval_points) -> np.ndarray:
-    """m(t) = integral of R(t, s) against the measure, at each requested t:
-    for a kernel with a Markov form, in O(N) over the evaluation points (of
-    weight 0), the atoms and the nodes."""
-    ts = np.atleast_1d(np.asarray(eval_points, dtype=float))
+    """m(t) = integral of R(t, s) against the measure, at each requested t,
+    summed over the same points as ``energy``, by the same routine."""
     points, weights = _point_masses(m)
-    sums = _markov_sums(kernel, np.concatenate((ts, points)),
-                        np.concatenate((np.zeros(ts.size), weights)))
-    if sums is not None:
-        return sums[:ts.size]
-    if isinstance(m, GridMeasure):
-        return kernel.pairwise(ts, m.grid.points) @ m.weights
-    out = np.zeros_like(ts)
-    if m.atom_locations.size:
-        out += kernel.pairwise(ts, m.atom_locations) @ m.atom_masses
-    if m.density is not None:
-        xs, fw = _quadrature(m)
-        block = QUAD_BLOCK // QUAD_POINTS  # rows of ts, to bound memory
-        for i in range(0, ts.size, block):
-            out[i:i + block] += kernel.pairwise(ts[i:i + block], xs) @ fw
-    return out
+    return _covariance_sums(kernel, np.atleast_1d(np.asarray(eval_points, dtype=float)),
+                            points, weights)
 
 
 def discretize(m: MixedMeasure, grid: Grid) -> GridMeasure:

@@ -18,12 +18,12 @@ theta = L^-T L^-1 1, and the NNLS solves the same jittered problem. A
 ``Problem`` takes this route only for a kernel without a valid Markov form
 (``PowerExponential(alpha < 1)``, ``ExplicitGram``).
 
-Markov route: Sigma_ij = q_i q_j r_min(i,j), given as its Markov form (r, q)
-(``Kernel.markov_form``), with no matrix; a ``Problem`` whose kernel has a
-form that ``MarkovForm.of`` accepts takes it at every grid size. The form's
+Markov route: Sigma_ij = q_i q_j r_min(i,j), given as its Markov form (r, q),
+with no matrix; a ``Problem`` whose kernel has a checked form on its grid
+(``Kernel.markov_form``, which returns None where ``MarkovForm.of``, the PSD
+check of this route, refuses it) takes it at every grid size. The form's
 ``theta_on`` solves Sigma_PP s = 1 on any point subset P in O(|P|), and its
 ``matvec`` is O(n), so each active-set step of the NNLS is O(n).
-``MarkovForm.of`` is the PSD check of this route.
 
 The returned measure is certified through m = Sigma nu by the route's own
 matvec (``certify`` screens a matrix or form from outside first): feasibility

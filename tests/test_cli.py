@@ -1043,11 +1043,15 @@ def test_cli_import_leaves_out_scipy_optimize_and_interpolate():
 
 
 def test_preset_commands_load_no_scipy(tmp_path):
-    # the normals come from numpy's generator and every preset kernel solves on
-    # its Markov form, so neither the import nor a preset command loads scipy
+    # the normals come from numpy's generator, and every preset kernel solves
+    # and sums its closed-form checks on its Markov form, so neither the import
+    # nor any of the seven preset commands loads scipy
     runs = [("tail", {"preset": "ou", "n_paths": 2000}),
             ("argmin", {"preset": "example2", "n_paths": 2000}),
             ("diagnose", {"preset": "ou", "n_paths": 2000}),
+            ("analytic", {"preset": "example1"}),
+            ("solve", {"preset": "example2"}),
+            ("smallball", {"preset": "ou", "n_paths": 2000}),
             ("report", {"studies": [SMALL_STUDY]})]
     argvs = []
     for i, (command, config) in enumerate(runs):

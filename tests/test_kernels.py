@@ -17,7 +17,7 @@ from gaussmin import (
     ShiftedRootScale,
     TabulatedScale,
 )
-from gaussmin.gauss_sim import factorize
+from gaussmin.gauss_sim import MarkovForm, factorize
 
 
 def entry(kern, s, t):
@@ -145,6 +145,12 @@ def test_kernels_without_a_markov_form():
     m = np.array([[2.0, 0.5], [0.5, 1.0]])
     assert ExplicitGram(m, np.array([0.0, 1.0])).markov_form(np.array([0.0, 1.0])) is None
     assert PowerExponential(0.5).markov_form(np.linspace(0.0, 1.0, 5)) is None
+
+
+def test_markov_form_is_none_where_the_check_refuses_it():
+    # r = exp(2 t) overflows at t = 400, so MarkovForm.of refuses the form
+    assert OrnsteinUhlenbeck().markov_form(np.array([0.0, 400.0])) is None
+    assert isinstance(OrnsteinUhlenbeck().markov_form(np.array([0.0, 1.0])), MarkovForm)
 
 
 def test_markov_form_checks_the_domain():

@@ -14,6 +14,7 @@ from gaussmin import (
     PointGrid,
     PowerScale,
     ModulatedBrownian,
+    OrnsteinUhlenbeck,
     TabulatedScale,
     discretize,
     energy,
@@ -137,6 +138,36 @@ def test_mean_function_of_power_family_is_one_everywhere():
     ts = np.linspace(1.0, 4.0, 21)
     got = mean_function(kern, mu, ts)
     assert np.allclose(got, 1.0, rtol=0, atol=1e-6)
+
+
+class FormlessOU(OrnsteinUhlenbeck):
+    """OU with its Markov form hidden: the measure sums take the blocked route."""
+
+    def _markov(self, pts):
+        return None
+
+
+class FormlessModulatedBrownian(ModulatedBrownian):
+    def _markov(self, pts):
+        return None
+
+
+def test_blocked_route_matches_the_markov_route(ou, ou_grid_k5):
+    example1 = ModulatedBrownian(PowerScale(0.5), 1.0, 4.0)
+    cases = [
+        (ou, FormlessOU(), ou_measure(0.0, 1.0), (0.0, 1.0)),
+        (example1, FormlessModulatedBrownian(PowerScale(0.5), 1.0, 4.0),
+         normalize(tbm_measure(PowerScale(0.5), 1.0, 4.0).measure), (1.0, 4.0)),
+        (ou, FormlessOU(), GridMeasure(
+            ou_grid_k5, np.random.default_rng(5).dirichlet(np.ones(ou_grid_k5.n))), (0.0, 1.0)),
+    ]
+    for markov, blocked, m, (lo, hi) in cases:
+        assert blocked.markov_form(np.array([lo, hi])) is None
+        assert markov.markov_form(np.array([lo, hi])) is not None
+        assert energy(blocked, m) == pytest.approx(energy(markov, m), rel=1e-12, abs=0)
+        ts = np.linspace(lo, hi, 100)   # several row blocks for a mixed measure
+        want = mean_function(markov, m, ts)
+        assert np.abs(mean_function(blocked, m, ts) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------

@@ -4,24 +4,28 @@ Usage: python tools/diff_report.py [REV]      (REV defaults to HEAD)
 
 Runs each command of RUNS with one BLAS thread (OPENBLAS_NUM_THREADS=1),
 each into its own output directory: the full reproduction report,
-``report --preset full_repro --threads 1``, and six standalone preset
-commands (``tail --preset ou``, ``argmin --preset example2``, ``diagnose
---preset example1``, ``analytic --preset example1``, ``solve --preset
-example2`` and ``smallball --preset ou``). It runs them twice: on REV's
-sources, exported by ``git archive`` into a temporary directory, and on the
-working tree's sources, uncommitted changes included. Prints each output
-file that differs or exists on one side only, and each command whose exit
-code differs. For a CSV or JSON file on both sides it adds the largest
-relative change |a - b| / max(|a|, |b|) among the file's numbers, or says
-that more than its numbers changed. Exits 0 when none differs, 1 when any
-does and 2 when REV is not a commit. The temporary directory, with both
-output trees, is removed either way. REV is read from the local repository,
-so the check needs no network.
+``report --preset full_repro --threads 1``, six standalone preset commands
+(``tail --preset ou``, ``argmin --preset example2``, ``diagnose --preset
+example1``, ``analytic --preset example1``, ``solve --preset example2`` and
+``smallball --preset ou``), and ``tail --preset example1 --config
+tail_fine.json``, which samples 257 points, so that the O(n) cumulative-sum
+path map (from 129 points) is byte-checked too. The config files of CONFIGS
+are written as JSON beside the output directories. It runs them
+twice: on REV's sources, exported by ``git archive`` into a temporary
+directory, and on the working tree's sources, uncommitted changes included.
+Prints each output file that differs or exists on one side only, and each
+command whose exit code differs. For a CSV or JSON file on both sides it
+adds the largest relative change |a - b| / max(|a|, |b|) among the file's
+numbers, or says that more than its numbers changed. Exits 0 when none
+differs, 1 when any does and 2 when REV is not a commit. The temporary
+directory, with both output trees, is removed either way. REV is read from
+the local repository, so the check needs no network.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -38,6 +42,10 @@ RUNS = {   # output directory: command line
     "analytic": ["analytic", "--preset", "example1"],
     "solve": ["solve", "--preset", "example2"],
     "smallball": ["smallball", "--preset", "ou"],
+    "tail_fine": ["tail", "--preset", "example1", "--config", "tail_fine.json"],
+}
+CONFIGS = {   # config file, written beside the output directories: its contents
+    "tail_fine.json": {"k": 8, "u_list": [3.0], "methods": ["is"], "n_paths": 20000},
 }
 
 
@@ -54,6 +62,8 @@ def run_all(src: Path, out: Path) -> dict[str, int]:
     into its own directory under ``out``."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
     out.mkdir()
+    for name, config in CONFIGS.items():
+        (out / name).write_text(json.dumps(config), encoding="utf-8")
     return {name: subprocess.run([sys.executable, "-m", "gaussmin.cli", *argv,
                                   "--out", str(out / name)], env=env, cwd=out,
                                  stdout=subprocess.DEVNULL).returncode
@@ -104,7 +114,8 @@ def main(argv: list[str] | None = None) -> int:
               f"{codes[1][name]} in the working tree")
     print(f"{len(differ)} of {len(old.keys() | new.keys())} files differ between {rev} and "
           f"the working tree, over {len(RUNS)} commands: "
-          + "; ".join(" ".join(argv) for argv in RUNS.values()))
+          + "; ".join(" ".join(argv) for argv in RUNS.values())
+          + "".join(f"; {name}: {json.dumps(config)}" for name, config in CONFIGS.items()))
     return 1 if differ or codes_differ else 0
 
 

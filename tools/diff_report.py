@@ -7,12 +7,17 @@ each into its own output directory: the full reproduction report,
 ``report --preset full_repro --threads 1``, six standalone preset commands
 (``tail --preset ou``, ``argmin --preset example2``, ``diagnose --preset
 example1``, ``analytic --preset example1``, ``solve --preset example2`` and
-``smallball --preset ou``), and ``tail --preset example1 --config
+``smallball --preset ou``), ``tail --preset example1 --config
 tail_fine.json``, which samples 257 points, so that the O(n) cumulative-sum
-path map (from 129 points) is byte-checked too. The config files of CONFIGS
-are written as JSON beside the output directories. It runs them
-twice: on REV's sources, exported by ``git archive`` into a temporary
-directory, and on the working tree's sources, uncommitted changes included.
+path map (from 129 points) is byte-checked too, and two runs on kernels
+without a Markov form, so that the dense route is byte-checked: ``tail
+--preset ou --config tail_dense.json`` on ``PowerExponential(0.5)`` (its
+Cholesky path map, theta step and certificate) and ``solve --config
+solve_dense.json`` on a 2x2 explicit Gram matrix (its active set and its
+jitter). The config files of CONFIGS are written as JSON beside the output
+directories. It runs them twice: on REV's sources, exported by ``git
+archive`` into a temporary directory, and on the working tree's sources,
+uncommitted changes included.
 Prints each output file that differs or exists on one side only, and each
 command whose exit code differs. For a CSV or JSON file on both sides it
 adds the largest relative change |a - b| / max(|a|, |b|) among the file's
@@ -43,9 +48,14 @@ RUNS = {   # output directory: command line
     "solve": ["solve", "--preset", "example2"],
     "smallball": ["smallball", "--preset", "ou"],
     "tail_fine": ["tail", "--preset", "example1", "--config", "tail_fine.json"],
+    "tail_dense": ["tail", "--preset", "ou", "--config", "tail_dense.json"],
+    "solve_dense": ["solve", "--config", "solve_dense.json"],
 }
 CONFIGS = {   # config file, written beside the output directories: its contents
     "tail_fine.json": {"k": 8, "u_list": [3.0], "methods": ["is"], "n_paths": 20000},
+    "tail_dense.json": {"kernel": {"type": "power_exponential", "alpha": 0.5}, "k": 6,
+                        "u_list": [1.0, 2.0], "n_paths": 20000},
+    "solve_dense.json": {"kernel": {"type": "explicit", "matrix": [[1.0, 0.9], [0.9, 0.85]]}},
 }
 
 

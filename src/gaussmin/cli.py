@@ -13,7 +13,7 @@ anywhere. A command checks only rules of its own or across keys (k_min <= k_max)
 
 Every command takes a dict of ``Problem``s, one per (kernel, grid), that
 ``build_problem`` fills: ``main`` passes an empty one and ``report`` one per
-study, so a study's stages share each path map and certified solution.
+study, so a study's stages share each route and certified solution.
 A ``Problem`` is deterministic, so sharing moves no byte.
 
 The sampling commands ``tail`` and ``argmin`` are two steps: a plan
@@ -397,9 +397,8 @@ def cmd_solve(cfg: dict, out: Path, problems: dict) -> tuple[int, dict]:
         "final_gap": _finite_or_none(trace.final_gap),
         "method": solution.method,
         "support_size": int(solution.support.size),
-        "route": problem.route,
-        # the Markov route factors nothing
-        "jitter": problem.factor.jitter if problem.markov is None else None,
+        "route": problem.route.name,
+        "jitter": problem.route.jitter,
     }
     write_json(out / "solution.json", cfg, result)
     plot = Plot("refinement of sigma*^2 over dyadic levels", "level k", "sigma*^2_k")
@@ -464,9 +463,9 @@ def _run_alone(plan: Plan) -> tuple[Plan, list]:
 def _first_paths(problem: Problem, config: SamplerConfig, count: int
                  ) -> Iterator[list[float]]:
     """Paths [0, count) as lists, one at a time, from the pass's own batches."""
-    rows = batch_rows(problem.path_map.n)
+    rows = batch_rows(problem.route.n)
     for start in range(0, count, rows):
-        batch = sample(problem.path_map, problem.grid, config, start,
+        batch = sample(problem.route, problem.grid, config, start,
                        min(rows, config.n_paths - start))
         for path in batch.values[:count - start]:
             yield path.tolist()

@@ -12,9 +12,9 @@ it; with full support the indicator is 1(min X > 0). Paths are sampled under
 the ORIGINAL law; the tilt lives entirely in the weight, so the estimator is
 exact (not asymptotic) on the grid -- but only for the certified optimum.
 Every estimator therefore takes a ``Problem``: one (kernel, grid) with its
-path map and certified solution, built once and shared by all estimates on
-that grid (a Gauss-Markov kernel is solved on its Markov form, without a Gram
-matrix or factor, and sampled by it too).
+route, which samples the paths and solves, and its certified solution, built
+once and shared by all estimates on that grid (a Gauss-Markov kernel's route
+is its Markov form, with no Gram matrix and no factor).
 
 Each sweep estimator takes its whole parameter list (u, x or eps) and makes
 one pass over the paths. It is one ``Sweep``: a ``fold`` reduces a batch of
@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from typing import Callable, Sequence
 
@@ -60,7 +60,7 @@ from . import optimizer
 from .exceptions import EstimationError
 from .gauss_sim import (Factorization, MarkovForm, PathBatch, PathFunctionals,
                         SamplerConfig, batch_rows, factorize, functionals, sample)
-from .grids import Grid
+from .grids import Grid, as_points
 from .kernels import Kernel
 from .measure import GridMeasure
 # certify stays importable here for perfbench/tracer.py
@@ -72,49 +72,26 @@ JACKKNIFE_GROUPS = 10   # correction_diagnostic's groups of consecutive paths
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """One (kernel, grid), with what the sampler and the solver need of it,
-    each computed on first use and kept.
-
-    ``markov`` is the kernel's checked ``MarkovForm`` on the grid
-    (``Kernel.markov_form``), or None. A form is the path map and gives the
-    solution and its certificate, at any grid size, with no Gram matrix and no
-    factor. Without one, the one jittered Cholesky ``factor`` of ``sigma``
-    (also the PSD check of ``sigma``) does both; ``sigma`` and ``factor`` are
-    lazy, so they are built only where something reads them.
-    """
+    """One (kernel, grid), with its route and its certified solution, each
+    built on first use and kept. The route maps the paths and gives the
+    solution and its certificate: the kernel's checked ``MarkovForm`` on the
+    grid (``Kernel.markov_form``), with no Gram matrix and no factor, or else
+    the ``Factorization`` of its Gram matrix, whose factor is its PSD check."""
 
     kernel: Kernel
     grid: Grid
-    markov: MarkovForm | None = field(init=False, repr=False)
 
-    def __post_init__(self):
-        # also checks the grid's domain
-        object.__setattr__(self, "markov", self.kernel.markov_form(self.grid))
-
-    @property
-    def route(self) -> str:
-        """The solver's route: "markov" or "dense"."""
-        return "dense" if self.markov is None else "markov"
+    def __post_init__(self):   # a grid off the kernel's domain fails here, not on first use
+        self.kernel._check_domain(as_points(self.grid))
 
     @cached_property
-    def sigma(self) -> np.ndarray:
-        sigma = self.kernel.gram(self.grid)
-        sigma.setflags(write=False)
-        return sigma
-
-    @cached_property
-    def factor(self) -> Factorization:
-        return factorize(self.sigma)
-
-    @property
-    def path_map(self) -> Factorization | MarkovForm:
-        return self.factor if self.markov is None else self.markov
+    def route(self) -> MarkovForm | Factorization:
+        form = self.kernel.markov_form(self.grid)
+        return factorize(self.kernel.gram(self.grid)) if form is None else form
 
     @cached_property
     def solution(self) -> OptimalSolution:
-        if self.markov is None:
-            return optimizer.solve_simplex_qp(self.sigma, grid=self.grid, factor=self.factor)
-        return optimizer.solve_simplex_qp(self.markov, grid=self.grid)
+        return optimizer.solve_simplex_qp(self.route, grid=self.grid)
 
 
 @dataclass(frozen=True)
@@ -234,12 +211,12 @@ def run_sweeps(problem: Problem, config: SamplerConfig, sweeps: Sequence[Sweep])
     computed concurrently but added in submission order, so each total is
     identical for any worker count.
     """
-    path_map, grid = problem.path_map, problem.grid  # cached here, before workers read it
+    route, grid = problem.route, problem.grid  # cached here, before workers read it
     argmins = frozenset().union(*(sweep.argmins for sweep in sweeps))
-    rows = batch_rows(path_map.n)
+    rows = batch_rows(route.n)
 
     def run(start: int) -> tuple:   # the batch is freed before the next is drawn
-        paths = sample(path_map, grid, config, start, min(rows, config.n_paths - start))
+        paths = sample(route, grid, config, start, min(rows, config.n_paths - start))
         batch = _Batch(paths, config.n_paths, problem, argmins)
         return tuple(sweep.fold(batch) for sweep in sweeps)
 

@@ -8,14 +8,15 @@ matter how a batch cuts the paths, the order of generation, or how many
 workers produced it; a batch that starts or ends inside a block draws that
 block whole and keeps the rows it owns.
 
-A path map turns the normals xi into paths X. The dense map is X = xi L^T for
-the (jittered) Cholesky factor L of the Gram matrix from ``factorize``, the
-one factor a ``Problem`` keeps (and shares with the simplex solver) when its
-kernel has no Markov form; it costs O(n^2) per path. A Gauss-Markov kernel,
-R(s, t) = q(s) q(t) r(min(s, t)), is represented by its ``MarkovForm`` (r, q),
-which samples, multiplies and solves with no Gram matrix. Its exact lower
-factor is L_ij = q_i sqrt(r_j - r_(j-1)) for j <= i, so its paths are xi L^T
-below MARKOV_MIN_POINTS points, where that product is faster, and from there
+A route is a (kernel, grid)'s covariance Sigma, checked once where it is
+built: it maps the normals xi to paths X (``paths``), and gives the solver
+Sigma w (``matvec``) and Sigma_PP^-1 1 on point sets P (``theta_on``). The
+dense route, ``Factorization``, holds the Gram matrix and its (jittered)
+Cholesky factor L from ``factorize``: X = xi L^T, O(n^2) per path. A
+Gauss-Markov kernel, R(s, t) = q(s) q(t) r(min(s, t)), has a ``MarkovForm``
+(r, q), with no Gram matrix. Its exact lower factor is
+L_ij = q_i sqrt(r_j - r_(j-1)) for j <= i, so its paths are xi L^T below
+MARKOV_MIN_POINTS points, where that product is faster, and from there
 q * cumsum(xi * sqrt(dr)), O(n) per path and written over xi. The two agree to
 rounding (about 1e-12 relative at 1025 points). Nothing on this route is
 jittered, so its paths have the law its certificate is for.
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
@@ -102,17 +103,29 @@ class SamplerConfig:
             raise ValueError("workers must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Factorization:
-    """Lower-triangular L with L L^T = sigma + jitter * I."""
+    """The dense route: a Gram matrix sigma with the lower-triangular L,
+    L L^T = sigma + jitter * I, that ``factorize`` found for it. Its paths
+    are xi L^T, and it solves on sigma + jitter * I. Build it with
+    ``factorize``, the PSD and finiteness check of this route."""
 
+    sigma: np.ndarray
     lower: np.ndarray
     jitter: float
+    name: ClassVar[str] = "dense"
+    _rows: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.lower, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "lower", arr)
+        for name in ("sigma", "lower"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __array__(self, dtype=None, copy=None):
+        # sigma, which perfbench/tracer.py's solve note hashes; this goes once
+        # that note hashes a route's own arrays (ROADMAP item 2)
+        return np.array(self.sigma, dtype=dtype, copy=copy)
 
     @property
     def n(self) -> int:
@@ -122,19 +135,63 @@ class Factorization:
         """X = xi L^T, a new array."""
         return xi @ self.lower.T
 
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        return self.sigma @ w
 
-class MarkovForm(NamedTuple):
+    def theta_on(self, idx: np.ndarray) -> np.ndarray:
+        """s with (Sigma_PP + jitter I) s = 1 on the sorted points P = idx. All
+        points use L. A subset uses packed rows L (row i at i (i+1) / 2) of its
+        points in join order and z = L^-1 1, which the all-points call, where
+        every solve starts, clears: no solve reads another's rows, and a route
+        solves one QP at a time. A joining point appends a row in O(|P|^2); a
+        leaving one cuts the rows from its own on. A point of pivot d^2 <= 0
+        stays out at s = 0."""
+        from scipy.linalg import solve_triangular   # only the dense route needs scipy
+        from scipy.linalg.blas import dtpsv
+
+        n, sigma, rows = self.n, self.sigma, self._rows
+        if idx.size == n:
+            rows.clear()
+            z = solve_triangular(self.lower, np.ones(n), lower=True, check_finite=False)
+            return solve_triangular(self.lower, z, lower=True, trans="T", check_finite=False)
+        if not rows:
+            rows += [np.empty(n * (n + 1) // 2), np.empty(n), np.empty(n, int), 0]
+        packed, z, order, size = rows
+        kept = np.isin(order[:size], idx, assume_unique=True)
+        size = int(np.argmin(np.append(kept, False)))  # first one out
+        for j in np.setdiff1d(idx, order[:size], assume_unique=True):
+            start = size * (size + 1) // 2
+            row = dtpsv(size, packed, sigma[j, order[:size]], trans=1) if size else z[:0]
+            d2 = sigma[j, j] + self.jitter - row @ row
+            if d2 > 0:
+                packed[start:start + size + 1] = np.append(row, np.sqrt(d2))
+                z[size] = (1.0 - row @ z[:size]) / packed[start + size]
+                order[size] = j
+                size += 1
+        rows[3] = size
+        s = np.zeros(n)
+        s[order[:size]] = dtpsv(size, packed, z[:size])
+        return s[idx]
+
+
+@dataclass(frozen=True, eq=False)
+class MarkovForm:
     """Sigma_ij = q_i q_j r_min(i,j) on n points, with no matrix. Sigma = D C D
     with D = diag(q) and C_ij = min(r_i, r_j), the covariance of Brownian
     motion at times r, whose inverse is tridiagonal; so Sigma w, Sigma_PP^-1 1
     on any point subset P and a path each cost O(n).
 
-    Build it with ``of``, the PSD and finiteness check of this route, which
-    ``Kernel.markov_form`` makes for a kernel's form on given points. It is a
-    tuple, as the plain (r, q) that the solver and ``certify`` also take is."""
+    Only ``of``, the PSD and finiteness check of this route, builds one
+    (``Kernel.markov_form`` makes it for a kernel's form on given points). It
+    keeps the steps sqrt(dr) of its paths' cumsum and, below
+    MARKOV_MIN_POINTS, their exact lower factor."""
 
     r: np.ndarray
     q: np.ndarray
+    step: np.ndarray = field(repr=False)
+    lower: np.ndarray | None = field(repr=False)
+    name: ClassVar[str] = "markov"
+    jitter: ClassVar[None] = None
 
     @classmethod
     def of(cls, r, q) -> MarkovForm | None:
@@ -143,14 +200,26 @@ class MarkovForm(NamedTuple):
         is Brownian motion's covariance at increasing times, every 1/q finite
         (the precision has D^-1 = diag(1/q)), and every variance q_j^2 r_j
         finite (it bounds the covariances); else None."""
-        r, q = np.asarray(r, dtype=float), np.asarray(q, dtype=float)
+        r, q = np.array(r, dtype=float), np.array(q, dtype=float)
         if r.ndim != 1 or r.shape != q.shape or r.size < 1:
             return None
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):  # refused here
             dr = np.diff(r, prepend=0.0)
             valid = (np.all(np.isfinite(dr)) and np.all(dr > 0)
                      and np.all(np.isfinite(1.0 / q)) and np.all(np.isfinite(q * q * r)))
-        return cls(r, q) if valid else None
+        if not valid:
+            return None
+        step = np.sqrt(dr)
+        lower = np.tril(np.outer(q, step)) if r.size < MARKOV_MIN_POINTS else None
+        for arr in (r, q, step, lower):
+            if arr is not None:
+                arr.setflags(write=False)
+        return cls(r, q, step, lower)
+
+    def __array__(self, dtype=None, copy=None):
+        # (r, q), the bytes that perfbench/tracer.py's solve note hashes; this
+        # goes once that note hashes a route's own arrays (ROADMAP item 2)
+        return np.array((self.r, self.q), dtype=dtype)
 
     @property
     def n(self) -> int:
@@ -159,7 +228,7 @@ class MarkovForm(NamedTuple):
     def matvec(self, w: np.ndarray) -> np.ndarray:
         """Sigma w = q (C u) with u = q w, where
         (C u)_i = sum_(j <= i) r_j u_j + r_i sum_(j > i) u_j."""
-        r, q = self
+        r, q = self.r, self.q
         u = q * w
         cu = np.cumsum(r * u)
         cu[:-1] += r[:-1] * np.cumsum(u[:0:-1])[::-1]
@@ -177,10 +246,9 @@ class MarkovForm(NamedTuple):
     def paths(self, xi: np.ndarray) -> np.ndarray:
         """X = xi L^T for the exact lower factor L_ij = q_i sqrt(dr_j), j <= i:
         a new array below MARKOV_MIN_POINTS points, else the cumsum over xi."""
-        step = np.sqrt(np.diff(self.r, prepend=0.0))
-        if self.n < MARKOV_MIN_POINTS:
-            return xi @ np.tril(np.outer(self.q, step)).T
-        xi *= step
+        if self.lower is not None:
+            return xi @ self.lower.T
+        xi *= self.step
         np.cumsum(xi, axis=1, out=xi)
         xi *= self.q
         return xi
@@ -209,7 +277,11 @@ class PathBatch:
 def screen_gram(sigma: np.ndarray) -> tuple[np.ndarray, float]:
     """``sigma`` made exactly symmetric, and its scale s = max(max |sigma_ij|, 1),
     once it is square, finite and symmetric to 1e-10 s; else
-    NotPositiveSemidefiniteError."""
+    NotPositiveSemidefiniteError. A tuple is refused: it would be read as a
+    matrix, an (r, q) pair as a 2 x n one."""
+    if isinstance(sigma, tuple):
+        raise TypeError("a tuple is not a Gram matrix: build a Markov form (r, q) with "
+                        "MarkovForm.of, which checks it")
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] < 1:
         raise NotPositiveSemidefiniteError(f"need a square matrix, got shape {sigma.shape}")
@@ -222,7 +294,8 @@ def screen_gram(sigma: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def factorize(sigma: np.ndarray) -> Factorization:
-    """Cholesky factor of sigma + lambda I for the smallest workable jitter.
+    """The dense route of sigma (made exactly symmetric): its Cholesky factor of
+    sigma + lambda I for the smallest workable jitter.
 
     This is the PSD check of a Gram matrix, and the one finiteness check of
     the paths sampled from it: tries lambda = 0, then DEFAULT_JITTER_START * s
@@ -246,7 +319,7 @@ def factorize(sigma: np.ndarray) -> Factorization:
             continue
         if not np.all(np.isfinite(lower)):
             raise NotPositiveSemidefiniteError("Cholesky factor has a NaN or inf entry")
-        return Factorization(lower=lower, jitter=lam)
+        return Factorization(sigma=sigma, lower=lower, jitter=lam)
 
 
 def standard_normals(seed: int, stream: int, start: int, count: int,
@@ -282,10 +355,10 @@ def sample(factor: Factorization | MarkovForm, grid: Grid, config: SamplerConfig
            start: int = 0, count: int | None = None) -> PathBatch:
     """Draw paths [start, start + count) as one batch (count defaults to n_paths).
 
-    ``factor`` is the path map: a ``Factorization`` or a ``MarkovForm``, as a
-    ``Problem.path_map`` is.
-    It maps the whole blocks that hold the paths, so a path's values do not
-    depend on how the batch cuts its block.
+    ``factor`` maps the paths: a route, a ``Factorization`` or a
+    ``MarkovForm``, as a ``Problem.route`` is. It maps the whole blocks that
+    hold the paths, so a path's values do not depend on how the batch cuts
+    its block.
     """
     if factor.n != grid.points.size:
         raise GridMismatchError(

@@ -11,29 +11,27 @@ feeds Sigma x and Sigma_PP^-1 1 on point sets P to the same two steps:
 * NNLS otherwise: min over x >= 0 of x^T Sigma x / 2 - 1^T x, by Lawson &
   Hanson's active-set method, and nu* = x / sum(x).
 
-Dense route: Sigma is an n x n matrix, and its Cholesky factor
-L L^T = Sigma + lambda I (``factorize``, whose jitter ladder is also the PSD
-check; a ``Problem`` passes its own, which also maps its paths) gives
-theta = L^-T L^-1 1, and the NNLS solves the same jittered problem. A
-``Problem`` takes this route only for a kernel without a valid Markov form
-(``PowerExponential(alpha < 1)``, ``ExplicitGram``).
-
-Markov route: Sigma_ij = q_i q_j r_min(i,j), given as its Markov form (r, q),
-with no matrix; a ``Problem`` whose kernel has a checked form on its grid
-(``Kernel.markov_form``, which returns None where ``MarkovForm.of``, the PSD
-check of this route, refuses it) takes it at every grid size. The form's
-``theta_on`` solves Sigma_PP s = 1 on any point subset P in O(|P|), and its
-``matvec`` is O(n), so each active-set step of the NNLS is O(n).
+The solver and ``certify`` take a route (``gauss_sim``), checked where it
+was built, or a Gram matrix. Dense route (``Factorization``): the factor
+L L^T = Sigma + lambda I of an n x n matrix (``factorize``, whose jitter
+ladder is also the PSD check) gives theta = L^-T L^-1 1, and the NNLS solves
+the same jittered problem, growing a factor of its active points by one row
+per step. A ``Problem`` takes it only for a kernel without a valid Markov
+form (``PowerExponential(alpha < 1)``, ``ExplicitGram``). Markov route
+(``MarkovForm``): Sigma_ij = q_i q_j r_min(i,j), given as its form (r, q),
+with no matrix, which a ``Problem`` whose kernel has a checked form on its
+grid (``Kernel.markov_form``) takes at every grid size. Its ``theta_on``
+solves Sigma_PP s = 1 on any point subset P in O(|P|), and its ``matvec`` is
+O(n), so each active-set step of the NNLS is O(n).
 
 The returned measure is certified through m = Sigma nu by the route's own
-matvec (``certify`` screens a matrix or form from outside first): feasibility
-needs min_j m_j >= sigma*^2, with equality on the support, within CERTIFY_TOL
-relative, and sigma*^2 is exactly nu^T m of the returned weights.
+matvec: feasibility needs min_j m_j >= sigma*^2, with equality on the
+support, within CERTIFY_TOL relative, and sigma*^2 is exactly nu^T m of the
+returned weights.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -154,26 +152,25 @@ class RefinementTrace:
 # ---------------------------------------------------------------------------
 
 
-def certify(sigma: np.ndarray | tuple[np.ndarray, np.ndarray],
+def certify(sigma: np.ndarray | Factorization | MarkovForm,
             measure: GridMeasure) -> CertificateReport:
     """Report first-order optimality of ``measure`` for ``sigma``.
 
-    ``sigma`` is a Gram matrix or a Markov form (r, q) (module doc). Always
-    returns a report; ``passed`` is the verdict at relative tolerance CERTIFY_TOL.
-    ``sigma`` is screened first, since it may come from outside a ``Problem``:
-    a matrix must be square, finite, symmetric, with a nonnegative diagonal
-    and Cauchy-Schwarz, a Markov form pass ``MarkovForm.of``.
+    ``sigma`` is a route, checked when it was built, or a Gram matrix (module
+    doc). Always returns a report; ``passed`` is the verdict at relative
+    tolerance CERTIFY_TOL. A matrix is screened first, since it may come from
+    outside a ``Problem``: it must be square, finite, symmetric, with a
+    nonnegative diagonal and Cauchy-Schwarz.
     """
-    if isinstance(sigma, tuple):
-        sigma = _checked_form(sigma)
-        n = sigma.n
+    if isinstance(sigma, (Factorization, MarkovForm)):
+        n, matvec = sigma.n, sigma.matvec
     else:
         sigma = _screened_gram(sigma)
-        n = sigma.shape[0]
+        n, matvec = sigma.shape[0], sigma.dot
     w = measure.weights
     if w.size != n:
         raise OptimizerError(f"measure has {w.size} weights for a {n}-point Gram")
-    return _report(sigma.matvec(w) if isinstance(sigma, MarkovForm) else sigma @ w, w)
+    return _report(matvec(w), w)
 
 
 def _report(m: np.ndarray, w: np.ndarray) -> CertificateReport:
@@ -201,26 +198,17 @@ def _screened_gram(sigma: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def _checked_form(form: tuple) -> MarkovForm:
-    """``form`` as a ``MarkovForm``, after the route's PSD check."""
-    checked = MarkovForm.of(*form)
-    if checked is None:
-        raise NotPositiveSemidefiniteError(
-            "a Markov form needs r and q of one length with finite increments "
-            "r_j - r_(j-1) > 0 (r_(-1) = 0), finite 1/q and finite variances q^2 r")
-    return checked
-
-
-def _active_set(matvec: Callable, theta_on: Callable, n: int,
-                route: str) -> tuple[np.ndarray, int]:
+def _active_set(route: Factorization | MarkovForm) -> tuple[np.ndarray, int]:
     """Lawson & Hanson's active set for min x^T Sigma x / 2 - 1^T x, x >= 0.
 
-    ``matvec(x)`` is Sigma x, and ``theta_on(idx)`` solves Sigma_PP s = 1 on the
-    sorted points P = idx. Each step adds the point of largest dual 1 - (Sigma x)_j
-    to P, solves for s, and moves x toward s, dropping the points that reach 0
-    first, until s > 0 on P. A point whose own s_j is not positive when it joins
-    is skipped until x next changes (Lawson & Hanson's guard against cycling).
+    On the route's Sigma x (``matvec``) and solves of Sigma_PP s = 1 on the
+    sorted points P = idx (``theta_on``), each step adds the point of largest
+    dual 1 - (Sigma x)_j to P, solves for s, and moves x toward s, dropping
+    the points that reach 0 first, until s > 0 on P. A point whose own s_j is
+    not positive when it joins is skipped until x next changes (Lawson &
+    Hanson's guard against cycling).
     """
+    n, matvec, theta_on = route.n, route.matvec, route.theta_on
     x = np.zeros(n)
     passive, skipped = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     for step in range(3 * n):
@@ -249,41 +237,7 @@ def _active_set(matvec: Callable, theta_on: Callable, n: int,
             idx = idx[keep]
             s = theta_on(idx)
         x[idx] = s
-    raise OptimizerError(f"NNLS did not converge in {3 * n} steps on the {route} route")
-
-
-def _dense_theta_on(sigma: np.ndarray, factor: Factorization) -> Callable:
-    """s with (Sigma_PP + lambda I) s = 1, lambda = factor.jitter. All points use the
-    factor; a subset uses packed rows L (row i at i (i+1) / 2) of its points in join
-    order and z = L^-1 1. A joining point appends a row in O(|P|^2); a leaving one
-    cuts the rows from its own on. A point of pivot d^2 <= 0 stays out at s = 0."""
-    from scipy.linalg import solve_triangular   # only the dense route needs scipy
-    from scipy.linalg.blas import dtpsv
-
-    n, lam, lower = factor.n, factor.jitter, factor.lower
-    packed, z, order, size = np.empty(n * (n + 1) // 2), np.empty(n), np.empty(n, int), 0
-
-    def theta_on(idx: np.ndarray) -> np.ndarray:
-        nonlocal size
-        if idx.size == n:
-            z_all = solve_triangular(lower, np.ones(n), lower=True, check_finite=False)
-            return solve_triangular(lower, z_all, lower=True, trans="T", check_finite=False)
-        kept = np.isin(order[:size], idx, assume_unique=True)
-        size = int(np.argmin(np.append(kept, False)))  # first one out
-        for j in np.setdiff1d(idx, order[:size], assume_unique=True):
-            start = size * (size + 1) // 2
-            row = dtpsv(size, packed, sigma[j, order[:size]], trans=1) if size else z[:0]
-            d2 = sigma[j, j] + lam - row @ row
-            if d2 > 0:
-                packed[start:start + size + 1] = np.append(row, np.sqrt(d2))
-                z[size] = (1.0 - row @ z[:size]) / packed[start + size]
-                order[size] = j
-                size += 1
-        s = np.zeros(n)
-        s[order[:size]] = dtpsv(size, packed, z[:size])
-        return s[idx]
-
-    return theta_on
+    raise OptimizerError(f"NNLS did not converge in {3 * n} steps on the {route.name} route")
 
 
 # ---------------------------------------------------------------------------
@@ -291,36 +245,30 @@ def _dense_theta_on(sigma: np.ndarray, factor: Factorization) -> Callable:
 # ---------------------------------------------------------------------------
 
 
-def solve_simplex_qp(sigma: np.ndarray | tuple[np.ndarray, np.ndarray],
-                     grid: Grid | None = None, *,
-                     factor: Factorization | None = None) -> OptimalSolution:
+def solve_simplex_qp(sigma: np.ndarray | Factorization | MarkovForm,
+                     grid: Grid | None = None) -> OptimalSolution:
     """Solve min w^T Sigma w over the probability simplex with a certificate.
 
-    ``sigma`` is a Gram matrix or a Markov form (r, q) (module doc). A matrix
-    takes the dense route: ``factor`` is ``factorize(sigma)``, computed here
-    when absent (a ``Problem`` passes its own), and its L gives theta. A
-    Markov form takes the O(n) route and no factor. ``grid`` labels the
-    result's measure; index positions are used when absent.
+    ``sigma`` is a route, checked when it was built (a ``Problem`` passes its
+    own), or a Gram matrix, which takes the dense route of ``factorize(sigma)``
+    (module doc). ``grid`` labels the result's measure; index positions are
+    used when absent.
     """
-    if isinstance(sigma, tuple):
-        sigma = _checked_form(sigma)
-        n, route, matvec, theta_on = sigma.n, "markov", sigma.matvec, sigma.theta_on
-    else:
-        sigma, factor = np.asarray(sigma, dtype=float), factor or factorize(sigma)
-        n, route, matvec, theta_on = factor.n, "dense", sigma.dot, _dense_theta_on(sigma, factor)
+    route = sigma if isinstance(sigma, (Factorization, MarkovForm)) else factorize(sigma)
+    n = route.n
     if grid is None:
         grid = PointGrid(np.arange(n, dtype=float))
     elif grid.points.size != n:
         raise OptimizerError(f"grid has {grid.points.size} points for a {n}x{n} matrix")
 
-    theta = theta_on(np.arange(n))
+    theta = route.theta_on(np.arange(n))
     if np.all(theta >= -1e-12 * float(np.abs(theta).max())):
         # KKT conditions hold with the full active set
         w, steps, method = theta, 0, "theta"
     else:
-        (w, steps), method = _active_set(matvec, theta_on, n, route), "nnls"
+        (w, steps), method = _active_set(route), "nnls"
     measure = GridMeasure.from_raw(grid, w)
-    report = _report(matvec(measure.weights), measure.weights)   # sigma passed the route's check
+    report = _report(route.matvec(measure.weights), measure.weights)
     if not report.passed:
         raise OptimizerError(
             f"certificate violated: min slack {report.min_slack:.3e}, support deviation "

@@ -249,13 +249,13 @@ def test_criterion_08_conditional_argmin_law():
     # (a) oracle equivalence at k=2, u=1: the weighted histogram against an
     # independent direct-conditioning run, per-bin
     problem2 = Problem(OU, DyadicGrid(0.0, 1.0, 2))
-    grid2, sol2, fac = problem2.grid, problem2.solution, problem2.factor
+    grid2, sol2, route2 = problem2.grid, problem2.solution, problem2.route
     cfg = config(1_000_000)
     [(hist, _)] = argmin_conditional(problem2, [1.0], cfg)
 
     w_parts, i_parts = [], []
     for start in range(0, cfg.n_paths, 250_000):
-        batch = sample(fac, grid2, cfg, start=start, count=250_000)
+        batch = sample(route2, grid2, cfg, start=start, count=250_000)
         fn = functionals(batch, sol2.measure)
         keep = fn.min_value > 0
         w_parts.append(np.exp(-fn.y[keep] / sol2.sigma_star_sq))
@@ -267,7 +267,7 @@ def test_criterion_08_conditional_argmin_law():
     direct_cfg = config(1_000_000, stream=7)
     counts = np.zeros(grid2.n)
     for start in range(0, direct_cfg.n_paths, 250_000):
-        batch = sample(fac, grid2, direct_cfg, start=start, count=250_000)
+        batch = sample(route2, grid2, direct_cfg, start=start, count=250_000)
         fn = functionals(batch, sol2.measure)
         hits = fn.min_value > 1.0
         counts += np.bincount(fn.argmin_index[hits], minlength=grid2.n)
@@ -320,7 +320,7 @@ def test_criterion_10_path_invariants_and_byte_identity(tmp_path):
     # every path: min_i X_i <= Y (Y is a convex combination of the X_i)
     worst = -np.inf
     for start in range(0, cfg.n_paths, 250_000):
-        batch = sample(problem.factor, problem.grid, cfg, start=start, count=250_000)
+        batch = sample(problem.route, problem.grid, cfg, start=start, count=250_000)
         fn = functionals(batch, problem.solution.measure)
         worst = max(worst, float((fn.min_value - fn.y).max()))
     zstar_ok = worst <= 1e-12

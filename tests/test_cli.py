@@ -694,16 +694,16 @@ def test_tail_dump_draws_the_pass_batches(run_cli, monkeypatch, row_cap):
     drawn = []
     sample = gaussmin.cli.sample
 
-    def counted(path_map, grid, config, start, count):
+    def counted(route, grid, config, start, count):
         drawn.append((start, count))
-        return sample(path_map, grid, config, start, count)
+        return sample(route, grid, config, start, count)
 
     monkeypatch.setattr(gaussmin.cli, "sample", counted)
     code, out = run_cli("tail", config={"preset": "ou", "n_paths": 2000, "dump_paths": 600})
     assert code == EXIT_OK
     assert drawn == [(0, 256), (256, 256), (512, 256)]
     problem = Problem(OrnsteinUhlenbeck(), DyadicGrid(0.0, 1.0, 5))
-    paths = sample(problem.path_map, problem.grid, SamplerConfig(seed=12345, n_paths=600))
+    paths = sample(problem.route, problem.grid, SamplerConfig(seed=12345, n_paths=600))
     _, _, rows = read_csv(out / "paths.csv")
     assert np.array_equal(np.array(rows), paths.values)
 

@@ -320,7 +320,7 @@ def test_argmin_law_matches_direct_conditioning(ou_problem_k2):
     assert ess >= 100
 
     # manual replication of the weighting, for per-bin standard errors
-    batch = sample(ou_problem_k2.factor, grid, cfg)
+    batch = sample(ou_problem_k2.route, grid, cfg)
     fn = functionals(batch, sol.measure)
     keep = fn.min_value > 0
     w = np.exp(-u * fn.y[keep] / sol.sigma_star_sq)
@@ -331,7 +331,7 @@ def test_argmin_law_matches_direct_conditioning(ou_problem_k2):
 
     # independent direct-conditioning sample on another stream
     direct_cfg = make_config(n_paths=400_000, stream=9)
-    batch2 = sample(ou_problem_k2.factor, grid, direct_cfg)
+    batch2 = sample(ou_problem_k2.route, grid, direct_cfg)
     fn2 = functionals(batch2, sol.measure)
     hits = fn2.min_value > u
     counts = np.bincount(fn2.argmin_index[hits], minlength=grid.n)

@@ -18,6 +18,7 @@ from gaussmin import (
     PowerScale,
     Problem,
     SamplerConfig,
+    certify,
     functionals,
     sample,
     tail_is,
@@ -27,7 +28,8 @@ from gaussmin.estimators import (argmin_conditional, argmin_sweep, correction_di
                                  mx_sweep, run_sweeps, small_ball_sweep, tail_crude_sweep,
                                  tail_is_sweep)
 from gaussmin.gauss_sim import (BATCH_VALUES, BLOCK_ROWS, MARKOV_MIN_POINTS, MAX_BATCH_ROWS,
-                                MarkovForm, PathBatch, batch_rows, factorize, standard_normals)
+                                Factorization, MarkovForm, PathBatch, batch_rows, factorize,
+                                standard_normals)
 from conftest import MARKOV_KERNELS, make_config, markov_problem
 from oracles import ks_critical, reference_normals
 
@@ -170,7 +172,7 @@ def test_batch_sizes_give_the_same_paths(ou, k, n_paths):
     stacks = []
     for rows in (1, 777, batch_rows(problem.grid.n)):
         stacks.append(np.vstack([
-            sample(problem.path_map, problem.grid, cfg, s, min(rows, n_paths - s)).values
+            sample(problem.route, problem.grid, cfg, s, min(rows, n_paths - s)).values
             for s in range(0, n_paths, rows)]))
     assert np.array_equal(stacks[0], stacks[2])
     assert np.array_equal(stacks[1], stacks[2])
@@ -244,7 +246,7 @@ def test_functionals_require_matching_grid():
 
 def test_minimum_never_exceeds_the_weighted_average(ou_problem_k5):
     # Y is a convex combination of the path values, so min X <= Y pathwise
-    batch = sample(ou_problem_k5.factor, ou_problem_k5.grid, make_config(n_paths=100_000))
+    batch = sample(ou_problem_k5.route, ou_problem_k5.grid, make_config(n_paths=100_000))
     f = functionals(batch, ou_problem_k5.solution.measure)
     assert float((f.min_value - f.y).max()) <= 1e-12
 
@@ -253,7 +255,7 @@ def test_residuals_are_uncorrelated_with_y_at_the_optimum(ou_problem_k5):
     # at the optimum Cov(X_i, Y) = sigma*^2 = Var Y on the support, so the
     # residual X_i - Y has zero covariance with Y
     n = 200_000
-    batch = sample(ou_problem_k5.factor, ou_problem_k5.grid, make_config(n_paths=n))
+    batch = sample(ou_problem_k5.route, ou_problem_k5.grid, make_config(n_paths=n))
     f = functionals(batch, ou_problem_k5.solution.measure)
     resid = batch.values - f.y[:, None]
     y = f.y - f.y.mean()
@@ -295,9 +297,10 @@ def test_path_batch_validation():
 @pytest.mark.parametrize("name", sorted(MARKOV_KERNELS))
 def test_markov_route_matches_the_dense_product(name, k):
     problem = markov_problem(name, k)
-    assert isinstance(problem.path_map, MarkovForm)
-    x = sample(problem.path_map, problem.grid, make_config(n_paths=500), start=40).values
-    dense = reference_normals(4242, 0, 40, 500, problem.grid.n) @ problem.factor.lower.T
+    assert isinstance(problem.route, MarkovForm)
+    x = sample(problem.route, problem.grid, make_config(n_paths=500), start=40).values
+    lower = factorize(problem.kernel.gram(problem.grid)).lower
+    dense = reference_normals(4242, 0, 40, 500, problem.grid.n) @ lower.T
     assert np.abs(x - dense).max() <= 1e-11 * np.abs(dense).max()
 
 
@@ -306,11 +309,11 @@ def test_path_map_dispatch_rule():
     # on that form at any size; without a valid form, on its factor
     for k in (6, 8):
         problem = markov_problem("ou", k)
-        assert problem.route == "markov"
-        assert problem.path_map is problem.markov
-        assert isinstance(problem.path_map, MarkovForm)
+        assert isinstance(problem.route, MarkovForm)
+        assert (problem.route.name, problem.route.jitter) == ("markov", None)
     assert markov_problem("ou", 6).grid.n < MARKOV_MIN_POINTS
-    r, q = problem.kernel.markov_form(problem.grid)
+    form = problem.kernel.markov_form(problem.grid)
+    r, q = form.r, form.q
     assert MarkovForm.of(r, q) is not None
     assert MarkovForm.of(np.where(r > 2.0, np.inf, r), q) is None
     flat = r.copy()
@@ -323,8 +326,44 @@ def test_path_map_dispatch_rule():
     no_form = Problem(PowerExponential(0.5), DyadicGrid(0.0, 1.0, 8))
     overflow = Problem(OrnsteinUhlenbeck(), DyadicGrid(0.0, 400.0, 8))  # r = e^800 = inf
     for p in (no_form, overflow):
-        assert p.route == "dense"
-        assert p.path_map is p.factor
+        assert isinstance(p.route, Factorization)
+        assert (p.route.name, p.route.jitter) == ("dense", 0.0)
+
+
+def test_a_markov_problem_checks_its_form_once(monkeypatch):
+    # the route is checked where the kernel builds it: the solve, a pass of
+    # two batches and a certificate of the route run no second MarkovForm.of
+    of, calls = MarkovForm.of, []
+
+    def counted(r, q):
+        calls.append(len(r))
+        return of(r, q)
+
+    monkeypatch.setattr(MarkovForm, "of", counted)
+    problem = markov_problem("example2", 5)
+    solution = problem.solution
+    tail_is(problem, [1.0], make_config(n_paths=batch_rows(problem.grid.n) + 1))
+    assert certify(problem.route, solution.measure).passed
+    assert calls == [problem.grid.n]
+
+
+@pytest.mark.parametrize("k", [5, 7])
+def test_a_markov_form_keeps_what_its_batches_need(monkeypatch, k):
+    # 33 points map by the form's lower factor and 129 by its cumsum; both
+    # take their steps sqrt(dr), and the factor, from the form, built once
+    problem = markov_problem("example1", k)
+    form, grid, cfg = problem.route, problem.grid, make_config(n_paths=600)
+    assert (form.lower is None) == (form.n >= MARKOV_MIN_POINTS)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a batch rebuilt the form's steps or factor")
+
+    for name in ("diff", "sqrt", "outer", "tril"):
+        monkeypatch.setattr(np, name, refuse)
+    first, second = sample(form, grid, cfg, 0, 300), sample(form, grid, cfg, 300, 300)
+    monkeypatch.undo()
+    assert np.array_equal(np.vstack((first.values, second.values)),
+                          sample(form, grid, cfg).values)
 
 
 def test_a_jittered_factor_leaves_the_path_map_to_the_markov_form():
@@ -333,9 +372,8 @@ def test_a_jittered_factor_leaves_the_path_map_to_the_markov_form():
     # would not have the law the form's certificate is for: the form samples
     problem = Problem(ModulatedBrownian(PowerScale(0.5), 1.0, 4.0),
                       PointGrid([2.0, 2.0 + 4.5e-16, 3.0]))
-    assert problem.route == "markov"
-    assert problem.factor.jitter > 0
-    assert isinstance(problem.path_map, MarkovForm)
+    assert factorize(problem.kernel.gram(problem.grid)).jitter > 0
+    assert isinstance(problem.route, MarkovForm)
     for e in tail_is(problem, [0.5, 1.0, 1.5], make_config(n_paths=100_000)):
         crude = e.meta["crude"]
         assert abs(e.value - crude.value) <= 4 * np.hypot(e.stderr, crude.stderr), e.meta["u"]
@@ -343,11 +381,11 @@ def test_a_jittered_factor_leaves_the_path_map_to_the_markov_form():
 
 def test_markov_route_is_bit_identical_across_batches_and_workers(row_cap):
     problem = markov_problem("example2", 8)  # partial support: the shifted min and argmin run
-    assert isinstance(problem.path_map, MarkovForm)
+    assert isinstance(problem.route, MarkovForm)
     cfg, rows = make_config(n_paths=6000), 777
-    full = sample(problem.path_map, problem.grid, cfg).values
+    full = sample(problem.route, problem.grid, cfg).values
     stacked = np.vstack([
-        sample(problem.path_map, problem.grid, cfg, start=s,
+        sample(problem.route, problem.grid, cfg, start=s,
                count=min(rows, cfg.n_paths - s)).values
         for s in range(0, cfg.n_paths, rows)])
     assert np.array_equal(stacked, full)
@@ -365,7 +403,7 @@ def test_one_fine_batch_allocates_about_one_keystream_buffer():
     # the normals, the paths and the cumsum share the normals' buffer, and
     # functionals does not compute the unread argmin
     problem = markov_problem("ou", 10)
-    paths, measure = problem.path_map, problem.solution.measure
+    paths, measure = problem.route, problem.solution.measure
     buffer = MAX_BATCH_ROWS * 1025 * 8
     tracemalloc.start()
     try:
@@ -379,8 +417,8 @@ def test_one_fine_batch_allocates_about_one_keystream_buffer():
 
 def test_argmin_of_a_batch_is_the_leftmost_minimum_without_a_copy():
     problem = markov_problem("example1", 7)  # 129 points: the Markov route
-    assert isinstance(problem.path_map, MarkovForm)
-    batch = sample(problem.path_map, problem.grid, make_config(n_paths=MAX_BATCH_ROWS))
+    assert isinstance(problem.route, MarkovForm)
+    batch = sample(problem.route, problem.grid, make_config(n_paths=MAX_BATCH_ROWS))
     fn = functionals(batch, problem.solution.measure)
     buffer = MAX_BATCH_ROWS * 129 * 8
     tracemalloc.start()
@@ -454,7 +492,7 @@ def test_a_fine_pass_holds_one_capped_batch(route, k, batches):
         problem = markov_problem("ou", k)
     else:
         problem = Problem(PowerExponential(0.5), DyadicGrid(0.0, 1.0, k))
-    paths, _ = problem.path_map, problem.solution   # built before tracing
+    paths, _ = problem.route, problem.solution   # built before tracing
     assert isinstance(paths, MarkovForm) == (route == "markov")
     tracemalloc.start()
     try:

@@ -133,7 +133,8 @@ def _tabulated_root_scale():
 def test_markov_form_rebuilds_the_gram_matrix(kern, lo, hi):
     rng = np.random.default_rng(11)
     for pts in (np.linspace(lo, hi, 257), np.unique(rng.uniform(lo, hi, size=40))):
-        r, q = kern.markov_form(pts)
+        form = kern.markov_form(pts)
+        r, q = form.r, form.q
         assert np.all(np.diff(r) > 0)
         rebuilt = q[:, None] * q[None, :] * r[np.minimum.outer(np.arange(pts.size),
                                                               np.arange(pts.size))]

@@ -31,7 +31,7 @@ from gaussmin import (
     tail_is,
     tv_distance,
 )
-from gaussmin.gauss_sim import factorize
+from gaussmin.gauss_sim import Factorization, MarkovForm, factorize
 from gaussmin.kernels import Kernel
 from gaussmin.optimizer import RefinementEntry, RefinementTrace
 from conftest import MARKOV_KERNELS, make_config, markov_problem, random_psd
@@ -89,7 +89,7 @@ def test_active_set_counts_its_steps():
     # joins, point 1 joins and drives point 0 out, and the third step finds
     # no positive dual; the theta step takes no steps
     sigma = np.array([[1.0, 0.9], [0.9, 0.85]])
-    form = (np.array([1.0, 0.85 / 0.81]), np.array([1.0, 0.9]))
+    form = MarkovForm.of(np.array([1.0, 0.85 / 0.81]), np.array([1.0, 0.9]))
     for sol in (solve_simplex_qp(sigma), solve_simplex_qp(form)):
         assert (sol.method, sol.iterations) == ("nnls", 2)
         assert sol.sigma_star_sq == pytest.approx(0.85, rel=1e-14)
@@ -118,8 +118,7 @@ def test_dense_theta_on_leaves_out_a_zero_pivot():
     # ordered 2, 0: it stays out at s = 0, where the active set skips or drops it
     sigma = np.array([[1.0, 1.0, 0.5, 0.5], [1.0, 1.0, 0.5, 0.5],
                       [0.5, 0.5, 1.0, 0.2], [0.5, 0.5, 0.2, 1.0]])
-    theta_on = gaussmin.optimizer._dense_theta_on(
-        sigma, gaussmin.gauss_sim.Factorization(lower=np.eye(4), jitter=0.0))
+    theta_on = Factorization(sigma=sigma, lower=np.eye(4), jitter=0.0).theta_on
     assert theta_on(np.array([0])).tolist() == [1.0]
     assert theta_on(np.array([0, 1])).tolist() == [1.0, 0.0]
     assert theta_on(np.array([2])).tolist() == [1.0]
@@ -127,6 +126,20 @@ def test_dense_theta_on_leaves_out_a_zero_pivot():
     assert theta_on(np.array([0, 1, 3])) == pytest.approx([1 / 1.5, 0.0, 1 / 1.5],
                                                            rel=1e-15)
     assert theta_on(np.array([1, 3])) == pytest.approx([1 / 1.5, 1 / 1.5], rel=1e-15)
+
+
+def test_a_dense_route_solves_alike_twice():
+    # example2's Gram matrix at k=5 has a partial support, so the active set
+    # grows packed rows on the route; the next solve must not read them, even
+    # after a subset of another order was solved in between
+    problem = markov_problem("example2", 5)
+    route = factorize(problem.kernel.gram(problem.grid))
+    first = solve_simplex_qp(route, grid=problem.grid)
+    route.theta_on(np.array([3, 7, 20]))
+    second = solve_simplex_qp(route, grid=problem.grid)
+    assert first.method == "nnls" and 0 < first.support.size < route.n
+    assert second.measure.weights.tobytes() == first.measure.weights.tobytes()
+    assert second.iterations == first.iterations
 
 
 def test_theta_negativity_threshold_is_scale_invariant():
@@ -452,7 +465,7 @@ def test_solution_agrees_with_discretized_closed_form(ou):
 @pytest.mark.parametrize("name", sorted(MARKOV_KERNELS))
 def test_markov_solve_matches_the_dense_solve(name, k):
     problem = markov_problem(name, k)
-    assert problem.route == "markov"
+    assert problem.route.name == "markov"
     markov = problem.solution
     sigma = problem.kernel.gram(problem.grid)
     dense = solve_simplex_qp(sigma, grid=problem.grid)
@@ -478,10 +491,9 @@ def test_markov_active_set_counts_its_steps_on_example2():
 def test_markov_route_certifies_example2_at_level_12():
     problem = markov_problem("example2", 12)
     sol = problem.solution
-    assert problem.route == "markov" and sol.method == "nnls"
+    assert problem.route.name == "markov" and sol.method == "nnls"
     assert 0 < sol.support.size < problem.grid.n
     assert sol.report.passed
-    assert "sigma" not in vars(problem) and "factor" not in vars(problem)
 
 
 def test_a_markov_problem_builds_no_gram_matrix_and_no_factor(monkeypatch):
@@ -515,20 +527,24 @@ def test_refine_on_a_markov_kernel_builds_no_gram_matrix_at_any_level(name, monk
     kernel, a, b = MARKOV_KERNELS[name]
     trace = refine(kernel, (a, b), 2, 8, stop_tol=0.0)
     assert [e.k for e in trace.entries] == list(range(2, 9))
-    assert trace.problem.route == "markov"
+    assert trace.problem.route.name == "markov"
 
 
-def test_markov_form_is_checked_by_the_solver_and_the_certificate():
-    grid = DyadicGrid(0.0, 1.0, 7)
-    r, q = OrnsteinUhlenbeck().markov_form(grid)
-    flat = r.copy()
-    flat[3] = flat[2]
-    measure = GridMeasure(grid, np.full(grid.n, 1.0 / grid.n))
-    for form in ((flat, q), (r, np.where(q < 0.5, 0.0, q)), (r, q[1:])):
-        with pytest.raises(NotPositiveSemidefiniteError):
-            solve_simplex_qp(form, grid=grid)
-        with pytest.raises(NotPositiveSemidefiniteError):
-            certify(form, measure)
+def test_the_solver_and_the_certificate_refuse_a_plain_tuple():
+    # (r, q) = ([1, 2], [2, 5]) is a valid form, of Sigma = [[4, 10], [10, 50]]
+    # and sigma*^2 = 4, whose pair np.asarray would read as the symmetric PSD
+    # matrix [[1, 2], [2, 5]] and solve silently to 1: a form is built by
+    # MarkovForm.of, the one check of this route
+    r, q = np.array([1.0, 2.0]), np.array([2.0, 5.0])
+    measure = GridMeasure(PointGrid(np.arange(2.0)), np.array([0.5, 0.5]))
+    with pytest.raises(TypeError, match=r"MarkovForm\.of"):
+        solve_simplex_qp((r, q))
+    with pytest.raises(TypeError, match=r"MarkovForm\.of"):
+        certify((r, q), measure)
+    form = MarkovForm.of(r, q)
+    assert solve_simplex_qp(form).sigma_star_sq == pytest.approx(4.0, rel=1e-15)
+    assert solve_simplex_qp(np.array((r, q))).sigma_star_sq == pytest.approx(1.0, rel=1e-15)
+    assert certify(form, measure).sigma_sq == pytest.approx(18.5, rel=1e-15)
 
 
 @pytest.mark.parametrize("k", [8, 10, 12])
@@ -539,7 +555,7 @@ def test_markov_weights_match_the_exact_ou_grid_optimum(k):
     # route reaches 3e-9 at k=10 and 1e-7 at k=12)
     grid = DyadicGrid(0.0, 1.0, k)
     problem = Problem(OrnsteinUhlenbeck(), grid)
-    assert problem.route == "markov"
+    assert problem.route.name == "markov"
     theta = np.full(grid.n, -np.expm1(-(2.0**-k)))
     theta[[0, -1]] = 1.0
     exact = theta / theta.sum()
@@ -556,7 +572,7 @@ def test_markov_nnls_matches_the_dense_nnls_on_random_markov_forms():
         r = np.cumsum(rng.uniform(0.01, 1.0, n))
         q = rng.uniform(0.2, 2.0, n) * np.where(rng.random(n) < 0.2, -1.0, 1.0)
         sigma = q[:, None] * q[None, :] * np.minimum(r[:, None], r[None, :])
-        markov, dense = solve_simplex_qp((r, q)), solve_simplex_qp(sigma)
+        markov, dense = solve_simplex_qp(MarkovForm.of(r, q)), solve_simplex_qp(sigma)
         assert markov.method == dense.method == "nnls"
         assert np.array_equal(markov.support, dense.support)
         assert markov.sigma_star_sq == pytest.approx(dense.sigma_star_sq, rel=1e-11)

@@ -9,8 +9,10 @@ each into its own output directory: the full reproduction report,
 example1``, ``analytic --preset example1``, ``solve --preset example2`` and
 ``smallball --preset ou``), ``tail --preset example1 --config
 tail_fine.json``, which samples 257 points, so that the O(n) cumulative-sum
-path map (from 129 points) is byte-checked too, and two runs on kernels
-without a Markov form, so that the dense route is byte-checked: ``tail
+path map (from 129 points) is byte-checked too, two more 257-point runs,
+``argmin --preset example2 --config argmin_fine.json`` (a partial support)
+and ``smallball --preset ou --config smallball_fine.json``, and two runs on
+kernels without a Markov form, so that the dense route is byte-checked: ``tail
 --preset ou --config tail_dense.json`` on ``PowerExponential(0.5)`` (its
 Cholesky path map, theta step and certificate) and ``solve --config
 solve_dense.json`` on a 2x2 explicit Gram matrix (its active set and its
@@ -48,11 +50,15 @@ RUNS = {   # output directory: command line
     "solve": ["solve", "--preset", "example2"],
     "smallball": ["smallball", "--preset", "ou"],
     "tail_fine": ["tail", "--preset", "example1", "--config", "tail_fine.json"],
+    "argmin_fine": ["argmin", "--preset", "example2", "--config", "argmin_fine.json"],
+    "smallball_fine": ["smallball", "--preset", "ou", "--config", "smallball_fine.json"],
     "tail_dense": ["tail", "--preset", "ou", "--config", "tail_dense.json"],
     "solve_dense": ["solve", "--config", "solve_dense.json"],
 }
 CONFIGS = {   # config file, written beside the output directories: its contents
     "tail_fine.json": {"k": 8, "u_list": [3.0], "methods": ["is"], "n_paths": 20000},
+    "argmin_fine.json": {"k": 8, "n_paths": 20000},
+    "smallball_fine.json": {"k": 8, "n_paths": 20000},
     "tail_dense.json": {"kernel": {"type": "power_exponential", "alpha": 0.5}, "k": 6,
                         "u_list": [1.0, 2.0], "n_paths": 20000},
     "solve_dense.json": {"kernel": {"type": "explicit", "matrix": [[1.0, 0.9], [0.9, 0.85]]}},

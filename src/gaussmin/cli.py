@@ -466,7 +466,7 @@ def _first_paths(problem: Problem, config: SamplerConfig, count: int
     rows = batch_rows(problem.route.n)
     for start in range(0, count, rows):
         batch = sample(problem.route, problem.grid, config, start,
-                       min(rows, config.n_paths - start))
+                       min(rows, config.n_paths - start), problem.solution.support)
         for path in batch.values[:count - start]:
             yield path.tolist()
 

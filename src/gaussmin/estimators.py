@@ -43,6 +43,9 @@ holds ``gauss_sim.batch_rows(n)`` paths, set by the grid alone (7936 at 33
 points, one block of 256 at 1025). ``run_sweeps`` adds the folds in path
 order whatever the worker count, so every number is a deterministic function
 of (seed, stream, n_paths, grid, parameter) that no worker count changes.
+From ``gauss_sim.MARKOV_MIN_POINTS`` on a Markov form, a pass whose sweeps all
+read survivors only (``Sweep.survivors_only``) holds in each batch only the
+paths that can still survive, to the same totals.
 """
 
 from __future__ import annotations
@@ -148,12 +151,15 @@ class Sweep:
     ``fold`` reduces a ``_Batch`` to a tuple, and ``finish(total, config)``
     turns the total of the batch folds into the estimator's result.
     ``argmins`` are the u whose tilted path's argmin ``fold`` reads
-    (``_Batch.low``).
+    (``_Batch.low``). ``survivors_only``: ``fold`` adds nothing for a path
+    with X <= 0 at a support point, so a pass whose sweeps all say so may
+    leave such paths out of its batches (``gauss_sim.sample``).
     """
 
     fold: Callable[[_Batch], tuple]
     finish: Callable[[tuple, SamplerConfig], object]
     argmins: frozenset[float] = frozenset()
+    survivors_only: bool = False
 
 
 class _Batch:
@@ -210,13 +216,22 @@ def run_sweeps(problem: Problem, config: SamplerConfig, sweeps: Sequence[Sweep])
     more than the CPUs: more threads would only wait) the batches are
     computed concurrently but added in submission order, so each total is
     identical for any worker count.
+
+    A route that builds its paths in stages is given the solution's support,
+    and, when every sweep reads survivors only, completes only the paths that
+    stay > 0 on its prefix's support points. A survivors-only fold then sees
+    in each batch the rows it would have read from whole paths, in the same
+    order, so its total is the same to the last bit.
     """
     route, grid = problem.route, problem.grid  # cached here, before workers read it
     argmins = frozenset().union(*(sweep.argmins for sweep in sweeps))
     rows = batch_rows(route.n)
+    survivors_only = all(sweep.survivors_only for sweep in sweeps)
+    support = None if route.prefix is None else problem.solution.support
 
     def run(start: int) -> tuple:   # the batch is freed before the next is drawn
-        paths = sample(route, grid, config, start, min(rows, config.n_paths - start))
+        paths = sample(route, grid, config, start, min(rows, config.n_paths - start),
+                       support, survivors_only)
         batch = _Batch(paths, config.n_paths, problem, argmins)
         return tuple(sweep.fold(batch) for sweep in sweeps)
 
@@ -268,7 +283,7 @@ def tail_crude_sweep(problem: Problem, us: Sequence[float]) -> Sweep:
         return [_binomial_estimate(h, config, {"method": "tail_crude", "u": u})
                 for h, u in zip(hits, us)]
 
-    return Sweep(fold, finish)
+    return Sweep(fold, finish, survivors_only=all(u >= 0 for u in us))
 
 
 def tail_is(problem: Problem, us: Sequence[float], config: SamplerConfig) -> list[Estimate]:
@@ -312,7 +327,8 @@ def tail_is_sweep(problem: Problem, us: Sequence[float]) -> Sweep:
     def finish(total: tuple, config: SamplerConfig) -> list[Estimate]:
         return [_is_estimate(u, u_total, problem, config) for u, u_total in zip(us, total)]
 
-    return Sweep(fold, finish)
+    # the crude count of a u < 0 reads paths below 0
+    return Sweep(fold, finish, survivors_only=all(u >= 0 for u in us))
 
 
 def _is_estimate(u: float, total: tuple, problem: Problem, config: SamplerConfig) -> Estimate:
@@ -504,8 +520,8 @@ def correction_sweep(problem: Problem, u_list: Sequence[float]) -> Sweep:
     tail = tail_is_sweep(problem, us)
 
     def fold(batch: _Batch) -> tuple:
-        first, y = batch.paths.start_index, batch.fn.y
-        group = np.arange(first, first + y.size) * JACKKNIFE_GROUPS // batch.n_paths
+        y = batch.fn.y
+        group = batch.paths.index * JACKKNIFE_GROUPS // batch.n_paths
         return tail.fold(batch), tuple(_group_stats(u, s2, y, batch.low(u)[0], group)
                                        for u in us)
 
@@ -523,7 +539,7 @@ def correction_sweep(problem: Problem, u_list: Sequence[float]) -> Sweep:
                                     exponent_halfwidth=halfwidth, estimates=estimates,
                                     group_stats=group_stats, excluded=excluded)
 
-    return Sweep(fold, finish)
+    return Sweep(fold, finish, survivors_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +585,7 @@ def argmin_sweep(problem: Problem, us: Sequence[float]) -> Sweep:
                 if sw <= 0 else (GridMeasure.from_raw(problem.grid, hist), sw * sw / sw2)
                 for u, (hist, sw, sw2) in zip(us, total)]
 
-    return Sweep(fold, finish, argmins=frozenset(us))
+    return Sweep(fold, finish, argmins=frozenset(us), survivors_only=True)
 
 
 def mx_conditional(problem: Problem, xs: Sequence[float], config: SamplerConfig
@@ -602,4 +618,4 @@ def mx_sweep(problem: Problem, xs: Sequence[float]) -> Sweep:
                 else EstimationError(f"no paths satisfy Y <= {x} and min > 0; no histogram")
                 for x, hist in zip(xs, hists)]
 
-    return Sweep(fold, finish)
+    return Sweep(fold, finish, survivors_only=True)

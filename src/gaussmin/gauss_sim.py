@@ -14,20 +14,44 @@ Sigma w (``matvec``) and Sigma_PP^-1 1 on point sets P (``theta_on``). The
 dense route, ``Factorization``, holds the Gram matrix and its (jittered)
 Cholesky factor L from ``factorize``: X = xi L^T, O(n^2) per path. A
 Gauss-Markov kernel, R(s, t) = q(s) q(t) r(min(s, t)), has a ``MarkovForm``
-(r, q), with no Gram matrix. Its exact lower factor is
-L_ij = q_i sqrt(r_j - r_(j-1)) for j <= i, so its paths are xi L^T below
-MARKOV_MIN_POINTS points, where that product is faster, and from there
-q * cumsum(xi * sqrt(dr)), O(n) per path and written over xi. The two agree to
-rounding (about 1e-12 relative at 1025 points). Nothing on this route is
-jittered, so its paths have the law its certificate is for.
+(r, q), with no Gram matrix: X = q W(r) for a Brownian motion W. Below
+MARKOV_MIN_POINTS points its paths are xi L^T for its exact lower factor
+L_ij = q_i sqrt(r_j - r_(j-1)), j <= i. Nothing on this route is jittered,
+so its paths have the law its certificate is for.
+
+From MARKOV_MIN_POINTS points a Markov form builds its paths coarse to fine
+(``Prefix``), in two stages with their own generators, seeded by the words of
+(seed, stream, block, stage):
+
+- stage 0 draws a (BLOCK_ROWS, PREFIX_INTERVALS + 1) table per block: W at
+  the prefix, PREFIX_INTERVALS + 1 points from the first to the last, by a
+  cumsum of its steps;
+- stage 1 completes a row: a free cumsum of n - 1 normals times sqrt(dr),
+  pinned to W at the prefix by the Brownian bridge, W_j = W_a + (C_j - C_a)
+  + lambda_j (W_b - W_a - (C_b - C_a)) on each interval a < j <= b, with
+  lambda_j = (r_j - r_a) / (r_b - r_a). This is exact: given W_a and W_b,
+  the bridge term is independent of C_b - C_a.
+
+A row is alive when X > 0 at every prefix point in a given support (the
+optimal measure's), and the stage-1 table holds the block's alive rows first,
+each in row order, then the others. So an alive row is the same path whether
+a batch completes only the alive rows or every row: the estimators read
+nothing of a row with X <= 0 at a support point (``estimators.Sweep``). A
+batch of such rows is ``staged``: its Y is each row's own dot product, since
+a matrix product rounds a row's Y by its place in the batch.
 
 Finiteness is checked once per ``Problem``, not per batch: ``factorize``
 refuses a sigma or factor with a NaN or inf entry, and ``MarkovForm.of`` a
 form with an infinite variance. The normals satisfy |xi| < 13.8:
 the ziggurat's layers lie within x_R = 3.654, and its tail draws
 x_R - log1p(-U) / x_R with a 53-bit uniform U < 1, so at most
-x_R + 53 log(2) / x_R. So every path value is finite,
-|X_i| < 13.8 sqrt(n (sigma_ii + jitter)).
+x_R + 53 log(2) / x_R. So every path value is finite: a product path has
+|X_i| < 13.8 sqrt(n (sigma_ii + jitter)), by Cauchy-Schwarz on row i of L.
+A staged path has |X_j| < 45 sqrt(n sigma_jj) up to rounding: on j's interval
+of w points, |W_a| < 13.8 sqrt(33 r_a), |C_j - C_a| and lambda_j |C_b - C_a|
+are < 13.8 sqrt(w r_j), and lambda_j |W_b| < 13.8 sqrt(66 r_j), since
+lambda_j^2 r_b <= 2 r_j; with w < n and n >= MARKOV_MIN_POINTS they add up to
+less than 45 sqrt(n r_j).
 
 A pass of the estimators draws batches of ``batch_rows(n)`` paths, set by the
 grid alone: whole blocks of at most 2 MiB of normals, or one block where a
@@ -56,14 +80,22 @@ if TYPE_CHECKING:
 BLOCK_ROWS = 256
 DEFAULT_JITTER_START = 1e-12
 DEFAULT_JITTER_MAX = 1e-6
-# Smallest grid whose Markov form maps its paths by the O(n) cumsum rather
-# than by the product with its lower factor. Measured per sampled value at
-# the pass's batch rows (2-core Xeon, one BLAS thread, two runs): the product
+# Smallest grid whose Markov form builds its paths coarse to fine (``Prefix``)
+# rather than by the product with its lower factor. Measured per sampled value
+# at the pass's batch rows (2-core Xeon, one BLAS thread, two runs): the product
 # costs 3.6-4.8 ns at 65 points, 4.9-6.8 at 97, 6.0-6.2 at 129, 7.8-8.0 at 193
-# and 10.1-10.2 at 257; the cumsum costs 4.1-5.8 ns at every size. So the two
-# tie near 97 points, between the dyadic grids of 65 and 129 points, and the
-# cumsum needs no second batch-sized array.
+# and 10.1-10.2 at 257; a whole-path cumsum costs 4.1-5.8 ns at every size. So
+# the two tie near 97 points, between the dyadic grids of 65 and 129 points.
+# The staged paths replaced that cumsum from there.
 MARKOV_MIN_POINTS = 129
+# Intervals of a staged path's prefix (``Prefix``): stage 0 draws W at
+# PREFIX_INTERVALS + 1 points of every path. Measured on tail_is passes (2-core
+# Xeon, one BLAS thread, best of 3) with 8, 16, 32 and 64 intervals: example1
+# at 1025 points, 50k paths, u=3: 0.36, 0.34, 0.33, 0.33 s, at 251, 241, 241
+# and 261 normals per path; at 257 points, 100k paths: 0.17, 0.18, 0.20, 0.27
+# s; OU at 129 points, 200k paths, u = 0, 1, 2: 0.20, 0.22, 0.28, 0.52 s. So
+# 32 is the fastest at 1025 points, and within 0.1 s of 8 per 200k paths below.
+PREFIX_INTERVALS = 32
 # Paths, and normals (8 B each, 2 MiB: one core's L2 cache), per batch at most
 # (``batch_rows``): 16384 paths up to 16 points, 7936 at 33, 1792 at 129 and one
 # block from 513 points. Median time of tail_is passes (2-core Xeon, one BLAS
@@ -114,6 +146,7 @@ class Factorization:
     lower: np.ndarray
     jitter: float
     name: ClassVar[str] = "dense"
+    prefix: ClassVar[None] = None   # its paths are drawn whole
     _rows: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
@@ -175,6 +208,56 @@ class Factorization:
 
 
 @dataclass(frozen=True, eq=False)
+class Prefix:
+    """A staged path's coarse points and its bridge to the rest (module doc),
+    on n >= PREFIX_INTERVALS + 1 points: ``points`` are the PREFIX_INTERVALS + 1
+    indices (width + 1) i + min(i, wide) for n - 1 = PREFIX_INTERVALS width +
+    wide, so the first ``wide`` intervals hold one point more; ``step`` is
+    sqrt(r_p - r_p') from each prefix point p's predecessor p' (r_(-1) = 0);
+    ``bridge`` is lambda_j for each point j > 0, on its interval a < j <= b;
+    ``runs`` are the (first interval, intervals, points per interval) of the
+    runs of equal intervals, which a fill reshapes to (rows, intervals, width)."""
+
+    points: np.ndarray
+    step: np.ndarray
+    bridge: np.ndarray
+    runs: tuple[tuple[int, int, int], ...]
+
+    @classmethod
+    def of(cls, r: np.ndarray) -> Prefix:
+        width, wide = divmod(r.size - 1, PREFIX_INTERVALS)
+        i = np.arange(PREFIX_INTERVALS + 1)
+        points = width * i + np.minimum(i, wide)
+        step = np.sqrt(np.diff(r[points], prepend=0.0))
+        a, b = (np.repeat(ends, np.diff(points)) for ends in (points[:-1], points[1:]))
+        bridge = (r[1:] - r[a]) / (r[b] - r[a])
+        runs = tuple(run for run in ((0, wide, width + 1), (wide, PREFIX_INTERVALS - wide, width))
+                     if run[1])
+        for arr in (points, step, bridge):
+            arr.setflags(write=False)
+        return cls(points, step, bridge, runs)
+
+    def fill(self, c: np.ndarray, w: np.ndarray) -> None:
+        """Turn ``c``, the cumsums C of a table's rows of increments at points
+        1 to n - 1, into W there, in place, given W at the prefix (``w``, one
+        row each): W_j = (C_j + W_a - C_a) + lambda_j (W_b - W_a - (C_b - C_a)),
+        and W_b exactly at each prefix point b."""
+        rows = c.shape[0]
+        ends = self.points[1:] - 1                  # the columns of b
+        c_end = c[:, ends]
+        lift = w[:, :-1].copy()                     # W_a - C_a
+        lift[:, 1:] -= c_end[:, :-1]
+        gap = w[:, 1:] - (c_end + lift)             # W_b - W_a - (C_b - C_a)
+        for first, count, width in self.runs:
+            lo = self.points[first]
+            fill = c[:, lo:lo + count * width].reshape(rows, count, width)   # a view
+            fill += lift[:, first:first + count, None]
+            fill += (self.bridge[lo:lo + count * width].reshape(count, width)
+                     * gap[:, first:first + count, None])
+        c[:, ends] = w[:, 1:]
+
+
+@dataclass(frozen=True, eq=False)
 class MarkovForm:
     """Sigma_ij = q_i q_j r_min(i,j) on n points, with no matrix. Sigma = D C D
     with D = diag(q) and C_ij = min(r_i, r_j), the covariance of Brownian
@@ -184,12 +267,14 @@ class MarkovForm:
     Only ``of``, the PSD and finiteness check of this route, builds one
     (``Kernel.markov_form`` makes it for a kernel's form on given points). It
     keeps the steps sqrt(dr) of its paths' cumsum and, below
-    MARKOV_MIN_POINTS, their exact lower factor."""
+    MARKOV_MIN_POINTS, their exact lower factor, or from there the ``Prefix``
+    its staged paths start from."""
 
     r: np.ndarray
     q: np.ndarray
     step: np.ndarray = field(repr=False)
     lower: np.ndarray | None = field(repr=False)
+    prefix: Prefix | None = field(repr=False)
     name: ClassVar[str] = "markov"
     jitter: ClassVar[None] = None
 
@@ -210,11 +295,12 @@ class MarkovForm:
         if not valid:
             return None
         step = np.sqrt(dr)
-        lower = np.tril(np.outer(q, step)) if r.size < MARKOV_MIN_POINTS else None
+        staged = r.size >= MARKOV_MIN_POINTS
+        lower = None if staged else np.tril(np.outer(q, step))
         for arr in (r, q, step, lower):
             if arr is not None:
                 arr.setflags(write=False)
-        return cls(r, q, step, lower)
+        return cls(r, q, step, lower, Prefix.of(r) if staged else None)
 
     def __array__(self, dtype=None, copy=None):
         # (r, q), the bytes that perfbench/tracer.py's solve note hashes; this
@@ -244,34 +330,46 @@ class MarkovForm:
         return v * g
 
     def paths(self, xi: np.ndarray) -> np.ndarray:
-        """X = xi L^T for the exact lower factor L_ij = q_i sqrt(dr_j), j <= i:
-        a new array below MARKOV_MIN_POINTS points, else the cumsum over xi."""
-        if self.lower is not None:
-            return xi @ self.lower.T
-        xi *= self.step
+        """X = xi L^T for the exact lower factor L_ij = q_i sqrt(dr_j), j <= i,
+        a new array, below MARKOV_MIN_POINTS points (from there ``sample``
+        builds the paths in stages)."""
+        return xi @ self.lower.T
+
+    def complete(self, xi: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """X at points 1 to n - 1 of the rows whose W at the prefix is ``w``,
+        from their stage-1 normals ``xi``, written over xi."""
+        xi *= self.step[1:]
         np.cumsum(xi, axis=1, out=xi)
-        xi *= self.q
+        self.prefix.fill(xi, w)
+        xi *= self.q[1:]
         return xi
 
 
 @dataclass(frozen=True)
 class PathBatch:
     """Sampled paths (rows) on a grid, with the metadata that regenerates them.
-    The values are not scanned: ``factorize`` checks finiteness (module doc)."""
+    The values are not scanned: ``factorize`` checks finiteness (module doc).
+    ``index`` is each row's path index, by default start_index onward; a
+    ``staged`` batch was built in stages, and may leave paths out."""
 
     grid: Grid
     values: np.ndarray        # shape (n_paths, n_points)
     seed: int
     stream: int
-    start_index: int          # global index of the first path in this batch
+    start_index: int          # global index of the first path in this batch's range
+    index: np.ndarray | None = field(default=None, repr=False)
+    staged: bool = False
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[1] != self.grid.points.size:
             raise GridMismatchError(
                 f"paths have {vals.shape} values for a {self.grid.points.size}-point grid")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        index = (np.arange(self.start_index, self.start_index + len(vals))
+                 if self.index is None else np.asarray(self.index))
+        for name, arr in (("values", vals), ("index", index)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def screen_gram(sigma: np.ndarray) -> tuple[np.ndarray, float]:
@@ -323,24 +421,25 @@ def factorize(sigma: np.ndarray) -> Factorization:
 
 
 def standard_normals(seed: int, stream: int, start: int, count: int,
-                     n_points: int) -> np.ndarray:
-    """Rows [start, start + count) of the (seed, stream) standard-normal table.
+                     n_points: int, stage: int | None = None) -> np.ndarray:
+    """Rows [start, start + count) of the (seed, stream) standard-normal table,
+    or of its stage ``stage`` table of staged paths (module doc).
 
-    Path j is row j mod BLOCK_ROWS of block j // BLOCK_ROWS. The blocks that
-    hold the rows are drawn whole into one C-contiguous array, and the result
-    is its slice of ``count`` rows, also C-contiguous. A block's generator is
-    seeded by the six 32-bit halves of (seed, stream, block): being of fixed
-    width, no two triples share them.
+    Row j is row j mod BLOCK_ROWS of block j // BLOCK_ROWS. The blocks that
+    hold the rows are drawn, each from its first row to the last it holds
+    (or its own last), into one C-contiguous array, and the result is its
+    slice of ``count`` rows, also C-contiguous. A block's generator is seeded
+    by the six 32-bit halves of (seed, stream, block), or the eight of (seed,
+    stream, block, stage): being of fixed width, no two tuples share them.
     """
     first = start // BLOCK_ROWS
-    blocks = (start + count - 1) // BLOCK_ROWS + 1 - first
-    table = np.empty((blocks * BLOCK_ROWS, n_points))
-    for i in range(blocks):
-        words = np.array([seed, stream, first + i], dtype="<u8").view("<u4")
-        Generator(SFC64(SeedSequence(words))).standard_normal(
-            out=table[i * BLOCK_ROWS:(i + 1) * BLOCK_ROWS])
-    offset = start - first * BLOCK_ROWS
-    return table[offset:offset + count]
+    base = first * BLOCK_ROWS
+    table = np.empty((start + count - base, n_points))
+    for lo in range(0, len(table), BLOCK_ROWS):
+        key = (seed, stream, first + lo // BLOCK_ROWS) + (() if stage is None else (stage,))
+        words = np.array(key, dtype="<u8").view("<u4")
+        Generator(SFC64(SeedSequence(words))).standard_normal(out=table[lo:lo + BLOCK_ROWS])
+    return table[start - base:]
 
 
 def batch_rows(n_points: int) -> int:
@@ -352,25 +451,77 @@ def batch_rows(n_points: int) -> int:
 
 
 def sample(factor: Factorization | MarkovForm, grid: Grid, config: SamplerConfig,
-           start: int = 0, count: int | None = None) -> PathBatch:
+           start: int = 0, count: int | None = None, support: np.ndarray | None = None,
+           survivors_only: bool = False) -> PathBatch:
     """Draw paths [start, start + count) as one batch (count defaults to n_paths).
 
     ``factor`` maps the paths: a route, a ``Factorization`` or a
     ``MarkovForm``, as a ``Problem.route`` is. It maps the whole blocks that
     hold the paths, so a path's values do not depend on how the batch cuts
     its block.
+
+    A route with a ``prefix`` builds its paths in stages (module doc): a row
+    is alive when X > 0 at every prefix point in ``support`` (every row, with
+    no support). With ``survivors_only`` the batch holds the alive paths only,
+    in path order, and its ``index`` names them.
     """
     if factor.n != grid.points.size:
         raise GridMismatchError(
             f"factor is {factor.n}x{factor.n} but the grid has {grid.points.size} points")
     if count is None:
         count = config.n_paths
+    if factor.prefix is not None:
+        index, values = _staged_paths(factor, config, start, count, support, survivors_only)
+        return PathBatch(grid=grid, values=values, seed=config.seed, stream=config.stream,
+                         start_index=start, index=index, staged=True)
     offset = start % BLOCK_ROWS
     rows = -(-(offset + count) // BLOCK_ROWS) * BLOCK_ROWS
     xi = standard_normals(config.seed, config.stream, start - offset, rows, factor.n)
     values = factor.paths(xi)[offset:offset + count]
     return PathBatch(grid=grid, values=values, seed=config.seed,
                      stream=config.stream, start_index=start)
+
+
+def _staged_paths(form: MarkovForm, config: SamplerConfig, start: int, count: int,
+                  support: np.ndarray | None, survivors_only: bool
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(path index, X) of ``sample``'s rows on a staged form, in path order.
+
+    Stage 0 is drawn for the whole blocks that hold the paths. Stage 1 is
+    drawn per block, up to the last table row the batch keeps, and completes
+    the rows it keeps: alive rows first, so that an alive row takes the same
+    table row whether or not the others are completed."""
+    seed, stream, prefix = config.seed, config.stream, form.prefix
+    base = start - start % BLOCK_ROWS
+    rows = -(-(start + count - base) // BLOCK_ROWS) * BLOCK_ROWS
+    w = standard_normals(seed, stream, base, rows, prefix.points.size, stage=0)
+    w *= prefix.step
+    np.cumsum(w, axis=1, out=w)
+    x0 = w * form.q[prefix.points]
+    tested = np.zeros(form.n, dtype=bool)
+    if support is not None:
+        tested[support] = True
+    alive = np.all(x0[:, tested[prefix.points]] > 0, axis=1)
+    keep = np.zeros(rows, dtype=bool)
+    keep[start - base:start - base + count] = True
+    if survivors_only:
+        keep &= alive
+    index = np.flatnonzero(keep)
+    values = np.empty((index.size, form.n))
+    for lo in range(0, rows, BLOCK_ROWS):
+        block = slice(lo, lo + BLOCK_ROWS)
+        order = lo + np.argsort(~alive[block], kind="stable")  # row of each table row
+        taken = np.flatnonzero(keep[order])
+        if not taken.size:
+            continue
+        xi = standard_normals(seed, stream, base + lo, int(taken[-1]) + 1, form.n - 1, stage=1)
+        if taken.size < len(xi):
+            xi = xi[taken]
+        kept = order[taken]
+        dest = np.searchsorted(index, kept)
+        values[dest, 0] = x0[kept, 0]
+        values[dest, 1:] = form.complete(xi, w[kept])
+    return base + index, values
 
 
 @dataclass(frozen=True)
@@ -403,4 +554,7 @@ def functionals(batch: PathBatch, weights: GridMeasure) -> PathFunctionals:
     if not np.array_equal(weights.grid.points, batch.grid.points):
         raise GridMismatchError("weights are not on the batch's grid")
     x = batch.values
-    return PathFunctionals(values=x, y=x @ weights.weights, min_value=x.min(axis=1))
+    # a matrix product rounds a row's Y by its place in the batch, and a
+    # staged batch's rows depend on which survive: each row's own dot product
+    y = np.vecdot(x, weights.weights) if batch.staged else x @ weights.weights
+    return PathFunctionals(values=x, y=y, min_value=x.min(axis=1))

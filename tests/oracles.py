@@ -229,6 +229,58 @@ def reference_normals(seed: int, stream: int, start: int, count: int,
     return np.array(rows).reshape(count, n_points)
 
 
+def _stage_table(seed: int, stream: int, block: int, stage: int, n_points: int) -> np.ndarray:
+    words = [w for v in (seed, stream, block, stage) for w in (v % 2**32, v // 2**32)]
+    gen = Generator(SFC64(SeedSequence(np.array(words, dtype=np.uint32))))
+    return gen.standard_normal((BLOCK_ROWS, n_points))
+
+
+def reference_staged_paths(r: np.ndarray, q: np.ndarray, seed: int, stream: int,
+                           start: int, count: int, support=()) -> np.ndarray:
+    """Paths [start, start + count) of a Markov form (r, q) on a grid whose
+    n - 1 is a multiple of 32, built coarse to fine by dense matrices.
+
+    Block b's stage-0 table, from the eight 32-bit halves of (seed, stream, b,
+    0), times the Cholesky factor of min(r_p, r_p') gives W at the prefix
+    points p = i (n - 1) / 32. A row is alive when q_p W_p > 0 at every
+    prefix point in ``support``. The stage-1 table, from (seed, stream, b, 1),
+    gives the alive rows their rows first, in row order, then the others; a
+    row's n - 1 normals z complete W between prefix points a < j <= b as
+    W_a + D_j + (r_j - r_a) / (r_b - r_a) (W_b - W_a - D_b), with
+    D_j = sum over a < i <= j of sqrt(r_i - r_(i-1)) z_i.
+    """
+    n = r.size
+    width = (n - 1) // 32
+    assert width * 32 == n - 1
+    points = np.arange(33) * width
+    prefix_lower = np.linalg.cholesky(np.minimum.outer(r[points], r[points]))
+    # W = prefix_map @ W_prefix + free_map @ z, column by column
+    prefix_map, free_map = np.zeros((n, 33)), np.zeros((n, n - 1))
+    prefix_map[0, 0] = 1.0
+    for i in range(32):
+        a, b = points[i], points[i + 1]
+        for j in range(a + 1, b + 1):
+            lam = (r[j] - r[a]) / (r[b] - r[a])
+            prefix_map[j, i] += 1.0 - lam
+            prefix_map[j, i + 1] += lam
+            for k in range(a + 1, b + 1):
+                step = math.sqrt(r[k] - r[k - 1])
+                free_map[j, k - 1] = (step if k <= j else 0.0) - lam * step
+    tested = np.isin(points, list(support))
+    blocks = {}
+    rows = []
+    for j in range(start, start + count):
+        block, row = divmod(j, BLOCK_ROWS)
+        if block not in blocks:
+            w_prefix = _stage_table(seed, stream, block, 0, 33) @ prefix_lower.T
+            alive = np.all(q[points][tested] * w_prefix[:, tested] > 0, axis=1)
+            order = [*np.flatnonzero(alive), *np.flatnonzero(~alive)]
+            blocks[block] = w_prefix, order, _stage_table(seed, stream, block, 1, n - 1)
+        w_prefix, order, z = blocks[block]
+        rows.append(q * (prefix_map @ w_prefix[row] + free_map @ z[order.index(row)]))
+    return np.array(rows).reshape(count, n)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo comparison helpers
 # ---------------------------------------------------------------------------

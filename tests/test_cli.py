@@ -14,9 +14,9 @@ import gaussmin.cli
 import gaussmin.estimators
 import gaussmin.optimizer
 from gaussmin import (MAX_LEVEL, DyadicGrid, Kernel, OrnsteinUhlenbeck, Problem,
-                      SamplerConfig)
+                      SamplerConfig, sample)
 from gaussmin.cli import main as cli_main
-from conftest import run_python
+from conftest import markov_problem, run_python
 
 EXIT_OK, EXIT_NUMERICAL, EXIT_CONFIG = 0, 2, 3
 
@@ -694,9 +694,9 @@ def test_tail_dump_draws_the_pass_batches(run_cli, monkeypatch, row_cap):
     drawn = []
     sample = gaussmin.cli.sample
 
-    def counted(route, grid, config, start, count):
+    def counted(route, grid, config, start, count, *support):
         drawn.append((start, count))
-        return sample(route, grid, config, start, count)
+        return sample(route, grid, config, start, count, *support)
 
     monkeypatch.setattr(gaussmin.cli, "sample", counted)
     code, out = run_cli("tail", config={"preset": "ou", "n_paths": 2000, "dump_paths": 600})
@@ -706,6 +706,36 @@ def test_tail_dump_draws_the_pass_batches(run_cli, monkeypatch, row_cap):
     paths = sample(problem.route, problem.grid, SamplerConfig(seed=12345, n_paths=600))
     _, _, rows = read_csv(out / "paths.csv")
     assert np.array_equal(np.array(rows), paths.values)
+
+
+def test_staged_tail_dump_draws_the_pass_rows(run_cli, monkeypatch, row_cap):
+    # at 257 points the pass completes only the paths alive on the support's
+    # prefix points, and the dump draws every path whole in the pass's
+    # batches: each path the pass drew is the dumped path of its index
+    row_cap(256)
+    passed, dumped = [], []
+    sample = gaussmin.cli.sample
+
+    def recorder(drawn):
+        def counted(*args):
+            batch = sample(*args)
+            drawn.append(batch)
+            return batch
+        return counted
+
+    monkeypatch.setattr(gaussmin.estimators, "sample", recorder(passed))
+    monkeypatch.setattr(gaussmin.cli, "sample", recorder(dumped))
+    code, out = run_cli("tail", config={"preset": "example1", "k": 8, "n_paths": 2000,
+                                        "dump_paths": 600})
+    assert code == EXIT_OK
+    assert [(b.start_index, len(b.values)) for b in dumped] == [(0, 256), (256, 256), (512, 256)]
+    _, _, rows = read_csv(out / "paths.csv")
+    rows = np.array(rows)
+    assert np.array_equal(rows, np.vstack([b.values for b in dumped])[:600])
+    survivors = [(b.index[b.index < 600], b.values[b.index < 600]) for b in passed]
+    index = np.concatenate([i for i, _ in survivors])
+    assert 0 < index.size < 600
+    assert np.array_equal(np.vstack([v for _, v in survivors]), rows[index])
 
 
 # ---------------------------------------------------------------------------
@@ -812,6 +842,25 @@ def test_diagnose_writes_strict_json_when_paths_are_few(run_cli, preset, cfg, se
     assert doc["excluded_u"] == excluded
     for row in doc["rows"]:
         assert (row["D"] is None) == (row["u"] in excluded)
+
+
+@pytest.mark.parametrize("rows", [1, 256, 777])
+@pytest.mark.parametrize("command, preset", [("tail", "example1"), ("argmin", "example2"),
+                                             ("diagnose", "ou")])
+def test_staged_outputs_are_byte_identical_across_threads(run_cli, tmp_path, row_cap, command,
+                                                          preset, rows):
+    # criterion 10 at 257 points, where the passes complete only the paths
+    # alive on the support's prefix points: each batch cap gives the same
+    # bytes with 1 and 2 threads
+    row_cap(rows)
+    cfg = {"preset": preset, "k": 8, "n_paths": 2001}
+    trees = []
+    for threads in (1, 2):
+        code, out = run_cli(command, config=cfg, out=tmp_path / f"t{threads}",
+                            extra=["--threads", str(threads)])
+        assert code == EXIT_OK
+        trees.append(tree_bytes(out))
+    assert trees[0] == trees[1]
 
 
 def test_diagnose_thread_count_is_byte_invisible(run_cli, tmp_path, row_cap):
@@ -1029,7 +1078,12 @@ def test_traced_run_gives_finite_layer_metrics(tmp_path, command, config):
     json.dumps(metrics, allow_nan=False)
     assert metrics["optimizer.solve.calls"][0] >= 1
     if command == "tail":
-        assert metrics["estimators.paths_drawn"][0] == 3000
+        drawn = 3000
+        if config.get("k") == 7:   # staged paths: IS reads, and the pass completes, survivors
+            problem = markov_problem("example1", 7)
+            drawn = len(sample(problem.route, problem.grid, SamplerConfig(12345, 3000),
+                               support=problem.solution.support, survivors_only=True).values)
+        assert metrics["estimators.paths_drawn"][0] == drawn
         assert metrics["estimators.path_reuse"][0] == 1.0
 
 
@@ -1045,8 +1099,9 @@ def test_cli_import_leaves_out_scipy_optimize_and_interpolate():
 def test_preset_commands_load_no_scipy(tmp_path):
     # the normals come from numpy's generator, and every preset kernel solves
     # and sums its closed-form checks on its Markov form, so neither the import
-    # nor any of the seven preset commands loads scipy
+    # nor any of the seven preset commands loads scipy, staged paths included
     runs = [("tail", {"preset": "ou", "n_paths": 2000}),
+            ("tail", {"preset": "example1", "k": 8, "n_paths": 2000}),
             ("argmin", {"preset": "example2", "n_paths": 2000}),
             ("diagnose", {"preset": "ou", "n_paths": 2000}),
             ("analytic", {"preset": "example1"}),

@@ -562,3 +562,67 @@ def test_estimate_validation():
     ok = Estimate(value=0.0, stderr=0.0, n=10, log_value=-1000.0,
                   meta={"log_only": True})
     assert ok.log_value == -1000.0
+
+
+# ---------------------------------------------------------------------------
+# staged paths: a survivors-only pass completes only the paths that can survive
+# ---------------------------------------------------------------------------
+
+
+def _drawn_rows(monkeypatch) -> list:
+    """The rows of each batch the passes draw from here on."""
+    drawn, sample = [], gaussmin.estimators.sample
+
+    def counted(*args):
+        batch = sample(*args)
+        drawn.append(len(batch.values))
+        return batch
+
+    monkeypatch.setattr(gaussmin.estimators, "sample", counted)
+    return drawn
+
+
+@pytest.mark.parametrize("name", ["ou", "example2"])
+def test_a_survivors_only_pass_equals_a_whole_path_pass(monkeypatch, name):
+    # at 129 points (the staged route) each estimator alone completes only the
+    # paths alive on the support's prefix points; its result is, to the last
+    # bit, the one from a whole-path pass with the same seed (a small-ball
+    # sweep in the pass keeps every path), u = 0 included, and on example2's
+    # partial support, where the tilt shifts the test off the support
+    problem = markov_problem(name, 7)
+    assert problem.route.prefix is not None
+    cfg = make_config(n_paths=20_001, stream=1)
+    us, xs, diagnose_us = [0.0, 0.5, 1.0, 2.0], [1.0, 0.5], [0.5, 1.0, 2.0]
+    drawn = _drawn_rows(monkeypatch)
+    tail = tail_is(problem, us, cfg)
+    argmin = argmin_conditional(problem, us, cfg)
+    mx = mx_conditional(problem, xs, cfg)
+    diagnostic = correction_diagnostic(problem, diagnose_us, replace(cfg, stream=0))
+    staged = sum(drawn)
+    assert 0 < staged < 4 * cfg.n_paths
+    drawn.clear()
+    *whole, _ = run_sweeps(problem, cfg, [
+        tail_is_sweep(problem, us), argmin_sweep(problem, us), mx_sweep(problem, xs),
+        correction_sweep(problem, diagnose_us), small_ball_sweep(problem, [1.0])])
+    assert sum(drawn) == cfg.n_paths
+    assert whole[0] == tail
+    assert _same_laws(whole[1], argmin)
+    assert _same_laws(whole[2], mx)
+    assert whole[3] == diagnostic
+
+
+def test_a_negative_u_takes_whole_paths(monkeypatch):
+    # a crude hit min X > u with u < 0 can be a path below 0 at a support
+    # point, so that pass completes every path, and counts its hits on them
+    problem = markov_problem("example2", 7)
+    cfg = make_config(n_paths=5000)
+    us = [-0.5, 0.0, 1.0]
+    drawn = _drawn_rows(monkeypatch)
+    crude = tail_crude(problem, us, cfg)
+    assert sum(drawn) == cfg.n_paths
+    mins = sample(problem.route, problem.grid, cfg,
+                  support=problem.solution.support).values.min(axis=1)
+    assert [e.meta["hits"] for e in crude] == [int(np.count_nonzero(mins > u)) for u in us]
+    drawn.clear()
+    assert tail_crude(problem, us[1:], cfg) == crude[1:]
+    assert 0 < sum(drawn) < cfg.n_paths

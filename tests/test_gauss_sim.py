@@ -16,6 +16,7 @@ from gaussmin import (
     PointGrid,
     PowerExponential,
     PowerScale,
+    ShiftedRootScale,
     Problem,
     SamplerConfig,
     certify,
@@ -31,7 +32,7 @@ from gaussmin.gauss_sim import (BATCH_VALUES, BLOCK_ROWS, MARKOV_MIN_POINTS, MAX
                                 Factorization, MarkovForm, PathBatch, batch_rows, factorize,
                                 standard_normals)
 from conftest import MARKOV_KERNELS, make_config, markov_problem
-from oracles import ks_critical, reference_normals
+from oracles import ks_critical, reference_normals, reference_staged_paths
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +297,22 @@ def test_path_batch_validation():
 @pytest.mark.parametrize("k", [5, 6, 8, 10])
 @pytest.mark.parametrize("name", sorted(MARKOV_KERNELS))
 def test_markov_route_matches_the_dense_product(name, k):
+    # below MARKOV_MIN_POINTS the normal table times the Cholesky factor of
+    # the Gram matrix; from there the stage tables times the dense matrices
+    # of the staged construction, with the alive rows (here, of the optimal
+    # measure's support) first in the stage-1 table
     problem = markov_problem(name, k)
-    assert isinstance(problem.route, MarkovForm)
-    x = sample(problem.route, problem.grid, make_config(n_paths=500), start=40).values
-    lower = factorize(problem.kernel.gram(problem.grid)).lower
-    dense = reference_normals(4242, 0, 40, 500, problem.grid.n) @ lower.T
+    form = problem.route
+    assert isinstance(form, MarkovForm)
+    if form.n < MARKOV_MIN_POINTS:
+        x = sample(form, problem.grid, make_config(n_paths=500), start=40).values
+        lower = factorize(problem.kernel.gram(problem.grid)).lower
+        dense = reference_normals(4242, 0, 40, 500, problem.grid.n) @ lower.T
+    else:
+        support = problem.solution.support
+        x = sample(form, problem.grid, make_config(n_paths=500), start=40,
+                   support=support).values
+        dense = reference_staged_paths(form.r, form.q, 4242, 0, 40, 500, support)
     assert np.abs(x - dense).max() <= 1e-11 * np.abs(dense).max()
 
 
@@ -464,18 +476,22 @@ def test_every_batch_is_whole_blocks_within_the_cap():
 def test_a_default_pass_draws_each_block_once(monkeypatch, k, n_paths):
     # 33, 1025, 2049 and 4097 points: the capped rows are whole blocks, so no
     # batch edge falls inside a block, and the pass seeds
-    # ceil(n_paths / BLOCK_ROWS) generators, one per block
+    # ceil(n_paths / BLOCK_ROWS) generators, one per block, and from 129
+    # points one per block and stage
     problem = markov_problem("ou", k)
     blocks = []
     seed_sequence = gauss_sim.SeedSequence
 
     def counted(words):
-        blocks.append(int(words.view("<u8")[2]))
+        key = words.view("<u8")
+        blocks.append((int(key[2]), int(key[3]) if key.size > 3 else None))
         return seed_sequence(words)
 
     monkeypatch.setattr(gauss_sim, "SeedSequence", counted)
     tail_is(problem, [0.0, 1.0], make_config(n_paths=n_paths))
-    assert sorted(blocks) == list(range(-(-n_paths // BLOCK_ROWS)))
+    stages = (0, 1) if problem.grid.n >= MARKOV_MIN_POINTS else (None,)
+    assert sorted(blocks) == [(block, stage) for block in range(-(-n_paths // BLOCK_ROWS))
+                              for stage in stages]
 
 
 @pytest.mark.parametrize("route, k, batches", [
@@ -533,3 +549,75 @@ def test_worker_counts_change_no_capped_pass_output(name, k):
     one, two = (_sweep_outputs(problem, make_config(n_paths=20_001, workers=workers))
                 for workers in (1, 2))
     assert one == two
+
+
+# ---------------------------------------------------------------------------
+# staged paths: coarse to fine from MARKOV_MIN_POINTS
+# ---------------------------------------------------------------------------
+
+UNEVEN = PointGrid(1.5 + 2.5 * np.linspace(0.0, 1.0, 150) ** 1.5)   # n - 1 = 32 * 4 + 21
+
+
+def test_a_prefix_spans_the_grid_in_equal_or_next_wider_intervals():
+    # n - 1 = 32 width + wide: the first wide intervals hold width + 1 points
+    # and the rest width, so any grid of MARKOV_MIN_POINTS or more is staged
+    for grid, runs in ((DyadicGrid(1.5, 4.0, 7), ((0, 32, 4),)),
+                       (UNEVEN, ((0, 21, 5), (21, 11, 4)))):
+        prefix = Problem(ModulatedBrownian(ShiftedRootScale(1.0), 1.5, 4.0), grid).route.prefix
+        assert prefix.runs == runs
+        widths = np.diff(prefix.points)
+        assert prefix.points[0] == 0 and prefix.points[-1] == grid.n - 1
+        assert widths.tolist() == [width for _, count, width in runs for _ in range(count)]
+        assert np.all((prefix.bridge > 0) & (prefix.bridge <= 1))
+        assert np.array_equal(prefix.bridge[prefix.points[1:] - 1], np.ones(32))
+
+
+@pytest.mark.parametrize("grid", [DyadicGrid(1.5, 4.0, 7), DyadicGrid(1.5, 4.0, 8), UNEVEN],
+                         ids=["129", "257", "uneven-150"])
+def test_staged_paths_have_the_forms_covariance(grid):
+    # whole staged paths, with example2's partial support ordering the stage-1
+    # rows: every entry of the empirical covariance (every pair of points, so
+    # every lag) lies within 5 standard errors of Sigma = q_i q_j r_min(i,j),
+    # and every mean within 5 of 0; and the paths whitened by Sigma's exact
+    # lower factor, e_j = (X_j / q_j - X_(j-1) / q_(j-1)) / sqrt(dr_j), which
+    # resolves each interval's bridge, have the identity covariance just as
+    # closely
+    problem = Problem(ModulatedBrownian(ShiftedRootScale(1.0), 1.5, 4.0), grid)
+    form, support = problem.route, problem.solution.support
+    assert form.prefix is not None and support.size < grid.n
+    n_paths, rows = 60_000, 7680
+    sigma = np.outer(form.q, form.q) * np.minimum.outer(form.r, form.r)
+    moments = {"sigma": [sigma, np.zeros_like(sigma), np.zeros(grid.n)],
+               "white": [np.eye(grid.n), np.zeros_like(sigma), np.zeros(grid.n)]}
+    cfg = make_config(n_paths=n_paths)
+    for start in range(0, n_paths, rows):
+        x = sample(form, grid, cfg, start, min(rows, n_paths - start), support).values
+        white = np.diff(x / form.q, axis=1, prepend=0.0) / np.sqrt(np.diff(form.r, prepend=0.0))
+        for y, (_, second, first) in zip((x, white), moments.values()):
+            second += y.T @ y
+            first += y.sum(axis=0)
+    for name, (cov, second, first) in moments.items():
+        var = np.diag(cov)
+        z = (second / n_paths - cov) / np.sqrt((np.outer(var, var) + cov**2) / n_paths)
+        assert np.abs(z).max() <= 5.0, f"{name}: max |z| {np.abs(z).max():.2f}"
+        assert np.abs(first / n_paths).max() <= 5.0 * np.sqrt(var.max() / n_paths), name
+
+
+@pytest.mark.parametrize("grid", [DyadicGrid(1.5, 4.0, 8), UNEVEN], ids=["257", "uneven-150"])
+def test_a_survivors_only_batch_holds_the_alive_rows_of_the_whole_batch(grid):
+    # the rows alive on the support's prefix points, in path order, named by
+    # their index; a path alive in one is the same array in the other, and
+    # every path left out is <= 0 at a support point
+    problem = Problem(ModulatedBrownian(ShiftedRootScale(1.0), 1.5, 4.0), grid)
+    form, support, cfg = problem.route, problem.solution.support, make_config(n_paths=3000)
+    whole = sample(form, grid, cfg, 100, 2000, support)
+    alive = sample(form, grid, cfg, 100, 2000, support, survivors_only=True)
+    assert whole.staged and alive.staged
+    assert np.array_equal(whole.index, np.arange(100, 2100))
+    assert 0 < alive.index.size < 2000 and np.all(np.diff(alive.index) > 0)
+    assert np.array_equal(alive.values, whole.values[alive.index - 100])
+    out = np.setdiff1d(whole.index, alive.index) - 100
+    assert np.all(np.any(whole.values[out][:, support] <= 0, axis=1))
+    # a path alive in the whole batch and above 0 on the support reaches every fold
+    above = np.all(whole.values[:, support] > 0, axis=1)
+    assert np.all(np.isin(whole.index[above], alive.index))

@@ -91,9 +91,9 @@ MARKOV_MIN_POINTS = 129
 # Intervals of a staged path's prefix (``Prefix``): stage 0 draws W at
 # PREFIX_INTERVALS + 1 points of every path. Measured on tail_is passes (2-core
 # Xeon, one BLAS thread, best of 3) with 8, 16, 32 and 64 intervals: example1
-# at 1025 points, 50k paths, u=3: 0.36, 0.34, 0.33, 0.33 s, at 251, 241, 241
-# and 261 normals per path; at 257 points, 100k paths: 0.17, 0.18, 0.20, 0.27
-# s; OU at 129 points, 200k paths, u = 0, 1, 2: 0.20, 0.22, 0.28, 0.52 s. So
+# at 1025 points, 50k paths, u=3: 0.40, 0.36, 0.34, 0.37 s, at 251, 241, 241
+# and 261 normals per path; at 257 points, 100k paths: 0.18, 0.19, 0.21, 0.35
+# s; OU at 129 points, 200k paths, u = 0, 1, 2: 0.21, 0.23, 0.30, 0.59 s. So
 # 32 is the fastest at 1025 points, and within 0.1 s of 8 per 200k paths below.
 PREFIX_INTERVALS = 32
 # Paths, and normals (8 B each, 2 MiB: one core's L2 cache), per batch at most
@@ -211,49 +211,46 @@ class Factorization:
 class Prefix:
     """A staged path's coarse points and its bridge to the rest (module doc),
     on n >= PREFIX_INTERVALS + 1 points: ``points`` are the PREFIX_INTERVALS + 1
-    indices (width + 1) i + min(i, wide) for n - 1 = PREFIX_INTERVALS width +
-    wide, so the first ``wide`` intervals hold one point more; ``step`` is
-    sqrt(r_p - r_p') from each prefix point p's predecessor p' (r_(-1) = 0);
-    ``bridge`` is lambda_j for each point j > 0, on its interval a < j <= b;
-    ``runs`` are the (first interval, intervals, points per interval) of the
-    runs of equal intervals, which a fill reshapes to (rows, intervals, width)."""
+    indices width i + min(i, wide) for n - 1 = PREFIX_INTERVALS width + wide,
+    so the first ``wide`` intervals hold one point more (``widths``); ``step``
+    is sqrt(r_p - r_p') from each prefix point p's predecessor p' (r_(-1) = 0);
+    ``bridge`` is lambda_j for each point j > 0, on its interval a < j <= b."""
 
     points: np.ndarray
+    widths: np.ndarray
     step: np.ndarray
     bridge: np.ndarray
-    runs: tuple[tuple[int, int, int], ...]
 
     @classmethod
     def of(cls, r: np.ndarray) -> Prefix:
         width, wide = divmod(r.size - 1, PREFIX_INTERVALS)
         i = np.arange(PREFIX_INTERVALS + 1)
         points = width * i + np.minimum(i, wide)
+        widths = np.diff(points)
         step = np.sqrt(np.diff(r[points], prepend=0.0))
-        a, b = (np.repeat(ends, np.diff(points)) for ends in (points[:-1], points[1:]))
+        a, b = (np.repeat(ends, widths) for ends in (points[:-1], points[1:]))
         bridge = (r[1:] - r[a]) / (r[b] - r[a])
-        runs = tuple(run for run in ((0, wide, width + 1), (wide, PREFIX_INTERVALS - wide, width))
-                     if run[1])
-        for arr in (points, step, bridge):
+        for arr in (points, widths, step, bridge):
             arr.setflags(write=False)
-        return cls(points, step, bridge, runs)
+        return cls(points, widths, step, bridge)
 
     def fill(self, c: np.ndarray, w: np.ndarray) -> None:
         """Turn ``c``, the cumsums C of a table's rows of increments at points
         1 to n - 1, into W there, in place, given W at the prefix (``w``, one
         row each): W_j = (C_j + W_a - C_a) + lambda_j (W_b - W_a - (C_b - C_a)),
         and W_b exactly at each prefix point b."""
-        rows = c.shape[0]
         ends = self.points[1:] - 1                  # the columns of b
         c_end = c[:, ends]
         lift = w[:, :-1].copy()                     # W_a - C_a
         lift[:, 1:] -= c_end[:, :-1]
         gap = w[:, 1:] - (c_end + lift)             # W_b - W_a - (C_b - C_a)
-        for first, count, width in self.runs:
-            lo = self.points[first]
-            fill = c[:, lo:lo + count * width].reshape(rows, count, width)   # a view
-            fill += lift[:, first:first + count, None]
-            fill += (self.bridge[lo:lo + count * width].reshape(count, width)
-                     * gap[:, first:first + count, None])
+        # an interval's values repeated over its columns: a broadcast over
+        # (rows, intervals, width) runs inner loops of one interval, and was
+        # 1.1-1.4x slower at 129 to 1025 points
+        c += np.repeat(lift, self.widths, axis=1)
+        gap = np.repeat(gap, self.widths, axis=1)
+        gap *= self.bridge
+        c += gap
         c[:, ends] = w[:, 1:]
 
 

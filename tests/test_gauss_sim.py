@@ -561,13 +561,10 @@ UNEVEN = PointGrid(1.5 + 2.5 * np.linspace(0.0, 1.0, 150) ** 1.5)   # n - 1 = 32
 def test_a_prefix_spans_the_grid_in_equal_or_next_wider_intervals():
     # n - 1 = 32 width + wide: the first wide intervals hold width + 1 points
     # and the rest width, so any grid of MARKOV_MIN_POINTS or more is staged
-    for grid, runs in ((DyadicGrid(1.5, 4.0, 7), ((0, 32, 4),)),
-                       (UNEVEN, ((0, 21, 5), (21, 11, 4)))):
+    for grid, widths in ((DyadicGrid(1.5, 4.0, 7), [4] * 32), (UNEVEN, [5] * 21 + [4] * 11)):
         prefix = Problem(ModulatedBrownian(ShiftedRootScale(1.0), 1.5, 4.0), grid).route.prefix
-        assert prefix.runs == runs
-        widths = np.diff(prefix.points)
         assert prefix.points[0] == 0 and prefix.points[-1] == grid.n - 1
-        assert widths.tolist() == [width for _, count, width in runs for _ in range(count)]
+        assert np.diff(prefix.points).tolist() == prefix.widths.tolist() == widths
         assert np.all((prefix.bridge > 0) & (prefix.bridge <= 1))
         assert np.array_equal(prefix.bridge[prefix.points[1:] - 1], np.ones(32))
 

@@ -7,11 +7,12 @@ each into its own output directory: the full reproduction report,
 ``report --preset full_repro --threads 1``, six standalone preset commands
 (``tail --preset ou``, ``argmin --preset example2``, ``diagnose --preset
 example1``, ``analytic --preset example1``, ``solve --preset example2`` and
-``smallball --preset ou``), ``tail --preset example1 --config
-tail_fine.json``, which samples 257 points, so that the O(n) cumulative-sum
-path map (from 129 points) is byte-checked too, two more 257-point runs,
-``argmin --preset example2 --config argmin_fine.json`` (a partial support)
-and ``smallball --preset ou --config smallball_fine.json``, and two runs on
+``smallball --preset ou``), three runs that sample 257 points, so that the
+staged Markov paths (from 129 points) are byte-checked too: ``tail --preset
+example1 --config tail_fine.json`` and ``argmin --preset example2 --config
+argmin_fine.json`` (a partial support), which complete only the paths alive
+on the support, and ``smallball --preset ou --config smallball_fine.json``,
+which completes every path; and two runs on
 kernels without a Markov form, so that the dense route is byte-checked: ``tail
 --preset ou --config tail_dense.json`` on ``PowerExponential(0.5)`` (its
 Cholesky path map, theta step and certificate) and ``solve --config

@@ -81,12 +81,14 @@ BLOCK_ROWS = 256
 DEFAULT_JITTER_START = 1e-12
 DEFAULT_JITTER_MAX = 1e-6
 # Smallest grid whose Markov form builds its paths coarse to fine (``Prefix``)
-# rather than by the product with its lower factor. Measured per sampled value
-# at the pass's batch rows (2-core Xeon, one BLAS thread, two runs): the product
-# costs 3.6-4.8 ns at 65 points, 4.9-6.8 at 97, 6.0-6.2 at 129, 7.8-8.0 at 193
-# and 10.1-10.2 at 257; a whole-path cumsum costs 4.1-5.8 ns at every size. So
-# the two tie near 97 points, between the dyadic grids of 65 and 129 points.
-# The staged paths replaced that cumsum from there.
+# rather than by the product with its lower factor. Measured on OU passes (2-core
+# Xeon, one BLAS thread, best of 3), product / staged: tail_is at u = 0, 1, 2,
+# which completes only the alive paths, 0.58 / 0.45 s per 400k paths at 65
+# points, 0.49 / 0.27 per 200k at 129 and 0.59 / 0.18 per 100k at 257;
+# small_ball, which completes every path, 0.66 / 1.18, 0.69 / 1.01 and 0.80 /
+# 0.88 s. So from 129 points the staged paths cut a survivors-only pass by
+# 45-70% and cost a whole-path pass at most 1.5x; at 65 they would save 23% on
+# the one and cost the other 1.8x.
 MARKOV_MIN_POINTS = 129
 # Intervals of a staged path's prefix (``Prefix``): stage 0 draws W at
 # PREFIX_INTERVALS + 1 points of every path. Measured on tail_is passes (2-core

@@ -463,10 +463,12 @@ def _run_alone(plan: Plan) -> tuple[Plan, list]:
 def _first_paths(problem: Problem, config: SamplerConfig, count: int
                  ) -> Iterator[list[float]]:
     """Paths [0, count) as lists, one at a time, from the pass's own batches."""
-    rows = batch_rows(problem.route.n)
+    route = problem.route
+    support = None if route.prefix is None else problem.solution.support
+    rows = batch_rows(route.n)
     for start in range(0, count, rows):
-        batch = sample(problem.route, problem.grid, config, start,
-                       min(rows, config.n_paths - start), problem.solution.support)
+        batch = sample(route, problem.grid, config, start,
+                       min(rows, config.n_paths - start), support)
         for path in batch.values[:count - start]:
             yield path.tolist()
 

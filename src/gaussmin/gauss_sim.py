@@ -87,8 +87,10 @@ DEFAULT_JITTER_MAX = 1e-6
 # points, 0.49 / 0.27 per 200k at 129 and 0.59 / 0.18 per 100k at 257;
 # small_ball, which completes every path, 0.66 / 1.18, 0.69 / 1.01 and 0.80 /
 # 0.88 s. So from 129 points the staged paths cut a survivors-only pass by
-# 45-70% and cost a whole-path pass at most 1.5x; at 65 they would save 23% on
-# the one and cost the other 1.8x.
+# 45-70% and make a whole-path pass 1.1-1.5x slower; at 65 they would save 23%
+# on the one and cost the other 1.8x. The threshold accepts that slowdown with
+# no measured share of the two kinds of pass: no benchmark workload runs a
+# whole-path pass from 129 points.
 MARKOV_MIN_POINTS = 129
 # Intervals of a staged path's prefix (``Prefix``): stage 0 draws W at
 # PREFIX_INTERVALS + 1 points of every path. Measured on tail_is passes (2-core
@@ -554,6 +556,9 @@ def functionals(batch: PathBatch, weights: GridMeasure) -> PathFunctionals:
         raise GridMismatchError("weights are not on the batch's grid")
     x = batch.values
     # a matrix product rounds a row's Y by its place in the batch, and a
-    # staged batch's rows depend on which survive: each row's own dot product
-    y = np.vecdot(x, weights.weights) if batch.staged else x @ weights.weights
+    # staged batch's rows depend on which survive: each row's own dot product,
+    # as a stack of (1, n) @ (n, 1) products that matmul computes one by one
+    # (no temporary; np.vecdot would do the same but needs numpy 2)
+    y = ((x[:, None, :] @ weights.weights[:, None])[:, 0, 0] if batch.staged
+         else x @ weights.weights)
     return PathFunctionals(values=x, y=y, min_value=x.min(axis=1))

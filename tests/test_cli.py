@@ -708,6 +708,13 @@ def test_tail_dump_draws_the_pass_batches(run_cli, monkeypatch, row_cap):
     assert np.array_equal(np.array(rows), paths.values)
 
 
+def test_a_dump_below_129_points_reads_no_solution():
+    # only a staged route orders its paths by the support
+    problem = Problem(OrnsteinUhlenbeck(), DyadicGrid(0.0, 1.0, 5))
+    paths = list(gaussmin.cli._first_paths(problem, SamplerConfig(seed=1, n_paths=600), 300))
+    assert len(paths) == 300 and "solution" not in vars(problem)
+
+
 def test_staged_tail_dump_draws_the_pass_rows(run_cli, monkeypatch, row_cap):
     # at 257 points the pass completes only the paths alive on the support's
     # prefix points, and the dump draws every path whole in the pass's

@@ -611,6 +611,15 @@ def test_a_survivors_only_pass_equals_a_whole_path_pass(monkeypatch, name):
     assert whole[3] == diagnostic
 
 
+def test_a_whole_path_pass_solves_only_on_a_staged_route():
+    # small_ball in range mode reads no solution; from 129 points the pass
+    # still solves, for the support that orders each block's stage-1 table
+    for k, staged in ((5, False), (8, True)):
+        problem = markov_problem("ou", k)
+        run_sweeps(problem, make_config(n_paths=256), [small_ball_sweep(problem, [0.5])])
+        assert ("solution" in vars(problem)) == staged
+
+
 def test_a_negative_u_takes_whole_paths(monkeypatch):
     # a crude hit min X > u with u < 0 can be a path below 0 at a support
     # point, so that pass completes every path, and counts its hits on them

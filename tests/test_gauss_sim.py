@@ -618,3 +618,10 @@ def test_a_survivors_only_batch_holds_the_alive_rows_of_the_whole_batch(grid):
     # a path alive in the whole batch and above 0 on the support reaches every fold
     above = np.all(whole.values[:, support] > 0, axis=1)
     assert np.all(np.isin(whole.index[above], alive.index))
+    # and each row's Y does not depend on which other rows share its batch
+    measure = problem.solution.measure
+    y = functionals(whole, measure).y
+    assert np.array_equal(functionals(alive, measure).y, y[alive.index - 100])
+    for i in alive.index[:20]:
+        one = sample(form, grid, cfg, int(i), 1, support)
+        assert functionals(one, measure).y[0] == y[i - 100]

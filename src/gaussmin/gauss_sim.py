@@ -23,9 +23,9 @@ From MARKOV_MIN_POINTS points a Markov form builds its paths coarse to fine
 (``Prefix``), in two stages with their own generators, seeded by the words of
 (seed, stream, block, stage):
 
-- stage 0 draws a (BLOCK_ROWS, PREFIX_INTERVALS + 1) table per block: W at
-  the prefix, PREFIX_INTERVALS + 1 points from the first to the last, by a
-  cumsum of its steps;
+- stage 0 draws a (BLOCK_ROWS, m + 1) table per block: W at the prefix, the
+  m + 1 points from the first to the last that bound its
+  m = min(PREFIX_INTERVALS, (n - 1) // 8) intervals, by a cumsum of its steps;
 - stage 1 completes a row: a free cumsum of n - 1 normals times sqrt(dr),
   pinned to W at the prefix by the Brownian bridge, W_j = W_a + (C_j - C_a)
   + lambda_j (W_b - W_a - (C_b - C_a)) on each interval a < j <= b, with
@@ -38,7 +38,9 @@ each in row order, then the others. So an alive row is the same path whether
 a batch completes only the alive rows or every row: the estimators read
 nothing of a row with X <= 0 at a support point (``estimators.Sweep``). A
 batch of such rows is ``staged``: its Y is each row's own dot product, since
-a matrix product rounds a row's Y by its place in the batch.
+a matrix product rounds a row's Y by its place in the batch. A batch
+completes its rows a chunk of whole blocks at a time, each chunk at most
+BATCH_VALUES stage-1 normals or one block, with one call for the chunk.
 
 Finiteness is checked once per ``Problem``, not per batch: ``factorize``
 refuses a sigma or factor with a NaN or inf entry, and ``MarkovForm.of`` a
@@ -50,8 +52,8 @@ x_R + 53 log(2) / x_R. So every path value is finite: a product path has
 A staged path has |X_j| < 45 sqrt(n sigma_jj) up to rounding: on j's interval
 of w points, |W_a| < 13.8 sqrt(33 r_a), |C_j - C_a| and lambda_j |C_b - C_a|
 are < 13.8 sqrt(w r_j), and lambda_j |W_b| < 13.8 sqrt(66 r_j), since
-lambda_j^2 r_b <= 2 r_j; with w < n and n >= MARKOV_MIN_POINTS they add up to
-less than 45 sqrt(n r_j).
+lambda_j^2 r_b <= 2 r_j; with w <= max(16, n / 8) and n >= MARKOV_MIN_POINTS
+they add up to less than 45 sqrt(n r_j).
 
 A pass of the estimators draws batches of ``batch_rows(n)`` paths, set by the
 grid alone: whole blocks of at most 2 MiB of normals, or one block where a
@@ -61,6 +63,7 @@ their X. So a pass draws each block once at every grid size.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, ClassVar
@@ -81,24 +84,26 @@ BLOCK_ROWS = 256
 DEFAULT_JITTER_START = 1e-12
 DEFAULT_JITTER_MAX = 1e-6
 # Smallest grid whose Markov form builds its paths coarse to fine (``Prefix``)
-# rather than by the product with its lower factor. Measured on OU passes (2-core
-# Xeon, one BLAS thread, best of 3), product / staged: tail_is at u = 0, 1, 2,
-# which completes only the alive paths, 0.58 / 0.45 s per 400k paths at 65
-# points, 0.49 / 0.27 per 200k at 129 and 0.59 / 0.18 per 100k at 257;
-# small_ball, which completes every path, 0.66 / 1.18, 0.69 / 1.01 and 0.80 /
-# 0.88 s. So from 129 points the staged paths cut a survivors-only pass by
-# 45-70% and make a whole-path pass 1.1-1.5x slower; at 65 they would save 23%
-# on the one and cost the other 1.8x. The threshold accepts that slowdown with
-# no measured share of the two kinds of pass: no benchmark workload runs a
-# whole-path pass from 129 points.
-MARKOV_MIN_POINTS = 129
-# Intervals of a staged path's prefix (``Prefix``): stage 0 draws W at
-# PREFIX_INTERVALS + 1 points of every path. Measured on tail_is passes (2-core
-# Xeon, one BLAS thread, best of 3) with 8, 16, 32 and 64 intervals: example1
-# at 1025 points, 50k paths, u=3: 0.40, 0.36, 0.34, 0.37 s, at 251, 241, 241
-# and 261 normals per path; at 257 points, 100k paths: 0.18, 0.19, 0.21, 0.35
-# s; OU at 129 points, 200k paths, u = 0, 1, 2: 0.21, 0.23, 0.30, 0.59 s. So
-# 32 is the fastest at 1025 points, and within 0.1 s of 8 per 200k paths below.
+# rather than by the product with its lower factor. It depends on n alone, so
+# that no path depends on the worker count. Measured on OU passes (2-core Xeon,
+# one BLAS thread, 7 alternating runs, median), product / staged: tail_is at
+# u = 0, 1, 2, which completes only the alive paths, 0.49 / 0.36 s per 500k
+# paths at 33 points with 1 worker and 0.30 / 0.28 s with 2; 0.38 / 0.17 and
+# 0.19 / 0.16 s per 200k at 65 points. small_ball, which completes every path,
+# took 0.63 s with the product and 0.84 s staged per 200k at 65 points (1.3x);
+# at 129 points, staged before and after, 1.15 and 1.14 s. So 33 points keep
+# the product: with 2 workers, as tail_sweep runs them, staging gains little
+# there. No benchmark workload runs a whole-path pass from 65 points.
+MARKOV_MIN_POINTS = 65
+# Most intervals of a staged path's prefix (``Prefix``), which holds
+# min(PREFIX_INTERVALS, (n - 1) // 8) intervals of at least 8 points: 8 at 65
+# points, 16 at 129 and 32 from 257. Measured on tail_is passes (2-core Xeon,
+# one BLAS thread, 7 alternating runs, median) with 8, 16 and 32 intervals: OU
+# at 65 points, 200k paths, u = 0, 1, 2: 0.14-0.15, 0.17-0.18, 0.25 s; at 129
+# points: 0.21-0.23, 0.23-0.25, 0.37-0.39 s; at 257, 100k paths: 0.17, 0.18,
+# 0.21 s; example1 at 1025 points, 50k paths, u=3: 0.32, 0.31, 0.30 s. So 32
+# is the fastest at 1025 points and the slowest below 257; the floor of 8
+# points per interval keeps 32 at 257 points, whose paths keep their values.
 PREFIX_INTERVALS = 32
 # Paths, and normals (8 B each, 2 MiB: one core's L2 cache), per batch at most
 # (``batch_rows``): 16384 paths up to 16 points, 7936 at 33, 1792 at 129 and one
@@ -110,6 +115,11 @@ PREFIX_INTERVALS = 32
 # points; 2^18 holds half the normals of 2^19.
 MAX_BATCH_ROWS = 16_384
 BATCH_VALUES = 2**18
+
+
+# each thread's stage-1 scratch (``_scratch``): a worker never reads another's,
+# and no value in it outlives the ``sample`` call that wrote it
+_buffers = threading.local()
 
 
 def __getattr__(name: str):
@@ -214,48 +224,65 @@ class Factorization:
 @dataclass(frozen=True, eq=False)
 class Prefix:
     """A staged path's coarse points and its bridge to the rest (module doc),
-    on n >= PREFIX_INTERVALS + 1 points: ``points`` are the PREFIX_INTERVALS + 1
-    indices width i + min(i, wide) for n - 1 = PREFIX_INTERVALS width + wide,
-    so the first ``wide`` intervals hold one point more (``widths``); ``step``
-    is sqrt(r_p - r_p') from each prefix point p's predecessor p' (r_(-1) = 0);
-    ``bridge`` is lambda_j for each point j > 0, on its interval a < j <= b."""
+    on n >= 9 points, in m = min(PREFIX_INTERVALS, (n - 1) // 8) intervals of
+    at least 8 points: ``points`` are the m + 1 indices width i + min(i, wide)
+    for n - 1 = m width + wide, so the first ``wide`` intervals hold one point
+    more (``widths``); ``step`` is sqrt(r_p - r_p') from each prefix point p's
+    predecessor p' (r_(-1) = 0); ``bridge`` is lambda_j for each point j > 0,
+    on its interval a < j <= b; ``runs`` are the (columns, intervals, width)
+    of the intervals of each width, as columns 1 to n - 1 of a table."""
 
     points: np.ndarray
     widths: np.ndarray
     step: np.ndarray
     bridge: np.ndarray
+    runs: tuple[tuple[slice, slice, int], ...]
 
     @classmethod
     def of(cls, r: np.ndarray) -> Prefix:
-        width, wide = divmod(r.size - 1, PREFIX_INTERVALS)
-        i = np.arange(PREFIX_INTERVALS + 1)
+        intervals = min(PREFIX_INTERVALS, (r.size - 1) // 8)
+        width, wide = divmod(r.size - 1, intervals)
+        i = np.arange(intervals + 1)
         points = width * i + np.minimum(i, wide)
         widths = np.diff(points)
         step = np.sqrt(np.diff(r[points], prepend=0.0))
         a, b = (np.repeat(ends, widths) for ends in (points[:-1], points[1:]))
         bridge = (r[1:] - r[a]) / (r[b] - r[a])
+        runs = tuple((slice(points[lo], points[hi]), slice(lo, hi), size)
+                     for lo, hi, size in ((0, wide, width + 1), (wide, intervals, width))
+                     if hi > lo)
         for arr in (points, widths, step, bridge):
             arr.setflags(write=False)
-        return cls(points, widths, step, bridge)
+        return cls(points, widths, step, bridge, runs)
 
-    def fill(self, c: np.ndarray, w: np.ndarray) -> None:
+    def fill(self, c: np.ndarray, w: np.ndarray, spare: np.ndarray) -> None:
         """Turn ``c``, the cumsums C of a table's rows of increments at points
         1 to n - 1, into W there, in place, given W at the prefix (``w``, one
         row each): W_j = (C_j + W_a - C_a) + lambda_j (W_b - W_a - (C_b - C_a)),
-        and W_b exactly at each prefix point b."""
+        and W_b exactly at each prefix point b. ``spare``, of c's shape, is
+        written over."""
         ends = self.points[1:] - 1                  # the columns of b
         c_end = c[:, ends]
         lift = w[:, :-1].copy()                     # W_a - C_a
         lift[:, 1:] -= c_end[:, :-1]
         gap = w[:, 1:] - (c_end + lift)             # W_b - W_a - (C_b - C_a)
-        # an interval's values repeated over its columns: a broadcast over
-        # (rows, intervals, width) runs inner loops of one interval, and was
-        # 1.1-1.4x slower at 129 to 1025 points
-        c += np.repeat(lift, self.widths, axis=1)
-        gap = np.repeat(gap, self.widths, axis=1)
-        gap *= self.bridge
-        c += gap
+        # an interval's values copied over its columns into spare, then added
+        # over the whole table: an add broadcast over (rows, intervals, width)
+        # runs inner loops of one interval, and was 1.1-1.4x slower at 129 to
+        # 1025 points; np.repeat allocates, and np.take with out= took
+        # 1.4 ns per value against 0.5-0.8 for np.repeat
+        self._spread(lift, spare)
+        c += spare
+        self._spread(gap, spare)
+        spare *= self.bridge
+        c += spare
         c[:, ends] = w[:, 1:]
+
+    def _spread(self, per_interval: np.ndarray, out: np.ndarray) -> None:
+        """Write each row's value of an interval over the interval's columns
+        (each run's reshape splits the contiguous last axis: a view)."""
+        for cols, intervals, width in self.runs:
+            np.copyto(out[:, cols].reshape(len(out), -1, width), per_interval[:, intervals, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,12 +363,13 @@ class MarkovForm:
         builds the paths in stages)."""
         return xi @ self.lower.T
 
-    def complete(self, xi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def complete(self, xi: np.ndarray, w: np.ndarray, spare: np.ndarray) -> np.ndarray:
         """X at points 1 to n - 1 of the rows whose W at the prefix is ``w``,
-        from their stage-1 normals ``xi``, written over xi."""
+        from their stage-1 normals ``xi``, written over xi (and ``spare``, of
+        its shape)."""
         xi *= self.step[1:]
         np.cumsum(xi, axis=1, out=xi)
-        self.prefix.fill(xi, w)
+        self.prefix.fill(xi, w, spare)
         xi *= self.q[1:]
         return xi
 
@@ -422,20 +450,22 @@ def factorize(sigma: np.ndarray) -> Factorization:
 
 
 def standard_normals(seed: int, stream: int, start: int, count: int,
-                     n_points: int, stage: int | None = None) -> np.ndarray:
+                     n_points: int, stage: int | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Rows [start, start + count) of the (seed, stream) standard-normal table,
     or of its stage ``stage`` table of staged paths (module doc).
 
     Row j is row j mod BLOCK_ROWS of block j // BLOCK_ROWS. The blocks that
     hold the rows are drawn, each from its first row to the last it holds
-    (or its own last), into one C-contiguous array, and the result is its
-    slice of ``count`` rows, also C-contiguous. A block's generator is seeded
-    by the six 32-bit halves of (seed, stream, block), or the eight of (seed,
-    stream, block, stage): being of fixed width, no two tuples share them.
+    (or its own last), into one C-contiguous array (``out``, when given, of
+    that shape), and the result is its slice of ``count`` rows, also
+    C-contiguous. A block's generator is seeded by the six 32-bit halves of
+    (seed, stream, block), or the eight of (seed, stream, block, stage): being
+    of fixed width, no two tuples share them.
     """
     first = start // BLOCK_ROWS
     base = first * BLOCK_ROWS
-    table = np.empty((start + count - base, n_points))
+    table = np.empty((start + count - base, n_points)) if out is None else out
     for lo in range(0, len(table), BLOCK_ROWS):
         key = (seed, stream, first + lo // BLOCK_ROWS) + (() if stage is None else (stage,))
         words = np.array(key, dtype="<u8").view("<u4")
@@ -488,18 +518,21 @@ def _staged_paths(form: MarkovForm, config: SamplerConfig, start: int, count: in
                   ) -> tuple[np.ndarray, np.ndarray]:
     """(path index, X) of ``sample``'s rows on a staged form, in path order.
 
-    Stage 0 is drawn for the whole blocks that hold the paths. Stage 1 is
-    drawn per block, up to the last table row the batch keeps, and completes
-    the rows it keeps: alive rows first, so that an alive row takes the same
-    table row whether or not the others are completed."""
-    seed, stream, prefix = config.seed, config.stream, form.prefix
+    Stage 0 is drawn for the whole blocks that hold the paths. A block's
+    stage-1 table gives its alive rows its first rows, and is drawn up to the
+    last row the batch keeps, so that an alive row takes the same table row
+    whether or not the others are completed. The rows are completed a chunk
+    of whole blocks at a time (``_chunks``), in the stage-1 table and a spare
+    of the thread's buffer (``_scratch``): a row's values do not depend on
+    the rows it shares a chunk with."""
+    seed, stream, prefix, n = config.seed, config.stream, form.prefix, form.n
     base = start - start % BLOCK_ROWS
     rows = -(-(start + count - base) // BLOCK_ROWS) * BLOCK_ROWS
     w = standard_normals(seed, stream, base, rows, prefix.points.size, stage=0)
     w *= prefix.step
     np.cumsum(w, axis=1, out=w)
     x0 = w * form.q[prefix.points]
-    tested = np.zeros(form.n, dtype=bool)
+    tested = np.zeros(n, dtype=bool)
     if support is not None:
         tested[support] = True
     alive = np.all(x0[:, tested[prefix.points]] > 0, axis=1)
@@ -508,21 +541,61 @@ def _staged_paths(form: MarkovForm, config: SamplerConfig, start: int, count: in
     if survivors_only:
         keep &= alive
     index = np.flatnonzero(keep)
-    values = np.empty((index.size, form.n))
-    for lo in range(0, rows, BLOCK_ROWS):
-        block = slice(lo, lo + BLOCK_ROWS)
-        order = lo + np.argsort(~alive[block], kind="stable")  # row of each table row
-        taken = np.flatnonzero(keep[order])
-        if not taken.size:
-            continue
-        xi = standard_normals(seed, stream, base + lo, int(taken[-1]) + 1, form.n - 1, stage=1)
-        if taken.size < len(xi):
-            xi = xi[taken]
-        kept = order[taken]
-        dest = np.searchsorted(index, kept)
-        values[dest, 0] = x0[kept, 0]
-        values[dest, 1:] = form.complete(xi, w[kept])
+    values = np.empty((index.size, n))
+    values[:, 0] = x0[index, 0]
+    # the batch row of each table row: a stable sort puts each block's alive rows first
+    order = np.argsort(~alive.reshape(-1, BLOCK_ROWS), axis=1, kind="stable")
+    order += np.arange(0, rows, BLOCK_ROWS)[:, None]
+    order = order.ravel()
+    taken = np.flatnonzero(keep[order])               # the table rows completed
+    kept = order[taken]
+    dest = np.searchsorted(index, kept)
+    chunks = _chunks(taken, rows, n)
+    most = max((sum(drawn for _, drawn, _, _ in chunk) for chunk in chunks), default=0)
+    table, spare = _scratch(2 * most * (n - 1)).reshape(2, most, n - 1)
+    for chunk in chunks:
+        at, shift = 0, []
+        for first, drawn, _, _ in chunk:
+            standard_normals(seed, stream, base + first, drawn, n - 1, stage=1,
+                             out=table[at:at + drawn])
+            shift.append(first - at)
+            at += drawn
+        lo, hi = chunk[0][2], chunk[-1][3]
+        xi = table[:at]
+        if hi - lo < at:
+            xi = xi[taken[lo:hi] - np.repeat(shift, [b[3] - b[2] for b in chunk])]
+        values[dest[lo:hi], 1:] = form.complete(xi, w[kept[lo:hi]], spare[:hi - lo])
     return base + index, values
+
+
+def _scratch(size: int) -> np.ndarray:
+    """``size`` values of this thread's stage-1 buffer, grown as needed and
+    kept. Allocated afresh for each batch, the table and the bridge's spare
+    faulted their pages in again and again: 10k, 17k and 34k minor page
+    faults per 100k-path OU tail_is pass at 65, 129 and 257 points, against
+    fewer than 20 with this buffer."""
+    buffer = getattr(_buffers, "stage1", None)
+    if buffer is None or buffer.size < size:
+        buffer = _buffers.stage1 = np.empty(size)
+    return buffer[:size]
+
+
+def _chunks(taken: np.ndarray, rows: int, n: int) -> list[list[tuple[int, int, int, int]]]:
+    """The blocks whose stage-1 rows ``taken`` (sorted table rows, of ``rows``)
+    asks for, as (first table row, rows drawn, [lo, hi) of taken), in runs of
+    whole blocks of at most BATCH_VALUES normals of n - 1 points, or one block."""
+    ends = np.searchsorted(taken, np.arange(BLOCK_ROWS, rows + 1, BLOCK_ROWS)).tolist()
+    chunks, size = [], 0
+    for first, lo, hi in zip(range(0, rows, BLOCK_ROWS), [0] + ends, ends):
+        if hi == lo:
+            continue
+        drawn = int(taken[hi - 1]) - first + 1
+        if not chunks or (size + drawn) * (n - 1) > BATCH_VALUES:
+            chunks.append([])
+            size = 0
+        chunks[-1].append((first, drawn, lo, hi))
+        size += drawn
+    return chunks
 
 
 @dataclass(frozen=True)

@@ -238,11 +238,12 @@ def _stage_table(seed: int, stream: int, block: int, stage: int, n_points: int) 
 def reference_staged_paths(r: np.ndarray, q: np.ndarray, seed: int, stream: int,
                            start: int, count: int, support=()) -> np.ndarray:
     """Paths [start, start + count) of a Markov form (r, q) on a grid whose
-    n - 1 is a multiple of 32, built coarse to fine by dense matrices.
+    n - 1 is a multiple of m = min(32, (n - 1) // 8), built coarse to fine by
+    dense matrices.
 
     Block b's stage-0 table, from the eight 32-bit halves of (seed, stream, b,
     0), times the Cholesky factor of min(r_p, r_p') gives W at the prefix
-    points p = i (n - 1) / 32. A row is alive when q_p W_p > 0 at every
+    points p = i (n - 1) / m. A row is alive when q_p W_p > 0 at every
     prefix point in ``support``. The stage-1 table, from (seed, stream, b, 1),
     gives the alive rows their rows first, in row order, then the others; a
     row's n - 1 normals z complete W between prefix points a < j <= b as
@@ -250,14 +251,15 @@ def reference_staged_paths(r: np.ndarray, q: np.ndarray, seed: int, stream: int,
     D_j = sum over a < i <= j of sqrt(r_i - r_(i-1)) z_i.
     """
     n = r.size
-    width = (n - 1) // 32
-    assert width * 32 == n - 1
-    points = np.arange(33) * width
+    m = min(32, (n - 1) // 8)
+    width = (n - 1) // m
+    assert width * m == n - 1
+    points = np.arange(m + 1) * width
     prefix_lower = np.linalg.cholesky(np.minimum.outer(r[points], r[points]))
     # W = prefix_map @ W_prefix + free_map @ z, column by column
-    prefix_map, free_map = np.zeros((n, 33)), np.zeros((n, n - 1))
+    prefix_map, free_map = np.zeros((n, m + 1)), np.zeros((n, n - 1))
     prefix_map[0, 0] = 1.0
-    for i in range(32):
+    for i in range(m):
         a, b = points[i], points[i + 1]
         for j in range(a + 1, b + 1):
             lam = (r[j] - r[a]) / (r[b] - r[a])
@@ -272,7 +274,7 @@ def reference_staged_paths(r: np.ndarray, q: np.ndarray, seed: int, stream: int,
     for j in range(start, start + count):
         block, row = divmod(j, BLOCK_ROWS)
         if block not in blocks:
-            w_prefix = _stage_table(seed, stream, block, 0, 33) @ prefix_lower.T
+            w_prefix = _stage_table(seed, stream, block, 0, m + 1) @ prefix_lower.T
             alive = np.all(q[points][tested] * w_prefix[:, tested] > 0, axis=1)
             order = [*np.flatnonzero(alive), *np.flatnonzero(~alive)]
             blocks[block] = w_prefix, order, _stage_table(seed, stream, block, 1, n - 1)

@@ -708,7 +708,7 @@ def test_tail_dump_draws_the_pass_batches(run_cli, monkeypatch, row_cap):
     assert np.array_equal(np.array(rows), paths.values)
 
 
-def test_a_dump_below_129_points_reads_no_solution():
+def test_a_dump_below_65_points_reads_no_solution():
     # only a staged route orders its paths by the support
     problem = Problem(OrnsteinUhlenbeck(), DyadicGrid(0.0, 1.0, 5))
     paths = list(gaussmin.cli._first_paths(problem, SamplerConfig(seed=1, n_paths=600), 300))
@@ -834,11 +834,11 @@ def _no_constant(name: str):
 
 @pytest.mark.parametrize("preset, cfg, seed, excluded", [
     # one path of three survives: every u fits, no fit without its group does
-    # (seed 10 is the first seed from 1 that draws this)
-    ("ou", {"n_paths": 3, "u_list": [2.0, 3.0, 4.0]}, 10, []),
+    # (seed 4 is the first seed from 1 that draws this)
+    ("ou", {"n_paths": 3, "u_list": [2.0, 3.0, 4.0]}, 4, []),
     # partial support: no path survives the tests of the two smallest u (seed
-    # 1199 is the first seed from 1 that draws this; about 1 in 500 do)
-    ("example2", {"n_paths": 10, "u_list": [0.5, 1.0, 2.0, 4.0]}, 1199, [0.5, 1.0]),
+    # 200 is the first seed from 1 that draws this; 6 of seeds 1 to 2000 do)
+    ("example2", {"n_paths": 10, "u_list": [0.5, 1.0, 2.0, 4.0]}, 200, [0.5, 1.0]),
 ])
 def test_diagnose_writes_strict_json_when_paths_are_few(run_cli, preset, cfg, seed, excluded):
     code, out = run_cli("diagnose", config=cfg, extra=["--preset", preset, "--seed", str(seed)])
@@ -852,15 +852,19 @@ def test_diagnose_writes_strict_json_when_paths_are_few(run_cli, preset, cfg, se
 
 
 @pytest.mark.parametrize("rows", [1, 256, 777])
-@pytest.mark.parametrize("command, preset", [("tail", "example1"), ("argmin", "example2"),
-                                             ("diagnose", "ou")])
+@pytest.mark.parametrize("command, preset, k", [
+    pytest.param("tail", "example1", 8, id="tail-example1"),
+    pytest.param("argmin", "example2", 8, id="argmin-example2"),
+    pytest.param("diagnose", "ou", 8, id="diagnose-ou"),
+    pytest.param("argmin", "example2", 6, id="argmin-example2-65"),
+])
 def test_staged_outputs_are_byte_identical_across_threads(run_cli, tmp_path, row_cap, command,
-                                                          preset, rows):
-    # criterion 10 at 257 points, where the passes complete only the paths
-    # alive on the support's prefix points: each batch cap gives the same
-    # bytes with 1 and 2 threads
+                                                          preset, k, rows):
+    # criterion 10 at 257 and 65 points, where the passes complete only the
+    # paths alive on the support's prefix points: each batch cap gives the
+    # same bytes with 1 and 2 threads
     row_cap(rows)
-    cfg = {"preset": preset, "k": 8, "n_paths": 2001}
+    cfg = {"preset": preset, "k": k, "n_paths": 2001}
     trees = []
     for threads in (1, 2):
         code, out = run_cli(command, config=cfg, out=tmp_path / f"t{threads}",

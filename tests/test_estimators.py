@@ -612,7 +612,7 @@ def test_a_survivors_only_pass_equals_a_whole_path_pass(monkeypatch, name):
 
 
 def test_a_whole_path_pass_solves_only_on_a_staged_route():
-    # small_ball in range mode reads no solution; from 129 points the pass
+    # small_ball in range mode reads no solution; from 65 points the pass
     # still solves, for the support that orders each block's stage-1 table
     for k, staged in ((5, False), (8, True)):
         problem = markov_problem("ou", k)

@@ -291,7 +291,7 @@ def test_path_batch_validation():
 
 
 # ---------------------------------------------------------------------------
-# the Markov path map: xi L^T below MARKOV_MIN_POINTS, the O(n) cumsum above
+# the Markov path map: xi L^T below MARKOV_MIN_POINTS, staged paths from there
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("k", [5, 6, 8, 10])
@@ -323,7 +323,8 @@ def test_path_map_dispatch_rule():
         problem = markov_problem("ou", k)
         assert isinstance(problem.route, MarkovForm)
         assert (problem.route.name, problem.route.jitter) == ("markov", None)
-    assert markov_problem("ou", 6).grid.n < MARKOV_MIN_POINTS
+    # 33 points keep the product, and 65 (every report grid) are staged
+    assert markov_problem("ou", 5).grid.n < MARKOV_MIN_POINTS == markov_problem("ou", 6).grid.n
     form = problem.kernel.markov_form(problem.grid)
     r, q = form.r, form.q
     assert MarkovForm.of(r, q) is not None
@@ -361,8 +362,9 @@ def test_a_markov_problem_checks_its_form_once(monkeypatch):
 
 @pytest.mark.parametrize("k", [5, 7])
 def test_a_markov_form_keeps_what_its_batches_need(monkeypatch, k):
-    # 33 points map by the form's lower factor and 129 by its cumsum; both
-    # take their steps sqrt(dr), and the factor, from the form, built once
+    # 33 points map by the form's lower factor and 129 are staged; both take
+    # their steps sqrt(dr), and the factor or the prefix, from the form, built
+    # once
     problem = markov_problem("example1", k)
     form, grid, cfg = problem.route, problem.grid, make_config(n_paths=600)
     assert (form.lower is None) == (form.n >= MARKOV_MIN_POINTS)
@@ -476,7 +478,7 @@ def test_every_batch_is_whole_blocks_within_the_cap():
 def test_a_default_pass_draws_each_block_once(monkeypatch, k, n_paths):
     # 33, 1025, 2049 and 4097 points: the capped rows are whole blocks, so no
     # batch edge falls inside a block, and the pass seeds
-    # ceil(n_paths / BLOCK_ROWS) generators, one per block, and from 129
+    # ceil(n_paths / BLOCK_ROWS) generators, one per block, and from 65
     # points one per block and stage
     problem = markov_problem("ou", k)
     blocks = []
@@ -555,22 +557,30 @@ def test_worker_counts_change_no_capped_pass_output(name, k):
 # staged paths: coarse to fine from MARKOV_MIN_POINTS
 # ---------------------------------------------------------------------------
 
-UNEVEN = PointGrid(1.5 + 2.5 * np.linspace(0.0, 1.0, 150) ** 1.5)   # n - 1 = 32 * 4 + 21
+UNEVEN = PointGrid(1.5 + 2.5 * np.linspace(0.0, 1.0, 150) ** 1.5)   # n - 1 = 18 * 8 + 5
 
 
 def test_a_prefix_spans_the_grid_in_equal_or_next_wider_intervals():
-    # n - 1 = 32 width + wide: the first wide intervals hold width + 1 points
-    # and the rest width, so any grid of MARKOV_MIN_POINTS or more is staged
-    for grid, widths in ((DyadicGrid(1.5, 4.0, 7), [4] * 32), (UNEVEN, [5] * 21 + [4] * 11)):
+    # m = min(32, (n - 1) // 8) intervals, n - 1 = m width + wide: the first
+    # wide intervals hold width + 1 points and the rest width, so any grid of
+    # MARKOV_MIN_POINTS or more is staged; 257 points keep 32 intervals
+    for grid, widths in ((DyadicGrid(1.5, 4.0, 6), [8] * 8), (DyadicGrid(1.5, 4.0, 7), [8] * 16),
+                         (UNEVEN, [9] * 5 + [8] * 13), (DyadicGrid(1.5, 4.0, 8), [8] * 32),
+                         (DyadicGrid(1.5, 4.0, 10), [32] * 32)):
         prefix = Problem(ModulatedBrownian(ShiftedRootScale(1.0), 1.5, 4.0), grid).route.prefix
         assert prefix.points[0] == 0 and prefix.points[-1] == grid.n - 1
         assert np.diff(prefix.points).tolist() == prefix.widths.tolist() == widths
         assert np.all((prefix.bridge > 0) & (prefix.bridge <= 1))
-        assert np.array_equal(prefix.bridge[prefix.points[1:] - 1], np.ones(32))
+        assert np.array_equal(prefix.bridge[prefix.points[1:] - 1], np.ones(len(widths)))
+        # the runs of each width cover every column once, in order
+        spread = np.empty((1, grid.n - 1))
+        prefix._spread(np.arange(len(widths), dtype=float)[None, :], spread)
+        assert np.array_equal(spread[0], np.repeat(np.arange(len(widths)), widths))
 
 
-@pytest.mark.parametrize("grid", [DyadicGrid(1.5, 4.0, 7), DyadicGrid(1.5, 4.0, 8), UNEVEN],
-                         ids=["129", "257", "uneven-150"])
+@pytest.mark.parametrize("grid", [DyadicGrid(1.5, 4.0, 6), DyadicGrid(1.5, 4.0, 7),
+                                  DyadicGrid(1.5, 4.0, 8), UNEVEN],
+                         ids=["65", "129", "257", "uneven-150"])
 def test_staged_paths_have_the_forms_covariance(grid):
     # whole staged paths, with example2's partial support ordering the stage-1
     # rows: every entry of the empirical covariance (every pair of points, so
@@ -625,3 +635,47 @@ def test_a_survivors_only_batch_holds_the_alive_rows_of_the_whole_batch(grid):
     for i in alive.index[:20]:
         one = sample(form, grid, cfg, int(i), 1, support)
         assert functionals(one, measure).y[0] == y[i - 100]
+
+
+@pytest.mark.parametrize("survivors_only", [False, True], ids=["whole", "survivors"])
+@pytest.mark.parametrize("grid", [DyadicGrid(1.5, 4.0, 6), DyadicGrid(1.5, 4.0, 7), UNEVEN],
+                         ids=["65", "129", "uneven-150"])
+def test_a_batch_holds_the_rows_of_one_block_batches(monkeypatch, grid, survivors_only):
+    # a batch completes its rows a chunk of whole blocks at a time; each row
+    # is the same array as in the batch of its block alone, whatever the cut
+    # (1, 256 or 777 rows) and however many chunks a batch takes
+    problem = Problem(ModulatedBrownian(ShiftedRootScale(1.0), 1.5, 4.0), grid)
+    form, support, cfg = problem.route, problem.solution.support, make_config(n_paths=1300)
+    blocks = [sample(form, grid, cfg, lo, min(BLOCK_ROWS, cfg.n_paths - lo), support,
+                     survivors_only) for lo in range(0, cfg.n_paths, BLOCK_ROWS)]
+    index = np.concatenate([b.index for b in blocks])
+    values = np.vstack([b.values for b in blocks])
+    for chunk_values in (BATCH_VALUES, 20_000):   # one chunk per batch, or several
+        monkeypatch.setattr(gauss_sim, "BATCH_VALUES", chunk_values)
+        for rows in (1, 256, 777):
+            batches = [sample(form, grid, cfg, lo, min(rows, cfg.n_paths - lo), support,
+                              survivors_only) for lo in range(0, cfg.n_paths, rows)]
+            assert np.array_equal(np.concatenate([b.index for b in batches]), index)
+            assert np.array_equal(np.vstack([b.values for b in batches]), values)
+
+
+def test_a_batch_completes_its_rows_once_per_chunk(monkeypatch):
+    # the numpy calls of a completion run once per chunk of whole blocks, at
+    # most BATCH_VALUES normals, not once per block: at 65 points a chunk
+    # holds 4096 rows, 16 whole blocks
+    problem = markov_problem("example2", 6)
+    form, grid, support = problem.route, problem.grid, problem.solution.support
+    complete, calls = MarkovForm.complete, []
+
+    def counted(self, xi, w, spare):
+        calls.append(len(xi))
+        return complete(self, xi, w, spare)
+
+    monkeypatch.setattr(MarkovForm, "complete", counted)
+    cfg = make_config(n_paths=10_000)
+    sample(form, grid, cfg, support=support)    # 40 blocks, every row
+    assert calls == [16 * BLOCK_ROWS, 16 * BLOCK_ROWS, 10_000 - 32 * BLOCK_ROWS]
+    calls.clear()
+    # a pass's batch of 15 blocks, its alive rows only
+    batch = sample(form, grid, cfg, 0, batch_rows(grid.n), support, survivors_only=True)
+    assert calls == [len(batch.values)]

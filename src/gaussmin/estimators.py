@@ -43,9 +43,9 @@ holds ``gauss_sim.batch_rows(n)`` paths, set by the grid alone (7936 at 33
 points, one block of 256 at 1025). ``run_sweeps`` adds the folds in path
 order whatever the worker count, so every number is a deterministic function
 of (seed, stream, n_paths, grid, parameter) that no worker count changes.
-From ``gauss_sim.MARKOV_MIN_POINTS`` (65 points) on a Markov form, a pass
-whose sweeps all read survivors only (``Sweep.survivors_only``) holds in each
-batch only the paths that can still survive, to the same totals.
+On a Markov form, a pass whose sweeps all read survivors only
+(``Sweep.survivors_only``) holds in each batch only the paths that can still
+survive, to the same totals.
 """
 
 from __future__ import annotations

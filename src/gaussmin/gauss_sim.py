@@ -9,28 +9,27 @@ workers produced it; a batch that starts or ends inside a block draws that
 block whole and keeps the rows it owns.
 
 A route is a (kernel, grid)'s covariance Sigma, checked once where it is
-built: it maps the normals xi to paths X (``paths``), and gives the solver
-Sigma w (``matvec``) and Sigma_PP^-1 1 on point sets P (``theta_on``). The
-dense route, ``Factorization``, holds the Gram matrix and its (jittered)
-Cholesky factor L from ``factorize``: X = xi L^T, O(n^2) per path. A
+built: it maps the normals xi to paths X, and gives the solver Sigma w
+(``matvec``) and Sigma_PP^-1 1 on point sets P (``theta_on``). The dense
+route, ``Factorization``, holds the Gram matrix and its (jittered) Cholesky
+factor L from ``factorize``: X = xi L^T (``paths``), O(n^2) per path. A
 Gauss-Markov kernel, R(s, t) = q(s) q(t) r(min(s, t)), has a ``MarkovForm``
-(r, q), with no Gram matrix: X = q W(r) for a Brownian motion W. Below
-MARKOV_MIN_POINTS points its paths are xi L^T for its exact lower factor
-L_ij = q_i sqrt(r_j - r_(j-1)), j <= i. Nothing on this route is jittered,
-so its paths have the law its certificate is for.
+(r, q), with no Gram matrix: X = q W(r) for a Brownian motion W. Nothing on
+this route is jittered, so its paths have the law its certificate is for.
 
-From MARKOV_MIN_POINTS points a Markov form builds its paths coarse to fine
-(``Prefix``), in two stages with their own generators, seeded by the words of
-(seed, stream, block, stage):
+A Markov form builds its paths coarse to fine (``Prefix``), at every grid
+size, in two stages with their own generators, seeded by the words of (seed,
+stream, block, stage):
 
 - stage 0 draws a (BLOCK_ROWS, m + 1) table per block: W at the prefix, the
   m + 1 points from the first to the last that bound its
-  m = min(PREFIX_INTERVALS, (n - 1) // 8) intervals, by a cumsum of its steps;
+  m = min(PREFIX_INTERVALS, max(1, (n - 1) // 8)) intervals, by a cumsum of
+  its steps;
 - stage 1 completes a row: a free cumsum of n - 1 normals times sqrt(dr),
   pinned to W at the prefix by the Brownian bridge, W_j = W_a + (C_j - C_a)
   + lambda_j (W_b - W_a - (C_b - C_a)) on each interval a < j <= b, with
   lambda_j = (r_j - r_a) / (r_b - r_a). This is exact: given W_a and W_b,
-  the bridge term is independent of C_b - C_a.
+  the bridge term is independent of C_b - C_a. A 1-point grid has no stage 1.
 
 A row is alive when X > 0 at every prefix point in a given support (the
 optimal measure's), and the stage-1 table holds the block's alive rows first,
@@ -47,13 +46,18 @@ refuses a sigma or factor with a NaN or inf entry, and ``MarkovForm.of`` a
 form with an infinite variance. The normals satisfy |xi| < 13.8:
 the ziggurat's layers lie within x_R = 3.654, and its tail draws
 x_R - log1p(-U) / x_R with a 53-bit uniform U < 1, so at most
-x_R + 53 log(2) / x_R. So every path value is finite: a product path has
+x_R + 53 log(2) / x_R. So every path value is finite: a dense path has
 |X_i| < 13.8 sqrt(n (sigma_ii + jitter)), by Cauchy-Schwarz on row i of L.
-A staged path has |X_j| < 45 sqrt(n sigma_jj) up to rounding: on j's interval
-of w points, |W_a| < 13.8 sqrt(33 r_a), |C_j - C_a| and lambda_j |C_b - C_a|
-are < 13.8 sqrt(w r_j), and lambda_j |W_b| < 13.8 sqrt(66 r_j), since
-lambda_j^2 r_b <= 2 r_j; with w <= max(16, n / 8) and n >= MARKOV_MIN_POINTS
-they add up to less than 45 sqrt(n r_j).
+A staged path has |X_j| < 34 sqrt(n sigma_jj) up to rounding, at every n >= 1.
+Its P = m + 1 <= 33 prefix points have |W_p| < 13.8 sqrt(P r_p). On j's
+interval a < j <= b of w points, W_j = (1 - lambda_j) W_a + lambda_j W_b
++ (C_j - C_a) - lambda_j (C_b - C_a): the first two terms add up to < 13.8
+sqrt(P r_j), as sqrt is concave and r_j = (1 - lambda_j) r_a + lambda_j r_b,
+and the last two are each < 13.8 sqrt(w r_j), as lambda_j^2 (r_b - r_a) =
+lambda_j (r_j - r_a). With w <= ceil((n - 1) / m), (sqrt(P) + 2 sqrt(w)) /
+sqrt(n) is largest at n = 3, sqrt(6), where one interval holds 2 points (below
+17 points one interval holds up to 15), and 13.8 sqrt(6) < 34. A 1-point
+path is q_0 W_0, with |W_0| < 13.8 sqrt(r_0).
 
 A pass of the estimators draws batches of ``batch_rows(n)`` paths, set by the
 grid alone: whole blocks of at most 2 MiB of normals, or one block where a
@@ -83,27 +87,16 @@ if TYPE_CHECKING:
 BLOCK_ROWS = 256
 DEFAULT_JITTER_START = 1e-12
 DEFAULT_JITTER_MAX = 1e-6
-# Smallest grid whose Markov form builds its paths coarse to fine (``Prefix``)
-# rather than by the product with its lower factor. It depends on n alone, so
-# that no path depends on the worker count. Measured on OU passes (2-core Xeon,
-# one BLAS thread, 7 alternating runs, median), product / staged: tail_is at
-# u = 0, 1, 2, which completes only the alive paths, 0.49 / 0.36 s per 500k
-# paths at 33 points with 1 worker and 0.30 / 0.28 s with 2; 0.38 / 0.17 and
-# 0.19 / 0.16 s per 200k at 65 points. small_ball, which completes every path,
-# took 0.63 s with the product and 0.84 s staged per 200k at 65 points (1.3x);
-# at 129 points, staged before and after, 1.15 and 1.14 s. So 33 points keep
-# the product: with 2 workers, as tail_sweep runs them, staging gains little
-# there. No benchmark workload runs a whole-path pass from 65 points.
-MARKOV_MIN_POINTS = 65
 # Most intervals of a staged path's prefix (``Prefix``), which holds
-# min(PREFIX_INTERVALS, (n - 1) // 8) intervals of at least 8 points: 8 at 65
-# points, 16 at 129 and 32 from 257. Measured on tail_is passes (2-core Xeon,
-# one BLAS thread, 7 alternating runs, median) with 8, 16 and 32 intervals: OU
-# at 65 points, 200k paths, u = 0, 1, 2: 0.14-0.15, 0.17-0.18, 0.25 s; at 129
-# points: 0.21-0.23, 0.23-0.25, 0.37-0.39 s; at 257, 100k paths: 0.17, 0.18,
-# 0.21 s; example1 at 1025 points, 50k paths, u=3: 0.32, 0.31, 0.30 s. So 32
-# is the fastest at 1025 points and the slowest below 257; the floor of 8
-# points per interval keeps 32 at 257 points, whose paths keep their values.
+# min(PREFIX_INTERVALS, max(1, (n - 1) // 8)) intervals, of at least 8 points
+# from 9: one up to 16 points, 4 at 33, 8 at 65, 16 at 129 and 32 from 257.
+# Measured on tail_is passes (2-core Xeon, one BLAS thread, 7 alternating runs,
+# median) with 8, 16 and 32 intervals: OU at 65 points, 200k paths, u = 0, 1,
+# 2: 0.14-0.15, 0.17-0.18, 0.25 s; at 129 points: 0.21-0.23, 0.23-0.25,
+# 0.37-0.39 s; at 257, 100k paths: 0.17, 0.18, 0.21 s; example1 at 1025 points,
+# 50k paths, u=3: 0.32, 0.31, 0.30 s. So 32 is the fastest at 1025 points and
+# the slowest below 257; the floor of 8 points per interval keeps 32 at 257
+# points, whose paths keep their values.
 PREFIX_INTERVALS = 32
 # Paths, and normals (8 B each, 2 MiB: one core's L2 cache), per batch at most
 # (``batch_rows``): 16384 paths up to 16 points, 7936 at 33, 1792 at 129 and one
@@ -224,8 +217,8 @@ class Factorization:
 @dataclass(frozen=True, eq=False)
 class Prefix:
     """A staged path's coarse points and its bridge to the rest (module doc),
-    on n >= 9 points, in m = min(PREFIX_INTERVALS, (n - 1) // 8) intervals of
-    at least 8 points: ``points`` are the m + 1 indices width i + min(i, wide)
+    on n points, in m = min(PREFIX_INTERVALS, max(1, (n - 1) // 8))
+    intervals: ``points`` are the m + 1 indices width i + min(i, wide)
     for n - 1 = m width + wide, so the first ``wide`` intervals hold one point
     more (``widths``); ``step`` is sqrt(r_p - r_p') from each prefix point p's
     predecessor p' (r_(-1) = 0); ``bridge`` is lambda_j for each point j > 0,
@@ -240,7 +233,7 @@ class Prefix:
 
     @classmethod
     def of(cls, r: np.ndarray) -> Prefix:
-        intervals = min(PREFIX_INTERVALS, (r.size - 1) // 8)
+        intervals = min(PREFIX_INTERVALS, max(1, (r.size - 1) // 8))
         width, wide = divmod(r.size - 1, intervals)
         i = np.arange(intervals + 1)
         points = width * i + np.minimum(i, wide)
@@ -294,15 +287,13 @@ class MarkovForm:
 
     Only ``of``, the PSD and finiteness check of this route, builds one
     (``Kernel.markov_form`` makes it for a kernel's form on given points). It
-    keeps the steps sqrt(dr) of its paths' cumsum and, below
-    MARKOV_MIN_POINTS, their exact lower factor, or from there the ``Prefix``
-    its staged paths start from."""
+    keeps the steps sqrt(dr) of its paths' cumsum and the ``Prefix`` its
+    staged paths start from."""
 
     r: np.ndarray
     q: np.ndarray
     step: np.ndarray = field(repr=False)
-    lower: np.ndarray | None = field(repr=False)
-    prefix: Prefix | None = field(repr=False)
+    prefix: Prefix = field(repr=False)
     name: ClassVar[str] = "markov"
     jitter: ClassVar[None] = None
 
@@ -323,12 +314,9 @@ class MarkovForm:
         if not valid:
             return None
         step = np.sqrt(dr)
-        staged = r.size >= MARKOV_MIN_POINTS
-        lower = None if staged else np.tril(np.outer(q, step))
-        for arr in (r, q, step, lower):
-            if arr is not None:
-                arr.setflags(write=False)
-        return cls(r, q, step, lower, Prefix.of(r) if staged else None)
+        for arr in (r, q, step):
+            arr.setflags(write=False)
+        return cls(r, q, step, Prefix.of(r))
 
     def __array__(self, dtype=None, copy=None):
         # (r, q), the bytes that perfbench/tracer.py's solve note hashes; this
@@ -356,12 +344,6 @@ class MarkovForm:
         g = np.diff(v, prepend=0.0) / np.diff(self.r[idx], prepend=0.0)
         g[:-1] -= g[1:]
         return v * g
-
-    def paths(self, xi: np.ndarray) -> np.ndarray:
-        """X = xi L^T for the exact lower factor L_ij = q_i sqrt(dr_j), j <= i,
-        a new array, below MARKOV_MIN_POINTS points (from there ``sample``
-        builds the paths in stages)."""
-        return xi @ self.lower.T
 
     def complete(self, xi: np.ndarray, w: np.ndarray, spare: np.ndarray) -> np.ndarray:
         """X at points 1 to n - 1 of the rows whose W at the prefix is ``w``,
@@ -494,7 +476,9 @@ def sample(factor: Factorization | MarkovForm, grid: Grid, config: SamplerConfig
     A route with a ``prefix`` builds its paths in stages (module doc): a row
     is alive when X > 0 at every prefix point in ``support`` (every row, with
     no support). With ``survivors_only`` the batch holds the alive paths only,
-    in path order, and its ``index`` names them.
+    in path order, and its ``index`` names them. Since alive rows come first,
+    a path's stage-1 row depends on ``support``: a caller that wants the
+    estimators' paths passes ``problem.solution.support``.
     """
     if factor.n != grid.points.size:
         raise GridMismatchError(
@@ -550,7 +534,7 @@ def _staged_paths(form: MarkovForm, config: SamplerConfig, start: int, count: in
     taken = np.flatnonzero(keep[order])               # the table rows completed
     kept = order[taken]
     dest = np.searchsorted(index, kept)
-    chunks = _chunks(taken, rows, n)
+    chunks = _chunks(taken, rows, n) if n > 1 else []   # a 1-point path is stage 0's
     most = max((sum(drawn for _, drawn, _, _ in chunk) for chunk in chunks), default=0)
     table, spare = _scratch(2 * most * (n - 1)).reshape(2, most, n - 1)
     for chunk in chunks:

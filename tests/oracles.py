@@ -238,12 +238,14 @@ def _stage_table(seed: int, stream: int, block: int, stage: int, n_points: int) 
 def reference_staged_paths(r: np.ndarray, q: np.ndarray, seed: int, stream: int,
                            start: int, count: int, support=()) -> np.ndarray:
     """Paths [start, start + count) of a Markov form (r, q) on a grid whose
-    n - 1 is a multiple of m = min(32, (n - 1) // 8), built coarse to fine by
-    dense matrices.
+    n - 1 is a multiple of m = min(32, max(1, (n - 1) // 8)), built coarse to
+    fine by dense matrices.
 
     Block b's stage-0 table, from the eight 32-bit halves of (seed, stream, b,
-    0), times the Cholesky factor of min(r_p, r_p') gives W at the prefix
-    points p = i (n - 1) / m. A row is alive when q_p W_p > 0 at every
+    0), times the lower factor L_ik = sqrt(r_pk - r_p(k-1)), k <= i, of
+    min(r_p, r_p') gives W at the prefix points p = i (n - 1) / m (on a
+    1-point grid, the point twice, where Cholesky would refuse the singular
+    matrix). A row is alive when q_p W_p > 0 at every
     prefix point in ``support``. The stage-1 table, from (seed, stream, b, 1),
     gives the alive rows their rows first, in row order, then the others; a
     row's n - 1 normals z complete W between prefix points a < j <= b as
@@ -251,11 +253,12 @@ def reference_staged_paths(r: np.ndarray, q: np.ndarray, seed: int, stream: int,
     D_j = sum over a < i <= j of sqrt(r_i - r_(i-1)) z_i.
     """
     n = r.size
-    m = min(32, (n - 1) // 8)
+    m = min(32, max(1, (n - 1) // 8))
     width = (n - 1) // m
     assert width * m == n - 1
     points = np.arange(m + 1) * width
-    prefix_lower = np.linalg.cholesky(np.minimum.outer(r[points], r[points]))
+    prefix_lower = np.tril(np.tile(np.sqrt(np.diff(r[points], prepend=0.0)), (m + 1, 1)))
+    assert np.allclose(prefix_lower @ prefix_lower.T, np.minimum.outer(r[points], r[points]))
     # W = prefix_map @ W_prefix + free_map @ z, column by column
     prefix_map, free_map = np.zeros((n, m + 1)), np.zeros((n, n - 1))
     prefix_map[0, 0] = 1.0

@@ -255,7 +255,8 @@ def test_criterion_08_conditional_argmin_law():
 
     w_parts, i_parts = [], []
     for start in range(0, cfg.n_paths, 250_000):
-        batch = sample(route2, grid2, cfg, start=start, count=250_000)
+        # the estimator's own paths: a staged path's stage-1 row follows the support
+        batch = sample(route2, grid2, cfg, start=start, count=250_000, support=sol2.support)
         fn = functionals(batch, sol2.measure)
         keep = fn.min_value > 0
         w_parts.append(np.exp(-fn.y[keep] / sol2.sigma_star_sq))

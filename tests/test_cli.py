@@ -13,8 +13,8 @@ import pytest
 import gaussmin.cli
 import gaussmin.estimators
 import gaussmin.optimizer
-from gaussmin import (MAX_LEVEL, DyadicGrid, Kernel, OrnsteinUhlenbeck, Problem,
-                      SamplerConfig, sample)
+from gaussmin import (MAX_LEVEL, DyadicGrid, Kernel, OrnsteinUhlenbeck, PowerExponential,
+                      Problem, SamplerConfig, sample)
 from gaussmin.cli import main as cli_main
 from conftest import markov_problem, run_python
 
@@ -662,19 +662,19 @@ def test_sweep_draws_each_path_once_per_estimator(run_cli, monkeypatch, command,
                                                   passes):
     # each estimator folds its whole parameter list from one pass over the
     # paths, and the sweeps of a command (or a study) on one Problem and
-    # sampling plan share it
-    rows = Counter()
+    # sampling plan share it: each pass asks once for paths [0, 3000), one
+    # batch at 33 points (a survivors-only batch returns fewer rows)
+    asked = []
     sample = gaussmin.estimators.sample
 
-    def counted(*args, **kwargs):
-        batch = sample(*args, **kwargs)
-        rows["drawn"] += batch.values.shape[0]
-        return batch
+    def counted(route, grid, config, start, count, *rest):
+        asked.append((start, count))
+        return sample(route, grid, config, start, count, *rest)
 
     monkeypatch.setattr(gaussmin.estimators, "sample", counted)
     code, _ = run_cli(command, config={"preset": "ou", "n_paths": 3000, **config})
     assert code == EXIT_OK
-    assert rows["drawn"] == passes * 3000
+    assert asked == [(0, 3000)] * passes
 
 
 def test_tail_dump_paths(run_cli):
@@ -703,14 +703,15 @@ def test_tail_dump_draws_the_pass_batches(run_cli, monkeypatch, row_cap):
     assert code == EXIT_OK
     assert drawn == [(0, 256), (256, 256), (512, 256)]
     problem = Problem(OrnsteinUhlenbeck(), DyadicGrid(0.0, 1.0, 5))
-    paths = sample(problem.route, problem.grid, SamplerConfig(seed=12345, n_paths=600))
+    paths = sample(problem.route, problem.grid, SamplerConfig(seed=12345, n_paths=600),
+                   support=problem.solution.support)
     _, _, rows = read_csv(out / "paths.csv")
     assert np.array_equal(np.array(rows), paths.values)
 
 
-def test_a_dump_below_65_points_reads_no_solution():
+def test_a_dense_dump_reads_no_solution():
     # only a staged route orders its paths by the support
-    problem = Problem(OrnsteinUhlenbeck(), DyadicGrid(0.0, 1.0, 5))
+    problem = Problem(PowerExponential(0.5), DyadicGrid(0.0, 1.0, 5))
     paths = list(gaussmin.cli._first_paths(problem, SamplerConfig(seed=1, n_paths=600), 300))
     assert len(paths) == 300 and "solution" not in vars(problem)
 
@@ -1071,8 +1072,8 @@ def test_traced_run_gives_finite_layer_metrics(tmp_path, command, config):
     # name: a sample outside them leaves the estimator wall time 0, and
     # gauss_sim.parallelism NaN, which the benchmark's JSON result line cannot
     # carry. Likewise every solve, on either route, must run inside the traced
-    # solve_simplex_qp, or optimizer.solve.reuse is NaN (129 points: the Markov
-    # path map; every preset kernel solves on its (r, q))
+    # solve_simplex_qp, or optimizer.solve.reuse is NaN (every preset kernel
+    # solves on its (r, q))
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     cfg_path, spans_path = tmp_path / "config.json", tmp_path / "spans.json"
     cfg_path.write_text(json.dumps(config))
@@ -1088,12 +1089,11 @@ def test_traced_run_gives_finite_layer_metrics(tmp_path, command, config):
     metrics = layers.layer_metrics(json.loads(spans_path.read_text())["spans"], wall_s)
     json.dumps(metrics, allow_nan=False)
     assert metrics["optimizer.solve.calls"][0] >= 1
-    if command == "tail":
-        drawn = 3000
-        if config.get("k") == 7:   # staged paths: IS reads, and the pass completes, survivors
-            problem = markov_problem("example1", 7)
-            drawn = len(sample(problem.route, problem.grid, SamplerConfig(12345, 3000),
-                               support=problem.solution.support, survivors_only=True).values)
+    if command == "tail":   # staged paths: the tail reads, and the pass completes, survivors
+        problem = markov_problem(config["preset"], config.get("k", 5))
+        drawn = len(sample(problem.route, problem.grid, SamplerConfig(12345, 3000),
+                           support=problem.solution.support, survivors_only=True).values)
+        assert 0 < drawn < 3000
         assert metrics["estimators.paths_drawn"][0] == drawn
         assert metrics["estimators.path_reuse"][0] == 1.0
 

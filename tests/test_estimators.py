@@ -13,6 +13,7 @@ from gaussmin import (
     EstimationError,
     ExplicitGram,
     ModulatedBrownian,
+    PowerExponential,
     Problem,
     ShiftedRootScale,
     argmin_conditional,
@@ -319,8 +320,9 @@ def test_argmin_law_matches_direct_conditioning(ou_problem_k2):
     [(weighted, ess)] = argmin_conditional(ou_problem_k2, [u], cfg)
     assert ess >= 100
 
-    # manual replication of the weighting, for per-bin standard errors
-    batch = sample(ou_problem_k2.route, grid, cfg)
+    # manual replication of the weighting, for per-bin standard errors, on the
+    # estimator's own paths: a staged path's stage-1 row follows the support
+    batch = sample(ou_problem_k2.route, grid, cfg, support=sol.support)
     fn = functionals(batch, sol.measure)
     keep = fn.min_value > 0
     w = np.exp(-u * fn.y[keep] / sol.sigma_star_sq)
@@ -612,10 +614,10 @@ def test_a_survivors_only_pass_equals_a_whole_path_pass(monkeypatch, name):
 
 
 def test_a_whole_path_pass_solves_only_on_a_staged_route():
-    # small_ball in range mode reads no solution; from 65 points the pass
+    # small_ball in range mode reads no solution; on a Markov form the pass
     # still solves, for the support that orders each block's stage-1 table
-    for k, staged in ((5, False), (8, True)):
-        problem = markov_problem("ou", k)
+    for problem, staged in ((Problem(PowerExponential(0.5), DyadicGrid(0.0, 1.0, 5)), False),
+                            (markov_problem("ou", 5), True)):
         run_sweeps(problem, make_config(n_paths=256), [small_ball_sweep(problem, [0.5])])
         assert ("solution" in vars(problem)) == staged
 

@@ -28,9 +28,8 @@ from gaussmin import gauss_sim
 from gaussmin.estimators import (argmin_conditional, argmin_sweep, correction_diagnostic,
                                  mx_sweep, run_sweeps, small_ball_sweep, tail_crude_sweep,
                                  tail_is_sweep)
-from gaussmin.gauss_sim import (BATCH_VALUES, BLOCK_ROWS, MARKOV_MIN_POINTS, MAX_BATCH_ROWS,
-                                Factorization, MarkovForm, PathBatch, batch_rows, factorize,
-                                standard_normals)
+from gaussmin.gauss_sim import (BATCH_VALUES, BLOCK_ROWS, MAX_BATCH_ROWS, Factorization,
+                                MarkovForm, PathBatch, batch_rows, factorize, standard_normals)
 from conftest import MARKOV_KERNELS, make_config, markov_problem
 from oracles import ks_critical, reference_normals, reference_staged_paths
 
@@ -165,8 +164,8 @@ def test_sample_batch_size_does_not_change_paths(ou):
 
 @pytest.mark.parametrize("k, n_paths", [(5, 2000), (10, 300)])
 def test_batch_sizes_give_the_same_paths(ou, k, n_paths):
-    # 33 points on the Markov product, 1025 on its cumsum: batches of 1, 777
-    # and the pass's rows, each drawing whole blocks where it starts or ends
+    # staged Markov paths at 33 and 1025 points: batches of 1, 777 and the
+    # pass's rows, each drawing whole blocks where it starts or ends
     # inside one, stack to the same paths
     problem = Problem(ou, DyadicGrid(0.0, 1.0, k))
     cfg = make_config(n_paths=n_paths)
@@ -291,29 +290,44 @@ def test_path_batch_validation():
 
 
 # ---------------------------------------------------------------------------
-# the Markov path map: xi L^T below MARKOV_MIN_POINTS, staged paths from there
+# the Markov path map: staged paths at every grid size
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("k", [5, 6, 8, 10])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 6, 8, 10, pytest.param(None, id="1-point")])
 @pytest.mark.parametrize("name", sorted(MARKOV_KERNELS))
 def test_markov_route_matches_the_dense_product(name, k):
-    # below MARKOV_MIN_POINTS the normal table times the Cholesky factor of
-    # the Gram matrix; from there the stage tables times the dense matrices
-    # of the staged construction, with the alive rows (here, of the optimal
-    # measure's support) first in the stage-1 table
-    problem = markov_problem(name, k)
-    form = problem.route
-    assert isinstance(form, MarkovForm)
-    if form.n < MARKOV_MIN_POINTS:
-        x = sample(form, problem.grid, make_config(n_paths=500), start=40).values
-        lower = factorize(problem.kernel.gram(problem.grid)).lower
-        dense = reference_normals(4242, 0, 40, 500, problem.grid.n) @ lower.T
+    # the stage tables times the dense matrices of the staged construction,
+    # with the alive rows (here, of the optimal measure's support) first in
+    # the stage-1 table, from 2 to 1025 points; a 1-point grid (the
+    # interval's midpoint) takes stage 0 alone
+    if k is None:
+        kern, a, b = MARKOV_KERNELS[name]
+        problem = Problem(kern, PointGrid([(a + b) / 2]))
     else:
-        support = problem.solution.support
-        x = sample(form, problem.grid, make_config(n_paths=500), start=40,
-                   support=support).values
-        dense = reference_staged_paths(form.r, form.q, 4242, 0, 40, 500, support)
+        problem = markov_problem(name, k)
+    form, support = problem.route, problem.solution.support
+    assert isinstance(form, MarkovForm)
+    x = sample(form, problem.grid, make_config(n_paths=500), start=40, support=support).values
+    dense = reference_staged_paths(form.r, form.q, 4242, 0, 40, 500, support)
     assert np.abs(x - dense).max() <= 1e-11 * np.abs(dense).max()
+
+
+def test_a_1_point_markov_grid_estimates_from_stage_0(monkeypatch):
+    # one point has no stage-1 columns: its paths are q W from stage 0 alone,
+    # and its tail is the normal tail P(X > u) = 1 - Phi(u / sigma)
+    problem = Problem(OrnsteinUhlenbeck(), PointGrid([0.5]))
+    sigma = np.sqrt(problem.route.q[0] ** 2 * problem.route.r[0])
+    stages, draw = [], gauss_sim.standard_normals
+
+    def recorded(*args, stage=None, **kwargs):
+        stages.append(stage)
+        return draw(*args, stage=stage, **kwargs)
+
+    monkeypatch.setattr(gauss_sim, "standard_normals", recorded)
+    us = [0.5, 1.0, 2.0]
+    for u, e in zip(us, tail_is(problem, us, make_config(n_paths=20_000))):
+        assert abs(e.value - ndtr(-u / sigma)) <= 4 * e.stderr, u
+    assert set(stages) == {0}
 
 
 def test_path_map_dispatch_rule():
@@ -323,8 +337,9 @@ def test_path_map_dispatch_rule():
         problem = markov_problem("ou", k)
         assert isinstance(problem.route, MarkovForm)
         assert (problem.route.name, problem.route.jitter) == ("markov", None)
-    # 33 points keep the product, and 65 (every report grid) are staged
-    assert markov_problem("ou", 5).grid.n < MARKOV_MIN_POINTS == markov_problem("ou", 6).grid.n
+    # every size is staged, from 1 point (stage 0 alone) to 2, 9, 33 and 65
+    assert Problem(OrnsteinUhlenbeck(), PointGrid([0.5])).route.prefix is not None
+    assert all(markov_problem("ou", k).route.prefix is not None for k in (0, 3, 5, 6))
     form = problem.kernel.markov_form(problem.grid)
     r, q = form.r, form.q
     assert MarkovForm.of(r, q) is not None
@@ -362,15 +377,14 @@ def test_a_markov_problem_checks_its_form_once(monkeypatch):
 
 @pytest.mark.parametrize("k", [5, 7])
 def test_a_markov_form_keeps_what_its_batches_need(monkeypatch, k):
-    # 33 points map by the form's lower factor and 129 are staged; both take
-    # their steps sqrt(dr), and the factor or the prefix, from the form, built
-    # once
+    # 33 and 129 points are staged; both take their steps sqrt(dr) and their
+    # prefix from the form, built once
     problem = markov_problem("example1", k)
     form, grid, cfg = problem.route, problem.grid, make_config(n_paths=600)
-    assert (form.lower is None) == (form.n >= MARKOV_MIN_POINTS)
+    assert form.prefix is not None
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a batch rebuilt the form's steps or factor")
+        raise AssertionError("a batch rebuilt the form's steps or prefix")
 
     for name in ("diff", "sqrt", "outer", "tril"):
         monkeypatch.setattr(np, name, refuse)
@@ -478,8 +492,7 @@ def test_every_batch_is_whole_blocks_within_the_cap():
 def test_a_default_pass_draws_each_block_once(monkeypatch, k, n_paths):
     # 33, 1025, 2049 and 4097 points: the capped rows are whole blocks, so no
     # batch edge falls inside a block, and the pass seeds
-    # ceil(n_paths / BLOCK_ROWS) generators, one per block, and from 65
-    # points one per block and stage
+    # 2 ceil(n_paths / BLOCK_ROWS) generators, one per block and stage
     problem = markov_problem("ou", k)
     blocks = []
     seed_sequence = gauss_sim.SeedSequence
@@ -491,14 +504,14 @@ def test_a_default_pass_draws_each_block_once(monkeypatch, k, n_paths):
 
     monkeypatch.setattr(gauss_sim, "SeedSequence", counted)
     tail_is(problem, [0.0, 1.0], make_config(n_paths=n_paths))
-    stages = (0, 1) if problem.grid.n >= MARKOV_MIN_POINTS else (None,)
     assert sorted(blocks) == [(block, stage) for block in range(-(-n_paths // BLOCK_ROWS))
-                              for stage in stages]
+                              for stage in (0, 1)]
 
 
 @pytest.mark.parametrize("route, k, batches", [
     # 1025 points: the cumsum writes over the normals, and the Cholesky
-    # product adds X to them; at 33 points, so does the form's own product
+    # product adds X to them; at 33 points, a staged batch's stage-0 table,
+    # stage-1 scratch and X
     pytest.param("markov", 10, 1, id="markov"),
     pytest.param("dense", 10, 2, id="dense"),
     pytest.param("markov", 5, 2, id="markov-33"),
@@ -554,17 +567,20 @@ def test_worker_counts_change_no_capped_pass_output(name, k):
 
 
 # ---------------------------------------------------------------------------
-# staged paths: coarse to fine from MARKOV_MIN_POINTS
+# staged paths: coarse to fine
 # ---------------------------------------------------------------------------
 
 UNEVEN = PointGrid(1.5 + 2.5 * np.linspace(0.0, 1.0, 150) ** 1.5)   # n - 1 = 18 * 8 + 5
 
 
 def test_a_prefix_spans_the_grid_in_equal_or_next_wider_intervals():
-    # m = min(32, (n - 1) // 8) intervals, n - 1 = m width + wide: the first
-    # wide intervals hold width + 1 points and the rest width, so any grid of
-    # MARKOV_MIN_POINTS or more is staged; 257 points keep 32 intervals
-    for grid, widths in ((DyadicGrid(1.5, 4.0, 6), [8] * 8), (DyadicGrid(1.5, 4.0, 7), [8] * 16),
+    # m = min(32, max(1, (n - 1) // 8)) intervals, n - 1 = m width + wide: the
+    # first wide intervals hold width + 1 points and the rest width; below 17
+    # points one interval, and 257 points keep 32 intervals
+    for grid, widths in ((DyadicGrid(1.5, 4.0, 1), [2]),
+                         (PointGrid(np.linspace(1.5, 4.0, 16)), [15]),
+                         (DyadicGrid(1.5, 4.0, 5), [8] * 4), (DyadicGrid(1.5, 4.0, 6), [8] * 8),
+                         (DyadicGrid(1.5, 4.0, 7), [8] * 16),
                          (UNEVEN, [9] * 5 + [8] * 13), (DyadicGrid(1.5, 4.0, 8), [8] * 32),
                          (DyadicGrid(1.5, 4.0, 10), [32] * 32)):
         prefix = Problem(ModulatedBrownian(ShiftedRootScale(1.0), 1.5, 4.0), grid).route.prefix

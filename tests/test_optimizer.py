@@ -505,8 +505,8 @@ def test_a_markov_problem_builds_no_gram_matrix_and_no_factor(monkeypatch):
     for module in (gaussmin.estimators, gaussmin.gauss_sim, gaussmin.optimizer):
         monkeypatch.setattr(module, "factorize", refuse)
     cfg = make_config(n_paths=2000)
-    # 33 points sample by the form's product and 1025 by its cumsum; on
-    # example2's partial support the shifted tilt runs
+    # 33 and 1025 points, both sampled in stages; on example2's partial
+    # support the shifted tilt runs
     for name, k in itertools.product(sorted(MARKOV_KERNELS), (5, 10)):
         problem = markov_problem(name, k)
         assert tail_is(problem, [0.0, 1.0], cfg)[1].value > 0

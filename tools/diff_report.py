@@ -8,9 +8,10 @@ each into its own output directory: the full reproduction report,
 (``tail --preset ou``, ``argmin --preset example2``, ``diagnose --preset
 example1``, ``analytic --preset example1``, ``solve --preset example2`` and
 ``smallball --preset ou``), three runs that sample 257 points, so that the
-staged Markov paths (from 65 points) are byte-checked at their full 33-point
-prefix too (the report's and the standalone ``argmin`` and ``diagnose``
-commands' 65-point studies check them at a 9-point prefix): ``tail --preset
+staged Markov paths are byte-checked at their full 33-point prefix too (the
+report's and the standalone ``argmin`` and ``diagnose`` commands' 65-point
+studies check them at a 9-point prefix, and ``tail --preset ou`` and
+``smallball --preset ou`` at the 5-point prefix of 33 points): ``tail --preset
 example1 --config tail_fine.json`` and ``argmin --preset example2 --config
 argmin_fine.json`` (a partial support), which complete only the paths alive
 on the support, and ``smallball --preset ou --config smallball_fine.json``,

@@ -663,11 +663,13 @@ def _stage_config(study_cfg: dict, stage: str) -> dict:
 
 
 def _run_planned(study_cfg: dict, problems: dict) -> dict[str, tuple[Plan, list]]:
-    """Each stage of PLANS planned, then one pass per distinct (Problem,
-    sampling plan) for all their sweeps: {stage: (plan, results)}.
+    """Each stage of PLANS planned, then one pass for all their sweeps:
+    {stage: (plan, results)}. The plans share one Problem and sampling plan,
+    since ``_stage_config`` changes only their ``command``.
 
-    A stage whose plan or pass raises is left out, so that it runs alone at
-    its own position in the report, and fails there as it would alone.
+    A stage whose plan raises, or every stage if the pass raises, is left
+    out, so that it runs alone at its own position in the report, and fails
+    there as it would alone.
     """
     plans = {}
     for stage, plan_stage in PLANS.items():
@@ -675,18 +677,17 @@ def _run_planned(study_cfg: dict, problems: dict) -> dict[str, tuple[Plan, list]
             plans[stage] = plan_stage(_stage_config(study_cfg, stage), problems)
         except GaussminError:
             continue
-    ran = {}
-    for problem, config in dict.fromkeys((plan.problem, plan.config) for plan in plans.values()):
-        group = {stage: plan for stage, plan in plans.items()
-                 if plan.problem is problem and plan.config == config}
-        try:
-            results = iter(run_sweeps(problem, config,
-                                      [sweep for plan in group.values() for sweep in plan.sweeps]))
-        except GaussminError:
-            continue
-        for stage, plan in group.items():
-            ran[stage] = plan, [next(results) for _ in plan.sweeps]
-    return ran
+    if not plans:
+        return {}
+    first = next(iter(plans.values()))
+    assert all(plan.problem is first.problem and plan.config == first.config
+               for plan in plans.values())
+    try:
+        results = iter(run_sweeps(first.problem, first.config,
+                                  [sweep for plan in plans.values() for sweep in plan.sweeps]))
+    except GaussminError:
+        return {}
+    return {stage: (plan, [next(results) for _ in plan.sweeps]) for stage, plan in plans.items()}
 
 
 def cmd_report(cfg: dict, out: Path, _problems: dict) -> tuple[int, None]:

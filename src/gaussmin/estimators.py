@@ -20,12 +20,12 @@ Each sweep estimator takes its whole parameter list (u, x or eps) and makes
 one pass over the paths. It is one ``Sweep``: a ``fold`` reduces a batch of
 paths to every parameter's statistics, one parameter at a time, in the same
 float operations as a one-element list, reading the batch's shared columns (Y,
-the min and argmin, and the shifted min and argmin of each u whose tilt shifts
-the survival test); and a ``finish`` turns the total into the estimator's
-result. ``run_sweeps`` runs several sweeps on one (``Problem``,
+the min and argmin, and each u's tilt: its survivors, their weights and the
+argmin of its shifted path); and a ``finish`` turns the total into the
+estimator's result. ``run_sweeps`` runs several sweeps on one (``Problem``,
 ``SamplerConfig``) in one pass: per batch it computes the functionals, and
-each u's shifted path, once for every sweep that reads them, and it is the one
-place that totals each sweep's folds, in path order: tuples position by
+each u's tilt (``_Batch.tilt``), once for every sweep that reads them, and it
+is the one place that totals each sweep's folds, in path order: tuples by
 position, counts, floats and histograms by ``+``, and log sums of weights
 (``_LogSum``) by ``np.logaddexp``. A sweep's total is the same whichever other
 sweeps share its pass, so each of the six public estimators is a sweep builder
@@ -150,52 +150,50 @@ class Sweep:
 
     ``fold`` reduces a ``_Batch`` to a tuple, and ``finish(total, config)``
     turns the total of the batch folds into the estimator's result.
-    ``argmins`` are the u whose tilted path's argmin ``fold`` reads
-    (``_Batch.low``). ``survivors_only``: ``fold`` adds nothing for a path
-    with X <= 0 at a support point, so a pass whose sweeps all say so may
-    leave such paths out of its batches (``gauss_sim.sample``).
+    ``survivors_only``: ``fold`` adds nothing for a path with X <= 0 at a
+    support point, so a pass whose sweeps all say so may leave such paths out
+    of its batches (``gauss_sim.sample``).
     """
 
     fold: Callable[[_Batch], tuple]
     finish: Callable[[tuple, SamplerConfig], object]
-    argmins: frozenset[float] = frozenset()
     survivors_only: bool = False
 
 
 class _Batch:
     """One batch of a pass's paths (``paths``), with the pass's path count
     (``n_paths``) and the columns its sweeps share, each computed once: the
-    functionals against the optimal measure (``fn``) and, per u, the min and
-    argmin of the path the survival test reads (``low``)."""
+    functionals against the optimal measure (``fn``) and each u's ``tilt``."""
 
-    def __init__(self, paths: PathBatch, n_paths: int, problem: Problem,
-                 argmins: frozenset[float]):
+    def __init__(self, paths: PathBatch, n_paths: int, problem: Problem):
         self.paths = paths
         self.n_paths = n_paths
         self._problem = problem
-        self._argmins = argmins
-        self._lows: dict[float, tuple] = {}
+        self._tilts: dict[float, tuple] = {}
 
     @cached_property
     def fn(self) -> PathFunctionals:
-        # a sweep that reads it read problem.solution when it was built, so
-        # no worker solves
         return functionals(self.paths, self._problem.solution.measure)
 
-    def low(self, u: float) -> tuple[np.ndarray, np.ndarray | None]:
-        """The min of X + u's ``_tilt_shift`` (X itself where that is None)
-        and, if a sweep of the pass reads it, its leftmost argmin, else None.
-        The shifted array is built once per u, for every sweep that reads it."""
-        if u not in self._lows:
-            argmin = u in self._argmins
-            shift = _tilt_shift(self._problem.solution, u)
+    def tilt(self, u: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """u's change of measure, built here alone, once per u for every sweep:
+        (keep, log w, w, argmin). ``keep`` marks the rows whose X +
+        ``_tilt_shift`` (X where that is None) is > 0 at every point, log w =
+        -u Y / sigma*^2 and w weigh them, and argmin is each row's leftmost
+        argmin of the shifted path (its min is read there), or None on X."""
+        if u not in self._tilts:
+            solution = self._problem.solution
+            shift = _tilt_shift(solution, u)
             if shift is None:
-                fn = self.fn
-                self._lows[u] = fn.min_value, fn.argmin_index if argmin else None
+                low, argmin = self.fn.min_value, None
             else:
-                low = self.paths.values + shift
-                self._lows[u] = low.min(axis=1), low.argmin(axis=1) if argmin else None
-        return self._lows[u]
+                shifted = self.paths.values + shift
+                argmin = shifted.argmin(axis=1)
+                low = shifted[np.arange(argmin.size), argmin]
+            keep = low > 0
+            logw = -u * self.fn.y[keep] / solution.sigma_star_sq
+            self._tilts[u] = keep, logw, np.exp(logw), argmin
+        return self._tilts[u]
 
 
 def _cpus() -> int:
@@ -224,7 +222,6 @@ def run_sweeps(problem: Problem, config: SamplerConfig, sweeps: Sequence[Sweep])
     order, so its total is the same to the last bit.
     """
     route, grid = problem.route, problem.grid  # cached here, before workers read it
-    argmins = frozenset().union(*(sweep.argmins for sweep in sweeps))
     rows = batch_rows(route.n)
     survivors_only = all(sweep.survivors_only for sweep in sweeps)
     support = None if route.prefix is None else problem.solution.support
@@ -232,7 +229,7 @@ def run_sweeps(problem: Problem, config: SamplerConfig, sweeps: Sequence[Sweep])
     def run(start: int) -> tuple:   # the batch is freed before the next is drawn
         paths = sample(route, grid, config, start, min(rows, config.n_paths - start),
                        support, survivors_only)
-        batch = _Batch(paths, config.n_paths, problem, argmins)
+        batch = _Batch(paths, config.n_paths, problem)
         return tuple(sweep.fold(batch) for sweep in sweeps)
 
     starts = range(0, config.n_paths, rows)
@@ -250,6 +247,14 @@ def _tilt_shift(solution: OptimalSolution, u: float) -> np.ndarray | None:
     shift = u * (solution.certificate / solution.sigma_star_sq - 1.0)
     shift[solution.support] = 0.0
     return shift if shift.any() else None
+
+
+def _finite(us: Sequence[float]) -> list[float]:
+    """The u list as floats, refused before any path is drawn if a u is not finite."""
+    us = [float(u) for u in us]
+    if not all(map(math.isfinite, us)):
+        raise EstimationError(f"u must be finite; got {us}")
+    return us
 
 
 def _binomial_estimate(hits: int, config: SamplerConfig, meta: dict) -> Estimate:
@@ -273,7 +278,7 @@ def tail_crude(problem: Problem, us: Sequence[float], config: SamplerConfig) -> 
 
 def tail_crude_sweep(problem: Problem, us: Sequence[float]) -> Sweep:
     """``tail_crude``'s sweep: per u, the paths with min X > u."""
-    us = [float(u) for u in us]
+    us = _finite(us)
 
     def fold(batch: _Batch) -> tuple:
         mins = batch.paths.values.min(axis=1)
@@ -299,15 +304,13 @@ def tail_is(problem: Problem, us: Sequence[float], config: SamplerConfig) -> lis
     return run_sweeps(problem, config, [tail_is_sweep(problem, us)])[0]
 
 
-def _is_stats(u: float, s2: float, y: np.ndarray, low_min: np.ndarray) -> tuple:
-    """(survivors, sum w, sum w^2, log sum w as a ``_LogSum``) over the paths
-    whose tested min is > 0."""
-    keep = low_min > 0
-    logw = -u * y[keep] / s2
+def _is_stats(tilt: tuple) -> tuple:
+    """(survivors, sum w, sum w^2, log sum w as a ``_LogSum``) over a
+    ``_Batch.tilt``'s survivors."""
+    _, logw, w, _ = tilt
     if logw.size == 0:
         return 0, 0.0, 0.0, _LogSum(-math.inf)
     m = float(logw.max())
-    w = np.exp(logw)
     return int(logw.size), float(w.sum()), float((w * w).sum()), _LogSum(m + math.log(
         float(np.exp(logw - m).sum())))
 
@@ -315,14 +318,13 @@ def _is_stats(u: float, s2: float, y: np.ndarray, low_min: np.ndarray) -> tuple:
 def tail_is_sweep(problem: Problem, us: Sequence[float]) -> Sweep:
     """``tail_is``'s sweep: a batch's fold is, per u, the crude hits and
     ``_is_stats``."""
-    us = [float(u) for u in us]
-    s2 = problem.solution.sigma_star_sq
+    us = _finite(us)
+    problem.solution  # solved here, not in a worker
 
     def fold(batch: _Batch) -> tuple:
         # per u, the crude hits of min X and the weights of the survival test
-        y, low = batch.fn.y, batch.fn.min_value
-        return tuple((int(np.count_nonzero(low > u)), *_is_stats(u, s2, y, batch.low(u)[0]))
-                     for u in us)
+        low = batch.fn.min_value
+        return tuple((int(np.count_nonzero(low > u)), *_is_stats(batch.tilt(u))) for u in us)
 
     def finish(total: tuple, config: SamplerConfig) -> list[Estimate]:
         return [_is_estimate(u, u_total, problem, config) for u, u_total in zip(us, total)]
@@ -454,16 +456,13 @@ def fit_correction_exponent(u_values: Sequence[float], log_p_values: Sequence[fl
     return float(slope), float(intercept), used
 
 
-def _group_stats(u: float, s2: float, y: np.ndarray, low_min: np.ndarray,
-                 group: np.ndarray) -> tuple[np.ndarray, ...]:
+def _group_stats(tilt: tuple, group: np.ndarray) -> tuple[np.ndarray, ...]:
     """``_is_stats`` per path group: arrays of each group's survivors, sum w,
     sum w^2 and log sum w (a ``_LogSum``)."""
-    keep = low_min > 0
-    logw = -u * y[keep] / s2
+    keep, logw, w, _ = tilt
     g = group[keep]
     top = np.full(JACKKNIFE_GROUPS, -math.inf)
     np.maximum.at(top, g, logw)
-    w = np.exp(logw)
     with np.errstate(divide="ignore"):   # a group with no survivor: log 0 = -inf
         lse = top + np.log(np.bincount(g, np.exp(logw - top[g]), JACKKNIFE_GROUPS))
     return (np.bincount(g, minlength=JACKKNIFE_GROUPS), np.bincount(g, w, JACKKNIFE_GROUPS),
@@ -513,17 +512,15 @@ def correction_sweep(problem: Problem, u_list: Sequence[float]) -> Sweep:
     """``correction_diagnostic``'s sweep: ``tail_is_sweep``'s fold, and each
     u's statistics per group of the pass's paths; its finish fits the
     exponent."""
-    us = [float(u) for u in u_list]
+    us = _finite(u_list)
     if len(us) < 2 or any(b <= a for a, b in zip(us, us[1:])) or us[0] <= 0:
         raise EstimationError("u_list must be at least 2 strictly increasing positive values")
     s2 = problem.solution.sigma_star_sq
     tail = tail_is_sweep(problem, us)
 
     def fold(batch: _Batch) -> tuple:
-        y = batch.fn.y
         group = batch.paths.index * JACKKNIFE_GROUPS // batch.n_paths
-        return tail.fold(batch), tuple(_group_stats(u, s2, y, batch.low(u)[0], group)
-                                       for u in us)
+        return tail.fold(batch), tuple(_group_stats(batch.tilt(u), group) for u in us)
 
     def finish(total: tuple, config: SamplerConfig) -> CorrectionDiagnostic:
         estimates = tuple(tail.finish(total[0], config))
@@ -563,21 +560,20 @@ def argmin_conditional(problem: Problem, us: Sequence[float], config: SamplerCon
 def argmin_sweep(problem: Problem, us: Sequence[float]) -> Sweep:
     """``argmin_conditional``'s sweep: per u, a batch's weighted histogram of
     the tilted argmin over the survivors, sum w and sum w^2."""
-    us = [float(u) for u in us]
-    if any(not u >= 0 for u in us):
+    us = _finite(us)
+    if any(u < 0 for u in us):
         raise EstimationError("u must be >= 0")
-    s2 = problem.solution.sigma_star_sq
+    problem.solution  # solved here, not in a worker
     n_points = problem.grid.points.size
 
-    def u_stats(u: float, y: np.ndarray, low_min: np.ndarray, low_argmin: np.ndarray) -> tuple:
-        keep = low_min > 0
-        w = np.exp(-u * y[keep] / s2)
-        hist = np.bincount(low_argmin[keep], weights=w, minlength=n_points)
+    def u_stats(batch: _Batch, u: float) -> tuple:
+        keep, _, w, argmin = batch.tilt(u)
+        argmin = batch.fn.argmin_index if argmin is None else argmin
+        hist = np.bincount(argmin[keep], weights=w, minlength=n_points)
         return hist, float(w.sum()), float((w * w).sum())
 
     def fold(batch: _Batch) -> tuple:
-        # per u, over the min and argmin of the tilted path
-        return tuple(u_stats(u, batch.fn.y, *batch.low(u)) for u in us)
+        return tuple(u_stats(batch, u) for u in us)
 
     def finish(total: tuple, config: SamplerConfig
                ) -> list[tuple[GridMeasure, float] | EstimationError]:
@@ -585,7 +581,7 @@ def argmin_sweep(problem: Problem, us: Sequence[float]) -> Sweep:
                 if sw <= 0 else (GridMeasure.from_raw(problem.grid, hist), sw * sw / sw2)
                 for u, (hist, sw, sw2) in zip(us, total)]
 
-    return Sweep(fold, finish, argmins=frozenset(us), survivors_only=True)
+    return Sweep(fold, finish, survivors_only=True)
 
 
 def mx_conditional(problem: Problem, xs: Sequence[float], config: SamplerConfig

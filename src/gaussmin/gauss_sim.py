@@ -67,6 +67,8 @@ their X. So a pass draws each block once at every grid size.
 
 from __future__ import annotations
 
+import math
+import operator
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -133,13 +135,13 @@ class SamplerConfig:
     stream: int = 0
     workers: int = 1
 
-    def __post_init__(self):
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+    def __post_init__(self):   # refused, never truncated; stream + 1 must fit too
+        for name, low, high in (("seed", 0, 2**64 - 1), ("n_paths", 1, math.inf),
+                                ("stream", 0, 2**64 - 2), ("workers", 1, math.inf)):
+            value = getattr(self, name)
+            if not hasattr(value, "__index__") or not low <= value <= high:
+                raise ValueError(f"{name} must be an integer in [{low}, {high}]")
+            object.__setattr__(self, name, operator.index(value))
 
 
 @dataclass(frozen=True, eq=False)

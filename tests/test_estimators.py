@@ -26,8 +26,9 @@ from gaussmin import (
     tail_crude,
     tail_is,
 )
-from gaussmin.estimators import (JACKKNIFE_GROUPS, argmin_sweep, correction_sweep, mx_sweep,
-                                 run_sweeps, small_ball_sweep, tail_is_sweep)
+from gaussmin.estimators import (JACKKNIFE_GROUPS, _Batch, _tilt_shift, argmin_sweep,
+                                 correction_sweep, mx_sweep, run_sweeps, small_ball_sweep,
+                                 tail_is_sweep)
 from conftest import make_config, markov_problem
 from oracles import (binomial_bin_stderr, orthant_closed, planted_logp,
                      weighted_bin_stderr)
@@ -530,6 +531,36 @@ def test_sampling_pool_is_capped_at_the_cpus(ou_problem_k2, monkeypatch, row_cap
     assert opened == ([cpus] if cpus > 1 else [])
 
 
+def test_batch_tilt_equals_a_direct_computation():
+    # example2 at k=3 has a partial support, so u > 0 shifts the survival test;
+    # the tilt of one survivors-only batch, against the shifted path itself
+    problem = markov_problem("example2", 3)
+    solution = problem.solution
+    assert solution.support.size < problem.grid.n
+    config = make_config(n_paths=4000)
+    paths = sample(problem.route, problem.grid, config, 0, config.n_paths, solution.support,
+                   True)
+    batch = _Batch(paths, config.n_paths, problem)
+    fn = functionals(paths, solution.measure)
+    for u in [0.0, 1.0, 2.0]:
+        keep, logw, w, argmin = batch.tilt(u)
+        assert batch.tilt(u)[0] is keep   # built once per u
+        shift = _tilt_shift(solution, u)
+        assert (shift is None) == (u == 0.0)
+        shifted = paths.values if shift is None else paths.values + shift
+        ref_argmin = shifted.argmin(axis=1)
+        ref_keep = shifted[np.arange(len(shifted)), ref_argmin] > 0
+        ref_logw = -u * fn.y[ref_keep] / solution.sigma_star_sq
+        assert np.array_equal(shifted[np.arange(len(shifted)), ref_argmin],
+                              shifted.min(axis=1))
+        assert np.array_equal(keep, shifted.min(axis=1) > 0)
+        assert np.array_equal(keep, ref_keep)
+        assert np.array_equal(logw, ref_logw)
+        assert np.array_equal(w, np.exp(ref_logw))
+        assert np.array_equal(fn.argmin_index if argmin is None else argmin, ref_argmin)
+        assert 0 < keep.sum() < keep.size
+
+
 # ---------------------------------------------------------------------------
 # reproducibility
 # ---------------------------------------------------------------------------
@@ -564,6 +595,19 @@ def test_estimate_validation():
     ok = Estimate(value=0.0, stderr=0.0, n=10, log_value=-1000.0,
                   meta={"log_only": True})
     assert ok.log_value == -1000.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("estimator", [tail_is, tail_crude, correction_diagnostic,
+                                       argmin_conditional])
+def test_a_non_finite_u_is_refused_before_a_path_is_drawn(ou_problem_k2, monkeypatch,
+                                                          estimator, bad):
+    def no_paths(*args):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(gaussmin.estimators, "sample", no_paths)
+    with pytest.raises(EstimationError, match="finite"):
+        estimator(ou_problem_k2, [1.0, bad], make_config(n_paths=2000))
 
 
 # ---------------------------------------------------------------------------

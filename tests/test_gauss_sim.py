@@ -283,6 +283,20 @@ def test_sampler_config_validation():
         SamplerConfig(seed=1, n_paths=10, workers=0)
 
 
+@pytest.mark.parametrize("bad", [
+    {"seed": 1.0}, {"n_paths": 10.0}, {"workers": 2.0},
+    {"stream": 1.5},                     # was sampled as stream 1
+    {"stream": -1}, {"stream": 2**64},   # overflowed in numpy, in the first batch
+    {"stream": 2**64 - 1},               # correction_diagnostic draws on stream + 1
+], ids=str)
+def test_sampler_config_takes_integers_in_range(bad):
+    with pytest.raises(ValueError):
+        SamplerConfig(**{"seed": 1, "n_paths": 10, **bad})
+    top = SamplerConfig(seed=np.uint64(2**64 - 1), n_paths=np.int64(10), stream=2**64 - 2)
+    assert (top.seed, top.n_paths, top.stream + 1) == (2**64 - 1, 10, 2**64 - 1)
+    assert type(top.seed) is int and type(top.n_paths) is int
+
+
 def test_path_batch_validation():
     grid = DyadicGrid(0.0, 1.0, 1)
     with pytest.raises(GridMismatchError):

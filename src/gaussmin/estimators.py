@@ -39,13 +39,13 @@ statistics per group of consecutive path indices, for a jackknife error bar on
 its fit.
 
 The batch is the one unit of a pass: of its memory and of its folds. A batch
-holds ``gauss_sim.batch_rows(n)`` paths, set by the grid alone (7936 at 33
-points, one block of 256 at 1025). ``run_sweeps`` adds the folds in path
-order whatever the worker count, so every number is a deterministic function
-of (seed, stream, n_paths, grid, parameter) that no worker count changes.
-On a Markov form, a pass whose sweeps all read survivors only
-(``Sweep.survivors_only``) holds in each batch only the paths that can still
-survive, to the same totals.
+holds ``gauss_sim.batch_rows(n)`` paths, one block of the normal table, set
+by the grid alone (7936 paths at 33 points, 256 at 1025). ``run_sweeps`` adds
+the folds in path order whatever the worker count, so every number is a
+deterministic function of (seed, stream, n_paths, grid, parameter) that no
+worker count changes. On a Markov form, a pass whose sweeps all read
+survivors only (``Sweep.survivors_only``) holds in each batch only the paths
+that can still survive, to the same totals.
 """
 
 from __future__ import annotations

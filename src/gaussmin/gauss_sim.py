@@ -1,12 +1,13 @@
 """Exact sampling of the grid Gaussian vector with reproducible streams.
 
-Sampling is block-addressed: path j is row j mod BLOCK_ROWS of block
-j // BLOCK_ROWS, and a block's (BLOCK_ROWS, n) table is drawn by numpy's
-ziggurat (``Generator.standard_normal``) from an SFC64 generator seeded by the
-fixed-width words of (seed, stream, block). So path j is the same array no
-matter how a batch cuts the paths, the order of generation, or how many
-workers produced it; a batch that starts or ends inside a block draws that
-block whole and keeps the rows it owns.
+Sampling is block-addressed. On n points, path j is row j mod B of block
+j // B, with B = ``block_rows(n)`` paths set by the grid alone, and a block's
+(B, n) table is drawn by numpy's ziggurat (``Generator.standard_normal``)
+from an SFC64 generator seeded by the fixed-width words of (seed, stream,
+block). So path j is the same array no matter how a batch cuts the paths,
+the order of generation, or how many workers produced it; a batch that
+starts or ends inside a block draws that block whole and keeps the rows it
+owns.
 
 A route is a (kernel, grid)'s covariance Sigma, checked once where it is
 built: it maps the normals xi to paths X, and gives the solver Sigma w
@@ -21,7 +22,7 @@ A Markov form builds its paths coarse to fine (``Prefix``), at every grid
 size, in two stages with their own generators, seeded by the words of (seed,
 stream, block, stage):
 
-- stage 0 draws a (BLOCK_ROWS, m + 1) table per block: W at the prefix, the
+- stage 0 draws a (B, m + 1) table per block: W at the prefix, the
   m + 1 points from the first to the last that bound its
   m = min(PREFIX_INTERVALS, max(1, (n - 1) // 8)) intervals, by a cumsum of
   its steps;
@@ -35,11 +36,11 @@ A row is alive when X > 0 at every prefix point in a given support (the
 optimal measure's), and the stage-1 table holds the block's alive rows first,
 each in row order, then the others. So an alive row is the same path whether
 a batch completes only the alive rows or every row: the estimators read
-nothing of a row with X <= 0 at a support point (``estimators.Sweep``). A
-batch of such rows is ``staged``: its Y is each row's own dot product, since
-a matrix product rounds a row's Y by its place in the batch. A batch
-completes its rows a chunk of whole blocks at a time, each chunk at most
-BATCH_VALUES stage-1 normals or one block, with one call for the chunk.
+nothing of a row with X <= 0 at a support point (``estimators.Sweep``).
+Each block completes the rows a batch takes of it in one call. A row's Y is
+its own dot product (``functionals``), since a matrix product rounds a row's
+Y by its place in the batch, and which rows a batch holds depends on which
+survive.
 
 Finiteness is checked once per ``Problem``, not per batch: ``factorize``
 refuses a sigma or factor with a NaN or inf entry, and ``MarkovForm.of`` a
@@ -59,10 +60,10 @@ sqrt(n) is largest at n = 3, sqrt(6), where one interval holds 2 points (below
 17 points one interval holds up to 15), and 13.8 sqrt(6) < 34. A 1-point
 path is q_0 W_0, with |W_0| < 13.8 sqrt(r_0).
 
-A pass of the estimators draws batches of ``batch_rows(n)`` paths, set by the
-grid alone: whole blocks of at most 2 MiB of normals, or one block where a
-block is larger (from 1025 points), and, where a matrix product maps them,
-their X. So a pass draws each block once at every grid size.
+A pass of the estimators draws batches of ``batch_rows(n)`` paths, one block
+each: at most 2 MiB of normals, or 256 paths where those hold more (from
+1025 points), and, where a matrix product maps them, their X. So a pass
+draws each block once, with one generator per table, at every grid size.
 """
 
 from __future__ import annotations
@@ -83,10 +84,23 @@ from .grids import Grid
 if TYPE_CHECKING:
     from .measure import GridMeasure
 
-# Paths per block of the normal table. Measured per value (one thread): 13.3
-# ns at 33 points and 12.4 ns at 1025 with 256 rows, against 17 and 12 ns with
-# 64. A batch is never less than one block (``batch_rows``).
-BLOCK_ROWS = 256
+# Paths per block of the normal table (``block_rows``), set by the grid alone:
+# MAX_BLOCK_ROWS, capped at BLOCK_VALUES normals (2 MiB: one core's L2 cache)
+# rounded down to a multiple of MIN_BLOCK_ROWS, and never less: 16384 up to 16
+# points, 7936 at 33, 3840 at 65, 1792 at 129, 768 at 257, 256 from 513. A
+# pass's batch is one block, so it seeds one generator per batch and table:
+# OU tail_is at 33 points (500k paths, 5 u, 2-core Xeon, one BLAS thread,
+# medians of 7) took 0.20-0.23 s with 256-row blocks and 0.11-0.13 s so on two
+# workers, 0.20-0.23 and 0.17-0.18 s on one. Measured with 256-row blocks:
+# 13.3 and 12.4 ns per value at 33 and 1025 points, against 17 and 12 with 64
+# rows; tail_is passes in batches of 2^17, 2^18, 2^19, 2^20 and 2^21 values:
+# OU k=5, 500k paths, 5 u: 0.31, 0.33, 0.32, 0.39, 0.38 s; k=6: 0.63, 0.59,
+# 0.59, 0.60, 0.69 s; example1 k=10, 50k paths, u=3: 0.87, 0.86, 0.85, 0.89,
+# 0.92 s. 2^17 to 2^19 tie within the spread of a second run, where 2^17 was
+# again slower at 65 points; 2^18 holds half the normals of 2^19.
+MIN_BLOCK_ROWS = 256
+MAX_BLOCK_ROWS = 16_384
+BLOCK_VALUES = 2**18
 DEFAULT_JITTER_START = 1e-12
 DEFAULT_JITTER_MAX = 1e-6
 # Most intervals of a staged path's prefix (``Prefix``), which holds
@@ -100,17 +114,8 @@ DEFAULT_JITTER_MAX = 1e-6
 # the slowest below 257; the floor of 8 points per interval keeps 32 at 257
 # points, whose paths keep their values.
 PREFIX_INTERVALS = 32
-# Paths, and normals (8 B each, 2 MiB: one core's L2 cache), per batch at most
-# (``batch_rows``): 16384 paths up to 16 points, 7936 at 33, 1792 at 129 and one
-# block from 513 points. Median time of tail_is passes (2-core Xeon, one BLAS
-# thread, 7 runs) at 2^17, 2^18, 2^19, 2^20 and 2^21 values: OU k=5, 500k paths,
-# 5 u: 0.31, 0.33, 0.32, 0.39, 0.38 s; k=6: 0.63, 0.59, 0.59, 0.60, 0.69 s;
-# example1 k=10, 50k paths, u=3: 0.87, 0.86, 0.85, 0.89, 0.92 s. 2^17 to 2^19
-# tie within the spread of a second run, where 2^17 was again slower at 65
-# points; 2^18 holds half the normals of 2^19.
-MAX_BATCH_ROWS = 16_384
-BATCH_VALUES = 2**18
-
+# Paths per batch of a pass at most: a lower cap cuts blocks, moving no path
+MAX_BATCH_ROWS = MAX_BLOCK_ROWS
 
 # each thread's stage-1 scratch (``_scratch``): a worker never reads another's,
 # and no value in it outlives the ``sample`` call that wrote it
@@ -363,7 +368,7 @@ class PathBatch:
     """Sampled paths (rows) on a grid, with the metadata that regenerates them.
     The values are not scanned: ``factorize`` checks finiteness (module doc).
     ``index`` is each row's path index, by default start_index onward; a
-    ``staged`` batch was built in stages, and may leave paths out."""
+    staged batch may leave paths out."""
 
     grid: Grid
     values: np.ndarray        # shape (n_paths, n_points)
@@ -371,7 +376,6 @@ class PathBatch:
     stream: int
     start_index: int          # global index of the first path in this batch's range
     index: np.ndarray | None = field(default=None, repr=False)
-    staged: bool = False
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -435,40 +439,50 @@ def factorize(sigma: np.ndarray) -> Factorization:
 
 def standard_normals(seed: int, stream: int, start: int, count: int,
                      n_points: int, stage: int | None = None,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     out: np.ndarray | None = None, size: int | None = None) -> np.ndarray:
     """Rows [start, start + count) of the (seed, stream) standard-normal table,
-    or of its stage ``stage`` table of staged paths (module doc).
+    or of its stage ``stage`` table of staged paths (module doc), in blocks of
+    ``size`` rows (``block_rows(n_points)`` by default; a stage table takes
+    its grid's).
 
-    Row j is row j mod BLOCK_ROWS of block j // BLOCK_ROWS. The blocks that
-    hold the rows are drawn, each from its first row to the last it holds
-    (or its own last), into one C-contiguous array (``out``, when given, of
-    that shape), and the result is its slice of ``count`` rows, also
-    C-contiguous. A block's generator is seeded by the six 32-bit halves of
-    (seed, stream, block), or the eight of (seed, stream, block, stage): being
-    of fixed width, no two tuples share them.
+    Row j is row j mod size of block j // size. The blocks that hold the rows
+    are drawn, each from its first row to the last it holds (or its own
+    last), into one C-contiguous array (``out``, when given, of that shape),
+    and the result is its slice of ``count`` rows, also C-contiguous. A
+    block's generator is seeded by the six 32-bit halves of (seed, stream,
+    block), or the eight of (seed, stream, block, stage): being of fixed
+    width, no two tuples share them.
     """
-    first = start // BLOCK_ROWS
-    base = first * BLOCK_ROWS
+    size = block_rows(n_points) if size is None else size
+    first = start // size
+    base = first * size
     table = np.empty((start + count - base, n_points)) if out is None else out
-    for lo in range(0, len(table), BLOCK_ROWS):
-        key = (seed, stream, first + lo // BLOCK_ROWS) + (() if stage is None else (stage,))
+    for lo in range(0, len(table), size):
+        key = (seed, stream, first + lo // size) + (() if stage is None else (stage,))
         words = np.array(key, dtype="<u8").view("<u4")
-        Generator(SFC64(SeedSequence(words))).standard_normal(out=table[lo:lo + BLOCK_ROWS])
+        Generator(SFC64(SeedSequence(words))).standard_normal(out=table[lo:lo + size])
     return table[start - base:]
 
 
+def block_rows(n_points: int) -> int:
+    """Paths per block of the normal table on ``n_points`` points:
+    MAX_BLOCK_ROWS, capped at BLOCK_VALUES normals rounded down to a multiple
+    of MIN_BLOCK_ROWS, and never less than MIN_BLOCK_ROWS."""
+    rows = BLOCK_VALUES // n_points
+    return min(MAX_BLOCK_ROWS, max(MIN_BLOCK_ROWS, rows - rows % MIN_BLOCK_ROWS))
+
+
 def batch_rows(n_points: int) -> int:
-    """Paths per batch of a pass on ``n_points`` points: MAX_BATCH_ROWS, capped
-    at BATCH_VALUES normals per batch rounded down to whole blocks, and never
-    less than one block, so that no batch edge falls inside a block."""
-    rows = BATCH_VALUES // n_points
-    return min(MAX_BATCH_ROWS, max(BLOCK_ROWS, rows - rows % BLOCK_ROWS))
+    """Paths per batch of a pass on ``n_points`` points: one block, or
+    MAX_BATCH_ROWS where that is less."""
+    return min(MAX_BATCH_ROWS, block_rows(n_points))
 
 
 def sample(factor: Factorization | MarkovForm, grid: Grid, config: SamplerConfig,
            start: int = 0, count: int | None = None, support: np.ndarray | None = None,
            survivors_only: bool = False) -> PathBatch:
-    """Draw paths [start, start + count) as one batch (count defaults to n_paths).
+    """Draw paths [start, start + count) as one batch (count defaults to
+    n_paths; a negative start or count is refused).
 
     ``factor`` maps the paths: a route, a ``Factorization`` or a
     ``MarkovForm``, as a ``Problem.route`` is. It maps the whole blocks that
@@ -487,12 +501,15 @@ def sample(factor: Factorization | MarkovForm, grid: Grid, config: SamplerConfig
             f"factor is {factor.n}x{factor.n} but the grid has {grid.points.size} points")
     if count is None:
         count = config.n_paths
+    if start < 0 or count < 0:
+        raise ValueError(f"start and count must be >= 0, got {start} and {count}")
     if factor.prefix is not None:
         index, values = _staged_paths(factor, config, start, count, support, survivors_only)
         return PathBatch(grid=grid, values=values, seed=config.seed, stream=config.stream,
-                         start_index=start, index=index, staged=True)
-    offset = start % BLOCK_ROWS
-    rows = -(-(offset + count) // BLOCK_ROWS) * BLOCK_ROWS
+                         start_index=start, index=index)
+    size = block_rows(factor.n)
+    offset = start % size
+    rows = -(-(offset + count) // size) * size
     xi = standard_normals(config.seed, config.stream, start - offset, rows, factor.n)
     values = factor.paths(xi)[offset:offset + count]
     return PathBatch(grid=grid, values=values, seed=config.seed,
@@ -507,14 +524,15 @@ def _staged_paths(form: MarkovForm, config: SamplerConfig, start: int, count: in
     Stage 0 is drawn for the whole blocks that hold the paths. A block's
     stage-1 table gives its alive rows its first rows, and is drawn up to the
     last row the batch keeps, so that an alive row takes the same table row
-    whether or not the others are completed. The rows are completed a chunk
-    of whole blocks at a time (``_chunks``), in the stage-1 table and a spare
-    of the thread's buffer (``_scratch``): a row's values do not depend on
-    the rows it shares a chunk with."""
+    whether or not the others are completed. Each block's rows are completed
+    in one call, in the stage-1 table and a spare of the thread's buffer
+    (``_scratch``): a row's values do not depend on the rows it is completed
+    with."""
     seed, stream, prefix, n = config.seed, config.stream, form.prefix, form.n
-    base = start - start % BLOCK_ROWS
-    rows = -(-(start + count - base) // BLOCK_ROWS) * BLOCK_ROWS
-    w = standard_normals(seed, stream, base, rows, prefix.points.size, stage=0)
+    size = block_rows(n)
+    base = start - start % size
+    rows = -(-(start + count - base) // size) * size
+    w = standard_normals(seed, stream, base, rows, prefix.points.size, stage=0, size=size)
     w *= prefix.step
     np.cumsum(w, axis=1, out=w)
     x0 = w * form.q[prefix.points]
@@ -529,27 +547,25 @@ def _staged_paths(form: MarkovForm, config: SamplerConfig, start: int, count: in
     index = np.flatnonzero(keep)
     values = np.empty((index.size, n))
     values[:, 0] = x0[index, 0]
+    if n == 1:   # a 1-point path is stage 0's
+        return base + index, values
     # the batch row of each table row: a stable sort puts each block's alive rows first
-    order = np.argsort(~alive.reshape(-1, BLOCK_ROWS), axis=1, kind="stable")
-    order += np.arange(0, rows, BLOCK_ROWS)[:, None]
+    order = np.argsort(~alive.reshape(-1, size), axis=1, kind="stable")
+    order += np.arange(0, rows, size)[:, None]
     order = order.ravel()
     taken = np.flatnonzero(keep[order])               # the table rows completed
     kept = order[taken]
     dest = np.searchsorted(index, kept)
-    chunks = _chunks(taken, rows, n) if n > 1 else []   # a 1-point path is stage 0's
-    most = max((sum(drawn for _, drawn, _, _ in chunk) for chunk in chunks), default=0)
-    table, spare = _scratch(2 * most * (n - 1)).reshape(2, most, n - 1)
-    for chunk in chunks:
-        at, shift = 0, []
-        for first, drawn, _, _ in chunk:
-            standard_normals(seed, stream, base + first, drawn, n - 1, stage=1,
-                             out=table[at:at + drawn])
-            shift.append(first - at)
-            at += drawn
-        lo, hi = chunk[0][2], chunk[-1][3]
-        xi = table[:at]
-        if hi - lo < at:
-            xi = xi[taken[lo:hi] - np.repeat(shift, [b[3] - b[2] for b in chunk])]
+    ends = np.searchsorted(taken, np.arange(0, rows + 1, size)).tolist()
+    for first, lo, hi in zip(range(0, rows, size), ends, ends[1:]):
+        if hi == lo:
+            continue
+        drawn = int(taken[hi - 1]) - first + 1
+        table, spare = _scratch(2 * drawn * (n - 1)).reshape(2, drawn, n - 1)
+        xi = standard_normals(seed, stream, base + first, drawn, n - 1, stage=1,
+                              out=table, size=size)
+        if drawn > hi - lo:
+            xi = xi[taken[lo:hi] - first]
         values[dest[lo:hi], 1:] = form.complete(xi, w[kept[lo:hi]], spare[:hi - lo])
     return base + index, values
 
@@ -564,24 +580,6 @@ def _scratch(size: int) -> np.ndarray:
     if buffer is None or buffer.size < size:
         buffer = _buffers.stage1 = np.empty(size)
     return buffer[:size]
-
-
-def _chunks(taken: np.ndarray, rows: int, n: int) -> list[list[tuple[int, int, int, int]]]:
-    """The blocks whose stage-1 rows ``taken`` (sorted table rows, of ``rows``)
-    asks for, as (first table row, rows drawn, [lo, hi) of taken), in runs of
-    whole blocks of at most BATCH_VALUES normals of n - 1 points, or one block."""
-    ends = np.searchsorted(taken, np.arange(BLOCK_ROWS, rows + 1, BLOCK_ROWS)).tolist()
-    chunks, size = [], 0
-    for first, lo, hi in zip(range(0, rows, BLOCK_ROWS), [0] + ends, ends):
-        if hi == lo:
-            continue
-        drawn = int(taken[hi - 1]) - first + 1
-        if not chunks or (size + drawn) * (n - 1) > BATCH_VALUES:
-            chunks.append([])
-            size = 0
-        chunks[-1].append((first, drawn, lo, hi))
-        size += drawn
-    return chunks
 
 
 @dataclass(frozen=True)
@@ -614,10 +612,9 @@ def functionals(batch: PathBatch, weights: GridMeasure) -> PathFunctionals:
     if not np.array_equal(weights.grid.points, batch.grid.points):
         raise GridMismatchError("weights are not on the batch's grid")
     x = batch.values
-    # a matrix product rounds a row's Y by its place in the batch, and a
-    # staged batch's rows depend on which survive: each row's own dot product,
-    # as a stack of (1, n) @ (n, 1) products that matmul computes one by one
-    # (no temporary; np.vecdot would do the same but needs numpy 2)
-    y = ((x[:, None, :] @ weights.weights[:, None])[:, 0, 0] if batch.staged
-         else x @ weights.weights)
+    # a matrix product rounds a row's Y by its place in the batch: each row's
+    # own dot product, as a stack of (1, n) @ (n, 1) products that matmul
+    # computes one by one (no temporary; np.vecdot would do the same but
+    # needs numpy 2)
+    y = (x[:, None, :] @ weights.weights[:, None])[:, 0, 0]
     return PathFunctionals(values=x, y=y, min_value=x.min(axis=1))

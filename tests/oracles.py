@@ -17,7 +17,6 @@ from numpy.random import SFC64, Generator, SeedSequence
 from scipy import integrate
 
 from gaussmin import GridMismatchError
-from gaussmin.gauss_sim import BLOCK_ROWS
 
 
 # ---------------------------------------------------------------------------
@@ -209,30 +208,40 @@ def mu_alpha_mean_quad(alpha: float, a: float, b: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def reference_block_rows(n_points: int) -> int:
+    """Paths per block on n points: 16384, or the largest multiple of 256 with
+    at most 2^18 normals where that is less, and never less than 256."""
+    rows = 2**18 // n_points // 256 * 256
+    return min(16384, max(256, rows))
+
+
 def reference_normals(seed: int, stream: int, start: int, count: int,
                       n_points: int) -> np.ndarray:
     """The (count, n_points) block of the normal table, one generator per block.
 
-    Path j is row j mod BLOCK_ROWS of its block's (BLOCK_ROWS, n_points) draw
+    With B = reference_block_rows(n_points), path j is row j mod B of its
+    block's (B, n_points) draw
     ``Generator(SFC64(SeedSequence(words))).standard_normal``, whose entropy
-    is the six little-endian 32-bit halves of (seed, stream, j // BLOCK_ROWS).
+    is the six little-endian 32-bit halves of (seed, stream, j // B).
     """
+    size = reference_block_rows(n_points)
     tables = {}
     rows = []
     for j in range(start, start + count):
-        block, row = divmod(j, BLOCK_ROWS)
+        block, row = divmod(j, size)
         if block not in tables:
             words = [w for v in (seed, stream, block) for w in (v % 2**32, v // 2**32)]
             gen = Generator(SFC64(SeedSequence(np.array(words, dtype=np.uint32))))
-            tables[block] = gen.standard_normal((BLOCK_ROWS, n_points))
+            tables[block] = gen.standard_normal((size, n_points))
         rows.append(tables[block][row])
     return np.array(rows).reshape(count, n_points)
 
 
-def _stage_table(seed: int, stream: int, block: int, stage: int, n_points: int) -> np.ndarray:
+def _stage_table(seed: int, stream: int, block: int, stage: int, size: int,
+                 n_points: int) -> np.ndarray:
     words = [w for v in (seed, stream, block, stage) for w in (v % 2**32, v // 2**32)]
     gen = Generator(SFC64(SeedSequence(np.array(words, dtype=np.uint32))))
-    return gen.standard_normal((BLOCK_ROWS, n_points))
+    return gen.standard_normal((size, n_points))
 
 
 def reference_staged_paths(r: np.ndarray, q: np.ndarray, seed: int, stream: int,
@@ -241,9 +250,10 @@ def reference_staged_paths(r: np.ndarray, q: np.ndarray, seed: int, stream: int,
     n - 1 is a multiple of m = min(32, max(1, (n - 1) // 8)), built coarse to
     fine by dense matrices.
 
-    Block b's stage-0 table, from the eight 32-bit halves of (seed, stream, b,
-    0), times the lower factor L_ik = sqrt(r_pk - r_p(k-1)), k <= i, of
-    min(r_p, r_p') gives W at the prefix points p = i (n - 1) / m (on a
+    Path j is row j mod B of block b = j // B, B = reference_block_rows(n).
+    Block b's stage-0 table of B rows, from the eight 32-bit halves of (seed,
+    stream, b, 0), times the lower factor L_ik = sqrt(r_pk - r_p(k-1)),
+    k <= i, of min(r_p, r_p') gives W at the prefix points p = i (n - 1) / m (on a
     1-point grid, the point twice, where Cholesky would refuse the singular
     matrix). A row is alive when q_p W_p > 0 at every
     prefix point in ``support``. The stage-1 table, from (seed, stream, b, 1),
@@ -272,17 +282,19 @@ def reference_staged_paths(r: np.ndarray, q: np.ndarray, seed: int, stream: int,
                 step = math.sqrt(r[k] - r[k - 1])
                 free_map[j, k - 1] = (step if k <= j else 0.0) - lam * step
     tested = np.isin(points, list(support))
+    size = reference_block_rows(n)
     blocks = {}
     rows = []
     for j in range(start, start + count):
-        block, row = divmod(j, BLOCK_ROWS)
+        block, row = divmod(j, size)
         if block not in blocks:
-            w_prefix = _stage_table(seed, stream, block, 0, m + 1) @ prefix_lower.T
+            w_prefix = _stage_table(seed, stream, block, 0, size, m + 1) @ prefix_lower.T
             alive = np.all(q[points][tested] * w_prefix[:, tested] > 0, axis=1)
             order = [*np.flatnonzero(alive), *np.flatnonzero(~alive)]
-            blocks[block] = w_prefix, order, _stage_table(seed, stream, block, 1, n - 1)
-        w_prefix, order, z = blocks[block]
-        rows.append(q * (prefix_map @ w_prefix[row] + free_map @ z[order.index(row)]))
+            place = {int(r): i for i, r in enumerate(order)}   # a row's stage-1 row
+            blocks[block] = w_prefix, place, _stage_table(seed, stream, block, 1, size, n - 1)
+        w_prefix, place, z = blocks[block]
+        rows.append(q * (prefix_map @ w_prefix[row] + free_map @ z[place[row]]))
     return np.array(rows).reshape(count, n)
 
 

@@ -229,7 +229,7 @@ def test_correction_diagnostic_jackknife_covers_the_seed_spread(ou):
 
 
 def test_correction_diagnostic_batch_size_moves_no_group_count(row_cap):
-    # 257 points: a pass draws batches of 7936 paths, and batches capped at
+    # 257 points: a pass draws batches of 768 paths, and batches capped at
     # 777 paths straddle the group boundaries
     problem = markov_problem("example1", 8)
     us = [2.0, 2.5, 3.0, 3.5, 4.0]

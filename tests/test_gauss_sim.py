@@ -28,10 +28,11 @@ from gaussmin import gauss_sim
 from gaussmin.estimators import (argmin_conditional, argmin_sweep, correction_diagnostic,
                                  mx_sweep, run_sweeps, small_ball_sweep, tail_crude_sweep,
                                  tail_is_sweep)
-from gaussmin.gauss_sim import (BATCH_VALUES, BLOCK_ROWS, MAX_BATCH_ROWS, Factorization,
-                                MarkovForm, PathBatch, batch_rows, factorize, standard_normals)
+from gaussmin.gauss_sim import (BLOCK_VALUES, MAX_BATCH_ROWS, MIN_BLOCK_ROWS, Factorization,
+                                MarkovForm, PathBatch, batch_rows, block_rows, factorize,
+                                standard_normals)
 from conftest import MARKOV_KERNELS, make_config, markov_problem
-from oracles import ks_critical, reference_normals, reference_staged_paths
+from oracles import ks_critical, reference_block_rows, reference_normals, reference_staged_paths
 
 
 # ---------------------------------------------------------------------------
@@ -80,13 +81,14 @@ def test_factorize_rejects_a_non_finite_matrix(sigma):
 
 
 def test_normal_table_is_addressable_by_row():
-    for n_points in (1, 3, 4, 5, 17):
+    for n_points in (1, 3, 4, 5, 17, 33):
         full = standard_normals(99, 0, 0, 10, n_points)
         block = standard_normals(99, 0, 5, 3, n_points)
         assert np.array_equal(block, full[5:8])
-        across = standard_normals(99, 0, 0, 2 * BLOCK_ROWS + 5, n_points)
-        assert np.array_equal(standard_normals(99, 0, BLOCK_ROWS - 3, 6, n_points),
-                              across[BLOCK_ROWS - 3:BLOCK_ROWS + 3])
+        size = block_rows(n_points)
+        across = standard_normals(99, 0, 0, 2 * size + 5, n_points)
+        assert np.array_equal(standard_normals(99, 0, size - 3, 6, n_points),
+                              across[size - 3:size + 3])
 
 
 def test_normal_table_values_are_finite_and_keyed():
@@ -100,9 +102,9 @@ def test_block_seeds_are_injective():
     # numpy splits each int of a list entropy into as few 32-bit words as it
     # needs and concatenates them, so [2^32, 5, 7] and [0, 1 + 5 * 2^32, 7]
     # both give the words (0, 1, 5, 7); fixed-width words keep them apart
-    start = 7 * BLOCK_ROWS
-    a = standard_normals(2**32, 5, start, BLOCK_ROWS, 4)
-    b = standard_normals(0, 1 + 5 * 2**32, start, BLOCK_ROWS, 4)
+    size = block_rows(4)
+    a = standard_normals(2**32, 5, 7 * size, size, 4)
+    b = standard_normals(0, 1 + 5 * 2**32, 7 * size, size, 4)
     assert not np.array_equal(a, b)
 
 
@@ -122,8 +124,11 @@ def test_normal_table_marginals_pass_ks(ou):
 
 @pytest.mark.parametrize("n_points", [8, 9, 10, 11, 1025])
 def test_normal_table_matches_the_out_of_place_oracle(n_points):
-    # from BLOCK_ROWS - 1, BLOCK_ROWS + 2 rows span two block edges
-    for start, count in ((0, 50), (BLOCK_ROWS - 1, BLOCK_ROWS + 2)):
+    # from B - 1, B + 2 rows span two block edges; the oracle writes out the
+    # block rule itself
+    size = reference_block_rows(n_points)
+    assert size == block_rows(n_points)
+    for start, count in ((0, 50), (size - 1, size + 2)):
         assert np.array_equal(standard_normals(31, 2, start, count, n_points),
                               reference_normals(31, 2, start, count, n_points))
 
@@ -134,7 +139,8 @@ def test_normal_table_law_across_block_edges():
     # correlation of the pairs of values at the same point of the last row
     # of one block and the first row of the next is within 4 stderrs of 0
     n_points, edges = 64, range(1, 401)
-    pairs = np.array([standard_normals(5, 3, e * BLOCK_ROWS - 1, 2, n_points) for e in edges])
+    size = block_rows(n_points)
+    pairs = np.array([standard_normals(5, 3, e * size - 1, 2, n_points) for e in edges])
     values = np.sort(pairs.ravel())
     n = values.size
     ranks = np.arange(1, n + 1) / n
@@ -213,6 +219,37 @@ def test_sample_grid_size_must_match_factor(ou):
     fac = factorize(ou.gram(DyadicGrid(0.0, 1.0, 2)))
     with pytest.raises(GridMismatchError):
         sample(fac, DyadicGrid(0.0, 1.0, 3), make_config(n_paths=10))
+
+
+@pytest.mark.parametrize("name", ["dense", "markov"])
+def test_sample_refuses_a_negative_range(monkeypatch, name):
+    # a negative start overflowed numpy's cast of the block key, and a
+    # negative count returned an empty batch; both are refused before any
+    # draw, and an empty range stays an empty batch
+    kernel = {"dense": PowerExponential(0.5), "markov": OrnsteinUhlenbeck()}[name]
+    problem = Problem(kernel, DyadicGrid(0.0, 1.0, 3))
+    route, grid, cfg = problem.route, problem.grid, make_config(n_paths=100)
+    assert route.name == name
+    drawn = []
+    draw = gauss_sim.standard_normals
+    monkeypatch.setattr(gauss_sim, "standard_normals",
+                        lambda *a, **kw: drawn.append(a) or draw(*a, **kw))
+    for start, count in ((-1, 10), (-300, 10), (0, -1), (5, -3)):
+        with pytest.raises(ValueError, match="start and count"):
+            sample(route, grid, cfg, start, count)
+    assert drawn == []
+    assert sample(route, grid, cfg, 7, 0).values.shape == (0, grid.n)
+
+
+def test_each_rows_y_is_its_own_on_the_dense_route(pe_half):
+    # Y is each row's own dot product, so a row's Y does not depend on the
+    # rows that share its batch
+    problem = Problem(pe_half, DyadicGrid(0.0, 1.0, 6))
+    route, grid, measure = problem.route, problem.grid, problem.solution.measure
+    cfg = make_config(n_paths=500)
+    y = functionals(sample(route, grid, cfg), measure).y
+    for i in range(0, 500, 37):
+        assert functionals(sample(route, grid, cfg, i, 1), measure).y[0] == y[i]
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +349,8 @@ def test_path_batch_validation():
 def test_markov_route_matches_the_dense_product(name, k):
     # the stage tables times the dense matrices of the staged construction,
     # with the alive rows (here, of the optimal measure's support) first in
-    # the stage-1 table, from 2 to 1025 points; a 1-point grid (the
-    # interval's midpoint) takes stage 0 alone
+    # the stage-1 table, from 2 to 1025 points, over 500 paths across a
+    # block edge; a 1-point grid (the interval's midpoint) takes stage 0 alone
     if k is None:
         kern, a, b = MARKOV_KERNELS[name]
         problem = Problem(kern, PointGrid([(a + b) / 2]))
@@ -321,8 +358,9 @@ def test_markov_route_matches_the_dense_product(name, k):
         problem = markov_problem(name, k)
     form, support = problem.route, problem.solution.support
     assert isinstance(form, MarkovForm)
-    x = sample(form, problem.grid, make_config(n_paths=500), start=40, support=support).values
-    dense = reference_staged_paths(form.r, form.q, 4242, 0, 40, 500, support)
+    start = reference_block_rows(problem.grid.n) - 250
+    x = sample(form, problem.grid, make_config(n_paths=500), start=start, support=support).values
+    dense = reference_staged_paths(form.r, form.q, 4242, 0, start, 500, support)
     assert np.abs(x - dense).max() <= 1e-11 * np.abs(dense).max()
 
 
@@ -474,40 +512,44 @@ def test_argmin_of_a_batch_is_the_leftmost_minimum_without_a_copy():
 
 
 # ---------------------------------------------------------------------------
-# batches: a pass draws and reduces at most BATCH_VALUES normals at once
+# batches: a pass draws and reduces one block of at most BLOCK_VALUES normals
+# at once
 # ---------------------------------------------------------------------------
 
 
 def test_narrow_batches_stay_whole():
-    # up to 16 points a batch keeps its 16384 rows; from 17 points the cap
-    # sets the rows: 2^18 // 33 = 7943, down to 31 blocks
+    # a batch is one block; up to 16 points it keeps its 16384 rows, and from
+    # 17 points the cap sets the rows: 2^18 // 33 = 7943, down to 31 times 256
     for n in (3, 9, 16):
         assert batch_rows(n) == MAX_BATCH_ROWS
-    assert [batch_rows(n) for n in (17, 33, 65, 129)] == [15360, 7936, 3840, 1792]
+    assert [batch_rows(n) for n in (17, 33, 65, 129, 257)] == [15360, 7936, 3840, 1792, 768]
 
 
 def test_batch_rows_cap_the_keystream_of_a_batch():
-    # 1025 points: 2^18 // 1025 = 255 rows, up to one block, so that no
-    # batch draws two blocks and keeps half of them
-    assert batch_rows(513) == BLOCK_ROWS
-    assert batch_rows(1025) == BLOCK_ROWS
-    assert batch_rows(4097) == BLOCK_ROWS
-    assert batch_rows(2**21 + 1) == BLOCK_ROWS   # never less than one block
+    # 1025 points: 2^18 // 1025 = 255 rows, up to the 256 rows of the smallest block
+    assert batch_rows(513) == MIN_BLOCK_ROWS
+    assert batch_rows(1025) == MIN_BLOCK_ROWS
+    assert batch_rows(4097) == MIN_BLOCK_ROWS
+    assert batch_rows(2**21 + 1) == MIN_BLOCK_ROWS   # never less than 256 rows
 
 
 def test_every_batch_is_whole_blocks_within_the_cap():
     for n in range(1, 20_001):
         rows = batch_rows(n)
-        assert rows % BLOCK_ROWS == 0 and rows <= MAX_BATCH_ROWS, n
-        assert rows * n <= BATCH_VALUES or rows == BLOCK_ROWS, n
+        assert rows == block_rows(n) == reference_block_rows(n), n
+        assert rows % MIN_BLOCK_ROWS == 0 and rows <= MAX_BATCH_ROWS, n
+        assert rows * n <= BLOCK_VALUES or rows == MIN_BLOCK_ROWS, n
 
 
-@pytest.mark.parametrize("k, n_paths", [(5, 3000), (10, 3000), (11, 1000), (12, 1000)])
-def test_a_default_pass_draws_each_block_once(monkeypatch, k, n_paths):
-    # 33, 1025, 2049 and 4097 points: the capped rows are whole blocks, so no
-    # batch edge falls inside a block, and the pass seeds
-    # 2 ceil(n_paths / BLOCK_ROWS) generators, one per block and stage
-    problem = markov_problem("ou", k)
+def test_the_block_rule_ignores_the_batch_cap(row_cap):
+    # a lower cap cuts a pass's blocks into more batches, but no block
+    row_cap(1)
+    assert batch_rows(33) == 1
+    assert block_rows(33) == 7936
+
+
+def _seeded_blocks(monkeypatch) -> list:
+    """The (block, stage) of every generator gauss_sim seeds from now on."""
     blocks = []
     seed_sequence = gauss_sim.SeedSequence
 
@@ -517,9 +559,30 @@ def test_a_default_pass_draws_each_block_once(monkeypatch, k, n_paths):
         return seed_sequence(words)
 
     monkeypatch.setattr(gauss_sim, "SeedSequence", counted)
+    return blocks
+
+
+@pytest.mark.parametrize("k, n_paths", [(5, 3000), (10, 3000), (11, 1000), (12, 1000)])
+def test_a_default_pass_draws_each_block_once(monkeypatch, k, n_paths):
+    # 33, 1025, 2049 and 4097 points: a batch is one block, so the pass seeds
+    # 2 ceil(n_paths / B) generators, one per block and stage
+    problem = markov_problem("ou", k)
+    blocks = _seeded_blocks(monkeypatch)
     tail_is(problem, [0.0, 1.0], make_config(n_paths=n_paths))
-    assert sorted(blocks) == [(block, stage) for block in range(-(-n_paths // BLOCK_ROWS))
+    size = block_rows(problem.grid.n)
+    assert sorted(blocks) == [(block, stage) for block in range(-(-n_paths // size))
                               for stage in (0, 1)]
+
+
+def test_a_default_ou_pass_seeds_one_generator_per_batch_and_stage(monkeypatch):
+    # tail_sweep's pass, OU at 33 points with 500k paths: 63 batches of 7936
+    # paths and a last one of 32, each one block, seed 2 * 64 = 128
+    # generators (3908 with blocks of 256 paths)
+    problem = markov_problem("ou", 5)
+    blocks = _seeded_blocks(monkeypatch)
+    tail_is(problem, [0.0, 1.0, 2.0, 3.0, 4.0], make_config(n_paths=500_000, workers=2))
+    assert len(blocks) == 2 * -(-500_000 // 7936) == 128
+    assert len(set(blocks)) == 128
 
 
 @pytest.mark.parametrize("route, k, batches", [
@@ -532,7 +595,7 @@ def test_a_default_pass_draws_each_block_once(monkeypatch, k, n_paths):
 ])
 def test_a_fine_pass_holds_one_capped_batch(route, k, batches):
     # 16384 paths' normals would be 134 MB at 1025 points and 4.3 MB at 33;
-    # the pass draws one block of 256 paths, or 7936 paths, at a time
+    # the pass draws one block, of 256 paths or of 7936 paths, at a time
     if route == "markov":
         problem = markov_problem("ou", k)
     else:
@@ -545,7 +608,7 @@ def test_a_fine_pass_holds_one_capped_batch(route, k, batches):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    capped = 8 * BATCH_VALUES
+    capped = 8 * BLOCK_VALUES
     assert peak <= (batches + 0.25) * capped, f"peak {peak / capped:.2f} x one capped keystream"
 
 
@@ -649,7 +712,6 @@ def test_a_survivors_only_batch_holds_the_alive_rows_of_the_whole_batch(grid):
     form, support, cfg = problem.route, problem.solution.support, make_config(n_paths=3000)
     whole = sample(form, grid, cfg, 100, 2000, support)
     alive = sample(form, grid, cfg, 100, 2000, support, survivors_only=True)
-    assert whole.staged and alive.staged
     assert np.array_equal(whole.index, np.arange(100, 2100))
     assert 0 < alive.index.size < 2000 and np.all(np.diff(alive.index) > 0)
     assert np.array_equal(alive.values, whole.values[alive.index - 100])
@@ -670,29 +732,29 @@ def test_a_survivors_only_batch_holds_the_alive_rows_of_the_whole_batch(grid):
 @pytest.mark.parametrize("survivors_only", [False, True], ids=["whole", "survivors"])
 @pytest.mark.parametrize("grid", [DyadicGrid(1.5, 4.0, 6), DyadicGrid(1.5, 4.0, 7), UNEVEN],
                          ids=["65", "129", "uneven-150"])
-def test_a_batch_holds_the_rows_of_one_block_batches(monkeypatch, grid, survivors_only):
-    # a batch completes its rows a chunk of whole blocks at a time; each row
-    # is the same array as in the batch of its block alone, whatever the cut
-    # (1, 256 or 777 rows) and however many chunks a batch takes
+def test_a_batch_holds_the_rows_of_one_block_batches(grid, survivors_only):
+    # each row is the same array as in the batch of its block alone, whatever
+    # the cut (1, 256 or 777 rows), within a block or across a block edge:
+    # 600 paths from 300 before the first edge (a 1-row batch draws its
+    # block's stage 0 whole)
     problem = Problem(ModulatedBrownian(ShiftedRootScale(1.0), 1.5, 4.0), grid)
-    form, support, cfg = problem.route, problem.solution.support, make_config(n_paths=1300)
-    blocks = [sample(form, grid, cfg, lo, min(BLOCK_ROWS, cfg.n_paths - lo), support,
-                     survivors_only) for lo in range(0, cfg.n_paths, BLOCK_ROWS)]
+    form, support = problem.route, problem.solution.support
+    size = block_rows(grid.n)
+    first, cfg = size - 300, make_config(n_paths=size + 300)
+    blocks = [sample(form, grid, cfg, lo, hi - lo, support, survivors_only)
+              for lo, hi in ((first, size), (size, cfg.n_paths))]
     index = np.concatenate([b.index for b in blocks])
     values = np.vstack([b.values for b in blocks])
-    for chunk_values in (BATCH_VALUES, 20_000):   # one chunk per batch, or several
-        monkeypatch.setattr(gauss_sim, "BATCH_VALUES", chunk_values)
-        for rows in (1, 256, 777):
-            batches = [sample(form, grid, cfg, lo, min(rows, cfg.n_paths - lo), support,
-                              survivors_only) for lo in range(0, cfg.n_paths, rows)]
-            assert np.array_equal(np.concatenate([b.index for b in batches]), index)
-            assert np.array_equal(np.vstack([b.values for b in batches]), values)
+    for rows in (1, 256, 777):
+        batches = [sample(form, grid, cfg, lo, min(rows, cfg.n_paths - lo), support,
+                          survivors_only) for lo in range(first, cfg.n_paths, rows)]
+        assert np.array_equal(np.concatenate([b.index for b in batches]), index)
+        assert np.array_equal(np.vstack([b.values for b in batches]), values)
 
 
-def test_a_batch_completes_its_rows_once_per_chunk(monkeypatch):
-    # the numpy calls of a completion run once per chunk of whole blocks, at
-    # most BATCH_VALUES normals, not once per block: at 65 points a chunk
-    # holds 4096 rows, 16 whole blocks
+def test_a_batch_completes_its_rows_once_per_block(monkeypatch):
+    # the numpy calls of a completion run once per block: at 65 points a
+    # block holds 3840 rows
     problem = markov_problem("example2", 6)
     form, grid, support = problem.route, problem.grid, problem.solution.support
     complete, calls = MarkovForm.complete, []
@@ -702,10 +764,11 @@ def test_a_batch_completes_its_rows_once_per_chunk(monkeypatch):
         return complete(self, xi, w, spare)
 
     monkeypatch.setattr(MarkovForm, "complete", counted)
-    cfg = make_config(n_paths=10_000)
-    sample(form, grid, cfg, support=support)    # 40 blocks, every row
-    assert calls == [16 * BLOCK_ROWS, 16 * BLOCK_ROWS, 10_000 - 32 * BLOCK_ROWS]
+    cfg, size = make_config(n_paths=10_000), block_rows(grid.n)
+    assert size == 3840
+    sample(form, grid, cfg, support=support)    # 3 blocks, every row
+    assert calls == [size, size, 10_000 - 2 * size]
     calls.clear()
-    # a pass's batch of 15 blocks, its alive rows only
+    # a pass's batch of one block, its alive rows only
     batch = sample(form, grid, cfg, 0, batch_rows(grid.n), support, survivors_only=True)
     assert calls == [len(batch.values)]

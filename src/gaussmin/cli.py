@@ -44,11 +44,11 @@ import numpy as np
 
 from .closedform import ou_measure, ou_sigma_star_sq, sigma_star_from_mu, tbm_measure
 from .estimators import (ESS_WARN_THRESHOLD, JACKKNIFE_GROUPS, Problem, Sweep, argmin_sweep,
-                         correction_diagnostic, mx_sweep, run_sweeps, small_ball, tail_crude,
-                         tail_crude_sweep, tail_is, tail_is_sweep)
+                         batches, correction_diagnostic, mx_sweep, run_sweeps, small_ball,
+                         tail_is, tail_is_sweep)
 from .exceptions import ConfigError, EstimationError, GaussminError
-# factorize, certify and solve_simplex_qp stay importable here for perfbench/tracer.py
-from .gauss_sim import SamplerConfig, batch_rows, factorize, sample  # noqa: F401
+# factorize, sample, certify and solve_simplex_qp stay importable here for perfbench/tracer.py
+from .gauss_sim import SamplerConfig, factorize, sample  # noqa: F401
 from .grids import MAX_LEVEL, DyadicGrid, Grid
 from .kernels import (ExplicitGram, Kernel, ModulatedBrownian, OrnsteinUhlenbeck,
                       PowerExponential, PowerScale, ShiftedRootScale, TabulatedScale)
@@ -57,6 +57,7 @@ from .optimizer import certify, refine, solve_simplex_qp  # noqa: F401
 from .svgplot import Plot
 
 PATH_DUMP_CAP = 10_000
+REPORT_FILE = "report.md"   # in report's --out, beside each study's directory
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 2
@@ -180,8 +181,8 @@ def _study_keys(v: list, name: str) -> None:
 NUMBERS = Key("a list of finite numbers", lambda v: isinstance(v, list) and all(map(_finite, v)))
 INTERVAL = Key("[a, b] with finite numbers a < b",
                lambda v: NUMBERS.ok(v) and len(v) == 2 and v[0] < v[1])
-NAME = Key("one path component: not empty, '.' or '..', and no '/', '\\' or NUL",
-           lambda v: v not in ("", ".", "..") and not set(v) & set("/\\\0"))
+NAME = Key(f"one path component: not empty, '.', '..' or {REPORT_FILE!r}, no '/', '\\' or NUL",
+           lambda v: v not in ("", ".", "..", REPORT_FILE) and not set(v) & set("/\\\0"))
 SCALES = {"power": Key("a number in (0, 1)", lambda v: _finite(v) and 0 < v < 1),
           "shifted_root": Key("a number >= 0", lambda v: _finite(v) and v >= 0),
           "tabulated": Key("an object of the number lists 'x', 'g', 'dg' and 'd2g'",
@@ -463,13 +464,11 @@ def _run_alone(plan: Plan) -> tuple[Plan, list]:
 def _first_paths(problem: Problem, config: SamplerConfig, count: int
                  ) -> Iterator[list[float]]:
     """Paths [0, count) as lists, one at a time, from the pass's own batches."""
-    route = problem.route
-    support = None if route.prefix is None else problem.solution.support
-    rows = batch_rows(route.n)
-    for start in range(0, count, rows):
-        batch = sample(route, problem.grid, config, start,
-                       min(rows, config.n_paths - start), support)
-        for path in batch.values[:count - start]:
+    starts, draw = batches(problem, config)
+    for start in starts:
+        if start >= count:
+            return
+        for path in draw(start).values[:count - start]:
             yield path.tolist()
 
 
@@ -477,7 +476,7 @@ def plan_tail(cfg: dict, problems: dict) -> Plan:
     us = [float(u) for u in cfg.get("u_list", [])]
     _require(bool(us), "tail needs a non-empty 'u_list'")
     methods = cfg.get("methods", KEYS["methods"].default)
-    if len(set(methods)) < len(methods):  # a repeated method runs, and is written, once
+    if len(set(methods)) < len(methods):  # a repeated method is written once
         methods = list(dict.fromkeys(methods))
         cfg = dict(cfg, methods=methods)
     config = sampler_config(cfg)
@@ -486,21 +485,16 @@ def plan_tail(cfg: dict, problems: dict) -> Plan:
     problem = build_problem(cfg, problems)
     grid = problem.grid
     s2 = problem.solution.sigma_star_sq
-    # tail_is counts the crude hits in its own pass, so a run with IS makes one pass
-    estimator, sweep = (tail_is, tail_is_sweep) if "is" in methods else (tail_crude,
-                                                                          tail_crude_sweep)
 
     def write(out: Path, results: list) -> tuple[int, list[tuple] | None]:
         [estimates] = results
         if n_dump:
             write_csv(out / "paths.csv", cfg, [f"x{i}" for i in range(grid.points.size)],
                       _first_paths(problem, config, n_dump))
-        if "is" in methods:
-            estimates = {"is": estimates, "crude": [e.meta["crude"] for e in estimates]}
-        else:
-            estimates = {"crude": estimates}
+        # tail_is counts the crude hits in its own pass; methods pick the files
+        estimates = {"is": estimates, "crude": [e.meta["crude"] for e in estimates]}
         rows = {m: [(u, e.value, e.stderr, e.log_value, e.log_value + u * u / (2 * s2))
-                    for u, e in zip(us, estimates[m])] for m in estimates}
+                    for u, e in zip(us, estimates[m])] for m in methods}
         for method in methods:
             write_csv(out / f"tail_{method}.csv", cfg,
                       ["u", "p_hat", "stderr", "log_p", "D_u"], rows[method])
@@ -527,8 +521,8 @@ def plan_tail(cfg: dict, problems: dict) -> Plan:
         return EXIT_OK, summary
 
     # alone, the pass runs inside the public estimator, which perfbench/tracer.py times
-    return Plan(problem, config, (sweep(problem, us),), write,
-                lambda: [estimator(problem, us, config)])
+    return Plan(problem, config, (tail_is_sweep(problem, us),), write,
+                lambda: [tail_is(problem, us, config)])
 
 
 def cmd_tail(cfg: dict, out: Path, problems: dict, ran: tuple[Plan, list] | None = None
@@ -734,7 +728,7 @@ def cmd_report(cfg: dict, out: Path, _problems: dict) -> tuple[int, None]:
             lines.append(f"- {stage}: {status}")
             lines.extend(_stage_summary(stage, result, name))
         lines.append("")
-    report_path = out / "report.md"
+    report_path = out / REPORT_FILE
     report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"report written to {report_path}")
     return (EXIT_NUMERICAL if any_failed else EXIT_OK), None

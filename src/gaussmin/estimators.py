@@ -33,19 +33,19 @@ sweeps share its pass, so each of the six public estimators is a sweep builder
 ``correction_sweep``, ``argmin_sweep``, ``mx_sweep``) and a one-sweep call,
 and the CLI's ``argmin`` and a report study's ``tail`` and ``argmin`` stages
 share one pass. ``tail_is`` also counts the crude hits in its pass, so the
-CLI's ``tail`` makes one pass for both methods. ``correction_diagnostic`` runs
+CLI's ``tail`` runs it for either method. ``correction_diagnostic`` runs
 ``tail_is``'s sweep for its whole u list, and its fold also reduces each u's
 statistics per group of consecutive path indices, for a jackknife error bar on
 its fit.
 
 The batch is the one unit of a pass: of its memory and of its folds. A batch
-holds ``gauss_sim.batch_rows(n)`` paths, one block of the normal table, set
-by the grid alone (7936 paths at 33 points, 256 at 1025). ``run_sweeps`` adds
-the folds in path order whatever the worker count, so every number is a
-deterministic function of (seed, stream, n_paths, grid, parameter) that no
-worker count changes. On a Markov form, a pass whose sweeps all read
-survivors only (``Sweep.survivors_only``) holds in each batch only the paths
-that can still survive, to the same totals.
+is one block of the normal table, set by the grid alone (7936 paths at 33
+points, 256 at 1025), and ``batches`` alone cuts a pass into them.
+``run_sweeps`` adds the folds in path order whatever the worker count, so
+every number is a deterministic function of (seed, stream, n_paths, grid,
+parameter) that no worker count changes. On a Markov form, a pass whose
+sweeps all read survivors only (``Sweep.survivors_only``) holds in each
+batch only the paths that can still survive, to the same totals.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ import numpy as np
 from . import optimizer
 from .exceptions import EstimationError
 from .gauss_sim import (Factorization, MarkovForm, PathBatch, PathFunctionals,
-                        SamplerConfig, batch_rows, factorize, functionals, sample)
+                        SamplerConfig, block_rows, factorize, functionals, sample)
 from .grids import Grid, as_points
 from .kernels import Kernel
 from .measure import GridMeasure
@@ -203,36 +203,45 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def batches(problem: Problem, config: SamplerConfig, survivors_only: bool = False
+            ) -> tuple[range, Callable[[int], PathBatch]]:
+    """The first path of each batch of a pass over ``config``'s paths on
+    ``problem``, and ``draw(start)``: the batch from there, one block of the
+    normal table (``block_rows``) or the paths left. A ``MarkovForm`` is given
+    the solution's support, which orders its stage-1 tables, and with
+    ``survivors_only`` completes only the paths alive on it (``sample``); a
+    ``Factorization`` draws whole paths and solves nothing."""
+    route, grid = problem.route, problem.grid  # cached here, before workers read it
+    rows = block_rows(route.n)
+    support = problem.solution.support if isinstance(route, MarkovForm) else None
+
+    def draw(start: int) -> PathBatch:
+        return sample(route, grid, config, start, min(rows, config.n_paths - start),
+                      support, survivors_only)
+
+    return range(0, config.n_paths, rows), draw
+
+
 def run_sweeps(problem: Problem, config: SamplerConfig, sweeps: Sequence[Sweep]) -> list:
     """Each sweep's result, from one pass over ``config``'s paths on ``problem``.
 
-    The pass draws batches of ``gauss_sim.batch_rows(n)`` paths. Every
-    sweep's ``fold`` reduces each batch, and this is the one place that totals
-    folds: tuples add position by position, anything else by its ``+`` (a
-    ``_LogSum`` by ``np.logaddexp``). A sweep's fold and total see the same
-    operands whichever sweeps share the pass. With several workers (never
-    more than the CPUs: more threads would only wait) the batches are
-    computed concurrently but added in submission order, so each total is
-    identical for any worker count.
-
-    A route that builds its paths in stages is given the solution's support,
-    and, when every sweep reads survivors only, completes only the paths that
-    stay > 0 on its prefix's support points. A survivors-only fold then sees
-    in each batch the rows it would have read from whole paths, in the same
-    order, so its total is the same to the last bit.
+    The pass draws the batches of ``batches``, survivors only when every
+    sweep reads survivors only. Every sweep's ``fold`` reduces each batch,
+    and this is the one place that totals folds: tuples add position by
+    position, anything else by its ``+`` (a ``_LogSum`` by ``np.logaddexp``).
+    A sweep's fold and total see the same operands whichever sweeps share the
+    pass: a survivors-only fold sees in each batch the rows it would have
+    read from whole paths, in the same order, so its total is the same to the
+    last bit. With several workers (never more than the CPUs: more threads
+    would only wait) the batches are computed concurrently but added in
+    submission order, so each total is identical for any worker count.
     """
-    route, grid = problem.route, problem.grid  # cached here, before workers read it
-    rows = batch_rows(route.n)
-    survivors_only = all(sweep.survivors_only for sweep in sweeps)
-    support = None if route.prefix is None else problem.solution.support
+    starts, draw = batches(problem, config, all(sweep.survivors_only for sweep in sweeps))
 
     def run(start: int) -> tuple:   # the batch is freed before the next is drawn
-        paths = sample(route, grid, config, start, min(rows, config.n_paths - start),
-                       support, survivors_only)
-        batch = _Batch(paths, config.n_paths, problem)
+        batch = _Batch(draw(start), config.n_paths, problem)
         return tuple(sweep.fold(batch) for sweep in sweeps)
 
-    starts = range(0, config.n_paths, rows)
     workers = min(config.workers, _cpus())
     if workers == 1:
         totals = reduce(_add, map(run, starts))

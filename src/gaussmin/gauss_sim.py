@@ -60,8 +60,8 @@ sqrt(n) is largest at n = 3, sqrt(6), where one interval holds 2 points (below
 17 points one interval holds up to 15), and 13.8 sqrt(6) < 34. A 1-point
 path is q_0 W_0, with |W_0| < 13.8 sqrt(r_0).
 
-A pass of the estimators draws batches of ``batch_rows(n)`` paths, one block
-each: at most 2 MiB of normals, or 256 paths where those hold more (from
+A pass of the estimators draws one block per batch (``estimators.batches``
+cuts it): at most 2 MiB of normals, or 256 paths where those hold more (from
 1025 points), and, where a matrix product maps them, their X. So a pass
 draws each block once, with one generator per table, at every grid size.
 """
@@ -114,8 +114,6 @@ DEFAULT_JITTER_MAX = 1e-6
 # the slowest below 257; the floor of 8 points per interval keeps 32 at 257
 # points, whose paths keep their values.
 PREFIX_INTERVALS = 32
-# Paths per batch of a pass at most: a lower cap cuts blocks, moving no path
-MAX_BATCH_ROWS = MAX_BLOCK_ROWS
 
 # each thread's stage-1 scratch (``_scratch``): a worker never reads another's,
 # and no value in it outlives the ``sample`` call that wrote it
@@ -160,7 +158,6 @@ class Factorization:
     lower: np.ndarray
     jitter: float
     name: ClassVar[str] = "dense"
-    prefix: ClassVar[None] = None   # its paths are drawn whole
     _rows: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
@@ -472,12 +469,6 @@ def block_rows(n_points: int) -> int:
     return min(MAX_BLOCK_ROWS, max(MIN_BLOCK_ROWS, rows - rows % MIN_BLOCK_ROWS))
 
 
-def batch_rows(n_points: int) -> int:
-    """Paths per batch of a pass on ``n_points`` points: one block, or
-    MAX_BATCH_ROWS where that is less."""
-    return min(MAX_BATCH_ROWS, block_rows(n_points))
-
-
 def sample(factor: Factorization | MarkovForm, grid: Grid, config: SamplerConfig,
            start: int = 0, count: int | None = None, support: np.ndarray | None = None,
            survivors_only: bool = False) -> PathBatch:
@@ -489,12 +480,12 @@ def sample(factor: Factorization | MarkovForm, grid: Grid, config: SamplerConfig
     hold the paths, so a path's values do not depend on how the batch cuts
     its block.
 
-    A route with a ``prefix`` builds its paths in stages (module doc): a row
-    is alive when X > 0 at every prefix point in ``support`` (every row, with
-    no support). With ``survivors_only`` the batch holds the alive paths only,
+    A ``MarkovForm`` builds its paths in stages (module doc): a row is alive
+    when X > 0 at every prefix point in ``support`` (every row, with no
+    support). With ``survivors_only`` the batch holds the alive paths only,
     in path order, and its ``index`` names them. Since alive rows come first,
     a path's stage-1 row depends on ``support``: a caller that wants the
-    estimators' paths passes ``problem.solution.support``.
+    estimators' paths draws them by ``estimators.batches``.
     """
     if factor.n != grid.points.size:
         raise GridMismatchError(
@@ -503,7 +494,7 @@ def sample(factor: Factorization | MarkovForm, grid: Grid, config: SamplerConfig
         count = config.n_paths
     if start < 0 or count < 0:
         raise ValueError(f"start and count must be >= 0, got {start} and {count}")
-    if factor.prefix is not None:
+    if isinstance(factor, MarkovForm):
         index, values = _staged_paths(factor, config, start, count, support, survivors_only)
         return PathBatch(grid=grid, values=values, seed=config.seed, stream=config.stream,
                          start_index=start, index=index)

@@ -22,7 +22,7 @@ from gaussmin import (
     SamplerConfig,
     ShiftedRootScale,
 )
-from gaussmin import gauss_sim
+from gaussmin import estimators, gauss_sim
 from gaussmin.cli import main as cli_main
 
 # the three Gauss-Markov presets' kernels and intervals
@@ -76,8 +76,11 @@ def make_config(seed=4242, n_paths=100_000, **kw) -> SamplerConfig:
 @pytest.fixture
 def row_cap(monkeypatch):
     """``row_cap(rows)`` caps every pass's batches at ``rows`` paths for the
-    rest of the test, so that few paths make many batches."""
-    return lambda rows: monkeypatch.setattr(gauss_sim, "MAX_BATCH_ROWS", rows)
+    rest of the test, so that few paths make many batches: ``batches`` cuts a
+    pass by ``estimators.block_rows``, while ``sample`` addresses the paths by
+    gauss_sim's own, so the cap cuts blocks and moves no path."""
+    return lambda rows: monkeypatch.setattr(
+        estimators, "block_rows", lambda n: min(rows, gauss_sim.block_rows(n)))
 
 
 def run_python(args: list[str], timeout: float = 120,

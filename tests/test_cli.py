@@ -653,7 +653,7 @@ def test_a_study_samples_on_its_own_threads(run_cli, monkeypatch):
     ("argmin", {"x_list": [1.0, 0.5]}, 1),
     ("argmin", {"x_list": []}, 1),
     ("smallball", {}, 1),
-    ("tail", {"methods": ["crude"]}, 1),  # crude alone needs no IS pass
+    ("tail", {"methods": ["crude"]}, 1),  # crude alone: the hits of tail_is's one pass
     ("tail", {"methods": ["is"]}, 1),
     # tail, argmin and m_x share one pass; diagnose draws its own on stream + 1
     ("report", {"studies": [dict(SMALL_STUDY, n_paths=3000)]}, 2),
@@ -689,16 +689,18 @@ def test_tail_dump_paths(run_cli):
 
 def test_tail_dump_draws_the_pass_batches(run_cli, monkeypatch, row_cap):
     # the dump draws its paths in the pass's own batches, one at a time, and
-    # keeps the rows it needs of the last
+    # keeps the rows it needs of the last; it draws whole paths, where the
+    # pass (every u >= 0) draws survivors only
     row_cap(256)
     drawn = []
-    sample = gaussmin.cli.sample
+    sample = gaussmin.estimators.sample
 
-    def counted(route, grid, config, start, count, *support):
-        drawn.append((start, count))
-        return sample(route, grid, config, start, count, *support)
+    def counted(route, grid, config, start, count, support, survivors_only):
+        if not survivors_only:
+            drawn.append((start, count))
+        return sample(route, grid, config, start, count, support, survivors_only)
 
-    monkeypatch.setattr(gaussmin.cli, "sample", counted)
+    monkeypatch.setattr(gaussmin.estimators, "sample", counted)
     code, out = run_cli("tail", config={"preset": "ou", "n_paths": 2000, "dump_paths": 600})
     assert code == EXIT_OK
     assert drawn == [(0, 256), (256, 256), (512, 256)]
@@ -719,20 +721,18 @@ def test_a_dense_dump_reads_no_solution():
 def test_staged_tail_dump_draws_the_pass_rows(run_cli, monkeypatch, row_cap):
     # at 257 points the pass completes only the paths alive on the support's
     # prefix points, and the dump draws every path whole in the pass's
-    # batches: each path the pass drew is the dumped path of its index
+    # batches: each path the pass drew is the dumped path of its index. The
+    # pass draws survivors only, and the dump whole paths
     row_cap(256)
     passed, dumped = [], []
-    sample = gaussmin.cli.sample
+    sample = gaussmin.estimators.sample
 
-    def recorder(drawn):
-        def counted(*args):
-            batch = sample(*args)
-            drawn.append(batch)
-            return batch
-        return counted
+    def counted(*args):
+        batch = sample(*args)
+        (passed if args[-1] else dumped).append(batch)   # the last is survivors_only
+        return batch
 
-    monkeypatch.setattr(gaussmin.estimators, "sample", recorder(passed))
-    monkeypatch.setattr(gaussmin.cli, "sample", recorder(dumped))
+    monkeypatch.setattr(gaussmin.estimators, "sample", counted)
     code, out = run_cli("tail", config={"preset": "example1", "k": 8, "n_paths": 2000,
                                         "dump_paths": 600})
     assert code == EXIT_OK
@@ -900,10 +900,10 @@ def test_report_with_no_studies(run_cli):
 
 @pytest.mark.parametrize("bad", [
     {"name": "../escaped"}, {"name": ""}, {"name": 7}, {"name": "ok"}, {"name": "."},
-    {"name": ".."}, {"name": "a/b"}, {"name": "a\\b"},
+    {"name": ".."}, {"name": "a/b"}, {"name": "a\\b"}, {"name": "report.md"},
     {"name": "a", "k_max": 3, "seed": "x"}, {"name": "a", "threads": 0}],
     ids=["parent", "empty", "not_a_string", "duplicate", "dot", "dotdot", "slash",
-         "backslash", "seed", "threads"])
+         "backslash", "report_file", "seed", "threads"])
 def test_report_bad_study_name_exits_3_before_any_stage(run_cli, tmp_path, bad):
     # a study's name is its directory under --out: a bad one is refused
     # before the good study ahead of it runs, and nothing is written anywhere;

@@ -24,13 +24,12 @@ from gaussmin import (
     sample,
     tail_is,
 )
-from gaussmin import gauss_sim
+from gaussmin import estimators, gauss_sim
 from gaussmin.estimators import (argmin_conditional, argmin_sweep, correction_diagnostic,
                                  mx_sweep, run_sweeps, small_ball_sweep, tail_crude_sweep,
                                  tail_is_sweep)
-from gaussmin.gauss_sim import (BLOCK_VALUES, MAX_BATCH_ROWS, MIN_BLOCK_ROWS, Factorization,
-                                MarkovForm, PathBatch, batch_rows, block_rows, factorize,
-                                standard_normals)
+from gaussmin.gauss_sim import (BLOCK_VALUES, MAX_BLOCK_ROWS, MIN_BLOCK_ROWS, Factorization,
+                                MarkovForm, PathBatch, block_rows, factorize, standard_normals)
 from conftest import MARKOV_KERNELS, make_config, markov_problem
 from oracles import ks_critical, reference_block_rows, reference_normals, reference_staged_paths
 
@@ -176,7 +175,7 @@ def test_batch_sizes_give_the_same_paths(ou, k, n_paths):
     problem = Problem(ou, DyadicGrid(0.0, 1.0, k))
     cfg = make_config(n_paths=n_paths)
     stacks = []
-    for rows in (1, 777, batch_rows(problem.grid.n)):
+    for rows in (1, 777, block_rows(problem.grid.n)):
         stacks.append(np.vstack([
             sample(problem.route, problem.grid, cfg, s, min(rows, n_paths - s)).values
             for s in range(0, n_paths, rows)]))
@@ -422,7 +421,7 @@ def test_a_markov_problem_checks_its_form_once(monkeypatch):
     monkeypatch.setattr(MarkovForm, "of", counted)
     problem = markov_problem("example2", 5)
     solution = problem.solution
-    tail_is(problem, [1.0], make_config(n_paths=batch_rows(problem.grid.n) + 1))
+    tail_is(problem, [1.0], make_config(n_paths=block_rows(problem.grid.n) + 1))
     assert certify(problem.route, solution.measure).passed
     assert calls == [problem.grid.n]
 
@@ -484,10 +483,10 @@ def test_one_fine_batch_allocates_about_one_keystream_buffer():
     # functionals does not compute the unread argmin
     problem = markov_problem("ou", 10)
     paths, measure = problem.route, problem.solution.measure
-    buffer = MAX_BATCH_ROWS * 1025 * 8
+    buffer = MAX_BLOCK_ROWS * 1025 * 8
     tracemalloc.start()
     try:
-        batch = sample(paths, problem.grid, make_config(n_paths=MAX_BATCH_ROWS))
+        batch = sample(paths, problem.grid, make_config(n_paths=MAX_BLOCK_ROWS))
         functionals(batch, measure)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -498,9 +497,9 @@ def test_one_fine_batch_allocates_about_one_keystream_buffer():
 def test_argmin_of_a_batch_is_the_leftmost_minimum_without_a_copy():
     problem = markov_problem("example1", 7)  # 129 points: the Markov route
     assert isinstance(problem.route, MarkovForm)
-    batch = sample(problem.route, problem.grid, make_config(n_paths=MAX_BATCH_ROWS))
+    batch = sample(problem.route, problem.grid, make_config(n_paths=MAX_BLOCK_ROWS))
     fn = functionals(batch, problem.solution.measure)
-    buffer = MAX_BATCH_ROWS * 129 * 8
+    buffer = MAX_BLOCK_ROWS * 129 * 8
     tracemalloc.start()
     try:
         index = fn.argmin_index
@@ -521,31 +520,31 @@ def test_narrow_batches_stay_whole():
     # a batch is one block; up to 16 points it keeps its 16384 rows, and from
     # 17 points the cap sets the rows: 2^18 // 33 = 7943, down to 31 times 256
     for n in (3, 9, 16):
-        assert batch_rows(n) == MAX_BATCH_ROWS
-    assert [batch_rows(n) for n in (17, 33, 65, 129, 257)] == [15360, 7936, 3840, 1792, 768]
+        assert block_rows(n) == MAX_BLOCK_ROWS
+    assert [block_rows(n) for n in (17, 33, 65, 129, 257)] == [15360, 7936, 3840, 1792, 768]
 
 
 def test_batch_rows_cap_the_keystream_of_a_batch():
     # 1025 points: 2^18 // 1025 = 255 rows, up to the 256 rows of the smallest block
-    assert batch_rows(513) == MIN_BLOCK_ROWS
-    assert batch_rows(1025) == MIN_BLOCK_ROWS
-    assert batch_rows(4097) == MIN_BLOCK_ROWS
-    assert batch_rows(2**21 + 1) == MIN_BLOCK_ROWS   # never less than 256 rows
+    assert block_rows(513) == MIN_BLOCK_ROWS
+    assert block_rows(1025) == MIN_BLOCK_ROWS
+    assert block_rows(4097) == MIN_BLOCK_ROWS
+    assert block_rows(2**21 + 1) == MIN_BLOCK_ROWS   # never less than 256 rows
 
 
 def test_every_batch_is_whole_blocks_within_the_cap():
     for n in range(1, 20_001):
-        rows = batch_rows(n)
-        assert rows == block_rows(n) == reference_block_rows(n), n
-        assert rows % MIN_BLOCK_ROWS == 0 and rows <= MAX_BATCH_ROWS, n
+        rows = block_rows(n)
+        assert rows == reference_block_rows(n), n
+        assert rows % MIN_BLOCK_ROWS == 0 and rows <= MAX_BLOCK_ROWS, n
         assert rows * n <= BLOCK_VALUES or rows == MIN_BLOCK_ROWS, n
 
 
 def test_the_block_rule_ignores_the_batch_cap(row_cap):
     # a lower cap cuts a pass's blocks into more batches, but no block
     row_cap(1)
-    assert batch_rows(33) == 1
-    assert block_rows(33) == 7936
+    assert estimators.block_rows(33) == 1
+    assert gauss_sim.block_rows(33) == 7936
 
 
 def _seeded_blocks(monkeypatch) -> list:
@@ -604,7 +603,7 @@ def test_a_fine_pass_holds_one_capped_batch(route, k, batches):
     assert isinstance(paths, MarkovForm) == (route == "markov")
     tracemalloc.start()
     try:
-        tail_is(problem, [0.0, 1.0], make_config(n_paths=MAX_BATCH_ROWS))
+        tail_is(problem, [0.0, 1.0], make_config(n_paths=MAX_BLOCK_ROWS))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -637,7 +636,7 @@ def test_worker_counts_change_no_capped_pass_output(name, k):
     # no worker count moves a total of a pass whose batches the cap sets;
     # 20001 paths leave a short last batch
     problem = markov_problem(name, k)
-    assert batch_rows(problem.grid.n) < MAX_BATCH_ROWS
+    assert block_rows(problem.grid.n) < MAX_BLOCK_ROWS
     one, two = (_sweep_outputs(problem, make_config(n_paths=20_001, workers=workers))
                 for workers in (1, 2))
     assert one == two
@@ -770,5 +769,5 @@ def test_a_batch_completes_its_rows_once_per_block(monkeypatch):
     assert calls == [size, size, 10_000 - 2 * size]
     calls.clear()
     # a pass's batch of one block, its alive rows only
-    batch = sample(form, grid, cfg, 0, batch_rows(grid.n), support, survivors_only=True)
+    batch = sample(form, grid, cfg, 0, block_rows(grid.n), support, survivors_only=True)
     assert calls == [len(batch.values)]

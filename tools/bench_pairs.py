@@ -15,8 +15,10 @@ odd ones. Every result line is parsed by json.loads with a parse_constant
 that raises on NaN or Infinity. OUT.json gets, per workload and end-to-end
 metric of BENCHMARK.json, each side's runs, median and quartiles
 (statistics.quantiles(n=4, method="inclusive")), the number of pairs the
-change wins and the relative change of the medians; with --claim-metric, the
-claim rule of the benchmark: the change wins at least 9 of 10 pairs and the
+change wins, the relative change of the medians and the no-regression
+verdict (``verdict``): ``worse``, ``unresolved`` or ``ok``, with a top-level
+list of the worse and the unresolved ones; with --claim-metric, the claim
+rule of the benchmark: the change wins at least 9 of 10 pairs and the
 medians differ by more than the parent's interquartile range. The
 temporary directories are removed either way.
 """
@@ -98,13 +100,39 @@ def summarize(runs: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare(parent: list[float], change: list[float], better: str) -> dict:
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """``worse`` when the change's median is worse than the parent's by more
+    than ``bound`` times the parent's; else ``unresolved`` when the parent's
+    interquartile range is wider than ``bound`` times its median and not every
+    change run beats every parent run; else ``ok``."""
+    sign = 1 if better == "lower" else -1
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    if sign * (c_med - p_med) > bound * abs(p_med):
+        return "worse"
+    spread = summarize(parent)
+    beats_all = (max(change) < min(parent)) if better == "lower" else (min(change) > max(parent))
+    if spread["q3"] - spread["q1"] > bound * abs(p_med) and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
+def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
     p_med, c_med = statistics.median(parent), statistics.median(change)
     return {"parent": summarize(parent), "change": summarize(change),
             "change_better_in": f"{wins} of {len(parent)}", "wins": wins,
             "median_relative_change": (c_med - p_med) / p_med if p_med else None,
+            "verdict": verdict(parent, change, better, bound),
             "parent_runs": parent, "change_runs": change}
+
+
+def verdicts(end_to_end: dict) -> dict:
+    """The "workload.metric" names whose verdict is ``worse``, and those whose
+    verdict is ``unresolved``."""
+    named = [(f"{workload}.{name}", metric["verdict"])
+             for workload, entry in end_to_end.items()
+             for name, metric in entry["metrics"].items()]
+    return {kind: [name for name, v in named if v == kind] for kind in ("worse", "unresolved")}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -165,8 +193,10 @@ def main(argv: list[str] | None = None) -> int:
                 parent, change = ([r["metrics"][name]["value"] for r in results[side]]
                                   for side in ("parent", "change"))
                 entry["metrics"][name] = {"bound": spec["bound"], "better": spec["better"],
-                                          **compare(parent, change, spec["better"])}
+                                          **compare(parent, change, spec["better"],
+                                                    spec["bound"])}
             doc["end_to_end"][workload] = entry
+    doc["verdicts"] = verdicts(doc["end_to_end"])
     if args.claim_metric:
         claimed = doc["end_to_end"][args.claim_workload]["metrics"][args.claim_metric]
         parent_iqr = claimed["parent"]["q3"] - claimed["parent"]["q1"]

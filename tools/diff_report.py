@@ -15,7 +15,10 @@ studies check them at a 9-point prefix, and ``tail --preset ou`` and
 example1 --config tail_fine.json`` and ``argmin --preset example2 --config
 argmin_fine.json`` (a partial support), which complete only the paths alive
 on the support, and ``smallball --preset ou --config smallball_fine.json``,
-which completes every path; and two runs on
+which completes every path; a crude-only ``tail --preset example2 --config
+tail_crude.json`` at 257 points, which counts its hits in ``tail_is``'s pass
+on a partial support, with a u < 0 (so that pass completes every path) and a
+dump of 1000 paths, over two batches; and two runs on
 kernels without a Markov form, so that the dense route is byte-checked: ``tail
 --preset ou --config tail_dense.json`` on ``PowerExponential(0.5)`` (its
 Cholesky path map, theta step and certificate) and ``solve --config
@@ -56,6 +59,7 @@ RUNS = {   # output directory: command line
     "tail_fine": ["tail", "--preset", "example1", "--config", "tail_fine.json"],
     "argmin_fine": ["argmin", "--preset", "example2", "--config", "argmin_fine.json"],
     "smallball_fine": ["smallball", "--preset", "ou", "--config", "smallball_fine.json"],
+    "tail_crude": ["tail", "--preset", "example2", "--config", "tail_crude.json"],
     "tail_dense": ["tail", "--preset", "ou", "--config", "tail_dense.json"],
     "solve_dense": ["solve", "--config", "solve_dense.json"],
 }
@@ -63,6 +67,8 @@ CONFIGS = {   # config file, written beside the output directories: its contents
     "tail_fine.json": {"k": 8, "u_list": [3.0], "methods": ["is"], "n_paths": 20000},
     "argmin_fine.json": {"k": 8, "n_paths": 20000},
     "smallball_fine.json": {"k": 8, "n_paths": 20000},
+    "tail_crude.json": {"k": 8, "methods": ["crude"], "u_list": [-0.5, 0.0, 1.0],
+                        "n_paths": 20000, "dump_paths": 1000},
     "tail_dense.json": {"kernel": {"type": "power_exponential", "alpha": 0.5}, "k": 6,
                         "u_list": [1.0, 2.0], "n_paths": 20000},
     "solve_dense.json": {"kernel": {"type": "explicit", "matrix": [[1.0, 0.9], [0.9, 0.85]]}},
